@@ -14,6 +14,16 @@
 //! Lemma 2, a counting argument independent of worker behaviour — the filter
 //! terminates even against a fully adversarial oracle.
 //!
+//! **Call shape.** Each tournament row — `group[a]` against every later
+//! member `group[a+1..]` — goes to the oracle as one
+//! [`compare_batch`](ComparisonOracle::compare_batch) call, so a group of
+//! size `|G|` costs `|G| − 1` calls of at most `4·un(n) − 1` pairs each, and
+//! no call spans two groups. The pair sequence, its order and each pair's
+//! argument order are those of the plain `(a, b)` double loop; only the
+//! call boundaries differ. A platform underneath therefore runs one job (and
+//! a journal one frame pair) per row instead of per comparison, while rows
+//! stay small enough to keep per-call latency low.
+//!
 //! The Appendix A optimization is available via
 //! [`FilterConfig::track_global_losses`]: an element may lose at most
 //! `un(n)` comparisons in a single group, but across rounds its distinct
@@ -143,6 +153,9 @@ pub(crate) fn filter_candidates_checked<O: ComparisonOracle>(
     let mut rounds = 0usize;
     let mut next: Vec<u32> = Vec::new();
     let mut champions: Vec<u32> = Vec::new();
+    // The row buffers, sized once: a row holds at most `g − 1` pairs.
+    let mut pairs: Vec<(ElementId, ElementId)> = Vec::with_capacity(g);
+    let mut answers: Vec<ElementId> = Vec::with_capacity(g);
 
     while survivors.len() >= 2 * un {
         oracle.observe(TraceEvent::RoundStart(rounds as u32));
@@ -162,16 +175,20 @@ pub(crate) fn filter_candidates_checked<O: ComparisonOracle>(
             for &i in group {
                 wins[i as usize] = 0;
             }
-            for a in 0..group.len() {
-                for b in (a + 1)..group.len() {
-                    let (i, j) = (group[a], group[b]);
-                    let winner =
-                        oracle.compare(WorkerClass::Naive, ids[i as usize], ids[j as usize]);
-                    let (wi, li) = if winner == ids[i as usize] {
-                        (i, j)
-                    } else {
-                        (j, i)
-                    };
+            // One oracle call per tournament row: `group[a]` against every
+            // later member, in the scalar loop's `(a, b)` order.
+            for (a, &i) in group.iter().enumerate() {
+                let row = &group[a + 1..];
+                if row.is_empty() {
+                    break;
+                }
+                let k = ids[i as usize];
+                pairs.clear();
+                pairs.extend(row.iter().map(|&j| (k, ids[j as usize])));
+                answers.clear();
+                oracle.compare_batch(WorkerClass::Naive, &pairs, &mut answers);
+                for (&j, &winner) in row.iter().zip(&answers) {
+                    let (wi, li) = if winner == k { (i, j) } else { (j, i) };
                     wins[wi as usize] += 1;
                     if config.track_global_losses {
                         let set = &mut losses[li as usize];
@@ -258,11 +275,13 @@ fn champion_of(group: &[u32], wins: &[u32]) -> Option<u32> {
 /// Fallible twin of [`filter_candidates`]: surfaces the first
 /// [`OracleError`] the oracle reports instead of fabricating answers.
 ///
-/// Internally the run proceeds behind a [`FuseOracle`]; once the fuse
-/// blows, remaining comparisons are answered from a consistent fabricated
-/// total order (free of charge), which keeps Lemma 2's termination
-/// argument intact — the filter always finishes, and the fabricated
-/// outcome is then discarded in favour of the error.
+/// Internally the run proceeds behind a [`FuseOracle`], which forwards each
+/// tournament row as one [`try_compare_batch`](ComparisonOracle::try_compare_batch);
+/// once the fuse blows — possibly mid-row, keeping the purchased prefix —
+/// remaining comparisons are answered from a consistent fabricated total
+/// order (free of charge), which keeps Lemma 2's termination argument
+/// intact — the filter always finishes, and the fabricated outcome is then
+/// discarded in favour of the error.
 ///
 /// # Errors
 ///
@@ -600,6 +619,205 @@ mod tests {
         let err =
             try_filter_candidates(&mut flaky, &inst.ids(), &FilterConfig::new(3)).unwrap_err();
         assert!(matches!(err, OracleError::WorkforceDepleted { .. }));
+    }
+
+    /// Records the pairs of every call that reaches the wrapped oracle (a
+    /// scalar `compare` is a one-pair call).
+    struct CallLog<O> {
+        inner: O,
+        calls: Vec<Vec<(ElementId, ElementId)>>,
+    }
+
+    impl<O> CallLog<O> {
+        fn new(inner: O) -> Self {
+            CallLog {
+                inner,
+                calls: Vec::new(),
+            }
+        }
+    }
+
+    impl<O: ComparisonOracle> ComparisonOracle for CallLog<O> {
+        fn compare(&mut self, class: WorkerClass, k: ElementId, j: ElementId) -> ElementId {
+            self.calls.push(vec![(k, j)]);
+            self.inner.compare(class, k, j)
+        }
+
+        fn compare_batch(
+            &mut self,
+            class: WorkerClass,
+            pairs: &[(ElementId, ElementId)],
+            winners: &mut Vec<ElementId>,
+        ) {
+            if !pairs.is_empty() {
+                self.calls.push(pairs.to_vec());
+            }
+            self.inner.compare_batch(class, pairs, winners);
+        }
+
+        fn counts(&self) -> ComparisonCounts {
+            self.inner.counts()
+        }
+    }
+
+    /// Σ over the filtered groups of every round of (|G| − 1): the rows.
+    fn rows_played(out: &FilterOutcome, un: usize) -> usize {
+        let g = 4 * un;
+        let mut rows = 0;
+        for &size in &out.sizes[..out.rounds] {
+            let groups = size.div_ceil(g);
+            for ci in 0..groups {
+                let len = g.min(size - ci * g);
+                if ci + 1 < groups || len > un {
+                    rows += len - 1;
+                }
+            }
+        }
+        rows
+    }
+
+    fn threshold_oracle(inst: &Instance, seed: u64) -> SimulatedOracle<StdRng> {
+        let model = ExpertModel::exact(20.0, 1.0, TiePolicy::UniformRandom);
+        SimulatedOracle::new(inst.clone(), model, StdRng::seed_from_u64(seed))
+    }
+
+    #[test]
+    fn one_oracle_call_per_tournament_row() {
+        let un = 3;
+        let g = 4 * un;
+        let inst = uniform_instance(500, 21);
+        let mut o = CallLog::new(threshold_oracle(&inst, 22));
+        let out = filter_candidates(&mut o, &inst.ids(), &FilterConfig::new(un));
+        assert!(out.rounds >= 2);
+        assert_eq!(o.calls.len(), rows_played(&out, un));
+
+        // A call is one row — `group[a]` against `group[a+1..]` — so the
+        // rows of a group shrink by one member per call, and a group's
+        // first row names the whole group.
+        let mut heads: Vec<Vec<ElementId>> = Vec::new();
+        let mut prev: Option<&Vec<(ElementId, ElementId)>> = None;
+        for call in &o.calls {
+            assert!(call.len() < g, "a row holds at most 4·un − 1 pairs");
+            let k = call[0].0;
+            assert!(call.iter().all(|&(a, _)| a == k), "a call mixes rows");
+            let rest: Vec<ElementId> = call.iter().map(|&(_, b)| b).collect();
+            match prev.filter(|p| p.len() > 1) {
+                Some(p) => {
+                    let tail: Vec<ElementId> = p.iter().map(|&(_, b)| b).collect();
+                    assert_eq!(k, tail[0], "a row continues its group");
+                    assert_eq!(rest, tail[1..], "a row continues its group");
+                }
+                None => heads.push(std::iter::once(k).chain(rest).collect()),
+            }
+            prev = Some(call);
+        }
+        // Round 0 plays the input in chunks of g: its group heads are them.
+        let ids = inst.ids();
+        let chunks: Vec<&[ElementId]> = ids.chunks(g).collect();
+        assert!(500 % g > un, "the short last group is filtered too");
+        assert!(heads.len() > chunks.len(), "later rounds add heads");
+        for (head, chunk) in heads.iter().zip(&chunks) {
+            assert_eq!(head.as_slice(), *chunk);
+        }
+    }
+
+    #[test]
+    fn row_batching_matches_a_scalar_only_oracle() {
+        use crate::oracle::FnOracle;
+        let inst = uniform_instance(700, 23);
+        for config in [
+            FilterConfig::new(4),
+            FilterConfig::new(4).with_global_losses(),
+        ] {
+            let mut batched = CallLog::new(threshold_oracle(&inst, 24));
+            let rows = filter_candidates(&mut batched, &inst.ids(), &config);
+
+            // `FnOracle` implements only `compare`: its batch entry is the
+            // scalar loop, so the inner oracle sees one call per pair.
+            let mut scalar_inner = threshold_oracle(&inst, 24);
+            let mut scalar_log = Vec::new();
+            let mut scalar = FnOracle::new(|c, k, j| {
+                scalar_log.push((k, j));
+                scalar_inner.compare(c, k, j)
+            });
+            let pairs = filter_candidates(&mut scalar, &inst.ids(), &config);
+
+            assert_eq!(rows, pairs, "{config:?}");
+            let flat: Vec<_> = batched.calls.concat();
+            assert_eq!(flat, scalar_log, "same pairs, order and orientation");
+            assert!(batched.calls.len() < flat.len() / 5);
+        }
+    }
+
+    #[test]
+    fn try_filter_keeps_a_mid_row_prefix_and_terminates() {
+        use crate::oracle::{FuseOracle, OracleError};
+        // A platform-like oracle: perfect workers answer (the larger id
+        // wins — the opposite of the fuse's fabricated smaller-id order)
+        // until `left` runs out mid-batch; the answered prefix is appended
+        // before the error, as a platform that dead-letters a unit does.
+        struct DeadLettersMidRow {
+            left: usize,
+            counts: ComparisonCounts,
+            failed_call: Option<Vec<(ElementId, ElementId)>>,
+        }
+        impl ComparisonOracle for DeadLettersMidRow {
+            fn compare(&mut self, _: WorkerClass, _: ElementId, _: ElementId) -> ElementId {
+                unreachable!("the filter only batches")
+            }
+            fn try_compare_batch(
+                &mut self,
+                class: WorkerClass,
+                pairs: &[(ElementId, ElementId)],
+                winners: &mut Vec<ElementId>,
+            ) -> Result<(), OracleError> {
+                assert!(self.failed_call.is_none(), "no call after the failure");
+                let answered = pairs.len().min(self.left);
+                self.left -= answered;
+                self.counts.record_many(class, answered as u64);
+                winners.extend(pairs[..answered].iter().map(|&(k, j)| k.max(j)));
+                if answered < pairs.len() {
+                    self.failed_call = Some(pairs.to_vec());
+                    return Err(OracleError::Unanswered { attempts: 4 });
+                }
+                Ok(())
+            }
+            fn counts(&self) -> ComparisonCounts {
+                self.counts
+            }
+        }
+        let platform = || DeadLettersMidRow {
+            left: 100,
+            counts: ComparisonCounts::zero(),
+            failed_call: None,
+        };
+        let ids: Vec<ElementId> = (0..300).map(ElementId).collect();
+        let config = FilterConfig::new(3);
+
+        let err = try_filter_candidates(&mut platform(), &ids, &config).unwrap_err();
+        assert_eq!(err, OracleError::Unanswered { attempts: 4 });
+
+        // Rows of 11, 10, 9, … pairs: group 0 (ids 0..12) buys 66 answers
+        // and group 1 (ids 12..24) 11 + 10 + 9 = 30 more, so the outage
+        // hits row `15 vs 16..=23` after 4 of its 8 pairs.
+        let mut fuse = FuseOracle::new(platform());
+        let out = filter_candidates_checked(&mut fuse, &ids, &config).unwrap();
+        assert!(out.survivors.len() < 2 * 3, "the run terminates normally");
+        assert!(fuse.blown());
+        assert_eq!(fuse.counts().naive, 100, "nothing is bought after the blow");
+        let e = ElementId;
+        for b in 16..20 {
+            assert_eq!(
+                fuse.compare(WorkerClass::Naive, e(15), e(b)),
+                e(b),
+                "the purchased prefix stays memoized"
+            );
+        }
+        for b in 20..24 {
+            assert_eq!(fuse.compare(WorkerClass::Naive, e(15), e(b)), e(15));
+        }
+        let failed = fuse.into_inner().failed_call.expect("the outage hit a row");
+        assert_eq!(failed, (16..24).map(|b| (e(15), e(b))).collect::<Vec<_>>());
     }
 
     #[test]

@@ -199,8 +199,9 @@ pub fn sweep(n: usize, un: usize, trials: u64, base_seed: u64) -> Vec<SweepRow> 
 
 /// Runs the sweep at experiment scale.
 pub fn run(scale: &Scale) -> Table {
-    // Platform-driven runs submit one job per comparison; keep n modest so
-    // the five-rate sweep stays in seconds.
+    // Platform-driven runs submit one job per Phase-1 tournament row and
+    // per Phase-2 comparison; keep n modest so the five-rate sweep, with
+    // its retries, stays in seconds.
     let n = (*scale.n_grid.first().unwrap_or(&300)).min(300);
     let un = (n / 50).max(3);
     let trials = scale.trials.max(2);

@@ -12,8 +12,9 @@
 use crate::report::Table;
 use crate::scale::Scale;
 use crowd_core::algorithms::{filter_candidates, FilterConfig};
-use crowd_core::element::Instance;
+use crowd_core::element::{ElementId, Instance};
 use crowd_core::model::{TiePolicy, WorkerClass};
+use crowd_core::oracle::{ComparisonCounts, ComparisonOracle};
 use crowd_platform::{
     batched_filter, Behavior, Platform, PlatformConfig, PlatformOracle, WorkerPool,
 };
@@ -41,6 +42,23 @@ fn build_platform(instance: &Instance, workers: usize, delta: f64, seed: u64) ->
         PlatformConfig::paper_default().without_gold(),
         StdRng::seed_from_u64(seed),
     )
+}
+
+/// The sequential arm's adapter: it implements only `compare`, so the
+/// trait's default `compare_batch` — the scalar loop — hands the filter's
+/// row batches to the platform one pair, and one job, at a time. It tallies
+/// nothing itself (unlike an `FnOracle`), so each platform judgment is
+/// counted once in the run's comparison totals.
+struct OneJobPerPair<O>(O);
+
+impl<O: ComparisonOracle> ComparisonOracle for OneJobPerPair<O> {
+    fn compare(&mut self, class: WorkerClass, k: ElementId, j: ElementId) -> ElementId {
+        self.0.compare(class, k, j)
+    }
+
+    fn counts(&self) -> ComparisonCounts {
+        self.0.counts()
+    }
 }
 
 /// One measurement: sequential vs batched physical steps at one pool size.
@@ -76,9 +94,9 @@ pub fn measure(
     let instance = &planted.instance;
 
     let sequential_platform = build_platform(instance, workers, planted.delta_n, seed ^ 1);
-    let mut oracle = PlatformOracle::new(sequential_platform);
+    let mut oracle = OneJobPerPair(PlatformOracle::new(sequential_platform));
     filter_candidates(&mut oracle, &instance.ids(), &FilterConfig::new(un));
-    let sequential_platform = oracle.into_platform();
+    let sequential_platform = oracle.0.into_platform();
 
     let mut batched_platform = build_platform(instance, workers, planted.delta_n, seed ^ 1);
     let batched = batched_filter(

@@ -4,12 +4,15 @@
 //! steps: "in the s-th logical step, a batch `B_s` of pairwise comparisons
 //! is sent to the crowdsourcing platform", and each logical step costs
 //! `⌈|B_s| / |W_t|⌉` *physical* steps of wall-clock time. Driving the
-//! platform through the sequential [`ComparisonOracle`](crowd_core::oracle::ComparisonOracle) adapter submits
-//! one-unit jobs, so a tournament of `m` games takes `m` physical steps;
-//! the batched executors below submit every independent comparison of a
-//! round as a single job, so the same tournament takes `⌈m/w⌉` physical
-//! steps on a pool of `w` workers — the parallel speedup the paper's time
-//! model is about (and the measure Venetis et al. optimize).
+//! platform through the [`ComparisonOracle`](crowd_core::oracle::ComparisonOracle)
+//! adapter submits one job per oracle call: the Phase-1 filter batches each
+//! tournament row, so a group of `|G|` players takes `|G| − 1` jobs of at
+//! most `|G| − 1` units each, and a scalar-only oracle in between takes one
+//! job per comparison. The batched executors below submit every
+//! independent comparison of a round as a single job, so a round of `m`
+//! games takes `⌈m/w⌉` physical steps on a pool of `w` workers — the
+//! parallel speedup the paper's time model is about (and the measure
+//! Venetis et al. optimize).
 //!
 //! Algorithm 2 is embarrassingly batchable: within a round, every group's
 //! entire all-play-all tournament is independent of every other
@@ -282,6 +285,7 @@ mod tests {
     fn batched_and_sequential_agree_with_perfect_workers() {
         use crate::platform::PlatformOracle;
         use crowd_core::algorithms::filter_candidates;
+        use crowd_core::oracle::{ComparisonOracle, FnOracle};
 
         let n = 150;
         let ids: Vec<ElementId> = (0..n as u32).map(ElementId).collect();
@@ -297,7 +301,12 @@ mod tests {
 
         let sequential_p = perfect_platform(n, 10, 3);
         let mut oracle = PlatformOracle::new(sequential_p);
-        let sequential = filter_candidates(&mut oracle, &ids, &FilterConfig::new(3));
+        // `FnOracle` answers a batch with the scalar loop: one job per pair.
+        let sequential = filter_candidates(
+            &mut FnOracle::new(|c, k, j| oracle.compare(c, k, j)),
+            &ids,
+            &FilterConfig::new(3),
+        );
 
         assert_eq!(batched.survivors, sequential.survivors);
         // Same comparisons, radically different wall-clock.

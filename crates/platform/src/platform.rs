@@ -796,19 +796,32 @@ impl<R: RngCore> Platform<R> {
             }
         }
 
+        // Bucket the usable judgments by unit in one pass. Gold scoring is
+        // over, so trust is final: each bucket tallies its votes both among
+        // workers still trusted and among all usable judgments (the
+        // fallback when quality control discards everything).
+        let now_untrusted = self.trust.untrusted();
+        let mut votes_by_unit: HashMap<UnitId, UnitVotes> = HashMap::new();
+        for (jd, usable) in &judgments {
+            if *usable {
+                let for_k = u32::from(jd.answer == units[&jd.unit].pair.0);
+                let votes = votes_by_unit.entry(jd.unit).or_default();
+                votes.all.add(for_k);
+                if !now_untrusted.contains(&jd.worker) {
+                    votes.trusted.add(for_k);
+                }
+            }
+        }
+
         // Units still short of judgments after retries are degraded and
         // dead-lettered.
         let needed = job.judgments_per_unit() as usize;
-        let mut usable_per_unit: HashMap<UnitId, usize> = HashMap::new();
-        for (jd, usable) in &judgments {
-            if *usable {
-                *usable_per_unit.entry(jd.unit).or_default() += 1;
-            }
-        }
         let mut degraded_units = Vec::new();
         let mut dead_letters_here = 0u64;
         for unit in job.units() {
-            let got = usable_per_unit.get(&unit.id).copied().unwrap_or(0);
+            let got = votes_by_unit
+                .get(&unit.id)
+                .map_or(0, |votes| votes.all.total as usize);
             let attempts = attempts_by_unit.get(&unit.id).copied().unwrap_or(0);
             crowd_obs::observe(
                 metric_names::RETRY_DEPTH,
@@ -849,37 +862,25 @@ impl<R: RngCore> Platform<R> {
         }
 
         // Aggregate regular units by majority over usable judgments.
-        let now_untrusted = self.trust.untrusted();
         let mut answers = HashMap::new();
         let mut unanswered: Vec<UnitId> = Vec::new();
         for unit in job.units().iter().filter(|u| !u.is_gold()) {
             let (k, j) = unit.pair;
-            let votes: Vec<ElementId> = judgments
-                .iter()
-                .filter(|(jd, usable)| {
-                    *usable && jd.unit == unit.id && !now_untrusted.contains(&jd.worker)
-                })
-                .map(|(jd, _)| jd.answer)
-                .collect();
+            let unit_votes = votes_by_unit.get(&unit.id).copied().unwrap_or_default();
             // If quality control discarded everything, fall back to all
             // usable judgments — the requester still needs an answer.
-            let votes = if votes.is_empty() {
-                judgments
-                    .iter()
-                    .filter(|(jd, usable)| *usable && jd.unit == unit.id)
-                    .map(|(jd, _)| jd.answer)
-                    .collect()
+            let votes = if unit_votes.trusted.total > 0 {
+                unit_votes.trusted
             } else {
-                votes
+                unit_votes.all
             };
-            if votes.is_empty() {
+            if votes.total == 0 {
                 // Nothing usable at all: never fabricate an answer.
                 unanswered.push(unit.id);
                 continue;
             }
-            let k_votes = votes.iter().filter(|&&a| a == k).count();
-            let j_votes = votes.len() - k_votes;
-            let winner = if k_votes > j_votes || (k_votes == j_votes && k < j) {
+            let j_votes = votes.total - votes.for_k;
+            let winner = if votes.for_k > j_votes || (votes.for_k == j_votes && k < j) {
                 k
             } else {
                 j
@@ -912,12 +913,38 @@ impl<R: RngCore> Platform<R> {
     }
 }
 
+/// A unit's usable votes: how many there are and how many named the
+/// unit's first element `k`.
+#[derive(Debug, Clone, Copy, Default)]
+struct VoteCount {
+    total: u32,
+    for_k: u32,
+}
+
+impl VoteCount {
+    fn add(&mut self, for_k: u32) {
+        self.total += 1;
+        self.for_k += for_k;
+    }
+}
+
+/// One unit's bucket in [`Platform::run_job`]'s majority aggregation.
+#[derive(Debug, Clone, Copy, Default)]
+struct UnitVotes {
+    /// Votes of workers still trusted after the job's gold scoring.
+    trusted: VoteCount,
+    /// Every usable vote.
+    all: VoteCount,
+}
+
 /// Adapts a [`Platform`] to `crowd-core`'s [`ComparisonOracle`], so the
 /// Section 4 algorithms can run on the full simulator.
 ///
-/// Every `compare` call is one logical step containing a single unit
-/// (sequential algorithms cannot batch — each comparison may depend on the
-/// previous answer).
+/// Every oracle call is one logical step: a `compare` call submits a
+/// one-unit job, a `compare_batch` call submits the whole batch as one job.
+/// The Phase-1 filter batches each tournament row, so it pays one job per
+/// row; Phase 2 compares adaptively (each comparison may depend on the
+/// previous answer) and pays one job per comparison.
 #[derive(Debug)]
 pub struct PlatformOracle<R: RngCore> {
     platform: Platform<R>,
@@ -1359,6 +1386,75 @@ mod tests {
         // Every paid judgment was performed: the billing invariant holds
         // under faults too.
         assert_eq!(p.ledger().judgments(), p.counts().total());
+    }
+
+    #[test]
+    fn majority_aggregation_matches_a_per_unit_recount_under_faults() {
+        use crate::fault::FaultConfig;
+        use crate::task::{Job, Unit};
+        // A 400-pair batch with 4 judgments per unit (even, so vote ties
+        // occur), noisy honest workers, a spam channel that gold questions
+        // catch, and no-answer faults that force retries. There are no
+        // timeouts, so every judgment in the result is usable.
+        let n = 40u32;
+        let instance = Instance::new((0..n).map(f64::from).collect());
+        let mut pool = WorkerPool::new();
+        pool.hire_naive_crowd(20, 4.0, 0.1);
+        for _ in 0..4 {
+            pool.hire(
+                WorkerClass::Naive,
+                "spam",
+                Behavior::Spammer(SpamStrategy::AlwaysSecond),
+            );
+        }
+        let mut cfg = PlatformConfig::paper_default()
+            .with_faults(FaultConfig::none().with_no_answer(0.15), 17);
+        cfg.min_gold = 1;
+        let mut p = Platform::new(instance, pool, cfg, StdRng::seed_from_u64(71));
+
+        let pairs: Vec<(ElementId, ElementId)> = (0..n)
+            .flat_map(|a| ((a + 1)..n).map(move |b| (ElementId(a), ElementId(b))))
+            .take(400)
+            .collect();
+        let mut units: Vec<Unit> = pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(k, j))| Unit::regular(UnitId(i as u32), k, j))
+            .collect();
+        for g in 0..80u32 {
+            let (hi, lo) = (ElementId(n - 1 - g % 8), ElementId(g % 8));
+            units.push(Unit::gold(UnitId(400 + g), hi, lo, hi));
+        }
+        let job = Job::new(units, 4);
+        let result = p.run_job(&job, WorkerClass::Naive).unwrap();
+        assert!(result.retries > 0, "faults must force retries");
+        assert!(
+            !result.excluded_workers.is_empty(),
+            "gold must flag the spam channel"
+        );
+
+        for unit in job.units().iter().filter(|u| !u.is_gold()) {
+            let (k, j) = unit.pair;
+            let usable: Vec<&Judgment> = result
+                .judgments
+                .iter()
+                .filter(|jd| jd.unit == unit.id)
+                .collect();
+            let trusted: Vec<&Judgment> = usable
+                .iter()
+                .copied()
+                .filter(|jd| !result.excluded_workers.contains(&jd.worker))
+                .collect();
+            let votes = if trusted.is_empty() { usable } else { trusted };
+            let k_votes = votes.iter().filter(|jd| jd.answer == k).count();
+            let j_votes = votes.len() - k_votes;
+            let want = if k_votes > j_votes || (k_votes == j_votes && k < j) {
+                k
+            } else {
+                j
+            };
+            assert_eq!(result.answers[&unit.id], want, "unit {:?}", unit.id);
+        }
     }
 
     #[test]

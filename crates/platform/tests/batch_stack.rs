@@ -4,13 +4,14 @@
 //! billing layer's per-batch amortization (one platform job per batch)
 //! visible only in the job structure — never in the answers.
 
+use crowd_core::algorithms::{filter_candidates, try_filter_candidates, FilterConfig};
 use crowd_core::element::{ElementId, Instance};
 use crowd_core::equiv::{assert_oracles_equal, drive_batched, drive_scalar};
 use crowd_core::model::WorkerClass;
-use crowd_core::oracle::{ComparisonOracle, FuseOracle};
+use crowd_core::oracle::{ComparisonCounts, ComparisonOracle, FuseOracle, OracleError};
 use crowd_core::trace::InstrumentedOracle;
 use crowd_obs::ObservedOracle;
-use crowd_platform::{Platform, PlatformConfig, PlatformOracle, WorkerPool};
+use crowd_platform::{FaultConfig, Platform, PlatformConfig, PlatformOracle, WorkerPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -100,6 +101,89 @@ fn the_billing_layer_amortizes_jobs_but_not_payments() {
     // that is the budget-check/scheduling amortization.
     assert_eq!(scalar_shaped.4, 15);
     assert_eq!(batched.4, 1);
+}
+
+/// Records the size of every batch the wrapped oracle receives.
+struct BatchSizes<O> {
+    inner: O,
+    sizes: Vec<usize>,
+}
+
+impl<O: ComparisonOracle> ComparisonOracle for BatchSizes<O> {
+    fn compare(&mut self, class: WorkerClass, k: ElementId, j: ElementId) -> ElementId {
+        self.sizes.push(1);
+        self.inner.compare(class, k, j)
+    }
+
+    fn try_compare_batch(
+        &mut self,
+        class: WorkerClass,
+        pairs: &[(ElementId, ElementId)],
+        winners: &mut Vec<ElementId>,
+    ) -> Result<(), OracleError> {
+        self.sizes.push(pairs.len());
+        self.inner.try_compare_batch(class, pairs, winners)
+    }
+
+    fn counts(&self) -> ComparisonCounts {
+        self.inner.counts()
+    }
+}
+
+#[test]
+fn a_platform_that_dead_letters_mid_row_fails_the_filter_cleanly() {
+    // Three perfect workers and frequent no-answers: a unit soon runs out
+    // of fresh workers and dead-letters inside a tournament row.
+    let build = || {
+        let instance = Instance::new((0..60).map(f64::from).collect());
+        let mut pool = WorkerPool::new();
+        pool.hire_naive_crowd(3, 0.0, 0.0);
+        let config = PlatformConfig::paper_default()
+            .without_gold()
+            .with_faults(FaultConfig::none().with_no_answer(0.5), 3);
+        let platform = Platform::new(instance, pool, config, StdRng::seed_from_u64(8));
+        BatchSizes {
+            inner: PlatformOracle::new(platform),
+            sizes: Vec::new(),
+        }
+    };
+    let ids: Vec<ElementId> = (0..60).map(ElementId).collect();
+    let config = FilterConfig::new(3);
+
+    let err = try_filter_candidates(&mut build(), &ids, &config).unwrap_err();
+    assert!(matches!(err, OracleError::Unanswered { .. }), "{err:?}");
+
+    // The same run behind a bare fuse: it terminates on fabricated
+    // answers, and the first row's answers bought before the outage stay
+    // memoized — perfect workers name the larger id, the fuse's
+    // fabricated order the smaller.
+    let mut fuse = FuseOracle::new(build());
+    let out = filter_candidates(&mut fuse, &ids, &config);
+    assert!(fuse.blown());
+    assert!(out.survivors.len() < 2 * 3);
+    let first_row: Vec<ElementId> = (1..12)
+        .map(|b| fuse.compare(WorkerClass::Naive, ElementId(0), ElementId(b)))
+        .collect();
+
+    let oracle = fuse.into_inner();
+    let counts = oracle.counts();
+    let platform = oracle.inner.into_platform();
+    assert_eq!(
+        oracle.sizes,
+        vec![11],
+        "nothing is forwarded after the failing row"
+    );
+    assert_eq!(platform.logical_steps(), 1, "one platform job per row");
+    let dead = platform.dead_letters()[0].pair;
+    assert_eq!(dead.0, ElementId(0));
+    let bought = dead.1 .0 as usize - 1;
+    assert!(bought > 0, "the outage hit mid-row");
+    for (b, &winner) in (1..12).zip(&first_row) {
+        let want = if b <= bought { b } else { 0 };
+        assert_eq!(winner, ElementId(want as u32), "pair (0, {b})");
+    }
+    // The bought prefix was billed exactly once.
+    assert_eq!(platform.ledger().judgments(), counts.total());
 }
 
 #[test]

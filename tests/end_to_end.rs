@@ -141,10 +141,24 @@ fn platform_pipeline_is_consistent() {
     assert_eq!(platform.ledger().judgments(), counts.total());
     let expected = counts.naive as f64 + 30.0 * counts.expert as f64;
     assert!((platform.ledger().total() - expected).abs() < 1e-6);
+
+    // One platform job per oracle call: Phase 1 calls once per tournament
+    // row (a group of |G| plays |G| − 1 rows), Phase 2 once per expert
+    // comparison.
+    let g = 4 * un;
+    let mut rows = 0u64;
+    for &size in &out.phase1.sizes[..out.phase1.rounds] {
+        let groups = size.div_ceil(g);
+        for ci in 0..groups {
+            let len = g.min(size - ci * g);
+            if ci + 1 < groups || len > un {
+                rows += len as u64 - 1;
+            }
+        }
+    }
     assert_eq!(
         platform.logical_steps(),
-        counts.total(),
-        "1 judgment/unit => 1 job per comparison"
+        rows + out.phase2_comparisons.expert
     );
 }
 
