@@ -14,15 +14,26 @@
 //! Lemma 2, a counting argument independent of worker behaviour — the filter
 //! terminates even against a fully adversarial oracle.
 //!
-//! **Call shape.** Each tournament row — `group[a]` against every later
-//! member `group[a+1..]` — goes to the oracle as one
-//! [`compare_batch`](ComparisonOracle::compare_batch) call, so a group of
-//! size `|G|` costs `|G| − 1` calls of at most `4·un(n) − 1` pairs each, and
-//! no call spans two groups. The pair sequence, its order and each pair's
-//! argument order are those of the plain `(a, b)` double loop; only the
-//! call boundaries differ. A platform underneath therefore runs one job (and
-//! a journal one frame pair) per row instead of per comparison, while rows
-//! stay small enough to keep per-call latency low.
+//! **One implementation of the rounds.** [`FilterRounds`] owns the round
+//! state and every rule above — grouping, the kept-whole tail, thresholds,
+//! global-loss pruning, the champion fallback and the Lemma 2 checks — and
+//! [`GroupTally`] scores a group from its answers. Each entry point only
+//! decides how a round's games get answered:
+//!
+//! * [`filter_candidates`] / [`try_filter_candidates`] stream each
+//!   tournament row — `group[a]` against every later member `group[a+1..]`
+//!   — to one oracle as one [`compare_batch`](ComparisonOracle::compare_batch)
+//!   call, so a group of size `|G|` costs `|G| − 1` calls of at most
+//!   `4·un(n) − 1` pairs each, and no call spans two groups. The pair
+//!   sequence, its order and each pair's argument order are those of the
+//!   plain `(a, b)` double loop; only the call boundaries differ. A
+//!   platform underneath therefore runs one job (and a journal one frame
+//!   pair) per row instead of per comparison, while rows stay small enough
+//!   to keep per-call latency low.
+//! * `crowd_platform::batched_filter` submits all of a round's rows as one
+//!   platform job.
+//! * `crowd_experiments::parallel_filter_candidates` fans a round's groups
+//!   out over worker threads, one coordinate-seeded oracle per group.
 //!
 //! The Appendix A optimization is available via
 //! [`FilterConfig::track_global_losses`]: an element may lose at most
@@ -82,6 +93,333 @@ pub struct FilterOutcome {
     pub comparisons: ComparisonCounts,
 }
 
+/// Algorithm 2's round state: the survivors, the size trace and the
+/// Appendix A loss sets, plus every rule that turns a round's tallies into
+/// the next survivor set.
+///
+/// Elements are referred to by their dense position (`u32`) in the input
+/// slice. While [`next_round`](Self::next_round) names a round, a caller
+/// scores every group of [`groups`](Self::groups) — through
+/// [`play_groups`](Self::play_groups), or into its own tallies merged back
+/// with [`absorb`](Self::absorb) — then calls
+/// [`end_round`](Self::end_round); [`finish`](Self::finish) yields the
+/// outcome. The caller decides only how each group's games get answered.
+#[derive(Debug)]
+pub struct FilterRounds<'a> {
+    ids: &'a [ElementId],
+    un: usize,
+    track_global_losses: bool,
+    survivors: Vec<u32>,
+    sizes: Vec<usize>,
+    rounds: usize,
+    /// `losses[i]`: the distinct opponents position `i` lost to, capped at
+    /// `un + 1` entries because the pruning predicate `|losses| <= un`
+    /// cannot change after that. Empty unless tracking global losses.
+    losses: Vec<Vec<u32>>,
+    /// The round's threshold winners and champions so far, in group order.
+    round: GroupTally<'a>,
+}
+
+impl<'a> FilterRounds<'a> {
+    /// Starts Algorithm 2 over `elements`, all of which survive round zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.un == 0` (the maximum is always indistinguishable
+    /// from itself, so `un(n) >= 1`); in debug builds, also if `elements`
+    /// contains duplicates.
+    pub fn new(elements: &'a [ElementId], config: &FilterConfig) -> Self {
+        assert!(
+            config.un >= 1,
+            "un(n) >= 1: the maximum is indistinguishable from itself"
+        );
+        debug_assert!(
+            elements.iter().collect::<HashSet<_>>().len() == elements.len(),
+            "input elements must be distinct"
+        );
+        let n = elements.len();
+        let track = config.track_global_losses;
+        FilterRounds {
+            ids: elements,
+            un: config.un,
+            track_global_losses: track,
+            survivors: (0..n as u32).collect(),
+            sizes: vec![n],
+            rounds: 0,
+            losses: vec![Vec::new(); if track { n } else { 0 }],
+            round: GroupTally::new(elements, config.un, track),
+        }
+    }
+
+    /// The index of the round to play next, or `None` once fewer than
+    /// `2·un` elements survive.
+    pub fn next_round(&self) -> Option<u32> {
+        (self.survivors.len() >= 2 * self.un).then_some(self.rounds as u32)
+    }
+
+    /// The groups this round plays, in order: consecutive survivors in
+    /// groups of `g = 4·un`, without a last group of at most `un` members —
+    /// too small to certify losses, it is kept whole by
+    /// [`end_round`](Self::end_round).
+    pub fn groups(&self) -> std::slice::Chunks<'_, u32> {
+        self.survivors[..self.played()].chunks(4 * self.un)
+    }
+
+    /// Length of the survivor prefix this round plays: all but a kept-whole
+    /// tail.
+    fn played(&self) -> usize {
+        let tail = self.survivors.len() % (4 * self.un);
+        self.survivors.len() - if tail <= self.un { tail } else { 0 }
+    }
+
+    /// Appends `group`'s tournament to `out` in row order: `group[a]`
+    /// against every later member, for each `a`.
+    pub fn push_pairs(&self, group: &[u32], out: &mut Vec<(ElementId, ElementId)>) {
+        // Resolved once, so the O(|G|²) pass reads a dense local table
+        // instead of gathering `ids[group[b]]` per pair.
+        let members: Vec<ElementId> = group.iter().map(|&i| self.ids[i as usize]).collect();
+        for (a, &head) in members.iter().enumerate() {
+            out.extend(members[a + 1..].iter().map(|&b| (head, b)));
+        }
+    }
+
+    /// An empty tally for scoring groups off the round state (e.g. on
+    /// another thread); merge it back with [`absorb`](Self::absorb).
+    pub fn tally(&self) -> GroupTally<'a> {
+        GroupTally::new(self.ids, self.un, self.track_global_losses)
+    }
+
+    /// Scores every group of [`groups`](Self::groups) in order:
+    /// `play(group, tally)` must score `group` into `tally` (e.g. with
+    /// [`GroupTally::score`]). The tally and its row buffers are allocated
+    /// once per run.
+    pub fn play_groups(&mut self, mut play: impl FnMut(&[u32], &mut GroupTally<'a>)) {
+        let played = self.played();
+        for group in self.survivors[..played].chunks(4 * self.un) {
+            play(group, &mut self.round);
+            record_losses(&mut self.losses, &mut self.round.games, self.un);
+        }
+    }
+
+    /// Merges a tally of consecutive groups, scored off the round state,
+    /// into the round. Tallies must be absorbed in group order; `tally` is
+    /// left empty for reuse.
+    pub fn absorb(&mut self, tally: &mut GroupTally<'a>) {
+        self.round.winners.append(&mut tally.winners);
+        self.round.champions.append(&mut tally.champions);
+        record_losses(&mut self.losses, &mut tally.games, self.un);
+    }
+
+    /// Closes the round once every played group has been scored: keeps the
+    /// kept-whole tail, prunes elements with more than `un` distinct losses
+    /// (Appendix A), falls back to the group champions if nothing survived,
+    /// and returns the round's [`TraceEvent::RoundStats`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the round failed to shrink the survivor set (Lemma 2
+    /// violated — impossible unless a group was left unscored).
+    pub fn end_round(&mut self) -> TraceEvent {
+        let groups = self.survivors.len().div_ceil(4 * self.un);
+        let tail = &self.survivors[self.played()..];
+        let next = &mut self.round.winners;
+        next.extend_from_slice(tail);
+        self.round.champions.extend_from_slice(tail);
+        if self.track_global_losses {
+            // Lemma 1: an element with more than `un` distinct losses cannot
+            // be the maximum in a global all-play-all tournament.
+            next.retain(|&i| self.losses[i as usize].len() <= self.un);
+        }
+        if next.is_empty() {
+            // Only possible when un(n) was underestimated: no element of any
+            // group reached `g - un` wins (or global-loss pruning removed
+            // them all). The M ∈ S guarantee is already forfeit in this
+            // regime, so degrade gracefully — keep each group's champion
+            // instead of returning an empty candidate set. Section 5.2
+            // studies exactly this regime.
+            std::mem::swap(next, &mut self.round.champions);
+        }
+        assert!(
+            next.len() < self.survivors.len(),
+            "filter round failed to shrink the survivor set (Lemma 2 violated)"
+        );
+        std::mem::swap(&mut self.survivors, next);
+        next.clear();
+        self.round.champions.clear();
+        self.sizes.push(self.survivors.len());
+        self.rounds += 1;
+        TraceEvent::RoundStats {
+            round: self.rounds as u32 - 1,
+            groups: groups as u32,
+            survivors: self.survivors.len() as u64,
+        }
+    }
+
+    /// The run's outcome, with `comparisons` as its comparison tally.
+    pub fn finish(self, comparisons: ComparisonCounts) -> FilterOutcome {
+        let ids = self.ids;
+        FilterOutcome {
+            survivors: self.survivors.iter().map(|&i| ids[i as usize]).collect(),
+            rounds: self.rounds,
+            sizes: self.sizes,
+            comparisons,
+        }
+    }
+}
+
+/// Adds each `(winner, loser)` game to the loser's capped loss set, leaving
+/// `games` empty.
+fn record_losses(losses: &mut [Vec<u32>], games: &mut Vec<(u32, u32)>, un: usize) {
+    for (winner, loser) in games.drain(..) {
+        let set = &mut losses[loser as usize];
+        if set.len() <= un && !set.contains(&winner) {
+            set.push(winner);
+        }
+    }
+}
+
+/// Scores tournament groups: each group's wins, then its threshold
+/// winners (at least `|G| − un` wins) and its champion (most wins, ties to
+/// the earliest member), appended in group order.
+#[derive(Debug)]
+pub struct GroupTally<'a> {
+    ids: &'a [ElementId],
+    un: usize,
+    track_global_losses: bool,
+    /// Row buffers, sized once: a row holds at most `4·un − 1` pairs.
+    pairs: Vec<(ElementId, ElementId)>,
+    answers: Vec<ElementId>,
+    /// Wins of the group being scored, by position in the group.
+    wins: Vec<u32>,
+    winners: Vec<u32>,
+    champions: Vec<u32>,
+    /// `(winner, loser)` games, kept only when tracking global losses.
+    games: Vec<(u32, u32)>,
+}
+
+impl<'a> GroupTally<'a> {
+    fn new(ids: &'a [ElementId], un: usize, track_global_losses: bool) -> Self {
+        GroupTally {
+            ids,
+            un,
+            track_global_losses,
+            pairs: Vec::with_capacity(4 * un),
+            answers: Vec::with_capacity(4 * un),
+            wins: Vec::with_capacity(4 * un),
+            winners: Vec::new(),
+            champions: Vec::new(),
+            games: Vec::new(),
+        }
+    }
+
+    /// Plays `group` one tournament row per call: `answer(pairs, winners)`
+    /// receives `group[a]` against every later member and must append one
+    /// winner per pair.
+    pub(crate) fn play_rows(
+        &mut self,
+        group: &[u32],
+        mut answer: impl FnMut(&[(ElementId, ElementId)], &mut Vec<ElementId>),
+    ) {
+        let ids = self.ids;
+        let mut answers = std::mem::take(&mut self.answers);
+        self.start(group.len());
+        for a in 0..group.len() - 1 {
+            let head = ids[group[a] as usize];
+            self.pairs.clear();
+            self.pairs
+                .extend(group[a + 1..].iter().map(|&j| (head, ids[j as usize])));
+            answers.clear();
+            answer(&self.pairs, &mut answers);
+            self.row(group, a, &answers);
+        }
+        self.close(group);
+        self.answers = answers;
+    }
+
+    /// Scores `group` from the front of `answers`, which holds its
+    /// tournament's winners in row order (as
+    /// [`FilterRounds::push_pairs`] lays the pairs out), and returns the
+    /// answers after them.
+    pub fn score<'w>(&mut self, group: &[u32], answers: &'w [ElementId]) -> &'w [ElementId] {
+        self.start(group.len());
+        let mut rest = answers;
+        for a in 0..group.len() - 1 {
+            let (row, tail) = rest.split_at(group.len() - a - 1);
+            self.row(group, a, row);
+            rest = tail;
+        }
+        self.close(group);
+        rest
+    }
+
+    fn start(&mut self, len: usize) {
+        self.wins.clear();
+        self.wins.resize(len, 0);
+    }
+
+    /// Tallies row `a` — `group[a]` against `group[a+1..]` — from its
+    /// winners.
+    fn row(&mut self, group: &[u32], a: usize, answers: &[ElementId]) {
+        let head = self.ids[group[a] as usize];
+        let (head_wins, opponents) = self.wins[a..].split_first_mut().expect("a row has a head");
+        debug_assert_eq!(answers.len(), opponents.len(), "one winner per pair");
+        if self.track_global_losses {
+            for ((w, &winner), &j) in opponents.iter_mut().zip(answers).zip(&group[a + 1..]) {
+                if winner == head {
+                    *head_wins += 1;
+                    self.games.push((group[a], j));
+                } else {
+                    *w += 1;
+                    self.games.push((j, group[a]));
+                }
+            }
+        } else {
+            // The hot shape: tallying a 50/50 data-dependent winner with a
+            // branch mispredicts constantly, so count both sides
+            // arithmetically over bounds-check-free row slices (which also
+            // lets the compiler vectorize the row compare).
+            let mut won = 0u32;
+            for (w, &winner) in opponents.iter_mut().zip(answers) {
+                let head_won = u32::from(winner == head);
+                won += head_won;
+                *w += 1 - head_won;
+            }
+            *head_wins += won;
+        }
+    }
+
+    /// Appends the scored group's threshold winners and champion.
+    fn close(&mut self, group: &[u32]) {
+        // A smaller last group is filtered with its own size: Lemma 3
+        // needs "at most un(n) losses within the group", i.e. at least
+        // |G| − un wins, not g − un.
+        let threshold = (group.len() - self.un) as u32;
+        let before = self.winners.len();
+        self.winners.extend(
+            group
+                .iter()
+                .zip(&self.wins)
+                .filter(|&(_, &w)| w >= threshold)
+                .map(|(&i, _)| i),
+        );
+        debug_assert!(
+            self.winners.len() - before < 2 * self.un,
+            "Lemma 2 violated: {} winners with >= {threshold} wins among {}",
+            self.winners.len() - before,
+            group.len()
+        );
+        // The earliest most-winning member, matching
+        // [`Tournament::champion`](crate::tournament::Tournament::champion).
+        let mut champion = (group[0], self.wins[0]);
+        for (&i, &w) in group.iter().zip(&self.wins).skip(1) {
+            if w > champion.1 {
+                champion = (i, w);
+            }
+        }
+        self.champions.push(champion.0);
+    }
+}
+
 /// Runs Algorithm 2 over `elements` using naïve workers from `oracle`.
 ///
 /// Returns the candidate set and statistics. If `|elements| < 2·un` the
@@ -120,156 +458,20 @@ pub(crate) fn filter_candidates_checked<O: ComparisonOracle>(
     elements: &[ElementId],
     config: &FilterConfig,
 ) -> Result<FilterOutcome, CountsRegression> {
-    assert!(
-        config.un >= 1,
-        "un(n) >= 1: the maximum is indistinguishable from itself"
-    );
-    debug_assert!(
-        elements.iter().collect::<HashSet<_>>().len() == elements.len(),
-        "input elements must be distinct"
-    );
-
     let start = oracle.counts();
-    let un = config.un;
-    let g = 4 * un;
-    let n = elements.len();
-
-    // The arena: elements are referred to by their dense position in the
-    // input slice for the rest of the run. `wins` is one flat tally shared
-    // by every group (a group resets only its own slots before playing),
-    // and `losses[i]` is the capped set of distinct opponents slot `i` has
-    // lost to (Appendix A) — capped at `un + 1` entries because the pruning
-    // predicate `|losses| <= un` cannot change after that.
-    let ids = elements;
-    let mut wins: Vec<u32> = vec![0; n];
-    let mut losses: Vec<Vec<u32>> = if config.track_global_losses {
-        vec![Vec::new(); n]
-    } else {
-        Vec::new()
-    };
-
-    let mut survivors: Vec<u32> = (0..n as u32).collect();
-    let mut sizes = vec![survivors.len()];
-    let mut rounds = 0usize;
-    let mut next: Vec<u32> = Vec::new();
-    let mut champions: Vec<u32> = Vec::new();
-    // The row buffers, sized once: a row holds at most `g − 1` pairs.
-    let mut pairs: Vec<(ElementId, ElementId)> = Vec::with_capacity(g);
-    let mut answers: Vec<ElementId> = Vec::with_capacity(g);
-
-    while survivors.len() >= 2 * un {
-        oracle.observe(TraceEvent::RoundStart(rounds as u32));
-        next.clear();
-        champions.clear();
-        let groups = survivors.len().div_ceil(g);
-
-        for ci in 0..groups {
-            let group = &survivors[ci * g..((ci + 1) * g).min(survivors.len())];
-            let is_last = ci == groups - 1;
-            if is_last && group.len() <= un {
-                // Too small a group to certify losses; keep it whole.
-                next.extend_from_slice(group);
-                champions.extend_from_slice(group);
-                continue;
-            }
-            for &i in group {
-                wins[i as usize] = 0;
-            }
-            // One oracle call per tournament row: `group[a]` against every
-            // later member, in the scalar loop's `(a, b)` order.
-            for (a, &i) in group.iter().enumerate() {
-                let row = &group[a + 1..];
-                if row.is_empty() {
-                    break;
-                }
-                let k = ids[i as usize];
-                pairs.clear();
-                pairs.extend(row.iter().map(|&j| (k, ids[j as usize])));
-                answers.clear();
-                oracle.compare_batch(WorkerClass::Naive, &pairs, &mut answers);
-                for (&j, &winner) in row.iter().zip(&answers) {
-                    let (wi, li) = if winner == k { (i, j) } else { (j, i) };
-                    wins[wi as usize] += 1;
-                    if config.track_global_losses {
-                        let set = &mut losses[li as usize];
-                        if set.len() <= un && !set.contains(&wi) {
-                            set.push(wi);
-                        }
-                    }
-                }
-            }
-            // A smaller last group is filtered with its own size: Lemma 3
-            // needs "at most un(n) losses within the group", i.e. at least
-            // |G| − un wins, not g − un.
-            let threshold = (group.len() - un) as u32;
-            let before = next.len();
-            next.extend(
-                group
-                    .iter()
-                    .copied()
-                    .filter(|&i| wins[i as usize] >= threshold),
-            );
-            debug_assert!(
-                next.len() - before < 2 * un,
-                "Lemma 2 violated: {} winners with >= {threshold} wins among {}",
-                next.len() - before,
-                group.len()
-            );
-            champions.extend(champion_of(group, &wins));
-        }
-
-        if config.track_global_losses {
-            // Lemma 1: an element with more than `un` distinct losses cannot
-            // be the maximum in a global all-play-all tournament.
-            next.retain(|&i| losses[i as usize].len() <= un);
-        }
-
-        if next.is_empty() {
-            // Only possible when un(n) was underestimated: no element of any
-            // group reached `g - un` wins (or global-loss pruning removed
-            // them all). The M ∈ S guarantee is already forfeit in this
-            // regime, so degrade gracefully — keep each group's champion
-            // instead of returning an empty candidate set. Section 5.2
-            // studies exactly this regime.
-            std::mem::swap(&mut next, &mut champions);
-        }
-
-        assert!(
-            next.len() < survivors.len(),
-            "filter round failed to shrink the survivor set (Lemma 2 violated)"
-        );
-        std::mem::swap(&mut survivors, &mut next);
-        sizes.push(survivors.len());
-        oracle.observe(TraceEvent::RoundStats {
-            round: rounds as u32,
-            groups: groups as u32,
-            survivors: survivors.len() as u64,
+    let mut rounds = FilterRounds::new(elements, config);
+    while let Some(round) = rounds.next_round() {
+        oracle.observe(TraceEvent::RoundStart(round));
+        rounds.play_groups(|group, tally| {
+            tally.play_rows(group, |pairs, winners| {
+                oracle.compare_batch(WorkerClass::Naive, pairs, winners);
+            });
         });
-        oracle.observe(TraceEvent::RoundEnd(rounds as u32));
-        rounds += 1;
+        let stats = rounds.end_round();
+        oracle.observe(stats);
+        oracle.observe(TraceEvent::RoundEnd(round));
     }
-
-    Ok(FilterOutcome {
-        survivors: survivors.into_iter().map(|i| ids[i as usize]).collect(),
-        rounds,
-        sizes,
-        comparisons: oracle.counts().delta_since(start)?,
-    })
-}
-
-/// The group member with the most wins (ties: earliest in group order), or
-/// `None` for an empty group — the arena twin of
-/// [`Tournament::champion`](crate::tournament::Tournament::champion).
-fn champion_of(group: &[u32], wins: &[u32]) -> Option<u32> {
-    let (mut best, mut best_wins) = (None, 0u32);
-    for &i in group {
-        let w = wins[i as usize];
-        if best.is_none() || w > best_wins {
-            best = Some(i);
-            best_wins = w;
-        }
-    }
-    best
+    Ok(rounds.finish(oracle.counts().delta_since(start)?))
 }
 
 /// Fallible twin of [`filter_candidates`]: surfaces the first

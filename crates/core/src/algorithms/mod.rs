@@ -25,7 +25,9 @@ pub use baselines::{all_play_all_max, linear_scan_max, two_max_find_expert, two_
 pub use expert_max::{
     expert_max_find, try_expert_max_find, ExpertMaxConfig, ExpertMaxOutcome, Phase2,
 };
-pub use filter::{filter_candidates, try_filter_candidates, FilterConfig, FilterOutcome};
+pub use filter::{
+    filter_candidates, try_filter_candidates, FilterConfig, FilterOutcome, FilterRounds, GroupTally,
+};
 pub use majority::{majority_compare, majority_prefix_correct};
 pub use randomized::{randomized_max_find, RandomizedConfig, RandomizedOutcome};
 pub use sorting::{

@@ -344,9 +344,9 @@ pub trait ComparisonOracle {
 
     /// Receives round/phase boundary events from the algorithms.
     ///
-    /// A no-op by default; decorators forward it inward so an
-    /// [`InstrumentedOracle`](crate::trace::InstrumentedOracle) hears the
-    /// events wherever it sits in the stack.
+    /// A no-op by default; decorators forward it inward so a listener
+    /// (e.g. `crowd_obs::ObservedOracle`) hears the events wherever it sits
+    /// in the stack.
     fn observe(&mut self, event: crate::trace::TraceEvent) {
         let _ = event;
     }

@@ -1,15 +1,12 @@
-//! Comparison-level tracing: attribute worker-performed comparisons to
-//! algorithm phases and filter rounds, and tally them across threads.
+//! Comparison-level tracing vocabulary and thread-level tallies.
 //!
-//! Two cooperating mechanisms live here:
-//!
-//! * [`InstrumentedOracle`] — a [`ComparisonOracle`] decorator that listens
-//!   to the round/phase boundary events emitted by
-//!   [`filter_candidates`](crate::algorithms::filter_candidates) and
-//!   [`expert_max_find`](crate::algorithms::expert_max_find) (via the
-//!   provided [`ComparisonOracle::observe`] hook) and turns them into a
-//!   [`Trace`]: one [`TraceSpan`] per round and per phase, each carrying
-//!   the per-class comparison tally and the wall-clock time spent inside.
+//! * [`TraceEvent`] — the round/phase boundary and fault events that
+//!   [`filter_candidates`](crate::algorithms::filter_candidates),
+//!   [`expert_max_find`](crate::algorithms::expert_max_find) and the
+//!   platform layer emit through
+//!   [`ComparisonOracle::observe`](crate::oracle::ComparisonOracle::observe).
+//!   Decorators listen to them: `crowd_obs::ObservedOracle` turns them into
+//!   events, spans and metrics.
 //! * [`TallySink`] — a thread-safe comparison counter that can be
 //!   *installed* on the current thread ([`install_sink`]); while installed,
 //!   every worker-performed comparison recorded anywhere in the process on
@@ -23,15 +20,13 @@
 //! Neither mechanism changes algorithm behaviour or existing signatures:
 //! `observe` has a no-op default, and sinks only add to atomic counters.
 
-use crate::element::ElementId;
 use crate::model::WorkerClass;
-use crate::oracle::{ComparisonCounts, ComparisonOracle};
+use crate::oracle::ComparisonCounts;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// The two phases of Algorithm 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -43,7 +38,7 @@ pub enum TracePhase {
 }
 
 /// Boundary events emitted by the algorithms through
-/// [`ComparisonOracle::observe`].
+/// [`ComparisonOracle::observe`](crate::oracle::ComparisonOracle::observe).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceEvent {
     /// A phase of Algorithm 1 begins.
@@ -57,8 +52,9 @@ pub enum TraceEvent {
     /// Summary of a finished filter round, emitted between the round's
     /// work and its [`RoundEnd`](TraceEvent::RoundEnd): how many tournament
     /// groups it played and how many elements survived. Listeners that
-    /// snapshotted [`ComparisonOracle::counts`] at
-    /// [`RoundStart`](TraceEvent::RoundStart) can attribute the round's
+    /// snapshotted
+    /// [`ComparisonOracle::counts`](crate::oracle::ComparisonOracle::counts)
+    /// at [`RoundStart`](TraceEvent::RoundStart) can attribute the round's
     /// comparison cost by diffing here.
     RoundStats {
         /// Round index (0-based), matching the bracketing start/end events.
@@ -300,182 +296,6 @@ impl std::ops::Add for FaultCounts {
     }
 }
 
-/// What a closed [`TraceSpan`] covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SpanKind {
-    /// One phase of Algorithm 1.
-    Phase(TracePhase),
-    /// One filter round (0-based).
-    Round(u32),
-}
-
-/// One closed span: comparisons and wall time between a start event and
-/// its matching end event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceSpan {
-    /// The span's extent.
-    pub kind: SpanKind,
-    /// Worker-performed comparisons inside the span, by class.
-    pub comparisons: ComparisonCounts,
-    /// Wall-clock time inside the span, in nanoseconds.
-    pub wall_nanos: u64,
-}
-
-/// An ordered log of closed spans.
-///
-/// Spans appear in *closing* order, so a phase's rounds precede the phase
-/// span that contains them.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Trace {
-    /// All closed spans.
-    pub spans: Vec<TraceSpan>,
-}
-
-impl Trace {
-    /// The round spans, in round order.
-    pub fn rounds(&self) -> impl Iterator<Item = &TraceSpan> {
-        self.spans
-            .iter()
-            .filter(|s| matches!(s.kind, SpanKind::Round(_)))
-    }
-
-    /// The span of `phase`, if that phase closed.
-    pub fn phase(&self, phase: TracePhase) -> Option<&TraceSpan> {
-        self.spans.iter().find(|s| s.kind == SpanKind::Phase(phase))
-    }
-}
-
-/// Decorator recording a [`Trace`] from the boundary events the wrapped
-/// algorithms emit.
-///
-/// ```
-/// use crowd_core::prelude::*;
-///
-/// let instance = Instance::new((0..200).map(|i| i as f64).collect());
-/// let mut oracle = InstrumentedOracle::new(PerfectOracle::new(instance.clone()));
-/// let out = filter_candidates(&mut oracle, &instance.ids(), &FilterConfig::new(4));
-/// let trace = oracle.take_trace();
-/// let per_round: u64 = trace.rounds().map(|s| s.comparisons.naive).sum();
-/// assert_eq!(per_round, out.comparisons.naive); // every comparison attributed
-/// ```
-#[derive(Debug)]
-pub struct InstrumentedOracle<O> {
-    inner: O,
-    trace: Trace,
-    open: Vec<(SpanKind, ComparisonCounts, Instant)>,
-    faults: FaultCounts,
-}
-
-impl<O: ComparisonOracle> InstrumentedOracle<O> {
-    /// Wraps `inner` with an empty trace.
-    pub fn new(inner: O) -> Self {
-        InstrumentedOracle {
-            inner,
-            trace: Trace::default(),
-            open: Vec::new(),
-            faults: FaultCounts::zero(),
-        }
-    }
-
-    /// The trace recorded so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Fault events observed so far (retries, timeouts, dropouts, ...),
-    /// tallied by worker class.
-    pub fn fault_counts(&self) -> FaultCounts {
-        self.faults
-    }
-
-    /// Takes the recorded trace, leaving an empty one.
-    pub fn take_trace(&mut self) -> Trace {
-        std::mem::take(&mut self.trace)
-    }
-
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
-    /// Consumes the decorator, returning the wrapped oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-
-    fn open_span(&mut self, kind: SpanKind) {
-        self.open.push((kind, self.inner.counts(), Instant::now()));
-    }
-
-    fn close_span(&mut self, kind: SpanKind) {
-        // Pop the most recent matching span; an end without a start (a
-        // hand-written driver emitting unbalanced events) is ignored.
-        if let Some(pos) = self.open.iter().rposition(|(k, _, _)| *k == kind) {
-            let (_, before, started) = self.open.remove(pos);
-            // Saturating: a hand-written driver pairing events across two
-            // different oracles must not bring the whole run down.
-            self.trace.spans.push(TraceSpan {
-                kind,
-                comparisons: self.inner.counts().saturating_sub(before),
-                wall_nanos: started.elapsed().as_nanos() as u64,
-            });
-        }
-    }
-}
-
-impl<O: ComparisonOracle> ComparisonOracle for InstrumentedOracle<O> {
-    fn compare(&mut self, class: WorkerClass, k: ElementId, j: ElementId) -> ElementId {
-        self.inner.compare(class, k, j)
-    }
-
-    fn try_compare(
-        &mut self,
-        class: WorkerClass,
-        k: ElementId,
-        j: ElementId,
-    ) -> Result<ElementId, crate::oracle::OracleError> {
-        self.inner.try_compare(class, k, j)
-    }
-
-    fn compare_batch(
-        &mut self,
-        class: WorkerClass,
-        pairs: &[(ElementId, ElementId)],
-        winners: &mut Vec<ElementId>,
-    ) {
-        self.inner.compare_batch(class, pairs, winners);
-    }
-
-    fn try_compare_batch(
-        &mut self,
-        class: WorkerClass,
-        pairs: &[(ElementId, ElementId)],
-        winners: &mut Vec<ElementId>,
-    ) -> Result<(), crate::oracle::OracleError> {
-        self.inner.try_compare_batch(class, pairs, winners)
-    }
-
-    fn counts(&self) -> ComparisonCounts {
-        self.inner.counts()
-    }
-
-    fn observe(&mut self, event: TraceEvent) {
-        match event {
-            TraceEvent::PhaseStart(p) => self.open_span(SpanKind::Phase(p)),
-            TraceEvent::PhaseEnd(p) => self.close_span(SpanKind::Phase(p)),
-            TraceEvent::RoundStart(r) => self.open_span(SpanKind::Round(r)),
-            TraceEvent::RoundEnd(r) => self.close_span(SpanKind::Round(r)),
-            // Span bookkeeping already covers rounds; the summary is for
-            // listeners that want per-round structure (e.g. `crowd-obs`).
-            TraceEvent::RoundStats { .. } => {}
-            // Already recorded (and sink-fed) at the source; a plain add
-            // here would otherwise double-count in the manifest.
-            TraceEvent::Fault { class, kind } => self.faults.add(class, kind),
-        }
-        self.inner.observe(event);
-    }
-}
-
 /// A thread-safe per-class comparison (and fault) tally fed by
 /// [`ComparisonCounts::record`] / [`FaultCounts::record`] while installed
 /// on a thread.
@@ -607,8 +427,9 @@ pub(crate) fn note_fault(class: WorkerClass, kind: FaultKind) {
 mod tests {
     use super::*;
     use crate::algorithms::{expert_max_find, filter_candidates, ExpertMaxConfig, FilterConfig};
+    use crate::element::ElementId;
     use crate::element::Instance;
-    use crate::oracle::PerfectOracle;
+    use crate::oracle::{ComparisonOracle, PerfectOracle};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -616,52 +437,92 @@ mod tests {
         Instance::new((0..n).map(|i| ((i * 37) % n) as f64).collect())
     }
 
+    /// Logs every event it observes with the comparison tally at that
+    /// moment.
+    struct Listener<O> {
+        inner: O,
+        events: Vec<(TraceEvent, ComparisonCounts)>,
+    }
+
+    impl<O> Listener<O> {
+        fn new(inner: O) -> Self {
+            Listener {
+                inner,
+                events: Vec::new(),
+            }
+        }
+
+        fn at(&self, event: TraceEvent) -> ComparisonCounts {
+            self.events
+                .iter()
+                .find(|(e, _)| *e == event)
+                .unwrap_or_else(|| panic!("{event:?} not observed"))
+                .1
+        }
+    }
+
+    impl<O: ComparisonOracle> ComparisonOracle for Listener<O> {
+        fn compare(&mut self, class: WorkerClass, k: ElementId, j: ElementId) -> ElementId {
+            self.inner.compare(class, k, j)
+        }
+
+        fn counts(&self) -> ComparisonCounts {
+            self.inner.counts()
+        }
+
+        fn observe(&mut self, event: TraceEvent) {
+            self.events.push((event, self.inner.counts()));
+        }
+    }
+
     #[test]
     fn filter_rounds_partition_the_comparisons() {
         let inst = instance(300);
-        let mut o = InstrumentedOracle::new(PerfectOracle::new(inst.clone()));
+        let mut o = Listener::new(PerfectOracle::new(inst.clone()));
         let out = filter_candidates(&mut o, &inst.ids(), &FilterConfig::new(4));
-        let trace = o.take_trace();
-        assert_eq!(trace.rounds().count(), out.rounds);
-        let attributed: u64 = trace.rounds().map(|s| s.comparisons.naive).sum();
-        assert_eq!(attributed, out.comparisons.naive);
-        for (r, span) in trace.rounds().enumerate() {
-            assert_eq!(span.kind, SpanKind::Round(r as u32));
-            assert_eq!(span.comparisons.expert, 0);
+        // Each round is bracketed start → stats → end.
+        assert_eq!(o.events.len(), 3 * out.rounds);
+        let mut attributed = 0;
+        for (r, round) in o.events.chunks(3).enumerate() {
+            let (start, stats, end) = (round[0], round[1], round[2]);
+            assert_eq!(start.0, TraceEvent::RoundStart(r as u32));
+            assert!(
+                matches!(stats.0, TraceEvent::RoundStats { round, survivors, .. }
+                    if round == r as u32 && survivors == out.sizes[r + 1] as u64),
+                "{stats:?}"
+            );
+            assert_eq!(end.0, TraceEvent::RoundEnd(r as u32));
+            let spent = end.1.saturating_sub(start.1);
+            assert_eq!(spent.expert, 0);
+            attributed += spent.naive;
         }
+        assert_eq!(attributed, out.comparisons.naive);
     }
 
     #[test]
     fn phases_split_by_worker_class() {
         let inst = instance(400);
-        let mut o = InstrumentedOracle::new(PerfectOracle::new(inst.clone()));
+        let mut o = Listener::new(PerfectOracle::new(inst.clone()));
         let mut rng = StdRng::seed_from_u64(3);
         let out = expert_max_find(&mut o, &inst.ids(), &ExpertMaxConfig::new(5), &mut rng);
-        let trace = o.trace();
-        let filter = trace.phase(TracePhase::Filter).expect("filter phase span");
-        let expert = trace.phase(TracePhase::Expert).expect("expert phase span");
-        assert_eq!(filter.comparisons, out.phase1.comparisons);
-        assert_eq!(expert.comparisons, out.phase2_comparisons);
-        assert_eq!(filter.comparisons.expert, 0);
-        assert_eq!(expert.comparisons.naive, 0);
-        // Rounds nest inside the filter phase and close before it.
-        let filter_pos = trace
-            .spans
-            .iter()
-            .position(|s| s.kind == SpanKind::Phase(TracePhase::Filter))
-            .unwrap();
-        assert!(trace.spans[..filter_pos]
-            .iter()
-            .all(|s| matches!(s.kind, SpanKind::Round(_))));
-    }
-
-    #[test]
-    fn unbalanced_end_events_are_ignored() {
-        let inst = instance(10);
-        let mut o = InstrumentedOracle::new(PerfectOracle::new(inst));
-        o.observe(TraceEvent::PhaseEnd(TracePhase::Expert));
-        o.observe(TraceEvent::RoundEnd(7));
-        assert!(o.trace().spans.is_empty());
+        let phase = |p| {
+            o.at(TraceEvent::PhaseEnd(p))
+                .saturating_sub(o.at(TraceEvent::PhaseStart(p)))
+        };
+        let (filter, expert) = (phase(TracePhase::Filter), phase(TracePhase::Expert));
+        assert_eq!(filter, out.phase1.comparisons);
+        assert_eq!(expert, out.phase2_comparisons);
+        assert_eq!(filter.expert, 0);
+        assert_eq!(expert.naive, 0);
+        // Rounds nest inside the filter phase.
+        let pos = |e| o.events.iter().position(|&(x, _)| x == e).unwrap();
+        let start = pos(TraceEvent::PhaseStart(TracePhase::Filter));
+        let end = pos(TraceEvent::PhaseEnd(TracePhase::Filter));
+        assert!(end > start + 1);
+        assert!(o.events[start + 1..end].iter().all(|(e, _)| matches!(
+            e,
+            TraceEvent::RoundStart(_) | TraceEvent::RoundStats { .. } | TraceEvent::RoundEnd(_)
+        )));
     }
 
     #[test]
@@ -723,7 +584,7 @@ mod tests {
         use crate::model::WorkerClass;
         let sink = Arc::new(TallySink::new());
         let inst = instance(4);
-        let mut o = InstrumentedOracle::new(PerfectOracle::new(inst));
+        let mut o = Listener::new(PerfectOracle::new(inst));
         let mut counts = FaultCounts::zero();
         {
             let _g = install_sink(sink.clone());
@@ -748,8 +609,17 @@ mod tests {
         assert_eq!(sink.faults().naive.timeouts, 1);
         assert_eq!(sink.faults().naive.retries, 1);
         assert_eq!(sink.faults().expert.expert_fallbacks, 1);
-        // The decorator holds the same picture, via observe.
-        assert_eq!(o.fault_counts(), counts);
+        // The listener heard each fault once, via observe.
+        let heard: Vec<TraceEvent> = o.events.iter().map(|&(e, _)| e).collect();
+        assert_eq!(
+            heard,
+            [
+                (WorkerClass::Naive, FaultKind::Timeout),
+                (WorkerClass::Naive, FaultKind::Retry),
+                (WorkerClass::Expert, FaultKind::ExpertFallback),
+            ]
+            .map(|(class, kind)| TraceEvent::Fault { class, kind })
+        );
         assert_eq!(counts.total(), 3);
         // After the guard drops, records no longer reach the sink.
         counts.record(WorkerClass::Naive, FaultKind::Dropout);
@@ -787,22 +657,5 @@ mod tests {
         let json = serde_json::to_string(&counts).unwrap();
         assert!(json.contains("retries"), "{json}");
         assert!(json.contains("dead_letters"), "{json}");
-    }
-
-    #[test]
-    fn trace_serializes() {
-        let trace = Trace {
-            spans: vec![TraceSpan {
-                kind: SpanKind::Round(0),
-                comparisons: ComparisonCounts {
-                    naive: 3,
-                    expert: 0,
-                },
-                wall_nanos: 42,
-            }],
-        };
-        let json = serde_json::to_string(&trace).unwrap();
-        assert!(json.contains("Round"), "{json}");
-        assert!(json.contains("wall_nanos"), "{json}");
     }
 }

@@ -12,7 +12,8 @@ use crowd_core::oracle::{
     ComparisonOracle, FuseOracle, MemoOracle, OracleError, PerfectOracle, SimulatedOracle,
     TryFnOracle,
 };
-use crowd_core::trace::{install_sink, InstrumentedOracle, TallySink};
+use crowd_core::replay::RecordingOracle;
+use crowd_core::trace::{install_sink, TallySink};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,7 +114,7 @@ proptest! {
         );
     }
 
-    /// The contract holds through a trace → fault decorator stack: the
+    /// The contract holds through a record → fault decorator stack: the
     /// batch forwards reach the simulated oracle intact.
     #[test]
     fn batches_forward_through_decorator_stacks(
@@ -122,7 +123,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let inst = instance(12);
-        let stack = |seed| InstrumentedOracle::new(FuseOracle::new(simulated(&inst, seed)));
+        let stack = |seed| RecordingOracle::new(FuseOracle::new(simulated(&inst, seed)));
         assert_oracles_equal(
             stack(seed),
             stack(seed),

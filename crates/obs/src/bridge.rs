@@ -4,10 +4,9 @@
 //! The algorithms already narrate their structure through
 //! [`ComparisonOracle::observe`] — phase and round boundaries plus the
 //! per-round [`TraceEvent::RoundStats`] summary. This decorator listens on
-//! that seam (exactly like `InstrumentedOracle` does) and turns the
-//! boundary events into structured [`Event`]s and round-level histograms,
-//! attributing each round's comparison cost by diffing the inner oracle's
-//! [`ComparisonCounts`] across the round.
+//! that seam and turns the boundary events into structured [`Event`]s and
+//! round-level histograms, attributing each round's comparison cost by
+//! diffing the inner oracle's [`ComparisonCounts`] across the round.
 
 use crate::event::Event;
 use crate::recorder::{emit, observe};

@@ -32,10 +32,9 @@
 //! expositions across job counts) keep passing.
 //!
 //! The bridge from the existing `crowd-core` seams is [`ObservedOracle`]:
-//! it listens to the same [`TraceEvent`](crowd_core::trace::TraceEvent)
-//! boundary events `InstrumentedOracle` consumes and turns them into
-//! [`Event`]s and round-level histograms. Stack the two freely —
-//! `ObservedOracle<InstrumentedOracle<O>>` forwards every event inward.
+//! it listens to the [`TraceEvent`](crowd_core::trace::TraceEvent)
+//! boundary events the algorithms emit and turns them into [`Event`]s and
+//! round-level histograms, forwarding every event inward.
 
 mod bridge;
 mod event;

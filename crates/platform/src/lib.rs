@@ -20,7 +20,7 @@
 //! * [`platform`] — the facade, plus [`platform::PlatformOracle`] adapting
 //!   it to `crowd-core`'s `ComparisonOracle` so the paper's algorithms run
 //!   unmodified on the full simulator.
-//! * [`batched`] — batched execution: one job per logical step, realizing
+//! * [`batched`] — batched Phase 1: one job per filtering round, realizing
 //!   the `⌈|B_s|/|W|⌉` physical-step parallelism of the paper's time
 //!   model.
 //! * [`report`] — the requester-facing campaign dashboard.
@@ -62,7 +62,7 @@ pub mod serve;
 pub mod task;
 pub mod worker;
 
-pub use batched::{batched_all_play_all, batched_filter, BatchedFilterOutcome, BatchedTournament};
+pub use batched::{batched_filter, BatchedFilterOutcome};
 pub use billing::Ledger;
 pub use chaos::{ChaosPlan, InjectionPoint};
 pub use fault::{FaultConfig, FaultPlan, JudgeFate, LatencyModel};

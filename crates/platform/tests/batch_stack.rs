@@ -1,5 +1,5 @@
-//! The batch contract through the full decorator stack: trace → obs →
-//! fault → billing. Scalar and batch drives of the same layered oracle
+//! The batch contract through the full decorator stack: obs → fault →
+//! billing. Scalar and batch drives of the same layered oracle
 //! must produce the identical judgment sequence and tallies, with the
 //! billing layer's per-batch amortization (one platform job per batch)
 //! visible only in the job structure — never in the answers.
@@ -9,7 +9,6 @@ use crowd_core::element::{ElementId, Instance};
 use crowd_core::equiv::{assert_oracles_equal, drive_batched, drive_scalar};
 use crowd_core::model::WorkerClass;
 use crowd_core::oracle::{ComparisonCounts, ComparisonOracle, FuseOracle, OracleError};
-use crowd_core::trace::InstrumentedOracle;
 use crowd_obs::ObservedOracle;
 use crowd_platform::{FaultConfig, Platform, PlatformConfig, PlatformOracle, WorkerPool};
 use rand::rngs::StdRng;
@@ -22,7 +21,7 @@ fn instance() -> Instance {
 /// The full stack over a fault-free platform with perfect workers and no
 /// gold injection — the regime where scalar and batch drives are
 /// observationally identical end to end.
-fn full_stack(seed: u64) -> InstrumentedOracle<ObservedOracle<FuseOracle<PlatformOracle<StdRng>>>> {
+fn full_stack(seed: u64) -> ObservedOracle<FuseOracle<PlatformOracle<StdRng>>> {
     let mut pool = WorkerPool::new();
     pool.hire_naive_crowd(8, 0.0, 0.0);
     pool.hire_expert_panel(3, 0.0, 0.0);
@@ -31,9 +30,7 @@ fn full_stack(seed: u64) -> InstrumentedOracle<ObservedOracle<FuseOracle<Platfor
         ..PlatformConfig::paper_default()
     };
     let platform = Platform::new(instance(), pool, config, StdRng::seed_from_u64(seed));
-    InstrumentedOracle::new(ObservedOracle::new(FuseOracle::new(PlatformOracle::new(
-        platform,
-    ))))
+    ObservedOracle::new(FuseOracle::new(PlatformOracle::new(platform)))
 }
 
 fn pairs() -> Vec<(ElementId, ElementId)> {
@@ -81,7 +78,7 @@ fn the_billing_layer_amortizes_jobs_but_not_payments() {
         if !rest.is_empty() {
             stack.compare_batch(WorkerClass::Naive, rest, &mut winners);
         }
-        let platform = stack.into_inner().into_inner().into_inner().into_platform();
+        let platform = stack.into_inner().into_inner().into_platform();
         (
             winners,
             platform.counts(),

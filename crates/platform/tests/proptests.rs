@@ -143,16 +143,26 @@ proptest! {
     }
 
     /// The batched filter and the sequential filter agree exactly when
-    /// workers are deterministic, and batching never changes the
-    /// comparison count — only the physical-step clock.
+    /// workers are deterministic, with or without the Appendix A
+    /// global-loss option, and batching never changes the comparison
+    /// count — only the physical-step clock. Workers resolve pairs within
+    /// `delta` for the lower element, so answers can be intransitive and
+    /// global-loss pruning actually fires.
     #[test]
-    fn batched_filter_equals_sequential(n in 8usize..150, un_frac in 0.0f64..0.3, workers in 2usize..30, seed in any::<u64>()) {
+    fn batched_filter_equals_sequential(n in 8usize..150, un_frac in 0.0f64..0.3, workers in 2usize..30, seed in any::<u64>(), global_losses in any::<bool>(), delta in 0.0f64..12.0) {
         use crowd_core::algorithms::{filter_candidates, FilterConfig};
+        use crowd_core::model::TiePolicy;
         let un = ((n as f64 * un_frac) as usize).clamp(1, n / 2);
+        let config = if global_losses {
+            FilterConfig::new(un).with_global_losses()
+        } else {
+            FilterConfig::new(un)
+        };
         let instance = Instance::new((0..n).map(|i| i as f64 * 3.0).collect());
         let build = || {
             let mut pool = WorkerPool::new();
-            pool.hire_naive_crowd(workers, 0.0, 0.0); // perfect workers
+            let tie = TiePolicy::FavorLower;
+            pool.hire_many(workers, WorkerClass::Naive, "crowd", Behavior::Threshold { delta, epsilon: 0.0, tie });
             Platform::new(
                 instance.clone(),
                 pool,
@@ -162,10 +172,10 @@ proptest! {
         };
 
         let mut bp = build();
-        let batched = batched_filter(&mut bp, WorkerClass::Naive, &instance.ids(), &FilterConfig::new(un)).unwrap();
+        let batched = batched_filter(&mut bp, WorkerClass::Naive, &instance.ids(), &config).unwrap();
 
         let mut oracle = PlatformOracle::new(build());
-        let sequential = filter_candidates(&mut oracle, &instance.ids(), &FilterConfig::new(un));
+        let sequential = filter_candidates(&mut oracle, &instance.ids(), &config);
 
         prop_assert_eq!(&batched.survivors, &sequential.survivors);
         let sp = oracle.into_platform();
