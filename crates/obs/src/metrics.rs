@@ -1,16 +1,21 @@
 //! The metrics registry: counters, gauges and fixed-bucket histograms.
 //!
-//! A registry is a map from `(name, label set)` to a metric cell behind
-//! one mutex — every update is a short critical section, and the parallel
-//! runners never contend on it anyway: each work item writes into a
-//! private per-segment registry ([`crate::record_segment`]) that is merged
-//! into its parent at the join. Merging is associative and commutative
-//! (counters and histogram buckets add, gauges take the maximum), so the
-//! aggregate is independent of worker scheduling.
+//! A registry is one vector of `(name, label set)` series, sorted by key,
+//! behind one mutex — every update is a short critical section, and the
+//! parallel runners never contend on it anyway: each work item writes into
+//! a private per-segment registry ([`crate::record_segment`]) that is
+//! merged into its parent at the join. Merging is associative and
+//! commutative (counters and histogram buckets add, gauges take the
+//! maximum), so the aggregate is independent of worker scheduling.
+//!
+//! Updates take the metric name and labels borrowed. The labels are sorted
+//! in a small stack array and the series is found by binary search over
+//! the stored keys, comparing `&str`s, so an update of an existing series
+//! allocates nothing; only a series' first touch builds its owned key.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::cmp::Ordering;
+use std::sync::{Mutex, MutexGuard};
 
 /// Default histogram bounds: powers of two from 1 to 2²⁰, plus the
 /// implicit `+Inf` bucket. Wide enough for latency steps, retry depths,
@@ -99,6 +104,23 @@ struct MetricKey {
     labels: Vec<(String, String)>,
 }
 
+impl MetricKey {
+    /// Orders this key against a borrowed `name` and sorted `labels`
+    /// exactly as the derived `Ord` orders owned keys.
+    fn cmp_borrowed(&self, name: &str, labels: &[(&str, &str)]) -> Ordering {
+        self.name.as_str().cmp(name).then_with(|| {
+            self.labels
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .cmp(labels.iter().copied())
+        })
+    }
+}
+
+/// Label sets up to this size are sorted on the stack; larger ones (none
+/// in this workspace) spill to the heap.
+const INLINE_LABELS: usize = 8;
+
 #[derive(Debug, Clone, PartialEq)]
 enum MetricCell {
     Counter(u64),
@@ -116,11 +138,14 @@ impl MetricCell {
     }
 }
 
+/// The series of a registry, sorted by key.
+type Series = Vec<(MetricKey, MetricCell)>;
+
 /// A registry of named metrics. See the module docs for the concurrency
 /// and merge model.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    inner: Mutex<BTreeMap<MetricKey, MetricCell>>,
+    inner: Mutex<Series>,
 }
 
 impl Clone for MetricsRegistry {
@@ -137,20 +162,46 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<MetricKey, MetricCell>> {
+    fn lock(&self) -> MutexGuard<'_, Series> {
         self.inner.lock().expect("metrics registry lock poisoned")
     }
 
-    fn key(name: &str, labels: &[(&str, &str)]) -> MetricKey {
-        let mut labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        labels.sort();
-        MetricKey {
-            name: name.to_string(),
-            labels,
-        }
+    /// Applies `update` to the cell of `name{labels}`, inserting `init()`
+    /// first if the series is new. Allocates only on that first touch.
+    fn update(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        init: impl FnOnce() -> MetricCell,
+        update: impl FnOnce(&mut MetricCell),
+    ) {
+        let mut inline = [("", ""); INLINE_LABELS];
+        let mut spilled = Vec::new();
+        let sorted = if labels.len() <= INLINE_LABELS {
+            let sorted = &mut inline[..labels.len()];
+            sorted.copy_from_slice(labels);
+            sorted
+        } else {
+            spilled.extend_from_slice(labels);
+            &mut spilled[..]
+        };
+        sorted.sort_unstable();
+        let mut series = self.lock();
+        let idx = match series.binary_search_by(|(key, _)| key.cmp_borrowed(name, sorted)) {
+            Ok(idx) => idx,
+            Err(idx) => {
+                let key = MetricKey {
+                    name: name.to_string(),
+                    labels: sorted
+                        .iter()
+                        .map(|(k, v)| (k.to_string(), v.to_string()))
+                        .collect(),
+                };
+                series.insert(idx, (key, init()));
+                idx
+            }
+        };
+        update(&mut series[idx].1);
     }
 
     /// Adds `v` to the monotonic counter `name{labels}` (creating it at
@@ -160,14 +211,15 @@ impl MetricsRegistry {
     ///
     /// Panics if `name{labels}` already holds a different metric type.
     pub fn counter_add(&self, name: &str, labels: &[(&str, &str)], v: u64) {
-        let mut map = self.lock();
-        match map
-            .entry(Self::key(name, labels))
-            .or_insert(MetricCell::Counter(0))
-        {
-            MetricCell::Counter(c) => *c += v,
-            other => panic!("metric {name} is a {}, not a counter", other.type_name()),
-        }
+        self.update(
+            name,
+            labels,
+            || MetricCell::Counter(0),
+            |cell| match cell {
+                MetricCell::Counter(c) => *c += v,
+                other => panic!("metric {name} is a {}, not a counter", other.type_name()),
+            },
+        );
     }
 
     /// Raises the high-watermark gauge `name{labels}` to `v` if `v`
@@ -181,14 +233,15 @@ impl MetricsRegistry {
     ///
     /// Panics if `name{labels}` already holds a different metric type.
     pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], v: i64) {
-        let mut map = self.lock();
-        match map
-            .entry(Self::key(name, labels))
-            .or_insert(MetricCell::Gauge(i64::MIN))
-        {
-            MetricCell::Gauge(g) => *g = (*g).max(v),
-            other => panic!("metric {name} is a {}, not a gauge", other.type_name()),
-        }
+        self.update(
+            name,
+            labels,
+            || MetricCell::Gauge(i64::MIN),
+            |cell| match cell {
+                MetricCell::Gauge(g) => *g = (*g).max(v),
+                other => panic!("metric {name} is a {}, not a gauge", other.type_name()),
+            },
+        );
     }
 
     /// Records `value` into the histogram `name{labels}` with the
@@ -206,17 +259,18 @@ impl MetricsRegistry {
     /// Panics if `name{labels}` already holds a different metric type or a
     /// different bucket layout.
     pub fn observe_with(&self, name: &str, labels: &[(&str, &str)], bounds: &[u64], value: u64) {
-        let mut map = self.lock();
-        match map
-            .entry(Self::key(name, labels))
-            .or_insert_with(|| MetricCell::Histogram(Histogram::new(bounds)))
-        {
-            MetricCell::Histogram(h) => {
-                assert_eq!(h.bounds, bounds, "bucket layouts differ for {name}");
-                h.observe(value);
-            }
-            other => panic!("metric {name} is a {}, not a histogram", other.type_name()),
-        }
+        self.update(
+            name,
+            labels,
+            || MetricCell::Histogram(Histogram::new(bounds)),
+            |cell| match cell {
+                MetricCell::Histogram(h) => {
+                    assert_eq!(h.bounds, bounds, "bucket layouts differ for {name}");
+                    h.observe(value);
+                }
+                other => panic!("metric {name} is a {}, not a histogram", other.type_name()),
+            },
+        );
     }
 
     /// Merges `other` into `self`: counters and histogram buckets add,
@@ -232,23 +286,19 @@ impl MetricsRegistry {
         let theirs = other.lock().clone();
         let mut mine = self.lock();
         for (key, cell) in theirs {
-            match mine.entry(key) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(cell);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let name = e.key().name.clone();
-                    match (e.get_mut(), cell) {
-                        (MetricCell::Counter(a), MetricCell::Counter(b)) => *a += b,
-                        (MetricCell::Gauge(a), MetricCell::Gauge(b)) => *a = (*a).max(b),
-                        (MetricCell::Histogram(a), MetricCell::Histogram(b)) => a.merge(&b),
-                        (a, b) => panic!(
-                            "merge type mismatch for {name}: {} vs {}",
-                            a.type_name(),
-                            b.type_name()
-                        ),
-                    }
-                }
+            match mine.binary_search_by(|(k, _)| k.cmp(&key)) {
+                Err(idx) => mine.insert(idx, (key, cell)),
+                Ok(idx) => match (&mut mine[idx].1, cell) {
+                    (MetricCell::Counter(a), MetricCell::Counter(b)) => *a += b,
+                    (MetricCell::Gauge(a), MetricCell::Gauge(b)) => *a = (*a).max(b),
+                    (MetricCell::Histogram(a), MetricCell::Histogram(b)) => a.merge(&b),
+                    (a, b) => panic!(
+                        "merge type mismatch for {}: {} vs {}",
+                        key.name,
+                        a.type_name(),
+                        b.type_name()
+                    ),
+                },
             }
         }
     }

@@ -19,7 +19,8 @@
 //!   only once [`flush`](Journal::flush)ed. Every record is framed as
 //!   `<len> <fnv1a64-hex> <json>\n` (length-prefixed + checksummed
 //!   JSONL), so a torn tail — a crash mid-write — is *detected*, not
-//!   silently parsed.
+//!   silently parsed. Batch records are encoded straight into that buffer
+//!   from borrowed slices, so a warm journal appends without allocating.
 //! * [`JournaledOracle`] — a [`PlatformOracle`] decorator that
 //!   write-ahead journals every batch: the `Scheduled` record is flushed
 //!   *before* workers are asked (the WAL invariant — at most one batch is
@@ -38,6 +39,7 @@ use crowd_core::oracle::{ComparisonCounts, ComparisonOracle, OracleError};
 use crowd_obs::{names as metric_names, Event};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
+use std::io::Write;
 
 /// Version stamped into every [`JournalRecord::Started`] header. Bump on
 /// any change to the record vocabulary or frame format; recovery refuses
@@ -56,8 +58,14 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// One journal record. Serialized as one framed JSON line.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One journal record, written as one framed JSON line.
+///
+/// The JSON is serde's externally tagged form of this enum, for example
+/// `{"Scheduled":{"batch":0,"class":"Naive","pairs":[[0,1]]}}`: ids are
+/// bare integers, `spent` is Rust's shortest round-trip float (`null` when
+/// not finite). [`Journal::append`] writes it by hand and
+/// [`Journal::decode`] reads it back through `serde_json`.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub enum JournalRecord {
     /// The journal header — always the first record.
     Started {
@@ -154,6 +162,8 @@ pub struct DecodedJournal {
 pub struct Journal {
     durable: Vec<u8>,
     pending: Vec<u8>,
+    /// Reused buffer a record's JSON is encoded into before framing.
+    scratch: Vec<u8>,
 }
 
 impl Journal {
@@ -162,16 +172,21 @@ impl Journal {
         Journal::default()
     }
 
-    /// Encodes `record` into the pending buffer. Not durable until
+    /// Encodes `record` into the pending buffer as one
+    /// `<len> <fnv1a64:016x> <json>\n` frame. Not durable until
     /// [`flush`](Journal::flush).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the record fails to serialize (it cannot: records are
-    /// plain value trees).
     pub fn append(&mut self, record: &JournalRecord) {
-        let json = serde_json::to_string(record).expect("journal record serializes");
-        self.append_json(&json);
+        self.append_view(RecordView::from(record));
+    }
+
+    /// Encodes a borrowed record: the batch hot path writes its pairs,
+    /// winners and workers without copying them into a [`JournalRecord`].
+    fn append_view(&mut self, record: RecordView<'_>) {
+        let mut json = std::mem::take(&mut self.scratch);
+        json.clear();
+        record.encode(&mut json);
+        self.push_frame(&json);
+        self.scratch = json;
     }
 
     /// Encodes an arbitrary pre-serialized JSON record into the pending
@@ -180,8 +195,14 @@ impl Journal {
     /// in [`crate::serve`]) share so every journal in the workspace has
     /// one torn-tail story.
     pub fn append_json(&mut self, json: &str) {
-        let frame = format!("{} {:016x} {json}\n", json.len(), fnv1a64(json.as_bytes()));
-        self.pending.extend_from_slice(frame.as_bytes());
+        self.push_frame(json.as_bytes());
+    }
+
+    fn push_frame(&mut self, json: &[u8]) {
+        // Writing into a Vec cannot fail.
+        let _ = write!(self.pending, "{} {:016x} ", json.len(), fnv1a64(json));
+        self.pending.extend_from_slice(json);
+        self.pending.push(b'\n');
     }
 
     /// Moves every pending byte across the durability line. Returns the
@@ -304,6 +325,170 @@ fn decode_raw_frame(bytes: &[u8]) -> Option<(String, usize)> {
     Some((std::str::from_utf8(json).ok()?.to_string(), json_end + 1))
 }
 
+/// A [`JournalRecord`] with its vectors borrowed: what
+/// [`Journal::append`] encodes.
+#[derive(Debug, Clone, Copy)]
+enum RecordView<'a> {
+    Started {
+        version: u32,
+        job: &'a str,
+        seed: u64,
+    },
+    Scheduled {
+        batch: u64,
+        class: WorkerClass,
+        pairs: &'a [(ElementId, ElementId)],
+    },
+    Completed {
+        batch: u64,
+        winners: &'a [ElementId],
+        workers: &'a [WorkerId],
+        counts: ComparisonCounts,
+        spent: f64,
+        fault_seq: u64,
+        partial: bool,
+    },
+}
+
+impl<'a> From<&'a JournalRecord> for RecordView<'a> {
+    fn from(record: &'a JournalRecord) -> Self {
+        match record {
+            JournalRecord::Started { version, job, seed } => RecordView::Started {
+                version: *version,
+                job,
+                seed: *seed,
+            },
+            JournalRecord::Scheduled {
+                batch,
+                class,
+                pairs,
+            } => RecordView::Scheduled {
+                batch: *batch,
+                class: *class,
+                pairs,
+            },
+            JournalRecord::Completed {
+                batch,
+                winners,
+                workers,
+                counts,
+                spent,
+                fault_seq,
+                partial,
+            } => RecordView::Completed {
+                batch: *batch,
+                winners,
+                workers,
+                counts: *counts,
+                spent: *spent,
+                fault_seq: *fault_seq,
+                partial: *partial,
+            },
+        }
+    }
+}
+
+impl RecordView<'_> {
+    /// Appends the record's JSON (see [`JournalRecord`]) to `out`.
+    fn encode(self, out: &mut Vec<u8>) {
+        match self {
+            RecordView::Started { version, job, seed } => {
+                // Once per run, so the job label's string escaping stays
+                // with serde_json.
+                let job = serde_json::to_string(job).expect("a string serializes");
+                out.extend_from_slice(b"{\"Started\":{\"version\":");
+                push_u64(out, u64::from(version));
+                out.extend_from_slice(b",\"job\":");
+                out.extend_from_slice(job.as_bytes());
+                out.extend_from_slice(b",\"seed\":");
+                push_u64(out, seed);
+            }
+            RecordView::Scheduled {
+                batch,
+                class,
+                pairs,
+            } => {
+                out.extend_from_slice(b"{\"Scheduled\":{\"batch\":");
+                push_u64(out, batch);
+                out.extend_from_slice(match class {
+                    WorkerClass::Naive => b",\"class\":\"Naive\",\"pairs\":",
+                    WorkerClass::Expert => b",\"class\":\"Expert\",\"pairs\":",
+                });
+                push_list(out, pairs, |out, &(k, j)| {
+                    out.push(b'[');
+                    push_u64(out, u64::from(k.0));
+                    out.push(b',');
+                    push_u64(out, u64::from(j.0));
+                    out.push(b']');
+                });
+            }
+            RecordView::Completed {
+                batch,
+                winners,
+                workers,
+                counts,
+                spent,
+                fault_seq,
+                partial,
+            } => {
+                out.extend_from_slice(b"{\"Completed\":{\"batch\":");
+                push_u64(out, batch);
+                out.extend_from_slice(b",\"winners\":");
+                push_list(out, winners, |out, w| push_u64(out, u64::from(w.0)));
+                out.extend_from_slice(b",\"workers\":");
+                push_list(out, workers, |out, w| push_u64(out, u64::from(w.0)));
+                out.extend_from_slice(b",\"counts\":{\"naive\":");
+                push_u64(out, counts.naive);
+                out.extend_from_slice(b",\"expert\":");
+                push_u64(out, counts.expert);
+                out.extend_from_slice(b"},\"spent\":");
+                if spent.is_finite() {
+                    // Display is the shortest round-trip form serde_json
+                    // prints; writing into a Vec cannot fail.
+                    let _ = write!(out, "{spent}");
+                } else {
+                    out.extend_from_slice(b"null");
+                }
+                out.extend_from_slice(b",\"fault_seq\":");
+                push_u64(out, fault_seq);
+                out.extend_from_slice(if partial {
+                    b",\"partial\":true"
+                } else {
+                    b",\"partial\":false"
+                });
+            }
+        }
+        out.extend_from_slice(b"}}");
+    }
+}
+
+/// Appends `n` in decimal.
+fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
+}
+
+/// Appends `items` as a JSON array, each written by `item`.
+fn push_list<T>(out: &mut Vec<u8>, items: &[T], mut item: impl FnMut(&mut Vec<u8>, &T)) {
+    out.push(b'[');
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        item(out, x);
+    }
+    out.push(b']');
+}
+
 /// A [`PlatformOracle`] decorator that write-ahead journals every batch.
 ///
 /// Per batch: the `Scheduled` record is appended and *flushed* before any
@@ -336,9 +521,9 @@ impl<R: RngCore> JournaledOracle<R> {
     /// checkpoint cadence. The `Started` header is flushed immediately.
     pub fn new(platform: Platform<R>, job: &str, seed: u64, policy: CheckpointPolicy) -> Self {
         let mut journal = Journal::new();
-        journal.append(&JournalRecord::Started {
+        journal.append_view(RecordView::Started {
             version: JOURNAL_VERSION,
-            job: job.to_string(),
+            job,
             seed,
         });
         journal.flush();
@@ -465,10 +650,10 @@ impl<R: RngCore> ComparisonOracle for JournaledOracle<R> {
         }
         let batch = self.next_batch;
         self.next_batch += 1;
-        let scheduled = JournalRecord::Scheduled {
+        let scheduled = RecordView::Scheduled {
             batch,
             class,
-            pairs: pairs.to_vec(),
+            pairs,
         };
         if self
             .chaos
@@ -479,12 +664,12 @@ impl<R: RngCore> ComparisonOracle for JournaledOracle<R> {
             // durable storage. Decoding must detect and drop the torn
             // tail; the batch never ran, so nothing is lost but the
             // frame itself.
-            self.journal.append(&scheduled);
+            self.journal.append_view(scheduled);
             let torn = self.journal.pending_len() / 2;
             self.journal.flush_torn(torn);
             return Err(self.crash());
         }
-        self.journal.append(&scheduled);
+        self.journal.append_view(scheduled);
         let bytes = self.journal.flush();
         self.checkpoint_written(bytes);
         self.unflushed_completed = 0;
@@ -497,13 +682,14 @@ impl<R: RngCore> ComparisonOracle for JournaledOracle<R> {
         let start = winners.len();
         let outcome = self.inner.try_compare_batch(class, pairs, winners);
         let partial = outcome.is_err();
-        self.journal.append(&JournalRecord::Completed {
+        let platform = self.inner.platform();
+        self.journal.append_view(RecordView::Completed {
             batch,
-            winners: winners[start..].to_vec(),
-            workers: self.inner.platform().last_assignments().to_vec(),
-            counts: self.inner.counts(),
-            spent: self.inner.platform().ledger().total(),
-            fault_seq: self.inner.platform().fault_seq(),
+            winners: &winners[start..],
+            workers: platform.last_assignments(),
+            counts: platform.counts(),
+            spent: platform.ledger().total(),
+            fault_seq: platform.fault_seq(),
             partial,
         });
         self.unflushed_completed += 1;
@@ -614,6 +800,23 @@ mod tests {
         bytes[n - 3] ^= 0x01;
         let decoded = Journal::decode(&bytes);
         assert_eq!(decoded.records.len(), sample_records().len() - 1);
+        assert!(decoded.torn_tail);
+    }
+
+    #[test]
+    fn a_deeply_nested_payload_reads_as_a_torn_tail() {
+        // A checksummed frame whose JSON nests 200 000 arrays deep: the
+        // parser must refuse it, not overflow the stack.
+        let mut journal = Journal::new();
+        for r in &sample_records() {
+            journal.append(r);
+        }
+        let clean = journal.flush();
+        journal.append_json(&"[".repeat(200_000));
+        journal.flush();
+        let decoded = Journal::decode(journal.durable());
+        assert_eq!(decoded.records, sample_records());
+        assert_eq!(decoded.valid_bytes as u64, clean);
         assert!(decoded.torn_tail);
     }
 

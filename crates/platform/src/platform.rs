@@ -238,7 +238,8 @@ pub struct JobResult {
     pub judgments: Vec<Judgment>,
     /// Physical steps the job consumed (including retry backoff).
     pub physical_steps: u64,
-    /// Workers whose responses were ignored during aggregation.
+    /// Workers whose responses were ignored during aggregation, in
+    /// ascending id order.
     pub excluded_workers: Vec<WorkerId>,
     /// Units that ended with fewer usable judgments than requested
     /// (empty on every fault-free run).
@@ -606,6 +607,11 @@ impl<R: RngCore> Platform<R> {
     /// aggregates regular units by majority over usable judgments from
     /// workers trusted *after* the job's gold scoring.
     ///
+    /// Per-unit state (attempts, dead-letter reasons, vote buckets) lives
+    /// in vectors indexed by the unit's position in [`Job::units`], which
+    /// every assignment and judgment carries along, so nothing is looked
+    /// up by [`UnitId`] and any ids work, contiguous or not.
+    ///
     /// # Errors
     ///
     /// Fails if the pool cannot satisfy the schedule, the budget cap is
@@ -645,44 +651,46 @@ impl<R: RngCore> Platform<R> {
             self.rotation,
         )?;
         self.rotation = self.rotation.wrapping_add(plan.assignments.len().max(1));
-        self.last_assignments = plan.assignments.iter().map(|a| a.worker).collect();
-        let units: HashMap<UnitId, &Unit> = job.units().iter().map(|u| (u.id, u)).collect();
+        self.last_assignments.clear();
+        self.last_assignments
+            .extend(plan.assignments.iter().map(|a| a.worker));
+        let units = job.units();
+        let per_unit = job.judgments_per_unit() as usize;
 
-        // The distinct-workers-per-unit ledger, maintained across retries.
-        let mut assigned: HashMap<UnitId, HashSet<WorkerId>> = HashMap::new();
+        // Every per-unit ledger is indexed by the unit's position in
+        // `job.units()`; attempts count the initial assignments now and
+        // retries later.
+        let mut ledgers = vec![UnitLedger::default(); units.len()];
         for a in &plan.assignments {
-            assigned.entry(a.unit).or_default().insert(a.worker);
-        }
-        // Attempts per unit (initial assignments now, retries later).
-        let mut attempts_by_unit: HashMap<UnitId, u32> = HashMap::new();
-        for a in &plan.assignments {
-            *attempts_by_unit.entry(a.unit).or_default() += 1;
+            ledgers[a.unit_pos].attempts += 1;
         }
 
         let timeout = self.fault_plan.config().timeout_steps;
 
-        // Execute the planned assignments. `judgments` carries a `usable`
-        // flag: timed-out answers are paid but never aggregated.
-        let mut judgments: Vec<(Judgment, bool)> = Vec::with_capacity(plan.assignments.len());
-        let mut failed_slots: Vec<UnitId> = Vec::new();
+        // Execute the planned assignments. `judgments` carries the unit's
+        // position and a `usable` flag: timed-out answers are paid but
+        // never aggregated.
+        let mut judgments: Vec<(usize, Judgment, bool)> =
+            Vec::with_capacity(plan.assignments.len());
+        let mut failed_slots: Vec<usize> = Vec::new();
         for a in &plan.assignments {
-            let unit = units[&a.unit];
+            let unit = &units[a.unit_pos];
             if excluded.contains(&a.worker) {
                 // The worker abandoned an earlier judgment of this very
                 // batch and walked away from the rest of it.
                 self.record_fault(class, FaultKind::Abandon);
-                failed_slots.push(a.unit);
+                failed_slots.push(a.unit_pos);
                 continue;
             }
             match self.next_fate(a.worker) {
                 JudgeFate::Abandon => {
                     self.record_fault(class, FaultKind::Abandon);
                     excluded.insert(a.worker);
-                    failed_slots.push(a.unit);
+                    failed_slots.push(a.unit_pos);
                 }
                 JudgeFate::NoAnswer => {
                     self.record_fault(class, FaultKind::NoAnswer);
-                    failed_slots.push(a.unit);
+                    failed_slots.push(a.unit_pos);
                 }
                 JudgeFate::Answer { latency } => {
                     let usable = latency <= timeout;
@@ -693,7 +701,7 @@ impl<R: RngCore> Platform<R> {
                         class,
                         usable,
                     );
-                    judgments.push((judgment, usable));
+                    judgments.push((a.unit_pos, judgment, usable));
                     if usable {
                         crowd_obs::observe(
                             metric_names::LATENCY_STEPS,
@@ -702,7 +710,7 @@ impl<R: RngCore> Platform<R> {
                         );
                     } else {
                         self.record_fault(class, FaultKind::Timeout);
-                        failed_slots.push(a.unit);
+                        failed_slots.push(a.unit_pos);
                     }
                 }
             }
@@ -716,9 +724,22 @@ impl<R: RngCore> Platform<R> {
         let base_step = self.physical_clock + plan.physical_steps;
         let mut retries_used = 0u64;
         let mut extra_steps = 0u64;
-        let mut reason_by_unit: HashMap<UnitId, DeadLetterReason> = HashMap::new();
-        for unit_id in failed_slots {
-            let unit = units[&unit_id];
+        // The workers the current unit has been handed, across retries.
+        // Failed slots come in assignment order, so one unit's slots are
+        // adjacent and share the list.
+        let mut tried: Vec<WorkerId> = Vec::new();
+        let mut tried_pos = None;
+        for pos in failed_slots {
+            let unit = &units[pos];
+            if tried_pos != Some(pos) {
+                tried_pos = Some(pos);
+                tried.clear();
+                tried.extend(
+                    plan.assignments[pos * per_unit..(pos + 1) * per_unit]
+                        .iter()
+                        .map(|a| a.worker),
+                );
+            }
             let mut slot_delay = 0u64;
             let mut recovered = false;
             for attempt in 1..=policy.max_retries {
@@ -726,30 +747,29 @@ impl<R: RngCore> Platform<R> {
                     if self.ledger.total() >= cap {
                         // Budget exhausted mid-recovery: stop retrying and
                         // let the unit dead-letter.
-                        reason_by_unit.insert(unit_id, DeadLetterReason::BudgetExhausted);
+                        ledgers[pos].reason = Some(DeadLetterReason::BudgetExhausted);
                         break;
                     }
                 }
-                let tried = assigned.entry(unit_id).or_default();
                 let worker =
-                    match reassign(&self.pool, class, &excluded, tried, unit_id, self.rotation) {
+                    match reassign(&self.pool, class, &excluded, &tried, unit.id, self.rotation) {
                         Ok(worker) => worker,
                         Err(ScheduleError::NoEligibleWorkers { .. }) => {
                             // Every worker of the class is excluded — the
                             // quarantine-storm signature, not a small pool.
-                            reason_by_unit.insert(unit_id, DeadLetterReason::NoHealthyWorkers);
+                            ledgers[pos].reason = Some(DeadLetterReason::NoHealthyWorkers);
                             break;
                         }
                         Err(_) => {
                             // Healthy workers exist but each already touched
                             // this unit: no fresh worker remains.
-                            reason_by_unit.insert(unit_id, DeadLetterReason::NoFreshWorkers);
+                            ledgers[pos].reason = Some(DeadLetterReason::NoFreshWorkers);
                             break;
                         }
                     };
                 self.rotation = self.rotation.wrapping_add(1);
-                assigned.entry(unit_id).or_default().insert(worker);
-                *attempts_by_unit.entry(unit_id).or_default() += 1;
+                tried.push(worker);
+                ledgers[pos].attempts += 1;
                 self.record_fault(class, FaultKind::Retry);
                 crowd_obs::emit(Event::RetryScheduled {
                     class,
@@ -776,7 +796,7 @@ impl<R: RngCore> Platform<R> {
                             class,
                             usable,
                         );
-                        judgments.push((judgment, usable));
+                        judgments.push((pos, judgment, usable));
                         if usable {
                             crowd_obs::observe(
                                 metric_names::LATENCY_STEPS,
@@ -801,11 +821,10 @@ impl<R: RngCore> Platform<R> {
         // workers still trusted and among all usable judgments (the
         // fallback when quality control discards everything).
         let now_untrusted = self.trust.untrusted();
-        let mut votes_by_unit: HashMap<UnitId, UnitVotes> = HashMap::new();
-        for (jd, usable) in &judgments {
+        for (pos, jd, usable) in &judgments {
             if *usable {
-                let for_k = u32::from(jd.answer == units[&jd.unit].pair.0);
-                let votes = votes_by_unit.entry(jd.unit).or_default();
+                let for_k = u32::from(jd.answer == units[*pos].pair.0);
+                let votes = &mut ledgers[*pos].votes;
                 votes.all.add(for_k);
                 if !now_untrusted.contains(&jd.worker) {
                     votes.trusted.add(for_k);
@@ -815,24 +834,18 @@ impl<R: RngCore> Platform<R> {
 
         // Units still short of judgments after retries are degraded and
         // dead-lettered.
-        let needed = job.judgments_per_unit() as usize;
         let mut degraded_units = Vec::new();
         let mut dead_letters_here = 0u64;
-        for unit in job.units() {
-            let got = votes_by_unit
-                .get(&unit.id)
-                .map_or(0, |votes| votes.all.total as usize);
-            let attempts = attempts_by_unit.get(&unit.id).copied().unwrap_or(0);
+        for (unit, ledger) in units.iter().zip(&ledgers) {
+            let got = ledger.votes.all.total as usize;
+            let attempts = ledger.attempts;
             crowd_obs::observe(
                 metric_names::RETRY_DEPTH,
                 &[("class", class_label(class))],
                 u64::from(attempts),
             );
-            if got < needed {
-                let reason = reason_by_unit
-                    .get(&unit.id)
-                    .copied()
-                    .unwrap_or(DeadLetterReason::RetriesExhausted);
+            if got < per_unit {
+                let reason = ledger.reason.unwrap_or(DeadLetterReason::RetriesExhausted);
                 degraded_units.push(unit.id);
                 self.degraded = true;
                 self.record_fault(class, FaultKind::DeadLetter);
@@ -862,17 +875,19 @@ impl<R: RngCore> Platform<R> {
         }
 
         // Aggregate regular units by majority over usable judgments.
-        let mut answers = HashMap::new();
+        let mut answers = HashMap::with_capacity(units.len());
         let mut unanswered: Vec<UnitId> = Vec::new();
-        for unit in job.units().iter().filter(|u| !u.is_gold()) {
+        for (unit, ledger) in units.iter().zip(&ledgers) {
+            if unit.is_gold() {
+                continue;
+            }
             let (k, j) = unit.pair;
-            let unit_votes = votes_by_unit.get(&unit.id).copied().unwrap_or_default();
             // If quality control discarded everything, fall back to all
             // usable judgments — the requester still needs an answer.
-            let votes = if unit_votes.trusted.total > 0 {
-                unit_votes.trusted
+            let votes = if ledger.votes.trusted.total > 0 {
+                ledger.votes.trusted
             } else {
-                unit_votes.all
+                ledger.votes.all
             };
             if votes.total == 0 {
                 // Nothing usable at all: never fabricate an answer.
@@ -901,16 +916,30 @@ impl<R: RngCore> Platform<R> {
                 answers,
             });
         }
+        let mut excluded_workers: Vec<WorkerId> = now_untrusted.into_iter().collect();
+        excluded_workers.sort_unstable();
         Ok(JobResult {
             answers,
-            judgments: judgments.into_iter().map(|(jd, _)| jd).collect(),
+            judgments: judgments.into_iter().map(|(_, jd, _)| jd).collect(),
             physical_steps,
-            excluded_workers: now_untrusted.into_iter().collect(),
+            excluded_workers,
             degraded_units,
             retries: retries_used,
             dead_letters: dead_letters_here,
         })
     }
+}
+
+/// One unit's ledger in [`Platform::run_job`], at the unit's position in
+/// the job.
+#[derive(Debug, Clone, Copy, Default)]
+struct UnitLedger {
+    /// Judgments handed out: initial assignments plus retries.
+    attempts: u32,
+    /// Why the unit's last retry gave up, if one did.
+    reason: Option<DeadLetterReason>,
+    /// Usable votes, bucketed after gold scoring.
+    votes: UnitVotes,
 }
 
 /// A unit's usable votes: how many there are and how many named the
@@ -1455,6 +1484,77 @@ mod tests {
             };
             assert_eq!(result.answers[&unit.id], want, "unit {:?}", unit.id);
         }
+    }
+
+    /// A 60-pair job with 4 judgments per unit over 20 noisy workers and
+    /// 4 spammers that 20 gold units catch, under no-answer faults.
+    fn spam_flagging_job(first_id: impl Fn(u32) -> u32) -> (Platform<StdRng>, Job) {
+        use crate::fault::FaultConfig;
+        use crate::task::Unit;
+        let n = 12u32;
+        let instance = Instance::new((0..n).map(f64::from).collect());
+        let mut pool = WorkerPool::new();
+        pool.hire_naive_crowd(20, 2.0, 0.1);
+        for _ in 0..4 {
+            pool.hire(
+                WorkerClass::Naive,
+                "spam",
+                Behavior::Spammer(SpamStrategy::AlwaysSecond),
+            );
+        }
+        let mut cfg =
+            PlatformConfig::paper_default().with_faults(FaultConfig::none().with_no_answer(0.1), 5);
+        cfg.min_gold = 1;
+        let p = Platform::new(instance, pool, cfg, StdRng::seed_from_u64(9));
+        let mut units: Vec<Unit> = (0..n)
+            .flat_map(|a| ((a + 1)..n).map(move |b| (ElementId(a), ElementId(b))))
+            .take(60)
+            .enumerate()
+            .map(|(i, (k, j))| Unit::regular(UnitId(first_id(i as u32)), k, j))
+            .collect();
+        for g in 0..20u32 {
+            let (hi, lo) = (ElementId(n - 1 - g % 4), ElementId(g % 4));
+            units.push(Unit::gold(UnitId(first_id(60 + g)), hi, lo, hi));
+        }
+        (p, Job::new(units, 4))
+    }
+
+    #[test]
+    fn excluded_workers_are_sorted_and_reproducible() {
+        let run = || {
+            let (mut p, job) = spam_flagging_job(|i| i);
+            p.run_job(&job, WorkerClass::Naive)
+                .unwrap()
+                .excluded_workers
+        };
+        let (first, second) = (run(), run());
+        assert!(first.len() >= 2, "gold must flag the spammers: {first:?}");
+        assert_eq!(first, second);
+        assert!(first.windows(2).all(|w| w[0] < w[1]), "{first:?}");
+    }
+
+    #[test]
+    fn run_job_does_not_depend_on_unit_ids() {
+        // Ledgers are indexed by position, so sparse, descending ids give
+        // the same run as dense ascending ones.
+        let (mut dense, dense_job) = spam_flagging_job(|i| i);
+        let (mut sparse, sparse_job) = spam_flagging_job(|i| 1_000_000 - 7 * i);
+        let a = dense.run_job(&dense_job, WorkerClass::Naive).unwrap();
+        let b = sparse.run_job(&sparse_job, WorkerClass::Naive).unwrap();
+        assert!(a.retries > 0, "faults must force retries");
+        for (du, su) in dense_job.units().iter().zip(sparse_job.units()) {
+            assert_eq!(a.answers.get(&du.id), b.answers.get(&su.id));
+        }
+        let strip = |r: &JobResult| {
+            r.judgments
+                .iter()
+                .map(|jd| (jd.worker, jd.answer, jd.physical_step))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(strip(&a), strip(&b));
+        assert_eq!(a.excluded_workers, b.excluded_workers);
+        assert_eq!(a.physical_steps, b.physical_steps);
+        assert_eq!(dense.fault_counts(), sparse.fault_counts());
     }
 
     #[test]

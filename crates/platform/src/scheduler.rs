@@ -26,6 +26,9 @@ use std::collections::HashSet;
 pub struct Assignment {
     /// The unit to judge.
     pub unit: UnitId,
+    /// The unit's position in the job's [`units`](Job::units), so callers
+    /// can keep per-unit state in position-indexed vectors.
+    pub unit_pos: usize,
     /// The worker assigned.
     pub worker: WorkerId,
     /// The physical step at which the judgment happens.
@@ -105,6 +108,10 @@ impl std::error::Error for ScheduleError {}
 /// distinct workers and the load is balanced; the physical step of the
 /// `q`-th judgment is `q / w` where `w` is the number of eligible workers
 /// (each worker does at most one judgment per physical step).
+///
+/// The layout is part of the contract: with `j` judgments per unit, the
+/// unit at position `p` in [`Job::units`] owns exactly the assignments
+/// `p·j .. (p+1)·j`, each carrying `unit_pos == p`.
 pub fn schedule(
     pool: &WorkerPool,
     job: &Job,
@@ -141,10 +148,11 @@ pub fn schedule(
 
     let mut assignments = Vec::with_capacity(job.total_judgments() as usize);
     let mut q: u64 = 0;
-    for unit in job.units() {
+    for (unit_pos, unit) in job.units().iter().enumerate() {
         for _ in 0..per_unit {
             assignments.push(Assignment {
                 unit: unit.id,
+                unit_pos,
                 worker: eligible[(q % w as u64) as usize],
                 physical_step: starting_step + q / w as u64,
             });
@@ -160,8 +168,8 @@ pub fn schedule(
 
 /// Picks a fresh worker for a retry of `unit`: eligible (right class, not
 /// `excluded`), and not in `already_assigned` — the workers this unit has
-/// already been handed to, which preserves the distinct-workers-per-unit
-/// invariant across retries. The dealing order rotates by `rotation` like
+/// already been handed to (a handful, so a slice), which preserves the
+/// distinct-workers-per-unit invariant across retries. The dealing order rotates by `rotation` like
 /// [`schedule`] so retry load also spreads over the pool.
 ///
 /// # Errors
@@ -173,7 +181,7 @@ pub fn reassign(
     pool: &WorkerPool,
     class: WorkerClass,
     excluded: &HashSet<WorkerId>,
-    already_assigned: &HashSet<WorkerId>,
+    already_assigned: &[WorkerId],
     unit: UnitId,
     rotation: usize,
 ) -> Result<WorkerId, ScheduleError> {
@@ -258,6 +266,18 @@ mod tests {
         let s = schedule(&p, &job(4, 3), WorkerClass::Naive, &HashSet::new(), 0, 0).unwrap();
         assert_eq!(s.assignments.len(), 12);
         assert!(distinct_workers_per_unit(&s));
+    }
+
+    #[test]
+    fn assignments_are_unit_major_and_carry_positions() {
+        let p = pool(5);
+        let job = job(4, 3);
+        let s = schedule(&p, &job, WorkerClass::Naive, &HashSet::new(), 0, 0).unwrap();
+        for (pos, chunk) in s.assignments.chunks(3).enumerate() {
+            assert!(chunk
+                .iter()
+                .all(|a| a.unit_pos == pos && a.unit == job.units()[pos].id));
+        }
     }
 
     #[test]
@@ -367,7 +387,7 @@ mod tests {
     #[test]
     fn reassign_skips_workers_the_unit_already_saw() {
         let p = pool(3);
-        let tried: HashSet<WorkerId> = [WorkerId(0), WorkerId(2)].into();
+        let tried = [WorkerId(0), WorkerId(2)];
         let w = reassign(
             &p,
             WorkerClass::Naive,
@@ -386,22 +406,14 @@ mod tests {
         let excluded: HashSet<WorkerId> = [WorkerId(1)].into();
         // Eligible list is [0, 2, 3]; rotation 2 starts the deal at its
         // third entry, worker 3.
-        let w = reassign(
-            &p,
-            WorkerClass::Naive,
-            &excluded,
-            &HashSet::new(),
-            UnitId(0),
-            2,
-        )
-        .unwrap();
+        let w = reassign(&p, WorkerClass::Naive, &excluded, &[], UnitId(0), 2).unwrap();
         assert_eq!(w, WorkerId(3));
     }
 
     #[test]
     fn reassign_errors_when_every_worker_already_touched_the_unit() {
         let p = pool(2);
-        let tried: HashSet<WorkerId> = [WorkerId(0), WorkerId(1)].into();
+        let tried = [WorkerId(0), WorkerId(1)];
         let err = reassign(
             &p,
             WorkerClass::Naive,
@@ -418,15 +430,8 @@ mod tests {
     #[test]
     fn reassign_errors_on_an_empty_class() {
         let p = pool(2);
-        let err = reassign(
-            &p,
-            WorkerClass::Expert,
-            &HashSet::new(),
-            &HashSet::new(),
-            UnitId(0),
-            0,
-        )
-        .unwrap_err();
+        let err =
+            reassign(&p, WorkerClass::Expert, &HashSet::new(), &[], UnitId(0), 0).unwrap_err();
         assert!(matches!(err, ScheduleError::NoEligibleWorkers { .. }));
     }
 

@@ -151,10 +151,16 @@ pub fn from_str_value(s: &str) -> Result<Value> {
     parse_value_complete(s)
 }
 
+/// Deepest array/object nesting the parser accepts — upstream
+/// `serde_json`'s default recursion limit. The parser recurses once per
+/// level, so without a cap hostile input (say 200 000 `[`s) would
+/// overflow the stack instead of returning an [`Error`].
+const MAX_DEPTH: usize = 128;
+
 fn parse_value_complete(s: &str) -> Result<Value> {
     let bytes = s.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error(format!("trailing characters at byte {pos}")));
@@ -180,8 +186,15 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<()> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value> {
+/// Parses one value nested `depth` containers deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(Error(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )));
+    }
     match bytes.get(*pos) {
         None => Err(Error("unexpected end of input".to_string())),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Value::Null),
@@ -197,7 +210,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -230,7 +243,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value> {
                     return Err(Error(format!("expected `:` at byte {pos}", pos = *pos)));
                 }
                 *pos += 1;
-                let val = parse_value(bytes, pos)?;
+                let val = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, val));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -408,6 +421,17 @@ mod tests {
         let pretty = to_string_pretty(&v).unwrap();
         assert_eq!(pretty, "[\n  1,\n  2\n]");
         assert_eq!(from_str::<Vec<u32>>(&pretty).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_recursion_limit() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str_value(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str_value(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.0.contains("nesting deeper than 128"), "{err}");
+        // Far past the limit: an error, not a stack overflow.
+        assert!(from_str_value(&"[".repeat(200_000)).is_err());
+        assert!(from_str_value(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]
