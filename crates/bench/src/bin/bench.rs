@@ -4,13 +4,13 @@
 //! bench [--tier small|full|large] [--jobs N] [--seed S] [--out FILE]
 //! ```
 //!
-//! Times sequential Phase-1 filtering, the parallel filter, 2-MaxFind on
+//! Runs sequential Phase-1 filtering, the parallel filter, 2-MaxFind on
 //! the survivors, and the full two-phase run across catalog-size tiers
-//! (`small`: n ∈ {10³, 10⁴}; `full` adds 10⁵; `large` adds 10⁶). The
-//! report's `meta` half is
+//! (`small`: n ∈ {10³, 10⁴}; `full` adds 10⁵; `large` adds 10⁶) and
+//! records their comparison counts. The report (`{"meta": …}`) is
 //! deterministic — byte-identical at any `--jobs` count — so CI can diff
-//! it against the committed baseline; only the `run` and `timings` halves
-//! vary between machines and runs.
+//! it against the committed baseline. Wall-clock numbers come from the
+//! repository benchmark, `perfbench/`.
 
 use crowd_bench::pipeline::{self, BenchReport};
 use crowd_experiments::engine;
@@ -81,28 +81,20 @@ fn main() -> ExitCode {
     }
 }
 
-/// One line per tier and section: comparisons, wall time, throughput.
+/// One line per tier and section: comparisons, survivors, steps.
 fn print_summary(report: &BenchReport) {
-    println!(
-        "tier set {:?}, seed {}, jobs {}",
-        report.meta.tier, report.meta.seed, report.run.jobs
-    );
-    for (meta, timing) in report.meta.tiers.iter().zip(&report.timings.tiers) {
+    println!("tier set {:?}, seed {}", report.meta.tier, report.meta.seed);
+    for meta in &report.meta.tiers {
         println!("n = {} (un = {}, ue = {}):", meta.n, meta.un, meta.ue);
-        for (name, m, t) in [
-            ("filter", &meta.filter, &timing.filter),
-            ("filter-par", &meta.filter_parallel, &timing.filter_parallel),
-            ("expert", &meta.expert, &timing.expert),
-            ("full", &meta.full, &timing.full),
+        for (name, m) in [
+            ("filter", &meta.filter),
+            ("filter-par", &meta.filter_parallel),
+            ("expert", &meta.expert),
+            ("full", &meta.full),
         ] {
             println!(
-                "  {name:<10} {:>10} naive + {:>6} expert cmp  {:>9.3} ms  {:>12.0} cmp/s  ({} survivors, {} steps)",
-                m.naive_comparisons,
-                m.expert_comparisons,
-                t.wall_nanos as f64 / 1e6,
-                t.comparisons_per_sec,
-                m.survivors,
-                m.physical_steps,
+                "  {name:<10} {:>10} naive + {:>6} expert cmp  ({} survivors, {} steps)",
+                m.naive_comparisons, m.expert_comparisons, m.survivors, m.physical_steps,
             );
         }
     }

@@ -5,11 +5,12 @@
 //! ```
 //!
 //! Drives the crowd-serve service layer through the standard load
-//! scenarios (half capacity, at capacity, double capacity) and reports
-//! jobs/sec, p99 job latency, shed rate, and breaker trips. The report's
-//! `meta` half is deterministic — byte-identical on any machine — so CI
-//! can diff it against the committed baseline; only the `timings` half
-//! varies between machines and runs.
+//! scenarios (half capacity, at capacity, double and quadruple capacity)
+//! and reports admission, shed rate, cache reuse, p99 job latency, SLO
+//! burn, and breaker trips. The report (`{"meta": …}`) is deterministic —
+//! byte-identical on any machine — so CI can diff it against the
+//! committed baseline. Wall-clock numbers come from the repository
+//! benchmark, `perfbench/`.
 
 use crowd_bench::serve_load::{self, ServeLoadReport};
 use std::path::PathBuf;
@@ -62,7 +63,7 @@ fn main() -> ExitCode {
 }
 
 /// One line per scenario: admission split, cache reuse, tail latency,
-/// throughput. Undefined ratios (`None`) print as `-` instead of a fake
+/// SLO burn. Undefined ratios (`None`) print as `-` instead of a fake
 /// zero.
 fn print_summary(report: &ServeLoadReport) {
     let pct = |bps: Option<u64>| match bps {
@@ -74,12 +75,11 @@ fn print_summary(report: &ServeLoadReport) {
         None => format!("{:>3}", "-"),
     };
     println!("seed {}", report.meta.seed);
-    for (meta, timing) in report.meta.scenarios.iter().zip(&report.timings) {
+    for meta in &report.meta.scenarios {
         println!(
             "{:<5} {:>4} offered  {:>4} admitted  {:>4} shed ({})  \
              {:>4} ok  {:>4} degraded  cache {:>4} hits ({})  {:>3} trips  \
-             p99 {} ticks  slo {:>2} breaches (burn {})  \
-             {:>8.0} jobs/s  {:>10.0} cmp/s",
+             p99 {} ticks  slo {:>2} breaches (burn {})",
             meta.label,
             meta.offered,
             meta.admitted,
@@ -93,8 +93,6 @@ fn print_summary(report: &ServeLoadReport) {
             ticks(meta.p99_latency_ticks),
             meta.slo_breaches,
             pct(Some(u64::from(meta.slo_burn_max_bps))),
-            timing.jobs_per_sec,
-            timing.comparisons_per_sec,
         );
     }
 }

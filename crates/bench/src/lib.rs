@@ -1,12 +1,14 @@
 //! # crowd-bench
 //!
-//! Benchmark pipelines for the reproduction. The `bench` binary (see
-//! [`pipeline`]) times the Phase-1 filter, 2-MaxFind and the full two-phase
-//! run per catalog size; `serve_load` (see [`serve_load`]) drives
-//! crowd-serve through load scenarios. Each writes a report whose
-//! deterministic metadata half is committed (`BENCH_results.json`,
-//! `SERVE_results.json`) and diffed in CI. Repeated, spread-aware timings
-//! live in the repository benchmark under `perfbench/`.
+//! Deterministic baselines for the reproduction. The `bench` binary (see
+//! [`pipeline`]) counts the comparisons of the Phase-1 filter, 2-MaxFind
+//! and the full two-phase run per catalog size; `serve_load` (see
+//! [`serve_load`]) drives crowd-serve through load scenarios. Each writes
+//! a `{"meta": …}` report that is committed (`BENCH_results.json`,
+//! `SERVE_results.json`) and diffed in CI. Neither measures time: the
+//! repeated, spread-aware timings live in the repository benchmark under
+//! `perfbench/`, which imports [`serve_load::bench_config`] and
+//! [`serve_load::DEFAULT_SEED`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,37 +1,26 @@
 //! The reproducible benchmark pipeline behind the `bench` binary.
 //!
-//! Times the three hot paths of the reproduction — sequential Phase-1
-//! filtering, the [`parallel_filter_candidates`] fan-out, 2-MaxFind on the
-//! Phase-1 survivors, and the full two-phase run — across catalog-size
-//! tiers, and assembles a [`BenchReport`] that the binary writes as
+//! Runs the hot paths of the reproduction — sequential Phase-1 filtering,
+//! the [`parallel_filter_candidates`] fan-out, 2-MaxFind on the Phase-1
+//! survivors, and the full two-phase run — across catalog-size tiers, and
+//! assembles a [`BenchReport`] that the binary writes as
 //! `BENCH_results.json`.
 //!
-//! The report is split in three on purpose (schema 3):
-//!
-//! * [`BenchMeta`] holds everything deterministic — comparison counts,
-//!   rounds, survivor/peak candidate-set sizes and the `⌈m/w⌉`
-//!   physical-step estimate. Every RNG is seeded from the report seed (per
-//!   group via [`group_seed`] on the parallel path), so this half is
-//!   **byte-identical at any `--jobs` count**; CI diffs it against the
-//!   committed baseline and fails on comparison-count drift.
-//! * [`RunInfo`] describes how the run was configured on this machine
-//!   (the `--jobs` worker count). It is neither part of the deterministic
-//!   baseline nor a measurement.
-//! * [`BenchTimings`] holds wall-clock numbers and throughput — nothing
-//!   else. These vary run to run and are informational only.
-//!
-//! The split is load-bearing: [`BenchReport::metadata_json`] serializes
-//! *only* [`BenchMeta`], so no machine-dependent field (`jobs`,
-//! `wall_nanos`, `comparisons_per_sec`) can ever poison the CI drift
-//! diff. Schema 2 kept `jobs` inside the timings block; schema 3 moved it
-//! to [`RunInfo`] so the timings half is measurements only.
+//! The report holds only [`BenchMeta`]: comparison counts, rounds,
+//! survivor/peak candidate-set sizes and the `⌈m/w⌉` physical-step
+//! estimate. Every RNG is seeded from the report seed (per group via
+//! [`group_seed`] on the parallel path), so the report is
+//! **byte-identical at any `--jobs` count**; CI diffs it against the
+//! committed baseline and fails on comparison-count drift. Wall-clock
+//! numbers are the repository benchmark's job (`perfbench/`), which
+//! samples them repeatedly with their spread.
 
 use crowd_core::algorithms::{
     expert_max_find, filter_candidates, two_max_find, ExpertMaxConfig, FilterConfig, FilterOutcome,
 };
 use crowd_core::element::Instance;
 use crowd_core::model::{ExpertModel, TiePolicy, WorkerClass};
-use crowd_core::oracle::{ComparisonCounts, SimulatedOracle};
+use crowd_core::oracle::SimulatedOracle;
 use crowd_experiments::runner::nominal_physical_steps;
 use crowd_experiments::{group_seed, parallel_filter_candidates};
 use crowd_obs::{names as metric_names, MetricSample, Recorder};
@@ -39,7 +28,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Default report seed (the binary's `--seed` default).
 pub const DEFAULT_SEED: u64 = 0xB0A7;
@@ -68,9 +56,8 @@ pub fn tier_for(n: usize) -> TierSpec {
 }
 
 /// The tiers of a named tier set: `small` is n ∈ {10³, 10⁴}, `full` adds
-/// n = 10⁵ (the CI smoke tier, where the parallel filter must win), and
-/// `large` adds n = 10⁶ for offline scaling runs. Unknown names return
-/// `None`.
+/// n = 10⁵ (the CI smoke tier), and `large` adds n = 10⁶ for offline
+/// scaling runs. Unknown names return `None`.
 pub fn tiers(name: &str) -> Option<Vec<TierSpec>> {
     match name {
         "small" => Some(vec![tier_for(1_000), tier_for(10_000)]),
@@ -105,16 +92,7 @@ pub struct SectionMeta {
     pub physical_steps: u64,
 }
 
-/// Wall-clock measurements of one section (informational, non-deterministic).
-#[derive(Debug, Clone, Serialize)]
-pub struct SectionTiming {
-    /// Wall-clock time, nanoseconds.
-    pub wall_nanos: u64,
-    /// Comparisons answered per second of wall time.
-    pub comparisons_per_sec: f64,
-}
-
-/// Deterministic half of one tier's results.
+/// Deterministic statistics of one tier.
 #[derive(Debug, Clone, Serialize)]
 pub struct TierMeta {
     /// Catalog size.
@@ -133,22 +111,7 @@ pub struct TierMeta {
     pub full: SectionMeta,
 }
 
-/// Wall-clock half of one tier's results.
-#[derive(Debug, Clone, Serialize)]
-pub struct TierTiming {
-    /// Catalog size (to pair with the matching [`TierMeta`]).
-    pub n: usize,
-    /// Sequential filter timing.
-    pub filter: SectionTiming,
-    /// Parallel filter timing.
-    pub filter_parallel: SectionTiming,
-    /// Expert-phase timing.
-    pub expert: SectionTiming,
-    /// Full two-phase timing.
-    pub full: SectionTiming,
-}
-
-/// The deterministic half of a [`BenchReport`] — the CI baseline.
+/// The contents of a [`BenchReport`] — the CI baseline.
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchMeta {
     /// Report schema version.
@@ -168,30 +131,11 @@ pub struct BenchMeta {
     pub metrics: Vec<MetricSample>,
 }
 
-/// Machine-local run configuration — how the benchmark was invoked, not
-/// what it measured and not part of the deterministic baseline.
-#[derive(Debug, Clone, Serialize)]
-pub struct RunInfo {
-    /// Worker threads the run was allowed to use.
-    pub jobs: usize,
-}
-
-/// The wall-clock half of a [`BenchReport`]: measurements only.
-#[derive(Debug, Clone, Serialize)]
-pub struct BenchTimings {
-    /// Per-tier wall-clock measurements.
-    pub tiers: Vec<TierTiming>,
-}
-
 /// A full benchmark report, as written to `BENCH_results.json`.
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchReport {
     /// Deterministic statistics (byte-identical at any job count).
     pub meta: BenchMeta,
-    /// Run configuration (machine-local, informational).
-    pub run: RunInfo,
-    /// Wall-clock measurements (informational).
-    pub timings: BenchTimings,
 }
 
 impl BenchReport {
@@ -204,35 +148,19 @@ impl BenchReport {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serializes") + "\n"
     }
-
-    /// Only the deterministic [`BenchMeta`] half as pretty-printed JSON —
-    /// what the determinism test and the CI baseline check compare.
-    ///
-    /// # Panics
-    ///
-    /// Panics if serialization fails (it cannot; see [`Self::to_json`]).
-    pub fn metadata_json(&self) -> String {
-        serde_json::to_string_pretty(&self.meta).expect("metadata serializes") + "\n"
-    }
 }
 
 /// Runs every tier and assembles the report. `label` is the tier-set name
 /// recorded in the metadata (use [`tiers`] to resolve the standard sets).
 pub fn run_bench(label: &str, specs: &[TierSpec], seed: u64) -> BenchReport {
-    let mut metas = Vec::with_capacity(specs.len());
-    let mut timings = Vec::with_capacity(specs.len());
     // A scoped recorder collects each tier's histograms; the snapshot lands
-    // in the report's deterministic half (the values are derived from the
-    // section counts, never from wall time).
+    // in the report (the values are derived from the section counts, never
+    // from wall time).
     let recorder = Arc::new(Recorder::new());
-    {
+    let metas = {
         let _guard = crowd_obs::install_recorder(recorder.clone());
-        for spec in specs {
-            let (meta, timing) = run_tier(*spec, seed);
-            metas.push(meta);
-            timings.push(timing);
-        }
-    }
+        specs.iter().map(|spec| run_tier(*spec, seed)).collect()
+    };
     BenchReport {
         meta: BenchMeta {
             schema: 3,
@@ -241,44 +169,34 @@ pub fn run_bench(label: &str, specs: &[TierSpec], seed: u64) -> BenchReport {
             tiers: metas,
             metrics: recorder.metrics().snapshot(),
         },
-        run: RunInfo {
-            jobs: crowd_experiments::engine::jobs(),
-        },
-        timings: BenchTimings { tiers: timings },
     }
 }
 
-/// Runs one tier: plant the instance, then time each section on a fresh
+/// Runs one tier: plant the instance, then run each section on a fresh
 /// oracle seeded from `seed` (so sections are independent and the metadata
 /// does not depend on section order or job count).
-pub fn run_tier(spec: TierSpec, seed: u64) -> (TierMeta, TierTiming) {
+pub fn run_tier(spec: TierSpec, seed: u64) -> TierMeta {
     let (instance, model) = setup(spec, seed);
     let ids = instance.ids();
     let cfg = FilterConfig::new(spec.un);
 
     // Sequential arena filter.
     let mut oracle = fresh_oracle(&instance, &model, seed ^ 1);
-    let started = Instant::now();
     let seq = filter_candidates(&mut oracle, &ids, &cfg);
-    let filter_timing = timing_of(started, &seq.comparisons);
     let seq_meta = filter_meta(&seq);
 
     // Parallel filter: one oracle per (round, group), seeded from the
     // group coordinates — byte-identical at any job count.
-    let started = Instant::now();
     let par = parallel_filter_candidates(
         |round, group| fresh_oracle(&instance, &model, group_seed(seed, round, group)),
         &ids,
         &cfg,
     );
-    let par_timing = timing_of(started, &par.comparisons);
     let par_meta = filter_meta(&par);
 
     // Expert phase (2-MaxFind) on the sequential filter's survivors.
     let mut oracle = fresh_oracle(&instance, &model, seed ^ 2);
-    let started = Instant::now();
     let expert = two_max_find(&mut oracle, WorkerClass::Expert, &seq.survivors);
-    let expert_timing = timing_of(started, &expert.comparisons);
     let expert_meta = SectionMeta {
         naive_comparisons: expert.comparisons.naive,
         expert_comparisons: expert.comparisons.expert,
@@ -291,9 +209,7 @@ pub fn run_tier(spec: TierSpec, seed: u64) -> (TierMeta, TierTiming) {
     // Full two-phase run.
     let mut oracle = fresh_oracle(&instance, &model, seed ^ 3);
     let mut rng = StdRng::seed_from_u64(seed ^ 4);
-    let started = Instant::now();
     let full = expert_max_find(&mut oracle, &ids, &ExpertMaxConfig::new(spec.un), &mut rng);
-    let full_timing = timing_of(started, &full.total_comparisons);
     let full_meta = SectionMeta {
         naive_comparisons: full.total_comparisons.naive,
         expert_comparisons: full.total_comparisons.expert,
@@ -318,24 +234,15 @@ pub fn run_tier(spec: TierSpec, seed: u64) -> (TierMeta, TierTiming) {
         ],
     );
 
-    (
-        TierMeta {
-            n: spec.n,
-            un: spec.un,
-            ue: spec.ue,
-            filter: seq_meta,
-            filter_parallel: par_meta,
-            expert: expert_meta,
-            full: full_meta,
-        },
-        TierTiming {
-            n: spec.n,
-            filter: filter_timing,
-            filter_parallel: par_timing,
-            expert: expert_timing,
-            full: full_timing,
-        },
-    )
+    TierMeta {
+        n: spec.n,
+        un: spec.un,
+        ue: spec.ue,
+        filter: seq_meta,
+        filter_parallel: par_meta,
+        expert: expert_meta,
+        full: full_meta,
+    }
 }
 
 /// Feeds one tier's deterministic statistics into any installed `crowd-obs`
@@ -413,21 +320,6 @@ fn peak_after_first_round(sizes: &[usize]) -> usize {
     }
 }
 
-/// Timing of a section that performed `counts` comparisons since `started`.
-fn timing_of(started: Instant, counts: &ComparisonCounts) -> SectionTiming {
-    let nanos = started.elapsed().as_nanos() as u64;
-    let total = counts.naive + counts.expert;
-    let comparisons_per_sec = if nanos == 0 {
-        0.0
-    } else {
-        total as f64 * 1e9 / nanos as f64
-    };
-    SectionTiming {
-        wall_nanos: nanos,
-        comparisons_per_sec,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,37 +340,38 @@ mod tests {
         engine::set_jobs(4);
         let parallel = run_bench("tiny", &tiny(), 9);
         engine::set_jobs(0);
-        assert_eq!(serial.metadata_json(), parallel.metadata_json());
-        // The run-info half is allowed to differ; the jobs field must.
-        assert_eq!(serial.run.jobs, 1);
-        assert_eq!(parallel.run.jobs, 4);
+        assert_eq!(serial.to_json(), parallel.to_json());
     }
 
-    /// The schema-3 guarantee: the CI-diffed half contains no
-    /// machine-dependent field — not the job count and not a single
-    /// wall-clock or throughput number.
+    /// The CI-diffed report contains no machine-dependent field — not the
+    /// job count and not a single wall-clock or throughput number.
     #[test]
     fn metadata_carries_no_machine_dependent_fields() {
         let report = run_bench("tiny", &tiny(), 3);
         assert_eq!(report.meta.schema, 3);
-        let meta = report.metadata_json();
-        for forbidden in ["\"jobs\"", "\"wall_nanos\"", "\"comparisons_per_sec\""] {
+        let json = report.to_json();
+        for forbidden in [
+            "\"jobs\"",
+            "\"wall_nanos\"",
+            "\"comparisons_per_sec\"",
+            "\"run\"",
+            "\"timings\"",
+        ] {
             assert!(
-                !meta.contains(forbidden),
-                "metadata_json leaked the machine-dependent field {forbidden}"
+                !json.contains(forbidden),
+                "the report leaked the machine-dependent field {forbidden}"
             );
-        }
-        // The full report still carries all three halves.
-        let full = report.to_json();
-        for required in ["\"jobs\"", "\"wall_nanos\"", "\"comparisons_per_sec\""] {
-            assert!(full.contains(required));
         }
     }
 
     #[test]
-    fn report_json_carries_both_halves() {
+    fn report_json_is_the_meta_half_only() {
         let report = run_bench("tiny", &tiny(), 5);
         let parsed = serde_json::from_str_value(&report.to_json()).expect("valid JSON");
+        let serde::Value::Object(top) = &parsed else {
+            panic!("the report is a JSON object: {parsed:?}");
+        };
+        assert_eq!(top.len(), 1, "the report holds only `meta`");
         let meta: serde::Value = serde::field(&parsed, "meta").expect("meta half");
         let tiers: Vec<serde::Value> = serde::field(&meta, "tiers").expect("tier list");
         assert_eq!(tiers.len(), 1);
@@ -487,10 +380,7 @@ mod tests {
         assert!(naive > 0, "the filter must do naive work");
         let steps: u64 = serde::field(&filter, "physical_steps").expect("physical steps");
         assert!(steps > 0);
-        let timings: serde::Value = serde::field(&parsed, "timings").expect("timings half");
-        let trs: Vec<serde::Value> = serde::field(&timings, "tiers").expect("timing tiers");
-        assert_eq!(trs.len(), 1);
-        // The deterministic half carries the metrics section: survivor-size
+        // The report carries the metrics section: survivor-size
         // and comparison histograms recorded through crowd-obs.
         let metrics: Vec<serde::Value> = serde::field(&meta, "metrics").expect("metrics section");
         assert!(!metrics.is_empty(), "metrics section must not be empty");
@@ -504,7 +394,7 @@ mod tests {
 
     #[test]
     fn sections_agree_on_the_planted_instance() {
-        let (meta, _) = run_tier(tier_for(600), 11);
+        let meta = run_tier(tier_for(600), 11);
         // Both filter paths must shrink below 2·un and keep an expert-phase
         // workload of at least one element.
         assert!(meta.filter.survivors < 2 * meta.un);

@@ -2,12 +2,11 @@
 //! the crowd-serve service layer under seeded load, written to
 //! `SERVE_results.json`.
 //!
-//! Mirrors the [`crate::pipeline`] split: the `meta` half (admission,
-//! shedding, degradation, breaker, and latency statistics per scenario)
-//! is fully deterministic — byte-identical on any machine at any job
-//! count — and is committed as the CI baseline; the `run`/`timings`
-//! halves carry machine-local wall-clock measurements and are
-//! informational only.
+//! Like [`crate::pipeline`], the report holds only its `meta` half
+//! (admission, shedding, degradation, breaker, and latency statistics per
+//! scenario), which is fully deterministic — byte-identical on any machine
+//! at any job count — and is committed as the CI baseline. Wall-clock
+//! numbers come from the repository benchmark, `perfbench/`.
 
 use crowd_core::model::WorkerClass;
 use crowd_obs::{install_recorder, Recorder};
@@ -17,7 +16,6 @@ use crowd_platform::serve::{
 };
 use serde::Serialize;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Default seed, shared with the committed `SERVE_results.json`.
 pub const DEFAULT_SEED: u64 = 45223;
@@ -186,18 +184,7 @@ fn ratio_bps(numer: u64, denom: u64) -> Option<u64> {
     Some((numer.saturating_mul(10_000) + denom / 2) / denom)
 }
 
-/// Wall-clock measurements of one scenario — informational only.
-#[derive(Debug, Clone, Serialize)]
-pub struct ScenarioTiming {
-    /// Wall-clock nanoseconds for the whole run.
-    pub wall_nanos: u64,
-    /// Completed jobs per wall-clock second.
-    pub jobs_per_sec: f64,
-    /// Charged comparisons per wall-clock second.
-    pub comparisons_per_sec: f64,
-}
-
-/// The deterministic half of a [`ServeLoadReport`] — the CI baseline.
+/// The contents of a [`ServeLoadReport`] — the CI baseline.
 #[derive(Debug, Clone, Serialize)]
 pub struct ServeLoadMeta {
     /// Report schema version.
@@ -213,8 +200,6 @@ pub struct ServeLoadMeta {
 pub struct ServeLoadReport {
     /// Deterministic statistics (byte-identical on any machine).
     pub meta: ServeLoadMeta,
-    /// Wall-clock measurements (informational).
-    pub timings: Vec<ScenarioTiming>,
 }
 
 impl ServeLoadReport {
@@ -227,22 +212,11 @@ impl ServeLoadReport {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serializes") + "\n"
     }
-
-    /// Only the deterministic [`ServeLoadMeta`] half as pretty-printed
-    /// JSON — what CI diffs against the committed baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if serialization fails (it cannot; see [`Self::to_json`]).
-    pub fn metadata_json(&self) -> String {
-        serde_json::to_string_pretty(&self.meta).expect("metadata serializes") + "\n"
-    }
 }
 
 /// Runs every scenario in order and assembles the report.
 pub fn run_serve_load(seed: u64) -> ServeLoadReport {
     let mut metas = Vec::new();
-    let mut timings = Vec::new();
     for (idx, spec) in scenarios().iter().enumerate() {
         let plan = ArrivalPlan::new(
             seed ^ (idx as u64).wrapping_mul(0x9E37_79B9),
@@ -257,18 +231,15 @@ pub fn run_serve_load(seed: u64) -> ServeLoadReport {
         // A scoped recorder keeps obs traffic off the global sink; the
         // deterministic numbers come from the service report itself.
         let _guard = install_recorder(Arc::new(Recorder::new()));
-        let started = Instant::now();
         let mut service = CrowdServe::new(bench_config(), seed).expect("config is valid");
         let report = service
             .run(&plan, MAX_TICKS)
             .expect("no chaos plan: the run cannot crash");
-        let nanos = started.elapsed().as_nanos() as u64;
 
         let offered: u64 = report.tenants.iter().map(|t| t.offered).sum();
         let admitted: u64 = report.tenants.iter().map(|t| t.admitted).sum();
         let completed_ok: u64 = report.tenants.iter().map(|t| t.completed_ok).sum();
         let degraded: u64 = report.tenants.iter().map(|t| t.degraded).sum();
-        let completed = report.jobs.len() as u64;
         let cache = service.cache_stats();
         // Latency aggregation only over tenants that completed a job;
         // a tenant with nothing completed has no latency distribution,
@@ -305,19 +276,6 @@ pub fn run_serve_load(seed: u64) -> ServeLoadReport {
             max_latency_ticks: finished().map(|t| t.max_latency_ticks).max(),
             journal_bytes: service.journal().durable().len() as u64,
         });
-        timings.push(ScenarioTiming {
-            wall_nanos: nanos,
-            jobs_per_sec: if nanos == 0 {
-                0.0
-            } else {
-                completed as f64 * 1e9 / nanos as f64
-            },
-            comparisons_per_sec: if nanos == 0 {
-                0.0
-            } else {
-                report.comparisons as f64 * 1e9 / nanos as f64
-            },
-        });
     }
     ServeLoadReport {
         meta: ServeLoadMeta {
@@ -325,7 +283,6 @@ pub fn run_serve_load(seed: u64) -> ServeLoadReport {
             seed,
             scenarios: metas,
         },
-        timings,
     }
 }
 
@@ -337,7 +294,7 @@ mod tests {
     fn metadata_is_deterministic() {
         let a = run_serve_load(DEFAULT_SEED);
         let b = run_serve_load(DEFAULT_SEED);
-        assert_eq!(a.metadata_json(), b.metadata_json());
+        assert_eq!(a.to_json(), b.to_json());
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Span-log analyzer and trace-twin generator — the tracing CI entry point.
+//! Span-log analyzer and span-log generator — the tracing CI entry point.
 //!
 //! ```text
 //! serve_trace <spans.jsonl> [--waterfalls N]     # analyze a span log
-//! serve_trace --run --out DIR [--seeds N]        # generate CI twin trees
+//! serve_trace --run --out DIR [--seeds N]        # generate span logs
 //! ```
 //!
 //! **Analyze mode** parses a `spans.jsonl` (as written by `repro` next to
@@ -12,22 +12,19 @@
 //! slowest jobs. Unbalanced books exit nonzero with one message per
 //! broken job.
 //!
-//! **Run mode** drives the canonical serve scenario through an
-//! uninterrupted run and a killed-then-resumed run per seed, writing
-//! `<out>/uninterrupted/spans-<seed>.jsonl` and
-//! `<out>/resumed/spans-<seed>.jsonl` (one file per seed — seeds reuse
-//! job ids, so merged logs would not reconcile), plus `trace.md`, the
-//! analyzed seed-0 baseline. The two trees must be **byte-identical** —
-//! `diff -r` proves it in CI — and the binary additionally asserts
-//! in-process that every seed's logs matched and reconciled, exiting
-//! nonzero otherwise.
+//! **Run mode** drives the canonical serve scenario once per seed,
+//! writing `<out>/spans-<seed>.jsonl` (one file per seed — seeds reuse job
+//! ids, so merged logs would not reconcile) plus `trace.md`, the analyzed
+//! seed-0 log. The binary asserts in-process that every seed's log is
+//! non-empty and reconciles, exiting nonzero otherwise. Kill/resume
+//! equivalence of span logs is `serve_sweep`'s `resume identical` gate.
 
-use crowd_experiments::serve_trace::{analyze, demo_twin_logs};
+use crowd_experiments::serve_trace::{analyze, demo_run};
 use crowd_obs::SpanLog;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Seeds in the default twin matrix.
+/// Seeds traced by default.
 const DEFAULT_SEEDS: u64 = 4;
 
 fn analyze_file(path: &str, waterfalls: usize) -> ExitCode {
@@ -66,35 +63,30 @@ fn analyze_file(path: &str, waterfalls: usize) -> ExitCode {
     }
 }
 
-fn run_twins(out_dir: &Path, seeds: u64) -> ExitCode {
-    // One span log per seed per side: seeds reuse job ids, so merging
-    // them would break per-file reconciliation.
-    let write = |side: &str, seed: u64, log: &SpanLog| -> std::io::Result<()> {
-        let dir = out_dir.join(side);
-        std::fs::create_dir_all(&dir)?;
-        std::fs::write(dir.join(format!("spans-{seed}.jsonl")), log.to_jsonl())
-    };
+fn run_logs(out_dir: &Path, seeds: u64) -> ExitCode {
     let mut failures = 0u64;
     let mut trace = String::new();
+    if let Err(e) = std::fs::create_dir_all(out_dir) {
+        eprintln!("failed to write artifacts: {e}");
+        return ExitCode::FAILURE;
+    }
     for seed in 0..seeds {
-        let (base, twin) = demo_twin_logs(seed);
-        let identical = base.to_jsonl() == twin.to_jsonl();
-        let reconciles = base.reconcile().is_ok();
+        let (log, _) = demo_run(seed);
+        let reconciles = log.reconcile().is_ok();
         eprintln!(
-            "seed {seed:>3}: spans={} identical={identical} reconciles={reconciles}",
-            base.len()
+            "seed {seed:>3}: spans={} reconciles={reconciles}",
+            log.len()
         );
-        if !(identical && reconciles && !base.is_empty()) {
+        if !reconciles || log.is_empty() {
             failures += 1;
         }
         if seed == 0 {
-            trace = analyze(&base)
+            trace = analyze(&log)
                 .map(|a| a.render_report(5))
                 .unwrap_or_else(|v| format!("UNBALANCED BOOKS\n{}\n", v.join("\n")));
         }
-        if let Err(e) =
-            write("uninterrupted", seed, &base).and_then(|()| write("resumed", seed, &twin))
-        {
+        let path = out_dir.join(format!("spans-{seed}.jsonl"));
+        if let Err(e) = std::fs::write(path, log.to_jsonl()) {
             eprintln!("failed to write artifacts: {e}");
             return ExitCode::FAILURE;
         }
@@ -105,11 +97,11 @@ fn run_twins(out_dir: &Path, seeds: u64) -> ExitCode {
     }
 
     if failures > 0 {
-        eprintln!("{failures}/{seeds} seeds failed span-twin equivalence");
+        eprintln!("{failures}/{seeds} seeds produced an empty or unbalanced span log");
         return ExitCode::FAILURE;
     }
     eprintln!(
-        "all {seeds} seeds traced identically; artifacts in {} (diff the two trees)",
+        "all {seeds} seeds traced and reconciled; artifacts in {}",
         out_dir.display()
     );
     ExitCode::SUCCESS
@@ -165,14 +157,14 @@ fn main() -> ExitCode {
     }
 
     match (run, input) {
-        (true, None) => run_twins(&out_dir, seeds),
+        (true, None) => run_logs(&out_dir, seeds),
         (false, Some(path)) => analyze_file(&path, waterfalls),
         (true, Some(_)) => {
             eprintln!("--run does not take a span-log argument");
             ExitCode::FAILURE
         }
         (false, None) => {
-            eprintln!("pass a spans.jsonl to analyze, or --run to generate twins (see --help)");
+            eprintln!("pass a spans.jsonl to analyze, or --run to generate span logs (see --help)");
             ExitCode::FAILURE
         }
     }

@@ -12,15 +12,15 @@
 //! * per-job **ASCII waterfalls** — the `[start, end)` bounds of each
 //!   stage drawn on the job's own tick axis, worst-latency jobs first.
 //!
-//! [`demo_twin_logs`] drives the canonical sweep scenario through an
-//! uninterrupted run and a killed-then-resumed run and returns both span
-//! logs; the `serve_trace` binary writes them to two artifact trees that
-//! CI diffs byte-for-byte.
+//! [`demo_run`] drives the canonical sweep scenario and returns its span
+//! log; the `serve_trace` binary writes one such log per seed for the
+//! analyzer. Kill/resume equivalence of span logs is gated by
+//! `serve_sweep`'s `resume identical` column.
 
 use crate::report::Table;
 use crate::serve_sweep;
 use crowd_obs::{install_recorder, stage_label, Recorder, Span, SpanLog, Stage};
-use crowd_platform::serve::{ArrivalPlan, CrowdServe, ServeKill, ServeReport};
+use crowd_platform::serve::{ArrivalPlan, CrowdServe, ServeReport};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -253,37 +253,6 @@ pub fn demo_run(seed: u64) -> (SpanLog, ServeReport) {
     (rec.span_log(), report)
 }
 
-/// Runs the canonical scenario twice — uninterrupted, and killed mid-tick
-/// then resumed from the durable journal — and returns both span logs.
-/// The two must serialize byte-identically: spans carry no recovery
-/// bookkeeping, so resume reproduces the uninterrupted log exactly.
-pub fn demo_twin_logs(seed: u64) -> (SpanLog, SpanLog) {
-    let (baseline, _) = demo_run(seed);
-
-    // The doomed leg's spans die with the crash; record them privately.
-    let durable = {
-        let _guard = install_recorder(Arc::new(Recorder::new()));
-        let mut doomed = CrowdServe::new(serve_sweep::config_for(0), seed)
-            .expect("config is valid")
-            .with_chaos(ServeKill::MidTick(2 + seed % 5));
-        let _ = doomed.run(&demo_plan(seed), MAX_TICKS);
-        doomed.journal().durable().to_vec()
-    };
-    let rec = Arc::new(Recorder::new());
-    {
-        let _guard = install_recorder(rec.clone());
-        CrowdServe::resume(
-            serve_sweep::config_for(0),
-            seed,
-            &demo_plan(seed),
-            &durable,
-            MAX_TICKS,
-        )
-        .expect("the journal resumes");
-    }
-    (baseline, rec.span_log())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,13 +321,6 @@ mod tests {
         spans.remove(victim);
         let bad = analyze(&SpanLog::from_spans(spans)).expect_err("missing ticks");
         assert!(!bad.is_empty());
-    }
-
-    #[test]
-    fn twin_logs_serialize_byte_identically() {
-        let (uninterrupted, resumed) = demo_twin_logs(29);
-        assert!(!uninterrupted.is_empty());
-        assert_eq!(uninterrupted.to_jsonl(), resumed.to_jsonl());
     }
 
     #[test]

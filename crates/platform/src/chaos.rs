@@ -3,9 +3,8 @@
 //! A chaos test is only trustworthy when the crash is *reproducible*: the
 //! same seed must kill the same run at the same comparison, or a failing
 //! resume-equivalence case cannot be replayed. A [`ChaosPlan`] therefore
-//! carries one concrete [`InjectionPoint`] — picked by hand or derived
-//! from a seed via SplitMix64 — and fires exactly once, by making the
-//! [`JournaledOracle`](crate::journal::JournaledOracle) report
+//! carries one concrete [`InjectionPoint`] and fires exactly once, by
+//! making the [`JournaledOracle`](crate::journal::JournaledOracle) report
 //! [`OracleError::Interrupted`](crowd_core::oracle::OracleError::Interrupted)
 //! instead of executing.
 //!
@@ -56,17 +55,6 @@ pub enum InjectionPoint {
     AtPhaseTransition,
 }
 
-/// SplitMix64 — the repo's standard seed mixer (matches `rand`'s
-/// `seed_from_u64` stream construction), used here to derive injection
-/// points from sweep seeds.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A single-shot, deterministic kill switch for a journaled run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosPlan {
@@ -86,27 +74,6 @@ impl ChaosPlan {
             armed: false,
             fired: false,
         }
-    }
-
-    /// Derives a plan from a sweep seed: the SplitMix64 stream picks the
-    /// injection-point kind and its batch/round parameter, so a seed grid
-    /// covers all four crash windows reproducibly.
-    pub fn seeded(seed: u64) -> Self {
-        let mut s = seed;
-        let kind = splitmix64(&mut s) % 4;
-        let batch = 1 + splitmix64(&mut s) % 6;
-        let round = (splitmix64(&mut s) % 2) as u32;
-        ChaosPlan::at(match kind {
-            0 => InjectionPoint::MidBatch { batch },
-            1 => InjectionPoint::MidJournalWrite { batch },
-            2 => InjectionPoint::BetweenRounds { round },
-            _ => InjectionPoint::AtPhaseTransition,
-        })
-    }
-
-    /// The plan's injection point.
-    pub fn point(&self) -> InjectionPoint {
-        self.point
     }
 
     /// True once the plan has killed a run.
@@ -208,15 +175,5 @@ mod tests {
         assert!(!plan.fires_armed());
         plan.on_trace(TraceEvent::PhaseEnd(TracePhase::Filter));
         assert!(plan.fires_armed());
-    }
-
-    #[test]
-    fn seeded_plans_are_deterministic_and_cover_all_kinds() {
-        let mut kinds = std::collections::HashSet::new();
-        for seed in 0..64u64 {
-            assert_eq!(ChaosPlan::seeded(seed), ChaosPlan::seeded(seed));
-            kinds.insert(std::mem::discriminant(&ChaosPlan::seeded(seed).point()));
-        }
-        assert_eq!(kinds.len(), 4, "64 seeds must hit all four windows");
     }
 }
