@@ -214,20 +214,25 @@ impl ServeLoadReport {
     }
 }
 
+/// The arrival plan of scenario number `idx`.
+fn scenario_plan(seed: u64, idx: usize, spec: &ScenarioSpec) -> ArrivalPlan {
+    ArrivalPlan::new(
+        seed ^ (idx as u64).wrapping_mul(0x9E37_79B9),
+        spec.rate_num,
+        spec.rate_den,
+        spec.total_jobs,
+        2,
+    )
+    .with_catalog(4, 9)
+    .with_deadline(40)
+    .with_overlap(spec.overlap_percent, OVERLAP_UNIVERSE)
+}
+
 /// Runs every scenario in order and assembles the report.
 pub fn run_serve_load(seed: u64) -> ServeLoadReport {
     let mut metas = Vec::new();
     for (idx, spec) in scenarios().iter().enumerate() {
-        let plan = ArrivalPlan::new(
-            seed ^ (idx as u64).wrapping_mul(0x9E37_79B9),
-            spec.rate_num,
-            spec.rate_den,
-            spec.total_jobs,
-            2,
-        )
-        .with_catalog(4, 9)
-        .with_deadline(40)
-        .with_overlap(spec.overlap_percent, OVERLAP_UNIVERSE);
+        let plan = scenario_plan(seed, idx, spec);
         // A scoped recorder keeps obs traffic off the global sink; the
         // deterministic numbers come from the service report itself.
         let _guard = install_recorder(Arc::new(Recorder::new()));
@@ -289,12 +294,30 @@ pub fn run_serve_load(seed: u64) -> ServeLoadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crowd_platform::journal::fnv1a64;
 
     #[test]
     fn metadata_is_deterministic() {
         let a = run_serve_load(DEFAULT_SEED);
         let b = run_serve_load(DEFAULT_SEED);
         assert_eq!(a.to_json(), b.to_json());
+    }
+
+    #[test]
+    fn half_load_journal_bytes_are_pinned() {
+        // Length and checksum of the `0.5x` run's durable journal as
+        // `serde_json` wrote every record: any byte drift in the service
+        // journal, from any layer, changes them.
+        let spec = &scenarios()[0];
+        assert_eq!(spec.label, "0.5x");
+        let _guard = install_recorder(Arc::new(Recorder::new()));
+        let mut service = CrowdServe::new(bench_config(), DEFAULT_SEED).expect("config is valid");
+        service
+            .run(&scenario_plan(DEFAULT_SEED, 0, spec), MAX_TICKS)
+            .expect("no chaos plan: the run cannot crash");
+        let journal = service.journal().durable();
+        assert_eq!(journal.len(), 193_827);
+        assert_eq!(fnv1a64(journal), 0x1742_b6d3_2ef0_04dd);
     }
 
     #[test]

@@ -198,9 +198,10 @@ impl Journal {
         self.push_frame(json.as_bytes());
     }
 
-    fn push_frame(&mut self, json: &[u8]) {
-        // Writing into a Vec cannot fail.
-        let _ = write!(self.pending, "{} {:016x} ", json.len(), fnv1a64(json));
+    /// Frames already-encoded JSON bytes into the pending buffer: the seam
+    /// hand encoders (the service's tick records) append through.
+    pub(crate) fn push_frame(&mut self, json: &[u8]) {
+        push_frame_header(&mut self.pending, json.len() as u64, fnv1a64(json));
         self.pending.extend_from_slice(json);
         self.pending.push(b'\n');
     }
@@ -462,8 +463,20 @@ impl RecordView<'_> {
     }
 }
 
+/// Appends a frame's `<len> <checksum:016x> ` header.
+fn push_frame_header(out: &mut Vec<u8>, len: u64, checksum: u64) {
+    push_u64(out, len);
+    out.push(b' ');
+    let mut digits = [0u8; 16];
+    for (i, d) in digits.iter_mut().enumerate() {
+        *d = b"0123456789abcdef"[(checksum >> (60 - 4 * i)) as usize & 0xf];
+    }
+    out.extend_from_slice(&digits);
+    out.push(b' ');
+}
+
 /// Appends `n` in decimal.
-fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+pub(crate) fn push_u64(out: &mut Vec<u8>, mut n: u64) {
     let mut digits = [0u8; 20];
     let mut start = digits.len();
     loop {
@@ -478,7 +491,7 @@ fn push_u64(out: &mut Vec<u8>, mut n: u64) {
 }
 
 /// Appends `items` as a JSON array, each written by `item`.
-fn push_list<T>(out: &mut Vec<u8>, items: &[T], mut item: impl FnMut(&mut Vec<u8>, &T)) {
+pub(crate) fn push_list<T>(out: &mut Vec<u8>, items: &[T], mut item: impl FnMut(&mut Vec<u8>, &T)) {
     out.push(b'[');
     for (i, x) in items.iter().enumerate() {
         if i > 0 {
@@ -760,6 +773,18 @@ mod tests {
         assert_eq!(decoded.records, sample_records());
         assert_eq!(decoded.valid_bytes, journal.durable().len());
         assert!(!decoded.torn_tail);
+    }
+
+    #[test]
+    fn frame_header_matches_the_format_macro() {
+        let lengths = [0, 1].into_iter().chain((1..=19).map(|k| 10u64.pow(k)));
+        for len in lengths {
+            for checksum in [0, 1, 0x0123_4567_89ab_cdef, u64::MAX] {
+                let mut out = Vec::new();
+                push_frame_header(&mut out, len, checksum);
+                assert_eq!(out, format!("{len} {checksum:016x} ").into_bytes());
+            }
+        }
     }
 
     #[test]

@@ -25,16 +25,23 @@
 //! bit-identical values are never cached or served — their outcome is an
 //! element-id tie-break, an identity that value content cannot capture.
 //!
+//! Storage is a slab of slots threaded on an intrusive recency list (head
+//! = least recently used, tail = most) plus a key → slot hash index. A hit
+//! or a replacing insert moves its slot to the tail; an insert into a full
+//! cache evicts the head by reusing its slot. Every operation is O(1), and
+//! the slab grows one slot per new key, never up front to capacity.
+//!
 //! Determinism contract: the cache is a pure function of the insert and
-//! lookup sequence. No wall clock, no hashing randomness (keys live in a
-//! `BTreeMap`), and eviction removes the least-recently-used entry by an
-//! explicit monotone use counter — so a service run with a cache is
-//! exactly as replayable as one without, and kill+resume re-warms the
-//! cache to the identical state by re-running the same sequence.
+//! lookup sequence. No wall clock and no hashing randomness (the index
+//! hashes with a fixed, seedless function, and nothing ever iterates it),
+//! and the recency list alone decides eviction — so a service run with a
+//! cache is exactly as replayable as one without, and kill+resume re-warms
+//! the cache to the identical state by re-running the same sequence.
 
 use crowd_core::model::{TiePolicy, WorkerClass};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// When a cached verdict may substitute for fresh judgments, and how much
 /// the store may retain. Part of [`ServeConfig`](crate::serve::ServeConfig).
@@ -43,8 +50,10 @@ pub struct CachePolicy {
     /// Master switch. Disabled, the service never consults or fills the
     /// cache and is byte-identical to the pre-cache service.
     pub enabled: bool,
-    /// Maximum verdicts retained; beyond it the least-recently-used entry
-    /// is evicted (deterministically, by monotone use counter).
+    /// Maximum verdicts retained; an insert of a new key into a full
+    /// cache evicts the least-recently-used entry (the head of the
+    /// recency list) and reuses its slot. Slots are `u32`-indexed, so
+    /// anything above `u32::MAX - 1` acts as that bound.
     pub capacity: usize,
     /// A cached verdict older than this many ticks is stale and will not
     /// be served (it stays stored until evicted or refreshed).
@@ -107,7 +116,7 @@ pub struct CacheStats {
 /// The content key: order-normalized value bits plus the worker-class
 /// tier and tie policy the verdict was bought under. `lo < hi` always —
 /// equal-bits pairs are rejected before keying.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct VerdictKey {
     lo: u64,
     hi: u64,
@@ -132,8 +141,46 @@ fn tie_tag(tie: TiePolicy) -> u8 {
     }
 }
 
+/// A fixed, seedless multiply-xor hasher for [`VerdictKey`]'s fields.
+/// Each word is xored into the state, which becomes the xor of both
+/// halves of its 128-bit product with an odd constant, so the low-entropy
+/// mantissa tails of `f64` bits still reach every bucket bit. Being
+/// seedless is what keeps the cache deterministic without ordering
+/// anything: the index is never iterated, so a hash only decides where a
+/// key lives. Catalog values crafted to collide can at worst make a probe
+/// walk the whole index, which `capacity` bounds.
+#[derive(Debug, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Default for KeyHasher {
+    fn default() -> Self {
+        KeyHasher(0x243F_6A88_85A3_08D3)
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15u128;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// One stored verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Verdict {
     /// True when the item with the *higher* value bits won.
     hi_won: bool,
@@ -141,26 +188,49 @@ struct Verdict {
     votes: u32,
     /// Tick the verdict was stored (refreshed on re-insert).
     stored_tick: u64,
-    /// Monotone recency stamp for LRU eviction.
-    used: u64,
 }
+
+/// A slab slot: one stored verdict, linked into the recency list.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    key: VerdictKey,
+    verdict: Verdict,
+    /// The next less recently used slot ([`NIL`] at the head).
+    prev: u32,
+    /// The next more recently used slot ([`NIL`] at the tail).
+    next: u32,
+}
+
+/// The null slot link.
+const NIL: u32 = u32::MAX;
 
 /// The deterministic cross-job judgment store.
 #[derive(Debug, Clone)]
 pub struct JudgmentCache {
     policy: CachePolicy,
-    entries: BTreeMap<VerdictKey, Verdict>,
-    use_seq: u64,
+    /// Slot storage: grows by one slot per new key up to capacity, then
+    /// recycles the least-recently-used slot.
+    nodes: Vec<Node>,
+    /// Key → slot.
+    index: HashMap<VerdictKey, u32, BuildHasherDefault<KeyHasher>>,
+    /// The least-recently-used slot, next to be evicted ([`NIL`] when
+    /// empty).
+    head: u32,
+    /// The most-recently-used slot ([`NIL`] when empty).
+    tail: u32,
     stats: CacheStats,
 }
 
 impl JudgmentCache {
-    /// An empty cache under `policy`.
+    /// An empty cache under `policy`. Storage grows with use, never up
+    /// front to `capacity`.
     pub fn new(policy: CachePolicy) -> Self {
         JudgmentCache {
             policy,
-            entries: BTreeMap::new(),
-            use_seq: 0,
+            nodes: Vec::new(),
+            index: HashMap::default(),
+            head: NIL,
+            tail: NIL,
             stats: CacheStats::default(),
         }
     }
@@ -177,12 +247,12 @@ impl JudgmentCache {
 
     /// Verdicts currently stored.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.nodes.len()
     }
 
     /// True when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.nodes.is_empty()
     }
 
     fn key(vk: f64, vj: f64, class: WorkerClass, tie: TiePolicy) -> Option<(VerdictKey, bool)> {
@@ -231,13 +301,13 @@ impl JudgmentCache {
         let max_age = self.policy.max_age_ticks;
         let fresh_enough =
             |v: &Verdict| v.votes >= votes && tick.saturating_sub(v.stored_tick) <= max_age;
-        match self.entries.get_mut(&key) {
-            Some(v) if fresh_enough(v) => {
-                self.use_seq += 1;
-                v.used = self.use_seq;
+        match self.index.get(&key) {
+            Some(&slot) if fresh_enough(&self.nodes[slot as usize].verdict) => {
+                let hi_won = self.nodes[slot as usize].verdict.hi_won;
+                self.touch(slot);
                 self.stats.hits += 1;
                 self.stats.saved_comparisons += u64::from(votes);
-                Some(v.hi_won == k_is_hi)
+                Some(hi_won == k_is_hi)
             }
             _ => {
                 self.stats.misses += 1;
@@ -268,40 +338,73 @@ impl JudgmentCache {
         let Some((key, k_is_hi)) = Self::key(vk, vj, class, tie) else {
             return;
         };
-        if let Some(existing) = self.entries.get(&key) {
-            if existing.votes > votes {
-                return;
-            }
-        }
-        self.use_seq += 1;
-        let fresh = Verdict {
+        let verdict = Verdict {
             hi_won: k_won == k_is_hi,
             votes,
             stored_tick: tick,
-            used: self.use_seq,
         };
-        if self.entries.insert(key, fresh).is_none() {
-            self.stats.insertions += 1;
-            if self.entries.len() > self.policy.capacity {
-                self.evict_lru();
+        if let Some(&slot) = self.index.get(&key) {
+            let node = &mut self.nodes[slot as usize];
+            if node.verdict.votes > votes {
+                return;
             }
+            node.verdict = verdict;
+            self.touch(slot);
         } else {
-            self.stats.insertions += 1;
+            let slot = if self.nodes.len() < self.policy.capacity.min(NIL as usize) {
+                self.nodes.push(Node {
+                    key,
+                    verdict,
+                    prev: NIL,
+                    next: NIL,
+                });
+                self.nodes.len() as u32 - 1
+            } else {
+                // Full: the least-recently-used slot takes the new verdict.
+                let slot = self.head;
+                self.unlink(slot);
+                let node = &mut self.nodes[slot as usize];
+                let evicted = std::mem::replace(&mut node.key, key);
+                node.verdict = verdict;
+                self.index.remove(&evicted);
+                self.stats.evictions += 1;
+                slot
+            };
+            self.index.insert(key, slot);
+            self.push_back(slot);
+        }
+        self.stats.insertions += 1;
+    }
+
+    /// Makes `slot` the most recently used.
+    fn touch(&mut self, slot: u32) {
+        if slot != self.tail {
+            self.unlink(slot);
+            self.push_back(slot);
         }
     }
 
-    /// Removes the least-recently-used entry (smallest `used` stamp —
-    /// unique because the stamp is monotone).
-    fn evict_lru(&mut self) {
-        if let Some(key) = self
-            .entries
-            .iter()
-            .min_by_key(|(_, v)| v.used)
-            .map(|(k, _)| *k)
-        {
-            self.entries.remove(&key);
-            self.stats.evictions += 1;
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
         }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    fn push_back(&mut self, slot: u32) {
+        let node = &mut self.nodes[slot as usize];
+        node.prev = self.tail;
+        node.next = NIL;
+        match self.tail {
+            NIL => self.head = slot,
+            t => self.nodes[t as usize].next = slot,
+        }
+        self.tail = slot;
     }
 }
 
@@ -394,6 +497,156 @@ mod tests {
         c.insert(1.0, 2.0, N, T, false, 3, 0);
         assert_eq!(c.lookup(1.0, 2.0, N, T, 3, 0), None);
         assert_eq!(c.stats(), CacheStats::default(), "no counters move");
+    }
+
+    /// The cache before the slab/list rewrite, kept as a reference model:
+    /// a `BTreeMap` of verdicts stamped by a monotone use counter, with
+    /// eviction scanning every entry for the smallest stamp.
+    struct ScanMinModel {
+        capacity: usize,
+        max_age: u64,
+        entries: std::collections::BTreeMap<ModelKey, ModelEntry>,
+        use_seq: u64,
+        stats: CacheStats,
+    }
+
+    /// `(lo bits, hi bits, class tag, tie tag)`.
+    type ModelKey = (u64, u64, u8, u8);
+
+    struct ModelEntry {
+        hi_won: bool,
+        votes: u32,
+        stored_tick: u64,
+        used: u64,
+    }
+
+    impl ScanMinModel {
+        fn key(vk: f64, vj: f64, c: WorkerClass, t: TiePolicy) -> Option<(ModelKey, bool)> {
+            let (kb, jb) = (vk.to_bits(), vj.to_bits());
+            (kb != jb).then(|| ((kb.min(jb), kb.max(jb), class_tag(c), tie_tag(t)), kb > jb))
+        }
+
+        fn lookup(
+            &mut self,
+            vk: f64,
+            vj: f64,
+            c: WorkerClass,
+            t: TiePolicy,
+            votes: u32,
+            tick: u64,
+        ) -> Option<bool> {
+            let (key, k_is_hi) = Self::key(vk, vj, c, t)?;
+            self.stats.lookups += 1;
+            match self.entries.get_mut(&key) {
+                Some(e)
+                    if e.votes >= votes && tick.saturating_sub(e.stored_tick) <= self.max_age =>
+                {
+                    self.use_seq += 1;
+                    e.used = self.use_seq;
+                    self.stats.hits += 1;
+                    self.stats.saved_comparisons += u64::from(votes);
+                    Some(e.hi_won == k_is_hi)
+                }
+                _ => {
+                    self.stats.misses += 1;
+                    None
+                }
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn insert(
+            &mut self,
+            vk: f64,
+            vj: f64,
+            c: WorkerClass,
+            t: TiePolicy,
+            k_won: bool,
+            votes: u32,
+            tick: u64,
+        ) {
+            let Some((key, k_is_hi)) = Self::key(vk, vj, c, t) else {
+                return;
+            };
+            if self.entries.get(&key).is_some_and(|e| e.votes > votes) {
+                return;
+            }
+            self.use_seq += 1;
+            self.stats.insertions += 1;
+            let fresh = ModelEntry {
+                hi_won: k_won == k_is_hi,
+                votes,
+                stored_tick: tick,
+                used: self.use_seq,
+            };
+            if self.entries.insert(key, fresh).is_none() && self.entries.len() > self.capacity {
+                let lru = *self
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, e)| e.used)
+                    .expect("nonempty")
+                    .0;
+                self.entries.remove(&lru);
+                self.stats.evictions += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn matches_the_scan_min_model_at_service_scale() {
+        use crate::fault::mix;
+        const CAPACITY: usize = 4096;
+        const TIES: [TiePolicy; 5] = [
+            TiePolicy::UniformRandom,
+            TiePolicy::Persistent,
+            TiePolicy::FavorLower,
+            TiePolicy::FavorHigher,
+            TiePolicy::FavorSmallerId,
+        ];
+        // 40 values, `0.0` and `-0.0` among them: 780 pairs × 2 classes ×
+        // 5 tie policies = 7800 keys, so a full cache evicts constantly.
+        let pool: Vec<f64> = (0..40)
+            .map(|i| match i {
+                0 => 0.0,
+                1 => -0.0,
+                i => f64::from(i) * 0.37 - 3.0,
+            })
+            .collect();
+        let max_age = 1500;
+        let mut cache = JudgmentCache::new(
+            CachePolicy::default_on()
+                .with_capacity(CAPACITY)
+                .with_max_age(max_age),
+        );
+        let mut model = ScanMinModel {
+            capacity: CAPACITY,
+            max_age,
+            entries: Default::default(),
+            use_seq: 0,
+            stats: CacheStats::default(),
+        };
+        for i in 0..100_000u64 {
+            let w = mix(i ^ 0xCAC4E);
+            let field = |shift: u32, modulus: u64| ((w >> shift) % modulus) as usize;
+            let (vk, vj) = (pool[field(0, 40)], pool[field(8, 40)]);
+            let class = if field(16, 2) == 1 { E } else { N };
+            let tie = TIES[field(17, 5)];
+            let votes = 1 + field(24, 5) as u32;
+            let tick = i / 16;
+            if field(32, 2) == 1 {
+                let k_won = field(33, 2) == 1;
+                cache.insert(vk, vj, class, tie, k_won, votes, tick);
+                model.insert(vk, vj, class, tie, k_won, votes, tick);
+            } else {
+                let got = cache.lookup(vk, vj, class, tie, votes, tick);
+                assert_eq!(got, model.lookup(vk, vj, class, tie, votes, tick), "op {i}");
+            }
+            assert_eq!(cache.stats(), model.stats, "op {i}");
+            assert_eq!(cache.len(), model.entries.len(), "op {i}");
+        }
+        let stats = cache.stats();
+        assert!(stats.evictions > 10_000, "the cache must churn: {stats:?}");
+        assert!(stats.hits > 1_000, "and serve hits: {stats:?}");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! trail while rebuilding the exact same final state.
 
 use crate::fault::mix;
-use crate::journal::{fnv1a64, CheckpointPolicy, Journal, JOURNAL_VERSION};
+use crate::journal::{fnv1a64, push_list, push_u64, CheckpointPolicy, Journal, JOURNAL_VERSION};
 use crate::retry::RetryPolicy;
 use crate::serve::arrival::ArrivalPlan;
 use crate::serve::breaker::BreakerPolicy;
@@ -212,6 +212,9 @@ pub enum ServeError {
     Crashed,
     /// A resume attempt failed validation.
     Resume(ResumeError),
+    /// A tick dispatched a pair for a job that is not active. Dispatch
+    /// only lists active jobs, so this reports a broken invariant.
+    JobNotActive(JobId),
 }
 
 impl fmt::Display for ServeError {
@@ -223,6 +226,7 @@ impl fmt::Display for ServeError {
             ServeError::DuplicateTenant(t) => write!(f, "tenant {t} configured twice"),
             ServeError::Crashed => write!(f, "service crashed (chaos kill); journal is durable"),
             ServeError::Resume(e) => write!(f, "resume refused: {e:?}"),
+            ServeError::JobNotActive(j) => write!(f, "dispatched job {j} is not active"),
         }
     }
 }
@@ -287,8 +291,11 @@ impl CompletedJob {
     }
 }
 
-/// The service journal's record vocabulary, framed through
-/// [`Journal::append_json`] so it shares the WAL torn-tail story.
+/// The service journal's record vocabulary, framed through the shared
+/// [`Journal`] so it shares the WAL torn-tail story. Its serde form is
+/// the reference: `Started` is written through `serde_json`, the tick
+/// records through [`TickRecord::encode`], byte for byte the same, and
+/// resume reads all of them back through `serde_json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum ServeRecord {
     /// The journal header.
@@ -319,6 +326,135 @@ enum ServeRecord {
         charged: Vec<(u32, u64)>,
         completed: Vec<CompletedJob>,
     },
+}
+
+/// A tick record with its lists borrowed: what the tick path encodes,
+/// by hand and without allocating, as the JSON of the matching
+/// [`ServeRecord`] variant.
+#[derive(Debug, Clone, Copy)]
+enum TickRecord<'a> {
+    Scheduled {
+        tick: u64,
+        dispatches: &'a [DispatchRecord],
+    },
+    Cached {
+        tick: u64,
+        hits: &'a [CacheHitRecord],
+    },
+    Completed {
+        tick: u64,
+        shard_seqs: &'a [u64],
+        answers: u64,
+        charged: &'a [(u32, u64)],
+        completed: &'a [CompletedJob],
+    },
+}
+
+impl TickRecord<'_> {
+    /// Appends the record's JSON to `out`, byte-identical to
+    /// `serde_json::to_string` of the matching [`ServeRecord`].
+    fn encode(self, out: &mut Vec<u8>) {
+        match self {
+            TickRecord::Scheduled { tick, dispatches } => {
+                out.extend_from_slice(b"{\"TickScheduled\":{\"tick\":");
+                push_u64(out, tick);
+                out.extend_from_slice(b",\"dispatches\":");
+                push_list(out, dispatches, |out, d| {
+                    out.extend_from_slice(b"{\"job\":");
+                    push_u64(out, d.job);
+                    out.extend_from_slice(b",\"shard\":");
+                    push_u64(out, u64::from(d.shard));
+                    out.extend_from_slice(b",\"k\":");
+                    push_u64(out, u64::from(d.k));
+                    out.extend_from_slice(b",\"j\":");
+                    push_u64(out, u64::from(d.j));
+                    out.extend_from_slice(b",\"votes\":");
+                    push_u64(out, u64::from(d.votes));
+                    out.push(b'}');
+                });
+            }
+            TickRecord::Cached { tick, hits } => {
+                out.extend_from_slice(b"{\"TickCached\":{\"tick\":");
+                push_u64(out, tick);
+                out.extend_from_slice(b",\"hits\":");
+                push_list(out, hits, |out, h| {
+                    out.extend_from_slice(b"{\"job\":");
+                    push_u64(out, h.job);
+                    out.extend_from_slice(b",\"k\":");
+                    push_u64(out, u64::from(h.k));
+                    out.extend_from_slice(b",\"j\":");
+                    push_u64(out, u64::from(h.j));
+                    out.extend_from_slice(b",\"votes\":");
+                    push_u64(out, u64::from(h.votes));
+                    out.extend_from_slice(b",\"winner\":");
+                    push_u64(out, u64::from(h.winner));
+                    out.push(b'}');
+                });
+            }
+            TickRecord::Completed {
+                tick,
+                shard_seqs,
+                answers,
+                charged,
+                completed,
+            } => {
+                out.extend_from_slice(b"{\"TickCompleted\":{\"tick\":");
+                push_u64(out, tick);
+                out.extend_from_slice(b",\"shard_seqs\":");
+                push_list(out, shard_seqs, |out, &seq| push_u64(out, seq));
+                out.extend_from_slice(b",\"answers\":");
+                push_u64(out, answers);
+                out.extend_from_slice(b",\"charged\":");
+                push_list(out, charged, |out, &(tenant, total)| {
+                    out.push(b'[');
+                    push_u64(out, u64::from(tenant));
+                    out.push(b',');
+                    push_u64(out, total);
+                    out.push(b']');
+                });
+                out.extend_from_slice(b",\"completed\":");
+                push_list(out, completed, |out, c| {
+                    out.extend_from_slice(b"{\"job\":");
+                    push_u64(out, c.job.0);
+                    out.extend_from_slice(b",\"tenant\":");
+                    push_u64(out, u64::from(c.tenant.0));
+                    out.extend_from_slice(b",\"winner\":");
+                    push_u64(out, u64::from(c.winner.0));
+                    out.extend_from_slice(match c.degraded {
+                        None => b",\"degraded\":null,\"comparisons\":",
+                        Some(DegradedReason::DeadlineLapsed) => {
+                            b",\"degraded\":\"DeadlineLapsed\",\"comparisons\":"
+                        }
+                        Some(DegradedReason::ExpertExhausted) => {
+                            b",\"degraded\":\"ExpertExhausted\",\"comparisons\":"
+                        }
+                        Some(DegradedReason::BudgetExhausted) => {
+                            b",\"degraded\":\"BudgetExhausted\",\"comparisons\":"
+                        }
+                        Some(DegradedReason::DeadLetters) => {
+                            b",\"degraded\":\"DeadLetters\",\"comparisons\":"
+                        }
+                    });
+                    push_u64(out, c.comparisons);
+                    out.extend_from_slice(b",\"submitted\":");
+                    push_u64(out, c.submitted);
+                    out.extend_from_slice(b",\"completed\":");
+                    push_u64(out, c.completed);
+                    out.push(b'}');
+                });
+            }
+        }
+        out.extend_from_slice(b"}}");
+    }
+}
+
+/// Reused buffers the tick path builds its journal records in, so a warm
+/// service journals without allocating.
+#[derive(Debug, Default)]
+struct RecordScratch {
+    json: Vec<u8>,
+    shard_seqs: Vec<u64>,
+    charged: Vec<(u32, u64)>,
 }
 
 /// Deterministic kill points for chaos tests.
@@ -410,7 +546,8 @@ pub struct ServeReport {
 /// Replay-audit state carried by a resumed service.
 #[derive(Debug)]
 struct ReplayAudit {
-    /// Journaled `TickCompleted` JSON by tick, from the crashed run.
+    /// Journaled `TickCompleted` JSON by tick, from the crashed run,
+    /// compared byte for byte with each replayed tick's encoding.
     expected: BTreeMap<u64, String>,
     replayed_ticks: u64,
     replayed_comparisons: u64,
@@ -433,11 +570,14 @@ pub struct CrowdServe {
     shards: Vec<WorkerShard>,
     cache: JudgmentCache,
     buckets: BTreeMap<TenantId, TokenBucket>,
+    /// Each tenant's metric label, rendered once.
+    labels: BTreeMap<TenantId, String>,
     slo: BTreeMap<TenantId, SloMonitor>,
     queue: VecDeque<(JobId, JobSpec, u64)>,
     active: BTreeMap<JobId, ActiveJob>,
     drr: VecDeque<JobId>,
     journal: Journal,
+    scratch: RecordScratch,
     unflushed: u64,
     completed: Vec<CompletedJob>,
     charged_total: BTreeMap<TenantId, u64>,
@@ -464,6 +604,7 @@ impl CrowdServe {
         }
         let mut buckets = BTreeMap::new();
         let mut slo = BTreeMap::new();
+        let mut labels = BTreeMap::new();
         for policy in &config.tenants {
             if buckets
                 .insert(policy.tenant, TokenBucket::new(*policy))
@@ -472,6 +613,7 @@ impl CrowdServe {
                 return Err(ServeError::DuplicateTenant(policy.tenant));
             }
             slo.insert(policy.tenant, SloMonitor::new());
+            labels.insert(policy.tenant, policy.tenant.to_string());
         }
         let shards = config
             .shards
@@ -496,11 +638,13 @@ impl CrowdServe {
             shards,
             cache,
             buckets,
+            labels,
             slo,
             queue: VecDeque::new(),
             active: BTreeMap::new(),
             drr: VecDeque::new(),
             journal,
+            scratch: RecordScratch::default(),
             unflushed: 0,
             completed: Vec::new(),
             charged_total: BTreeMap::new(),
@@ -607,7 +751,7 @@ impl CrowdServe {
         });
         counter_add(
             names::SERVE_SHED_TOTAL,
-            &[("tenant", &tenant.to_string())],
+            &[("tenant", &self.labels[&tenant])],
             1,
         );
         Admission::Rejected { job, retry_after }
@@ -688,20 +832,16 @@ impl CrowdServe {
         // the bytes a cache-off run does.
         let wal_appended = !cache_hits.is_empty() || !dispatches.is_empty();
         if !cache_hits.is_empty() {
-            let record = ServeRecord::TickCached {
+            self.journal_tick(TickRecord::Cached {
                 tick,
-                hits: cache_hits.clone(),
-            };
-            self.journal
-                .append_json(&serde_json::to_string(&record).expect("record serializes"));
+                hits: &cache_hits,
+            });
         }
         if !dispatches.is_empty() {
-            let record = ServeRecord::TickScheduled {
+            self.journal_tick(TickRecord::Scheduled {
                 tick,
-                dispatches: dispatches.clone(),
-            };
-            self.journal
-                .append_json(&serde_json::to_string(&record).expect("record serializes"));
+                dispatches: &dispatches,
+            });
         }
         if wal_appended {
             self.journal.flush();
@@ -712,80 +852,8 @@ impl CrowdServe {
             }
         }
 
-        // 5. Execute, in dispatch order. `executed` tracks, per job, how
-        // many pairs ran and whether any needed the retry layer — the
-        // facts span attribution classifies the tick by.
-        let mut tick_answers = 0u64;
-        let mut executed: BTreeMap<JobId, bool> = BTreeMap::new();
-        for d in &dispatches {
-            let job = self
-                .active
-                .get_mut(&JobId(d.job))
-                .expect("dispatched job is active");
-            let (vk, vj) = (job.values[d.k as usize], job.values[d.j as usize]);
-            let tenant = job.tenant;
-            let shard = &mut self.shards[d.shard as usize];
-            let out = shard.execute_pair(
-                tick,
-                ElementId(d.k),
-                vk,
-                ElementId(d.j),
-                vj,
-                d.votes,
-                self.config.retry.max_retries,
-                &self.config.breaker,
-            );
-            // A clean, fully-voted verdict becomes a cache asset for
-            // every later job that compares the same two values.
-            if out.dead.is_none() && out.answers >= d.votes {
-                if let Some(w) = out.winner {
-                    self.cache.insert(
-                        vk,
-                        vj,
-                        self.shards[d.shard as usize].class(),
-                        SHARD_TIE_POLICY,
-                        w == ElementId(d.k),
-                        d.votes,
-                        tick,
-                    );
-                }
-            }
-            let job = self
-                .active
-                .get_mut(&JobId(d.job))
-                .expect("dispatched job is active");
-            job.charged += u64::from(out.answers);
-            tick_answers += u64::from(out.answers);
-            let retried = executed.entry(JobId(d.job)).or_insert(false);
-            *retried |= out.dead.is_some() || out.attempts > d.votes;
-            *self.charged_total.entry(tenant).or_insert(0) += u64::from(out.answers);
-            counter_add(
-                names::SERVE_COMPARISONS_TOTAL,
-                &[("tenant", &tenant.to_string())],
-                u64::from(out.answers),
-            );
-            if let Some(reason) = out.dead {
-                self.dead_letters += 1;
-                let class = self.shards[d.shard as usize].class();
-                emit(Event::DeadLettered {
-                    class,
-                    attempts: out.attempts,
-                    reason,
-                });
-                counter_add(
-                    names::DEAD_LETTERS_TOTAL,
-                    &[
-                        ("class", crowd_obs::class_label(class)),
-                        ("reason", crowd_obs::reason_label(reason)),
-                    ],
-                    1,
-                );
-            }
-            self.active
-                .get_mut(&JobId(d.job))
-                .expect("dispatched job is active")
-                .feed((ElementId(d.k), ElementId(d.j)), out.winner);
-        }
+        // 5. Execute, in dispatch order.
+        let (tick_answers, executed) = self.execute(tick, &dispatches)?;
 
         // Cache observability: one delta per tick keeps counter traffic
         // bounded, and guarding on nonzero deltas keeps a cache that
@@ -855,12 +923,12 @@ impl CrowdServe {
             };
             counter_add(
                 names::SERVE_JOBS_TOTAL,
-                &[("tenant", &job.tenant.to_string()), ("outcome", outcome)],
+                &[("tenant", &self.labels[&job.tenant]), ("outcome", outcome)],
                 1,
             );
             observe(
                 names::SERVE_JOB_LATENCY_TICKS,
-                &[("tenant", &job.tenant.to_string())],
+                &[("tenant", &self.labels[&job.tenant])],
                 record.latency_ticks(),
             );
             // Close the job's span tree. The accumulator recorded exactly
@@ -880,7 +948,7 @@ impl CrowdServe {
                     observe(
                         names::SERVE_STAGE_TICKS,
                         &[
-                            ("tenant", &job.tenant.to_string()),
+                            ("tenant", &self.labels[&job.tenant]),
                             ("stage", stage_label(span.stage)),
                         ],
                         span.ticks,
@@ -935,7 +1003,7 @@ impl CrowdServe {
                         });
                         counter_add(
                             names::SERVE_SLO_BREACHES_TOTAL,
-                            &[("tenant", &tenant.to_string())],
+                            &[("tenant", &self.labels[tenant])],
                             1,
                         );
                     }
@@ -957,17 +1025,27 @@ impl CrowdServe {
 
         // 7. Journal the tick outcome at the checkpoint cadence.
         if !dispatches.is_empty() || !completions.is_empty() {
-            let record = ServeRecord::TickCompleted {
+            let RecordScratch {
+                json,
+                shard_seqs,
+                charged,
+            } = &mut self.scratch;
+            shard_seqs.clear();
+            shard_seqs.extend(self.shards.iter().map(WorkerShard::seq));
+            charged.clear();
+            charged.extend(self.charged_total.iter().map(|(t, c)| (t.0, *c)));
+            json.clear();
+            TickRecord::Completed {
                 tick,
-                shard_seqs: self.shards.iter().map(|s| s.seq()).collect(),
+                shard_seqs,
                 answers: tick_answers,
-                charged: self.charged_total.iter().map(|(t, c)| (t.0, *c)).collect(),
-                completed: completions,
-            };
-            let json = serde_json::to_string(&record).expect("record serializes");
+                charged,
+                completed: &completions,
+            }
+            .encode(json);
             if let Some(audit) = &mut self.replay {
                 if let Some(expected) = audit.expected.get(&tick) {
-                    if *expected != json {
+                    if expected.as_bytes() != json.as_slice() {
                         return Err(ServeError::Resume(ResumeError::Diverged { tick }));
                     }
                     audit.replayed_ticks += 1;
@@ -975,7 +1053,7 @@ impl CrowdServe {
                     counter_add(names::REPLAYED_COMPARISONS, &[], tick_answers);
                 }
             }
-            self.journal.append_json(&json);
+            self.journal.push_frame(json);
             if self.chaos == Some(ServeKill::TornCompleted(tick)) {
                 let torn = self.journal.pending_len() / 2;
                 self.journal.flush_torn(torn);
@@ -996,6 +1074,97 @@ impl CrowdServe {
 
         self.tick += 1;
         Ok(())
+    }
+
+    /// Encodes a write-ahead tick record into the reused buffer and frames
+    /// it into the journal's pending bytes.
+    fn journal_tick(&mut self, record: TickRecord<'_>) {
+        let json = &mut self.scratch.json;
+        json.clear();
+        record.encode(json);
+        self.journal.push_frame(json);
+    }
+
+    /// Runs the tick's dispatched pairs on their shards, in dispatch
+    /// order: each outcome is charged to and fed into its job, and each
+    /// clean verdict goes into the cache. Returns the answers bought and,
+    /// per job that ran a pair, whether any pair needed the retry layer —
+    /// the facts span attribution classifies the tick by.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::JobNotActive`] when a dispatch names a job that is
+    /// not active.
+    fn execute(
+        &mut self,
+        tick: u64,
+        dispatches: &[DispatchRecord],
+    ) -> Result<(u64, BTreeMap<JobId, bool>), ServeError> {
+        let mut tick_answers = 0u64;
+        let mut executed = BTreeMap::new();
+        for d in dispatches {
+            let id = JobId(d.job);
+            let job = self
+                .active
+                .get_mut(&id)
+                .ok_or(ServeError::JobNotActive(id))?;
+            let (vk, vj) = (job.values[d.k as usize], job.values[d.j as usize]);
+            let shard = &mut self.shards[d.shard as usize];
+            let out = shard.execute_pair(
+                tick,
+                ElementId(d.k),
+                vk,
+                ElementId(d.j),
+                vj,
+                d.votes,
+                self.config.retry.max_retries,
+                &self.config.breaker,
+            );
+            // A clean, fully-voted verdict becomes a cache asset for
+            // every later job that compares the same two values.
+            if out.dead.is_none() && out.answers >= d.votes {
+                if let Some(w) = out.winner {
+                    self.cache.insert(
+                        vk,
+                        vj,
+                        shard.class(),
+                        SHARD_TIE_POLICY,
+                        w == ElementId(d.k),
+                        d.votes,
+                        tick,
+                    );
+                }
+            }
+            job.charged += u64::from(out.answers);
+            tick_answers += u64::from(out.answers);
+            let retried = executed.entry(id).or_insert(false);
+            *retried |= out.dead.is_some() || out.attempts > d.votes;
+            *self.charged_total.entry(job.tenant).or_insert(0) += u64::from(out.answers);
+            counter_add(
+                names::SERVE_COMPARISONS_TOTAL,
+                &[("tenant", &self.labels[&job.tenant])],
+                u64::from(out.answers),
+            );
+            if let Some(reason) = out.dead {
+                self.dead_letters += 1;
+                let class = shard.class();
+                emit(Event::DeadLettered {
+                    class,
+                    attempts: out.attempts,
+                    reason,
+                });
+                counter_add(
+                    names::DEAD_LETTERS_TOTAL,
+                    &[
+                        ("class", crowd_obs::class_label(class)),
+                        ("reason", crowd_obs::reason_label(reason)),
+                    ],
+                    1,
+                );
+            }
+            job.feed((ElementId(d.k), ElementId(d.j)), out.winner);
+        }
+        Ok((tick_answers, executed))
     }
 
     /// One deficit-round-robin pass over the active jobs. Returns the
@@ -1186,21 +1355,21 @@ impl CrowdServe {
             if t.completed_ok + t.degraded == 0 {
                 continue;
             }
-            let tenant = t.tenant.to_string();
+            let tenant = &self.labels[&t.tenant];
             gauge_set(
                 names::SERVE_P99_LATENCY_TICKS,
-                &[("tenant", &tenant)],
+                &[("tenant", tenant)],
                 t.p99_latency_ticks as i64,
             );
             gauge_set(
                 names::SERVE_MAX_LATENCY_TICKS,
-                &[("tenant", &tenant)],
+                &[("tenant", tenant)],
                 t.max_latency_ticks as i64,
             );
             if self.config.slo.enabled {
                 gauge_set(
                     names::SERVE_SLO_BURN_BPS,
-                    &[("tenant", &tenant)],
+                    &[("tenant", tenant)],
                     i64::from(t.slo_burn_max_bps),
                 );
             }
@@ -1345,5 +1514,179 @@ impl CrowdServe {
             replayed_comparisons: audit.replayed_comparisons,
         });
         Ok((report, service))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The borrowed view of a tick record (`None` for `Started`).
+    fn view(record: &ServeRecord) -> Option<TickRecord<'_>> {
+        match record {
+            ServeRecord::Started { .. } => None,
+            ServeRecord::TickScheduled { tick, dispatches } => Some(TickRecord::Scheduled {
+                tick: *tick,
+                dispatches,
+            }),
+            ServeRecord::TickCached { tick, hits } => {
+                Some(TickRecord::Cached { tick: *tick, hits })
+            }
+            ServeRecord::TickCompleted {
+                tick,
+                shard_seqs,
+                answers,
+                charged,
+                completed,
+            } => Some(TickRecord::Completed {
+                tick: *tick,
+                shard_seqs,
+                answers: *answers,
+                charged,
+                completed,
+            }),
+        }
+    }
+
+    /// A SplitMix64 stream of record fields.
+    struct Fields(u64);
+
+    impl Fields {
+        fn word(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(1);
+            mix(self.0)
+        }
+
+        /// 0, `max`, small, or anything up to `max`, a quarter of the
+        /// time each.
+        fn int(&mut self, max: u64) -> u64 {
+            let w = self.word();
+            match w & 3 {
+                0 => 0,
+                1 => max,
+                2 => (w >> 2) % 100,
+                _ => (w >> 2) & max,
+            }
+        }
+
+        fn small(&mut self) -> u32 {
+            self.int(u32::MAX.into()) as u32
+        }
+
+        fn big(&mut self) -> u64 {
+            self.int(u64::MAX)
+        }
+
+        /// A list length in 0..=4.
+        fn len(&mut self) -> usize {
+            (self.word() % 5) as usize
+        }
+    }
+
+    /// A random tick record drawn from a SplitMix64 stream over `seed`.
+    fn arbitrary_record(seed: u64) -> ServeRecord {
+        let mut f = Fields(seed);
+        let tick = f.big();
+        match f.word() % 3 {
+            0 => ServeRecord::TickScheduled {
+                tick,
+                dispatches: (0..f.len())
+                    .map(|_| DispatchRecord {
+                        job: f.big(),
+                        shard: f.small(),
+                        k: f.small(),
+                        j: f.small(),
+                        votes: f.small(),
+                    })
+                    .collect(),
+            },
+            1 => ServeRecord::TickCached {
+                tick,
+                hits: (0..f.len())
+                    .map(|_| CacheHitRecord {
+                        job: f.big(),
+                        k: f.small(),
+                        j: f.small(),
+                        votes: f.small(),
+                        winner: f.small(),
+                    })
+                    .collect(),
+            },
+            _ => ServeRecord::TickCompleted {
+                tick,
+                shard_seqs: (0..f.len()).map(|_| f.big()).collect(),
+                answers: f.big(),
+                charged: (0..f.len()).map(|_| (f.small(), f.big())).collect(),
+                completed: (0..f.len())
+                    .map(|_| CompletedJob {
+                        job: JobId(f.big()),
+                        tenant: TenantId(f.small()),
+                        winner: ElementId(f.small()),
+                        // Index 4 is past `ALL`: `None`.
+                        degraded: DegradedReason::ALL.get((f.word() % 5) as usize).copied(),
+                        comparisons: f.big(),
+                        submitted: f.big(),
+                        completed: f.big(),
+                    })
+                    .collect(),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The hand encoder writes exactly serde's bytes, and they decode
+        /// back to the record they came from.
+        #[test]
+        fn tick_records_encode_like_serde(seed in any::<u64>()) {
+            let record = arbitrary_record(seed);
+            let mut out = Vec::new();
+            view(&record).expect("a tick record").encode(&mut out);
+            let json = String::from_utf8(out).expect("the encoder writes UTF-8");
+            prop_assert_eq!(&json, &serde_json::to_string(&record).expect("record serializes"));
+            let decoded: ServeRecord = serde_json::from_str(&json).expect("record decodes");
+            prop_assert_eq!(decoded, record);
+        }
+    }
+
+    #[test]
+    fn arbitrary_records_cover_every_shape() {
+        let records: Vec<ServeRecord> = (0..1024).map(arbitrary_record).collect();
+        let completed = || {
+            records.iter().flat_map(|r| match r {
+                ServeRecord::TickCompleted { completed, .. } => completed.as_slice(),
+                _ => &[],
+            })
+        };
+        for reason in DegradedReason::ALL.map(Some).into_iter().chain([None]) {
+            assert!(completed().any(|c| c.degraded == reason), "{reason:?}");
+        }
+        assert!(completed().any(|c| c.comparisons == u64::MAX && c.winner.0 == u32::MAX));
+        let empty_lists = records.iter().filter(|r| match r {
+            ServeRecord::TickScheduled { dispatches, .. } => dispatches.is_empty(),
+            ServeRecord::TickCached { hits, .. } => hits.is_empty(),
+            ServeRecord::TickCompleted { completed, .. } => completed.is_empty(),
+            ServeRecord::Started { .. } => false,
+        });
+        assert!(empty_lists.count() > 0);
+    }
+
+    #[test]
+    fn a_dispatch_for_an_inactive_job_is_a_typed_error() {
+        let mut service = CrowdServe::new(ServeConfig::basic(), 7).expect("config is valid");
+        let stray = DispatchRecord {
+            job: 99,
+            shard: 0,
+            k: 0,
+            j: 1,
+            votes: 3,
+        };
+        let err = service
+            .execute(0, &[stray])
+            .expect_err("job 99 was never admitted");
+        assert_eq!(err, ServeError::JobNotActive(JobId(99)));
+        assert_eq!(err.to_string(), "dispatched job j99 is not active");
     }
 }

@@ -104,6 +104,8 @@ pub struct WorkerShard {
     rotation: usize,
     used: u32,
     trips: u64,
+    /// Per-pair distinct-workers marks, reused across pairs.
+    tried: Vec<bool>,
 }
 
 impl WorkerShard {
@@ -136,6 +138,7 @@ impl WorkerShard {
             rotation: 0,
             used: 0,
             trips: 0,
+            tried: vec![false; spec.workers as usize],
         }
     }
 
@@ -241,7 +244,8 @@ impl WorkerShard {
         let class = self.spec.class;
         let budget = votes.saturating_mul(1 + max_retries).max(1);
         let timeout = self.spec.fault.timeout_steps;
-        let mut tried = vec![false; self.workers.len()];
+        let mut tried = std::mem::take(&mut self.tried);
+        tried.fill(false);
         let mut votes_k = 0u32;
         let mut votes_j = 0u32;
         let mut answers = 0u32;
@@ -327,6 +331,7 @@ impl WorkerShard {
             }
         }
 
+        self.tried = tried;
         if answers < votes && dead.is_none() {
             dead = Some(DeadLetterReason::RetriesExhausted);
         }
