@@ -123,7 +123,9 @@ mod tests {
         r.counter_add("crowd_comparisons_total", &[("class", "naive")], 96);
         r.counter_add("crowd_comparisons_total", &[("class", "expert")], 3);
         r.gauge_set("crowd_retry_depth_max", &[], 2);
-        r.observe_with("crowd_round_survivors", &[], &[1, 10, 100], 33);
+        // A test-only name: bucket layouts are process-wide, and the real
+        // `crowd_round_survivors` uses `DEFAULT_BUCKETS`.
+        r.observe_with("fixture_round_survivors", &[], &[1, 10, 100], 33);
         r
     }
 
@@ -144,12 +146,12 @@ mod tests {
     #[test]
     fn histograms_render_buckets_sum_and_count() {
         let text = render_prometheus(&sample_registry().snapshot());
-        assert!(text.contains("# TYPE crowd_round_survivors histogram"));
-        assert!(text.contains("crowd_round_survivors_bucket{le=\"1\"} 0\n"));
-        assert!(text.contains("crowd_round_survivors_bucket{le=\"100\"} 1\n"));
-        assert!(text.contains("crowd_round_survivors_bucket{le=\"+Inf\"} 1\n"));
-        assert!(text.contains("crowd_round_survivors_sum 33\n"));
-        assert!(text.contains("crowd_round_survivors_count 1\n"));
+        assert!(text.contains("# TYPE fixture_round_survivors histogram"));
+        assert!(text.contains("fixture_round_survivors_bucket{le=\"1\"} 0\n"));
+        assert!(text.contains("fixture_round_survivors_bucket{le=\"100\"} 1\n"));
+        assert!(text.contains("fixture_round_survivors_bucket{le=\"+Inf\"} 1\n"));
+        assert!(text.contains("fixture_round_survivors_sum 33\n"));
+        assert!(text.contains("fixture_round_survivors_count 1\n"));
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //!   Registries merge deterministically (counters and histogram buckets by
 //!   sum, gauges by maximum), which is what lets per-worker registries
 //!   aggregate across `parallel_map` fan-out without ordering artifacts.
+//!   Series are interned process-wide; hot sites update through
+//!   pre-registered [`CounterId`]/[`GaugeId`]/[`HistogramId`] handles
+//!   (the enumerable ones live in [`series`]), cold sites by name.
 //! * [`Event`] / [`EventLog`] — a structured, append-only event stream
 //!   (`RunStarted`, `RoundCompleted`, `PhaseTransition`, fault and
 //!   recovery events, `RunFinished`) serialized as JSONL. Records carry a
@@ -41,13 +44,15 @@ mod event;
 mod expo;
 mod metrics;
 mod recorder;
+pub mod series;
 mod span;
 
 pub use bridge::ObservedOracle;
 pub use event::{Event, EventLog, LogRecord};
 pub use expo::{render_json, render_prometheus};
 pub use metrics::{
-    BucketCount, Histogram, LabelPair, MetricSample, MetricsRegistry, SampleValue, DEFAULT_BUCKETS,
+    BucketCount, CounterId, GaugeId, Histogram, HistogramId, LabelPair, MetricSample,
+    MetricsRegistry, SampleValue, DEFAULT_BUCKETS,
 };
 pub use recorder::{
     counter_add, current_recorders, emit, emit_span, gauge_set, install_recorder,

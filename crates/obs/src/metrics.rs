@@ -1,21 +1,36 @@
-//! The metrics registry: counters, gauges and fixed-bucket histograms.
+//! The metrics store: counters, gauges and fixed-bucket histograms.
 //!
-//! A registry is one vector of `(name, label set)` series, sorted by key,
-//! behind one mutex — every update is a short critical section, and the
-//! parallel runners never contend on it anyway: each work item writes into
-//! a private per-segment registry ([`crate::record_segment`]) that is
-//! merged into its parent at the join. Merging is associative and
+//! Each `(name, sorted labels)` series is interned once per process into
+//! a dense series id, and the interner records the series' type and, for
+//! a histogram, its bucket layout. A [`MetricsRegistry`] is only the
+//! cells, one slot per id, behind one mutex. Hot call sites register
+//! their series up front and hold typed handles ([`CounterId`],
+//! [`GaugeId`], [`HistogramId`]), so an update is one uncontended lock
+//! and one indexed write: no label sort, no string compare, no layout
+//! check, and no allocation after the series' first touch in a registry.
+//! The string API ([`MetricsRegistry::counter_add`], `gauge_set`,
+//! `observe`, `observe_with`) resolves through the same interner into the
+//! same cells. The rule: a site that runs per judgment, unit, job or tick
+//! holds handles; per-round, per-checkpoint and per-experiment sites may
+//! pass strings.
+//!
+//! A type or layout conflict panics once, at registration, and outside
+//! any registry lock, so a caught conflict leaves every registry usable.
+//! Ids never reach an output: [`MetricsRegistry::snapshot`] sorts the
+//! touched series by key.
+//!
+//! The parallel runners never contend on a registry: each work item
+//! writes into a private per-segment registry ([`crate::record_segment`])
+//! that is merged into its parent at the join. Merging is associative and
 //! commutative (counters and histogram buckets add, gauges take the
-//! maximum), so the aggregate is independent of worker scheduling.
-//!
-//! Updates take the metric name and labels borrowed. The labels are sorted
-//! in a small stack array and the series is found by binary search over
-//! the stored keys, comparing `&str`s, so an update of an existing series
-//! allocates nothing; only a series' first touch builds its owned key.
+//! maximum), so the aggregate is independent of worker scheduling. The
+//! cells stay behind a `Mutex` rather than atomics: a histogram observe
+//! would need three atomic read-modify-writes where the uncontended lock
+//! needs one compare-and-swap.
 
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::sync::{Mutex, MutexGuard};
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, RwLock};
 
 /// Default histogram bounds: powers of two from 1 to 2²⁰, plus the
 /// implicit `+Inf` bucket. Wide enough for latency steps, retry depths,
@@ -28,8 +43,9 @@ pub const DEFAULT_BUCKETS: [u64; 21] = [
 /// A fixed-bucket histogram of `u64` observations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    /// Inclusive upper bounds of the finite buckets, ascending.
-    bounds: Vec<u64>,
+    /// Inclusive upper bounds of the finite buckets, ascending; the
+    /// layout interned with the series.
+    bounds: &'static [u64],
     /// Per-bucket (non-cumulative) counts; one extra slot for `+Inf`.
     buckets: Vec<u64>,
     sum: u64,
@@ -37,10 +53,9 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn new(bounds: &[u64]) -> Self {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds ascend");
+    fn new(bounds: &'static [u64]) -> Self {
         Histogram {
-            bounds: bounds.to_vec(),
+            bounds,
             buckets: vec![0; bounds.len() + 1],
             sum: 0,
             count: 0,
@@ -48,21 +63,14 @@ impl Histogram {
     }
 
     fn observe(&mut self, value: u64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.buckets[idx] += 1;
+        self.buckets[self.bounds.partition_point(|&b| b < value)] += 1;
         self.sum += value;
         self.count += 1;
     }
 
+    /// Adds `other`'s observations. Both sides belong to one series, so
+    /// they share its interned layout.
     fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "histogram bucket layouts differ for the same metric name"
-        );
         for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
             *mine += theirs;
         }
@@ -105,21 +113,247 @@ struct MetricKey {
 }
 
 impl MetricKey {
-    /// Orders this key against a borrowed `name` and sorted `labels`
-    /// exactly as the derived `Ord` orders owned keys.
-    fn cmp_borrowed(&self, name: &str, labels: &[(&str, &str)]) -> Ordering {
-        self.name.as_str().cmp(name).then_with(|| {
-            self.labels
+    fn is(&self, name: &str, sorted: &[(&str, &str)]) -> bool {
+        self.name == name
+            && self.labels.len() == sorted.len()
+            && self
+                .labels
                 .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .cmp(labels.iter().copied())
-        })
+                .zip(sorted)
+                .all(|((k, v), (bk, bv))| k == bk && v == bv)
     }
+}
+
+/// Hashes the name and sorted labels a word at a time. Each field's last
+/// word carries its length, so field boundaries cannot shift and borrowed
+/// and owned keys hash alike. The hash only picks the chain to search:
+/// [`Interner::find`] still compares the keys.
+fn key_hash(name: &str, sorted: &[(&str, &str)]) -> u64 {
+    fn eat(hash: &mut u64, field: &str) {
+        let mut mix = |word: u64| {
+            *hash = (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        };
+        let mut chunks = field.as_bytes().chunks_exact(8);
+        for chunk in &mut chunks {
+            mix(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+        mix(u64::from_le_bytes(tail) ^ ((field.len() as u64) << 56));
+    }
+    let mut hash = 0;
+    eat(&mut hash, name);
+    for (k, v) in sorted {
+        eat(&mut hash, k);
+        eat(&mut hash, v);
+    }
+    hash
 }
 
 /// Label sets up to this size are sorted on the stack; larger ones (none
 /// in this workspace) spill to the heap.
 const INLINE_LABELS: usize = 8;
+
+/// A series' metric type, fixed when it is first registered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind<'a> {
+    Counter,
+    Gauge,
+    Histogram(&'a [u64]),
+}
+
+impl Kind<'_> {
+    fn type_name(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram(_) => "histogram",
+        }
+    }
+}
+
+/// The process-wide index of one `(name, sorted labels)` series.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SeriesId(u32);
+
+/// Every series this process has registered, in registration order.
+struct Interner {
+    /// Each series' key and kind, indexed by id.
+    series: Vec<(MetricKey, Kind<'static>)>,
+    /// Series ids by [`key_hash`], one chain per hash.
+    by_hash: BTreeMap<u64, Vec<u32>>,
+    /// Bucket layouts other than [`DEFAULT_BUCKETS`], leaked once each so
+    /// histograms and handles can share them.
+    layouts: Vec<&'static [u64]>,
+}
+
+static INTERNER: RwLock<Interner> = RwLock::new(Interner {
+    series: Vec::new(),
+    by_hash: BTreeMap::new(),
+    layouts: Vec::new(),
+});
+
+impl Interner {
+    /// The id and kind of `name{sorted}`, if registered.
+    fn find(&self, hash: u64, name: &str, sorted: &[(&str, &str)]) -> Option<(u32, Kind<'static>)> {
+        let chain = self.by_hash.get(&hash)?;
+        chain.iter().find_map(|&id| {
+            let (key, kind) = &self.series[id as usize];
+            key.is(name, sorted).then_some((id, *kind))
+        })
+    }
+
+    fn static_layout(&mut self, bounds: &[u64]) -> &'static [u64] {
+        if bounds == DEFAULT_BUCKETS {
+            return &DEFAULT_BUCKETS;
+        }
+        if let Some(layout) = self.layouts.iter().find(|l| **l == bounds) {
+            return layout;
+        }
+        let layout: &'static [u64] = Box::leak(bounds.into());
+        self.layouts.push(layout);
+        layout
+    }
+}
+
+/// Finds or registers the series `name{labels}` as a `kind` and returns
+/// its id with the registered kind (a histogram's layout is the interned
+/// copy).
+///
+/// # Panics
+///
+/// Panics, holding no lock, if the series is registered as another type
+/// or with another bucket layout.
+fn intern(name: &str, labels: &[(&str, &str)], kind: Kind<'_>) -> (SeriesId, Kind<'static>) {
+    let mut inline = [("", ""); INLINE_LABELS];
+    let mut spilled = Vec::new();
+    let sorted = if labels.len() <= INLINE_LABELS {
+        let sorted = &mut inline[..labels.len()];
+        sorted.copy_from_slice(labels);
+        sorted
+    } else {
+        spilled.extend_from_slice(labels);
+        &mut spilled[..]
+    };
+    sorted.sort_unstable();
+    let hash = key_hash(name, sorted);
+    let found = INTERNER
+        .read()
+        .expect("metric interner poisoned")
+        .find(hash, name, sorted);
+    let (id, registered) = found.unwrap_or_else(|| {
+        // Checked before the write lock, so a bad layout cannot poison it.
+        if let Kind::Histogram(bounds) = kind {
+            assert!(
+                bounds.windows(2).all(|w| w[0] < w[1]),
+                "bucket bounds must ascend for {name}"
+            );
+        }
+        let mut interner = INTERNER.write().expect("metric interner poisoned");
+        if let Some(found) = interner.find(hash, name, sorted) {
+            return found;
+        }
+        let registered = match kind {
+            Kind::Counter => Kind::Counter,
+            Kind::Gauge => Kind::Gauge,
+            Kind::Histogram(bounds) => Kind::Histogram(interner.static_layout(bounds)),
+        };
+        let id = u32::try_from(interner.series.len()).expect("fewer than 2^32 series");
+        let key = MetricKey {
+            name: name.to_string(),
+            labels: sorted
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+        };
+        interner.series.push((key, registered));
+        interner.by_hash.entry(hash).or_default().push(id);
+        (id, registered)
+    });
+    match (kind, registered) {
+        (Kind::Histogram(want), Kind::Histogram(have)) => {
+            assert_eq!(have, want, "bucket layouts differ for {name}");
+        }
+        (want, have) if want != have => {
+            panic!(
+                "metric {name} is a {}, not a {}",
+                have.type_name(),
+                want.type_name()
+            );
+        }
+        _ => {}
+    }
+    (SeriesId(id), registered)
+}
+
+/// A pre-registered counter series: updating through it skips the label
+/// sort and the series lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterId(SeriesId);
+
+/// A pre-registered high-watermark gauge series.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GaugeId(SeriesId);
+
+/// A pre-registered histogram series, carrying its interned bucket
+/// layout so an observe needs no layout check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramId {
+    series: SeriesId,
+    bounds: &'static [u64],
+}
+
+impl CounterId {
+    /// Registers the counter `name{labels}` (in any label order), or finds
+    /// it if it already exists. Registering touches no registry, so the
+    /// series appears in no snapshot until it is updated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name{labels}` is registered as a different metric type.
+    pub fn new(name: &str, labels: &[(&str, &str)]) -> Self {
+        CounterId(intern(name, labels, Kind::Counter).0)
+    }
+}
+
+impl GaugeId {
+    /// Registers the gauge `name{labels}`; see [`CounterId::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name{labels}` is registered as a different metric type.
+    pub fn new(name: &str, labels: &[(&str, &str)]) -> Self {
+        GaugeId(intern(name, labels, Kind::Gauge).0)
+    }
+}
+
+impl HistogramId {
+    /// Registers the histogram `name{labels}` with the [`DEFAULT_BUCKETS`]
+    /// layout; see [`CounterId::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name{labels}` is registered as a different metric type
+    /// or with a different bucket layout.
+    pub fn new(name: &str, labels: &[(&str, &str)]) -> Self {
+        Self::with_buckets(name, labels, &DEFAULT_BUCKETS)
+    }
+
+    /// Registers the histogram `name{labels}` with an explicit, ascending
+    /// bucket layout. Every registration of one series must use the same
+    /// layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name{labels}` is registered as a different metric type
+    /// or with a different bucket layout.
+    pub fn with_buckets(name: &str, labels: &[(&str, &str)], bounds: &[u64]) -> Self {
+        match intern(name, labels, Kind::Histogram(bounds)) {
+            (series, Kind::Histogram(bounds)) => HistogramId { series, bounds },
+            _ => unreachable!("intern checks the kind"),
+        }
+    }
+}
 
 #[derive(Debug, Clone, PartialEq)]
 enum MetricCell {
@@ -129,29 +363,42 @@ enum MetricCell {
 }
 
 impl MetricCell {
-    fn type_name(&self) -> &'static str {
-        match self {
-            MetricCell::Counter(_) => "counter",
-            MetricCell::Gauge(_) => "gauge",
-            MetricCell::Histogram(_) => "histogram",
+    fn merge(&mut self, other: &MetricCell) {
+        match (self, other) {
+            (MetricCell::Counter(a), MetricCell::Counter(b)) => *a += b,
+            (MetricCell::Gauge(a), MetricCell::Gauge(b)) => *a = (*a).max(*b),
+            (MetricCell::Histogram(a), MetricCell::Histogram(b)) => a.merge(b),
+            _ => unreachable!("{KIND_FIXED}"),
         }
     }
 }
 
-/// The series of a registry, sorted by key.
-type Series = Vec<(MetricKey, MetricCell)>;
+const KIND_FIXED: &str = "a series' type is fixed when it is registered";
 
-/// A registry of named metrics. See the module docs for the concurrency
-/// and merge model.
+/// A registry's cells, indexed by series id; `None` for series it has
+/// never touched.
+type Cells = Vec<Option<MetricCell>>;
+
+/// The slot of `series`, created with `init()` on its first touch.
+fn cell(cells: &mut Cells, series: SeriesId, init: impl FnOnce() -> MetricCell) -> &mut MetricCell {
+    let idx = series.0 as usize;
+    if idx >= cells.len() {
+        cells.resize_with(idx + 1, || None);
+    }
+    cells[idx].get_or_insert_with(init)
+}
+
+/// A registry of metric cells. See the module docs for the series,
+/// concurrency and merge model.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    inner: Mutex<Series>,
+    cells: Mutex<Cells>,
 }
 
 impl Clone for MetricsRegistry {
     fn clone(&self) -> Self {
         MetricsRegistry {
-            inner: Mutex::new(self.lock().clone()),
+            cells: Mutex::new(self.lock().clone()),
         }
     }
 }
@@ -162,46 +409,41 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    fn lock(&self) -> MutexGuard<'_, Series> {
-        self.inner.lock().expect("metrics registry lock poisoned")
+    fn lock(&self) -> MutexGuard<'_, Cells> {
+        self.cells.lock().expect("metrics registry lock poisoned")
     }
 
-    /// Applies `update` to the cell of `name{labels}`, inserting `init()`
-    /// first if the series is new. Allocates only on that first touch.
-    fn update(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        init: impl FnOnce() -> MetricCell,
-        update: impl FnOnce(&mut MetricCell),
-    ) {
-        let mut inline = [("", ""); INLINE_LABELS];
-        let mut spilled = Vec::new();
-        let sorted = if labels.len() <= INLINE_LABELS {
-            let sorted = &mut inline[..labels.len()];
-            sorted.copy_from_slice(labels);
-            sorted
-        } else {
-            spilled.extend_from_slice(labels);
-            &mut spilled[..]
-        };
-        sorted.sort_unstable();
-        let mut series = self.lock();
-        let idx = match series.binary_search_by(|(key, _)| key.cmp_borrowed(name, sorted)) {
-            Ok(idx) => idx,
-            Err(idx) => {
-                let key = MetricKey {
-                    name: name.to_string(),
-                    labels: sorted
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), v.to_string()))
-                        .collect(),
-                };
-                series.insert(idx, (key, init()));
-                idx
-            }
-        };
-        update(&mut series[idx].1);
+    /// Moves every cell out into a new registry, leaving this one empty.
+    pub(crate) fn take(&self) -> MetricsRegistry {
+        MetricsRegistry {
+            cells: Mutex::new(std::mem::take(&mut *self.lock())),
+        }
+    }
+
+    /// Adds `v` to the counter behind `id` (creating it at zero first).
+    pub(crate) fn add(&self, id: CounterId, v: u64) {
+        match cell(&mut self.lock(), id.0, || MetricCell::Counter(0)) {
+            MetricCell::Counter(c) => *c += v,
+            _ => unreachable!("{KIND_FIXED}"),
+        }
+    }
+
+    /// Raises the high-watermark gauge behind `id` to `v` if `v` exceeds
+    /// its current value (see [`MetricsRegistry::gauge_set`]).
+    pub(crate) fn raise(&self, id: GaugeId, v: i64) {
+        match cell(&mut self.lock(), id.0, || MetricCell::Gauge(i64::MIN)) {
+            MetricCell::Gauge(g) => *g = (*g).max(v),
+            _ => unreachable!("{KIND_FIXED}"),
+        }
+    }
+
+    /// Records `value` into the histogram behind `id`.
+    pub(crate) fn record(&self, id: HistogramId, value: u64) {
+        let init = || MetricCell::Histogram(Histogram::new(id.bounds));
+        match cell(&mut self.lock(), id.series, init) {
+            MetricCell::Histogram(h) => h.observe(value),
+            _ => unreachable!("{KIND_FIXED}"),
+        }
     }
 
     /// Adds `v` to the monotonic counter `name{labels}` (creating it at
@@ -209,17 +451,9 @@ impl MetricsRegistry {
     ///
     /// # Panics
     ///
-    /// Panics if `name{labels}` already holds a different metric type.
+    /// Panics if `name{labels}` is registered as a different metric type.
     pub fn counter_add(&self, name: &str, labels: &[(&str, &str)], v: u64) {
-        self.update(
-            name,
-            labels,
-            || MetricCell::Counter(0),
-            |cell| match cell {
-                MetricCell::Counter(c) => *c += v,
-                other => panic!("metric {name} is a {}, not a counter", other.type_name()),
-            },
-        );
+        self.add(CounterId::new(name, labels), v);
     }
 
     /// Raises the high-watermark gauge `name{labels}` to `v` if `v`
@@ -231,91 +465,84 @@ impl MetricsRegistry {
     ///
     /// # Panics
     ///
-    /// Panics if `name{labels}` already holds a different metric type.
+    /// Panics if `name{labels}` is registered as a different metric type.
     pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], v: i64) {
-        self.update(
-            name,
-            labels,
-            || MetricCell::Gauge(i64::MIN),
-            |cell| match cell {
-                MetricCell::Gauge(g) => *g = (*g).max(v),
-                other => panic!("metric {name} is a {}, not a gauge", other.type_name()),
-            },
-        );
+        self.raise(GaugeId::new(name, labels), v);
     }
 
     /// Records `value` into the histogram `name{labels}` with the
     /// [`DEFAULT_BUCKETS`] layout.
-    pub fn observe(&self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.observe_with(name, labels, &DEFAULT_BUCKETS, value);
-    }
-
-    /// Records `value` into the histogram `name{labels}` with an explicit
-    /// bucket layout. Every observation of one metric name must use the
-    /// same layout.
     ///
     /// # Panics
     ///
-    /// Panics if `name{labels}` already holds a different metric type or a
-    /// different bucket layout.
+    /// Panics if `name{labels}` is registered as a different metric type
+    /// or with a different bucket layout.
+    pub fn observe(&self, name: &str, labels: &[(&str, &str)], value: u64) {
+        self.record(HistogramId::new(name, labels), value);
+    }
+
+    /// Records `value` into the histogram `name{labels}` with an explicit
+    /// bucket layout. Every observation of one series must use the same
+    /// layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name{labels}` is registered as a different metric type
+    /// or with a different bucket layout.
     pub fn observe_with(&self, name: &str, labels: &[(&str, &str)], bounds: &[u64], value: u64) {
-        self.update(
-            name,
-            labels,
-            || MetricCell::Histogram(Histogram::new(bounds)),
-            |cell| match cell {
-                MetricCell::Histogram(h) => {
-                    assert_eq!(h.bounds, bounds, "bucket layouts differ for {name}");
-                    h.observe(value);
-                }
-                other => panic!("metric {name} is a {}, not a histogram", other.type_name()),
-            },
-        );
+        self.record(HistogramId::with_buckets(name, labels, bounds), value);
     }
 
     /// Merges `other` into `self`: counters and histogram buckets add,
     /// gauges keep the maximum. Associative and commutative, so the result
     /// of folding any number of per-worker registries is independent of
-    /// fold order.
+    /// fold order. Merging a registry into itself doubles its counters and
+    /// histograms.
     ///
-    /// # Panics
-    ///
-    /// Panics if the two registries disagree on a metric's type or bucket
-    /// layout.
+    /// Holds both registries' locks; two registries must not be merged
+    /// into each other concurrently.
     pub fn merge_from(&self, other: &MetricsRegistry) {
-        let theirs = other.lock().clone();
+        if std::ptr::eq(self, other) {
+            let copy = self.clone();
+            return self.merge_from(&copy);
+        }
+        let theirs = other.lock();
         let mut mine = self.lock();
-        for (key, cell) in theirs {
-            match mine.binary_search_by(|(k, _)| k.cmp(&key)) {
-                Err(idx) => mine.insert(idx, (key, cell)),
-                Ok(idx) => match (&mut mine[idx].1, cell) {
-                    (MetricCell::Counter(a), MetricCell::Counter(b)) => *a += b,
-                    (MetricCell::Gauge(a), MetricCell::Gauge(b)) => *a = (*a).max(b),
-                    (MetricCell::Histogram(a), MetricCell::Histogram(b)) => a.merge(&b),
-                    (a, b) => panic!(
-                        "merge type mismatch for {}: {} vs {}",
-                        key.name,
-                        a.type_name(),
-                        b.type_name()
-                    ),
-                },
+        if mine.len() < theirs.len() {
+            mine.resize_with(theirs.len(), || None);
+        }
+        for (slot, cell) in mine.iter_mut().zip(theirs.iter()) {
+            if let Some(cell) = cell {
+                match slot {
+                    Some(mine) => mine.merge(cell),
+                    None => *slot = Some(cell.clone()),
+                }
             }
         }
     }
 
     /// True when no metric has been touched.
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+        self.lock().iter().all(Option::is_none)
     }
 
-    /// A sorted, serializable snapshot of every metric — the input of the
-    /// exposition writers ([`crate::render_prometheus`] /
+    /// A sorted, serializable snapshot of every touched metric — the
+    /// input of the exposition writers ([`crate::render_prometheus`] /
     /// [`crate::render_json`]) and the `metrics` section of the bench
-    /// report. Ordering is by `(name, labels)`, so two equal registries
-    /// snapshot byte-identically.
+    /// report. Ordering is by `(name, labels)`, never by id, so two equal
+    /// registries snapshot byte-identically whatever order their series
+    /// were registered in.
     pub fn snapshot(&self) -> Vec<MetricSample> {
-        self.lock()
+        let cells = self.lock();
+        let interner = INTERNER.read().expect("metric interner poisoned");
+        let mut touched: Vec<(&MetricKey, &MetricCell)> = cells
             .iter()
+            .enumerate()
+            .filter_map(|(id, cell)| Some((&interner.series[id].0, cell.as_ref()?)))
+            .collect();
+        touched.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        touched
+            .into_iter()
             .map(|(key, cell)| MetricSample {
                 name: key.name.clone(),
                 labels: key
@@ -492,6 +719,73 @@ mod tests {
         let r = MetricsRegistry::new();
         r.gauge_set("m", &[], 1);
         r.counter_add("m", &[], 1);
+    }
+
+    #[test]
+    fn a_caught_type_conflict_leaves_the_registry_usable() {
+        let r = MetricsRegistry::new();
+        r.gauge_set("conflicted", &[], 4);
+        let caught = std::panic::catch_unwind(|| r.counter_add("conflicted", &[], 1));
+        let message = caught.expect_err("a gauge is not a counter");
+        let message = message.downcast_ref::<String>().expect("formatted panic");
+        assert_eq!(message, "metric conflicted is a gauge, not a counter");
+        r.gauge_set("conflicted", &[], 9);
+        r.counter_add("conflict_free_total", &[], 2);
+        let snap = r.snapshot();
+        assert_eq!(snap[0].value, SampleValue::Counter { value: 2 });
+        assert_eq!(snap[1].value, SampleValue::Gauge { value: 9 });
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket layouts differ for layout_conflict")]
+    fn layout_conflicts_panic_at_registration() {
+        let _ = HistogramId::with_buckets("layout_conflict", &[], &[1, 2, 3]);
+        let _ = HistogramId::new("layout_conflict", &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket bounds must ascend for unordered")]
+    fn unordered_bucket_layouts_are_refused() {
+        let _ = HistogramId::with_buckets("unordered", &[], &[1, 5, 5]);
+    }
+
+    #[test]
+    fn handles_and_strings_reach_the_same_cells() {
+        let r = MetricsRegistry::new();
+        let counter = CounterId::new("shared_total", &[("b", "2"), ("a", "1")]);
+        r.add(counter, 1);
+        r.counter_add("shared_total", &[("a", "1"), ("b", "2")], 2);
+        let hist = HistogramId::with_buckets("shared_hist", &[], &[10, 20]);
+        r.record(hist, 15);
+        r.observe_with("shared_hist", &[], &[10, 20], 25);
+        let gauge = GaugeId::new("shared_depth", &[]);
+        r.raise(gauge, 3);
+        r.gauge_set("shared_depth", &[], -1);
+        let snap = r.snapshot();
+        assert_eq!(snap.len(), 3);
+        assert_eq!(snap[0].value, SampleValue::Gauge { value: 3 });
+        let SampleValue::Histogram { buckets, .. } = &snap[1].value else {
+            panic!("histogram expected");
+        };
+        let counts: Vec<u64> = buckets.iter().map(|b| b.count).collect();
+        assert_eq!(counts, [0, 1, 2]);
+        assert_eq!(snap[2].value, SampleValue::Counter { value: 3 });
+    }
+
+    #[test]
+    fn merging_a_registry_into_itself_doubles_it() {
+        let r = MetricsRegistry::new();
+        r.counter_add("self_total", &[], 3);
+        r.gauge_set("self_depth", &[], 5);
+        r.observe("self_hist", &[], 7);
+        r.merge_from(&r);
+        let snap = r.snapshot();
+        assert_eq!(snap[0].value, SampleValue::Gauge { value: 5 });
+        let SampleValue::Histogram { count, sum, .. } = snap[1].value else {
+            panic!("histogram expected");
+        };
+        assert_eq!((count, sum), (2, 14));
+        assert_eq!(snap[2].value, SampleValue::Counter { value: 6 });
     }
 
     #[test]

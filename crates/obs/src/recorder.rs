@@ -14,9 +14,17 @@
 //! private [`Segment`]; the caller then [`replay`]s the segments in input
 //! order after the join. The result is byte-identical to running the items
 //! serially, at any worker count.
+//!
+//! Metric updates come in two forms that land in the same cells. Hot
+//! sites hold pre-registered handles and call [`CounterId::add`],
+//! [`GaugeId::set`] or [`HistogramId::observe`]: one thread-local lookup,
+//! then one uncontended lock and one indexed write per installed
+//! recorder. Cold sites may call [`counter_add`], [`gauge_set`] or
+//! [`observe`] with a name and labels, which resolve the series through
+//! the process-wide interner first (see [`crate::metrics`]'s rules).
 
 use crate::event::{Event, EventLog};
-use crate::metrics::{MetricsRegistry, DEFAULT_BUCKETS};
+use crate::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 use crate::span::{Span, SpanLog};
 use std::cell::RefCell;
 use std::marker::PhantomData;
@@ -91,7 +99,7 @@ impl Recorder {
         let events =
             std::mem::take(&mut *self.events.lock().expect("recorder event buffer poisoned"));
         let spans = std::mem::take(&mut *self.spans.lock().expect("recorder span buffer poisoned"));
-        let metrics = self.metrics.clone();
+        let metrics = self.metrics.take();
         Segment {
             events,
             spans,
@@ -192,34 +200,72 @@ pub fn emit_span(span: Span) {
     });
 }
 
-/// Adds `v` to the counter `name{labels}` in every installed recorder.
-pub fn counter_add(name: &str, labels: &[(&str, &str)], v: u64) {
+/// Applies `update` to the metrics of every installed recorder.
+fn each_registry(update: impl Fn(&MetricsRegistry)) {
     RECORDERS.with(|r| {
         for rec in r.borrow().iter() {
-            rec.metrics.counter_add(name, labels, v);
+            update(&rec.metrics);
         }
     });
+}
+
+/// Resolves a series by name, only when a recorder is installed, and
+/// applies `update` with its handle to every installed recorder.
+fn resolve_then<H: Copy>(resolve: impl FnOnce() -> H, update: impl Fn(&MetricsRegistry, H)) {
+    RECORDERS.with(|r| {
+        let recorders = r.borrow();
+        if recorders.is_empty() {
+            return;
+        }
+        let id = resolve();
+        for rec in recorders.iter() {
+            update(&rec.metrics, id);
+        }
+    });
+}
+
+impl CounterId {
+    /// Adds `v` to this counter in every installed recorder.
+    pub fn add(self, v: u64) {
+        each_registry(|m| m.add(self, v));
+    }
+}
+
+impl GaugeId {
+    /// Raises this high-watermark gauge to `v` in every installed
+    /// recorder.
+    pub fn set(self, v: i64) {
+        each_registry(|m| m.raise(self, v));
+    }
+}
+
+impl HistogramId {
+    /// Records `value` into this histogram in every installed recorder.
+    pub fn observe(self, value: u64) {
+        each_registry(|m| m.record(self, value));
+    }
+}
+
+/// Adds `v` to the counter `name{labels}` in every installed recorder.
+/// Resolves the series only when a recorder is installed.
+pub fn counter_add(name: &str, labels: &[(&str, &str)], v: u64) {
+    resolve_then(|| CounterId::new(name, labels), |m, id| m.add(id, v));
 }
 
 /// Raises the high-watermark gauge `name{labels}` in every installed
 /// recorder.
 pub fn gauge_set(name: &str, labels: &[(&str, &str)], v: i64) {
-    RECORDERS.with(|r| {
-        for rec in r.borrow().iter() {
-            rec.metrics.gauge_set(name, labels, v);
-        }
-    });
+    resolve_then(|| GaugeId::new(name, labels), |m, id| m.raise(id, v));
 }
 
 /// Records `value` into the histogram `name{labels}` (with the
-/// [`DEFAULT_BUCKETS`] layout) in every installed recorder.
+/// [`DEFAULT_BUCKETS`](crate::DEFAULT_BUCKETS) layout) in every installed
+/// recorder.
 pub fn observe(name: &str, labels: &[(&str, &str)], value: u64) {
-    RECORDERS.with(|r| {
-        for rec in r.borrow().iter() {
-            rec.metrics
-                .observe_with(name, labels, &DEFAULT_BUCKETS, value);
-        }
-    });
+    resolve_then(
+        || HistogramId::new(name, labels),
+        |m, id| m.record(id, value),
+    );
 }
 
 /// Restores the masked recorder stack even if the closure panics.
@@ -354,6 +400,20 @@ mod tests {
             outer.metrics().snapshot()[0].value,
             SampleValue::Counter { value: 1 }
         );
+    }
+
+    #[test]
+    fn taking_a_segment_drains_the_recorder() {
+        let rec = Recorder::new();
+        rec.push_event(ev("e"));
+        rec.push_span(sp(1));
+        rec.metrics().counter_add("drained_total", &[], 3);
+        let seg = rec.take_segment();
+        assert!(!seg.is_empty());
+        assert!(rec.events().is_empty());
+        assert!(rec.spans().is_empty());
+        assert!(rec.metrics().is_empty());
+        assert!(rec.take_segment().is_empty());
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crowd_core::element::{ElementId, Instance};
 use crowd_core::model::WorkerClass;
 use crowd_core::oracle::{ComparisonCounts, ComparisonOracle, OracleError};
 use crowd_core::trace::{FaultCounts, FaultKind};
-use crowd_obs::{class_label, kind_label, names as metric_names, Event};
+use crowd_obs::{series, Event};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -540,18 +540,14 @@ impl<R: RngCore> Platform<R> {
 
     /// Records a fault in the campaign tally and mirrors it into the
     /// observability layer: every kind bumps the
-    /// [`crowd_faults_total`](metric_names::FAULTS_TOTAL) counter, and the
+    /// [`crowd_faults_total`](crowd_obs::names::FAULTS_TOTAL) counter, and the
     /// plain kinds emit an [`Event::FaultObserved`]. Retries and dead
     /// letters skip the generic event — their call sites emit the richer
     /// [`Event::RetryScheduled`] / [`Event::DeadLettered`] instead, so a
     /// log never reports the same incident twice.
     fn record_fault(&mut self, class: WorkerClass, kind: FaultKind) {
         self.fault_counts.record(class, kind);
-        crowd_obs::counter_add(
-            metric_names::FAULTS_TOTAL,
-            &[("class", class_label(class)), ("kind", kind_label(kind))],
-            1,
-        );
+        series::faults(class, kind).add(1);
         match kind {
             FaultKind::Retry | FaultKind::DeadLetter => {}
             _ => crowd_obs::emit(Event::FaultObserved { class, kind }),
@@ -703,11 +699,7 @@ impl<R: RngCore> Platform<R> {
                     );
                     judgments.push((a.unit_pos, judgment, usable));
                     if usable {
-                        crowd_obs::observe(
-                            metric_names::LATENCY_STEPS,
-                            &[("class", class_label(class))],
-                            latency,
-                        );
+                        series::latency_steps(class).observe(latency);
                     } else {
                         self.record_fault(class, FaultKind::Timeout);
                         failed_slots.push(a.unit_pos);
@@ -776,7 +768,7 @@ impl<R: RngCore> Platform<R> {
                     attempt,
                     backoff_steps: policy.backoff(attempt),
                 });
-                crowd_obs::gauge_set(metric_names::RETRY_DEPTH_MAX, &[], i64::from(attempt));
+                series::retry_depth_max().set(i64::from(attempt));
                 retries_used += 1;
                 slot_delay += policy.backoff(attempt);
                 match self.next_fate(worker) {
@@ -798,11 +790,7 @@ impl<R: RngCore> Platform<R> {
                         );
                         judgments.push((pos, judgment, usable));
                         if usable {
-                            crowd_obs::observe(
-                                metric_names::LATENCY_STEPS,
-                                &[("class", class_label(class))],
-                                latency,
-                            );
+                            series::latency_steps(class).observe(latency);
                             slot_delay += latency;
                             recovered = true;
                             break;
@@ -839,11 +827,7 @@ impl<R: RngCore> Platform<R> {
         for (unit, ledger) in units.iter().zip(&ledgers) {
             let got = ledger.votes.all.total as usize;
             let attempts = ledger.attempts;
-            crowd_obs::observe(
-                metric_names::RETRY_DEPTH,
-                &[("class", class_label(class))],
-                u64::from(attempts),
-            );
+            series::retry_depth(class).observe(u64::from(attempts));
             if got < per_unit {
                 let reason = ledger.reason.unwrap_or(DeadLetterReason::RetriesExhausted);
                 degraded_units.push(unit.id);
@@ -854,14 +838,7 @@ impl<R: RngCore> Platform<R> {
                     attempts,
                     reason,
                 });
-                crowd_obs::counter_add(
-                    metric_names::DEAD_LETTERS_TOTAL,
-                    &[
-                        ("class", class_label(class)),
-                        ("reason", crowd_obs::reason_label(reason)),
-                    ],
-                    1,
-                );
+                series::dead_letters(class, reason).add(1);
                 self.dead_letters.push(DeadLetter {
                     unit: unit.id,
                     pair: unit.pair,

@@ -38,7 +38,8 @@ use crowd_core::element::ElementId;
 use crowd_core::model::WorkerClass;
 use crowd_core::trace::{DegradedReason, FaultKind};
 use crowd_obs::{
-    counter_add, emit, emit_span, gauge_set, names, observe, stage_label, Event, Stage,
+    counter_add, emit, emit_span, names, series, stage_label, CounterId, Event, GaugeId,
+    HistogramId, Stage,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -560,6 +561,47 @@ enum ShardPick {
     NoCapacity,
 }
 
+/// One tenant's metric handles, registered when the service is built.
+#[derive(Debug, Clone, Copy)]
+struct TenantMetrics {
+    shed: CounterId,
+    comparisons: CounterId,
+    /// `crowd_serve_jobs_total` by outcome: `ok`, then `degraded`.
+    jobs: [CounterId; 2],
+    job_latency: HistogramId,
+    /// `crowd_serve_stage_ticks`, indexed by [`Stage`] discriminant.
+    stage_ticks: [HistogramId; Stage::ALL.len()],
+    slo_breaches: CounterId,
+    p99_latency: GaugeId,
+    max_latency: GaugeId,
+    slo_burn: GaugeId,
+}
+
+impl TenantMetrics {
+    fn register(tenant: TenantId) -> Self {
+        let label = tenant.to_string();
+        let tenant = [("tenant", label.as_str())];
+        TenantMetrics {
+            shed: CounterId::new(names::SERVE_SHED_TOTAL, &tenant),
+            comparisons: CounterId::new(names::SERVE_COMPARISONS_TOTAL, &tenant),
+            jobs: ["ok", "degraded"].map(|outcome| {
+                CounterId::new(names::SERVE_JOBS_TOTAL, &[tenant[0], ("outcome", outcome)])
+            }),
+            job_latency: HistogramId::new(names::SERVE_JOB_LATENCY_TICKS, &tenant),
+            stage_ticks: Stage::ALL.map(|stage| {
+                HistogramId::new(
+                    names::SERVE_STAGE_TICKS,
+                    &[tenant[0], ("stage", stage_label(stage))],
+                )
+            }),
+            slo_breaches: CounterId::new(names::SERVE_SLO_BREACHES_TOTAL, &tenant),
+            p99_latency: GaugeId::new(names::SERVE_P99_LATENCY_TICKS, &tenant),
+            max_latency: GaugeId::new(names::SERVE_MAX_LATENCY_TICKS, &tenant),
+            slo_burn: GaugeId::new(names::SERVE_SLO_BURN_BPS, &tenant),
+        }
+    }
+}
+
 /// The overload-robust multi-tenant job service.
 #[derive(Debug)]
 pub struct CrowdServe {
@@ -570,8 +612,8 @@ pub struct CrowdServe {
     shards: Vec<WorkerShard>,
     cache: JudgmentCache,
     buckets: BTreeMap<TenantId, TokenBucket>,
-    /// Each tenant's metric label, rendered once.
-    labels: BTreeMap<TenantId, String>,
+    /// Each tenant's metric handles, registered once.
+    metrics: BTreeMap<TenantId, TenantMetrics>,
     slo: BTreeMap<TenantId, SloMonitor>,
     queue: VecDeque<(JobId, JobSpec, u64)>,
     active: BTreeMap<JobId, ActiveJob>,
@@ -604,7 +646,7 @@ impl CrowdServe {
         }
         let mut buckets = BTreeMap::new();
         let mut slo = BTreeMap::new();
-        let mut labels = BTreeMap::new();
+        let mut metrics = BTreeMap::new();
         for policy in &config.tenants {
             if buckets
                 .insert(policy.tenant, TokenBucket::new(*policy))
@@ -613,7 +655,7 @@ impl CrowdServe {
                 return Err(ServeError::DuplicateTenant(policy.tenant));
             }
             slo.insert(policy.tenant, SloMonitor::new());
-            labels.insert(policy.tenant, policy.tenant.to_string());
+            metrics.insert(policy.tenant, TenantMetrics::register(policy.tenant));
         }
         let shards = config
             .shards
@@ -638,7 +680,7 @@ impl CrowdServe {
             shards,
             cache,
             buckets,
-            labels,
+            metrics,
             slo,
             queue: VecDeque::new(),
             active: BTreeMap::new(),
@@ -735,7 +777,7 @@ impl CrowdServe {
         if self.queue.len() < self.config.queue_cap {
             self.queue.push_back((job, spec, tick));
             self.queue_depth_max = self.queue_depth_max.max(self.queue.len());
-            gauge_set(names::SERVE_QUEUE_DEPTH_MAX, &[], self.queue.len() as i64);
+            series::queue_depth_max().set(self.queue.len() as i64);
             return Ok(Admission::Queued(job));
         }
         let retry_after = bucket.ticks_until(reserved, tick).max(1);
@@ -749,11 +791,7 @@ impl CrowdServe {
             job: job.0,
             retry_after,
         });
-        counter_add(
-            names::SERVE_SHED_TOTAL,
-            &[("tenant", &self.labels[&tenant])],
-            1,
-        );
+        self.metrics[&tenant].shed.add(1);
         Admission::Rejected { job, retry_after }
     }
 
@@ -860,22 +898,19 @@ impl CrowdServe {
         // never moves invisible in the metrics exposition.
         let cache_after = self.cache.stats();
         let deltas = [
+            (series::cache_hits(), cache_after.hits - cache_before.hits),
             (
-                names::SERVE_CACHE_HITS_TOTAL,
-                cache_after.hits - cache_before.hits,
-            ),
-            (
-                names::SERVE_CACHE_MISSES_TOTAL,
+                series::cache_misses(),
                 cache_after.misses - cache_before.misses,
             ),
             (
-                names::SERVE_CACHE_EVICTIONS_TOTAL,
+                series::cache_evictions(),
                 cache_after.evictions - cache_before.evictions,
             ),
         ];
-        for (name, delta) in deltas {
+        for (counter, delta) in deltas {
             if delta > 0 {
-                counter_add(name, &[], delta);
+                counter.add(delta);
             }
         }
 
@@ -916,21 +951,9 @@ impl CrowdServe {
                 comparisons: job.charged,
                 degraded: job.degraded,
             });
-            let outcome = if job.degraded.is_some() {
-                "degraded"
-            } else {
-                "ok"
-            };
-            counter_add(
-                names::SERVE_JOBS_TOTAL,
-                &[("tenant", &self.labels[&job.tenant]), ("outcome", outcome)],
-                1,
-            );
-            observe(
-                names::SERVE_JOB_LATENCY_TICKS,
-                &[("tenant", &self.labels[&job.tenant])],
-                record.latency_ticks(),
-            );
+            let metrics = &self.metrics[&job.tenant];
+            metrics.jobs[usize::from(job.degraded.is_some())].add(1);
+            metrics.job_latency.observe(record.latency_ticks());
             // Close the job's span tree. The accumulator recorded exactly
             // one stage per tick the job survived, so the spans partition
             // the latency — the accounting invariant `serve_trace` audits.
@@ -945,14 +968,7 @@ impl CrowdServe {
             for span in &spans {
                 emit_span(*span);
                 if span.ticks > 0 {
-                    observe(
-                        names::SERVE_STAGE_TICKS,
-                        &[
-                            ("tenant", &self.labels[&job.tenant]),
-                            ("stage", stage_label(span.stage)),
-                        ],
-                        span.ticks,
-                    );
+                    metrics.stage_ticks[span.stage as usize].observe(span.ticks);
                 }
             }
             if self.config.slo.enabled {
@@ -1001,11 +1017,7 @@ impl CrowdServe {
                             bad_jobs,
                             bad_bps,
                         });
-                        counter_add(
-                            names::SERVE_SLO_BREACHES_TOTAL,
-                            &[("tenant", &self.labels[tenant])],
-                            1,
-                        );
+                        self.metrics[tenant].slo_breaches.add(1);
                     }
                     Some(SloTransition::Recovered {
                         window_jobs,
@@ -1050,7 +1062,7 @@ impl CrowdServe {
                     }
                     audit.replayed_ticks += 1;
                     audit.replayed_comparisons += tick_answers;
-                    counter_add(names::REPLAYED_COMPARISONS, &[], tick_answers);
+                    series::replayed_comparisons().add(tick_answers);
                 }
             }
             self.journal.push_frame(json);
@@ -1140,11 +1152,9 @@ impl CrowdServe {
             let retried = executed.entry(id).or_insert(false);
             *retried |= out.dead.is_some() || out.attempts > d.votes;
             *self.charged_total.entry(job.tenant).or_insert(0) += u64::from(out.answers);
-            counter_add(
-                names::SERVE_COMPARISONS_TOTAL,
-                &[("tenant", &self.labels[&job.tenant])],
-                u64::from(out.answers),
-            );
+            self.metrics[&job.tenant]
+                .comparisons
+                .add(u64::from(out.answers));
             if let Some(reason) = out.dead {
                 self.dead_letters += 1;
                 let class = shard.class();
@@ -1153,14 +1163,7 @@ impl CrowdServe {
                     attempts: out.attempts,
                     reason,
                 });
-                counter_add(
-                    names::DEAD_LETTERS_TOTAL,
-                    &[
-                        ("class", crowd_obs::class_label(class)),
-                        ("reason", crowd_obs::reason_label(reason)),
-                    ],
-                    1,
-                );
+                series::dead_letters(class, reason).add(1);
             }
             job.feed((ElementId(d.k), ElementId(d.j)), out.winner);
         }
@@ -1258,14 +1261,7 @@ impl CrowdServe {
                                 class,
                                 kind: FaultKind::ExpertFallback,
                             });
-                            counter_add(
-                                names::FAULTS_TOTAL,
-                                &[
-                                    ("class", crowd_obs::class_label(class)),
-                                    ("kind", crowd_obs::kind_label(FaultKind::ExpertFallback)),
-                                ],
-                                1,
-                            );
+                            series::faults(class, FaultKind::ExpertFallback).add(1);
                             continue;
                         }
                         // Crowd quarantine storm: the pair waits for a
@@ -1355,23 +1351,11 @@ impl CrowdServe {
             if t.completed_ok + t.degraded == 0 {
                 continue;
             }
-            let tenant = &self.labels[&t.tenant];
-            gauge_set(
-                names::SERVE_P99_LATENCY_TICKS,
-                &[("tenant", tenant)],
-                t.p99_latency_ticks as i64,
-            );
-            gauge_set(
-                names::SERVE_MAX_LATENCY_TICKS,
-                &[("tenant", tenant)],
-                t.max_latency_ticks as i64,
-            );
+            let metrics = &self.metrics[&t.tenant];
+            metrics.p99_latency.set(t.p99_latency_ticks as i64);
+            metrics.max_latency.set(t.max_latency_ticks as i64);
             if self.config.slo.enabled {
-                gauge_set(
-                    names::SERVE_SLO_BURN_BPS,
-                    &[("tenant", tenant)],
-                    i64::from(t.slo_burn_max_bps),
-                );
+                metrics.slo_burn.set(i64::from(t.slo_burn_max_bps));
             }
         }
         Ok(report)

@@ -20,7 +20,7 @@ use crate::worker::{Behavior, Worker, WorkerId, WorkerProfile};
 use crowd_core::element::{ElementId, Value};
 use crowd_core::model::{TiePolicy, WorkerClass};
 use crowd_core::trace::{DeadLetterReason, FaultKind};
-use crowd_obs::{counter_add, emit, names, observe, Event};
+use crowd_obs::{emit, names, series, CounterId, Event};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -106,6 +106,8 @@ pub struct WorkerShard {
     trips: u64,
     /// Per-pair distinct-workers marks, reused across pairs.
     tried: Vec<bool>,
+    /// `crowd_serve_breaker_trips_total{shard}` for this shard.
+    trips_total: CounterId,
 }
 
 impl WorkerShard {
@@ -139,6 +141,10 @@ impl WorkerShard {
             used: 0,
             trips: 0,
             tried: vec![false; spec.workers as usize],
+            trips_total: CounterId::new(
+                names::SERVE_BREAKER_TRIPS_TOTAL,
+                &[("shard", &format!("s{id}"))],
+            ),
         }
     }
 
@@ -264,11 +270,7 @@ impl WorkerShard {
             let fault_kind = match fate {
                 JudgeFate::Answer { latency } if latency <= timeout => {
                     answers += 1;
-                    observe(
-                        names::LATENCY_STEPS,
-                        &[("class", crowd_obs::class_label(class))],
-                        latency,
-                    );
+                    series::latency_steps(class).observe(latency);
                     if self.breakers[w].on_success() {
                         emit(Event::BreakerProbed {
                             shard: self.id,
@@ -294,14 +296,7 @@ impl WorkerShard {
                 class,
                 kind: fault_kind,
             });
-            counter_add(
-                names::FAULTS_TOTAL,
-                &[
-                    ("class", crowd_obs::class_label(class)),
-                    ("kind", crowd_obs::kind_label(fault_kind)),
-                ],
-                1,
-            );
+            series::faults(class, fault_kind).add(1);
             let verdict = self.breakers[w].on_failure(tick, breaker, self.judge_seed, w as u64);
             if verdict.was_probe {
                 emit(Event::BreakerProbed {
@@ -323,11 +318,7 @@ impl WorkerShard {
                     streak,
                     cooldown_ticks: cooldown,
                 });
-                counter_add(
-                    names::SERVE_BREAKER_TRIPS_TOTAL,
-                    &[("shard", &format!("s{}", self.id))],
-                    1,
-                );
+                self.trips_total.add(1);
             }
         }
 
