@@ -294,7 +294,8 @@ pub fn run_serve_load(seed: u64) -> ServeLoadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowd_platform::journal::fnv1a64;
+    use crowd_platform::journal::{fnv1a64, JOURNAL_VERSION};
+    use crowd_platform::Journal;
 
     #[test]
     fn metadata_is_deterministic() {
@@ -305,7 +306,7 @@ mod tests {
 
     #[test]
     fn half_load_journal_bytes_are_pinned() {
-        // Length and checksum of the `0.5x` run's durable journal as
+        // Length and hash of the `0.5x` run's durable journal as
         // `serde_json` wrote every record: any byte drift in the service
         // journal, from any layer, changes them.
         let spec = &scenarios()[0];
@@ -317,7 +318,26 @@ mod tests {
             .expect("no chaos plan: the run cannot crash");
         let journal = service.journal().durable();
         assert_eq!(journal.len(), 193_827);
-        assert_eq!(fnv1a64(journal), 0x1742_b6d3_2ef0_04dd);
+        assert_eq!(fnv1a64(journal), 0x4391_8236_eb4b_6e59);
+
+        // The records inside the frames. These pins predate the move of
+        // the frame checksum from FNV-1a to `frame_sum` (journal version
+        // 2 to 3), which changed only the checksums and the header's
+        // version number: every tick record kept its bytes.
+        let frames = Journal::decode_json(journal).frames;
+        assert_eq!(frames.len(), 1260);
+        assert_eq!(
+            frames[0].0,
+            format!(
+                "{{\"Started\":{{\"version\":{JOURNAL_VERSION},\"seed\":{DEFAULT_SEED},\"config_digest\":16225955920597603505}}}}"
+            )
+        );
+        let records: Vec<u8> = frames[1..]
+            .iter()
+            .flat_map(|(json, _)| json.bytes())
+            .collect();
+        assert_eq!(records.len(), 166_443);
+        assert_eq!(fnv1a64(&records), 0x3f85_8e89_ec81_e133);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! ```
 //!
 //! Prints nanoseconds per update for a histogram observe and a
-//! two-label counter add, each by name and by handle. Timings depend on
-//! the machine; compare runs made on one host.
+//! two-label counter add, each by name and by handle, and per value for
+//! a handle's `observe_each` over 8-value batches (how the platform
+//! flushes a job's latencies). Timings depend on the machine; compare
+//! runs made on one host.
 
 use crowd_core::model::WorkerClass;
 use crowd_core::trace::{DeadLetterReason, FaultKind};
@@ -68,6 +70,12 @@ fn main() {
         (
             "handle observe",
             ns_per_update(iterations, |v| latency.observe(v)),
+        ),
+        (
+            "handle observe_each (8/batch)",
+            ns_per_update(iterations / 8, |v| {
+                latency.observe_each(&std::array::from_fn::<u64, 8, _>(|i| v + i as u64))
+            }) / 8.0,
         ),
         (
             "string counter_add (2 labels)",

@@ -11,8 +11,10 @@
 //! The string API ([`MetricsRegistry::counter_add`], `gauge_set`,
 //! `observe`, `observe_with`) resolves through the same interner into the
 //! same cells. The rule: a site that runs per judgment, unit, job or tick
-//! holds handles; per-round, per-checkpoint and per-experiment sites may
-//! pass strings.
+//! holds handles, and per-judgment values are batched per job or pair
+//! ([`HistogramId::observe_each`]: one recorder-stack walk and one lock
+//! for the batch); per-round, per-checkpoint and per-experiment sites
+//! may pass strings.
 //!
 //! A type or layout conflict panics once, at registration, and outside
 //! any registry lock, so a caught conflict leaves every registry usable.
@@ -439,9 +441,19 @@ impl MetricsRegistry {
 
     /// Records `value` into the histogram behind `id`.
     pub(crate) fn record(&self, id: HistogramId, value: u64) {
+        self.record_each(id, &[value]);
+    }
+
+    /// Records every value of `values` into the histogram behind `id`
+    /// under one lock. An empty slice touches nothing, like a loop of
+    /// [`record`](Self::record) that never runs.
+    pub(crate) fn record_each(&self, id: HistogramId, values: &[u64]) {
+        if values.is_empty() {
+            return;
+        }
         let init = || MetricCell::Histogram(Histogram::new(id.bounds));
         match cell(&mut self.lock(), id.series, init) {
-            MetricCell::Histogram(h) => h.observe(value),
+            MetricCell::Histogram(h) => values.iter().for_each(|&v| h.observe(v)),
             _ => unreachable!("{KIND_FIXED}"),
         }
     }

@@ -19,7 +19,9 @@
 //! sites hold pre-registered handles and call [`CounterId::add`],
 //! [`GaugeId::set`] or [`HistogramId::observe`]: one thread-local lookup,
 //! then one uncontended lock and one indexed write per installed
-//! recorder. Cold sites may call [`counter_add`], [`gauge_set`] or
+//! recorder. Per-judgment values are batched per job or pair and
+//! flushed through [`HistogramId::observe_each`], which pays that walk
+//! and lock once per batch. Cold sites may call [`counter_add`], [`gauge_set`] or
 //! [`observe`] with a name and labels, which resolve the series through
 //! the process-wide interner first (see [`crate::metrics`]'s rules).
 
@@ -243,6 +245,16 @@ impl HistogramId {
     /// Records `value` into this histogram in every installed recorder.
     pub fn observe(self, value: u64) {
         each_registry(|m| m.record(self, value));
+    }
+
+    /// Records every value of `values` into this histogram in every
+    /// installed recorder: one stack walk and one lock per recorder for
+    /// the whole batch, into the same cells a loop of
+    /// [`observe`](Self::observe) fills. Histogram cells are order-free
+    /// sums, so the exposition is the same either way; an empty slice
+    /// touches nothing.
+    pub fn observe_each(self, values: &[u64]) {
+        each_registry(|m| m.record_each(self, values));
     }
 }
 

@@ -222,9 +222,8 @@ mod tests {
             out.degraded
         );
         // Quality control earned its keep: the spam channel is flagged.
-        let untrusted = p.trust().untrusted();
         assert!(
-            !untrusted.is_empty(),
+            p.trust().untrusted().next().is_some(),
             "gold questions should have caught at least one spammer"
         );
     }

@@ -9,14 +9,18 @@
 use crate::worker::WorkerId;
 use crowd_core::model::WorkerClass;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A ledger of per-judgment payments.
+///
+/// Per-class and per-worker totals are dense: `by_class` is indexed by
+/// `class as usize` and `by_worker` by [`WorkerId::index`], grown on
+/// demand, so a payment is two indexed adds and no hashing. `None` marks
+/// a worker never paid; a zero payment still makes her `Some`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Ledger {
     total: f64,
-    by_class: HashMap<WorkerClass, f64>,
-    by_worker: HashMap<WorkerId, f64>,
+    by_class: [f64; 2],
+    by_worker: Vec<Option<f64>>,
     judgments: u64,
 }
 
@@ -37,8 +41,12 @@ impl Ledger {
             "payments must be non-negative"
         );
         self.total += amount;
-        *self.by_class.entry(class).or_insert(0.0) += amount;
-        *self.by_worker.entry(worker).or_insert(0.0) += amount;
+        self.by_class[class as usize] += amount;
+        let idx = worker.index();
+        if idx >= self.by_worker.len() {
+            self.by_worker.resize(idx + 1, None);
+        }
+        *self.by_worker[idx].get_or_insert(0.0) += amount;
         self.judgments += 1;
     }
 
@@ -49,12 +57,16 @@ impl Ledger {
 
     /// Money spent on workers of `class`.
     pub fn spent_on(&self, class: WorkerClass) -> f64 {
-        self.by_class.get(&class).copied().unwrap_or(0.0)
+        self.by_class[class as usize]
     }
 
     /// Money earned by `worker`.
     pub fn earned_by(&self, worker: WorkerId) -> f64 {
-        self.by_worker.get(&worker).copied().unwrap_or(0.0)
+        self.by_worker
+            .get(worker.index())
+            .copied()
+            .flatten()
+            .unwrap_or(0.0)
     }
 
     /// Number of paid judgments.
@@ -64,7 +76,7 @@ impl Ledger {
 
     /// Number of distinct workers paid.
     pub fn workers_paid(&self) -> usize {
-        self.by_worker.len()
+        self.by_worker.iter().filter(|w| w.is_some()).count()
     }
 }
 

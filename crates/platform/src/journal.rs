@@ -17,9 +17,11 @@
 //! * [`Journal`] — an append-only byte log with an explicit durability
 //!   line: records accumulate in a pending buffer and survive a crash
 //!   only once [`flush`](Journal::flush)ed. Every record is framed as
-//!   `<len> <fnv1a64-hex> <json>\n` (length-prefixed + checksummed
+//!   `<len> <frame_sum-hex16> <json>\n` (length-prefixed + checksummed
 //!   JSONL), so a torn tail — a crash mid-write — is *detected*, not
-//!   silently parsed. Batch records are encoded straight into that buffer
+//!   silently parsed. The checksum is [`frame_sum`], which reads the
+//!   payload eight bytes per step and always catches a corruption
+//!   confined to one 8-byte word. Batch records are encoded straight into that buffer
 //!   from borrowed slices, so a warm journal appends without allocating.
 //! * [`JournaledOracle`] — a [`PlatformOracle`] decorator that
 //!   write-ahead journals every batch: the `Scheduled` record is flushed
@@ -44,11 +46,13 @@ use std::io::Write;
 /// Version stamped into every [`JournalRecord::Started`] header. Bump on
 /// any change to the record vocabulary or frame format; recovery refuses
 /// journals written by a different version rather than misread them.
-pub const JOURNAL_VERSION: u32 = 2;
+/// Version 3 checksums frames with [`frame_sum`]; version 2 used
+/// [`fnv1a64`].
+pub const JOURNAL_VERSION: u32 = 3;
 
-/// FNV-1a 64-bit — the frame checksum. Not cryptographic; it only has to
-/// catch torn tails and bit rot, and it does that in four lines with no
-/// dependencies.
+/// FNV-1a 64-bit: a byte-serial hash with no dependencies. It fingerprints
+/// the service config (`ServeConfig::digest`) and pins golden outputs in
+/// tests; journal frames use the faster [`frame_sum`].
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -56,6 +60,41 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// The journal frame checksum: eight payload bytes per step.
+///
+/// The state starts from the payload length. Each little-endian 8-byte
+/// word `w` (the tail zero-padded) updates it as
+/// `h = (h ^ w).wrapping_mul(ODD).rotate_left(31)`, and a final avalanche
+/// (MurmurHash3's `fmix64`) spreads every state bit over the result.
+/// Each of those steps is a bijection of the state, so two payloads of
+/// one length that differ only inside one 8-byte word always get
+/// different sums: any single-word corruption, a flipped bit or a
+/// rewritten byte included, is caught. A change of length reaches the
+/// state through its seed. Not cryptographic: it catches torn tails and
+/// bit rot, not forgery.
+pub fn frame_sum(bytes: &[u8]) -> u64 {
+    const ODD: u64 = 0x9E37_79B9_7F4A_7C15;
+    fn word(bytes: &[u8]) -> u64 {
+        let mut w = [0u8; 8];
+        w[..bytes.len()].copy_from_slice(bytes);
+        u64::from_le_bytes(w)
+    }
+    let mut h = 0x243F_6A88_85A3_08D3 ^ bytes.len() as u64;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ word(w)).wrapping_mul(ODD).rotate_left(31);
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        h = (h ^ word(tail)).wrapping_mul(ODD).rotate_left(31);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// One journal record, written as one framed JSON line.
@@ -173,7 +212,7 @@ impl Journal {
     }
 
     /// Encodes `record` into the pending buffer as one
-    /// `<len> <fnv1a64:016x> <json>\n` frame. Not durable until
+    /// `<len> <frame_sum:016x> <json>\n` frame. Not durable until
     /// [`flush`](Journal::flush).
     pub fn append(&mut self, record: &JournalRecord) {
         self.append_view(RecordView::from(record));
@@ -190,18 +229,19 @@ impl Journal {
     }
 
     /// Encodes an arbitrary pre-serialized JSON record into the pending
-    /// buffer using the same `<len> <checksum> <json>\n` framing. This is
-    /// the extension seam other record vocabularies (the service journal
-    /// in [`crate::serve`]) share so every journal in the workspace has
-    /// one torn-tail story.
+    /// buffer using the same `<len> <checksum> <json>\n` framing, so a
+    /// record vocabulary defined outside this crate shares the journal's
+    /// torn-tail story.
     pub fn append_json(&mut self, json: &str) {
         self.push_frame(json.as_bytes());
     }
 
     /// Frames already-encoded JSON bytes into the pending buffer: the seam
-    /// hand encoders (the service's tick records) append through.
+    /// both hand encoders append through (this module's batch records and
+    /// the service journal's records in [`crate::serve`]), so every
+    /// journal in the workspace has one frame format.
     pub(crate) fn push_frame(&mut self, json: &[u8]) {
-        push_frame_header(&mut self.pending, json.len() as u64, fnv1a64(json));
+        push_frame_header(&mut self.pending, json.len() as u64, frame_sum(json));
         self.pending.extend_from_slice(json);
         self.pending.push(b'\n');
     }
@@ -303,24 +343,39 @@ pub struct DecodedFrames {
 
 /// Decodes one `<len> <checksum> <json>\n` frame from the front of
 /// `bytes` into `(json, total frame length)`, or `None` when the frame is
-/// truncated or corrupt.
+/// truncated or corrupt. The header must be written exactly as
+/// [`push_frame_header`] writes it: decimal digits, then 16 lowercase hex
+/// digits. A sign or an upper-case digit would otherwise let a one-byte
+/// change of the header still parse to the same frame.
 fn decode_raw_frame(bytes: &[u8]) -> Option<(String, usize)> {
     let sp1 = bytes.iter().position(|&b| b == b' ')?;
-    let len: usize = std::str::from_utf8(&bytes[..sp1]).ok()?.parse().ok()?;
+    if sp1 == 0 {
+        return None;
+    }
+    let len = bytes[..sp1].iter().try_fold(0usize, |acc, &b| {
+        let digit = b.is_ascii_digit().then(|| usize::from(b - b'0'))?;
+        acc.checked_mul(10)?.checked_add(digit)
+    })?;
     let sum_start = sp1 + 1;
     let sum_end = sum_start.checked_add(16)?;
     if bytes.len() <= sum_end || bytes[sum_end] != b' ' {
         return None;
     }
-    let sum =
-        u64::from_str_radix(std::str::from_utf8(&bytes[sum_start..sum_end]).ok()?, 16).ok()?;
+    let sum = bytes[sum_start..sum_end].iter().try_fold(0u64, |acc, &b| {
+        let digit = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ => return None,
+        };
+        Some(acc << 4 | u64::from(digit))
+    })?;
     let json_start = sum_end + 1;
     let json_end = json_start.checked_add(len)?;
     if bytes.len() <= json_end || bytes[json_end] != b'\n' {
         return None;
     }
     let json = &bytes[json_start..json_end];
-    if fnv1a64(json) != sum {
+    if frame_sum(json) != sum {
         return None;
     }
     Some((std::str::from_utf8(json).ok()?.to_string(), json_end + 1))
@@ -500,6 +555,33 @@ pub(crate) fn push_list<T>(out: &mut Vec<u8>, items: &[T], mut item: impl FnMut(
         item(out, x);
     }
     out.push(b']');
+}
+
+/// Checks that every single-byte change and every truncation of `frame`,
+/// written after the intact frames `prefix`, leaves exactly `prefix`
+/// readable and flags a torn tail. `decode` returns the
+/// `(valid_bytes, torn_tail)` verdict of the reader under test.
+#[cfg(test)]
+pub(crate) fn assert_frame_corruptions_are_caught(
+    prefix: &[u8],
+    frame: &[u8],
+    decode: impl Fn(&[u8]) -> (usize, bool),
+) {
+    let clean = [prefix, frame].concat();
+    assert_eq!(decode(&clean), (clean.len(), false), "the clean journal");
+    let torn = (prefix.len(), true);
+    let mut bytes = clean.clone();
+    for i in prefix.len()..clean.len() {
+        let original = bytes[i];
+        for b in (0..=u8::MAX).filter(|&b| b != original) {
+            bytes[i] = b;
+            assert_eq!(decode(&bytes), torn, "byte {i} set to {b:#04x}");
+        }
+        bytes[i] = original;
+    }
+    for keep in prefix.len() + 1..clean.len() {
+        assert_eq!(decode(&clean[..keep]), torn, "cut after {keep} bytes");
+    }
 }
 
 /// A [`PlatformOracle`] decorator that write-ahead journals every batch.
@@ -826,6 +908,81 @@ mod tests {
         let decoded = Journal::decode(&bytes);
         assert_eq!(decoded.records.len(), sample_records().len() - 1);
         assert!(decoded.torn_tail);
+    }
+
+    #[test]
+    fn every_byte_change_and_cut_of_a_batch_frame_is_caught() {
+        let records = sample_records();
+        let mut journal = Journal::new();
+        journal.append(&records[0]);
+        journal.flush();
+        let prefix = journal.durable().to_vec();
+        journal.append(&records[2]);
+        journal.flush();
+        let frame = &journal.durable()[prefix.len()..];
+        assert_frame_corruptions_are_caught(&prefix, frame, |bytes| {
+            let decoded = Journal::decode(bytes);
+            let raw = Journal::decode_json(bytes);
+            assert_eq!(raw.valid_bytes, decoded.valid_bytes);
+            (decoded.valid_bytes, decoded.torn_tail)
+        });
+    }
+
+    #[test]
+    fn replacing_one_word_always_changes_the_sum() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x5EED_F4A3);
+        let mut checked = 0;
+        for _ in 0..4000 {
+            let len = rng.gen_range(1..=300usize);
+            let mut payload = vec![0u8; len];
+            rng.fill_bytes(&mut payload);
+            let start = 8 * rng.gen_range(0..len.div_ceil(8));
+            let word = start..(start + 8).min(len);
+            let mut changed = payload.clone();
+            while changed == payload {
+                rng.fill_bytes(&mut changed[word.clone()]);
+            }
+            assert_ne!(
+                frame_sum(&payload),
+                frame_sum(&changed),
+                "{len}-byte payload, word at {start}"
+            );
+            checked += 1;
+        }
+        assert_eq!(checked, 4000);
+        // One-bit flips, the commonest rot, in every position of a frame.
+        let json = br#"{"Scheduled":{"batch":12,"class":"Naive","pairs":[[0,1],[2,3]]}}"#;
+        for bit in 0..json.len() * 8 {
+            let mut flipped = json.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(frame_sum(json), frame_sum(&flipped), "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn the_frame_header_parses_only_as_written() {
+        let mut journal = Journal::new();
+        journal.append_json("{}");
+        journal.flush();
+        let frame = journal.durable().to_vec();
+        assert_eq!(Journal::decode_json(&frame).valid_bytes, frame.len());
+        let text = String::from_utf8(frame).expect("frames are UTF-8");
+        let sum = format!("{:016x}", frame_sum(b"{}"));
+        assert_eq!(text, format!("2 {sum} {{}}\n"));
+        for bad in [
+            format!("+2 {sum} {{}}\n"),
+            format!("2 {} {{}}\n", sum.to_uppercase()),
+            format!(" 2 {sum} {{}}\n"),
+        ] {
+            assert_ne!(bad, text);
+            let decoded = Journal::decode_json(bad.as_bytes());
+            assert_eq!(
+                (decoded.valid_bytes, decoded.torn_tail),
+                (0, true),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crowd_core::trace::{FaultCounts, FaultKind};
 use crowd_obs::{series, Event};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Errors the platform can report to a requester.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,11 +51,12 @@ pub enum PlatformError {
         units: Vec<UnitId>,
         /// Attempts made per judgment slot (initial + retries).
         attempts: u32,
-        /// Majority answers for the units that *did* resolve. These
-        /// comparisons were purchased and must not be re-bought: recovery
-        /// and billing read the completed prefix from here instead of
-        /// re-running the job.
-        answers: HashMap<UnitId, ElementId>,
+        /// Majority answer per unit in [`Job::units`] order: `Some` for
+        /// the units that *did* resolve, `None` for gold and unanswered
+        /// units. These comparisons were purchased and must not be
+        /// re-bought: recovery and billing read the completed prefix from
+        /// here instead of re-running the job.
+        answers: Vec<Option<ElementId>>,
     },
 }
 
@@ -230,9 +231,10 @@ impl Default for PlatformConfig {
 /// The outcome of running one job (one logical step).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobResult {
-    /// Majority answer per regular unit (gold units are not reported —
-    /// the requester already knows their answers).
-    pub answers: HashMap<UnitId, ElementId>,
+    /// Majority answer per unit, in [`Job::units`] order. Gold units read
+    /// `None` (the requester already knows their answers); every regular
+    /// unit of a successful job reads `Some`.
+    pub answers: Vec<Option<ElementId>>,
     /// Every judgment produced, including on gold units and by workers
     /// later flagged as spammers.
     pub judgments: Vec<Judgment>,
@@ -275,14 +277,18 @@ pub struct Platform<R: RngCore> {
     fault_seq: u64,
     /// Faults injected and recovery actions taken, by class.
     fault_counts: FaultCounts,
-    /// Workers already counted as campaign dropouts.
-    dropped_seen: HashSet<WorkerId>,
+    /// Each worker's dropout verdict by [`WorkerId::index`], decided once
+    /// from the fault plan the first time she would otherwise be eligible
+    /// (which is when a dropout is counted); `None` until then.
+    dropouts: Vec<Option<bool>>,
     /// Units the campaign had to give up on.
     dead_letters: Vec<DeadLetter>,
     /// Workers assigned by the most recent job's schedule.
     last_assignments: Vec<WorkerId>,
     /// True once any result was produced in degraded mode.
     degraded: bool,
+    /// Buffers [`Platform::run_job`] reuses from job to job.
+    scratch: JobScratch,
 }
 
 impl<R: RngCore> Platform<R> {
@@ -308,10 +314,11 @@ impl<R: RngCore> Platform<R> {
             fault_plan,
             fault_seq: 0,
             fault_counts: FaultCounts::zero(),
-            dropped_seen: HashSet::new(),
+            dropouts: Vec::new(),
             dead_letters: Vec::new(),
             last_assignments: Vec::new(),
             degraded: false,
+            scratch: JobScratch::default(),
         }
     }
 
@@ -476,14 +483,14 @@ impl<R: RngCore> Platform<R> {
         pairs: &[(ElementId, ElementId)],
         class: WorkerClass,
     ) -> (Vec<ElementId>, Option<PlatformError>) {
-        let mut units: Vec<Unit> = Vec::with_capacity(pairs.len());
-        let mut regular_ids = Vec::with_capacity(pairs.len());
+        // Regular units first, so their answers are the first
+        // `pairs.len()` of the job's.
+        let gold_n = self.gold_units_for(pairs.len());
+        let mut units: Vec<Unit> = Vec::with_capacity(pairs.len() + gold_n);
         for &(k, j) in pairs {
             let id = self.fresh_unit_id();
-            regular_ids.push(id);
             units.push(Unit::regular(id, k, j));
         }
-        let gold_n = self.gold_units_for(pairs.len());
         for _ in 0..gold_n {
             let &(k, j) = &self.gold_pairs[self.rng.gen_range(0..self.gold_pairs.len())];
             let answer = if self.instance.value(k) >= self.instance.value(j) {
@@ -517,23 +524,28 @@ impl<R: RngCore> Platform<R> {
             }
             other => other,
         };
+        // The answered prefix of the regular units: all of them on
+        // success. A partially answered job stops at the first pair whose
+        // unit stayed unanswered, so the prefix lines up with the scalar
+        // loop.
+        let prefix = |answers: &[Option<ElementId>]| -> Vec<ElementId> {
+            let regular = &answers[..pairs.len()];
+            let answered = regular
+                .iter()
+                .position(Option::is_none)
+                .unwrap_or(regular.len());
+            let mut prefix = Vec::with_capacity(answered);
+            prefix.extend(regular[..answered].iter().flatten());
+            prefix
+        };
         match result {
-            Ok(result) => (
-                regular_ids.iter().map(|id| result.answers[id]).collect(),
-                None,
-            ),
+            Ok(result) => (prefix(&result.answers), None),
             Err(err) => {
-                // A partially answered job still yields its completed
-                // prefix: stop at the first pair whose unit stayed
-                // unanswered so the prefix lines up with the scalar loop.
-                let prefix = match &err {
-                    PlatformError::UnitsUnanswered { answers, .. } => regular_ids
-                        .iter()
-                        .map_while(|id| answers.get(id).copied())
-                        .collect(),
+                let answered = match &err {
+                    PlatformError::UnitsUnanswered { answers, .. } => prefix(answers),
                     _ => Vec::new(),
                 };
-                (prefix, Some(err))
+                (answered, Some(err))
             }
         }
     }
@@ -603,10 +615,14 @@ impl<R: RngCore> Platform<R> {
     /// aggregates regular units by majority over usable judgments from
     /// workers trusted *after* the job's gold scoring.
     ///
-    /// Per-unit state (attempts, dead-letter reasons, vote buckets) lives
-    /// in vectors indexed by the unit's position in [`Job::units`], which
-    /// every assignment and judgment carries along, so nothing is looked
-    /// up by [`UnitId`] and any ids work, contiguous or not.
+    /// Per-unit state (attempts, dead-letter reasons, vote buckets,
+    /// answers) lives in vectors indexed by the unit's position in
+    /// [`Job::units`], which every assignment and judgment carries along,
+    /// so nothing is looked up by [`UnitId`] and any ids work, contiguous
+    /// or not. Per-worker state (the exclusion mask, trust, pay, dropout
+    /// verdicts) is indexed by [`WorkerId::index`], so no judgment hashes.
+    /// Latencies and attempt counts reach their histograms in one batch
+    /// per job.
     ///
     /// # Errors
     ///
@@ -614,6 +630,38 @@ impl<R: RngCore> Platform<R> {
     /// reached, or any regular unit ends with zero usable judgments after
     /// retries (the partial results stay recorded on the platform).
     pub fn run_job(&mut self, job: &Job, class: WorkerClass) -> Result<JobResult, PlatformError> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let result = self.execute_job(job, class, &mut scratch);
+        self.scratch = scratch;
+        result
+    }
+
+    /// The worker's campaign dropout verdict: decided once by the fault
+    /// plan, on her first call, which is the first time she would
+    /// otherwise be eligible; that call counts the dropout.
+    fn dropped_out(&mut self, worker: WorkerId, class: WorkerClass) -> bool {
+        let idx = worker.index();
+        if idx >= self.dropouts.len() {
+            self.dropouts.resize(idx + 1, None);
+        }
+        if let Some(verdict) = self.dropouts[idx] {
+            return verdict;
+        }
+        let verdict = self.fault_plan.dropped_out(worker);
+        self.dropouts[idx] = Some(verdict);
+        if verdict {
+            self.record_fault(class, FaultKind::Dropout);
+        }
+        verdict
+    }
+
+    /// [`run_job`](Self::run_job) over reused buffers.
+    fn execute_job(
+        &mut self,
+        job: &Job,
+        class: WorkerClass,
+        scratch: &mut JobScratch,
+    ) -> Result<JobResult, PlatformError> {
         if let Some(cap) = self.config.budget_cap {
             if self.ledger.total() >= cap {
                 let spent = self.ledger.total();
@@ -621,19 +669,35 @@ impl<R: RngCore> Platform<R> {
                 return Err(PlatformError::BudgetExhausted { cap, spent });
             }
         }
+        let JobScratch {
+            excluded,
+            failed_slots,
+            tried,
+            judged,
+            ledgers,
+            observed,
+        } = scratch;
 
-        let mut excluded = self.trust.untrusted();
-        excluded.extend(self.retired.iter().copied());
-        // Campaign dropouts: decided once per worker by the fault plan and
-        // counted the first time the worker would otherwise be eligible. A
-        // zero-rate plan never excludes anyone (and does no hashing).
+        // One exclusion mask over the pool, by worker index: untrusted,
+        // retired, and (for this class) dropped-out workers.
+        excluded.clear();
+        excluded.resize(self.pool.len(), false);
+        for w in self.trust.untrusted() {
+            excluded[w.index()] = true;
+        }
+        for w in &self.retired {
+            if let Some(mask) = excluded.get_mut(w.index()) {
+                *mask = true;
+            }
+        }
+        // Campaign dropouts, checked in pool order among the otherwise
+        // eligible workers of the class. A zero-rate plan never excludes
+        // anyone (and does no hashing).
         if self.fault_plan.config().dropout > 0.0 {
-            for w in self.pool.ids_of_class(class) {
-                if !excluded.contains(&w) && self.fault_plan.dropped_out(w) {
-                    if self.dropped_seen.insert(w) {
-                        self.record_fault(class, FaultKind::Dropout);
-                    }
-                    excluded.insert(w);
+            for (i, mask) in excluded.iter_mut().enumerate() {
+                let w = WorkerId(i as u32);
+                if !*mask && self.pool.worker(w).class() == class && self.dropped_out(w, class) {
+                    *mask = true;
                 }
             }
         }
@@ -642,7 +706,7 @@ impl<R: RngCore> Platform<R> {
             &self.pool,
             job,
             class,
-            &excluded,
+            excluded,
             self.physical_clock,
             self.rotation,
         )?;
@@ -656,22 +720,24 @@ impl<R: RngCore> Platform<R> {
         // Every per-unit ledger is indexed by the unit's position in
         // `job.units()`; attempts count the initial assignments now and
         // retries later.
-        let mut ledgers = vec![UnitLedger::default(); units.len()];
+        ledgers.clear();
+        ledgers.resize(units.len(), UnitLedger::default());
         for a in &plan.assignments {
             ledgers[a.unit_pos].attempts += 1;
         }
 
         let timeout = self.fault_plan.config().timeout_steps;
 
-        // Execute the planned assignments. `judgments` carries the unit's
+        // Execute the planned assignments. `judged` carries the unit's
         // position and a `usable` flag: timed-out answers are paid but
-        // never aggregated.
-        let mut judgments: Vec<(usize, Judgment, bool)> =
-            Vec::with_capacity(plan.assignments.len());
-        let mut failed_slots: Vec<usize> = Vec::new();
+        // never aggregated. `observed` collects the usable latencies, and
+        // later the per-unit attempts, for one histogram flush per job.
+        judged.clear();
+        failed_slots.clear();
+        observed.clear();
         for a in &plan.assignments {
             let unit = &units[a.unit_pos];
-            if excluded.contains(&a.worker) {
+            if excluded[a.worker.index()] {
                 // The worker abandoned an earlier judgment of this very
                 // batch and walked away from the rest of it.
                 self.record_fault(class, FaultKind::Abandon);
@@ -681,7 +747,7 @@ impl<R: RngCore> Platform<R> {
             match self.next_fate(a.worker) {
                 JudgeFate::Abandon => {
                     self.record_fault(class, FaultKind::Abandon);
-                    excluded.insert(a.worker);
+                    excluded[a.worker.index()] = true;
                     failed_slots.push(a.unit_pos);
                 }
                 JudgeFate::NoAnswer => {
@@ -697,9 +763,9 @@ impl<R: RngCore> Platform<R> {
                         class,
                         usable,
                     );
-                    judgments.push((a.unit_pos, judgment, usable));
+                    judged.push((a.unit_pos, judgment, usable));
                     if usable {
-                        series::latency_steps(class).observe(latency);
+                        observed.push(latency);
                     } else {
                         self.record_fault(class, FaultKind::Timeout);
                         failed_slots.push(a.unit_pos);
@@ -719,9 +785,8 @@ impl<R: RngCore> Platform<R> {
         // The workers the current unit has been handed, across retries.
         // Failed slots come in assignment order, so one unit's slots are
         // adjacent and share the list.
-        let mut tried: Vec<WorkerId> = Vec::new();
         let mut tried_pos = None;
-        for pos in failed_slots {
+        for &pos in failed_slots.iter() {
             let unit = &units[pos];
             if tried_pos != Some(pos) {
                 tried_pos = Some(pos);
@@ -744,7 +809,7 @@ impl<R: RngCore> Platform<R> {
                     }
                 }
                 let worker =
-                    match reassign(&self.pool, class, &excluded, &tried, unit.id, self.rotation) {
+                    match reassign(&self.pool, class, excluded, tried, unit.id, self.rotation) {
                         Ok(worker) => worker,
                         Err(ScheduleError::NoEligibleWorkers { .. }) => {
                             // Every worker of the class is excluded — the
@@ -774,7 +839,7 @@ impl<R: RngCore> Platform<R> {
                 match self.next_fate(worker) {
                     JudgeFate::Abandon => {
                         self.record_fault(class, FaultKind::Abandon);
-                        excluded.insert(worker);
+                        excluded[worker.index()] = true;
                     }
                     JudgeFate::NoAnswer => {
                         self.record_fault(class, FaultKind::NoAnswer);
@@ -788,9 +853,9 @@ impl<R: RngCore> Platform<R> {
                             class,
                             usable,
                         );
-                        judgments.push((pos, judgment, usable));
+                        judged.push((pos, judgment, usable));
                         if usable {
-                            series::latency_steps(class).observe(latency);
+                            observed.push(latency);
                             slot_delay += latency;
                             recovered = true;
                             break;
@@ -805,16 +870,21 @@ impl<R: RngCore> Platform<R> {
         }
 
         // Bucket the usable judgments by unit in one pass. Gold scoring is
-        // over, so trust is final: each bucket tallies its votes both among
+        // over, so trust is final: the mask now marks exactly the
+        // untrusted workers, and each bucket tallies its votes both among
         // workers still trusted and among all usable judgments (the
         // fallback when quality control discards everything).
-        let now_untrusted = self.trust.untrusted();
-        for (pos, jd, usable) in &judgments {
+        let untrusted = excluded;
+        untrusted.fill(false);
+        for w in self.trust.untrusted() {
+            untrusted[w.index()] = true;
+        }
+        for (pos, jd, usable) in judged.iter() {
             if *usable {
                 let for_k = u32::from(jd.answer == units[*pos].pair.0);
                 let votes = &mut ledgers[*pos].votes;
                 votes.all.add(for_k);
-                if !now_untrusted.contains(&jd.worker) {
+                if !untrusted[jd.worker.index()] {
                     votes.trusted.add(for_k);
                 }
             }
@@ -822,12 +892,13 @@ impl<R: RngCore> Platform<R> {
 
         // Units still short of judgments after retries are degraded and
         // dead-lettered.
+        let latencies = observed.len();
         let mut degraded_units = Vec::new();
         let mut dead_letters_here = 0u64;
-        for (unit, ledger) in units.iter().zip(&ledgers) {
+        for (unit, ledger) in units.iter().zip(ledgers.iter()) {
             let got = ledger.votes.all.total as usize;
             let attempts = ledger.attempts;
-            series::retry_depth(class).observe(u64::from(attempts));
+            observed.push(u64::from(attempts));
             if got < per_unit {
                 let reason = ledger.reason.unwrap_or(DeadLetterReason::RetriesExhausted);
                 degraded_units.push(unit.id);
@@ -850,12 +921,15 @@ impl<R: RngCore> Platform<R> {
                 dead_letters_here += 1;
             }
         }
+        series::latency_steps(class).observe_each(&observed[..latencies]);
+        series::retry_depth(class).observe_each(&observed[latencies..]);
 
         // Aggregate regular units by majority over usable judgments.
-        let mut answers = HashMap::with_capacity(units.len());
+        let mut answers = Vec::with_capacity(units.len());
         let mut unanswered: Vec<UnitId> = Vec::new();
-        for (unit, ledger) in units.iter().zip(&ledgers) {
+        for (unit, ledger) in units.iter().zip(ledgers.iter()) {
             if unit.is_gold() {
+                answers.push(None);
                 continue;
             }
             let (k, j) = unit.pair;
@@ -869,6 +943,7 @@ impl<R: RngCore> Platform<R> {
             if votes.total == 0 {
                 // Nothing usable at all: never fabricate an answer.
                 unanswered.push(unit.id);
+                answers.push(None);
                 continue;
             }
             let j_votes = votes.total - votes.for_k;
@@ -877,7 +952,7 @@ impl<R: RngCore> Platform<R> {
             } else {
                 j
             };
-            answers.insert(unit.id, winner);
+            answers.push(Some(winner));
         }
 
         let physical_steps = plan.physical_steps + extra_steps;
@@ -893,18 +968,37 @@ impl<R: RngCore> Platform<R> {
                 answers,
             });
         }
-        let mut excluded_workers: Vec<WorkerId> = now_untrusted.into_iter().collect();
-        excluded_workers.sort_unstable();
         Ok(JobResult {
             answers,
-            judgments: judgments.into_iter().map(|(_, jd, _)| jd).collect(),
+            judgments: judged.iter().map(|&(_, jd, _)| jd).collect(),
             physical_steps,
-            excluded_workers,
+            excluded_workers: self.trust.untrusted().collect(),
             degraded_units,
             retries: retries_used,
             dead_letters: dead_letters_here,
         })
     }
+}
+
+/// The buffers [`Platform::run_job`] reuses from job to job, so a warm
+/// platform's per-job allocations do not grow with the job's size.
+#[derive(Debug, Default)]
+struct JobScratch {
+    /// Exclusion mask by worker index; after execution, the untrusted
+    /// mask aggregation reads.
+    excluded: Vec<bool>,
+    /// Unit positions of the judgment slots that failed, in assignment
+    /// order.
+    failed_slots: Vec<usize>,
+    /// Workers the retried unit has been handed.
+    tried: Vec<WorkerId>,
+    /// Every judgment performed, with its unit position and `usable` flag.
+    judged: Vec<(usize, Judgment, bool)>,
+    /// Per-unit ledgers, by unit position.
+    ledgers: Vec<UnitLedger>,
+    /// Usable latencies, then per-unit attempts: the job's histogram
+    /// observations.
+    observed: Vec<u64>,
 }
 
 /// One unit's ledger in [`Platform::run_job`], at the unit's position in
@@ -1045,6 +1139,7 @@ mod tests {
     use crate::worker::{Behavior, SpamStrategy};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashMap;
 
     fn instance() -> Instance {
         Instance::new(vec![10.0, 20.0, 30.0, 40.0, 50.0])
@@ -1283,7 +1378,7 @@ mod tests {
             .map(|(i, &(k, j))| Unit::regular(UnitId(i as u32), k, j))
             .collect();
         let job = Job::new(units, cfg.judgments_per_unit);
-        let plan = plan_schedule(&pool, &job, WorkerClass::Naive, &HashSet::new(), 0, 0).unwrap();
+        let plan = plan_schedule(&pool, &job, WorkerClass::Naive, &[], 0, 0).unwrap();
         let mut expected: HashMap<UnitId, Vec<ElementId>> = HashMap::new();
         for a in &plan.assignments {
             let unit = &job.units()[a.unit.0 as usize];
@@ -1439,7 +1534,7 @@ mod tests {
             "gold must flag the spam channel"
         );
 
-        for unit in job.units().iter().filter(|u| !u.is_gold()) {
+        for (pos, unit) in job.units().iter().enumerate().filter(|(_, u)| !u.is_gold()) {
             let (k, j) = unit.pair;
             let usable: Vec<&Judgment> = result
                 .judgments
@@ -1459,7 +1554,7 @@ mod tests {
             } else {
                 j
             };
-            assert_eq!(result.answers[&unit.id], want, "unit {:?}", unit.id);
+            assert_eq!(result.answers[pos], Some(want), "unit {:?}", unit.id);
         }
     }
 
@@ -1519,9 +1614,7 @@ mod tests {
         let a = dense.run_job(&dense_job, WorkerClass::Naive).unwrap();
         let b = sparse.run_job(&sparse_job, WorkerClass::Naive).unwrap();
         assert!(a.retries > 0, "faults must force retries");
-        for (du, su) in dense_job.units().iter().zip(sparse_job.units()) {
-            assert_eq!(a.answers.get(&du.id), b.answers.get(&su.id));
-        }
+        assert_eq!(a.answers, b.answers);
         let strip = |r: &JobResult| {
             r.judgments
                 .iter()
@@ -1554,7 +1647,7 @@ mod tests {
             } => {
                 assert_eq!(units.len(), 1);
                 assert_eq!(*attempts, 1 + p.config().retry.max_retries);
-                assert!(answers.is_empty(), "nothing resolved, so no prefix");
+                assert_eq!(answers, &[None], "nothing resolved, so no prefix");
             }
             other => panic!("expected UnitsUnanswered, got {other:?}"),
         }

@@ -9,7 +9,6 @@
 
 use crate::worker::WorkerId;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// Per-worker gold performance record.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -28,9 +27,12 @@ impl GoldRecord {
 }
 
 /// Tracks worker trust from gold-question performance.
+///
+/// Records are dense, indexed by [`WorkerId::index`] and grown on demand,
+/// so scoring a gold judgment or checking a worker is one indexed access.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrustTracker {
-    records: HashMap<WorkerId, GoldRecord>,
+    records: Vec<GoldRecord>,
     /// Accuracy below which a worker's responses are ignored (paper: 0.7).
     threshold: f64,
     /// Gold judgments required before the threshold is enforced — a worker
@@ -50,7 +52,7 @@ impl TrustTracker {
             "threshold must be in (0, 1]"
         );
         TrustTracker {
-            records: HashMap::new(),
+            records: Vec::new(),
             threshold,
             min_gold,
         }
@@ -64,7 +66,11 @@ impl TrustTracker {
 
     /// Records one gold judgment for `worker`.
     pub fn record(&mut self, worker: WorkerId, correct: bool) {
-        let rec = self.records.entry(worker).or_default();
+        let idx = worker.index();
+        if idx >= self.records.len() {
+            self.records.resize(idx + 1, GoldRecord::default());
+        }
+        let rec = &mut self.records[idx];
         rec.seen += 1;
         if correct {
             rec.correct += 1;
@@ -73,27 +79,34 @@ impl TrustTracker {
 
     /// The worker's gold record (zeroes if she has seen no gold yet).
     pub fn record_of(&self, worker: WorkerId) -> GoldRecord {
-        self.records.get(&worker).copied().unwrap_or_default()
+        self.records
+            .get(worker.index())
+            .copied()
+            .unwrap_or_default()
     }
 
     /// True if the worker's responses should be used: either she has not
     /// yet seen `min_gold` gold units, or her accuracy is at least the
     /// threshold.
     pub fn is_trusted(&self, worker: WorkerId) -> bool {
-        let rec = self.record_of(worker);
+        self.trusts(self.record_of(worker))
+    }
+
+    fn trusts(&self, rec: GoldRecord) -> bool {
         if rec.seen < self.min_gold {
             return true;
         }
         rec.accuracy().is_none_or(|a| a >= self.threshold)
     }
 
-    /// All currently untrusted (spam-flagged) workers.
-    pub fn untrusted(&self) -> HashSet<WorkerId> {
+    /// All currently untrusted (spam-flagged) workers, in ascending id
+    /// order.
+    pub fn untrusted(&self) -> impl Iterator<Item = WorkerId> + '_ {
         self.records
-            .keys()
-            .copied()
-            .filter(|&w| !self.is_trusted(w))
-            .collect()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &rec)| !self.trusts(rec))
+            .map(|(i, _)| WorkerId(i as u32))
     }
 
     /// The exclusion threshold.
@@ -119,7 +132,7 @@ mod tests {
         let t = TrustTracker::crowdflower_default();
         assert!(t.is_trusted(W));
         assert_eq!(t.record_of(W), GoldRecord::default());
-        assert!(t.untrusted().is_empty());
+        assert_eq!(t.untrusted().next(), None);
     }
 
     #[test]
@@ -131,7 +144,7 @@ mod tests {
         t.record(W, false);
         // 1/3 ≈ 0.33 < 0.7 with min_gold reached.
         assert!(!t.is_trusted(W));
-        assert!(t.untrusted().contains(&W));
+        assert!(t.untrusted().any(|w| w == W));
     }
 
     #[test]
@@ -170,7 +183,7 @@ mod tests {
         let mut t = TrustTracker::new(0.7, 0);
         // With no gold seen yet there is no accuracy to hold against her.
         assert!(t.is_trusted(W));
-        assert!(t.untrusted().is_empty());
+        assert_eq!(t.untrusted().next(), None);
         // But the very first miss counts: 0/1 < 0.7 with no grace period.
         t.record(W, false);
         assert!(!t.is_trusted(W));
@@ -191,6 +204,19 @@ mod tests {
             t.record(W, true);
         }
         assert!(t.is_trusted(W), "20/23 ≈ 0.87 >= 0.7");
+    }
+
+    #[test]
+    fn untrusted_workers_come_in_ascending_order() {
+        let mut t = TrustTracker::new(0.7, 1);
+        for w in [9, 2, 5, 0] {
+            t.record(WorkerId(w), false);
+        }
+        t.record(WorkerId(4), true);
+        let flagged: Vec<WorkerId> = t.untrusted().collect();
+        assert_eq!(flagged, [0, 2, 5, 9].map(WorkerId));
+        assert_eq!(t.record_of(WorkerId(7)), GoldRecord::default());
+        assert_eq!(t.record_of(WorkerId(70)), GoldRecord::default());
     }
 
     #[test]

@@ -99,8 +99,28 @@ impl std::fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
+/// True when `excluded` marks `worker`: the mask is indexed by
+/// [`WorkerId::index`], and positions past its end exclude nobody.
+fn is_excluded(excluded: &[bool], worker: WorkerId) -> bool {
+    excluded.get(worker.index()).copied().unwrap_or(false)
+}
+
+/// The workers of `class` in `pool` that `excluded` does not mark, in
+/// pool order.
+fn eligible_workers<'a>(
+    pool: &'a WorkerPool,
+    class: WorkerClass,
+    excluded: &'a [bool],
+) -> impl Iterator<Item = WorkerId> + 'a {
+    (0..pool.len())
+        .map(|i| WorkerId(i as u32))
+        .filter(move |&w| pool.worker(w).class() == class && !is_excluded(excluded, w))
+}
+
 /// Plans a job of `class` over the eligible workers of `pool`, excluding
-/// `excluded` (spam-flagged) workers.
+/// the workers `excluded` marks (spam-flagged, retired or dropped out).
+/// The mask is indexed by [`WorkerId::index`]; positions past its end
+/// exclude nobody, so `&[]` excludes no one.
 ///
 /// Assignment policy: judgments are laid out unit-major and dealt to
 /// workers round-robin starting at `rotation` (callers advance it between
@@ -116,26 +136,21 @@ pub fn schedule(
     pool: &WorkerPool,
     job: &Job,
     class: WorkerClass,
-    excluded: &HashSet<WorkerId>,
+    excluded: &[bool],
     starting_step: u64,
     rotation: usize,
 ) -> Result<Schedule, ScheduleError> {
-    let mut eligible: Vec<WorkerId> = pool
-        .ids_of_class(class)
-        .into_iter()
-        .filter(|w| !excluded.contains(w))
-        .collect();
+    let mut eligible: Vec<WorkerId> = Vec::with_capacity(pool.len());
+    eligible.extend(eligible_workers(pool, class, excluded));
     // Rotate the dealing order so consecutive jobs spread over the whole
     // pool rather than always starting from the same worker — without this
     // a stream of single-unit jobs would starve most of the workforce (and
     // shield spammers from ever meeting a gold question).
-    if !eligible.is_empty() {
-        let shift = rotation % eligible.len();
-        eligible.rotate_left(shift);
-    }
     if eligible.is_empty() {
         return Err(ScheduleError::NoEligibleWorkers { class });
     }
+    let shift = rotation % eligible.len();
+    eligible.rotate_left(shift);
     let w = eligible.len();
     let per_unit = job.judgments_per_unit();
     if per_unit as usize > w {
@@ -167,10 +182,12 @@ pub fn schedule(
 }
 
 /// Picks a fresh worker for a retry of `unit`: eligible (right class, not
-/// `excluded`), and not in `already_assigned` — the workers this unit has
-/// already been handed to (a handful, so a slice), which preserves the
-/// distinct-workers-per-unit invariant across retries. The dealing order rotates by `rotation` like
-/// [`schedule`] so retry load also spreads over the pool.
+/// marked in `excluded`, a mask as in [`schedule`]), and not in
+/// `already_assigned` — the workers this unit has already been handed to
+/// (a handful, so a slice), which preserves the distinct-workers-per-unit
+/// invariant across retries. The dealing order rotates by `rotation` like
+/// [`schedule`] so retry load also spreads over the pool. Scans the pool
+/// in place, without collecting the eligible list.
 ///
 /// # Errors
 ///
@@ -180,25 +197,29 @@ pub fn schedule(
 pub fn reassign(
     pool: &WorkerPool,
     class: WorkerClass,
-    excluded: &HashSet<WorkerId>,
+    excluded: &[bool],
     already_assigned: &[WorkerId],
     unit: UnitId,
     rotation: usize,
 ) -> Result<WorkerId, ScheduleError> {
-    let mut eligible: Vec<WorkerId> = pool
-        .ids_of_class(class)
-        .into_iter()
-        .filter(|w| !excluded.contains(w))
-        .collect();
-    if eligible.is_empty() {
+    let count = eligible_workers(pool, class, excluded).count();
+    if count == 0 {
         return Err(ScheduleError::NoEligibleWorkers { class });
     }
-    let shift = rotation % eligible.len();
-    eligible.rotate_left(shift);
-    eligible
-        .into_iter()
-        .find(|w| !already_assigned.contains(w))
-        .ok_or(ScheduleError::NoFreshWorkerForUnit { unit })
+    // The dealing order is the eligible list rotated left by `shift`:
+    // positions `shift..` first, then the wrapped-around `..shift`.
+    let shift = rotation % count;
+    let mut wrapped = None;
+    for (i, w) in eligible_workers(pool, class, excluded).enumerate() {
+        if already_assigned.contains(&w) {
+            continue;
+        }
+        if i >= shift {
+            return Ok(w);
+        }
+        wrapped.get_or_insert(w);
+    }
+    wrapped.ok_or(ScheduleError::NoFreshWorkerForUnit { unit })
 }
 
 /// The paper's batch-latency rule in closed form: `m` judgments dealt to
@@ -263,7 +284,7 @@ mod tests {
     #[test]
     fn all_judgments_scheduled_once() {
         let p = pool(5);
-        let s = schedule(&p, &job(4, 3), WorkerClass::Naive, &HashSet::new(), 0, 0).unwrap();
+        let s = schedule(&p, &job(4, 3), WorkerClass::Naive, &[], 0, 0).unwrap();
         assert_eq!(s.assignments.len(), 12);
         assert!(distinct_workers_per_unit(&s));
     }
@@ -272,7 +293,7 @@ mod tests {
     fn assignments_are_unit_major_and_carry_positions() {
         let p = pool(5);
         let job = job(4, 3);
-        let s = schedule(&p, &job, WorkerClass::Naive, &HashSet::new(), 0, 0).unwrap();
+        let s = schedule(&p, &job, WorkerClass::Naive, &[], 0, 0).unwrap();
         for (pos, chunk) in s.assignments.chunks(3).enumerate() {
             assert!(chunk
                 .iter()
@@ -284,7 +305,7 @@ mod tests {
     fn physical_steps_follow_ceil_rule() {
         let p = pool(5);
         // 4 units × 3 judgments = 12 assignments over 5 workers → ⌈12/5⌉ = 3.
-        let s = schedule(&p, &job(4, 3), WorkerClass::Naive, &HashSet::new(), 0, 0).unwrap();
+        let s = schedule(&p, &job(4, 3), WorkerClass::Naive, &[], 0, 0).unwrap();
         assert_eq!(s.physical_steps, 3);
         assert!(s.assignments.iter().all(|a| a.physical_step < 3));
         // A single worker per physical step does one judgment.
@@ -302,7 +323,7 @@ mod tests {
     #[test]
     fn closed_form_matches_the_planner() {
         let p = pool(5);
-        let s = schedule(&p, &job(4, 3), WorkerClass::Naive, &HashSet::new(), 0, 0).unwrap();
+        let s = schedule(&p, &job(4, 3), WorkerClass::Naive, &[], 0, 0).unwrap();
         assert_eq!(Ok(s.physical_steps), physical_steps(12, 5));
         assert_eq!(physical_steps(0, 3), Ok(0));
         assert_eq!(physical_steps(10, 1), Ok(10));
@@ -321,22 +342,22 @@ mod tests {
     #[test]
     fn starting_step_offsets_the_schedule() {
         let p = pool(5);
-        let s = schedule(&p, &job(2, 2), WorkerClass::Naive, &HashSet::new(), 10, 0).unwrap();
+        let s = schedule(&p, &job(2, 2), WorkerClass::Naive, &[], 10, 0).unwrap();
         assert!(s.assignments.iter().all(|a| a.physical_step >= 10));
     }
 
     #[test]
     fn excluded_workers_receive_nothing() {
         let p = pool(5);
-        let banned: HashSet<WorkerId> = [WorkerId(0), WorkerId(1)].into();
+        let banned = [true, true];
         let s = schedule(&p, &job(3, 2), WorkerClass::Naive, &banned, 0, 0).unwrap();
-        assert!(s.assignments.iter().all(|a| !banned.contains(&a.worker)));
+        assert!(s.assignments.iter().all(|a| a.worker.index() >= 2));
     }
 
     #[test]
     fn too_many_judgments_per_unit_errors() {
         let p = pool(2);
-        let err = schedule(&p, &job(1, 3), WorkerClass::Naive, &HashSet::new(), 0, 0).unwrap_err();
+        let err = schedule(&p, &job(1, 3), WorkerClass::Naive, &[], 0, 0).unwrap_err();
         assert!(matches!(err, ScheduleError::NotEnoughWorkersForUnit { .. }));
         assert!(err.to_string().contains("3 distinct judgments"));
     }
@@ -344,7 +365,7 @@ mod tests {
     #[test]
     fn missing_class_errors() {
         let p = pool(3); // no experts
-        let err = schedule(&p, &job(1, 1), WorkerClass::Expert, &HashSet::new(), 0, 0).unwrap_err();
+        let err = schedule(&p, &job(1, 1), WorkerClass::Expert, &[], 0, 0).unwrap_err();
         assert!(matches!(err, ScheduleError::NoEligibleWorkers { .. }));
         assert!(err.to_string().contains("expert"));
     }
@@ -357,7 +378,7 @@ mod tests {
             "spam",
             Behavior::Spammer(crate::worker::SpamStrategy::Random),
         );
-        let s = schedule(&p, &job(1, 3), WorkerClass::Naive, &HashSet::new(), 0, 0).unwrap();
+        let s = schedule(&p, &job(1, 3), WorkerClass::Naive, &[], 0, 0).unwrap();
         assert_eq!(s.assignments.len(), 3);
     }
 
@@ -366,15 +387,7 @@ mod tests {
         let p = pool(5);
         let mut seen = HashSet::new();
         for rotation in 0..5 {
-            let s = schedule(
-                &p,
-                &job(1, 1),
-                WorkerClass::Naive,
-                &HashSet::new(),
-                0,
-                rotation,
-            )
-            .unwrap();
+            let s = schedule(&p, &job(1, 1), WorkerClass::Naive, &[], 0, rotation).unwrap();
             seen.insert(s.assignments[0].worker);
         }
         assert_eq!(
@@ -388,22 +401,14 @@ mod tests {
     fn reassign_skips_workers_the_unit_already_saw() {
         let p = pool(3);
         let tried = [WorkerId(0), WorkerId(2)];
-        let w = reassign(
-            &p,
-            WorkerClass::Naive,
-            &HashSet::new(),
-            &tried,
-            UnitId(0),
-            0,
-        )
-        .unwrap();
+        let w = reassign(&p, WorkerClass::Naive, &[], &tried, UnitId(0), 0).unwrap();
         assert_eq!(w, WorkerId(1));
     }
 
     #[test]
     fn reassign_respects_exclusions_and_rotation() {
         let p = pool(4);
-        let excluded: HashSet<WorkerId> = [WorkerId(1)].into();
+        let excluded = [false, true];
         // Eligible list is [0, 2, 3]; rotation 2 starts the deal at its
         // third entry, worker 3.
         let w = reassign(&p, WorkerClass::Naive, &excluded, &[], UnitId(0), 2).unwrap();
@@ -414,15 +419,7 @@ mod tests {
     fn reassign_errors_when_every_worker_already_touched_the_unit() {
         let p = pool(2);
         let tried = [WorkerId(0), WorkerId(1)];
-        let err = reassign(
-            &p,
-            WorkerClass::Naive,
-            &HashSet::new(),
-            &tried,
-            UnitId(7),
-            0,
-        )
-        .unwrap_err();
+        let err = reassign(&p, WorkerClass::Naive, &[], &tried, UnitId(7), 0).unwrap_err();
         assert_eq!(err, ScheduleError::NoFreshWorkerForUnit { unit: UnitId(7) });
         assert!(err.to_string().contains("not already been assigned"));
     }
@@ -430,8 +427,7 @@ mod tests {
     #[test]
     fn reassign_errors_on_an_empty_class() {
         let p = pool(2);
-        let err =
-            reassign(&p, WorkerClass::Expert, &HashSet::new(), &[], UnitId(0), 0).unwrap_err();
+        let err = reassign(&p, WorkerClass::Expert, &[], &[], UnitId(0), 0).unwrap_err();
         assert!(matches!(err, ScheduleError::NoEligibleWorkers { .. }));
     }
 

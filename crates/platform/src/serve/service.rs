@@ -294,9 +294,9 @@ impl CompletedJob {
 
 /// The service journal's record vocabulary, framed through the shared
 /// [`Journal`] so it shares the WAL torn-tail story. Its serde form is
-/// the reference: `Started` is written through `serde_json`, the tick
-/// records through [`TickRecord::encode`], byte for byte the same, and
-/// resume reads all of them back through `serde_json`.
+/// the reference: every record is written through [`RecordView::encode`],
+/// byte for byte the same, and resume reads them back through
+/// `serde_json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum ServeRecord {
     /// The journal header.
@@ -329,11 +329,16 @@ enum ServeRecord {
     },
 }
 
-/// A tick record with its lists borrowed: what the tick path encodes,
+/// A service record with its lists borrowed: what the service encodes,
 /// by hand and without allocating, as the JSON of the matching
 /// [`ServeRecord`] variant.
 #[derive(Debug, Clone, Copy)]
-enum TickRecord<'a> {
+enum RecordView<'a> {
+    Started {
+        version: u32,
+        seed: u64,
+        config_digest: u64,
+    },
     Scheduled {
         tick: u64,
         dispatches: &'a [DispatchRecord],
@@ -351,12 +356,24 @@ enum TickRecord<'a> {
     },
 }
 
-impl TickRecord<'_> {
+impl RecordView<'_> {
     /// Appends the record's JSON to `out`, byte-identical to
     /// `serde_json::to_string` of the matching [`ServeRecord`].
     fn encode(self, out: &mut Vec<u8>) {
         match self {
-            TickRecord::Scheduled { tick, dispatches } => {
+            RecordView::Started {
+                version,
+                seed,
+                config_digest,
+            } => {
+                out.extend_from_slice(b"{\"Started\":{\"version\":");
+                push_u64(out, u64::from(version));
+                out.extend_from_slice(b",\"seed\":");
+                push_u64(out, seed);
+                out.extend_from_slice(b",\"config_digest\":");
+                push_u64(out, config_digest);
+            }
+            RecordView::Scheduled { tick, dispatches } => {
                 out.extend_from_slice(b"{\"TickScheduled\":{\"tick\":");
                 push_u64(out, tick);
                 out.extend_from_slice(b",\"dispatches\":");
@@ -374,7 +391,7 @@ impl TickRecord<'_> {
                     out.push(b'}');
                 });
             }
-            TickRecord::Cached { tick, hits } => {
+            RecordView::Cached { tick, hits } => {
                 out.extend_from_slice(b"{\"TickCached\":{\"tick\":");
                 push_u64(out, tick);
                 out.extend_from_slice(b",\"hits\":");
@@ -392,7 +409,7 @@ impl TickRecord<'_> {
                     out.push(b'}');
                 });
             }
-            TickRecord::Completed {
+            RecordView::Completed {
                 tick,
                 shard_seqs,
                 answers,
@@ -664,12 +681,14 @@ impl CrowdServe {
             .map(|(i, spec)| WorkerShard::new(i as u32, *spec, mix(seed ^ 0x5E)))
             .collect();
         let mut journal = Journal::new();
-        let header = ServeRecord::Started {
+        let mut scratch = RecordScratch::default();
+        RecordView::Started {
             version: JOURNAL_VERSION,
             seed,
             config_digest: config.digest(),
-        };
-        journal.append_json(&serde_json::to_string(&header).expect("record serializes"));
+        }
+        .encode(&mut scratch.json);
+        journal.push_frame(&scratch.json);
         journal.flush();
         let cache = JudgmentCache::new(config.cache);
         Ok(CrowdServe {
@@ -686,7 +705,7 @@ impl CrowdServe {
             active: BTreeMap::new(),
             drr: VecDeque::new(),
             journal,
-            scratch: RecordScratch::default(),
+            scratch,
             unflushed: 0,
             completed: Vec::new(),
             charged_total: BTreeMap::new(),
@@ -870,13 +889,13 @@ impl CrowdServe {
         // the bytes a cache-off run does.
         let wal_appended = !cache_hits.is_empty() || !dispatches.is_empty();
         if !cache_hits.is_empty() {
-            self.journal_tick(TickRecord::Cached {
+            self.journal_tick(RecordView::Cached {
                 tick,
                 hits: &cache_hits,
             });
         }
         if !dispatches.is_empty() {
-            self.journal_tick(TickRecord::Scheduled {
+            self.journal_tick(RecordView::Scheduled {
                 tick,
                 dispatches: &dispatches,
             });
@@ -1047,7 +1066,7 @@ impl CrowdServe {
             charged.clear();
             charged.extend(self.charged_total.iter().map(|(t, c)| (t.0, *c)));
             json.clear();
-            TickRecord::Completed {
+            RecordView::Completed {
                 tick,
                 shard_seqs,
                 answers: tick_answers,
@@ -1090,7 +1109,7 @@ impl CrowdServe {
 
     /// Encodes a write-ahead tick record into the reused buffer and frames
     /// it into the journal's pending bytes.
-    fn journal_tick(&mut self, record: TickRecord<'_>) {
+    fn journal_tick(&mut self, record: RecordView<'_>) {
         let json = &mut self.scratch.json;
         json.clear();
         record.encode(json);
@@ -1506,30 +1525,36 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The borrowed view of a tick record (`None` for `Started`).
-    fn view(record: &ServeRecord) -> Option<TickRecord<'_>> {
+    /// The borrowed view of a record.
+    fn view(record: &ServeRecord) -> RecordView<'_> {
         match record {
-            ServeRecord::Started { .. } => None,
-            ServeRecord::TickScheduled { tick, dispatches } => Some(TickRecord::Scheduled {
+            ServeRecord::Started {
+                version,
+                seed,
+                config_digest,
+            } => RecordView::Started {
+                version: *version,
+                seed: *seed,
+                config_digest: *config_digest,
+            },
+            ServeRecord::TickScheduled { tick, dispatches } => RecordView::Scheduled {
                 tick: *tick,
                 dispatches,
-            }),
-            ServeRecord::TickCached { tick, hits } => {
-                Some(TickRecord::Cached { tick: *tick, hits })
-            }
+            },
+            ServeRecord::TickCached { tick, hits } => RecordView::Cached { tick: *tick, hits },
             ServeRecord::TickCompleted {
                 tick,
                 shard_seqs,
                 answers,
                 charged,
                 completed,
-            } => Some(TickRecord::Completed {
+            } => RecordView::Completed {
                 tick: *tick,
                 shard_seqs,
                 answers: *answers,
                 charged,
                 completed,
-            }),
+            },
         }
     }
 
@@ -1568,11 +1593,16 @@ mod tests {
         }
     }
 
-    /// A random tick record drawn from a SplitMix64 stream over `seed`.
+    /// A random record drawn from a SplitMix64 stream over `seed`.
     fn arbitrary_record(seed: u64) -> ServeRecord {
         let mut f = Fields(seed);
         let tick = f.big();
-        match f.word() % 3 {
+        match f.word() % 4 {
+            3 => ServeRecord::Started {
+                version: f.small(),
+                seed: tick,
+                config_digest: f.big(),
+            },
             0 => ServeRecord::TickScheduled {
                 tick,
                 dispatches: (0..f.len())
@@ -1621,13 +1651,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        /// The hand encoder writes exactly serde's bytes, and they decode
-        /// back to the record they came from.
+        /// The hand encoder writes exactly serde's bytes for every
+        /// record, the `Started` header included, and they decode back to
+        /// the record they came from.
         #[test]
         fn tick_records_encode_like_serde(seed in any::<u64>()) {
             let record = arbitrary_record(seed);
             let mut out = Vec::new();
-            view(&record).expect("a tick record").encode(&mut out);
+            view(&record).encode(&mut out);
             let json = String::from_utf8(out).expect("the encoder writes UTF-8");
             prop_assert_eq!(&json, &serde_json::to_string(&record).expect("record serializes"));
             let decoded: ServeRecord = serde_json::from_str(&json).expect("record decodes");
@@ -1655,6 +1686,59 @@ mod tests {
             ServeRecord::Started { .. } => false,
         });
         assert!(empty_lists.count() > 0);
+        assert!(records
+            .iter()
+            .any(|r| matches!(r, ServeRecord::Started { version, .. } if *version == u32::MAX)));
+    }
+
+    #[test]
+    fn the_journal_header_is_encoded_by_hand_like_serde() {
+        let service = CrowdServe::new(ServeConfig::basic(), 7).expect("config is valid");
+        let header = ServeRecord::Started {
+            version: JOURNAL_VERSION,
+            seed: 7,
+            config_digest: ServeConfig::basic().digest(),
+        };
+        let frames = Journal::decode_json(service.journal().durable()).frames;
+        assert_eq!(frames.len(), 1);
+        assert_eq!(
+            frames[0].0,
+            serde_json::to_string(&header).expect("record serializes")
+        );
+    }
+
+    #[test]
+    fn every_byte_change_and_cut_of_a_service_frame_is_caught() {
+        let mut journal = Journal::new();
+        let mut json = Vec::new();
+        view(&arbitrary_record(3)).encode(&mut json);
+        journal.push_frame(&json);
+        journal.flush();
+        let prefix = journal.durable().to_vec();
+        let completed = ServeRecord::TickCompleted {
+            tick: 41,
+            shard_seqs: vec![7, 19],
+            answers: 3,
+            charged: vec![(0, 12), (1, 5)],
+            completed: vec![CompletedJob {
+                job: JobId(8),
+                tenant: TenantId(1),
+                winner: ElementId(17),
+                degraded: Some(DegradedReason::DeadLetters),
+                comparisons: 11,
+                submitted: 30,
+                completed: 41,
+            }],
+        };
+        json.clear();
+        view(&completed).encode(&mut json);
+        journal.push_frame(&json);
+        journal.flush();
+        let frame = &journal.durable()[prefix.len()..];
+        crate::journal::assert_frame_corruptions_are_caught(&prefix, frame, |bytes| {
+            let decoded = Journal::decode_json(bytes);
+            (decoded.valid_bytes, decoded.torn_tail)
+        });
     }
 
     #[test]

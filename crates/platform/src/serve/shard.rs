@@ -106,6 +106,9 @@ pub struct WorkerShard {
     trips: u64,
     /// Per-pair distinct-workers marks, reused across pairs.
     tried: Vec<bool>,
+    /// Per-pair usable latencies, flushed to their histogram once per
+    /// pair; reused across pairs.
+    latencies: Vec<u64>,
     /// `crowd_serve_breaker_trips_total{shard}` for this shard.
     trips_total: CounterId,
 }
@@ -141,6 +144,7 @@ impl WorkerShard {
             used: 0,
             trips: 0,
             tried: vec![false; spec.workers as usize],
+            latencies: Vec::new(),
             trips_total: CounterId::new(
                 names::SERVE_BREAKER_TRIPS_TOTAL,
                 &[("shard", &format!("s{id}"))],
@@ -234,7 +238,8 @@ impl WorkerShard {
     /// Runs one comparison of `k` vs `j` to completion: collects `votes`
     /// usable judgments from distinct workers, retrying faults up to
     /// `votes × (1 + max_retries)` total assignments, and drives every
-    /// breaker transition (with its events) on the way.
+    /// breaker transition (with its events) on the way. The pair's usable
+    /// latencies reach their histogram in one batch.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_pair(
         &mut self,
@@ -252,6 +257,8 @@ impl WorkerShard {
         let timeout = self.spec.fault.timeout_steps;
         let mut tried = std::mem::take(&mut self.tried);
         tried.fill(false);
+        let mut latencies = std::mem::take(&mut self.latencies);
+        latencies.clear();
         let mut votes_k = 0u32;
         let mut votes_j = 0u32;
         let mut answers = 0u32;
@@ -270,7 +277,7 @@ impl WorkerShard {
             let fault_kind = match fate {
                 JudgeFate::Answer { latency } if latency <= timeout => {
                     answers += 1;
-                    series::latency_steps(class).observe(latency);
+                    latencies.push(latency);
                     if self.breakers[w].on_success() {
                         emit(Event::BreakerProbed {
                             shard: self.id,
@@ -323,6 +330,8 @@ impl WorkerShard {
         }
 
         self.tried = tried;
+        series::latency_steps(class).observe_each(&latencies);
+        self.latencies = latencies;
         if answers < votes && dead.is_none() {
             dead = Some(DeadLetterReason::RetriesExhausted);
         }

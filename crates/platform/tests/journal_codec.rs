@@ -2,7 +2,7 @@
 //!
 //! * The hand-written encoder behind [`Journal::append`] must produce the
 //!   bytes serde's derived serialization of the record vocabulary
-//!   produces, framed as `<len> <fnv1a64:016x> <json>\n`, for any
+//!   produces, framed as `<len> <frame_sum:016x> <json>\n`, for any
 //!   `Scheduled` or `Completed` record — empty vectors, `u64::MAX` and
 //!   non-finite or negative-zero `spent` included.
 //! * Decoding hostile bytes never panics and never claims more valid
@@ -11,7 +11,7 @@
 use crowd_core::element::ElementId;
 use crowd_core::model::WorkerClass;
 use crowd_core::oracle::ComparisonCounts;
-use crowd_platform::journal::fnv1a64;
+use crowd_platform::journal::frame_sum;
 use crowd_platform::{Journal, JournalRecord, WorkerId};
 use proptest::prelude::*;
 use serde::Serialize;
@@ -38,7 +38,12 @@ enum DerivedRecord {
 
 fn derived_frame(record: &DerivedRecord) -> Vec<u8> {
     let json = serde_json::to_string(record).unwrap();
-    format!("{} {:016x} {json}\n", json.len(), fnv1a64(json.as_bytes())).into_bytes()
+    format!(
+        "{} {:016x} {json}\n",
+        json.len(),
+        frame_sum(json.as_bytes())
+    )
+    .into_bytes()
 }
 
 fn appended(record: &JournalRecord) -> Vec<u8> {
@@ -75,7 +80,7 @@ fn ids() -> impl Strategy<Value = Vec<u32>> {
 
 /// `<len> <checksum> <payload>\n` around arbitrary payload bytes.
 fn framed(payload: &[u8]) -> Vec<u8> {
-    let mut frame = format!("{} {:016x} ", payload.len(), fnv1a64(payload)).into_bytes();
+    let mut frame = format!("{} {:016x} ", payload.len(), frame_sum(payload)).into_bytes();
     frame.extend_from_slice(payload);
     frame.push(b'\n');
     frame

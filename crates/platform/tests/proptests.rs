@@ -7,13 +7,13 @@ use crowd_core::element::{ElementId, Instance};
 use crowd_core::model::WorkerClass;
 use crowd_core::oracle::ComparisonOracle;
 use crowd_platform::{
-    batched_filter, schedule, scheduler::distinct_workers_per_unit, Behavior, Job, Platform,
-    PlatformConfig, PlatformOracle, SpamStrategy, TrustTracker, WorkerId, WorkerPool,
+    batched_filter, schedule, scheduler::distinct_workers_per_unit, Behavior, Job, Ledger,
+    Platform, PlatformConfig, PlatformOracle, SpamStrategy, TrustTracker, WorkerId, WorkerPool,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 fn pool_with(naive: usize, experts: usize) -> WorkerPool {
     let mut p = WorkerPool::new();
@@ -46,7 +46,7 @@ proptest! {
         prop_assume!(judgments as usize <= workers);
         let pool = pool_with(workers, 0);
         let job = job_with(units, judgments);
-        let s = schedule(&pool, &job, WorkerClass::Naive, &HashSet::new(), start, rotation).unwrap();
+        let s = schedule(&pool, &job, WorkerClass::Naive, &[], start, rotation).unwrap();
 
         prop_assert_eq!(s.assignments.len() as u64, job.total_judgments());
         prop_assert!(distinct_workers_per_unit(&s));
@@ -67,8 +67,8 @@ proptest! {
     fn rotation_preserves_workload(workers in 2usize..20, units in 1usize..20, r1 in 0usize..50, r2 in 0usize..50) {
         let pool = pool_with(workers, 0);
         let job = job_with(units, 1);
-        let s1 = schedule(&pool, &job, WorkerClass::Naive, &HashSet::new(), 0, r1).unwrap();
-        let s2 = schedule(&pool, &job, WorkerClass::Naive, &HashSet::new(), 0, r2).unwrap();
+        let s1 = schedule(&pool, &job, WorkerClass::Naive, &[], 0, r1).unwrap();
+        let s2 = schedule(&pool, &job, WorkerClass::Naive, &[], 0, r2).unwrap();
         prop_assert_eq!(s1.assignments.len(), s2.assignments.len());
         prop_assert_eq!(s1.physical_steps, s2.physical_steps);
     }
@@ -272,5 +272,39 @@ proptest! {
             }
         }
         prop_assert!(!platform.trust().is_trusted(spammer), "spammer survived 120 jobs");
+    }
+
+    /// The dense ledger answers like a map-keyed model of it: random
+    /// payments, zero amounts included, to ids in any order below a pool
+    /// size. The model is the ledger's earlier `HashMap` design.
+    #[test]
+    fn ledger_matches_a_map_model(pool in 1u32..60, payments in prop::collection::vec(any::<u64>(), 0..300)) {
+        let mut ledger = Ledger::new();
+        let mut total = 0.0f64;
+        let mut by_class: HashMap<WorkerClass, f64> = HashMap::new();
+        let mut by_worker: HashMap<WorkerId, f64> = HashMap::new();
+        for &bits in &payments {
+            let worker = WorkerId((bits % u64::from(pool)) as u32);
+            let class = if bits >> 32 & 1 == 0 { WorkerClass::Naive } else { WorkerClass::Expert };
+            // A quarter of the payments are free; the rest are small
+            // amounts with a fractional part, so sums round.
+            let amount = match bits >> 33 & 3 {
+                0 => 0.0,
+                _ => (bits >> 40) as f64 / 4096.0,
+            };
+            ledger.pay(worker, class, amount);
+            total += amount;
+            *by_class.entry(class).or_insert(0.0) += amount;
+            *by_worker.entry(worker).or_insert(0.0) += amount;
+        }
+        prop_assert_eq!(ledger.total(), total);
+        prop_assert_eq!(ledger.judgments(), payments.len() as u64);
+        prop_assert_eq!(ledger.workers_paid(), by_worker.len());
+        for class in WorkerClass::ALL {
+            prop_assert_eq!(ledger.spent_on(class), by_class.get(&class).copied().unwrap_or(0.0));
+        }
+        for w in (0..pool + 3).map(WorkerId) {
+            prop_assert_eq!(ledger.earned_by(w), by_worker.get(&w).copied().unwrap_or(0.0));
+        }
     }
 }

@@ -111,7 +111,7 @@ fn main() {
         "platform ran {} logical steps over {} physical steps; excluded workers: {}",
         platform.logical_steps(),
         platform.physical_clock(),
-        platform.trust().untrusted().len(),
+        platform.trust().untrusted().count(),
     );
 
     // The requester's dashboard: spend, per-worker earnings, flagged spam.
