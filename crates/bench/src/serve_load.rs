@@ -239,7 +239,7 @@ pub fn run_serve_load(seed: u64) -> ServeLoadReport {
         let mut service = CrowdServe::new(bench_config(), seed).expect("config is valid");
         let report = service
             .run(&plan, MAX_TICKS)
-            .expect("no chaos plan: the run cannot crash");
+            .expect("a valid arrival plan runs to the end");
 
         let offered: u64 = report.tenants.iter().map(|t| t.offered).sum();
         let admitted: u64 = report.tenants.iter().map(|t| t.admitted).sum();
@@ -315,7 +315,7 @@ mod tests {
         let mut service = CrowdServe::new(bench_config(), DEFAULT_SEED).expect("config is valid");
         service
             .run(&scenario_plan(DEFAULT_SEED, 0, spec), MAX_TICKS)
-            .expect("no chaos plan: the run cannot crash");
+            .expect("a valid arrival plan runs to the end");
         let journal = service.journal().durable();
         assert_eq!(journal.len(), 193_827);
         assert_eq!(fnv1a64(journal), 0x4391_8236_eb4b_6e59);
@@ -424,7 +424,9 @@ mod tests {
             TenantPolicy::new(TenantId(1), 1, 0),
         ]);
         let mut service = CrowdServe::new(config, DEFAULT_SEED).expect("config is valid");
-        let report = service.run(&plan, MAX_TICKS).expect("no chaos plan");
+        let report = service
+            .run(&plan, MAX_TICKS)
+            .expect("a valid arrival plan runs to the end");
         assert!(report.jobs.is_empty(), "budgets admit nothing");
         let finished: Vec<_> = report
             .tenants

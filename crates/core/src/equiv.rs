@@ -131,11 +131,11 @@ pub fn drive_batched<O: ComparisonOracle>(
 /// prefix a partial-batch oracle appended before its error — and the
 /// error, if one fired.
 ///
-/// This is the crash/resume driver for [`assert_oracles_equal`]: a chaos
-/// harness drives the journaled side until the injected
-/// [`OracleError::Interrupted`], resumes from the journal, finishes with a
-/// second `drive_until_error` pass, and asserts the concatenated winners
-/// against one uninterrupted drive.
+/// This is the crash/resume driver for [`assert_oracles_equal`]: a
+/// resume test cuts an uninterrupted run's journal where a crash could
+/// have left it, resumes from the cut, and drives both sides with
+/// `drive_until_error`; a resumed side whose replay diverges stops at
+/// [`OracleError::Interrupted`] instead of panicking.
 ///
 /// [`try_compare_batch`]: ComparisonOracle::try_compare_batch
 /// [`OracleError::Interrupted`]: crate::oracle::OracleError::Interrupted

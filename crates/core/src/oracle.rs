@@ -227,10 +227,10 @@ pub enum OracleError {
     },
     /// The campaign budget cap was reached before the comparison ran.
     BudgetExhausted,
-    /// The run was interrupted by a crash (or a simulated one — see the
-    /// platform crate's chaos harness) before the comparison could be
-    /// bought. Recovery replays the job's write-ahead journal instead of
-    /// re-purchasing answered comparisons.
+    /// The run cannot go on answering: a resumed run's replay diverged
+    /// from its write-ahead journal (the platform crate's `ResumeOracle`),
+    /// or a test oracle simulates a crash. Recovery replays the journal
+    /// instead of re-purchasing answered comparisons.
     Interrupted,
     /// The oracle's comparison tally went backwards across a phase
     /// snapshot — a broken decorator stack, surfaced as a structured

@@ -1,32 +1,32 @@
-//! Crash/resume equivalence sweep: kill Algorithm 1 at every seeded
-//! injection point and prove the resumed run equals the uninterrupted one.
+//! Crash/resume equivalence sweep: resume Algorithm 1 from cuts of its
+//! write-ahead journal and prove the resumed run equals the uninterrupted
+//! one.
 //!
-//! Each trial runs the full two-phase algorithm three times on
-//! identically-constructed platforms:
-//!
-//! 1. **uninterrupted** — a [`JournaledOracle`] baseline, run to the end;
-//! 2. **doomed** — the same run with a [`ChaosPlan`] armed at one
-//!    [`InjectionPoint`]; the crash freezes its durable journal;
-//! 3. **resumed** — [`resume_job`] on the crash's durable bytes: the
-//!    journaled batches replay on a fresh platform (audited against the
-//!    checkpoints and the `crowd_core::replay` transcript), then the run
-//!    continues live.
+//! A run is deterministic and a killed run's own output is thrown away,
+//! so whatever a kill leaves durable is a prefix of the uninterrupted
+//! run's journal: cut at a frame boundary, or inside the next frame for a
+//! torn write ([`crash_cuts`]). Each trial therefore runs the full
+//! two-phase algorithm once, uninterrupted, over a [`JournaledOracle`],
+//! and then [`resume_job`]s from [`CUTS_PER_CLASS`] frame-boundary cuts
+//! and as many torn-frame cuts of its journal, drawn with the trial seed:
+//! the journaled batches replay on a fresh platform (audited against the
+//! checkpoints and the `crowd_core::replay` transcript), then the run
+//! continues live.
 //!
 //! The equivalence claim is checked at the byte level: the resumed run's
 //! algorithm outcome, final journal bytes, comparison tally, ledger spend,
 //! fault-stream position, and event stream (after dropping the
 //! `RecoveryStarted`/`RecoveryCompleted` bookkeeping only it emits) must
 //! all equal the uninterrupted run's; this sweep is the platform stack's
-//! only kill/resume gate. The sweep crosses the four crash windows of
-//! [`crate::chaos`](crowd_platform::chaos) with fault-free and faulty
-//! platforms (faults exercise partial-batch journal records), and reports
-//! what recovery cost: comparisons restored from the journal vs. re-bought
-//! (the dangling `Scheduled` batch plus any completions a lazy checkpoint
-//! cadence lost), and torn tails detected by checksum.
+//! only kill/resume gate. The sweep crosses the two cut classes with
+//! fault-free and faulty platforms (faults exercise partial-batch journal
+//! records), and reports what recovery cost: comparisons restored from
+//! the journal vs. bought live after replay, and torn tails detected by
+//! checksum.
 //!
-//! Expected shape: every row's `identical` column equals its trial count
-//! and `divergences` is zero — at any fault rate, any injection point, and
-//! any `--jobs` count.
+//! Expected shape: every row's `identical` column equals its `cuts` and
+//! `divergences` is zero — at any fault rate, either cut class, and any
+//! `--jobs` count.
 
 use crate::engine;
 use crate::fault_sweep::{fault_config, EXPERT_POOL, NAIVE_POOL};
@@ -34,57 +34,83 @@ use crate::harness::planted_for;
 use crate::report::{fmt_f64, Table};
 use crate::scale::Scale;
 use crowd_core::algorithms::{try_expert_max_find, ExpertMaxConfig, ExpertMaxOutcome};
-use crowd_core::oracle::{ComparisonOracle, OracleError};
-use crowd_obs::{install_recorder, Event, Recorder};
+use crowd_core::element::ElementId;
+use crowd_core::oracle::{ComparisonCounts, ComparisonOracle, OracleError};
+use crowd_datasets::synthetic::PlantedInstance;
+use crowd_obs::{install_recorder, record_segment, Event, Recorder};
 use crowd_platform::{
-    recover, resume_job, ChaosPlan, CheckpointPolicy, InjectionPoint, JournaledOracle, Platform,
+    crash_cuts, recover, resume_job, CheckpointPolicy, Journal, JournaledOracle, Platform,
     PlatformConfig, RetryPolicy, WorkerPool,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Fault rates swept: fault-free (every batch completes whole) and a
 /// moderate rate that produces retries and partial-batch journal records.
 pub const RATES: [f64; 2] = [0.0, 0.05];
 
-/// Display labels for the four crash windows, in sweep order.
-pub const POINTS: [&str; 4] = [
-    "mid_batch",
-    "mid_journal_write",
-    "between_rounds",
-    "phase_transition",
-];
+/// Display labels for the two cut classes, in sweep order: a cut at a
+/// frame boundary (a crash between flushes), and a cut inside a frame (a
+/// torn write).
+pub const CLASSES: [&str; 2] = ["frame boundary", "torn frame"];
+
+/// Cuts of each class every trial resumes from.
+pub const CUTS_PER_CLASS: usize = 2;
 
 /// Checkpoint cadence used by every leg of a trial: lazy enough that a
-/// boundary crash genuinely loses pending completions (and must re-buy
-/// them), tight enough that recovery still replays most of the run.
+/// cut between checkpoints genuinely loses pending completions (and must
+/// re-buy them), tight enough that recovery still replays most of the
+/// run.
 const CADENCE: u64 = 4;
 
-/// The injection point for sweep row `kind` (an index into [`POINTS`]) at
-/// trial `t` — the batch/round parameter varies with the trial so a sweep
-/// kills runs at different depths.
-pub fn point_for(kind: usize, t: u64) -> InjectionPoint {
-    match kind {
-        0 => InjectionPoint::MidBatch { batch: 1 + 2 * t },
-        1 => InjectionPoint::MidJournalWrite { batch: 1 + 2 * t },
-        2 => InjectionPoint::BetweenRounds {
-            round: (t % 2) as u32,
-        },
-        _ => InjectionPoint::AtPhaseTransition,
+/// Resumes from up to [`CUTS_PER_CLASS`] distinct frame-boundary cuts
+/// of `journal`, then as many torn-frame cuts, drawn from [`crash_cuts`]
+/// with `seed`. The first resume reports to the recorders the caller
+/// installed, as a real recovery would; the others record into segments
+/// that are dropped. Returns `(class, resume(cut))` per cut, in draw
+/// order, `class` indexing [`CLASSES`].
+pub fn resume_from_cuts<T>(
+    journal: &[u8],
+    seed: u64,
+    resume: impl Fn(usize) -> T,
+) -> Vec<(usize, T)> {
+    let mut end = 0;
+    let ends: Vec<usize> = Journal::decode_json(journal)
+        .frames
+        .iter()
+        .map(|(_, len)| {
+            end += len;
+            end
+        })
+        .collect();
+    let mut pools = [Vec::new(), Vec::new()];
+    for cut in crash_cuts(journal) {
+        let torn = ends.binary_search(&cut).is_err();
+        pools[usize::from(torn)].push(cut);
     }
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xC075);
+    let mut outcomes = Vec::with_capacity(2 * CUTS_PER_CLASS);
+    for (class, pool) in pools.iter_mut().enumerate() {
+        for _ in 0..CUTS_PER_CLASS.min(pool.len()) {
+            let cut = pool.swap_remove(rng.gen_range(0..pool.len()));
+            let outcome = if outcomes.is_empty() {
+                resume(cut)
+            } else {
+                record_segment(|| resume(cut)).0
+            };
+            outcomes.push((class, outcome));
+        }
+    }
+    outcomes
 }
 
-/// What one kill/resume trial established.
+/// What resuming from one cut established.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosTrialOutcome {
-    /// The chaos plan fired (a run can finish — or abort on a genuine
-    /// fault — before reaching its injection point; resume is then
-    /// exercised on the complete journal instead).
-    pub crashed: bool,
-    /// The durable journal ended in a torn frame, detected by checksum.
+pub struct CutOutcome {
+    /// Recovery found a torn frame at the end of the cut, by checksum.
     pub torn_tail: bool,
-    /// [`resume_job`] accepted the durable bytes.
+    /// [`resume_job`] accepted the cut.
     pub resumed: bool,
     /// The resumed run matched the uninterrupted one on every channel:
     /// algorithm outcome, final journal bytes, comparison tally, spend,
@@ -95,156 +121,186 @@ pub struct ChaosTrialOutcome {
     pub diverged: bool,
     /// Comparisons restored from the journal instead of re-purchased.
     pub replayed: u64,
-    /// Comparisons the crashed run had bought that recovery could not
-    /// restore (unflushed completions, the dangling batch's partial work).
-    pub re_bought: u64,
-    /// Durable journal bytes the crash left behind for recovery.
+    /// Comparisons the resumed run answered live once replay ended: the
+    /// answered comparisons its final journal holds, minus `replayed`.
+    pub live: u64,
+    /// Journal bytes handed to recovery (the cut's length).
     pub journal_bytes: u64,
 }
 
 /// The job label journaled by every trial.
 const JOB: &str = "chaos_sweep";
 
-fn build_platform(
-    instance: &crowd_core::element::Instance,
-    delta_n: f64,
-    delta_e: f64,
-    rate: f64,
-    trial_seed: u64,
-) -> Platform<StdRng> {
-    let mut pool = WorkerPool::new();
-    pool.hire_naive_crowd(NAIVE_POOL, delta_n, 0.0);
-    pool.hire_expert_panel(EXPERT_POOL, delta_e, 0.0);
-    let config = PlatformConfig::paper_default()
-        .without_gold()
-        .with_faults(fault_config(rate), trial_seed ^ 0xFA117)
-        .with_retry(RetryPolicy::paper_default().with_max_retries(4))
-        .with_expert_fallback(3);
-    Platform::new(
-        instance.clone(),
-        pool,
-        config,
-        StdRng::seed_from_u64(trial_seed),
-    )
-}
-
-fn drive<O: ComparisonOracle>(
-    oracle: &mut O,
-    ids: &[crowd_core::element::ElementId],
+/// One trial's instance and platform recipe: every leg builds its
+/// platform from it identically.
+struct Trial {
+    planted: PlantedInstance,
+    ids: Vec<ElementId>,
     un: usize,
-    trial_seed: u64,
-) -> Result<ExpertMaxOutcome, OracleError> {
-    let mut rng = StdRng::seed_from_u64(trial_seed ^ 0x5eed);
-    try_expert_max_find(oracle, ids, &ExpertMaxConfig::new(un), &mut rng)
+    rate: f64,
+    seed: u64,
 }
 
-/// True for the recovery-bookkeeping events only the resumed leg emits.
-fn is_recovery_event(event: &Event) -> bool {
-    matches!(
-        event,
-        Event::RecoveryStarted { .. } | Event::RecoveryCompleted { .. }
-    )
+impl Trial {
+    fn new(n: usize, un: usize, rate: f64, base_seed: u64, t: u64) -> Self {
+        let planted = planted_for(n, un, (un / 4).max(1), base_seed ^ 0xCA, t);
+        let ids = planted.instance.ids();
+        let seed = base_seed ^ (t.wrapping_mul(0x9E37) << 16) ^ (rate.to_bits() >> 12);
+        Trial {
+            planted,
+            ids,
+            un,
+            rate,
+            seed,
+        }
+    }
+
+    fn platform(&self) -> Platform<StdRng> {
+        let mut pool = WorkerPool::new();
+        pool.hire_naive_crowd(NAIVE_POOL, self.planted.delta_n, 0.0);
+        pool.hire_expert_panel(EXPERT_POOL, self.planted.delta_e, 0.0);
+        let config = PlatformConfig::paper_default()
+            .without_gold()
+            .with_faults(fault_config(self.rate), self.seed ^ 0xFA117)
+            .with_retry(RetryPolicy::paper_default().with_max_retries(4))
+            .with_expert_fallback(3);
+        Platform::new(
+            self.planted.instance.clone(),
+            pool,
+            config,
+            StdRng::seed_from_u64(self.seed),
+        )
+    }
+
+    fn drive<O: ComparisonOracle>(&self, oracle: &mut O) -> Result<ExpertMaxOutcome, OracleError> {
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x5eed);
+        try_expert_max_find(oracle, &self.ids, &ExpertMaxConfig::new(self.un), &mut rng)
+    }
+
+    /// Runs the trial uninterrupted: the leg every resumed one is held to.
+    fn uninterrupted(&self) -> Leg {
+        let rec = Arc::new(Recorder::new());
+        let _guard = install_recorder(rec.clone());
+        let mut oracle = JournaledOracle::new(
+            self.platform(),
+            JOB,
+            self.seed,
+            CheckpointPolicy::every(CADENCE),
+        );
+        let out = self.drive(&mut oracle);
+        oracle.finish();
+        Leg::new(out, oracle, rec.events())
+    }
+
+    /// Resumes from the first `cut` bytes of `base`'s journal and compares
+    /// the resumed run with `base` on every channel.
+    fn resume_from(&self, base: &Leg, cut: usize) -> CutOutcome {
+        let bytes = &base.journal[..cut];
+        let mut outcome = CutOutcome {
+            torn_tail: recover(bytes).is_ok_and(|r| r.torn_tail),
+            resumed: false,
+            identical: false,
+            diverged: false,
+            replayed: 0,
+            live: 0,
+            journal_bytes: cut as u64,
+        };
+        let policy = CheckpointPolicy::every(CADENCE);
+        let Ok(mut resumed) = resume_job(bytes, self.platform(), JOB, self.seed, policy) else {
+            return outcome;
+        };
+        let rec = Arc::new(Recorder::new());
+        let leg = {
+            let _guard = install_recorder(rec.clone());
+            let out = self.drive(&mut resumed);
+            outcome.replayed = resumed.replayed_comparisons();
+            outcome.diverged = resumed.diverged().is_some();
+            let mut inner = resumed.into_inner();
+            inner.finish();
+            Leg::new(out, inner, rec.events())
+        };
+        let answered = recover(&leg.journal).map_or(0, |r| r.log.len() as u64);
+        outcome.resumed = true;
+        outcome.identical = !outcome.diverged && leg == *base;
+        outcome.live = answered.saturating_sub(outcome.replayed);
+        outcome
+    }
 }
 
-/// Runs one kill/resume trial: uninterrupted baseline, chaos-killed run,
-/// resume from the durable journal, and the byte-level comparison.
+/// What one leg left on every compared channel.
+#[derive(Debug, PartialEq)]
+struct Leg {
+    out: Result<ExpertMaxOutcome, OracleError>,
+    journal: Vec<u8>,
+    counts: ComparisonCounts,
+    spent: f64,
+    fault_seq: u64,
+    /// The leg's events, minus the recovery bookkeeping only a resumed
+    /// leg emits.
+    events: Vec<Event>,
+}
+
+impl Leg {
+    fn new(
+        out: Result<ExpertMaxOutcome, OracleError>,
+        oracle: JournaledOracle<StdRng>,
+        events: Vec<Event>,
+    ) -> Self {
+        let (journal, platform) = oracle.into_parts();
+        Leg {
+            out,
+            journal: journal.durable().to_vec(),
+            counts: platform.counts(),
+            spent: platform.ledger().total(),
+            fault_seq: platform.fault_seq(),
+            events: without_recovery(events),
+        }
+    }
+}
+
+/// `events` minus the `RecoveryStarted`/`RecoveryCompleted` bookkeeping
+/// only a resumed run emits.
+pub(crate) fn without_recovery(mut events: Vec<Event>) -> Vec<Event> {
+    events.retain(|e| {
+        !matches!(
+            e,
+            Event::RecoveryStarted { .. } | Event::RecoveryCompleted { .. }
+        )
+    });
+    events
+}
+
+/// Runs one trial: the uninterrupted baseline, then a resume from each
+/// cut [`resume_from_cuts`] draws. Returns `(class, outcome)` per cut.
 pub fn run_trial(
     n: usize,
     un: usize,
     rate: f64,
-    point: InjectionPoint,
     base_seed: u64,
     t: u64,
-) -> ChaosTrialOutcome {
-    let planted = planted_for(n, un, (un / 4).max(1), base_seed ^ 0xCA, t);
-    let instance = &planted.instance;
-    let ids = instance.ids();
-    let trial_seed = base_seed ^ (t.wrapping_mul(0x9E37) << 16) ^ (rate.to_bits() >> 12);
-    let policy = CheckpointPolicy::every(CADENCE);
-    let fresh = || build_platform(instance, planted.delta_n, planted.delta_e, rate, trial_seed);
-
-    // Leg 1: the uninterrupted baseline every later channel is held to.
-    let base_rec = Arc::new(Recorder::new());
-    let (base_out, base_journal, base_platform) = {
-        let _guard = install_recorder(base_rec.clone());
-        let mut base = JournaledOracle::new(fresh(), JOB, trial_seed, policy);
-        let out = drive(&mut base, &ids, un, trial_seed);
-        base.finish();
-        let (journal, platform) = base.into_parts();
-        (out, journal, platform)
-    };
-
-    // Leg 2: the same run, killed at the injection point. No `finish()`
-    // after a crash — the process is dead, only the durable bytes remain.
-    let mut doomed =
-        JournaledOracle::new(fresh(), JOB, trial_seed, policy).with_chaos(ChaosPlan::at(point));
-    let _ = drive(&mut doomed, &ids, un, trial_seed);
-    let crashed = doomed.crashed();
-    if !crashed {
-        doomed.finish();
-    }
-    let (doomed_journal, doomed_platform) = doomed.into_parts();
-    let bytes = doomed_journal.durable().to_vec();
-
-    let torn_tail = recover(&bytes).map(|r| r.torn_tail).unwrap_or(false);
-    let mut outcome = ChaosTrialOutcome {
-        crashed,
-        torn_tail,
-        resumed: false,
-        identical: false,
-        diverged: false,
-        replayed: 0,
-        re_bought: 0,
-        journal_bytes: bytes.len() as u64,
-    };
-
-    // Leg 3: resume on a fresh, identically-constructed platform.
-    let Ok(mut resumed) = resume_job(&bytes, fresh(), JOB, trial_seed, policy) else {
-        return outcome;
-    };
-    let resumed_rec = Arc::new(Recorder::new());
-    let (resumed_out, replayed, diverged, res_journal, res_platform) = {
-        let _guard = install_recorder(resumed_rec.clone());
-        let out = drive(&mut resumed, &ids, un, trial_seed);
-        let replayed = resumed.replayed_comparisons();
-        let diverged = resumed.diverged().is_some();
-        let mut inner = resumed.into_inner();
-        inner.finish();
-        let (journal, platform) = inner.into_parts();
-        (out, replayed, diverged, journal, platform)
-    };
-    let mut resumed_events = resumed_rec.events();
-    resumed_events.retain(|e| !is_recovery_event(e));
-
-    outcome.resumed = true;
-    outcome.identical = !diverged
-        && resumed_out == base_out
-        && res_journal.durable() == base_journal.durable()
-        && res_platform.counts() == base_platform.counts()
-        && res_platform.ledger().total() == base_platform.ledger().total()
-        && res_platform.fault_seq() == base_platform.fault_seq()
-        && resumed_events == base_rec.events();
-    outcome.diverged = diverged;
-    outcome.replayed = replayed;
-    outcome.re_bought = doomed_platform.counts().total().saturating_sub(replayed);
-    outcome
+) -> Vec<(usize, CutOutcome)> {
+    let trial = Trial::new(n, un, rate, base_seed, t);
+    let base = trial.uninterrupted();
+    resume_from_cuts(&base.journal, trial.seed, |cut| {
+        trial.resume_from(&base, cut)
+    })
 }
 
-/// One aggregated sweep point: an injection-point kind at one fault rate.
+/// One aggregated sweep point: a cut class at one fault rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepRow {
-    /// Index into [`POINTS`].
-    pub kind: usize,
+    /// Index into [`CLASSES`].
+    pub class: usize,
     /// Index into [`RATES`].
     pub rate_index: usize,
-    /// Trials run at this point.
+    /// Trials run at this rate.
     pub trials: u64,
-    /// Trials whose chaos plan actually fired.
-    pub crashes: u64,
-    /// Trials whose journal [`resume_job`] accepted.
+    /// Cuts of this class resumed from.
+    pub cuts: u64,
+    /// Cuts [`resume_job`] accepted.
     pub resumes: u64,
-    /// Trials where the resumed run matched the uninterrupted one on
-    /// every channel.
+    /// Cuts whose resumed run matched the uninterrupted one on every
+    /// channel.
     pub identical: u64,
     /// Replay-audit divergences (must be 0).
     pub divergences: u64,
@@ -252,50 +308,47 @@ pub struct SweepRow {
     pub torn_tails: u64,
     /// Summed comparisons restored from journals.
     pub replayed: u64,
-    /// Summed comparisons re-bought after crashes.
-    pub re_bought: u64,
-    /// Summed durable journal bytes handed to recovery.
+    /// Summed comparisons answered live after replay.
+    pub live: u64,
+    /// Summed journal bytes handed to recovery.
     pub journal_bytes: u64,
 }
 
-/// Sweeps every injection point in [`POINTS`] crossed with every rate in
-/// [`RATES`], `trials` trials per cell. Trials fan out over the parallel
-/// engine; aggregation stays in `(point, rate, trial)` order, so the rows
+/// Sweeps every rate in [`RATES`], `trials` trials each, and aggregates
+/// the resumed cuts by class. Trials fan out over the parallel engine;
+/// aggregation stays in `(class, rate, trial, draw)` order, so the rows
 /// are identical at any `--jobs` count.
 pub fn sweep(n: usize, un: usize, trials: u64, base_seed: u64) -> Vec<SweepRow> {
-    let items: Vec<(usize, usize, u64)> = (0..POINTS.len())
-        .flat_map(|pi| (0..RATES.len()).flat_map(move |ri| (0..trials).map(move |t| (pi, ri, t))))
+    let items: Vec<(usize, u64)> = (0..RATES.len())
+        .flat_map(|ri| (0..trials).map(move |t| (ri, t)))
         .collect();
-    let outcomes = engine::parallel_map(items, |(pi, ri, t)| {
-        run_trial(n, un, RATES[ri], point_for(pi, t), base_seed, t)
-    });
-    let per_cell = trials as usize;
-    (0..POINTS.len())
-        .flat_map(|pi| (0..RATES.len()).map(move |ri| (pi, ri)))
-        .enumerate()
-        .map(|(cell, (pi, ri))| {
-            let slice = &outcomes[cell * per_cell..(cell + 1) * per_cell];
+    let outcomes = engine::parallel_map(items, |(ri, t)| run_trial(n, un, RATES[ri], base_seed, t));
+    let per_rate = trials as usize;
+    (0..CLASSES.len())
+        .flat_map(|class| (0..RATES.len()).map(move |ri| (class, ri)))
+        .map(|(class, ri)| {
             let mut row = SweepRow {
-                kind: pi,
+                class,
                 rate_index: ri,
                 trials,
-                crashes: 0,
+                cuts: 0,
                 resumes: 0,
                 identical: 0,
                 divergences: 0,
                 torn_tails: 0,
                 replayed: 0,
-                re_bought: 0,
+                live: 0,
                 journal_bytes: 0,
             };
-            for o in slice {
-                row.crashes += u64::from(o.crashed);
+            let slice = &outcomes[ri * per_rate..(ri + 1) * per_rate];
+            for (_, o) in slice.iter().flatten().filter(|(c, _)| *c == class) {
+                row.cuts += 1;
                 row.resumes += u64::from(o.resumed);
                 row.identical += u64::from(o.identical);
                 row.divergences += u64::from(o.diverged);
                 row.torn_tails += u64::from(o.torn_tail);
                 row.replayed += o.replayed;
-                row.re_bought += o.re_bought;
+                row.live += o.live;
                 row.journal_bytes += o.journal_bytes;
             }
             row
@@ -305,8 +358,8 @@ pub fn sweep(n: usize, un: usize, trials: u64, base_seed: u64) -> Vec<SweepRow> 
 
 /// Runs the sweep at experiment scale.
 pub fn run(scale: &Scale) -> Table {
-    // Each trial is three full platform runs; keep n modest so the
-    // eight-cell sweep stays in seconds.
+    // Each trial is five full platform runs; keep n modest so the sweep
+    // stays in seconds.
     let n = (*scale.n_grid.first().unwrap_or(&300)).min(120);
     let un = (n / 50).max(3);
     let trials = scale.trials.max(2);
@@ -315,47 +368,50 @@ pub fn run(scale: &Scale) -> Table {
     let mut t = Table::new(
         "chaos_sweep",
         &format!(
-            "Crash/resume equivalence: Algorithm 1 killed at seeded injection points \
-             and resumed from the write-ahead journal (n={n}, un={un}, {trials} trials \
-             per cell, checkpoint cadence {CADENCE})"
+            "Crash/resume equivalence: Algorithm 1 resumed from seeded cuts of its \
+             write-ahead journal (n={n}, un={un}, {trials} trials per fault rate, \
+             {CUTS_PER_CLASS} cuts per class per trial, checkpoint cadence {CADENCE})"
         ),
         &[
-            "injection point",
+            "cut class",
             "fault rate",
             "trials",
-            "crashes",
+            "cuts",
             "resumes",
             "identical",
             "divergences",
             "torn tails",
             "replayed cmps",
-            "re-bought cmps",
+            "live cmps",
             "journal bytes",
         ],
     )
     .with_notes(
-        "Each trial compares a chaos-killed-then-resumed run against an \
-         uninterrupted baseline at the byte level: algorithm outcome, final \
-         journal bytes, comparison tally, spend, fault-stream position, and \
-         the event stream (minus the resumed run's recovery bookkeeping). \
-         `identical` must equal `trials` and `divergences` must be 0 in \
-         every row. Re-bought comparisons are the recovery floor: the \
-         dangling scheduled batch plus completions the lazy checkpoint \
-         cadence had not flushed. Torn tails appear only on the \
-         mid_journal_write row, detected by the frame checksum.",
+        "A kill leaves a prefix of the uninterrupted run's journal, so each \
+         trial runs once uninterrupted and resumes from cuts of its journal: \
+         at a frame boundary (a crash between flushes) or inside a frame (a \
+         torn write). Each resumed run is compared with the uninterrupted one \
+         at the byte level: algorithm outcome, final journal bytes, comparison \
+         tally, spend, fault-stream position, and the event stream (minus the \
+         resumed run's recovery bookkeeping). `identical` must equal `cuts` \
+         and `divergences` must be 0 in every row. Live comparisons are the \
+         comparisons answered after replay ended: the dangling scheduled batch, \
+         completions the lazy checkpoint cadence had not flushed, and the \
+         rest of the run. Torn tails appear only on the torn-frame rows, \
+         detected by the frame checksum.",
     );
     for row in &rows {
         t.push_row(vec![
-            POINTS[row.kind].to_string(),
+            CLASSES[row.class].to_string(),
             fmt_f64(RATES[row.rate_index], 2),
             row.trials.to_string(),
-            row.crashes.to_string(),
+            row.cuts.to_string(),
             row.resumes.to_string(),
             row.identical.to_string(),
             row.divergences.to_string(),
             row.torn_tails.to_string(),
             row.replayed.to_string(),
-            row.re_bought.to_string(),
+            row.live.to_string(),
             row.journal_bytes.to_string(),
         ]);
     }
@@ -365,79 +421,139 @@ pub fn run(scale: &Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowd_core::element::{ElementId, Instance};
+    use crowd_core::element::Instance;
     use crowd_core::equiv::{assert_oracles_equal, drive_until_error};
     use crowd_core::model::WorkerClass;
 
+    /// The end of the frame holding batch `batch`'s `Scheduled` record.
+    fn scheduled_end(journal: &[u8], batch: u64) -> usize {
+        let prefix = format!("{{\"Scheduled\":{{\"batch\":{batch},");
+        let mut end = 0;
+        for (json, len) in Journal::decode_json(journal).frames {
+            end += len;
+            if json.starts_with(&prefix) {
+                return end;
+            }
+        }
+        panic!("batch {batch} was never scheduled");
+    }
+
     #[test]
     fn mid_batch_kill_resumes_identically() {
-        let o = run_trial(100, 3, 0.0, InjectionPoint::MidBatch { batch: 3 }, 31, 0);
-        assert!(o.crashed, "the plan must fire at batch 3");
+        // The cut a crash mid-batch leaves: batch 3's `Scheduled` record
+        // is durable, no worker has answered it.
+        let trial = Trial::new(100, 3, 0.0, 31, 0);
+        let base = trial.uninterrupted();
+        let o = trial.resume_from(&base, scheduled_end(&base.journal, 3));
         assert!(o.resumed && o.identical && !o.diverged, "{o:?}");
         assert!(o.replayed > 0, "earlier batches replay from the journal");
+        assert!(o.live > 0, "the dangling batch runs live");
         assert!(!o.torn_tail);
     }
 
     #[test]
     fn torn_write_is_detected_and_still_resumes_identically() {
-        let o = run_trial(
-            100,
-            3,
-            0.0,
-            InjectionPoint::MidJournalWrite { batch: 3 },
-            31,
-            0,
-        );
-        assert!(o.crashed && o.torn_tail, "{o:?}");
+        let trial = Trial::new(100, 3, 0.0, 31, 0);
+        let base = trial.uninterrupted();
+        // The write of batch 3's `Scheduled` frame stopped one byte short.
+        let o = trial.resume_from(&base, scheduled_end(&base.journal, 3) - 1);
+        assert!(o.torn_tail, "{o:?}");
         assert!(o.resumed && o.identical, "{o:?}");
     }
 
     #[test]
     fn boundary_kills_lose_only_unflushed_work() {
-        for point in [
-            InjectionPoint::BetweenRounds { round: 0 },
-            InjectionPoint::AtPhaseTransition,
-        ] {
-            let o = run_trial(100, 3, 0.0, point, 33, 1);
-            assert!(o.crashed, "{point:?} must fire during a real run");
-            assert!(o.identical && !o.diverged, "{point:?}: {o:?}");
-            assert!(
-                o.re_bought > 0,
-                "{point:?}: a lazy cadence loses pending completions"
-            );
+        // A boundary cut replays exactly the comparisons its `Completed`
+        // records hold; everything after the last one is bought live.
+        let trial = Trial::new(100, 3, 0.0, 33, 1);
+        let base = trial.uninterrupted();
+        let answered = |bytes: &[u8]| recover(bytes).expect("a boundary cut recovers").log.len();
+        let total = answered(&base.journal) as u64;
+        let boundaries = crash_cuts(&base.journal)
+            .into_iter()
+            .filter(|&cut| !Journal::decode_json(&base.journal[..cut]).torn_tail);
+        for cut in boundaries.step_by(16) {
+            let completed = answered(&base.journal[..cut]) as u64;
+            let o = trial.resume_from(&base, cut);
+            assert!(o.identical && !o.diverged, "cut {cut}: {o:?}");
+            assert_eq!(o.replayed, completed, "cut {cut}");
+            assert_eq!(o.live, total - completed, "cut {cut}");
         }
     }
 
     #[test]
     fn faulty_trials_stay_identical_through_partial_batches() {
-        let o = run_trial(100, 3, 0.05, InjectionPoint::MidBatch { batch: 5 }, 35, 2);
-        assert!(o.resumed && o.identical && !o.diverged, "{o:?}");
+        let outcomes = run_trial(100, 3, 0.05, 35, 2);
+        assert_eq!(outcomes.len(), 2 * CUTS_PER_CLASS);
+        for (class, o) in outcomes {
+            assert!(o.resumed && o.identical && !o.diverged, "{class}: {o:?}");
+            assert_eq!(o.torn_tail, class == 1, "{o:?}");
+        }
     }
 
     #[test]
     fn resumed_event_log_equals_the_uninterrupted_one_modulo_recovery() {
         // `identical` covers the event stream; the outer recorder proves
-        // the compared stream is not vacuously empty.
+        // the compared stream is not vacuously empty, and that exactly one
+        // resume reports to it.
         let outer = Arc::new(Recorder::new());
-        let o = {
+        let outcomes = {
             let _guard = install_recorder(outer.clone());
-            run_trial(100, 3, 0.0, InjectionPoint::MidBatch { batch: 3 }, 31, 0)
+            run_trial(100, 3, 0.0, 31, 0)
         };
+        let events = outer.events();
         assert!(
-            outer
-                .events()
+            events
                 .iter()
                 .any(|e| matches!(e, Event::CheckpointWritten { .. })),
             "the journaled legs emit checkpoint events"
         );
-        assert!(o.resumed && o.identical, "{o:?}");
+        let recoveries = events
+            .iter()
+            .filter(|e| matches!(e, Event::RecoveryStarted { .. }))
+            .count();
+        assert_eq!(recoveries, 1, "only the first resume reports");
+        assert!(outcomes.iter().all(|(_, o)| o.identical), "{outcomes:?}");
+    }
+
+    /// Resumes from every post-header cut of one small journal per fault
+    /// rate and holds each resumed run to the uninterrupted one.
+    #[test]
+    fn every_cut_of_one_journal_resumes_identically() {
+        let (mut dangling, mut torn) = (false, false);
+        for rate in RATES {
+            let trial = Trial::new(48, 3, rate, 37, 0);
+            let base = trial.uninterrupted();
+            let cuts = crash_cuts(&base.journal);
+            assert!(cuts.len() > 20, "{} cuts", cuts.len());
+            for cut in cuts {
+                let o = trial.resume_from(&base, cut);
+                assert!(
+                    o.resumed && o.identical && !o.diverged,
+                    "rate {rate}, cut {cut}: {o:?}"
+                );
+                let recovered = recover(&base.journal[..cut]).expect("the cut recovers");
+                let dangles = recovered
+                    .script
+                    .last()
+                    .is_some_and(|e| e.expected.is_none());
+                dangling |= dangles && o.replayed > 0 && o.live > 0;
+                torn |= o.torn_tail;
+            }
+        }
+        assert!(
+            dangling,
+            "some cut must leave a dangling `Scheduled` mid-run"
+        );
+        assert!(torn, "some cut must tear a frame");
     }
 
     #[test]
     fn resume_is_byte_identical_under_the_equiv_harness() {
-        // The promoted crash/resume driver: kill a journaled run mid-way,
-        // resume it, and let `assert_oracles_equal` prove the resumed side
-        // issues the byte-identical comparison sequence.
+        // The promoted crash/resume driver: cut a journaled run where a
+        // crash mid-batch leaves it, resume from the cut, and let
+        // `assert_oracles_equal` prove the resumed side issues the
+        // byte-identical comparison sequence.
         let instance = Instance::new(vec![1.0, 5.0, 3.0, 9.0, 7.0, 2.0]);
         let pairs: Vec<(ElementId, ElementId)> = vec![
             (ElementId(0), ElementId(1)),
@@ -459,16 +575,18 @@ mod tests {
         let policy = CheckpointPolicy::every_batch();
         let segments = [2usize, 1, 2];
 
-        // Crash the journaled run at batch 1, outside the harness.
-        let mut doomed = JournaledOracle::new(fresh(), "equiv", 0xFEED, policy)
-            .with_chaos(ChaosPlan::at(InjectionPoint::MidBatch { batch: 1 }));
-        let (prefix, err) = drive_until_error(&mut doomed, WorkerClass::Naive, &pairs, &segments);
-        assert!(matches!(err, Some(OracleError::Interrupted)));
-        assert_eq!(prefix.len(), 2, "batch 0 answered before the crash");
-        let (journal, _) = doomed.into_parts();
+        // The uninterrupted journal, cut at the end of batch 1's
+        // `Scheduled` frame, outside the harness.
+        let mut full = JournaledOracle::new(fresh(), "equiv", 0xFEED, policy);
+        let (_, err) = drive_until_error(&mut full, WorkerClass::Naive, &pairs, &segments);
+        assert_eq!(err, None);
+        full.finish();
+        let (journal, _) = full.into_parts();
+        let bytes = journal.durable();
+        let cut = &bytes[..scheduled_end(bytes, 1)];
 
-        let resumed = resume_job(journal.durable(), fresh(), "equiv", 0xFEED, policy)
-            .expect("the crash journal recovers");
+        let resumed =
+            resume_job(cut, fresh(), "equiv", 0xFEED, policy).expect("the cut journal recovers");
         assert_oracles_equal(
             JournaledOracle::new(fresh(), "equiv", 0xFEED, policy),
             resumed,
@@ -478,28 +596,19 @@ mod tests {
     }
 
     #[test]
-    fn point_for_covers_all_kinds_and_varies_with_the_trial() {
-        assert_eq!(
-            point_for(0, 2),
-            InjectionPoint::MidBatch { batch: 5 },
-            "the kill depth varies with the trial"
-        );
-        let kinds: std::collections::HashSet<_> = (0..POINTS.len())
-            .map(|k| std::mem::discriminant(&point_for(k, 0)))
-            .collect();
-        assert_eq!(kinds.len(), POINTS.len());
-    }
-
-    #[test]
     fn table_shape() {
         let t = run(&Scale::quick());
-        assert_eq!(t.rows.len(), POINTS.len() * RATES.len());
+        assert_eq!(t.rows.len(), CLASSES.len() * RATES.len());
         let md = t.to_markdown();
-        assert!(md.contains("re-bought"), "{md}");
-        // Every row proves equivalence: identical == trials, divergences == 0.
+        assert!(md.contains("live cmps"), "{md}");
+        // Every row proves equivalence: identical == cuts, divergences == 0,
+        // and torn tails exactly on the torn-frame rows.
         for row in &t.rows {
-            assert_eq!(row[5], row[2], "identical must equal trials: {row:?}");
+            assert_ne!(row[3], "0", "every row resumes from cuts: {row:?}");
+            assert_eq!(row[5], row[3], "identical must equal cuts: {row:?}");
             assert_eq!(row[6], "0", "divergences must be zero: {row:?}");
+            let torn = if row[0] == CLASSES[1] { &row[3] } else { "0" };
+            assert_eq!(row[7], torn, "torn tails: {row:?}");
         }
     }
 }

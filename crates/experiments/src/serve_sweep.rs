@@ -10,26 +10,30 @@
 //! the breaker column meaningful: with breakers on, failure streaks
 //! quarantine workers and the `trips` column is nonzero.
 //!
-//! Every trial also re-runs itself killed mid-tick by [`ServeKill`] and
-//! resumed from the durable write-ahead journal; `resume identical`
-//! counts trials whose resumed run matched the uninterrupted one on the
-//! report, the final journal bytes, *and* the event stream (after
-//! dropping the recovery bookkeeping events). It must equal `trials` in
-//! every row.
+//! Every trial also resumes from cuts of its write-ahead journal: a run
+//! is deterministic, so whatever a kill leaves durable is a prefix of the
+//! uninterrupted run's journal. Each trial draws
+//! [`CUTS_PER_CLASS`](crate::chaos_sweep::CUTS_PER_CLASS) frame-boundary
+//! and as many torn-frame cuts with its seed; `resume identical` counts
+//! cuts whose resumed run matched the uninterrupted one on the report,
+//! the final journal bytes, the event stream (after dropping the recovery
+//! bookkeeping events) *and* the span log. It must equal `cuts` in every
+//! row.
 //!
 //! Expected shape: the half-load rows shed little or nothing and
 //! complete almost everything cleanly; the double-load rows shed hard, and every admitted job
 //! still terminates — either clean or labelled with an explicit
 //! degradation reason. No row may hang, panic, or fail to resume.
 
+use crate::chaos_sweep::{resume_from_cuts, without_recovery};
 use crate::engine;
 use crate::report::Table;
 use crate::scale::Scale;
 use crowd_core::model::WorkerClass;
-use crowd_obs::{install_recorder, Event, Recorder};
+use crowd_obs::{install_recorder, Event, Recorder, SpanLog};
 use crowd_platform::fault::{FaultConfig, LatencyModel};
 use crowd_platform::serve::{
-    ArrivalPlan, BreakerPolicy, CachePolicy, CrowdServe, ServeConfig, ServeKill, ServeReport,
+    ArrivalPlan, BreakerPolicy, CachePolicy, CacheStats, CrowdServe, ServeConfig, ServeReport,
     ShardSpec, SloPolicy, TenantId, TenantPolicy,
 };
 use std::sync::Arc;
@@ -101,24 +105,67 @@ pub struct ServeTrialOutcome {
     pub slo_breaches: u64,
     /// Worst per-tenant error-budget burn, in basis points.
     pub slo_burn_max_bps: u32,
-    /// The killed-and-resumed run matched the uninterrupted one on the
+    /// Journal cuts resumed from.
+    pub cuts: u64,
+    /// Cuts whose resumed run matched the uninterrupted one on the
     /// report, the final journal bytes, the event stream, and the span
     /// log.
-    pub resume_identical: bool,
+    pub resume_identical: u64,
 }
 
 /// Ticks generous enough that every swept run drains naturally.
 const MAX_TICKS: u64 = 600;
 
-fn is_recovery_event(event: &Event) -> bool {
-    matches!(
-        event,
-        Event::RecoveryStarted { .. } | Event::RecoveryCompleted { .. }
-    )
+/// What one service run left on every compared channel.
+#[derive(Debug, PartialEq)]
+struct ServeLeg {
+    report: ServeReport,
+    journal: Vec<u8>,
+    /// The run's events, minus the recovery bookkeeping only a resumed
+    /// run emits.
+    events: Vec<Event>,
+    spans: SpanLog,
 }
 
-/// Runs one trial: uninterrupted baseline, a mid-tick kill of the same
-/// run, resume from the durable journal, and the equivalence check.
+impl ServeLeg {
+    fn new(report: ServeReport, service: &CrowdServe, rec: &Recorder) -> Self {
+        ServeLeg {
+            report,
+            journal: service.journal().durable().to_vec(),
+            events: without_recovery(rec.events()),
+            spans: rec.span_log(),
+        }
+    }
+}
+
+/// Runs `plan` uninterrupted, recording into a fresh recorder on top of
+/// the caller's.
+fn uninterrupted(config: &ServeConfig, seed: u64, plan: &ArrivalPlan) -> (ServeLeg, CacheStats) {
+    let rec = Arc::new(Recorder::new());
+    let _guard = install_recorder(rec.clone());
+    let mut service = CrowdServe::new(config.clone(), seed).expect("config is valid");
+    let report = service
+        .run(plan, MAX_TICKS)
+        .expect("a valid arrival plan runs to the end");
+    (ServeLeg::new(report, &service, &rec), service.cache_stats())
+}
+
+/// Resumes from the cuts of `base`'s journal that [`resume_from_cuts`]
+/// draws with `seed`. Returns `(cuts, identical)`, counting the resumed
+/// runs that match `base` on every channel.
+fn resume_cuts(config: &ServeConfig, seed: u64, plan: &ArrivalPlan, base: &ServeLeg) -> (u64, u64) {
+    let outcomes = resume_from_cuts(&base.journal, seed, |cut| {
+        let rec = Arc::new(Recorder::new());
+        let _guard = install_recorder(rec.clone());
+        CrowdServe::resume(config.clone(), seed, plan, &base.journal[..cut], MAX_TICKS)
+            .is_ok_and(|(report, resumed)| ServeLeg::new(report, &resumed, &rec) == *base)
+    });
+    let identical = outcomes.iter().filter(|(_, same)| *same).count();
+    (outcomes.len() as u64, identical as u64)
+}
+
+/// Runs one trial: the uninterrupted baseline, then resumes from cuts of
+/// its journal and the equivalence checks.
 pub fn run_trial(load: usize, breakers: usize, base_seed: u64, t: u64) -> ServeTrialOutcome {
     let (num, den) = rate_for(load);
     let seed = base_seed ^ t.wrapping_mul(0x9E37_79B9);
@@ -126,47 +173,9 @@ pub fn run_trial(load: usize, breakers: usize, base_seed: u64, t: u64) -> ServeT
         .with_catalog(4, 9)
         .with_deadline(40);
     let config = config_for(breakers);
-
-    // Leg 1: uninterrupted baseline.
-    let base_rec = Arc::new(Recorder::new());
-    let (base_report, base_journal) = {
-        let _guard = install_recorder(base_rec.clone());
-        let mut service = CrowdServe::new(config.clone(), seed).expect("config is valid");
-        let report = service
-            .run(&plan, MAX_TICKS)
-            .expect("no chaos: cannot crash");
-        (report, service.journal().durable().to_vec())
-    };
-
-    // Leg 2: the same run killed mid-tick; only durable bytes survive.
-    let durable = {
-        let _guard = install_recorder(Arc::new(Recorder::new()));
-        let mut doomed = CrowdServe::new(config.clone(), seed)
-            .expect("config is valid")
-            .with_chaos(ServeKill::MidTick(2 + t % 5));
-        let _ = doomed.run(&plan, MAX_TICKS);
-        doomed.journal().durable().to_vec()
-    };
-
-    // Leg 3: resume from the wreckage and compare every channel.
-    let resumed_rec = Arc::new(Recorder::new());
-    let resume_identical = {
-        let _guard = install_recorder(resumed_rec.clone());
-        match CrowdServe::resume(config, seed, &plan, &durable, MAX_TICKS) {
-            Ok((report, resumed)) => {
-                let events: Vec<Event> = resumed_rec
-                    .events()
-                    .into_iter()
-                    .filter(|e| !is_recovery_event(e))
-                    .collect();
-                report == base_report
-                    && resumed.journal().durable() == &base_journal[..]
-                    && events == base_rec.events()
-                    && resumed_rec.span_log() == base_rec.span_log()
-            }
-            Err(_) => false,
-        }
-    };
+    let (base, _) = uninterrupted(&config, seed, &plan);
+    let (cuts, resume_identical) = resume_cuts(&config, seed, &plan, &base);
+    let base_report = base.report;
 
     let completed_ok = base_report.tenants.iter().map(|t| t.completed_ok).sum();
     let degraded = base_report.tenants.iter().fold((0, 0, 0, 0), |acc, t| {
@@ -197,6 +206,7 @@ pub fn run_trial(load: usize, breakers: usize, base_seed: u64, t: u64) -> ServeT
         p99_latency_ticks,
         slo_breaches,
         slo_burn_max_bps,
+        cuts,
         resume_identical,
     }
 }
@@ -237,8 +247,10 @@ pub struct ServeSweepRow {
     pub slo_burn_max_bps: u32,
     /// Comparisons charged across tenants.
     pub comparisons: u64,
-    /// Trials whose killed-and-resumed run matched the uninterrupted one
-    /// byte-for-byte (must equal `trials`).
+    /// Journal cuts resumed from across trials.
+    pub cuts: u64,
+    /// Cuts whose resumed run matched the uninterrupted one
+    /// byte-for-byte (must equal `cuts`).
     pub resume_identical: u64,
 }
 
@@ -274,6 +286,7 @@ pub fn sweep(trials: u64, base_seed: u64) -> Vec<ServeSweepRow> {
                 slo_breaches: 0,
                 slo_burn_max_bps: 0,
                 comparisons: 0,
+                cuts: 0,
                 resume_identical: 0,
             };
             for o in slice {
@@ -292,7 +305,8 @@ pub fn sweep(trials: u64, base_seed: u64) -> Vec<ServeSweepRow> {
                 row.slo_breaches += o.slo_breaches;
                 row.slo_burn_max_bps = row.slo_burn_max_bps.max(o.slo_burn_max_bps);
                 row.comparisons += o.report.comparisons;
-                row.resume_identical += u64::from(o.resume_identical);
+                row.cuts += o.cuts;
+                row.resume_identical += o.resume_identical;
             }
             row
         })
@@ -301,8 +315,8 @@ pub fn sweep(trials: u64, base_seed: u64) -> Vec<ServeSweepRow> {
 
 /// Runs the sweep at experiment scale.
 pub fn run(scale: &Scale) -> Table {
-    // Each trial is three full service runs (baseline, doomed, resumed);
-    // a handful per cell keeps the four-cell sweep in seconds.
+    // Each trial is five full service runs (the baseline and four
+    // resumes); a handful per cell keeps the four-cell sweep in seconds.
     let trials = scale.trials.clamp(2, 6);
     let rows = sweep(trials, scale.seed ^ 0x5E);
 
@@ -330,6 +344,7 @@ pub fn run(scale: &Scale) -> Table {
             "slo breaches",
             "slo burn bps",
             "comparisons",
+            "cuts",
             "resume identical",
         ],
     )
@@ -338,11 +353,13 @@ pub fn run(scale: &Scale) -> Table {
          terminates clean or with an explicit degradation label — \
          `admitted = completed ok + the four degradation columns` in every \
          row, and nothing hangs. The double-load rows must shed; the \
-         half-load rows shed little or nothing. `resume identical` counts trials whose \
-         mid-tick-killed run, resumed from the write-ahead journal, \
-         matched the uninterrupted run on the report, the final journal \
-         bytes, the event stream, and the causal span log — it must equal \
-         `trials` everywhere. \
+         half-load rows shed little or nothing. `cuts` counts the \
+         write-ahead journal prefixes a kill could leave (frame boundaries \
+         and torn frames, drawn per trial) that were resumed from; `resume \
+         identical` counts those whose resumed run matched the \
+         uninterrupted run on the report, the final journal bytes, the \
+         event stream, and the causal span log — it must equal `cuts` \
+         everywhere. \
          Breaker trips appear only in the `on` rows (the faulty shard \
          produces failure streaks); with breakers off the same faults are \
          retried blindly instead of quarantined. `slo breaches` counts \
@@ -369,6 +386,7 @@ pub fn run(scale: &Scale) -> Table {
             row.slo_breaches.to_string(),
             row.slo_burn_max_bps.to_string(),
             row.comparisons.to_string(),
+            row.cuts.to_string(),
             row.resume_identical.to_string(),
         ]);
     }
@@ -426,14 +444,16 @@ pub struct OverlapTrialOutcome {
     /// report *and* the journals are byte-identical after the config
     /// header. Vacuously true at nonzero overlap.
     pub off_on_identical: bool,
-    /// The cache-on run killed mid-tick and resumed from the journal —
-    /// through a rebuilt, warm cache — matched the uninterrupted run.
-    pub resume_identical: bool,
+    /// Cuts of the cache-on run's journal resumed from.
+    pub cuts: u64,
+    /// Cuts whose resumed run — through a rebuilt, warm cache — matched
+    /// the uninterrupted cache-on run.
+    pub resume_identical: u64,
 }
 
 /// Runs one overlap trial: a cache-off leg, a cache-on leg, the
-/// equivalence checks between them, and a kill+resume of the cache-on
-/// leg.
+/// equivalence checks between them, and resumes of the cache-on leg from
+/// cuts of its journal.
 pub fn run_overlap_trial(overlap: usize, base_seed: u64, t: u64) -> OverlapTrialOutcome {
     let percent = OVERLAPS[overlap];
     let seed = base_seed ^ t.wrapping_mul(0x9E37_79B9);
@@ -442,20 +462,10 @@ pub fn run_overlap_trial(overlap: usize, base_seed: u64, t: u64) -> OverlapTrial
         .with_deadline(64)
         .with_overlap(percent, OVERLAP_UNIVERSE);
 
-    let run_leg = |config: ServeConfig| {
-        let rec = Arc::new(Recorder::new());
-        let _guard = install_recorder(rec.clone());
-        let mut service = CrowdServe::new(config, seed).expect("config is valid");
-        let report = service
-            .run(&plan, MAX_TICKS)
-            .expect("no chaos: cannot crash");
-        let cache = service.cache_stats();
-        let journal = service.journal().durable().to_vec();
-        (report, cache, journal, rec.events())
-    };
-    let (off_report, _, off_journal, off_events) = run_leg(overlap_config(CachePolicy::disabled()));
-    let (on_report, on_cache, on_journal, on_events) =
-        run_leg(overlap_config(CachePolicy::default_on()));
+    let on_config = overlap_config(CachePolicy::default_on());
+    let (off, _) = uninterrupted(&overlap_config(CachePolicy::disabled()), seed, &plan);
+    let (on, on_cache) = uninterrupted(&on_config, seed, &plan);
+    let (off_report, on_report) = (&off.report, &on.report);
 
     // Winner equivalence, job by job. Nothing sheds at this load, so
     // both legs complete the same job ids in some order.
@@ -464,7 +474,7 @@ pub fn run_overlap_trial(overlap: usize, base_seed: u64, t: u64) -> OverlapTrial
         w.sort_unstable();
         w
     };
-    let (off_w, on_w) = (winners(&off_report), winners(&on_report));
+    let (off_w, on_w) = (winners(off_report), winners(on_report));
     let winners_identical = off_w.iter().zip(&on_w).filter(|(a, b)| a == b).count() as u64;
 
     // Recall: honest fault-free shards judge every distinguishable pair
@@ -485,7 +495,7 @@ pub fn run_overlap_trial(overlap: usize, base_seed: u64, t: u64) -> OverlapTrial
             })
             .count() as u64
     };
-    let recall_ok = recall(&off_report) + recall(&on_report);
+    let recall_ok = recall(off_report) + recall(on_report);
 
     // Zero overlap: turning the cache on must be invisible — same
     // report, and byte-identical journals after the `Started` header
@@ -497,43 +507,13 @@ pub fn run_overlap_trial(overlap: usize, base_seed: u64, t: u64) -> OverlapTrial
     };
     let off_on_identical = percent != 0
         || (off_report == on_report
-            && body(&off_journal) == body(&on_journal)
-            && off_events == on_events);
+            && body(&off.journal) == body(&on.journal)
+            && off.events == on.events);
 
-    // Kill the cache-on leg mid-tick and resume: the rebuilt (warm)
-    // cache must reproduce every hit, so the resumed run matches the
-    // uninterrupted one on report, journal bytes, and events.
-    let durable = {
-        let _guard = install_recorder(Arc::new(Recorder::new()));
-        let mut doomed = CrowdServe::new(overlap_config(CachePolicy::default_on()), seed)
-            .expect("config is valid")
-            .with_chaos(ServeKill::MidTick(2 + t % 5));
-        let _ = doomed.run(&plan, MAX_TICKS);
-        doomed.journal().durable().to_vec()
-    };
-    let resumed_rec = Arc::new(Recorder::new());
-    let resume_identical = {
-        let _guard = install_recorder(resumed_rec.clone());
-        match CrowdServe::resume(
-            overlap_config(CachePolicy::default_on()),
-            seed,
-            &plan,
-            &durable,
-            MAX_TICKS,
-        ) {
-            Ok((report, resumed)) => {
-                let events: Vec<Event> = resumed_rec
-                    .events()
-                    .into_iter()
-                    .filter(|e| !is_recovery_event(e))
-                    .collect();
-                report == on_report
-                    && resumed.journal().durable() == &on_journal[..]
-                    && events == on_events
-            }
-            Err(_) => false,
-        }
-    };
+    // Resume the cache-on leg from cuts of its journal: the rebuilt
+    // (warm) cache must reproduce every hit, so each resumed run matches
+    // the uninterrupted one on report, journal bytes, events and spans.
+    let (cuts, resume_identical) = resume_cuts(&on_config, seed, &plan, &on);
 
     OverlapTrialOutcome {
         jobs: off_report.jobs.len() as u64,
@@ -543,6 +523,7 @@ pub fn run_overlap_trial(overlap: usize, base_seed: u64, t: u64) -> OverlapTrial
         winners_identical,
         recall_ok,
         off_on_identical,
+        cuts,
         resume_identical,
     }
 }
@@ -569,7 +550,9 @@ pub struct OverlapRow {
     /// Trials passing the zero-overlap invisibility check (vacuous at
     /// nonzero overlap; must equal `trials`).
     pub off_on_identical: u64,
-    /// Trials whose warm-cache kill+resume matched (must equal `trials`).
+    /// Journal cuts resumed from across trials.
+    pub cuts: u64,
+    /// Cuts whose warm-cache resume matched (must equal `cuts`).
     pub resume_identical: u64,
 }
 
@@ -593,6 +576,7 @@ pub fn overlap_sweep(trials: u64, base_seed: u64) -> Vec<OverlapRow> {
                 winners_identical: 0,
                 recall_ok: 0,
                 off_on_identical: 0,
+                cuts: 0,
                 resume_identical: 0,
             };
             for o in slice {
@@ -603,7 +587,8 @@ pub fn overlap_sweep(trials: u64, base_seed: u64) -> Vec<OverlapRow> {
                 row.winners_identical += o.winners_identical;
                 row.recall_ok += o.recall_ok;
                 row.off_on_identical += u64::from(o.off_on_identical);
-                row.resume_identical += u64::from(o.resume_identical);
+                row.cuts += o.cuts;
+                row.resume_identical += o.resume_identical;
             }
             row
         })
@@ -633,6 +618,7 @@ pub fn run_overlap(scale: &Scale) -> Table {
             "winners identical",
             "recall ok",
             "off/on identical",
+            "cuts",
             "resume identical",
         ],
     )
@@ -645,9 +631,10 @@ pub fn run_overlap(scale: &Scale) -> Table {
          invisible — the cache-on run's report, journal body, and event \
          stream are byte-identical to the cache-off run's (`off/on \
          identical = trials`; the column is vacuously true elsewhere). \
-         `resume identical` kills the cache-on run mid-tick and resumes \
-         it from the write-ahead journal through a rebuilt, warm cache — \
-         it must equal `trials` in every row.",
+         `resume identical` resumes the cache-on run from `cuts` prefixes \
+         of its write-ahead journal (frame boundaries and torn frames, \
+         drawn per trial) through a rebuilt, warm cache — it must equal \
+         `cuts` in every row.",
     );
     for row in &rows {
         let saved_bps = if row.comparisons_off == 0 {
@@ -667,6 +654,7 @@ pub fn run_overlap(scale: &Scale) -> Table {
             row.winners_identical.to_string(),
             row.recall_ok.to_string(),
             row.off_on_identical.to_string(),
+            row.cuts.to_string(),
             row.resume_identical.to_string(),
         ]);
     }
@@ -681,7 +669,8 @@ mod tests {
     fn trial_resumes_identically_at_both_loads() {
         for (load, label) in LOADS.iter().enumerate() {
             let o = run_trial(load, 0, 41, 0);
-            assert!(o.resume_identical, "load {label}: {o:?}");
+            assert!(o.cuts > 0, "load {label}: {o:?}");
+            assert_eq!(o.resume_identical, o.cuts, "load {label}: {o:?}");
         }
     }
 
@@ -713,7 +702,8 @@ mod tests {
         assert_eq!(o.comparisons_on, o.comparisons_off, "{o:?}");
         assert_eq!(o.winners_identical, o.jobs, "{o:?}");
         assert_eq!(o.recall_ok, 2 * o.jobs, "{o:?}");
-        assert!(o.resume_identical, "{o:?}");
+        assert!(o.cuts > 0, "{o:?}");
+        assert_eq!(o.resume_identical, o.cuts, "{o:?}");
     }
 
     #[test]
@@ -726,7 +716,11 @@ mod tests {
         );
         assert_eq!(o.winners_identical, o.jobs, "{o:?}");
         assert_eq!(o.recall_ok, 2 * o.jobs, "{o:?}");
-        assert!(o.resume_identical, "warm-cache resume must match: {o:?}");
+        assert!(o.cuts > 0, "{o:?}");
+        assert_eq!(
+            o.resume_identical, o.cuts,
+            "warm-cache resume must match: {o:?}"
+        );
     }
 
     #[test]
@@ -743,7 +737,7 @@ mod tests {
             assert_eq!(row.winners_identical, row.jobs, "{row:?}");
             assert_eq!(row.recall_ok, 2 * row.jobs, "{row:?}");
             assert_eq!(row.off_on_identical, row.trials, "{row:?}");
-            assert_eq!(row.resume_identical, row.trials, "{row:?}");
+            assert_eq!(row.resume_identical, row.cuts, "{row:?}");
         }
     }
 
@@ -752,7 +746,8 @@ mod tests {
         let t = run_overlap(&Scale::quick());
         assert_eq!(t.rows.len(), OVERLAPS.len());
         for row in &t.rows {
-            assert_eq!(row[10], row[1], "resume must be identical: {row:?}");
+            assert_ne!(row[10], "0", "every row resumes from cuts: {row:?}");
+            assert_eq!(row[11], row[10], "resume must be identical: {row:?}");
             assert_eq!(row[9], row[1], "off/on gate must pass: {row:?}");
         }
         let md = t.to_markdown();
@@ -791,8 +786,9 @@ mod tests {
         let t = run(&Scale::quick());
         assert_eq!(t.rows.len(), LOADS.len() * BREAKERS.len());
         for row in &t.rows {
-            // resume identical == trials in every cell.
-            assert_eq!(row[16], row[2], "resume must be identical: {row:?}");
+            // resume identical == cuts in every cell.
+            assert_ne!(row[16], "0", "every cell resumes from cuts: {row:?}");
+            assert_eq!(row[17], row[16], "resume must be identical: {row:?}");
             // offered == admitted + shed.
             let offered: u64 = row[3].parse().unwrap();
             let admitted: u64 = row[4].parse().unwrap();

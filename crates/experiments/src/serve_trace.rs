@@ -248,7 +248,7 @@ pub fn demo_run(seed: u64) -> (SpanLog, ServeReport) {
             CrowdServe::new(serve_sweep::config_for(0), seed).expect("config is valid");
         service
             .run(&demo_plan(seed), MAX_TICKS)
-            .expect("no chaos: cannot crash")
+            .expect("a valid arrival plan runs to the end")
     };
     (rec.span_log(), report)
 }

@@ -22,6 +22,6 @@ fn quick_fault_and_serve_sweeps_expose_pinned_metrics() {
     };
     let (prom, json) = (hash("metrics.prom"), hash("metrics.json"));
     std::fs::remove_dir_all(&dir).expect("temp dir removed");
-    assert_eq!(prom, "0x85b9bb9e05c0707e (23165 bytes)");
-    assert_eq!(json, "0x0f80e08165c8cdd0 (30922 bytes)");
+    assert_eq!(prom, "0xb7418467f2f2775f (23166 bytes)");
+    assert_eq!(json, "0x92090f037c698901 (30923 bytes)");
 }

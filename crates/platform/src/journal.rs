@@ -28,11 +28,15 @@
 //!   *before* workers are asked (the WAL invariant — at most one batch is
 //!   ever in flight), the `Completed` record is flushed at the
 //!   batch-aligned cadence of a [`CheckpointPolicy`].
+//! * [`crash_cuts`] — the byte lengths a crash can leave durable. A run
+//!   is deterministic and a killed run's output is thrown away, so what
+//!   a kill leaves is a prefix of the uninterrupted run's durable bytes:
+//!   cut at a frame boundary, or inside the next frame for a torn write.
+//!   Resume equivalence is checked by resuming from such cuts of one
+//!   uninterrupted journal.
 //!
-//! Recovery from these bytes lives in [`mod@crate::recover`]; deterministic
-//! crash injection in [`crate::chaos`].
+//! Recovery from these bytes lives in [`mod@crate::recover`].
 
-use crate::chaos::ChaosPlan;
 use crate::platform::{Platform, PlatformOracle};
 use crate::worker::WorkerId;
 use crowd_core::element::ElementId;
@@ -195,8 +199,8 @@ pub struct DecodedJournal {
 ///
 /// The in-memory stand-in for an fsync'd file: [`append`](Journal::append)
 /// buffers a record, [`flush`](Journal::flush) moves the buffer across the
-/// durability line, and a crash (see [`crate::chaos`]) discards whatever
-/// was still pending — or, for a torn write, half a frame.
+/// durability line, and a crash discards whatever was still pending — or,
+/// for a torn write, leaves part of a frame (see [`crash_cuts`]).
 #[derive(Debug, Clone, Default)]
 pub struct Journal {
     durable: Vec<u8>,
@@ -252,17 +256,6 @@ impl Journal {
         let n = self.pending.len() as u64;
         self.durable.append(&mut self.pending);
         n
-    }
-
-    /// Simulates a crash mid-write: only the first `keep` pending bytes
-    /// reach durable storage, the rest are lost with the process. The
-    /// durable journal now ends in a torn frame that decoding must detect
-    /// via its length prefix and checksum.
-    pub fn flush_torn(&mut self, keep: usize) -> u64 {
-        let keep = keep.min(self.pending.len());
-        self.durable.extend_from_slice(&self.pending[..keep]);
-        self.pending.clear();
-        keep as u64
     }
 
     /// The bytes that would survive a crash right now.
@@ -326,6 +319,25 @@ impl Journal {
             torn_tail: false,
         }
     }
+}
+
+/// The lengths at which a crash can cut a journal, after its header:
+/// every later frame's start, its midpoint and one byte short of its end,
+/// and the full length. A start or the full length is a frame boundary;
+/// the other two leave a torn frame that decoding must drop. A cut inside
+/// the header is a run that never started, so none is returned. Built on
+/// [`Journal::decode_json`]'s frame lengths; a torn tail of `bytes` itself
+/// is not cut into.
+pub fn crash_cuts(bytes: &[u8]) -> Vec<usize> {
+    let frames = Journal::decode_json(bytes).frames;
+    let mut start = frames.first().map_or(0, |(_, len)| *len);
+    let mut cuts = Vec::with_capacity(3 * frames.len() + 1);
+    for (_, len) in frames.iter().skip(1) {
+        cuts.extend([start, start + len / 2, start + len - 1]);
+        start += len;
+    }
+    cuts.push(bytes.len());
+    cuts
 }
 
 /// Raw frames decoded from journal bytes: `(json payload, encoded frame
@@ -595,20 +607,16 @@ pub(crate) fn assert_frame_corruptions_are_caught(
 /// [`Event::CheckpointWritten`] and bumps the
 /// [`crowd_journal_bytes_total`](metric_names::JOURNAL_BYTES) counter.
 ///
-/// An optional [`ChaosPlan`] deterministically kills the run at a seeded
-/// injection point: the oracle reports [`OracleError::Interrupted`], and
-/// every later call short-circuits to the same error — a crashed journal
-/// stays frozen exactly at the crash point. [`mod@crate::recover`] turns the
-/// durable bytes back into a running job.
+/// A crash at any point leaves a prefix of the durable bytes (see
+/// [`crash_cuts`]); [`mod@crate::recover`] turns them back into a running
+/// job.
 #[derive(Debug)]
 pub struct JournaledOracle<R: RngCore> {
     inner: PlatformOracle<R>,
     journal: Journal,
     policy: CheckpointPolicy,
-    chaos: Option<ChaosPlan>,
     next_batch: u64,
     unflushed_completed: u64,
-    crashed: bool,
 }
 
 impl<R: RngCore> JournaledOracle<R> {
@@ -626,17 +634,9 @@ impl<R: RngCore> JournaledOracle<R> {
             inner: PlatformOracle::new(platform),
             journal,
             policy,
-            chaos: None,
             next_batch: 0,
             unflushed_completed: 0,
-            crashed: false,
         }
-    }
-
-    /// Arms a deterministic crash plan. See [`crate::chaos`].
-    pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
-        self.chaos = Some(plan);
-        self
     }
 
     /// The journal (its [`durable`](Journal::durable) bytes are what a
@@ -648,12 +648,6 @@ impl<R: RngCore> JournaledOracle<R> {
     /// The wrapped platform.
     pub fn platform(&self) -> &Platform<R> {
         self.inner.platform()
-    }
-
-    /// True once a chaos crash has fired; every oracle call now reports
-    /// [`OracleError::Interrupted`].
-    pub fn crashed(&self) -> bool {
-        self.crashed
     }
 
     /// Batches journaled so far.
@@ -683,11 +677,6 @@ impl<R: RngCore> JournaledOracle<R> {
             bytes,
         });
         crowd_obs::counter_add(metric_names::JOURNAL_BYTES, &[], bytes);
-    }
-
-    fn crash(&mut self) -> OracleError {
-        self.crashed = true;
-        OracleError::Interrupted
     }
 }
 
@@ -721,59 +710,28 @@ impl<R: RngCore> ComparisonOracle for JournaledOracle<R> {
             .expect("the journaled platform cannot answer");
     }
 
-    /// The WAL hot path. On a chaos crash nothing is executed: the run is
-    /// dead, the durable journal is the recovery state, and the completed
-    /// prefix of earlier batches is already behind the durability line.
+    /// The WAL hot path: the `Scheduled` record is durable before any
+    /// worker is asked, so a crash mid-batch leaves it dangling and
+    /// recovery runs that batch live.
     fn try_compare_batch(
         &mut self,
         class: WorkerClass,
         pairs: &[(ElementId, ElementId)],
         winners: &mut Vec<ElementId>,
     ) -> Result<(), OracleError> {
-        if self.crashed {
-            return Err(OracleError::Interrupted);
-        }
         if pairs.is_empty() {
             return Ok(());
         }
-        if self.chaos.as_mut().is_some_and(|c| c.fires_armed()) {
-            // A boundary-armed crash (between rounds, at the phase
-            // transition) dies before this batch writes anything: any
-            // Completed records still pending under a lazy checkpoint
-            // cadence are lost with the process and re-bought on resume.
-            return Err(self.crash());
-        }
         let batch = self.next_batch;
         self.next_batch += 1;
-        let scheduled = RecordView::Scheduled {
+        self.journal.append_view(RecordView::Scheduled {
             batch,
             class,
             pairs,
-        };
-        if self
-            .chaos
-            .as_mut()
-            .is_some_and(|c| c.tears_journal_at(batch))
-        {
-            // Crash mid-journal-write: half the Scheduled frame reaches
-            // durable storage. Decoding must detect and drop the torn
-            // tail; the batch never ran, so nothing is lost but the
-            // frame itself.
-            self.journal.append_view(scheduled);
-            let torn = self.journal.pending_len() / 2;
-            self.journal.flush_torn(torn);
-            return Err(self.crash());
-        }
-        self.journal.append_view(scheduled);
+        });
         let bytes = self.journal.flush();
         self.checkpoint_written(bytes);
         self.unflushed_completed = 0;
-        if self.chaos.as_mut().is_some_and(|c| c.crashes_at(batch)) {
-            // Crash mid-batch: the Scheduled record is durable (the WAL
-            // write happened) but no worker was asked — recovery finds
-            // the dangling record and runs the batch live.
-            return Err(self.crash());
-        }
         let start = winners.len();
         let outcome = self.inner.try_compare_batch(class, pairs, winners);
         let partial = outcome.is_err();
@@ -801,9 +759,6 @@ impl<R: RngCore> ComparisonOracle for JournaledOracle<R> {
     }
 
     fn observe(&mut self, event: crowd_core::trace::TraceEvent) {
-        if let Some(chaos) = self.chaos.as_mut() {
-            chaos.on_trace(event);
-        }
         self.inner.observe(event);
     }
 }
@@ -885,13 +840,38 @@ mod tests {
     fn torn_tail_is_detected_and_dropped() {
         let mut journal = Journal::new();
         journal.append(&sample_records()[0]);
-        let clean = journal.flush();
+        let clean = journal.flush() as usize;
         journal.append(&sample_records()[1]);
-        journal.flush_torn(journal.pending_len() / 2);
-        let decoded = Journal::decode(journal.durable());
+        let full = journal.flush() as usize + clean;
+        // A crash mid-write leaves half the second frame durable.
+        let decoded = Journal::decode(&journal.durable()[..(clean + full) / 2]);
         assert_eq!(decoded.records.len(), 1, "the torn frame must not parse");
-        assert_eq!(decoded.valid_bytes as u64, clean);
+        assert_eq!(decoded.valid_bytes, clean);
         assert!(decoded.torn_tail);
+    }
+
+    #[test]
+    fn crash_cuts_cover_every_frame_after_the_header() {
+        let mut journal = Journal::new();
+        let mut ends = Vec::new();
+        for r in &sample_records() {
+            journal.append(r);
+            journal.flush();
+            ends.push(journal.durable().len());
+        }
+        let bytes = journal.durable();
+        let cuts = crash_cuts(bytes);
+        assert_eq!(cuts.len(), 3 * (ends.len() - 1) + 1);
+        assert!(cuts.windows(2).all(|w| w[0] < w[1]), "{cuts:?}");
+        assert_eq!(cuts[0], ends[0], "the first cut is the bare header");
+        assert_eq!(cuts.last(), Some(&bytes.len()));
+        for &cut in &cuts {
+            let decoded = Journal::decode(&bytes[..cut]);
+            let boundary = ends.contains(&cut);
+            assert_eq!(decoded.torn_tail, !boundary, "cut at {cut}");
+            assert!(!decoded.records.is_empty(), "the header survives {cut}");
+        }
+        assert_eq!(crash_cuts(b""), vec![0]);
     }
 
     #[test]

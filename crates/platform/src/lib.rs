@@ -29,13 +29,15 @@
 //! * [`retry`] — timeout recovery: capped exponential backoff,
 //!   re-assignment to fresh workers, and dead-letter records.
 //! * [`journal`] — write-ahead, length-prefixed + checksummed journaling
-//!   of every batch, with batch-aligned checkpoint cadence.
+//!   of every batch, with batch-aligned checkpoint cadence, and
+//!   [`journal::crash_cuts`]: the prefixes a crash can leave durable.
 //! * [`mod@recover`] — crash recovery: replay a journal on a fresh platform,
 //!   audited against its checkpoints and the `crowd_core::replay`
 //!   transcript, then continue live.
-//! * [`chaos`] — deterministic, seeded crash injection (mid-batch,
-//!   between rounds, at the phase transition, torn journal writes) for
-//!   proving resume-equals-uninterrupted.
+//!
+//! Crashes are checked without a kill switch: a run is deterministic, so
+//! resuming from [`journal::crash_cuts`] of one uninterrupted journal
+//! covers every state a kill can leave.
 //! * [`serve`] — crowd-serve: an overload-robust multi-tenant job
 //!   service multiplexing concurrent max-finding jobs over sharded
 //!   worker pools, with token-bucket admission control, bounded-queue
@@ -48,7 +50,6 @@
 
 pub mod batched;
 pub mod billing;
-pub mod chaos;
 pub mod fault;
 pub mod journal;
 pub mod platform;
@@ -64,10 +65,10 @@ pub mod worker;
 
 pub use batched::{batched_filter, BatchedFilterOutcome};
 pub use billing::Ledger;
-pub use chaos::{ChaosPlan, InjectionPoint};
 pub use fault::{FaultConfig, FaultPlan, JudgeFate, LatencyModel};
 pub use journal::{
-    CheckpointPolicy, DecodedJournal, Journal, JournalRecord, JournaledOracle, JOURNAL_VERSION,
+    crash_cuts, CheckpointPolicy, DecodedJournal, Journal, JournalRecord, JournaledOracle,
+    JOURNAL_VERSION,
 };
 pub use platform::{JobResult, Platform, PlatformConfig, PlatformError, PlatformOracle};
 pub use pool::WorkerPool;
@@ -78,8 +79,7 @@ pub use retry::{DeadLetter, DeadLetterReason, RetryPolicy};
 pub use scheduler::{physical_steps, reassign, schedule, Assignment, Schedule, ScheduleError};
 pub use serve::{
     Admission, ArrivalPlan, BreakerPolicy, CircuitBreaker, CompletedJob, CrowdServe, JobId,
-    JobSpec, ServeConfig, ServeError, ServeKill, ServeReport, ShardSpec, TenantId, TenantPolicy,
-    TenantReport,
+    JobSpec, ServeConfig, ServeError, ServeReport, ShardSpec, TenantId, TenantPolicy, TenantReport,
 };
 pub use task::{Job, Judgment, Unit, UnitId};
 pub use worker::{Behavior, SpamStrategy, Worker, WorkerId, WorkerProfile};

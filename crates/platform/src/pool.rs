@@ -7,7 +7,6 @@
 
 use crate::worker::{Behavior, Worker, WorkerId, WorkerProfile};
 use crowd_core::model::{TiePolicy, WorkerClass};
-use std::collections::HashSet;
 
 /// A pool of live workers.
 #[derive(Debug, Clone, Default)]
@@ -151,36 +150,6 @@ impl WorkerPool {
     pub fn worker_mut(&mut self, id: WorkerId) -> &mut Worker {
         &mut self.workers[id.index()]
     }
-
-    /// Selects up to `count` distinct workers of `class`, round-robin
-    /// starting after `cursor` (which the caller advances between calls so
-    /// load spreads across the pool), excluding `excluded` workers (e.g.
-    /// spam-flagged ones).
-    ///
-    /// Returns fewer than `count` ids if the class has fewer eligible
-    /// workers — the scheduler then stretches the work over more physical
-    /// steps instead.
-    pub fn select(
-        &self,
-        class: WorkerClass,
-        count: usize,
-        cursor: usize,
-        excluded: &HashSet<WorkerId>,
-    ) -> Vec<WorkerId> {
-        let eligible: Vec<WorkerId> = self
-            .workers
-            .iter()
-            .filter(|w| w.class() == class && !excluded.contains(&w.id()))
-            .map(Worker::id)
-            .collect();
-        if eligible.is_empty() {
-            return Vec::new();
-        }
-        let take = count.min(eligible.len());
-        (0..take)
-            .map(|i| eligible[(cursor + i) % eligible.len()])
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -211,37 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn select_returns_distinct_workers() {
-        let p = pool();
-        let sel = p.select(WorkerClass::Naive, 3, 0, &HashSet::new());
-        assert_eq!(sel.len(), 3);
-        let unique: HashSet<_> = sel.iter().collect();
-        assert_eq!(unique.len(), 3);
-    }
-
-    #[test]
-    fn select_caps_at_class_size() {
-        let p = pool();
-        let sel = p.select(WorkerClass::Expert, 10, 0, &HashSet::new());
-        assert_eq!(sel.len(), 2);
-    }
-
-    #[test]
-    fn select_rotates_with_cursor() {
-        let p = pool();
-        let first = p.select(WorkerClass::Naive, 2, 0, &HashSet::new());
-        let second = p.select(WorkerClass::Naive, 2, 2, &HashSet::new());
-        assert_ne!(first, second);
-    }
-
-    #[test]
-    fn select_respects_exclusions() {
-        let p = pool();
-        let banned: HashSet<WorkerId> = p.ids_of_class(WorkerClass::Naive).into_iter().collect();
-        assert!(p.select(WorkerClass::Naive, 3, 0, &banned).is_empty());
-    }
-
-    #[test]
     fn heterogeneous_crowd_has_varied_discernment() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -267,8 +205,6 @@ mod tests {
     fn empty_pool() {
         let p = WorkerPool::new();
         assert!(p.is_empty());
-        assert!(p
-            .select(WorkerClass::Naive, 1, 0, &HashSet::new())
-            .is_empty());
+        assert!(p.ids_of_class(WorkerClass::Naive).is_empty());
     }
 }

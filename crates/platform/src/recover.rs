@@ -469,7 +469,6 @@ pub fn resume_job<R: RngCore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{ChaosPlan, InjectionPoint};
     use crate::platform::PlatformConfig;
     use crate::pool::WorkerPool;
     use crowd_core::element::Instance;
@@ -499,36 +498,42 @@ mod tests {
         ]
     }
 
-    /// Drives the batch list, returning winners and the journal bytes.
-    fn run_journaled(chaos: Option<ChaosPlan>) -> (Vec<ElementId>, Vec<u8>) {
+    /// Drives the batch list uninterrupted, returning winners and the
+    /// journal bytes.
+    fn run_journaled() -> (Vec<ElementId>, Vec<u8>) {
         let mut oracle =
             JournaledOracle::new(fresh_platform(), JOB, SEED, CheckpointPolicy::every_batch());
-        if let Some(plan) = chaos {
-            oracle = oracle.with_chaos(plan);
-        }
         let mut winners = Vec::new();
         for batch in batches() {
-            if oracle
+            oracle
                 .try_compare_batch(WorkerClass::Naive, &batch, &mut winners)
-                .is_err()
-            {
-                break;
-            }
+                .expect("a fault-free platform answers");
         }
         oracle.finish();
         let (journal, _) = oracle.into_parts();
         (winners, journal.durable().to_vec())
     }
 
+    /// The length of `bytes`' first `frames` frames: what a crash leaves
+    /// durable right after they are flushed. At cadence 1 the frames run
+    /// header, then `Scheduled`/`Completed` per batch.
+    fn frames_len(bytes: &[u8], frames: usize) -> usize {
+        let decoded = Journal::decode_json(bytes);
+        assert!(decoded.frames.len() >= frames);
+        decoded.frames[..frames].iter().map(|(_, len)| len).sum()
+    }
+
     #[test]
     fn resume_after_mid_batch_crash_matches_uninterrupted() {
-        let (full, _) = run_journaled(None);
-        let (prefix, bytes) =
-            run_journaled(Some(ChaosPlan::at(InjectionPoint::MidBatch { batch: 1 })));
-        assert_eq!(prefix.len(), 2, "batch 0 answered before the crash");
+        let (full, bytes) = run_journaled();
+        // Batch 1's `Scheduled` is durable, no worker has answered it.
+        let cut = &bytes[..frames_len(&bytes, 4)];
+        let recovered = recover(cut).expect("journal recovers");
+        assert_eq!(recovered.completed_batches(), 1);
+        assert_eq!(recovered.script.len(), 2, "batch 1 dangles");
 
         let mut resumed = resume_job(
-            &bytes,
+            cut,
             fresh_platform(),
             JOB,
             SEED,
@@ -549,20 +554,24 @@ mod tests {
             2,
             "batch 0's two comparisons came from the journal replay"
         );
+        let mut inner = resumed.into_inner();
+        inner.finish();
+        assert_eq!(inner.journal().durable(), &bytes[..], "the journal too");
     }
 
     #[test]
     fn resume_after_torn_write_discards_the_tail_and_matches() {
-        let (full, _) = run_journaled(None);
-        let (_, bytes) = run_journaled(Some(ChaosPlan::at(InjectionPoint::MidJournalWrite {
-            batch: 2,
-        })));
-        let recovered = recover(&bytes).expect("journal recovers");
+        let (full, bytes) = run_journaled();
+        // Half of batch 2's `Scheduled` frame reached the journal.
+        let (intact, next) = (frames_len(&bytes, 5), frames_len(&bytes, 6));
+        let cut = &bytes[..(intact + next) / 2];
+        let recovered = recover(cut).expect("journal recovers");
         assert!(recovered.torn_tail, "the torn frame must be detected");
+        assert_eq!(recovered.valid_bytes, intact);
         assert_eq!(recovered.completed_batches(), 2);
 
         let mut resumed = resume_job(
-            &bytes,
+            cut,
             fresh_platform(),
             JOB,
             SEED,
@@ -581,7 +590,8 @@ mod tests {
 
     #[test]
     fn resume_audits_against_a_drifted_journal() {
-        let (_, bytes) = run_journaled(Some(ChaosPlan::at(InjectionPoint::MidBatch { batch: 2 })));
+        let (_, bytes) = run_journaled();
+        let bytes = &bytes[..frames_len(&bytes, 6)];
         // Rebuild the platform with a *different* worker pool: replay
         // diverges from the checkpoints and must abort, not silently
         // continue.
@@ -595,7 +605,7 @@ mod tests {
             StdRng::seed_from_u64(SEED),
         );
         let mut resumed =
-            resume_job(&bytes, drifted, JOB, SEED, CheckpointPolicy::every_batch()).unwrap();
+            resume_job(bytes, drifted, JOB, SEED, CheckpointPolicy::every_batch()).unwrap();
         let mut winners = Vec::new();
         let mut failed = false;
         for batch in batches() {
@@ -615,7 +625,7 @@ mod tests {
 
     #[test]
     fn header_mismatches_are_refused() {
-        let (_, bytes) = run_journaled(None);
+        let (_, bytes) = run_journaled();
         assert!(matches!(
             resume_job(
                 &bytes,

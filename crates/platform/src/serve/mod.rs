@@ -63,7 +63,7 @@ pub use cache::{CachePolicy, CacheStats, JudgmentCache};
 pub use job::{ActiveJob, JobId, JobPhase, JobSpec};
 pub use service::{
     Admission, CacheHitRecord, CompletedJob, CrowdServe, DispatchRecord, ResumeError, ServeConfig,
-    ServeError, ServeKill, ServeReport, TenantReport,
+    ServeError, ServeReport, TenantReport,
 };
 pub use shard::{PairOutcome, ShardSpec, WorkerShard, SHARD_TIE_POLICY};
 pub use slo::{SloMonitor, SloPolicy, SloTransition};

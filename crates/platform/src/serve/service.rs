@@ -209,8 +209,6 @@ pub enum ServeError {
     NoShards,
     /// The config lists the same tenant twice.
     DuplicateTenant(TenantId),
-    /// A chaos kill fired; the durable journal is the recovery state.
-    Crashed,
     /// A resume attempt failed validation.
     Resume(ResumeError),
     /// A tick dispatched a pair for a job that is not active. Dispatch
@@ -225,7 +223,6 @@ impl fmt::Display for ServeError {
             ServeError::EmptyCatalog => write!(f, "job carries no elements"),
             ServeError::NoShards => write!(f, "service configured with no shards"),
             ServeError::DuplicateTenant(t) => write!(f, "tenant {t} configured twice"),
-            ServeError::Crashed => write!(f, "service crashed (chaos kill); journal is durable"),
             ServeError::Resume(e) => write!(f, "resume refused: {e:?}"),
             ServeError::JobNotActive(j) => write!(f, "dispatched job {j} is not active"),
         }
@@ -475,19 +472,6 @@ struct RecordScratch {
     charged: Vec<(u32, u64)>,
 }
 
-/// Deterministic kill points for chaos tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeKill {
-    /// Die before tick `t` does anything.
-    BeforeTick(u64),
-    /// Die after tick `t`'s WAL flush, before execution — the dangling-
-    /// schedule case.
-    MidTick(u64),
-    /// Die mid-write of tick `t`'s completion record: half the frame
-    /// reaches durable storage (a torn tail).
-    TornCompleted(u64),
-}
-
 /// Per-tenant accounting, aggregated into the final report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TenantReport {
@@ -645,8 +629,6 @@ pub struct CrowdServe {
     admitted_count: BTreeMap<TenantId, u64>,
     dead_letters: u64,
     queue_depth_max: usize,
-    chaos: Option<ServeKill>,
-    crashed: bool,
     replay: Option<ReplayAudit>,
 }
 
@@ -714,16 +696,8 @@ impl CrowdServe {
             admitted_count: BTreeMap::new(),
             dead_letters: 0,
             queue_depth_max: 0,
-            chaos: None,
-            crashed: false,
             replay: None,
         })
-    }
-
-    /// Arms a deterministic kill point.
-    pub fn with_chaos(mut self, kill: ServeKill) -> Self {
-        self.chaos = Some(kill);
-        self
     }
 
     /// The current logical clock.
@@ -739,11 +713,6 @@ impl CrowdServe {
     /// The service journal.
     pub fn journal(&self) -> &Journal {
         &self.journal
-    }
-
-    /// True once a chaos kill fired.
-    pub fn crashed(&self) -> bool {
-        self.crashed
     }
 
     /// The judgment cache's full counter set — including the miss and
@@ -767,11 +736,8 @@ impl CrowdServe {
     /// # Errors
     ///
     /// [`ServeError::UnknownTenant`] / [`ServeError::EmptyCatalog`] on
-    /// malformed submissions, [`ServeError::Crashed`] after a chaos kill.
+    /// malformed submissions.
     pub fn submit(&mut self, spec: JobSpec) -> Result<Admission, ServeError> {
-        if self.crashed {
-            return Err(ServeError::Crashed);
-        }
         if spec.values.is_empty() {
             return Err(ServeError::EmptyCatalog);
         }
@@ -839,16 +805,11 @@ impl CrowdServe {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Crashed`] when a chaos kill fires (now or earlier).
+    /// [`ResumeError::Diverged`] (as [`ServeError::Resume`]) when a
+    /// resumed run's tick mismatches its journal;
+    /// [`ServeError::JobNotActive`] on a broken dispatch invariant.
     pub fn step(&mut self) -> Result<(), ServeError> {
-        if self.crashed {
-            return Err(ServeError::Crashed);
-        }
         let tick = self.tick;
-        if self.chaos == Some(ServeKill::BeforeTick(tick)) {
-            self.crashed = true;
-            return Err(ServeError::Crashed);
-        }
 
         // 1. Deadline sweep. Jobs force-finish between rounds only: a
         // pair dispatched in an earlier tick has already resolved (ticks
@@ -903,10 +864,6 @@ impl CrowdServe {
         if wal_appended {
             self.journal.flush();
             self.unflushed = 0;
-            if self.chaos == Some(ServeKill::MidTick(tick)) {
-                self.crashed = true;
-                return Err(ServeError::Crashed);
-            }
         }
 
         // 5. Execute, in dispatch order.
@@ -1085,12 +1042,6 @@ impl CrowdServe {
                 }
             }
             self.journal.push_frame(json);
-            if self.chaos == Some(ServeKill::TornCompleted(tick)) {
-                let torn = self.journal.pending_len() / 2;
-                self.journal.flush_torn(torn);
-                self.crashed = true;
-                return Err(ServeError::Crashed);
-            }
             self.unflushed += 1;
             if self.unflushed >= self.config.checkpoint.every_batches {
                 let bytes = self.journal.flush();
@@ -1327,8 +1278,8 @@ impl CrowdServe {
     ///
     /// # Errors
     ///
-    /// Propagates [`ServeError::Crashed`] from chaos kills and submission
-    /// errors from malformed arrival plans.
+    /// Propagates submission errors from malformed arrival plans and the
+    /// errors of [`CrowdServe::step`].
     pub fn run(&mut self, plan: &ArrivalPlan, max_ticks: u64) -> Result<ServeReport, ServeError> {
         loop {
             let t = self.tick;

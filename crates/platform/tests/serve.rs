@@ -1,15 +1,17 @@
 //! Integration tests of the crowd-serve service layer: overload
 //! shedding, determinism, correct-or-degraded completion, breaker
-//! behaviour, admission accounting, and chaos kill + resume.
+//! behaviour, admission accounting, and resume from every prefix a kill
+//! can leave of the write-ahead journal.
 
 use crowd_core::element::ElementId;
 use crowd_core::model::WorkerClass;
-use crowd_obs::{install_recorder, Event, Recorder, RecorderGuard};
+use crowd_obs::{install_recorder, Event, Recorder, RecorderGuard, SpanLog};
 use crowd_platform::fault::{FaultConfig, LatencyModel};
 use crowd_platform::serve::{
     Admission, ArrivalPlan, BreakerPolicy, CachePolicy, CrowdServe, JobSpec, ServeConfig,
-    ServeError, ServeKill, ServeReport, ShardSpec, TenantId, TenantPolicy,
+    ServeError, ServeReport, ShardSpec, TenantId, TenantPolicy,
 };
+use crowd_platform::{crash_cuts, Journal};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -277,6 +279,20 @@ fn is_recovery_marker(event: &Event) -> bool {
     )
 }
 
+/// The byte range of the first journal frame whose JSON starts with
+/// `prefix`. A run is deterministic, so a kill leaves a prefix of the
+/// uninterrupted journal: these ranges locate the prefixes of named kills.
+fn frame_span(journal: &[u8], prefix: &str) -> std::ops::Range<usize> {
+    let mut start = 0;
+    for (json, len) in Journal::decode_json(journal).frames {
+        if json.starts_with(prefix) {
+            return start..start + len;
+        }
+        start += len;
+    }
+    panic!("no frame starts with {prefix}");
+}
+
 #[test]
 fn kill_and_resume_matches_uninterrupted_run() {
     let config = faulty_config();
@@ -284,28 +300,25 @@ fn kill_and_resume_matches_uninterrupted_run() {
     let (base_report, base_journal, base_events) = uninterrupted(&config, 21, &plan);
     assert!(!base_report.jobs.is_empty());
 
-    for kill in [
-        ServeKill::BeforeTick(6),
-        ServeKill::MidTick(9),
-        ServeKill::TornCompleted(11),
+    let scheduled = |tick: u64| {
+        frame_span(
+            &base_journal,
+            &format!("{{\"TickScheduled\":{{\"tick\":{tick},"),
+        )
+    };
+    let completed = frame_span(&base_journal, "{\"TickCompleted\":{\"tick\":11,");
+    for (kill, cut) in [
+        // Killed before tick 6 did anything.
+        ("before tick 6", scheduled(6).start),
+        // Killed after tick 9's WAL flush, before execution.
+        ("mid tick 9", scheduled(9).end),
+        // Killed halfway through writing tick 11's outcome.
+        ("torn tick 11", (completed.start + completed.end) / 2),
     ] {
-        // Doom a run, keeping only its durable journal bytes.
-        let durable = {
-            let (_rec, _g) = record();
-            let mut doomed = CrowdServe::new(config.clone(), 21)
-                .unwrap()
-                .with_chaos(kill);
-            let err = doomed.run(&plan, 600).expect_err("the kill must fire");
-            assert_eq!(err, ServeError::Crashed);
-            assert!(doomed.crashed());
-            doomed.journal().durable().to_vec()
-        };
-        assert!(durable.len() < base_journal.len(), "{kill:?} lost work");
-
-        // Resume from the wreckage.
+        let durable = &base_journal[..cut];
         let (rec, _g) = record();
         let (report, resumed) =
-            CrowdServe::resume(config.clone(), 21, &plan, &durable, 600).unwrap();
+            CrowdServe::resume(config.clone(), 21, &plan, durable, 600).unwrap();
         assert_eq!(report, base_report, "{kill:?}: reports must match");
         assert_eq!(
             resumed.journal().durable(),
@@ -329,22 +342,20 @@ fn kill_and_resume_matches_uninterrupted_run() {
 fn resume_refuses_foreign_journals() {
     let config = faulty_config();
     let plan = overload_plan(13);
+    let (_, journal, _) = uninterrupted(&config, 21, &plan);
+    // What a kill before tick 4 leaves.
+    let bytes = &journal[..frame_span(&journal, "{\"TickScheduled\":{\"tick\":4,").start];
     let (_rec, _g) = record();
-    let mut service = CrowdServe::new(config.clone(), 21)
-        .unwrap()
-        .with_chaos(ServeKill::BeforeTick(4));
-    let _ = service.run(&plan, 600);
-    let bytes = service.journal().durable().to_vec();
 
     // Wrong seed.
-    let err = CrowdServe::resume(config.clone(), 22, &plan, &bytes, 600).unwrap_err();
+    let err = CrowdServe::resume(config.clone(), 22, &plan, bytes, 600).unwrap_err();
     assert!(matches!(
         err,
         ServeError::Resume(crowd_platform::serve::ResumeError::SeedMismatch { .. })
     ));
     // Wrong config.
     let other = config.clone().with_queue_cap(99);
-    let err = CrowdServe::resume(other, 21, &plan, &bytes, 600).unwrap_err();
+    let err = CrowdServe::resume(other, 21, &plan, bytes, 600).unwrap_err();
     assert!(matches!(
         err,
         ServeError::Resume(crowd_platform::serve::ResumeError::ConfigMismatch)
@@ -427,7 +438,7 @@ fn run_specs(specs: &[JobSpec], gap: u64, cache: CachePolicy, seed: u64) -> (Ser
             next_submit = service.tick() + gap;
             queued = pending.next();
         }
-        service.step().expect("no chaos: cannot crash");
+        service.step().expect("a fresh service steps");
         if queued.is_none() && service.report().jobs.len() == specs.len() {
             break;
         }
@@ -785,18 +796,11 @@ fn kill_and_resume_emits_identical_spans() {
     baseline.run(&plan, 600).unwrap();
     drop(g);
 
-    // The doomed leg records privately (its spans died with the crash);
-    // only the resume leg's spans are compared against the baseline.
-    let bytes = {
-        let (_rec, _g) = record();
-        let mut doomed = CrowdServe::new(config.clone(), 9)
-            .unwrap()
-            .with_chaos(ServeKill::MidTick(6));
-        assert_eq!(doomed.run(&plan, 600), Err(ServeError::Crashed));
-        doomed.journal().durable().to_vec()
-    };
+    // What a kill after tick 6's WAL flush leaves.
+    let journal = baseline.journal().durable();
+    let bytes = &journal[..frame_span(journal, "{\"TickScheduled\":{\"tick\":6,").end];
     let (rec_b, _g) = record();
-    let (_report, _svc) = CrowdServe::resume(config, 9, &plan, &bytes, 600).unwrap();
+    let (_report, _svc) = CrowdServe::resume(config, 9, &plan, bytes, 600).unwrap();
 
     assert!(!rec_a.span_log().is_empty());
     assert_eq!(
@@ -804,4 +808,89 @@ fn kill_and_resume_emits_identical_spans() {
         rec_b.span_log().to_jsonl(),
         "resume must reproduce the uninterrupted span log byte-for-byte"
     );
+}
+
+/// The overlap sweep's warm-cache setup: fault-free shards, budgets that
+/// never shed, the judgment cache on.
+fn warm_cache_config() -> ServeConfig {
+    ServeConfig::basic()
+        .with_tenants(vec![
+            TenantPolicy::new(TenantId(0), 100_000, 200),
+            TenantPolicy::new(TenantId(1), 100_000, 200),
+        ])
+        .with_shards(vec![
+            ShardSpec::honest(WorkerClass::Naive, 12, 36),
+            ShardSpec::honest(WorkerClass::Naive, 12, 36),
+            ShardSpec::honest(WorkerClass::Expert, 4, 12),
+        ])
+        .with_queue_cap(16)
+        .with_cache(CachePolicy::default_on())
+}
+
+/// Resumes from every post-header cut of one small journal per setup —
+/// the overloaded faulty service and the warm judgment cache — and holds
+/// each resumed run to the uninterrupted one on report, journal, events
+/// and spans.
+#[test]
+fn every_cut_of_one_journal_resumes_identically() {
+    let setups = [
+        (faulty_config(), overload_plan(13)),
+        (
+            warm_cache_config(),
+            ArrivalPlan::new(29, 1, 2, 20, 2)
+                .with_catalog(4, 9)
+                .with_deadline(64)
+                .with_overlap(50, 5),
+        ),
+    ];
+    let (mut dangling, mut torn) = (false, false);
+    for (config, plan) in setups {
+        let run = |bytes: Option<&[u8]>| -> (ServeReport, Vec<u8>, Vec<Event>, SpanLog) {
+            let (rec, _g) = record();
+            let (report, service) = match bytes {
+                None => {
+                    let mut service = CrowdServe::new(config.clone(), 3).unwrap();
+                    (service.run(&plan, 600).unwrap(), service)
+                }
+                Some(bytes) => CrowdServe::resume(config.clone(), 3, &plan, bytes, 600).unwrap(),
+            };
+            let journal = service.journal().durable().to_vec();
+            (report, journal, rec.events(), rec.span_log())
+        };
+        let (base_report, base_journal, base_events, base_spans) = run(None);
+        assert!(
+            base_report.shed > 0 || base_report.cache_hits > 0,
+            "{base_report:?}"
+        );
+        let cuts = crash_cuts(&base_journal);
+        assert!(cuts.len() > 30, "{} cuts", cuts.len());
+        for cut in cuts {
+            let (report, journal, events, spans) = run(Some(&base_journal[..cut]));
+            assert_eq!(report, base_report, "cut {cut}: report");
+            assert_eq!(journal, base_journal, "cut {cut}: journal");
+            assert_eq!(spans, base_spans, "cut {cut}: spans");
+            let (recovery, rest): (Vec<Event>, Vec<Event>) =
+                events.into_iter().partition(is_recovery_marker);
+            assert_eq!(rest, base_events, "cut {cut}: events");
+            let [Event::RecoveryStarted { torn_tail, .. }, Event::RecoveryCompleted {
+                replayed_comparisons,
+                ..
+            }] = recovery[..]
+            else {
+                panic!("cut {cut}: {recovery:?}");
+            };
+            torn |= torn_tail;
+            let frames = Journal::decode_json(&base_journal[..cut]).frames;
+            let last = frames.last().map_or("", |(json, _)| json.as_str());
+            dangling |= !torn_tail
+                && last.starts_with("{\"TickScheduled\"")
+                && replayed_comparisons > 0
+                && report.comparisons > replayed_comparisons;
+        }
+    }
+    assert!(
+        dangling,
+        "some cut must leave a dangling `TickScheduled` mid-run"
+    );
+    assert!(torn, "some cut must tear a frame");
 }
