@@ -33,8 +33,8 @@
 //! * [`replay`] — record judgments once, replay them offline across
 //!   algorithm variants.
 //! * [`stats`] — aggregation helpers for experiments.
-//! * [`trace`] — comparison-level tracing: the round/phase/fault event
-//!   vocabulary, plus cross-thread tally sinks.
+//! * [`trace`] — comparison-level tracing: the round/phase event and
+//!   fault vocabulary, plus the per-thread work tally.
 //!
 //! ## Quick start
 //!
@@ -118,5 +118,5 @@ pub mod prelude {
     };
     pub use crate::replay::{JudgmentLog, RecordingOracle, ReplayOracle};
     pub use crate::tournament::Tournament;
-    pub use crate::trace::{FaultCounts, FaultKind, FaultTally, TallySink, TraceEvent, TracePhase};
+    pub use crate::trace::{FaultCounts, FaultKind, FaultTally, TraceEvent, TracePhase};
 }

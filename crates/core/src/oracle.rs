@@ -38,8 +38,11 @@ pub struct ComparisonCounts {
 
 impl ComparisonCounts {
     /// A zero tally.
-    pub fn zero() -> Self {
-        Self::default()
+    pub const fn zero() -> Self {
+        ComparisonCounts {
+            naive: 0,
+            expert: 0,
+        }
     }
 
     /// The count for one class.
@@ -54,8 +57,8 @@ impl ComparisonCounts {
     ///
     /// This is the single chokepoint every worker-performed comparison
     /// passes through (decorators answering for free never call it), so it
-    /// also feeds any [`TallySink`](crate::trace::TallySink)s installed on
-    /// the current thread.
+    /// also adds to the current thread's tally (see
+    /// [`tallied`](crate::trace::tallied)).
     pub fn record(&mut self, class: WorkerClass) {
         self.record_many(class, 1);
     }
@@ -63,15 +66,21 @@ impl ComparisonCounts {
     /// Records `n` comparisons by `class` in one step.
     ///
     /// Equivalent to calling [`record`](Self::record) `n` times, but the
-    /// thread-local [`TallySink`](crate::trace::TallySink) feed happens
-    /// once for the whole delta instead of once per comparison — this is
-    /// what lets batch oracles amortize tally bookkeeping per batch.
+    /// thread's tally is updated once for the whole delta — this is what
+    /// lets batch oracles amortize tally bookkeeping per batch.
     pub fn record_many(&mut self, class: WorkerClass, n: u64) {
-        match class {
-            WorkerClass::Naive => self.naive += n,
-            WorkerClass::Expert => self.expert += n,
-        }
-        crate::trace::note_comparisons(class, n);
+        let delta = match class {
+            WorkerClass::Naive => ComparisonCounts {
+                naive: n,
+                expert: 0,
+            },
+            WorkerClass::Expert => ComparisonCounts {
+                naive: 0,
+                expert: n,
+            },
+        };
+        *self += delta;
+        crate::trace::COMPARISONS.set(crate::trace::COMPARISONS.get() + delta);
     }
 
     /// Total comparisons across both classes.

@@ -1,32 +1,31 @@
 //! Comparison-level tracing vocabulary and thread-level tallies.
 //!
-//! * [`TraceEvent`] — the round/phase boundary and fault events that
-//!   [`filter_candidates`](crate::algorithms::filter_candidates),
-//!   [`expert_max_find`](crate::algorithms::expert_max_find) and the
-//!   platform layer emit through
+//! * [`TraceEvent`] — the round and phase boundary events that
+//!   [`filter_candidates`](crate::algorithms::filter_candidates) and
+//!   [`expert_max_find`](crate::algorithms::expert_max_find) emit through
 //!   [`ComparisonOracle::observe`](crate::oracle::ComparisonOracle::observe).
 //!   Decorators listen to them: `crowd_obs::ObservedOracle` turns them into
 //!   events, spans and metrics.
-//! * [`TallySink`] — a thread-safe comparison counter that can be
-//!   *installed* on the current thread ([`install_sink`]); while installed,
-//!   every worker-performed comparison recorded anywhere in the process on
-//!   that thread (the single chokepoint is
-//!   [`ComparisonCounts::record`]) is also added to the sink. Sinks nest:
-//!   an experiment-level sink and a trial-level sink both see the same
-//!   comparison. Parallel runners capture the caller's sink stack with
-//!   [`current_sinks`] and re-install it on their worker threads
-//!   ([`install_sinks`]) so fan-out attributes work to the right owner.
+//! * [`tallied`] — the work a closure performed on the current thread:
+//!   every worker-performed comparison recorded anywhere in the process
+//!   (the single chokepoint is [`ComparisonCounts::record_many`]) and
+//!   every fault recorded through [`FaultCounts::record`] also lands in a
+//!   plain per-thread [`Tally`] that needs no installing. Scopes nest.
+//!   Parallel runners hand work back across threads: each worker's tally
+//!   is [`credit`]ed to the thread that joined it.
+//!
+//! The fault vocabulary ([`FaultKind`], [`FaultCounts`], the degraded
+//! and dead-letter reasons) lives here too, shared by the platform, serve
+//! and observability layers.
 //!
 //! Neither mechanism changes algorithm behaviour or existing signatures:
-//! `observe` has a no-op default, and sinks only add to atomic counters.
+//! `observe` has a no-op default, and the tally only adds to thread-local
+//! counters.
 
 use crate::model::WorkerClass;
 use crate::oracle::ComparisonCounts;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
 
 /// The two phases of Algorithm 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -63,13 +62,6 @@ pub enum TraceEvent {
         groups: u32,
         /// Elements surviving the round.
         survivors: u64,
-    },
-    /// A fault was injected or handled somewhere below this oracle.
-    Fault {
-        /// The worker class the faulting judgment was assigned to.
-        class: WorkerClass,
-        /// What went wrong (or what recovery fired).
-        kind: FaultKind,
     },
 }
 
@@ -179,8 +171,16 @@ pub struct FaultTally {
 
 impl FaultTally {
     /// All-zero tally.
-    pub fn zero() -> Self {
-        Self::default()
+    pub const fn zero() -> Self {
+        FaultTally {
+            dropouts: 0,
+            abandons: 0,
+            no_answers: 0,
+            timeouts: 0,
+            retries: 0,
+            dead_letters: 0,
+            expert_fallbacks: 0,
+        }
     }
 
     /// Increments the counter for `kind`.
@@ -247,22 +247,22 @@ pub struct FaultCounts {
 
 impl FaultCounts {
     /// All-zero counts.
-    pub fn zero() -> Self {
-        Self::default()
+    pub const fn zero() -> Self {
+        FaultCounts {
+            naive: FaultTally::zero(),
+            expert: FaultTally::zero(),
+        }
     }
 
-    /// Records one fault *and* feeds every installed [`TallySink`] — the
-    /// chokepoint the platform layer calls when it injects or handles a
-    /// fault. The twin of [`ComparisonCounts::record`].
+    /// Records one fault here *and* in this thread's tally (see
+    /// [`tallied`]) — the chokepoint the platform and serve layers call
+    /// when they inject or handle a fault. The twin of
+    /// [`ComparisonCounts::record`].
     pub fn record(&mut self, class: WorkerClass, kind: FaultKind) {
-        self.add(class, kind);
-        note_fault(class, kind);
-    }
-
-    /// Plain increment without sink feeding — for decorators tallying
-    /// faults they merely *observed* (already recorded at the source).
-    pub fn add(&mut self, class: WorkerClass, kind: FaultKind) {
         self.by_class_mut(class).record(kind);
+        let mut thread = FAULTS.get();
+        thread.by_class_mut(class).record(kind);
+        FAULTS.set(thread);
     }
 
     /// The tally for `class`.
@@ -296,131 +296,61 @@ impl std::ops::Add for FaultCounts {
     }
 }
 
-/// A thread-safe per-class comparison (and fault) tally fed by
-/// [`ComparisonCounts::record`] / [`FaultCounts::record`] while installed
-/// on a thread.
-#[derive(Debug, Default)]
-pub struct TallySink {
-    naive: AtomicU64,
-    expert: AtomicU64,
-    faults: Mutex<FaultCounts>,
+/// Work performed on one thread: worker-performed comparisons and
+/// recorded faults, by class — what [`tallied`] returns and [`credit`]
+/// hands back.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Comparisons recorded through [`ComparisonCounts::record_many`].
+    pub comparisons: ComparisonCounts,
+    /// Faults recorded through [`FaultCounts::record`].
+    pub faults: FaultCounts,
 }
 
-impl TallySink {
-    /// A fresh zero tally.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one comparison of `class`.
-    pub fn add(&self, class: WorkerClass) {
-        self.add_many(class, 1);
-    }
-
-    /// Adds `n` comparisons of `class` in one atomic step — the bulk feed
-    /// used by [`ComparisonCounts::record_many`] so a batch costs one
-    /// `fetch_add` per sink instead of one per comparison.
-    pub fn add_many(&self, class: WorkerClass, n: u64) {
-        match class {
-            WorkerClass::Naive => self.naive.fetch_add(n, Ordering::Relaxed),
-            WorkerClass::Expert => self.expert.fetch_add(n, Ordering::Relaxed),
-        };
-    }
-
-    /// Adds one fault of `kind` on a `class` judgment or worker.
-    pub fn add_fault(&self, class: WorkerClass, kind: FaultKind) {
-        self.faults
-            .lock()
-            .expect("fault tally lock poisoned")
-            .add(class, kind);
-    }
-
-    /// The comparison tally so far.
-    pub fn counts(&self) -> ComparisonCounts {
-        ComparisonCounts {
-            naive: self.naive.load(Ordering::Relaxed),
-            expert: self.expert.load(Ordering::Relaxed),
+impl std::ops::Add for Tally {
+    type Output = Tally;
+    fn add(self, rhs: Tally) -> Tally {
+        Tally {
+            comparisons: self.comparisons + rhs.comparisons,
+            faults: self.faults + rhs.faults,
         }
-    }
-
-    /// The fault tally so far.
-    pub fn faults(&self) -> FaultCounts {
-        *self.faults.lock().expect("fault tally lock poisoned")
     }
 }
 
 thread_local! {
-    static SINKS: RefCell<Vec<Arc<TallySink>>> = const { RefCell::new(Vec::new()) };
+    /// Comparisons recorded on this thread; fed by
+    /// [`ComparisonCounts::record_many`].
+    pub(crate) static COMPARISONS: Cell<ComparisonCounts> =
+        const { Cell::new(ComparisonCounts::zero()) };
+    static FAULTS: Cell<FaultCounts> = const { Cell::new(FaultCounts::zero()) };
 }
 
-/// Uninstalls the sinks its [`install_sink`]/[`install_sinks`] call pushed,
-/// when dropped. Not `Send`: the guard must drop on the installing thread.
-#[derive(Debug)]
-pub struct SinkGuard {
-    installed: usize,
-    _not_send: PhantomData<*const ()>,
-}
-
-impl Drop for SinkGuard {
-    fn drop(&mut self) {
-        SINKS.with(|s| {
-            let mut stack = s.borrow_mut();
-            let keep = stack.len().saturating_sub(self.installed);
-            stack.truncate(keep);
-        });
+/// Takes this thread's tally, leaving it at zero.
+fn take() -> Tally {
+    Tally {
+        comparisons: COMPARISONS.replace(ComparisonCounts::zero()),
+        faults: FAULTS.replace(FaultCounts::zero()),
     }
 }
 
-/// Installs `sink` on the current thread until the guard drops; every
-/// comparison recorded meanwhile is added to it (and to any sinks already
-/// installed below it).
-#[must_use = "the sink uninstalls when the guard drops"]
-pub fn install_sink(sink: Arc<TallySink>) -> SinkGuard {
-    SINKS.with(|s| s.borrow_mut().push(sink));
-    SinkGuard {
-        installed: 1,
-        _not_send: PhantomData,
-    }
+/// Runs `f` and returns what it performed on this thread, plus whatever
+/// it [`credit`]ed from threads it joined. Calls nest: the work also
+/// stays in any enclosing `tallied` scope. If `f` panics, the work done
+/// on this thread before the call is dropped from its tally.
+pub fn tallied<T>(f: impl FnOnce() -> T) -> (T, Tally) {
+    let before = take();
+    let out = f();
+    let tally = take();
+    credit(before + tally);
+    (out, tally)
 }
 
-/// Installs a whole stack of sinks at once — how a worker thread inherits
-/// its spawner's attribution context (see [`current_sinks`]).
-#[must_use = "the sinks uninstall when the guard drops"]
-pub fn install_sinks(sinks: &[Arc<TallySink>]) -> SinkGuard {
-    SINKS.with(|s| s.borrow_mut().extend(sinks.iter().cloned()));
-    SinkGuard {
-        installed: sinks.len(),
-        _not_send: PhantomData,
-    }
-}
-
-/// The sinks installed on the current thread, bottom-up — capture before
-/// spawning workers, re-install on each with [`install_sinks`].
-pub fn current_sinks() -> Vec<Arc<TallySink>> {
-    SINKS.with(|s| s.borrow().clone())
-}
-
-/// Feeds `n` recorded comparisons to every installed sink in one pass.
-/// Called from [`ComparisonCounts::record_many`], the chokepoint every
-/// worker-performed comparison passes through — batch oracles pay the
-/// thread-local lookup once per batch rather than once per comparison.
-pub(crate) fn note_comparisons(class: WorkerClass, n: u64) {
-    SINKS.with(|s| {
-        for sink in s.borrow().iter() {
-            sink.add_many(class, n);
-        }
-    });
-}
-
-/// Feeds one recorded fault to every installed sink. Called from
-/// [`FaultCounts::record`], the chokepoint the platform layer reports
-/// injected and handled faults through.
-pub(crate) fn note_fault(class: WorkerClass, kind: FaultKind) {
-    SINKS.with(|s| {
-        for sink in s.borrow().iter() {
-            sink.add_fault(class, kind);
-        }
-    });
+/// Adds `tally` to this thread's — how a caller takes over the work done
+/// on threads it spawned and joined. Sums commute, so the order in which
+/// workers are credited does not matter.
+pub fn credit(tally: Tally) {
+    COMPARISONS.set(COMPARISONS.get() + tally.comparisons);
+    FAULTS.set(FAULTS.get() + tally.faults);
 }
 
 #[cfg(test)]
@@ -526,104 +456,75 @@ mod tests {
     }
 
     #[test]
-    fn sinks_nest_and_uninstall() {
-        use crate::model::WorkerClass;
-        let outer = Arc::new(TallySink::new());
-        let inner = Arc::new(TallySink::new());
+    fn tallied_scopes_nest() {
         let inst = instance(8);
-        let mut o = PerfectOracle::new(inst.clone());
-        {
-            let _g1 = install_sink(outer.clone());
-            {
-                let _g2 = install_sink(inner.clone());
-                o.compare(WorkerClass::Naive, inst.ids()[0], inst.ids()[1]);
-            }
-            o.compare(WorkerClass::Expert, inst.ids()[0], inst.ids()[2]);
-        }
-        // After both guards drop, nothing is attributed any more.
-        o.compare(WorkerClass::Naive, inst.ids()[3], inst.ids()[4]);
+        let ids = inst.ids();
+        let mut o = PerfectOracle::new(inst);
+        // Work before the scope is not the scope's.
+        o.compare(WorkerClass::Expert, ids[5], ids[6]);
+        let (inner, outer) = tallied(|| {
+            let ((), inner) = tallied(|| {
+                o.compare(WorkerClass::Naive, ids[0], ids[1]);
+            });
+            o.compare(WorkerClass::Expert, ids[0], ids[2]);
+            inner
+        });
         assert_eq!(
-            inner.counts(),
+            inner.comparisons,
             ComparisonCounts {
                 naive: 1,
                 expert: 0
             }
         );
         assert_eq!(
-            outer.counts(),
+            outer.comparisons,
             ComparisonCounts {
                 naive: 1,
                 expert: 1
             }
         );
-        assert!(current_sinks().is_empty());
+        // Work after the scope is not the scope's either.
+        o.compare(WorkerClass::Naive, ids[3], ids[4]);
+        let ((), empty) = tallied(|| ());
+        assert_eq!(empty, Tally::default());
     }
 
     #[test]
-    fn worker_threads_inherit_the_captured_stack() {
-        use crate::model::WorkerClass;
-        let sink = Arc::new(TallySink::new());
-        let _g = install_sink(sink.clone());
-        let captured = current_sinks();
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                let captured = captured.clone();
-                s.spawn(move || {
-                    let _g = install_sinks(&captured);
-                    let inst = instance(4);
-                    let mut o = PerfectOracle::new(inst.clone());
-                    o.compare(WorkerClass::Naive, inst.ids()[0], inst.ids()[1]);
-                });
-            }
+    fn credit_hands_worker_tallies_back_to_the_joiner() {
+        let work = || {
+            let inst = instance(4);
+            let mut o = PerfectOracle::new(inst.clone());
+            o.compare(WorkerClass::Naive, inst.ids()[0], inst.ids()[1]);
+            FaultCounts::zero().record(WorkerClass::Naive, FaultKind::Retry);
+        };
+        let ((), tally) = tallied(|| {
+            std::thread::scope(|s| {
+                let workers: Vec<_> = (0..2).map(|_| s.spawn(|| tallied(work).1)).collect();
+                for worker in workers {
+                    credit(worker.join().unwrap());
+                }
+            });
         });
-        assert_eq!(sink.counts().naive, 2);
+        assert_eq!(tally.comparisons.naive, 2);
+        assert_eq!(tally.faults.naive.retries, 2);
+        assert_eq!(tally.faults.total(), 2);
     }
 
     #[test]
-    fn fault_record_feeds_sinks_and_observe_tallies_without_double_count() {
-        use crate::model::WorkerClass;
-        let sink = Arc::new(TallySink::new());
-        let inst = instance(4);
-        let mut o = Listener::new(PerfectOracle::new(inst));
+    fn fault_record_lands_in_the_thread_tally_once() {
         let mut counts = FaultCounts::zero();
-        {
-            let _g = install_sink(sink.clone());
-            // The platform-side pattern: record at the source (feeds the
-            // sink), then notify decorators via observe (plain add).
+        let ((), tally) = tallied(|| {
             counts.record(WorkerClass::Naive, FaultKind::Timeout);
             counts.record(WorkerClass::Naive, FaultKind::Retry);
             counts.record(WorkerClass::Expert, FaultKind::ExpertFallback);
-            for kind in [FaultKind::Timeout, FaultKind::Retry] {
-                o.observe(TraceEvent::Fault {
-                    class: WorkerClass::Naive,
-                    kind,
-                });
-            }
-            o.observe(TraceEvent::Fault {
-                class: WorkerClass::Expert,
-                kind: FaultKind::ExpertFallback,
-            });
-        }
-        // Sink saw each fault exactly once (record feeds it, observe does not).
-        assert_eq!(sink.faults(), counts);
-        assert_eq!(sink.faults().naive.timeouts, 1);
-        assert_eq!(sink.faults().naive.retries, 1);
-        assert_eq!(sink.faults().expert.expert_fallbacks, 1);
-        // The listener heard each fault once, via observe.
-        let heard: Vec<TraceEvent> = o.events.iter().map(|&(e, _)| e).collect();
-        assert_eq!(
-            heard,
-            [
-                (WorkerClass::Naive, FaultKind::Timeout),
-                (WorkerClass::Naive, FaultKind::Retry),
-                (WorkerClass::Expert, FaultKind::ExpertFallback),
-            ]
-            .map(|(class, kind)| TraceEvent::Fault { class, kind })
-        );
-        assert_eq!(counts.total(), 3);
-        // After the guard drops, records no longer reach the sink.
+        });
+        assert_eq!(tally.faults, counts);
+        assert_eq!(tally.faults.naive.timeouts, 1);
+        assert_eq!(tally.faults.expert.expert_fallbacks, 1);
+        assert_eq!(tally.comparisons, ComparisonCounts::zero());
+        // After the scope, records no longer reach its tally.
         counts.record(WorkerClass::Naive, FaultKind::Dropout);
-        assert_eq!(sink.faults().total(), 3);
+        assert_eq!(tally.faults.total(), 3);
         assert_eq!(counts.total(), 4);
     }
 
@@ -653,7 +554,7 @@ mod tests {
     #[test]
     fn fault_counts_serialize() {
         let mut counts = FaultCounts::zero();
-        counts.add(WorkerClass::Naive, FaultKind::Retry);
+        counts.record(WorkerClass::Naive, FaultKind::Retry);
         let json = serde_json::to_string(&counts).unwrap();
         assert!(json.contains("retries"), "{json}");
         assert!(json.contains("dead_letters"), "{json}");

@@ -13,11 +13,10 @@ use crowd_core::oracle::{
     TryFnOracle,
 };
 use crowd_core::replay::RecordingOracle;
-use crowd_core::trace::{install_sink, TallySink};
+use crowd_core::trace::tallied;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 fn instance(n: usize) -> Instance {
     Instance::new((0..n).map(|i| ((i * 37) % n) as f64).collect())
@@ -134,21 +133,19 @@ proptest! {
 }
 
 #[test]
-fn batch_tallies_feed_sinks_once_per_batch_with_the_same_totals() {
+fn batch_tallies_reach_the_thread_tally_with_the_same_totals() {
     let inst = instance(10);
     let pairs: Vec<(ElementId, ElementId)> =
         (1..10u32).map(|j| (ElementId(0), ElementId(j))).collect();
-    let sink = Arc::new(TallySink::new());
-    {
-        let _g = install_sink(sink.clone());
+    let ((), tally) = tallied(|| {
         let mut o = PerfectOracle::new(inst.clone());
         let mut winners = Vec::new();
         o.compare_batch(WorkerClass::Naive, &pairs, &mut winners);
         o.compare_batch(WorkerClass::Expert, &pairs[..3], &mut winners);
         assert_eq!(winners.len(), pairs.len() + 3);
-    }
-    assert_eq!(sink.counts().naive, pairs.len() as u64);
-    assert_eq!(sink.counts().expert, 3);
+    });
+    assert_eq!(tally.comparisons.naive, pairs.len() as u64);
+    assert_eq!(tally.comparisons.expert, 3);
 }
 
 #[test]

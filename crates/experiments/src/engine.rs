@@ -14,14 +14,14 @@
 //! binary): `0` (the default) means one thread per available core,
 //! `1` forces the serial path (no threads are spawned at all).
 //!
-//! Worker threads inherit the spawner's
-//! [`TallySink`](crowd_core::trace::TallySink) stack, so comparison tallies
-//! keep attributing to the experiment that logically owns the work even
-//! when several experiments run concurrently.
+//! Each worker thread's work tally ([`crowd_core::trace::tallied`]) is
+//! [`credit`](crowd_core::trace::credit)ed to the caller after the join, so
+//! comparison and fault totals keep attributing to the experiment that
+//! logically owns the work even when several experiments run concurrently.
+//! Tallies are commutative sums, so the order of the hand-back is free.
 //!
-//! [`Recorder`](crowd_obs::Recorder) stacks are handled differently: a
-//! sink only accumulates commutative totals, but an event log is ordered.
-//! When the caller has recorders installed, each item runs inside
+//! [`Recorder`](crowd_obs::Recorder) output is ordered, so it is handed
+//! back in input order instead. When the caller has recorders installed, each item runs inside
 //! [`crowd_obs::record_segment`] on its worker thread and the captured
 //! segments are [`crowd_obs::replay`]ed in input order after the join —
 //! so the caller's event log (and metrics) are byte-identical to the
@@ -76,7 +76,6 @@ where
         return items.into_iter().map(f).collect();
     }
 
-    let sinks = crowd_core::trace::current_sinks();
     // Observability capture: when the caller has recorders installed, each
     // item's events and metrics are buffered in a per-item segment on the
     // worker thread and replayed below in input order, so the caller's
@@ -89,30 +88,34 @@ where
     let segments: Vec<Mutex<Option<crowd_obs::Segment>>> =
         work.iter().map(|_| Mutex::new(None)).collect();
 
+    let run_worker = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= work.len() {
+            break;
+        }
+        let item = work[i]
+            .lock()
+            .expect("work slot poisoned")
+            .take()
+            .expect("each index is claimed exactly once");
+        let result = if capture {
+            let (result, segment) = crowd_obs::record_segment(|| f(item));
+            *segments[i].lock().expect("segment slot poisoned") = Some(segment);
+            result
+        } else {
+            f(item)
+        };
+        *slots[i].lock().expect("result slot poisoned") = Some(result);
+    };
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let _guard = crowd_core::trace::install_sinks(&sinks);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= work.len() {
-                        break;
-                    }
-                    let item = work[i]
-                        .lock()
-                        .expect("work slot poisoned")
-                        .take()
-                        .expect("each index is claimed exactly once");
-                    let result = if capture {
-                        let (result, segment) = crowd_obs::record_segment(|| f(item));
-                        *segments[i].lock().expect("segment slot poisoned") = Some(segment);
-                        result
-                    } else {
-                        f(item)
-                    };
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                }
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| scope.spawn(|| crowd_core::trace::tallied(run_worker).1))
+            .collect();
+        for handle in handles {
+            let tally = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            crowd_core::trace::credit(tally);
         }
     });
 
@@ -138,7 +141,6 @@ where
 mod tests {
     use super::*;
     use crowd_core::model::WorkerClass;
-    use crowd_core::trace::{install_sink, TallySink};
     use std::sync::Arc;
 
     /// Serializes tests that touch the process-wide job count.
@@ -210,19 +212,22 @@ mod tests {
     }
 
     #[test]
-    fn workers_inherit_the_tally_sink_stack() {
+    fn worker_tallies_reach_the_caller() {
         use crowd_core::element::Instance;
         use crowd_core::oracle::{ComparisonOracle, PerfectOracle};
+        use crowd_core::trace::{tallied, FaultCounts, FaultKind};
         let _l = JOBS_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let sink = Arc::new(TallySink::new());
-        let _g = install_sink(sink.clone());
         set_jobs(4);
-        let _ = parallel_map((0..8u32).collect(), |_| {
-            let inst = Instance::new(vec![1.0, 2.0, 3.0]);
-            let mut o = PerfectOracle::new(inst.clone());
-            o.compare(WorkerClass::Naive, inst.ids()[0], inst.ids()[1]);
+        let ((), tally) = tallied(|| {
+            let _ = parallel_map((0..8u32).collect(), |_| {
+                let inst = Instance::new(vec![1.0, 2.0, 3.0]);
+                let mut o = PerfectOracle::new(inst.clone());
+                o.compare(WorkerClass::Naive, inst.ids()[0], inst.ids()[1]);
+                FaultCounts::zero().record(WorkerClass::Expert, FaultKind::Timeout);
+            });
         });
         set_jobs(0);
-        assert_eq!(sink.counts().naive, 8);
+        assert_eq!(tally.comparisons.naive, 8);
+        assert_eq!(tally.faults.expert.timeouts, 8);
     }
 }

@@ -17,9 +17,8 @@
 //! [`PerfectOracle`](crowd_core::oracle::PerfectOracle), or a threshold
 //! model that never reaches a tie-break), which the tests pin down.
 //!
-//! Comparison tallies still flow to the installed
-//! [`TallySink`](crowd_core::trace::TallySink) stack: worker threads
-//! inherit the spawner's sinks through [`engine::parallel_map`].
+//! Comparison tallies still reach the caller's thread: worker tallies are
+//! credited back after the join in [`engine::parallel_map`].
 
 use crate::engine;
 use crowd_core::algorithms::{FilterConfig, FilterOutcome, FilterRounds};

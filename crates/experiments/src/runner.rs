@@ -8,7 +8,7 @@ use crate::report::Table;
 use crate::scale::Scale;
 use crowd_core::model::WorkerClass;
 use crowd_core::oracle::ComparisonCounts;
-use crowd_core::trace::{install_sink, FaultCounts, TallySink};
+use crowd_core::trace::{tallied, FaultCounts, Tally};
 use crowd_obs::{class_label, names as metric_names, Event, MetricSample, Recorder, SampleValue};
 use serde::Serialize;
 use std::io;
@@ -223,20 +223,23 @@ pub fn run_experiments(names: &[String], scale: &Scale, out_dir: &Path) -> io::R
             crowd_obs::emit(Event::RunStarted {
                 name: name.to_string(),
             });
-            let sink = Arc::new(TallySink::new());
             // A second, experiment-scoped recorder rides the thread-local
             // stack alongside the run-level one: every emission feeds both,
             // and this one's counter snapshot attributes journal/recovery
             // totals to the experiment that produced them.
             let experiment_rec = Arc::new(Recorder::new());
             let started = Instant::now();
-            let tables = {
-                let _guard = install_sink(sink.clone());
+            let (
+                tables,
+                Tally {
+                    comparisons,
+                    faults,
+                },
+            ) = {
                 let _rec_guard = crowd_obs::install_recorder(experiment_rec.clone());
-                run_experiment(name, scale)?
+                tallied(|| run_experiment(name, scale))
             };
-            let comparisons = sink.counts();
-            let faults = sink.faults();
+            let tables = tables?;
             let experiment_metrics = experiment_rec.metrics().snapshot();
             for (class, performed) in [
                 (WorkerClass::Naive, comparisons.naive),

@@ -125,10 +125,7 @@ impl<O: ComparisonOracle> ComparisonOracle for ObservedOracle<O> {
                     );
                 }
             }
-            // Faults are emitted at their source (the platform layer feeds
-            // `FaultObserved`/`RetryScheduled`/`DeadLettered` directly), so
-            // reacting here would double-count them in a stacked oracle.
-            TraceEvent::Fault { .. } | TraceEvent::RoundEnd(_) => {}
+            TraceEvent::RoundEnd(_) => {}
         }
         self.inner.observe(event);
     }

@@ -1,6 +1,7 @@
-//! Observability for the max-finding reproduction: one subsystem replacing
-//! the three partial tallying paths (`ComparisonCounts` snapshots,
-//! `TallySink` totals, ad-hoc manifest fields) that grew alongside it.
+//! Observability for the max-finding reproduction: one subsystem for the
+//! events, spans and metrics every layer reports. Its recorder stack is the
+//! only thread-local stack in the workspace; `crowd_core` keeps just a
+//! plain per-thread work tally beside it.
 //!
 //! Three cooperating pieces live here:
 //!
@@ -22,9 +23,8 @@
 //!   pipeline stages ([`Stage`]) that consumed it, serialized as sorted
 //!   JSONL next to the event log and reconciled exactly against
 //!   `latency_ticks()` by [`SpanLog::reconcile`].
-//! * [`Recorder`] — the thread-local collection point, mirroring
-//!   `crowd_core::trace`'s `TallySink` stack: [`install_recorder`] scopes
-//!   a recorder to the current thread, [`emit`]/[`counter_add`]/
+//! * [`Recorder`] — the thread-local collection point: [`install_recorder`]
+//!   scopes a recorder to the current thread, [`emit`]/[`counter_add`]/
 //!   [`observe`]/[`gauge_set`] feed every installed recorder, and
 //!   [`record_segment`]/[`replay`] let a parallel runner buffer one work
 //!   item's output on a worker thread and splice it back in input order.
@@ -67,8 +67,8 @@ use crowd_core::trace::{DeadLetterReason, DegradedReason, FaultKind};
 /// Everything is a `&'static str` constant so call sites cannot drift and
 /// docs/tests can reference one authoritative list.
 pub mod names {
-    /// Counter, labels `{class}`: comparisons performed, from the
-    /// per-experiment `TallySink` totals.
+    /// Counter, labels `{class, experiment}`: comparisons performed, from
+    /// each experiment's work tally (`crowd_core::trace::tallied`).
     pub const COMPARISONS_TOTAL: &str = "crowd_comparisons_total";
     /// Counter, labels `{class, kind}`: faults recorded by the platform.
     pub const FAULTS_TOTAL: &str = "crowd_faults_total";

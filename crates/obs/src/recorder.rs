@@ -1,18 +1,16 @@
 //! The thread-local recorder stack: where events and metric updates land.
 //!
-//! This mirrors the `TallySink` stack in `crowd_core::trace` — a
-//! [`Recorder`] is installed on the current thread for a scope
+//! A [`Recorder`] is installed on the current thread for a scope
 //! ([`install_recorder`]), and every [`emit`]/[`counter_add`]/
 //! [`gauge_set`]/[`observe`] call made anywhere on that thread while it is
 //! installed lands in it (and in any recorders installed below it).
 //!
-//! Parallel fan-out uses a different mechanism than sinks do. A sink only
-//! accumulates commutative totals, so workers can feed the caller's sinks
-//! directly; an event log is *ordered*, so workers must not interleave.
-//! Instead, a worker wraps each work item in [`record_segment`], which
-//! masks whatever is installed and captures the item's output into a
-//! private [`Segment`]; the caller then [`replay`]s the segments in input
-//! order after the join. The result is byte-identical to running the items
+//! Parallel fan-out must keep order. Unlike `crowd_core::trace`'s work
+//! tally, a commutative sum credited back in any order, an event log is
+//! *ordered*, so workers must not interleave. Instead, a worker wraps each
+//! work item in [`record_segment`], which masks whatever is installed and
+//! captures the item's output into a private [`Segment`]; the caller then
+//! [`replay`]s the segments in input order after the join. The result is byte-identical to running the items
 //! serially, at any worker count.
 //!
 //! Metric updates come in two forms that land in the same cells. Hot
