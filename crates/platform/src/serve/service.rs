@@ -36,7 +36,8 @@ use crate::serve::slo::{SloMonitor, SloPolicy, SloTransition};
 use crate::serve::tenant::{TenantId, TenantPolicy, TokenBucket};
 use crowd_core::element::ElementId;
 use crowd_core::model::WorkerClass;
-use crowd_core::trace::{DegradedReason, FaultKind};
+use crowd_core::oracle::ComparisonCounts;
+use crowd_core::trace::{DegradedReason, FaultCounts, FaultKind};
 use crowd_obs::{
     counter_add, emit, emit_span, names, series, stage_label, CounterId, Event, GaugeId,
     HistogramId, Stage,
@@ -628,6 +629,9 @@ pub struct CrowdServe {
     shed_count: BTreeMap<TenantId, u64>,
     admitted_count: BTreeMap<TenantId, u64>,
     dead_letters: u64,
+    /// Faults the service observed itself (expert fallbacks); the shards
+    /// keep their own.
+    faults: FaultCounts,
     queue_depth_max: usize,
     replay: Option<ReplayAudit>,
 }
@@ -695,6 +699,7 @@ impl CrowdServe {
             shed_count: BTreeMap::new(),
             admitted_count: BTreeMap::new(),
             dead_letters: 0,
+            faults: FaultCounts::zero(),
             queue_depth_max: 0,
             replay: None,
         })
@@ -713,6 +718,21 @@ impl CrowdServe {
     /// The service journal.
     pub fn journal(&self) -> &Journal {
         &self.journal
+    }
+
+    /// Usable judgments collected across all shards, by class.
+    pub fn comparisons(&self) -> ComparisonCounts {
+        self.shards
+            .iter()
+            .fold(ComparisonCounts::zero(), |sum, s| sum + s.judged())
+    }
+
+    /// Faults observed across all shards plus the service's own expert
+    /// fallbacks, by class and kind.
+    pub fn fault_counts(&self) -> FaultCounts {
+        self.shards
+            .iter()
+            .fold(self.faults, |sum, s| sum + s.fault_counts())
     }
 
     /// The judgment cache's full counter set — including the miss and
@@ -1227,6 +1247,7 @@ impl CrowdServe {
                             // on the crowd with boosted votes instead of
                             // hanging until the deadline.
                             job.mark_degraded(DegradedReason::ExpertExhausted);
+                            self.faults.record(class, FaultKind::ExpertFallback);
                             emit(Event::FaultObserved {
                                 class,
                                 kind: FaultKind::ExpertFallback,

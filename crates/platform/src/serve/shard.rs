@@ -19,7 +19,8 @@ use crate::serve::breaker::{BreakerPolicy, CircuitBreaker};
 use crate::worker::{Behavior, Worker, WorkerId, WorkerProfile};
 use crowd_core::element::{ElementId, Value};
 use crowd_core::model::{TiePolicy, WorkerClass};
-use crowd_core::trace::{DeadLetterReason, FaultKind};
+use crowd_core::oracle::ComparisonCounts;
+use crowd_core::trace::{DeadLetterReason, FaultCounts, FaultKind};
 use crowd_obs::{emit, names, series, CounterId, Event};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -104,6 +105,10 @@ pub struct WorkerShard {
     rotation: usize,
     used: u32,
     trips: u64,
+    /// Usable judgments collected, by class.
+    judged: ComparisonCounts,
+    /// Faults observed on the shard's judgments, by class and kind.
+    faults: FaultCounts,
     /// Per-pair distinct-workers marks, reused across pairs.
     tried: Vec<bool>,
     /// Per-pair usable latencies, flushed to their histogram once per
@@ -143,6 +148,8 @@ impl WorkerShard {
             rotation: 0,
             used: 0,
             trips: 0,
+            judged: ComparisonCounts::zero(),
+            faults: FaultCounts::zero(),
             tried: vec![false; spec.workers as usize],
             latencies: Vec::new(),
             trips_total: CounterId::new(
@@ -176,6 +183,17 @@ impl WorkerShard {
     /// Total breaker trips on this shard.
     pub fn trips(&self) -> u64 {
         self.trips
+    }
+
+    /// Usable judgments the shard has collected — the work tenants are
+    /// charged for.
+    pub fn judged(&self) -> ComparisonCounts {
+        self.judged
+    }
+
+    /// Faults observed on the shard's judgment attempts.
+    pub fn fault_counts(&self) -> FaultCounts {
+        self.faults
     }
 
     /// Resets the per-tick dispatch window.
@@ -299,6 +317,7 @@ impl WorkerShard {
                 JudgeFate::Abandon => FaultKind::Abandon,
                 JudgeFate::NoAnswer => FaultKind::NoAnswer,
             };
+            self.faults.record(class, fault_kind);
             emit(Event::FaultObserved {
                 class,
                 kind: fault_kind,
@@ -330,6 +349,7 @@ impl WorkerShard {
         }
 
         self.tried = tried;
+        self.judged.record_many(class, u64::from(answers));
         series::latency_steps(class).observe_each(&latencies);
         self.latencies = latencies;
         if answers < votes && dead.is_none() {

@@ -5,7 +5,8 @@
 
 use crowd_core::element::ElementId;
 use crowd_core::model::WorkerClass;
-use crowd_obs::{install_recorder, Event, Recorder, RecorderGuard, SpanLog};
+use crowd_core::trace::tallied;
+use crowd_obs::{install_recorder, names, Event, Recorder, RecorderGuard, SampleValue, SpanLog};
 use crowd_platform::fault::{FaultConfig, LatencyModel};
 use crowd_platform::serve::{
     Admission, ArrivalPlan, BreakerPolicy, CachePolicy, CrowdServe, JobSpec, ServeConfig,
@@ -198,6 +199,55 @@ fn expert_outage_falls_back_to_boosted_crowd() {
             ..
         }
     )));
+}
+
+/// The thread's work tally (`crowd_core::trace::tallied`) sees every
+/// judgment the shards collect and every fault the service observes: the
+/// same totals the tenant comparison counters and the event log report.
+#[test]
+fn serve_work_reaches_the_thread_tally() {
+    let (rec, _g) = record();
+    // Faulty naive shards and an expert shard that drops out, so shard
+    // faults and expert fallbacks both occur.
+    let config = faulty_config().with_shards(vec![
+        ShardSpec::honest(WorkerClass::Naive, 12, 36).with_fault(
+            FaultConfig::none()
+                .with_no_answer(0.10)
+                .with_abandon(0.05)
+                .with_latency(LatencyModel::Geometric { p: 0.7, cap: 6 })
+                .with_timeout_steps(4),
+        ),
+        ShardSpec::honest(WorkerClass::Expert, 3, 12)
+            .with_fault(FaultConfig::none().with_dropout(1.0)),
+    ]);
+    let (service, tally) = tallied(|| {
+        let mut service = CrowdServe::new(config, 7).unwrap();
+        service.run(&overload_plan(11), 600).unwrap();
+        service
+    });
+
+    let charged: u64 = rec
+        .metrics()
+        .snapshot()
+        .iter()
+        .filter(|s| s.name == names::SERVE_COMPARISONS_TOTAL)
+        .map(|s| match s.value {
+            SampleValue::Counter { value } => value,
+            _ => 0,
+        })
+        .sum();
+    let faults_observed = rec
+        .events()
+        .iter()
+        .filter(|e| matches!(e, Event::FaultObserved { .. }))
+        .count() as u64;
+    assert!(charged > 0);
+    assert!(tally.faults.naive.no_answers > 0);
+    assert!(tally.faults.expert.expert_fallbacks > 0);
+    assert_eq!(tally.comparisons.total(), charged);
+    assert_eq!(tally.faults.total(), faults_observed);
+    assert_eq!(tally.comparisons, service.comparisons());
+    assert_eq!(tally.faults, service.fault_counts());
 }
 
 #[test]
