@@ -134,16 +134,19 @@ pub struct ManifestEntry {
     pub tables: usize,
     /// Wall-clock time of the experiment, in nanoseconds.
     pub wall_nanos: u64,
-    /// Worker-performed comparisons, by class.
+    /// Worker-performed comparisons, by class, counted in judgments (one
+    /// per vote): the experiment's work tally, including work done on the
+    /// threads it joined.
     pub comparisons: ComparisonCounts,
     /// Physical-step estimate under the paper's `⌈m/w⌉` batch-latency rule
     /// (Section 3) with the nominal pools: naïve comparisons over
     /// [`NOMINAL_NAIVE_POOL`] workers plus expert comparisons over
     /// [`NOMINAL_EXPERT_POOL`].
     pub physical_steps_estimate: u64,
-    /// Platform faults recorded while the experiment ran — dropouts,
-    /// no-answers, timeouts, retries, dead letters — per worker class.
-    /// All-zero for every experiment except the fault-injection sweeps.
+    /// Platform and serve faults recorded while the experiment ran —
+    /// dropouts, no-answers, timeouts, retries, dead letters, expert
+    /// fallbacks — per worker class. All-zero for every experiment except
+    /// the fault, chaos and serve sweeps.
     pub faults: FaultCounts,
     /// Write-ahead journal bytes made durable while the experiment ran
     /// (the [`crowd_journal_bytes_total`](metric_names::JOURNAL_BYTES)
@@ -152,7 +155,9 @@ pub struct ManifestEntry {
     /// Comparisons restored from journals during crash recovery instead
     /// of re-purchased (the
     /// [`crowd_replayed_comparisons_total`](metric_names::REPLAYED_COMPARISONS)
-    /// counter). Nonzero only for the chaos sweep.
+    /// counter). Nonzero only for the chaos and serve sweeps. The chaos
+    /// sweep's platform resume counts answered *pairs*; the serve resume
+    /// counts *judgments*, the unit of [`comparisons`](Self::comparisons).
     pub replayed_comparisons: u64,
 }
 

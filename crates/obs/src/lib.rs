@@ -90,7 +90,9 @@ pub mod names {
     /// Counter, no labels: journal bytes made durable by checkpoints.
     pub const JOURNAL_BYTES: &str = "crowd_journal_bytes_total";
     /// Counter, no labels: comparisons restored from a journal during
-    /// crash recovery instead of re-purchased from workers.
+    /// crash recovery instead of re-purchased from workers. The units
+    /// differ by source: the platform's resume path counts answered
+    /// *pairs*, the serve resume counts *judgments* (one per vote).
     pub const REPLAYED_COMPARISONS: &str = "crowd_replayed_comparisons_total";
     /// Counter, labels `{tenant, outcome}`: jobs the service finished
     /// sorting, by outcome (`ok` / `degraded`).

@@ -278,7 +278,10 @@ impl<R: RngCore> ResumeOracle<R> {
         oracle
     }
 
-    /// Comparisons restored from the journal instead of re-purchased.
+    /// Comparisons restored from the journal instead of re-purchased,
+    /// counted in answered *pairs*: a pair settled by a majority of
+    /// several judgments counts once. The manifest's `comparisons` and
+    /// the serve resume count *judgments* instead.
     pub fn replayed_comparisons(&self) -> u64 {
         self.replayed_comparisons
     }

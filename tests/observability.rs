@@ -68,7 +68,7 @@ fn observability_outputs_are_byte_identical_and_reconcile() {
 
     // Each RunFinished must reconcile exactly with the manifest's tally for
     // the same experiment — two independently serialized views of one
-    // `TallySink`.
+    // work tally.
     let manifest = serde_json::from_str_value(&read(&serial_dir, "manifest.json")).unwrap();
     let experiments: Vec<serde::Value> = serde::field(&manifest, "experiments").unwrap();
     for entry in &experiments {
