@@ -25,7 +25,7 @@
 use crate::model::WorkerClass;
 use crate::oracle::ComparisonCounts;
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 /// The two phases of Algorithm 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -260,9 +260,7 @@ impl FaultCounts {
     /// [`ComparisonCounts::record`].
     pub fn record(&mut self, class: WorkerClass, kind: FaultKind) {
         self.by_class_mut(class).record(kind);
-        let mut thread = FAULTS.get();
-        thread.by_class_mut(class).record(kind);
-        FAULTS.set(thread);
+        FAULTS.with_borrow_mut(|thread| thread.by_class_mut(class).record(kind));
     }
 
     /// The tally for `class`.
@@ -322,7 +320,10 @@ thread_local! {
     /// [`ComparisonCounts::record_many`].
     pub(crate) static COMPARISONS: Cell<ComparisonCounts> =
         const { Cell::new(ComparisonCounts::zero()) };
-    static FAULTS: Cell<FaultCounts> = const { Cell::new(FaultCounts::zero()) };
+    /// Faults recorded on this thread; fed by [`FaultCounts::record`].
+    /// Updated in place: copying the whole 112-byte tally out of a `Cell`
+    /// and back on every fault slowed the serve benchmark's p99 step.
+    static FAULTS: RefCell<FaultCounts> = const { RefCell::new(FaultCounts::zero()) };
 }
 
 /// Takes this thread's tally, leaving it at zero.
@@ -350,7 +351,7 @@ pub fn tallied<T>(f: impl FnOnce() -> T) -> (T, Tally) {
 /// workers are credited does not matter.
 pub fn credit(tally: Tally) {
     COMPARISONS.set(COMPARISONS.get() + tally.comparisons);
-    FAULTS.set(FAULTS.get() + tally.faults);
+    FAULTS.with_borrow_mut(|faults| *faults = *faults + tally.faults);
 }
 
 #[cfg(test)]

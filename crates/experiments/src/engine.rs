@@ -21,11 +21,11 @@
 //! Tallies are commutative sums, so the order of the hand-back is free.
 //!
 //! [`Recorder`](crowd_obs::Recorder) output is ordered, so it is handed
-//! back in input order instead. When the caller has recorders installed, each item runs inside
-//! [`crowd_obs::record_segment`] on its worker thread and the captured
-//! segments are [`crowd_obs::replay`]ed in input order after the join —
-//! so the caller's event log (and metrics) are byte-identical to the
-//! serial run's, at any job count.
+//! back in input order instead. When the caller has recorders installed,
+//! each item runs inside [`crowd_obs::record_segment`] on its worker
+//! thread and the captured segments are [`crowd_obs::replay`]ed in input
+//! order after the join — so the caller's event log (and metrics) are
+//! byte-identical to the serial run's, at any job count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

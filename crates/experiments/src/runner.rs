@@ -8,7 +8,7 @@ use crate::report::Table;
 use crate::scale::Scale;
 use crowd_core::model::WorkerClass;
 use crowd_core::oracle::ComparisonCounts;
-use crowd_core::trace::{tallied, FaultCounts, Tally};
+use crowd_core::trace::{tallied, FaultCounts};
 use crowd_obs::{class_label, names as metric_names, Event, MetricSample, Recorder, SampleValue};
 use serde::Serialize;
 use std::io;
@@ -234,17 +234,12 @@ pub fn run_experiments(names: &[String], scale: &Scale, out_dir: &Path) -> io::R
             // totals to the experiment that produced them.
             let experiment_rec = Arc::new(Recorder::new());
             let started = Instant::now();
-            let (
-                tables,
-                Tally {
-                    comparisons,
-                    faults,
-                },
-            ) = {
+            let (tables, tally) = {
                 let _rec_guard = crowd_obs::install_recorder(experiment_rec.clone());
                 tallied(|| run_experiment(name, scale))
             };
             let tables = tables?;
+            let (comparisons, faults) = (tally.comparisons, tally.faults);
             let experiment_metrics = experiment_rec.metrics().snapshot();
             for (class, performed) in [
                 (WorkerClass::Naive, comparisons.naive),

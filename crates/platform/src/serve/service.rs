@@ -36,7 +36,6 @@ use crate::serve::slo::{SloMonitor, SloPolicy, SloTransition};
 use crate::serve::tenant::{TenantId, TenantPolicy, TokenBucket};
 use crowd_core::element::ElementId;
 use crowd_core::model::WorkerClass;
-use crowd_core::oracle::ComparisonCounts;
 use crowd_core::trace::{DegradedReason, FaultCounts, FaultKind};
 use crowd_obs::{
     counter_add, emit, emit_span, names, series, stage_label, CounterId, Event, GaugeId,
@@ -718,13 +717,6 @@ impl CrowdServe {
     /// The service journal.
     pub fn journal(&self) -> &Journal {
         &self.journal
-    }
-
-    /// Usable judgments collected across all shards, by class.
-    pub fn comparisons(&self) -> ComparisonCounts {
-        self.shards
-            .iter()
-            .fold(ComparisonCounts::zero(), |sum, s| sum + s.judged())
     }
 
     /// Faults observed across all shards plus the service's own expert

@@ -246,7 +246,6 @@ fn serve_work_reaches_the_thread_tally() {
     assert!(tally.faults.expert.expert_fallbacks > 0);
     assert_eq!(tally.comparisons.total(), charged);
     assert_eq!(tally.faults.total(), faults_observed);
-    assert_eq!(tally.comparisons, service.comparisons());
     assert_eq!(tally.faults, service.fault_counts());
 }
 
