@@ -68,6 +68,7 @@ impl ComparisonCounts {
     /// Equivalent to calling [`record`](Self::record) `n` times, but the
     /// thread's tally is updated once for the whole delta — this is what
     /// lets batch oracles amortize tally bookkeeping per batch.
+    #[inline]
     pub fn record_many(&mut self, class: WorkerClass, n: u64) {
         let delta = match class {
             WorkerClass::Naive => ComparisonCounts {

@@ -258,6 +258,7 @@ impl FaultCounts {
     /// [`tallied`]) — the chokepoint the platform and serve layers call
     /// when they inject or handle a fault. The twin of
     /// [`ComparisonCounts::record`].
+    #[inline]
     pub fn record(&mut self, class: WorkerClass, kind: FaultKind) {
         self.by_class_mut(class).record(kind);
         FAULTS.with_borrow_mut(|thread| thread.by_class_mut(class).record(kind));
