@@ -485,7 +485,7 @@ mod tests {
                 expert: 1
             }
         );
-        // Work after the scope is not the scope's either.
+        // A later scope starts from zero.
         o.compare(WorkerClass::Naive, ids[3], ids[4]);
         let ((), empty) = tallied(|| ());
         assert_eq!(empty, Tally::default());
@@ -524,9 +524,9 @@ mod tests {
         assert_eq!(tally.faults.naive.timeouts, 1);
         assert_eq!(tally.faults.expert.expert_fallbacks, 1);
         assert_eq!(tally.comparisons, ComparisonCounts::zero());
-        // After the scope, records no longer reach its tally.
-        counts.record(WorkerClass::Naive, FaultKind::Dropout);
-        assert_eq!(tally.faults.total(), 3);
+        // A later scope sees only its own faults.
+        let ((), later) = tallied(|| counts.record(WorkerClass::Naive, FaultKind::Dropout));
+        assert_eq!(later.faults.total(), 1);
         assert_eq!(counts.total(), 4);
     }
 

@@ -479,6 +479,8 @@ mod tests {
             .filter(|e| matches!(e, Event::FaultObserved { .. }))
             .count();
         assert_eq!(faults as u32, out.attempts - out.answers);
+        assert_eq!(shard.judged().naive, u64::from(out.answers));
+        assert_eq!(shard.fault_counts().naive.no_answers, faults as u64);
     }
 
     #[test]
