@@ -23,6 +23,7 @@ struct Table {
     cache_hits: CounterId,
     cache_misses: CounterId,
     cache_evictions: CounterId,
+    journal_bytes: CounterId,
     replayed_comparisons: CounterId,
 }
 
@@ -54,6 +55,7 @@ impl Table {
             cache_hits: CounterId::new(names::SERVE_CACHE_HITS_TOTAL, &[]),
             cache_misses: CounterId::new(names::SERVE_CACHE_MISSES_TOTAL, &[]),
             cache_evictions: CounterId::new(names::SERVE_CACHE_EVICTIONS_TOTAL, &[]),
+            journal_bytes: CounterId::new(names::JOURNAL_BYTES, &[]),
             replayed_comparisons: CounterId::new(names::REPLAYED_COMPARISONS, &[]),
         }
     }
@@ -107,6 +109,11 @@ pub fn cache_misses() -> CounterId {
 /// `crowd_serve_cache_evictions_total`.
 pub fn cache_evictions() -> CounterId {
     table().cache_evictions
+}
+
+/// `crowd_journal_bytes_total`.
+pub fn journal_bytes() -> CounterId {
+    table().journal_bytes
 }
 
 /// `crowd_replayed_comparisons_total`.

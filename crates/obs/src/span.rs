@@ -177,14 +177,16 @@ impl StageAccum {
         admitted: u64,
         completed: u64,
     ) -> Vec<Span> {
-        let mut spans = vec![Span {
+        // At most one span per stage: sized once, never regrown.
+        let mut spans = Vec::with_capacity(Stage::ALL.len());
+        spans.push(Span {
             tenant,
             job,
             stage: Stage::Admission,
             start: submitted,
             end: submitted,
             ticks: 0,
-        }];
+        });
         if admitted > submitted {
             spans.push(Span {
                 tenant,

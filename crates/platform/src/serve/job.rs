@@ -13,7 +13,7 @@ use crate::serve::tenant::TenantId;
 use crowd_core::element::ElementId;
 use crowd_core::model::WorkerClass;
 use crowd_core::trace::DegradedReason;
-use crowd_obs::StageAccum;
+use crowd_obs::{Stage, StageAccum};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
@@ -111,11 +111,60 @@ pub struct ActiveJob {
     /// per tick the job stays alive, so the accumulated ticks partition
     /// the job's post-admission latency.
     pub stages: StageAccum,
+    /// What the current tick did for the job, until the service records
+    /// the tick's stage.
+    pub(crate) marks: TickMarks,
+    /// The owning tenant's position in the service's tenant table.
+    pub(crate) tenant_slot: usize,
     phase: JobPhase,
     finalists: usize,
     pending: VecDeque<ElementId>,
-    next_round: Vec<ElementId>,
+    /// Survivors of the current round. Sized at admission for the first
+    /// round's survivors; each round roll swaps it with the drained
+    /// `pending`, so later rounds reuse the two buffers.
+    next_round: VecDeque<ElementId>,
     in_flight: u32,
+}
+
+/// The facts one tick established about a job, set by dispatch and
+/// execution and turned into the tick's [`Stage`] by
+/// [`take_stage`](TickMarks::take_stage).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TickMarks {
+    /// A pair ran on a shard.
+    pub(crate) executed: bool,
+    /// An executed pair needed re-assignments or dead-lettered.
+    pub(crate) retried: bool,
+    /// The judgment cache resolved a pair.
+    pub(crate) cache_hit: bool,
+    /// Dispatch stalled with every worker of the needed class quarantined.
+    pub(crate) quarantined: bool,
+}
+
+impl TickMarks {
+    /// The stage the tick is charged to, clearing the marks for the next
+    /// tick. Execution facts beat cache hits beat quarantine stalls; a
+    /// tick with none of those is dispatch wait (deficit, window
+    /// backpressure, or reservation gates).
+    pub(crate) fn take_stage(&mut self) -> Stage {
+        let stage = match *self {
+            TickMarks {
+                executed: true,
+                retried: true,
+                ..
+            } => Stage::Retry,
+            TickMarks { executed: true, .. } => Stage::ShardExec,
+            TickMarks {
+                cache_hit: true, ..
+            } => Stage::CacheLookup,
+            TickMarks {
+                quarantined: true, ..
+            } => Stage::BreakerQuarantine,
+            _ => Stage::DispatchWait,
+        };
+        *self = TickMarks::default();
+        stage
+    }
 }
 
 impl ActiveJob {
@@ -149,10 +198,12 @@ impl ActiveJob {
             degraded: None,
             winner: None,
             stages: StageAccum::new(),
+            marks: TickMarks::default(),
+            tenant_slot: 0,
             phase: JobPhase::Filter,
             finalists: finalists.max(2),
             pending: (0..n as u32).map(ElementId).collect(),
-            next_round: Vec::new(),
+            next_round: VecDeque::with_capacity(n / 2 + 1),
             in_flight: 0,
         };
         if n <= job.finalists {
@@ -245,7 +296,7 @@ impl ActiveJob {
                 pair.0.min(pair.1)
             }
         };
-        self.next_round.push(advanced);
+        self.next_round.push_back(advanced);
         self.maybe_roll();
     }
 
@@ -265,7 +316,7 @@ impl ActiveJob {
     /// most recent completed comparisons, falling back to the round queue.
     fn leader(&self) -> ElementId {
         self.next_round
-            .first()
+            .front()
             .copied()
             .or_else(|| self.pending.front().copied())
             .unwrap_or(ElementId(0))
@@ -279,7 +330,7 @@ impl ActiveJob {
             return;
         }
         if let Some(bye) = self.pending.pop_front() {
-            self.next_round.push(bye);
+            self.next_round.push_back(bye);
         }
         match self.next_round.len() {
             0 => {
@@ -296,7 +347,7 @@ impl ActiveJob {
                 if matches!(self.phase, JobPhase::Filter) && survivors <= self.finalists {
                     self.phase = JobPhase::Expert;
                 }
-                self.pending = std::mem::take(&mut self.next_round).into();
+                std::mem::swap(&mut self.pending, &mut self.next_round);
             }
         }
     }

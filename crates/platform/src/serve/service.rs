@@ -23,6 +23,28 @@
 //! logical clock)`: reruns are byte-identical, and
 //! [`CrowdServe::resume`] replays a crashed run's journal as an audit
 //! trail while rebuilding the exact same final state.
+//!
+//! The tick works on dense state:
+//!
+//! * **One tenant table.** Every per-tenant fact (token bucket, metric
+//!   handles, SLO monitor, offered/admitted/shed counts, charges) lives in
+//!   one `Vec` sorted by tenant id. `submit` finds the tenant's slot once;
+//!   the queue entry and the admitted job carry it from there, so
+//!   admission, execution and completion index instead of searching.
+//! * **Active jobs in id order.** Admission is FIFO and ids only grow, so
+//!   admitting pushes onto a `Vec` that stays sorted. Dispatch visits it
+//!   front to back every tick — the deficit-round-robin order — and
+//!   completion drops finished jobs in the same pass that attributes the
+//!   survivors' tick.
+//! * **Tick marks, not tick sets.** Dispatch and execution mark each job
+//!   with what its tick did (ran a pair, needed a retry, hit the cache,
+//!   stalled on quarantine); span attribution turns the marks into the
+//!   tick's [`Stage`] and clears them.
+//! * **Reused buffers.** The dispatch list, the cache hits and the journal
+//!   encoding buffers live in one scratch the service keeps across ticks,
+//!   and the tick's completions are the tail of the run's completion
+//!   list. On a warm service a tick that admits and completes nothing
+//!   makes no heap allocation (`tests/serve_alloc.rs`).
 
 use crate::fault::mix;
 use crate::journal::{fnv1a64, push_list, push_u64, CheckpointPolicy, Journal, JOURNAL_VERSION};
@@ -38,11 +60,10 @@ use crowd_core::element::ElementId;
 use crowd_core::model::WorkerClass;
 use crowd_core::trace::{DegradedReason, FaultCounts, FaultKind};
 use crowd_obs::{
-    counter_add, emit, emit_span, names, series, stage_label, CounterId, Event, GaugeId,
-    HistogramId, Stage,
+    emit, emit_span, names, series, stage_label, CounterId, Event, GaugeId, HistogramId, Stage,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Full configuration of a [`CrowdServe`] instance. Serialized into the
@@ -463,10 +484,13 @@ impl RecordView<'_> {
     }
 }
 
-/// Reused buffers the tick path builds its journal records in, so a warm
-/// service journals without allocating.
+/// Buffers the tick reuses from tick to tick: its dispatch list and cache
+/// hits, and the journal records it builds from them, so a warm service
+/// dispatches and journals without allocating.
 #[derive(Debug, Default)]
-struct RecordScratch {
+struct TickScratch {
+    dispatches: Vec<DispatchRecord>,
+    hits: Vec<CacheHitRecord>,
     json: Vec<u8>,
     shard_seqs: Vec<u64>,
     charged: Vec<(u32, u64)>,
@@ -603,6 +627,32 @@ impl TenantMetrics {
     }
 }
 
+/// One row of the service's tenant table.
+#[derive(Debug)]
+struct TenantState {
+    tenant: TenantId,
+    bucket: TokenBucket,
+    metrics: TenantMetrics,
+    slo: SloMonitor,
+    /// Comparisons charged so far; `None` until the tenant's first pair
+    /// executes, because the journal's `charged` list names only tenants
+    /// that have been charged (a pair answered 0 times counts).
+    charged: Option<u64>,
+    offered: u64,
+    admitted: u64,
+    shed: u64,
+}
+
+/// A submission parked in the admission queue.
+#[derive(Debug)]
+struct Queued {
+    job: JobId,
+    spec: JobSpec,
+    submitted: u64,
+    /// The tenant's slot in the tenant table.
+    slot: usize,
+}
+
 /// The overload-robust multi-tenant job service.
 #[derive(Debug)]
 pub struct CrowdServe {
@@ -612,21 +662,15 @@ pub struct CrowdServe {
     next_job: u64,
     shards: Vec<WorkerShard>,
     cache: JudgmentCache,
-    buckets: BTreeMap<TenantId, TokenBucket>,
-    /// Each tenant's metric handles, registered once.
-    metrics: BTreeMap<TenantId, TenantMetrics>,
-    slo: BTreeMap<TenantId, SloMonitor>,
-    queue: VecDeque<(JobId, JobSpec, u64)>,
-    active: BTreeMap<JobId, ActiveJob>,
-    drr: VecDeque<JobId>,
+    /// Per-tenant state, sorted by tenant id.
+    tenants: Vec<TenantState>,
+    queue: VecDeque<Queued>,
+    /// Admitted jobs in id order, which is admission order.
+    active: Vec<ActiveJob>,
     journal: Journal,
-    scratch: RecordScratch,
+    scratch: TickScratch,
     unflushed: u64,
     completed: Vec<CompletedJob>,
-    charged_total: BTreeMap<TenantId, u64>,
-    offered: BTreeMap<TenantId, u64>,
-    shed_count: BTreeMap<TenantId, u64>,
-    admitted_count: BTreeMap<TenantId, u64>,
     dead_letters: u64,
     /// Faults the service observed itself (expert fallbacks); the shards
     /// keep their own.
@@ -646,18 +690,24 @@ impl CrowdServe {
         if config.shards.is_empty() {
             return Err(ServeError::NoShards);
         }
-        let mut buckets = BTreeMap::new();
-        let mut slo = BTreeMap::new();
-        let mut metrics = BTreeMap::new();
+        let mut tenants: Vec<TenantState> = Vec::with_capacity(config.tenants.len());
         for policy in &config.tenants {
-            if buckets
-                .insert(policy.tenant, TokenBucket::new(*policy))
-                .is_some()
-            {
+            let Err(slot) = tenants.binary_search_by_key(&policy.tenant, |t| t.tenant) else {
                 return Err(ServeError::DuplicateTenant(policy.tenant));
-            }
-            slo.insert(policy.tenant, SloMonitor::new());
-            metrics.insert(policy.tenant, TenantMetrics::register(policy.tenant));
+            };
+            tenants.insert(
+                slot,
+                TenantState {
+                    tenant: policy.tenant,
+                    bucket: TokenBucket::new(*policy),
+                    metrics: TenantMetrics::register(policy.tenant),
+                    slo: SloMonitor::new(),
+                    charged: None,
+                    offered: 0,
+                    admitted: 0,
+                    shed: 0,
+                },
+            );
         }
         let shards = config
             .shards
@@ -666,7 +716,7 @@ impl CrowdServe {
             .map(|(i, spec)| WorkerShard::new(i as u32, *spec, mix(seed ^ 0x5E)))
             .collect();
         let mut journal = Journal::new();
-        let mut scratch = RecordScratch::default();
+        let mut scratch = TickScratch::default();
         RecordView::Started {
             version: JOURNAL_VERSION,
             seed,
@@ -683,20 +733,13 @@ impl CrowdServe {
             next_job: 0,
             shards,
             cache,
-            buckets,
-            metrics,
-            slo,
+            tenants,
             queue: VecDeque::new(),
-            active: BTreeMap::new(),
-            drr: VecDeque::new(),
+            active: Vec::new(),
             journal,
             scratch,
             unflushed: 0,
             completed: Vec::new(),
-            charged_total: BTreeMap::new(),
-            offered: BTreeMap::new(),
-            shed_count: BTreeMap::new(),
-            admitted_count: BTreeMap::new(),
             dead_letters: 0,
             faults: FaultCounts::zero(),
             queue_depth_max: 0,
@@ -753,54 +796,67 @@ impl CrowdServe {
         if spec.values.is_empty() {
             return Err(ServeError::EmptyCatalog);
         }
-        if !self.buckets.contains_key(&spec.tenant) {
-            return Err(ServeError::UnknownTenant(spec.tenant));
-        }
+        let slot = self
+            .tenants
+            .binary_search_by_key(&spec.tenant, |t| t.tenant)
+            .map_err(|_| ServeError::UnknownTenant(spec.tenant))?;
         let job = JobId(self.next_job);
         self.next_job += 1;
-        let tenant = spec.tenant;
-        *self.offered.entry(tenant).or_insert(0) += 1;
         let reserved = self.reservation(&spec);
         let tick = self.tick;
-        let bucket = self.buckets.get_mut(&tenant).expect("tenant checked");
+        let tenant = &mut self.tenants[slot];
+        tenant.offered += 1;
 
-        if reserved > bucket.policy().capacity {
-            return Ok(self.shed(job, tenant, u64::MAX));
+        if reserved > tenant.bucket.policy().capacity {
+            return Ok(self.shed(job, slot, u64::MAX));
         }
-        if self.queue.is_empty() && bucket.try_reserve(reserved, tick) {
-            self.admit(job, spec, tick, reserved, 0);
+        if self.queue.is_empty() && tenant.bucket.try_reserve(reserved, tick) {
+            self.admit(job, spec, slot, tick, reserved, 0);
             return Ok(Admission::Admitted(job));
         }
         if self.queue.len() < self.config.queue_cap {
-            self.queue.push_back((job, spec, tick));
+            self.queue.push_back(Queued {
+                job,
+                spec,
+                submitted: tick,
+                slot,
+            });
             self.queue_depth_max = self.queue_depth_max.max(self.queue.len());
             series::queue_depth_max().set(self.queue.len() as i64);
             return Ok(Admission::Queued(job));
         }
-        let retry_after = bucket.ticks_until(reserved, tick).max(1);
-        Ok(self.shed(job, tenant, retry_after))
+        let retry_after = tenant.bucket.ticks_until(reserved, tick).max(1);
+        Ok(self.shed(job, slot, retry_after))
     }
 
-    fn shed(&mut self, job: JobId, tenant: TenantId, retry_after: u64) -> Admission {
-        *self.shed_count.entry(tenant).or_insert(0) += 1;
+    fn shed(&mut self, job: JobId, slot: usize, retry_after: u64) -> Admission {
+        let tenant = &mut self.tenants[slot];
+        tenant.shed += 1;
         emit(Event::JobShed {
-            tenant: tenant.0,
+            tenant: tenant.tenant.0,
             job: job.0,
             retry_after,
         });
-        self.metrics[&tenant].shed.add(1);
+        tenant.metrics.shed.add(1);
         Admission::Rejected { job, retry_after }
     }
 
-    fn admit(&mut self, job: JobId, spec: JobSpec, submitted: u64, reserved: u64, waited: u64) {
-        let tenant = spec.tenant;
-        *self.admitted_count.entry(tenant).or_insert(0) += 1;
+    fn admit(
+        &mut self,
+        job: JobId,
+        spec: JobSpec,
+        slot: usize,
+        submitted: u64,
+        reserved: u64,
+        waited: u64,
+    ) {
+        self.tenants[slot].admitted += 1;
         emit(Event::JobAdmitted {
-            tenant: tenant.0,
+            tenant: spec.tenant.0,
             job: job.0,
             waited_ticks: waited,
         });
-        let active = ActiveJob::new(
+        let mut active = ActiveJob::new(
             job,
             spec,
             submitted,
@@ -809,8 +865,9 @@ impl CrowdServe {
             self.config.finalists,
             self.config.fallback_votes,
         );
-        self.active.insert(job, active);
-        self.drr.push_back(job);
+        active.tenant_slot = slot;
+        debug_assert!(self.active.last().is_none_or(|last| last.id < job));
+        self.active.push(active);
     }
 
     /// Advances the service one tick.
@@ -826,24 +883,25 @@ impl CrowdServe {
         // 1. Deadline sweep. Jobs force-finish between rounds only: a
         // pair dispatched in an earlier tick has already resolved (ticks
         // execute synchronously), so no outcome can land after Done.
-        for job in self.active.values_mut() {
+        for job in &mut self.active {
             if !job.is_done() && tick >= job.deadline {
                 job.force_finish(DegradedReason::DeadlineLapsed);
             }
         }
 
         // 2. Head-of-line admission: drain the queue while buckets allow.
-        while let Some((job, spec, submitted)) = self.queue.front().cloned() {
-            let reserved = self.reservation(&spec);
-            let bucket = self
-                .buckets
-                .get_mut(&spec.tenant)
-                .expect("tenant checked at submit");
-            if !bucket.try_reserve(reserved, tick) {
+        while let Some(head) = self.queue.front() {
+            let reserved = self.reservation(&head.spec);
+            if !self.tenants[head.slot].bucket.try_reserve(reserved, tick) {
                 break;
             }
-            self.queue.pop_front();
-            self.admit(job, spec, submitted, reserved, tick - submitted);
+            let Queued {
+                job,
+                spec,
+                submitted,
+                slot,
+            } = self.queue.pop_front().expect("the head was just read");
+            self.admit(job, spec, slot, submitted, reserved, tick - submitted);
         }
 
         // 3. Dispatch. Cache lookups happen inside the dispatch pass,
@@ -853,19 +911,20 @@ impl CrowdServe {
             shard.begin_tick();
         }
         let cache_before = self.cache.stats();
-        let (dispatches, cache_hits, quarantined) = self.dispatch_tick();
+        let mut dispatches = std::mem::take(&mut self.scratch.dispatches);
+        let mut hits = std::mem::take(&mut self.scratch.hits);
+        dispatches.clear();
+        hits.clear();
+        self.dispatch_tick(&mut dispatches, &mut hits);
 
         // 4. WAL: the dispatch list is durable before any worker is
         // asked. Cache hits are journaled alongside it (audit only: a
         // replay recomputes them; it never reads them back) — but only on
         // ticks that had one, so a run that never hits journals exactly
         // the bytes a cache-off run does.
-        let wal_appended = !cache_hits.is_empty() || !dispatches.is_empty();
-        if !cache_hits.is_empty() {
-            self.journal_tick(RecordView::Cached {
-                tick,
-                hits: &cache_hits,
-            });
+        let wal_appended = !hits.is_empty() || !dispatches.is_empty();
+        if !hits.is_empty() {
+            self.journal_tick(RecordView::Cached { tick, hits: &hits });
         }
         if !dispatches.is_empty() {
             self.journal_tick(RecordView::Scheduled {
@@ -879,7 +938,10 @@ impl CrowdServe {
         }
 
         // 5. Execute, in dispatch order.
-        let (tick_answers, executed) = self.execute(tick, &dispatches)?;
+        let tick_answers = self.execute(tick, &dispatches)?;
+        let dispatched = !dispatches.is_empty();
+        self.scratch.dispatches = dispatches;
+        self.scratch.hits = hits;
 
         // Cache observability: one delta per tick keeps counter traffic
         // bounded, and guarding on nonzero deltas keeps a cache that
@@ -902,117 +964,55 @@ impl CrowdServe {
             }
         }
 
-        // 6. Completion: budget stalls finish degraded, done jobs leave.
-        let mut completions = Vec::new();
-        let done: Vec<JobId> = self
-            .active
-            .iter_mut()
-            .filter_map(|(id, job)| {
-                if job.budget_stalled && !job.is_done() {
-                    job.force_finish(DegradedReason::BudgetExhausted);
-                }
-                job.is_done().then_some(*id)
-            })
-            .collect();
-        for id in done {
-            let job = self.active.remove(&id).expect("listed as done");
-            self.drr.retain(|j| *j != id);
-            let refund = job.reserved.saturating_sub(job.charged);
-            self.buckets
-                .get_mut(&job.tenant)
-                .expect("tenant checked at submit")
-                .refund(refund, tick);
-            let winner = job.winner.expect("done jobs carry a winner");
-            let record = CompletedJob {
-                job: id,
-                tenant: job.tenant,
-                winner,
-                degraded: job.degraded,
-                comparisons: job.charged,
-                submitted: job.submitted,
-                completed: tick,
-            };
-            emit(Event::JobCompleted {
-                tenant: job.tenant.0,
-                job: id.0,
-                latency_ticks: record.latency_ticks(),
-                comparisons: job.charged,
-                degraded: job.degraded,
-            });
-            let metrics = &self.metrics[&job.tenant];
-            metrics.jobs[usize::from(job.degraded.is_some())].add(1);
-            metrics.job_latency.observe(record.latency_ticks());
-            // Close the job's span tree. The accumulator recorded exactly
-            // one stage per tick the job survived, so the spans partition
-            // the latency — the accounting invariant `serve_trace` audits.
-            let spans = job
-                .stages
-                .job_spans(job.tenant.0, id.0, job.submitted, job.admitted, tick);
-            debug_assert_eq!(
-                spans.iter().map(|s| s.ticks).sum::<u64>(),
-                record.latency_ticks(),
-                "stage spans must partition job {id} latency"
-            );
-            for span in &spans {
-                emit_span(*span);
-                if span.ticks > 0 {
-                    metrics.stage_ticks[span.stage as usize].observe(span.ticks);
-                }
+        // 6. Completion: budget stalls finish degraded, done jobs leave,
+        // in id order. Span attribution rides the same pass: each
+        // surviving job charges this tick to exactly one active stage,
+        // read off its tick marks. A job that completes here is gone —
+        // its completion tick is, by definition, not part of its latency.
+        let first_completion = self.completed.len();
+        let (tenants, completed, slo) = (&mut self.tenants, &mut self.completed, &self.config.slo);
+        self.active.retain_mut(|job| {
+            if job.budget_stalled && !job.is_done() {
+                job.force_finish(DegradedReason::BudgetExhausted);
             }
-            if self.config.slo.enabled {
-                let bad = record.degraded.is_some()
-                    || record.latency_ticks() > self.config.slo.latency_objective_ticks;
-                if let Some(monitor) = self.slo.get_mut(&job.tenant) {
-                    monitor.record(tick, bad);
-                }
+            if job.is_done() {
+                completed.push(Self::complete(
+                    job,
+                    tick,
+                    &mut tenants[job.tenant_slot],
+                    slo,
+                ));
+                return false;
             }
-            self.completed.push(record.clone());
-            completions.push(record);
-        }
-
-        // Span attribution: each surviving job charges this tick to
-        // exactly one active stage. Jobs that completed above are gone —
-        // their completion tick is, by definition, not part of their
-        // latency. Priority: execution facts beat cache hits beat
-        // quarantine stalls; a tick with none of those is dispatch wait
-        // (deficit, window backpressure, or reservation gates).
-        let cache_hit_jobs: BTreeSet<JobId> = cache_hits.iter().map(|h| JobId(h.job)).collect();
-        for (id, job) in self.active.iter_mut() {
-            let stage = match executed.get(id) {
-                Some(true) => Stage::Retry,
-                Some(false) => Stage::ShardExec,
-                None if cache_hit_jobs.contains(id) => Stage::CacheLookup,
-                None if quarantined.contains(id) => Stage::BreakerQuarantine,
-                None => Stage::DispatchWait,
-            };
-            job.stages.record(stage, tick);
-        }
+            job.stages.record(job.marks.take_stage(), tick);
+            true
+        });
 
         // SLO evaluation runs every tick — recovery can arrive on a
         // quiet tick purely by bad completions aging out of the window.
         if self.config.slo.enabled {
-            for (tenant, monitor) in &mut self.slo {
-                match monitor.evaluate(tick, &self.config.slo) {
+            for t in &mut self.tenants {
+                match t.slo.evaluate(tick, &self.config.slo) {
                     Some(SloTransition::Breached {
                         window_jobs,
                         bad_jobs,
                         bad_bps,
                     }) => {
                         emit(Event::SloBreached {
-                            tenant: tenant.0,
+                            tenant: t.tenant.0,
                             tick,
                             window_jobs,
                             bad_jobs,
                             bad_bps,
                         });
-                        self.metrics[tenant].slo_breaches.add(1);
+                        t.metrics.slo_breaches.add(1);
                     }
                     Some(SloTransition::Recovered {
                         window_jobs,
                         bad_bps,
                     }) => {
                         emit(Event::SloRecovered {
-                            tenant: tenant.0,
+                            tenant: t.tenant.0,
                             tick,
                             window_jobs,
                             bad_bps,
@@ -1024,23 +1024,29 @@ impl CrowdServe {
         }
 
         // 7. Journal the tick outcome at the checkpoint cadence.
-        if !dispatches.is_empty() || !completions.is_empty() {
-            let RecordScratch {
+        let completions = &self.completed[first_completion..];
+        if dispatched || !completions.is_empty() {
+            let TickScratch {
                 json,
                 shard_seqs,
                 charged,
+                ..
             } = &mut self.scratch;
             shard_seqs.clear();
             shard_seqs.extend(self.shards.iter().map(WorkerShard::seq));
             charged.clear();
-            charged.extend(self.charged_total.iter().map(|(t, c)| (t.0, *c)));
+            charged.extend(
+                self.tenants
+                    .iter()
+                    .filter_map(|t| t.charged.map(|c| (t.tenant.0, c))),
+            );
             json.clear();
             RecordView::Completed {
                 tick,
                 shard_seqs,
                 answers: tick_answers,
                 charged,
-                completed: &completions,
+                completed: completions,
             }
             .encode(json);
             if let Some(audit) = &mut self.replay {
@@ -1061,13 +1067,70 @@ impl CrowdServe {
                     batches: tick + 1,
                     bytes,
                 });
-                counter_add(names::JOURNAL_BYTES, &[], bytes);
+                series::journal_bytes().add(bytes);
                 self.unflushed = 0;
             }
         }
 
         self.tick += 1;
         Ok(())
+    }
+
+    /// Closes a finished job at `tick`: refunds its unused reservation,
+    /// emits its completion event, metrics and span tree, and feeds the
+    /// tenant's SLO window. Returns the job's record.
+    fn complete(
+        job: &ActiveJob,
+        tick: u64,
+        tenant: &mut TenantState,
+        slo: &SloPolicy,
+    ) -> CompletedJob {
+        tenant
+            .bucket
+            .refund(job.reserved.saturating_sub(job.charged), tick);
+        let record = CompletedJob {
+            job: job.id,
+            tenant: job.tenant,
+            winner: job.winner.expect("done jobs carry a winner"),
+            degraded: job.degraded,
+            comparisons: job.charged,
+            submitted: job.submitted,
+            completed: tick,
+        };
+        emit(Event::JobCompleted {
+            tenant: job.tenant.0,
+            job: job.id.0,
+            latency_ticks: record.latency_ticks(),
+            comparisons: job.charged,
+            degraded: job.degraded,
+        });
+        let metrics = &tenant.metrics;
+        metrics.jobs[usize::from(job.degraded.is_some())].add(1);
+        metrics.job_latency.observe(record.latency_ticks());
+        // Close the job's span tree. The accumulator recorded exactly
+        // one stage per tick the job survived, so the spans partition
+        // the latency — the accounting invariant `serve_trace` audits.
+        let spans = job
+            .stages
+            .job_spans(job.tenant.0, job.id.0, job.submitted, job.admitted, tick);
+        debug_assert_eq!(
+            spans.iter().map(|s| s.ticks).sum::<u64>(),
+            record.latency_ticks(),
+            "stage spans must partition job {} latency",
+            job.id
+        );
+        for span in &spans {
+            emit_span(*span);
+            if span.ticks > 0 {
+                metrics.stage_ticks[span.stage as usize].observe(span.ticks);
+            }
+        }
+        if slo.enabled {
+            let bad =
+                record.degraded.is_some() || record.latency_ticks() > slo.latency_objective_ticks;
+            tenant.slo.record(tick, bad);
+        }
+        record
     }
 
     /// Encodes a write-ahead tick record into the reused buffer and frames
@@ -1081,27 +1144,24 @@ impl CrowdServe {
 
     /// Runs the tick's dispatched pairs on their shards, in dispatch
     /// order: each outcome is charged to and fed into its job, and each
-    /// clean verdict goes into the cache. Returns the answers bought and,
-    /// per job that ran a pair, whether any pair needed the retry layer —
-    /// the facts span attribution classifies the tick by.
+    /// clean verdict goes into the cache. Marks every job that ran a pair,
+    /// and whether any of its pairs needed the retry layer — the facts
+    /// span attribution classifies the tick by. Returns the answers
+    /// bought.
     ///
     /// # Errors
     ///
     /// [`ServeError::JobNotActive`] when a dispatch names a job that is
     /// not active.
-    fn execute(
-        &mut self,
-        tick: u64,
-        dispatches: &[DispatchRecord],
-    ) -> Result<(u64, BTreeMap<JobId, bool>), ServeError> {
+    fn execute(&mut self, tick: u64, dispatches: &[DispatchRecord]) -> Result<u64, ServeError> {
         let mut tick_answers = 0u64;
-        let mut executed = BTreeMap::new();
         for d in dispatches {
             let id = JobId(d.job);
-            let job = self
+            let at = self
                 .active
-                .get_mut(&id)
-                .ok_or(ServeError::JobNotActive(id))?;
+                .binary_search_by_key(&id, |job| job.id)
+                .map_err(|_| ServeError::JobNotActive(id))?;
+            let job = &mut self.active[at];
             let (vk, vj) = (job.values[d.k as usize], job.values[d.j as usize]);
             let shard = &mut self.shards[d.shard as usize];
             let out = shard.execute_pair(
@@ -1131,12 +1191,11 @@ impl CrowdServe {
             }
             job.charged += u64::from(out.answers);
             tick_answers += u64::from(out.answers);
-            let retried = executed.entry(id).or_insert(false);
-            *retried |= out.dead.is_some() || out.attempts > d.votes;
-            *self.charged_total.entry(job.tenant).or_insert(0) += u64::from(out.answers);
-            self.metrics[&job.tenant]
-                .comparisons
-                .add(u64::from(out.answers));
+            job.marks.executed = true;
+            job.marks.retried |= out.dead.is_some() || out.attempts > d.votes;
+            let tenant = &mut self.tenants[job.tenant_slot];
+            *tenant.charged.get_or_insert(0) += u64::from(out.answers);
+            tenant.metrics.comparisons.add(u64::from(out.answers));
             if let Some(reason) = out.dead {
                 self.dead_letters += 1;
                 let class = shard.class();
@@ -1149,29 +1208,21 @@ impl CrowdServe {
             }
             job.feed((ElementId(d.k), ElementId(d.j)), out.winner);
         }
-        Ok((tick_answers, executed))
+        Ok(tick_answers)
     }
 
-    /// One deficit-round-robin pass over the active jobs. Returns the
-    /// pairs handed to shards, the pairs the judgment cache resolved
-    /// without one, and the jobs whose tick stalled because every worker
-    /// of the needed class was quarantined (span attribution:
+    /// One deficit-round-robin pass over the active jobs, in id order:
+    /// every tick visits every job once, so the rotation never needs a
+    /// queue of its own. Appends the pairs handed to shards to `out` and
+    /// the pairs the judgment cache resolved without one to `hits`, and
+    /// marks the jobs whose tick stalled because every worker of the
+    /// needed class was quarantined (span attribution:
     /// [`Stage::BreakerQuarantine`]).
-    fn dispatch_tick(&mut self) -> (Vec<DispatchRecord>, Vec<CacheHitRecord>, BTreeSet<JobId>) {
+    fn dispatch_tick(&mut self, out: &mut Vec<DispatchRecord>, hits: &mut Vec<CacheHitRecord>) {
         let tick = self.tick;
         let quantum = self.config.drr_quantum.max(1);
         let max_retries = self.config.retry.max_retries;
-        let mut out = Vec::new();
-        let mut hits = Vec::new();
-        let mut quarantined = BTreeSet::new();
-        for _ in 0..self.drr.len() {
-            let Some(id) = self.drr.pop_front() else {
-                break;
-            };
-            let Some(job) = self.active.get_mut(&id) else {
-                continue; // completed earlier; dropped from rotation
-            };
-            self.drr.push_back(id);
+        for job in &mut self.active {
             if job.is_done() || job.budget_stalled {
                 continue;
             }
@@ -1195,12 +1246,13 @@ impl CrowdServe {
                         let (k, j) = job.next_pair().expect("peeked pair is ready");
                         let winner = if k_wins { k } else { j };
                         hits.push(CacheHitRecord {
-                            job: id.0,
+                            job: job.id.0,
                             k: k.0,
                             j: j.0,
                             votes,
                             winner: winner.0,
                         });
+                        job.marks.cache_hit = true;
                         job.feed((k, j), Some(winner));
                         continue;
                     }
@@ -1225,7 +1277,7 @@ impl CrowdServe {
                         job.committed += pair_worst;
                         job.deficit -= u64::from(votes);
                         out.push(DispatchRecord {
-                            job: id.0,
+                            job: job.id.0,
                             shard: sidx as u32,
                             k: k.0,
                             j: j.0,
@@ -1250,14 +1302,13 @@ impl CrowdServe {
                         // Crowd quarantine storm: the pair waits for a
                         // half-open probe to reopen capacity (or the
                         // deadline to lapse). Explicit, bounded waiting.
-                        quarantined.insert(id);
+                        job.marks.quarantined = true;
                         break;
                     }
                     ShardPick::NoCapacity => break, // backpressure: next tick
                 }
             }
         }
-        (out, hits, quarantined)
     }
 
     /// Routes a pair to the least-loaded shard of `class` with healthy
@@ -1306,13 +1357,13 @@ impl CrowdServe {
             if self.tick >= max_ticks {
                 // Safety drain: never hang. Stragglers complete degraded,
                 // queued jobs shed.
-                for job in self.active.values_mut() {
+                for job in &mut self.active {
                     if !job.is_done() {
                         job.force_finish(DegradedReason::DeadlineLapsed);
                     }
                 }
-                while let Some((job, spec, _)) = self.queue.pop_front() {
-                    self.shed(job, spec.tenant, u64::MAX);
+                while let Some(queued) = self.queue.pop_front() {
+                    self.shed(queued.job, queued.slot, u64::MAX);
                 }
                 self.step()?;
                 break;
@@ -1324,21 +1375,20 @@ impl CrowdServe {
                 batches: self.tick,
                 bytes,
             });
-            counter_add(names::JOURNAL_BYTES, &[], bytes);
+            series::journal_bytes().add(bytes);
         }
         let report = self.report();
         // Flow the report's latency tails and SLO burn into the metrics
         // exposition as per-tenant high watermarks — skipping tenants
         // with no completions, matching the report's zero semantics.
-        for t in &report.tenants {
+        for (t, state) in report.tenants.iter().zip(&self.tenants) {
             if t.completed_ok + t.degraded == 0 {
                 continue;
             }
-            let metrics = &self.metrics[&t.tenant];
-            metrics.p99_latency.set(t.p99_latency_ticks as i64);
-            metrics.max_latency.set(t.max_latency_ticks as i64);
+            state.metrics.p99_latency.set(t.p99_latency_ticks as i64);
+            state.metrics.max_latency.set(t.max_latency_ticks as i64);
             if self.config.slo.enabled {
-                metrics.slo_burn.set(i64::from(t.slo_burn_max_bps));
+                state.metrics.slo_burn.set(i64::from(t.slo_burn_max_bps));
             }
         }
         Ok(report)
@@ -1347,11 +1397,11 @@ impl CrowdServe {
     /// The report over everything completed so far.
     pub fn report(&self) -> ServeReport {
         let mut tenants = Vec::new();
-        for (tenant, bucket) in &self.buckets {
+        for t in &self.tenants {
             let jobs: Vec<&CompletedJob> = self
                 .completed
                 .iter()
-                .filter(|j| j.tenant == *tenant)
+                .filter(|j| j.tenant == t.tenant)
                 .collect();
             let mut latencies: Vec<u64> = jobs.iter().map(|j| j.latency_ticks()).collect();
             latencies.sort_unstable();
@@ -1364,25 +1414,25 @@ impl CrowdServe {
                 jobs.iter().filter(|j| j.degraded == Some(reason)).count() as u64
             };
             tenants.push(TenantReport {
-                tenant: *tenant,
-                offered: self.offered.get(tenant).copied().unwrap_or(0),
-                admitted: self.admitted_count.get(tenant).copied().unwrap_or(0),
-                shed: self.shed_count.get(tenant).copied().unwrap_or(0),
+                tenant: t.tenant,
+                offered: t.offered,
+                admitted: t.admitted,
+                shed: t.shed,
                 completed_ok: jobs.iter().filter(|j| j.degraded.is_none()).count() as u64,
                 degraded: jobs.iter().filter(|j| j.degraded.is_some()).count() as u64,
                 degraded_deadline: count_degraded(DegradedReason::DeadlineLapsed),
                 degraded_expert: count_degraded(DegradedReason::ExpertExhausted),
                 degraded_budget: count_degraded(DegradedReason::BudgetExhausted),
                 degraded_dead_letters: count_degraded(DegradedReason::DeadLetters),
-                comparisons: self.charged_total.get(tenant).copied().unwrap_or(0),
-                tokens_granted: bucket.granted(),
-                tokens_refunded: bucket.refunded(),
+                comparisons: t.charged.unwrap_or(0),
+                tokens_granted: t.bucket.granted(),
+                tokens_refunded: t.bucket.refunded(),
                 p99_latency_ticks: p99,
                 max_latency_ticks: latencies.last().copied().unwrap_or(0),
-                slo_breaches: self.slo.get(tenant).map_or(0, SloMonitor::breaches),
-                slo_bad_jobs: self.slo.get(tenant).map_or(0, SloMonitor::bad_total),
-                slo_burn_max_bps: self.slo.get(tenant).map_or(0, SloMonitor::burn_max_bps),
-                slo_breached_at_end: self.slo.get(tenant).is_some_and(SloMonitor::breached),
+                slo_breaches: t.slo.breaches(),
+                slo_bad_jobs: t.slo.bad_total(),
+                slo_burn_max_bps: t.slo.burn_max_bps(),
+                slo_breached_at_end: t.slo.breached(),
             });
         }
         ServeReport {
@@ -1391,8 +1441,8 @@ impl CrowdServe {
             jobs: self.completed.clone(),
             breaker_trips: self.shards.iter().map(|s| s.trips()).sum(),
             dead_letters: self.dead_letters,
-            shed: self.shed_count.values().sum(),
-            comparisons: self.charged_total.values().sum(),
+            shed: self.tenants.iter().map(|t| t.shed).sum(),
+            comparisons: self.tenants.iter().filter_map(|t| t.charged).sum(),
             cache_hits: self.cache.stats().hits,
             cache_saved_comparisons: self.cache.stats().saved_comparisons,
         }
