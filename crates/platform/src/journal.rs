@@ -42,7 +42,7 @@ use crate::worker::WorkerId;
 use crowd_core::element::ElementId;
 use crowd_core::model::WorkerClass;
 use crowd_core::oracle::{ComparisonCounts, ComparisonOracle, OracleError};
-use crowd_obs::{names as metric_names, Event};
+use crowd_obs::Event;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::io::Write;
@@ -461,13 +461,10 @@ impl RecordView<'_> {
     fn encode(self, out: &mut Vec<u8>) {
         match self {
             RecordView::Started { version, job, seed } => {
-                // Once per run, so the job label's string escaping stays
-                // with serde_json.
-                let job = serde_json::to_string(job).expect("a string serializes");
                 out.extend_from_slice(b"{\"Started\":{\"version\":");
                 push_u64(out, u64::from(version));
                 out.extend_from_slice(b",\"job\":");
-                out.extend_from_slice(job.as_bytes());
+                push_str(out, job);
                 out.extend_from_slice(b",\"seed\":");
                 push_u64(out, seed);
             }
@@ -557,6 +554,40 @@ pub(crate) fn push_u64(out: &mut Vec<u8>, mut n: u64) {
     out.extend_from_slice(&digits[start..]);
 }
 
+/// Appends `s` as a JSON string, escaped exactly as `serde_json` escapes
+/// it: `"` and `\` get a backslash, the control characters with a short
+/// form become `\b \t \n \f \r`, every other one below U+0020 becomes
+/// `\u00xx`, and everything else (DEL and non-ASCII included) is copied.
+fn push_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let short = match b {
+            b'"' => b'"',
+            b'\\' => b'\\',
+            0x08 => b'b',
+            b'\t' => b't',
+            b'\n' => b'n',
+            0x0c => b'f',
+            b'\r' => b'r',
+            0x00..=0x1f => b'u',
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[start..i]);
+        out.push(b'\\');
+        out.push(short);
+        if short == b'u' {
+            out.extend_from_slice(b"00");
+            out.push(b"0123456789abcdef"[usize::from(b >> 4)]);
+            out.push(b"0123456789abcdef"[usize::from(b & 0xf)]);
+        }
+        start = i + 1;
+    }
+    out.extend_from_slice(&bytes[start..]);
+    out.push(b'"');
+}
+
 /// Appends `items` as a JSON array, each written by `item`.
 pub(crate) fn push_list<T>(out: &mut Vec<u8>, items: &[T], mut item: impl FnMut(&mut Vec<u8>, &T)) {
     out.push(b'[');
@@ -605,7 +636,7 @@ pub(crate) fn assert_frame_corruptions_are_caught(
 /// plan's SplitMix64 position — is appended and flushed at the
 /// [`CheckpointPolicy`] cadence. Each checkpoint emits
 /// [`Event::CheckpointWritten`] and bumps the
-/// [`crowd_journal_bytes_total`](metric_names::JOURNAL_BYTES) counter.
+/// [`crowd_journal_bytes_total`](crowd_obs::names::JOURNAL_BYTES) counter.
 ///
 /// A crash at any point leaves a prefix of the durable bytes (see
 /// [`crash_cuts`]); [`mod@crate::recover`] turns them back into a running
@@ -676,7 +707,7 @@ impl<R: RngCore> JournaledOracle<R> {
             batches: self.next_batch,
             bytes,
         });
-        crowd_obs::counter_add(metric_names::JOURNAL_BYTES, &[], bytes);
+        crowd_obs::series::journal_bytes().add(bytes);
     }
 }
 

@@ -27,7 +27,7 @@ use crowd_core::element::ElementId;
 use crowd_core::model::WorkerClass;
 use crowd_core::oracle::{ComparisonCounts, ComparisonOracle, OracleError};
 use crowd_core::replay::{JudgmentLog, RecordedJudgment, ReplayOracle};
-use crowd_obs::{names as metric_names, Event};
+use crowd_obs::Event;
 use rand::RngCore;
 
 /// Why a journal could not be recovered.
@@ -311,11 +311,7 @@ impl<R: RngCore> ResumeOracle<R> {
             replayed_batches: self.pos as u64,
             replayed_comparisons: self.replayed_comparisons,
         });
-        crowd_obs::counter_add(
-            metric_names::REPLAYED_COMPARISONS,
-            &[],
-            self.replayed_comparisons,
-        );
+        crowd_obs::series::replayed_comparisons().add(self.replayed_comparisons);
     }
 
     fn diverge(&mut self, what: String) -> OracleError {

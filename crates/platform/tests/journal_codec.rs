@@ -4,7 +4,9 @@
 //!   bytes serde's derived serialization of the record vocabulary
 //!   produces, framed as `<len> <frame_sum:016x> <json>\n`, for any
 //!   `Scheduled` or `Completed` record — empty vectors, `u64::MAX` and
-//!   non-finite or negative-zero `spent` included.
+//!   non-finite or negative-zero `spent` included — and for any
+//!   `Started` header, whatever its job label holds: quotes, backslashes,
+//!   control characters, DEL or non-ASCII.
 //! * Decoding hostile bytes never panics and never claims more valid
 //!   bytes than it was given.
 
@@ -20,6 +22,11 @@ use serde::Serialize;
 /// reference the direct encoder is checked against.
 #[derive(Serialize)]
 enum DerivedRecord {
+    Started {
+        version: u32,
+        job: String,
+        seed: u64,
+    },
     Scheduled {
         batch: u64,
         class: WorkerClass,
@@ -72,6 +79,22 @@ fn spends() -> impl Strategy<Value = f64> {
         Just(1e300f64.to_bits()),
     ]
     .prop_map(f64::from_bits)
+}
+
+/// Job labels: strings of arbitrary scalar values, half the characters
+/// drawn from those JSON escapes and their neighbours.
+fn labels() -> impl Strategy<Value = String> {
+    let hostile = prop_oneof![
+        Just('"'),
+        Just('\\'),
+        (0u8..0x20).prop_map(char::from),
+        Just('\u{7f}'),
+        Just('é'),
+        Just('\u{2028}'),
+        Just('😀'),
+    ];
+    let scalar = any::<u32>().prop_map(|c| char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}'));
+    prop::collection::vec(prop_oneof![hostile, scalar], 0..24).prop_map(String::from_iter)
 }
 
 fn ids() -> impl Strategy<Value = Vec<u32>> {
@@ -179,6 +202,18 @@ proptest! {
         if spent.is_finite() {
             prop_assert_eq!(Journal::decode(&bytes).records, vec![completed]);
         }
+    }
+
+    #[test]
+    fn started_labels_encode_like_serde(version in u32s(), job in labels(), seed in u64s()) {
+        let started = JournalRecord::Started { version, job: job.clone(), seed };
+        let bytes = appended(&started);
+        prop_assert_eq!(
+            String::from_utf8(bytes.clone()).unwrap(),
+            String::from_utf8(derived_frame(&DerivedRecord::Started { version, job, seed }))
+                .unwrap()
+        );
+        prop_assert_eq!(Journal::decode(&bytes).records, vec![started]);
     }
 
     #[test]
