@@ -638,6 +638,9 @@ struct TenantState {
     /// executes, because the journal's `charged` list names only tenants
     /// that have been charged (a pair answered 0 times counts).
     charged: Option<u64>,
+    /// Answers bought this tick, added to the comparisons counter once at
+    /// the end of execution; `None` when no pair of the tenant ran.
+    tick_charged: Option<u64>,
     offered: u64,
     admitted: u64,
     shed: u64,
@@ -703,6 +706,7 @@ impl CrowdServe {
                     metrics: TenantMetrics::register(policy.tenant),
                     slo: SloMonitor::new(),
                     charged: None,
+                    tick_charged: None,
                     offered: 0,
                     admitted: 0,
                     shed: 0,
@@ -1195,7 +1199,7 @@ impl CrowdServe {
             job.marks.retried |= out.dead.is_some() || out.attempts > d.votes;
             let tenant = &mut self.tenants[job.tenant_slot];
             *tenant.charged.get_or_insert(0) += u64::from(out.answers);
-            tenant.metrics.comparisons.add(u64::from(out.answers));
+            *tenant.tick_charged.get_or_insert(0) += u64::from(out.answers);
             if let Some(reason) = out.dead {
                 self.dead_letters += 1;
                 let class = shard.class();
@@ -1207,6 +1211,11 @@ impl CrowdServe {
                 series::dead_letters(class, reason).add(1);
             }
             job.feed((ElementId(d.k), ElementId(d.j)), out.winner);
+        }
+        for tenant in &mut self.tenants {
+            if let Some(answers) = tenant.tick_charged.take() {
+                tenant.metrics.comparisons.add(answers);
+            }
         }
         Ok(tick_answers)
     }
