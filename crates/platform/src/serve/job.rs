@@ -147,20 +147,16 @@ impl TickMarks {
     /// tick with none of those is dispatch wait (deficit, window
     /// backpressure, or reservation gates).
     pub(crate) fn take_stage(&mut self) -> Stage {
-        let stage = match *self {
-            TickMarks {
-                executed: true,
-                retried: true,
-                ..
-            } => Stage::Retry,
-            TickMarks { executed: true, .. } => Stage::ShardExec,
-            TickMarks {
-                cache_hit: true, ..
-            } => Stage::CacheLookup,
-            TickMarks {
-                quarantined: true, ..
-            } => Stage::BreakerQuarantine,
-            _ => Stage::DispatchWait,
+        let stage = if self.executed && self.retried {
+            Stage::Retry
+        } else if self.executed {
+            Stage::ShardExec
+        } else if self.cache_hit {
+            Stage::CacheLookup
+        } else if self.quarantined {
+            Stage::BreakerQuarantine
+        } else {
+            Stage::DispatchWait
         };
         *self = TickMarks::default();
         stage

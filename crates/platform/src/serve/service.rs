@@ -31,11 +31,10 @@
 //!   one `Vec` sorted by tenant id. `submit` finds the tenant's slot once;
 //!   the queue entry and the admitted job carry it from there, so
 //!   admission, execution and completion index instead of searching.
-//! * **Active jobs in id order.** Admission is FIFO and ids only grow, so
-//!   admitting pushes onto a `Vec` that stays sorted. Dispatch visits it
-//!   front to back every tick — the deficit-round-robin order — and
-//!   completion drops finished jobs in the same pass that attributes the
-//!   survivors' tick.
+//! * **One pass per stage.** Dispatch visits the active jobs in id order
+//!   every tick — the deficit-round-robin order, since admission is FIFO —
+//!   and completion drops finished jobs in the same pass that attributes
+//!   the survivors' tick.
 //! * **Tick marks, not tick sets.** Dispatch and execution mark each job
 //!   with what its tick did (ran a pair, needed a retry, hit the cache,
 //!   stalled on quarantine); span attribution turns the marks into the
@@ -668,8 +667,7 @@ pub struct CrowdServe {
     /// Per-tenant state, sorted by tenant id.
     tenants: Vec<TenantState>,
     queue: VecDeque<Queued>,
-    /// Admitted jobs in id order, which is admission order.
-    active: Vec<ActiveJob>,
+    active: BTreeMap<JobId, ActiveJob>,
     journal: Journal,
     scratch: TickScratch,
     unflushed: u64,
@@ -739,7 +737,7 @@ impl CrowdServe {
             cache,
             tenants,
             queue: VecDeque::new(),
-            active: Vec::new(),
+            active: BTreeMap::new(),
             journal,
             scratch,
             unflushed: 0,
@@ -870,8 +868,7 @@ impl CrowdServe {
             self.config.fallback_votes,
         );
         active.tenant_slot = slot;
-        debug_assert!(self.active.last().is_none_or(|last| last.id < job));
-        self.active.push(active);
+        self.active.insert(job, active);
     }
 
     /// Advances the service one tick.
@@ -887,7 +884,7 @@ impl CrowdServe {
         // 1. Deadline sweep. Jobs force-finish between rounds only: a
         // pair dispatched in an earlier tick has already resolved (ticks
         // execute synchronously), so no outcome can land after Done.
-        for job in &mut self.active {
+        for job in self.active.values_mut() {
             if !job.is_done() && tick >= job.deadline {
                 job.force_finish(DegradedReason::DeadlineLapsed);
             }
@@ -975,7 +972,7 @@ impl CrowdServe {
         // its completion tick is, by definition, not part of its latency.
         let first_completion = self.completed.len();
         let (tenants, completed, slo) = (&mut self.tenants, &mut self.completed, &self.config.slo);
-        self.active.retain_mut(|job| {
+        self.active.retain(|_, job| {
             if job.budget_stalled && !job.is_done() {
                 job.force_finish(DegradedReason::BudgetExhausted);
             }
@@ -1161,11 +1158,10 @@ impl CrowdServe {
         let mut tick_answers = 0u64;
         for d in dispatches {
             let id = JobId(d.job);
-            let at = self
+            let job = self
                 .active
-                .binary_search_by_key(&id, |job| job.id)
-                .map_err(|_| ServeError::JobNotActive(id))?;
-            let job = &mut self.active[at];
+                .get_mut(&id)
+                .ok_or(ServeError::JobNotActive(id))?;
             let (vk, vj) = (job.values[d.k as usize], job.values[d.j as usize]);
             let shard = &mut self.shards[d.shard as usize];
             let out = shard.execute_pair(
@@ -1231,7 +1227,7 @@ impl CrowdServe {
         let tick = self.tick;
         let quantum = self.config.drr_quantum.max(1);
         let max_retries = self.config.retry.max_retries;
-        for job in &mut self.active {
+        for job in self.active.values_mut() {
             if job.is_done() || job.budget_stalled {
                 continue;
             }
@@ -1366,7 +1362,7 @@ impl CrowdServe {
             if self.tick >= max_ticks {
                 // Safety drain: never hang. Stragglers complete degraded,
                 // queued jobs shed.
-                for job in &mut self.active {
+                for job in self.active.values_mut() {
                     if !job.is_done() {
                         job.force_finish(DegradedReason::DeadlineLapsed);
                     }
