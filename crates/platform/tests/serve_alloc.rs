@@ -107,7 +107,7 @@ fn progress(service: &CrowdServe) -> (u64, u64) {
 }
 
 /// Allocation calls a tick may make per job it admits: the job's two
-/// round buffers, plus growth of the active list.
+/// round buffers, plus a node of the active-job map.
 const PER_ADMISSION: u64 = 3;
 /// Per job it completes: the span tree, plus growth of the completion
 /// list and of the tenant's SLO window.
