@@ -316,15 +316,15 @@ mod tests {
         service
             .run(&scenario_plan(DEFAULT_SEED, 0, spec), MAX_TICKS)
             .expect("a valid arrival plan runs to the end");
-        let journal = service.journal().durable();
+        let journal = service.journal().durable().to_vec();
         assert_eq!(journal.len(), 193_827);
-        assert_eq!(fnv1a64(journal), 0x4391_8236_eb4b_6e59);
+        assert_eq!(fnv1a64(&journal), 0x4391_8236_eb4b_6e59);
 
         // The records inside the frames. These pins predate the move of
         // the frame checksum from FNV-1a to `frame_sum` (journal version
         // 2 to 3), which changed only the checksums and the header's
         // version number: every tick record kept its bytes.
-        let frames = Journal::decode_json(journal).frames;
+        let frames = Journal::decode_json(&journal).frames;
         assert_eq!(frames.len(), 1260);
         assert_eq!(
             frames[0].0,

@@ -582,8 +582,8 @@ mod tests {
         assert_eq!(err, None);
         full.finish();
         let (journal, _) = full.into_parts();
-        let bytes = journal.durable();
-        let cut = &bytes[..scheduled_end(bytes, 1)];
+        let bytes = journal.durable().to_vec();
+        let cut = &bytes[..scheduled_end(&bytes, 1)];
 
         let resumed =
             resume_job(cut, fresh(), "equiv", 0xFEED, policy).expect("the cut journal recovers");

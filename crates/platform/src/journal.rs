@@ -23,6 +23,13 @@
 //!   payload eight bytes per step and always catches a corruption
 //!   confined to one 8-byte word. Batch records are encoded straight into that buffer
 //!   from borrowed slices, so a warm journal appends without allocating.
+//!   Durable bytes live in fixed [`SEGMENT_BYTES`] segments, never one
+//!   growing buffer: a flush copies the pending bytes into the tail
+//!   segment and opens a new one when it fills, so nothing durable is
+//!   ever reallocated or copied again and at most one segment is slack.
+//!   [`Journal::durable`] is a borrowed [`DurableBytes`] view over them;
+//!   readers that need one contiguous slice (recovery, decoding, crash
+//!   cuts) take a copy with [`DurableBytes::to_vec`], off the hot path.
 //! * [`JournaledOracle`] — a [`PlatformOracle`] decorator that
 //!   write-ahead journals every batch: the `Scheduled` record is flushed
 //!   *before* workers are asked (the WAL invariant — at most one batch is
@@ -195,18 +202,151 @@ pub struct DecodedJournal {
     pub torn_tail: bool,
 }
 
+/// Capacity of one durable segment of a [`Journal`].
+///
+/// Below glibc's 128 KiB `mmap` threshold, so segments come from the
+/// heap and their pages are reused from one journal to the next; larger
+/// segments were measured to fault fresh pages in on every run.
+pub const SEGMENT_BYTES: usize = 64 * 1024;
+
 /// An append-only journal with an explicit durability line.
 ///
 /// The in-memory stand-in for an fsync'd file: [`append`](Journal::append)
 /// buffers a record, [`flush`](Journal::flush) moves the buffer across the
 /// durability line, and a crash discards whatever was still pending — or,
 /// for a torn write, leaves part of a frame (see [`crash_cuts`]).
+///
+/// The durable bytes are kept in segments of [`SEGMENT_BYTES`] each,
+/// every one but the last full; frames straddle segment boundaries
+/// freely. [`durable`](Journal::durable) views them in place, and
+/// [`DurableBytes::to_vec`] is the cold path that copies them into one
+/// slice for the decoders.
 #[derive(Debug, Clone, Default)]
 pub struct Journal {
-    durable: Vec<u8>,
+    durable: Segments,
     pending: Vec<u8>,
     /// Reused buffer a record's JSON is encoded into before framing.
     scratch: Vec<u8>,
+}
+
+/// Byte storage in fixed-capacity segments: every segment is allocated
+/// with [`SEGMENT_BYTES`] of capacity, every one but the last is full.
+#[derive(Debug, Default)]
+struct Segments {
+    segments: Vec<Vec<u8>>,
+    len: usize,
+}
+
+impl Segments {
+    /// Appends `bytes`, filling the tail segment and opening new ones.
+    fn extend(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len();
+        while !bytes.is_empty() {
+            let tail = match self.segments.last_mut() {
+                Some(tail) if tail.len() < SEGMENT_BYTES => tail,
+                _ => {
+                    self.segments.push(Vec::with_capacity(SEGMENT_BYTES));
+                    self.segments.last_mut().expect("just pushed")
+                }
+            };
+            let (head, rest) = bytes.split_at(bytes.len().min(SEGMENT_BYTES - tail.len()));
+            tail.extend_from_slice(head);
+            bytes = rest;
+        }
+    }
+}
+
+impl Clone for Segments {
+    /// Copies into fresh full-capacity segments, so the clone's tail
+    /// still fills without reallocating.
+    fn clone(&self) -> Self {
+        let mut copy = Segments::default();
+        for segment in &self.segments {
+            copy.extend(segment);
+        }
+        copy
+    }
+}
+
+/// A borrowed view of a journal's durable bytes (see
+/// [`Journal::durable`]): their length, their segments in order, and a
+/// copy into one `Vec`. Compares equal to a byte slice holding the same
+/// bytes, wherever the segment boundaries fall.
+#[derive(Clone, Copy)]
+pub struct DurableBytes<'a> {
+    segments: &'a [Vec<u8>],
+    len: usize,
+}
+
+impl<'a> DurableBytes<'a> {
+    /// Total durable bytes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when nothing is durable yet.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The bytes as consecutive slices, in order; their concatenation is
+    /// the journal.
+    pub fn chunks(&self) -> impl Iterator<Item = &'a [u8]> + 'a {
+        self.segments.iter().map(Vec::as_slice)
+    }
+
+    /// Copies the bytes into one `Vec`: the cold path for readers that
+    /// need a contiguous slice, such as [`Journal::decode`].
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(self.len);
+        for chunk in self.chunks() {
+            bytes.extend_from_slice(chunk);
+        }
+        bytes
+    }
+}
+
+impl std::fmt::Debug for DurableBytes<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DurableBytes")
+            .field("len", &self.len)
+            .field("segments", &self.segments.len())
+            .finish()
+    }
+}
+
+impl PartialEq<[u8]> for DurableBytes<'_> {
+    fn eq(&self, other: &[u8]) -> bool {
+        if self.len != other.len() {
+            return false;
+        }
+        let mut rest = other;
+        self.chunks().all(|chunk| {
+            let (head, tail) = rest.split_at(chunk.len());
+            rest = tail;
+            head == chunk
+        })
+    }
+}
+
+impl PartialEq<&[u8]> for DurableBytes<'_> {
+    fn eq(&self, other: &&[u8]) -> bool {
+        *self == **other
+    }
+}
+
+impl PartialEq<Vec<u8>> for DurableBytes<'_> {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        *self == **other
+    }
+}
+
+impl PartialEq for DurableBytes<'_> {
+    fn eq(&self, other: &DurableBytes<'_>) -> bool {
+        // Both sides keep full segments of one capacity, so equal bytes
+        // are split at the same boundaries.
+        self.len == other.len && self.chunks().eq(other.chunks())
+    }
 }
 
 impl Journal {
@@ -253,14 +393,18 @@ impl Journal {
     /// Moves every pending byte across the durability line. Returns the
     /// bytes flushed (0 when nothing was pending).
     pub fn flush(&mut self) -> u64 {
+        self.durable.extend(&self.pending);
         let n = self.pending.len() as u64;
-        self.durable.append(&mut self.pending);
+        self.pending.clear();
         n
     }
 
-    /// The bytes that would survive a crash right now.
-    pub fn durable(&self) -> &[u8] {
-        &self.durable
+    /// The bytes that would survive a crash right now, viewed in place.
+    pub fn durable(&self) -> DurableBytes<'_> {
+        DurableBytes {
+            segments: &self.durable.segments,
+            len: self.durable.len,
+        }
     }
 
     /// Bytes appended but not yet flushed.
@@ -837,7 +981,7 @@ mod tests {
             journal.append(r);
         }
         journal.flush();
-        let decoded = Journal::decode(journal.durable());
+        let decoded = Journal::decode(&journal.durable().to_vec());
         assert_eq!(decoded.records, sample_records());
         assert_eq!(decoded.valid_bytes, journal.durable().len());
         assert!(!decoded.torn_tail);
@@ -862,7 +1006,7 @@ mod tests {
         journal.flush();
         journal.append(&sample_records()[1]);
         // No flush: the second record dies with the process.
-        let decoded = Journal::decode(journal.durable());
+        let decoded = Journal::decode(&journal.durable().to_vec());
         assert_eq!(decoded.records.len(), 1);
         assert!(!decoded.torn_tail, "a missing record is not a torn one");
     }
@@ -875,7 +1019,7 @@ mod tests {
         journal.append(&sample_records()[1]);
         let full = journal.flush() as usize + clean;
         // A crash mid-write leaves half the second frame durable.
-        let decoded = Journal::decode(&journal.durable()[..(clean + full) / 2]);
+        let decoded = Journal::decode(&journal.durable().to_vec()[..(clean + full) / 2]);
         assert_eq!(decoded.records.len(), 1, "the torn frame must not parse");
         assert_eq!(decoded.valid_bytes, clean);
         assert!(decoded.torn_tail);
@@ -890,8 +1034,8 @@ mod tests {
             journal.flush();
             ends.push(journal.durable().len());
         }
-        let bytes = journal.durable();
-        let cuts = crash_cuts(bytes);
+        let bytes = journal.durable().to_vec();
+        let cuts = crash_cuts(&bytes);
         assert_eq!(cuts.len(), 3 * (ends.len() - 1) + 1);
         assert!(cuts.windows(2).all(|w| w[0] < w[1]), "{cuts:?}");
         assert_eq!(cuts[0], ends[0], "the first cut is the bare header");
@@ -930,7 +1074,7 @@ mod tests {
         let prefix = journal.durable().to_vec();
         journal.append(&records[2]);
         journal.flush();
-        let frame = &journal.durable()[prefix.len()..];
+        let frame = &journal.durable().to_vec()[prefix.len()..];
         assert_frame_corruptions_are_caught(&prefix, frame, |bytes| {
             let decoded = Journal::decode(bytes);
             let raw = Journal::decode_json(bytes);
@@ -1007,10 +1151,143 @@ mod tests {
         let clean = journal.flush();
         journal.append_json(&"[".repeat(200_000));
         journal.flush();
-        let decoded = Journal::decode(journal.durable());
+        let decoded = Journal::decode(&journal.durable().to_vec());
         assert_eq!(decoded.records, sample_records());
         assert_eq!(decoded.valid_bytes as u64, clean);
         assert!(decoded.torn_tail);
+    }
+
+    /// A journal of `frames` Completed records of varied lengths, plus
+    /// the frames each appended, encoded independently of the journal.
+    fn segmented_journal(frames: u64) -> (Journal, Vec<JournalRecord>, Vec<u8>) {
+        let mut journal = Journal::new();
+        let (mut records, mut expected) = (Vec::new(), Vec::new());
+        for batch in 0..frames {
+            let width = (batch * 37 % 200) as u32;
+            let record = JournalRecord::Completed {
+                batch,
+                winners: (0..width).map(ElementId).collect(),
+                workers: (0..width / 2).map(WorkerId).collect(),
+                counts: ComparisonCounts {
+                    naive: batch,
+                    expert: batch / 3,
+                },
+                spent: batch as f64 / 8.0,
+                fault_seq: batch * 5,
+                partial: batch % 7 == 0,
+            };
+            journal.append(&record);
+            let mut json = Vec::new();
+            RecordView::from(&record).encode(&mut json);
+            expected.extend(format!("{} {:016x} ", json.len(), frame_sum(&json)).into_bytes());
+            expected.extend(json);
+            expected.push(b'\n');
+            // Flush unevenly: one frame, then three at once, and so on.
+            if batch % 4 != 1 && batch % 4 != 2 {
+                journal.flush();
+            }
+            records.push(record);
+        }
+        journal.flush();
+        (journal, records, expected)
+    }
+
+    #[test]
+    fn frames_straddle_segments_and_read_back_in_order() {
+        let (journal, records, expected) = segmented_journal(900);
+        let durable = journal.durable();
+        assert!(durable.len() > 3 * SEGMENT_BYTES, "{} bytes", durable.len());
+        assert_eq!(durable.to_vec(), expected);
+        assert_eq!(durable, expected);
+        let chunks: Vec<&[u8]> = durable.chunks().collect();
+        assert_eq!(chunks.len(), durable.len().div_ceil(SEGMENT_BYTES));
+        let (last, full) = chunks.split_last().expect("segments");
+        assert!(full.iter().all(|c| c.len() == SEGMENT_BYTES));
+        assert!(!last.is_empty() && last.len() <= SEGMENT_BYTES);
+        // Frames really do cross the boundaries.
+        let mut start = 0;
+        let mut straddling = 0;
+        for (_, len) in Journal::decode_json(&expected).frames {
+            straddling += usize::from(start / SEGMENT_BYTES != (start + len - 1) / SEGMENT_BYTES);
+            start += len;
+        }
+        assert_eq!(
+            straddling,
+            chunks.len() - 1,
+            "every boundary falls inside a frame"
+        );
+
+        let bytes = durable.to_vec();
+        let decoded = Journal::decode(&bytes);
+        assert_eq!(decoded.records, records);
+        assert_eq!(
+            (decoded.valid_bytes, decoded.torn_tail),
+            (bytes.len(), false)
+        );
+        let raw = Journal::decode_json(&bytes);
+        assert_eq!(raw.frames.len(), records.len());
+        assert_eq!((raw.valid_bytes, raw.torn_tail), (bytes.len(), false));
+        let cuts = crash_cuts(&bytes);
+        assert_eq!(cuts.len(), 3 * (records.len() - 1) + 1);
+        // Cuts one byte either side of each segment boundary: at most the
+        // frame they tear is lost.
+        for boundary in (1..chunks.len()).map(|k| k * SEGMENT_BYTES) {
+            for cut in [boundary - 1, boundary, boundary + 1] {
+                let decoded = Journal::decode(&bytes[..cut]);
+                assert!(decoded.valid_bytes <= cut && cut - decoded.valid_bytes < 2000);
+                assert_eq!(decoded.records[..], records[..decoded.records.len()]);
+            }
+        }
+    }
+
+    #[test]
+    fn the_durable_view_compares_byte_for_byte() {
+        let (journal, _, expected) = segmented_journal(400);
+        let durable = journal.durable();
+        assert_eq!(durable, expected[..]);
+        assert_eq!(durable, &expected[..]);
+        assert_eq!(durable, expected);
+        let n = expected.len();
+        for i in [
+            0,
+            1,
+            SEGMENT_BYTES - 1,
+            SEGMENT_BYTES,
+            SEGMENT_BYTES + 1,
+            n / 2,
+            n - 1,
+        ] {
+            let mut changed = expected.clone();
+            changed[i] ^= 0x20;
+            assert!(durable != changed, "byte {i} changed");
+            assert!(durable != &changed[..], "byte {i} changed");
+        }
+        assert!(durable != &expected[..n - 1], "one byte short");
+        assert!(durable != [&expected[..], b"x"].concat(), "one byte long");
+        assert!(durable != Vec::new());
+
+        let (same, _, _) = segmented_journal(400);
+        assert_eq!(durable, same.durable());
+        let (shorter, _, _) = segmented_journal(399);
+        assert!(durable != shorter.durable());
+        assert!(Journal::new().durable().is_empty());
+        assert_eq!(Journal::new().durable(), Vec::new());
+    }
+
+    #[test]
+    fn a_cloned_journal_keeps_appending_identically() {
+        let (mut journal, _, _) = segmented_journal(300);
+        let mut copy = journal.clone();
+        assert_eq!(copy.durable(), journal.durable());
+        for j in [&mut journal, &mut copy] {
+            j.append_json(&"7".repeat(SEGMENT_BYTES / 3));
+            j.flush();
+        }
+        assert_eq!(copy.durable(), journal.durable());
+        assert_eq!(
+            copy.durable().chunks().count(),
+            journal.durable().chunks().count()
+        );
     }
 
     #[test]
@@ -1036,13 +1313,13 @@ mod tests {
         assert_eq!(winners, vec![ElementId(3)]);
         // The lazy checkpoint cadence keeps Completed pending, but the
         // Scheduled record is already durable: WAL.
-        let decoded = Journal::decode(oracle.journal().durable());
+        let decoded = Journal::decode(&oracle.journal().durable().to_vec());
         assert!(matches!(
             decoded.records.last(),
             Some(JournalRecord::Scheduled { batch: 0, .. })
         ));
         oracle.finish();
-        let decoded = Journal::decode(oracle.journal().durable());
+        let decoded = Journal::decode(&oracle.journal().durable().to_vec());
         assert!(matches!(
             decoded.records.last(),
             Some(JournalRecord::Completed {
@@ -1086,9 +1363,9 @@ mod tests {
                 .filter(|r| matches!(r, JournalRecord::Completed { .. }))
                 .count()
         };
-        assert_eq!(completed(oracle.journal().durable()), 1);
+        assert_eq!(completed(&oracle.journal().durable().to_vec()), 1);
         assert!(oracle.journal().pending_len() > 0);
         oracle.finish();
-        assert_eq!(completed(oracle.journal().durable()), 2);
+        assert_eq!(completed(&oracle.journal().durable().to_vec()), 2);
     }
 }

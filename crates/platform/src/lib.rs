@@ -67,8 +67,8 @@ pub use batched::{batched_filter, BatchedFilterOutcome};
 pub use billing::Ledger;
 pub use fault::{FaultConfig, FaultPlan, JudgeFate, LatencyModel};
 pub use journal::{
-    crash_cuts, CheckpointPolicy, DecodedJournal, Journal, JournalRecord, JournaledOracle,
-    JOURNAL_VERSION,
+    crash_cuts, CheckpointPolicy, DecodedJournal, DurableBytes, Journal, JournalRecord,
+    JournaledOracle, JOURNAL_VERSION, SEGMENT_BYTES,
 };
 pub use platform::{JobResult, Platform, PlatformConfig, PlatformError, PlatformOracle};
 pub use pool::WorkerPool;

@@ -648,7 +648,7 @@ mod tests {
         });
         journal.flush();
         assert_eq!(
-            recover(journal.durable()).unwrap_err(),
+            recover(&journal.durable().to_vec()).unwrap_err(),
             RecoverError::VersionMismatch {
                 found: JOURNAL_VERSION + 1
             }

@@ -1718,7 +1718,7 @@ mod tests {
             seed: 7,
             config_digest: ServeConfig::basic().digest(),
         };
-        let frames = Journal::decode_json(service.journal().durable()).frames;
+        let frames = Journal::decode_json(&service.journal().durable().to_vec()).frames;
         assert_eq!(frames.len(), 1);
         assert_eq!(
             frames[0].0,
@@ -1753,7 +1753,7 @@ mod tests {
         view(&completed).encode(&mut json);
         journal.push_frame(&json);
         journal.flush();
-        let frame = &journal.durable()[prefix.len()..];
+        let frame = &journal.durable().to_vec()[prefix.len()..];
         crate::journal::assert_frame_corruptions_are_caught(&prefix, frame, |bytes| {
             let decoded = Journal::decode_json(bytes);
             (decoded.valid_bytes, decoded.torn_tail)

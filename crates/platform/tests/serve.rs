@@ -846,8 +846,8 @@ fn kill_and_resume_emits_identical_spans() {
     drop(g);
 
     // What a kill after tick 6's WAL flush leaves.
-    let journal = baseline.journal().durable();
-    let bytes = &journal[..frame_span(journal, "{\"TickScheduled\":{\"tick\":6,").end];
+    let journal = baseline.journal().durable().to_vec();
+    let bytes = &journal[..frame_span(&journal, "{\"TickScheduled\":{\"tick\":6,").end];
     let (rec_b, _g) = record();
     let (_report, _svc) = CrowdServe::resume(config, 9, &plan, bytes, 600).unwrap();
 
