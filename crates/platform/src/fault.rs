@@ -160,17 +160,54 @@ pub enum JudgeFate {
 }
 
 /// A seeded, stateless oracle over every fault decision of a campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+///
+/// Serializes as its config and seed; the per-plan constants every
+/// decision reuses are derived from them again on deserializing.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
+    config: FaultConfig,
+    seed: u64,
+    /// The first link of each decision stream, which depends only on the
+    /// seed and the salt: `mix(seed ^ salt·GOLDEN)` per [`SALTS`] entry.
+    links: [u64; 4],
+    /// `ln(1 - p)` of a geometric latency model (0 for any other model).
+    ln_miss: f64,
+}
+
+/// A [`FaultPlan`]'s serialized form.
+#[derive(Serialize, Deserialize)]
+struct PlanSpec {
     config: FaultConfig,
     seed: u64,
 }
 
-// Decision salts: distinct streams per decision kind.
-const SALT_DROPOUT: u64 = 0xD0;
-const SALT_ABANDON: u64 = 0xAB;
-const SALT_NO_ANSWER: u64 = 0x07;
-const SALT_LATENCY: u64 = 0x1A;
+impl Serialize for FaultPlan {
+    fn to_value(&self) -> serde::Value {
+        PlanSpec {
+            config: self.config,
+            seed: self.seed,
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for FaultPlan {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let spec = PlanSpec::from_value(v)?;
+        Ok(FaultPlan::derive(spec.config, spec.seed))
+    }
+}
+
+// Decision salts: distinct streams per decision kind, indexed by the
+// `LINK_*` constants.
+const SALTS: [u64; 4] = [0xD0, 0xAB, 0x07, 0x1A];
+const LINK_DROPOUT: usize = 0;
+const LINK_ABANDON: usize = 1;
+const LINK_NO_ANSWER: usize = 2;
+const LINK_LATENCY: usize = 3;
+
+/// The golden-ratio multiplier that spreads each stream word.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl FaultPlan {
     /// Builds a plan over `config`, seeded with `seed`.
@@ -180,7 +217,21 @@ impl FaultPlan {
     /// Panics if any rate in `config` is not a probability.
     pub fn new(config: FaultConfig, seed: u64) -> Self {
         config.validate();
-        FaultPlan { config, seed }
+        FaultPlan::derive(config, seed)
+    }
+
+    /// The plan over `config` and `seed`, with its per-plan constants.
+    fn derive(config: FaultConfig, seed: u64) -> Self {
+        let ln_miss = match config.latency {
+            LatencyModel::Geometric { p, .. } => (1.0 - p).ln(),
+            LatencyModel::Instant => 0.0,
+        };
+        FaultPlan {
+            config,
+            seed,
+            links: SALTS.map(|salt| mix(seed ^ salt.wrapping_mul(GOLDEN))),
+            ln_miss,
+        }
     }
 
     /// A plan that injects nothing (any seed would do).
@@ -202,7 +253,7 @@ impl FaultPlan {
     /// campaign before judging anything.
     pub fn dropped_out(&self, worker: WorkerId) -> bool {
         self.config.dropout > 0.0
-            && self.unit_f64(SALT_DROPOUT, u64::from(worker.0), 0) < self.config.dropout
+            && self.unit_f64(LINK_DROPOUT, u64::from(worker.0), 0) < self.config.dropout
     }
 
     /// Decides the fate of the `seq`-th judgment the campaign hands to
@@ -210,11 +261,11 @@ impl FaultPlan {
     /// of the same logical pair get independent fates.
     pub fn fate(&self, worker: WorkerId, seq: u64) -> JudgeFate {
         let w = u64::from(worker.0);
-        if self.config.abandon > 0.0 && self.unit_f64(SALT_ABANDON, w, seq) < self.config.abandon {
+        if self.config.abandon > 0.0 && self.unit_f64(LINK_ABANDON, w, seq) < self.config.abandon {
             return JudgeFate::Abandon;
         }
         if self.config.no_answer > 0.0
-            && self.unit_f64(SALT_NO_ANSWER, w, seq) < self.config.no_answer
+            && self.unit_f64(LINK_NO_ANSWER, w, seq) < self.config.no_answer
         {
             return JudgeFate::NoAnswer;
         }
@@ -232,8 +283,8 @@ impl FaultPlan {
                 }
                 // Inverse-transform sampling of the geometric distribution
                 // of failures before the first success.
-                let u = self.unit_f64(SALT_LATENCY, worker, seq);
-                let steps = ((1.0 - u).ln() / (1.0 - p).ln()).floor();
+                let u = self.unit_f64(LINK_LATENCY, worker, seq);
+                let steps = ((1.0 - u).ln() / self.ln_miss).floor();
                 if steps.is_finite() && steps >= 0.0 {
                     (steps as u64).min(cap)
                 } else {
@@ -243,12 +294,12 @@ impl FaultPlan {
         }
     }
 
-    /// A uniform draw in `[0, 1)` from the `(salt, worker, seq)` stream.
-    fn unit_f64(&self, salt: u64, worker: u64, seq: u64) -> f64 {
-        let mut x = self.seed;
-        for word in [salt, worker, seq] {
-            x = mix(x ^ word.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        }
+    /// A uniform draw in `[0, 1)` from the `(salt, worker, seq)` stream,
+    /// the salt's link taken from [`FaultPlan::links`]:
+    /// `x = seed`, then `x = mix(x ^ word·GOLDEN)` for each word.
+    fn unit_f64(&self, link: usize, worker: u64, seq: u64) -> f64 {
+        let x = mix(self.links[link] ^ worker.wrapping_mul(GOLDEN));
+        let x = mix(x ^ seq.wrapping_mul(GOLDEN));
         // 53 mantissa bits → uniform in [0, 1).
         (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -360,6 +411,105 @@ mod tests {
         }
         assert!(seen.len() > 3, "latencies should vary, saw {seen:?}");
         assert!(seen.contains(&0), "zero latency must be possible");
+    }
+
+    /// The uncached draw: every link of the `(salt, worker, seq)` stream
+    /// hashed from the seed on each call.
+    fn reference_unit(seed: u64, salt: u64, worker: u64, seq: u64) -> f64 {
+        let mut x = seed;
+        for word in [salt, worker, seq] {
+            x = mix(x ^ word.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        }
+        (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// The uncached fate, with `ln(1 - p)` recomputed per judgment.
+    fn reference_fate(config: &FaultConfig, seed: u64, worker: u64, seq: u64) -> JudgeFate {
+        if config.abandon > 0.0 && reference_unit(seed, 0xAB, worker, seq) < config.abandon {
+            return JudgeFate::Abandon;
+        }
+        if config.no_answer > 0.0 && reference_unit(seed, 0x07, worker, seq) < config.no_answer {
+            return JudgeFate::NoAnswer;
+        }
+        let latency = match config.latency {
+            LatencyModel::Geometric { p, cap } if p < 1.0 && cap > 0 => {
+                let u = reference_unit(seed, 0x1A, worker, seq);
+                let steps = ((1.0 - u).ln() / (1.0 - p).ln()).floor();
+                if steps.is_finite() && steps >= 0.0 {
+                    (steps as u64).min(cap)
+                } else {
+                    cap
+                }
+            }
+            _ => 0,
+        };
+        JudgeFate::Answer { latency }
+    }
+
+    #[test]
+    fn cached_links_decide_exactly_as_the_uncached_formula() {
+        let configs = [
+            FaultConfig::none(),
+            FaultConfig::none()
+                .with_dropout(0.3)
+                .with_abandon(0.2)
+                .with_no_answer(0.2)
+                .with_latency(LatencyModel::Geometric { p: 0.5, cap: 8 }),
+            FaultConfig::none()
+                .with_abandon(0.01)
+                .with_latency(LatencyModel::Geometric { p: 0.05, cap: 40 }),
+            FaultConfig::none()
+                .with_dropout(1.0)
+                .with_no_answer(0.9)
+                .with_latency(LatencyModel::Geometric { p: 1.0, cap: 3 }),
+            FaultConfig::none().with_latency(LatencyModel::Geometric { p: 0.7, cap: 0 }),
+        ];
+        let seeds = [0, 1, 42, 0xFA, u64::MAX, 0x9E37_79B9_7F4A_7C15];
+        let mut latencies = 0usize;
+        for config in &configs {
+            for &seed in &seeds {
+                let plan = FaultPlan::new(*config, seed);
+                for w in (0..40).chain([u32::MAX - 1, u32::MAX]) {
+                    let dropped = config.dropout > 0.0
+                        && reference_unit(seed, 0xD0, u64::from(w), 0) < config.dropout;
+                    assert_eq!(
+                        plan.dropped_out(WorkerId(w)),
+                        dropped,
+                        "{config:?} {seed} {w}"
+                    );
+                    for seq in (0..60).chain([1 << 40, u64::MAX]) {
+                        let fate = plan.fate(WorkerId(w), seq);
+                        assert_eq!(
+                            fate,
+                            reference_fate(config, seed, u64::from(w), seq),
+                            "{config:?} seed {seed} worker {w} seq {seq}"
+                        );
+                        latencies += usize::from(
+                            matches!(fate, JudgeFate::Answer { latency } if latency > 0),
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            latencies > 1000,
+            "the geometric configs must delay: {latencies}"
+        );
+    }
+
+    #[test]
+    fn a_plan_serializes_as_its_config_and_seed() {
+        let plan = FaultPlan::new(
+            FaultConfig::none().with_latency(LatencyModel::Geometric { p: 0.4, cap: 6 }),
+            9,
+        );
+        let json = serde_json::to_string(&plan).unwrap();
+        assert!(
+            json.starts_with("{\"config\":") && json.ends_with(",\"seed\":9}"),
+            "{json}"
+        );
+        let back: FaultPlan = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, plan);
     }
 
     #[test]
