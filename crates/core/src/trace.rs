@@ -12,7 +12,8 @@
 //!   every fault recorded through [`FaultCounts::record`] also lands in a
 //!   plain per-thread [`Tally`] that needs no installing. Scopes nest.
 //!   Parallel runners hand work back across threads: each worker's tally
-//!   is [`credit`]ed to the thread that joined it.
+//!   is [`credit`]ed to the thread that joined it. [`isolated`] measures
+//!   a closure's work without crediting it to the enclosing scopes.
 //!
 //! The fault vocabulary ([`FaultKind`], [`FaultCounts`], the degraded
 //! and dead-letter reasons) lives here too, shared by the platform, serve
@@ -347,6 +348,20 @@ pub fn tallied<T>(f: impl FnOnce() -> T) -> (T, Tally) {
     (out, tally)
 }
 
+/// Runs `f` and returns what it performed on this thread, like
+/// [`tallied`], but keeps that work out of the thread's tally: enclosing
+/// `tallied` scopes never see it. For work whose every other record is
+/// dropped too, such as a check that repeats a run inside
+/// `crowd_obs::record_segment`. If `f` panics, the work done on this
+/// thread before the call is dropped from its tally.
+pub fn isolated<T>(f: impl FnOnce() -> T) -> (T, Tally) {
+    let before = take();
+    let out = f();
+    let tally = take();
+    credit(before);
+    (out, tally)
+}
+
 /// Adds `tally` to this thread's — how a caller takes over the work done
 /// on threads it spawned and joined. Sums commute, so the order in which
 /// workers are credited does not matter.
@@ -489,6 +504,23 @@ mod tests {
         o.compare(WorkerClass::Naive, ids[3], ids[4]);
         let ((), empty) = tallied(|| ());
         assert_eq!(empty, Tally::default());
+    }
+
+    #[test]
+    fn isolated_work_stays_out_of_enclosing_scopes() {
+        let record = |n: u64| {
+            ComparisonCounts::zero().record_many(WorkerClass::Naive, n);
+            FaultCounts::zero().record(WorkerClass::Expert, FaultKind::Timeout);
+        };
+        let ((), outer) = tallied(|| {
+            record(2);
+            let ((), inner) = isolated(|| record(5));
+            assert_eq!(inner.comparisons.naive, 5);
+            assert_eq!(inner.faults.total(), 1);
+            record(3);
+        });
+        assert_eq!(outer.comparisons.naive, 5, "only the 2 + 3 outside");
+        assert_eq!(outer.faults.total(), 2);
     }
 
     #[test]

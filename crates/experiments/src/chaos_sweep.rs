@@ -36,6 +36,7 @@ use crate::scale::Scale;
 use crowd_core::algorithms::{try_expert_max_find, ExpertMaxConfig, ExpertMaxOutcome};
 use crowd_core::element::ElementId;
 use crowd_core::oracle::{ComparisonCounts, ComparisonOracle, OracleError};
+use crowd_core::trace::isolated;
 use crowd_datasets::synthetic::PlantedInstance;
 use crowd_obs::{install_recorder, record_segment, Event, Recorder};
 use crowd_platform::{
@@ -67,9 +68,10 @@ const CADENCE: u64 = 4;
 /// Resumes from up to [`CUTS_PER_CLASS`] distinct frame-boundary cuts
 /// of `journal`, then as many torn-frame cuts, drawn from [`crash_cuts`]
 /// with `seed`. The first resume reports to the recorders the caller
-/// installed, as a real recovery would; the others record into segments
-/// that are dropped. Returns `(class, resume(cut))` per cut, in draw
-/// order, `class` indexing [`CLASSES`].
+/// installed and to the thread's work tally, as a real recovery would;
+/// the others record into segments that are dropped, and their work
+/// stays out of the tally ([`isolated`]). Returns `(class, resume(cut))`
+/// per cut, in draw order, `class` indexing [`CLASSES`].
 pub fn resume_from_cuts<T>(
     journal: &[u8],
     seed: u64,
@@ -97,7 +99,7 @@ pub fn resume_from_cuts<T>(
             let outcome = if outcomes.is_empty() {
                 resume(cut)
             } else {
-                record_segment(|| resume(cut)).0
+                record_segment(|| isolated(|| resume(cut)).0).0
             };
             outcomes.push((class, outcome));
         }
