@@ -21,5 +21,5 @@ fn quick_serve_sweep_writes_pinned_span_and_event_logs() {
     let (spans, events) = (hash("spans.jsonl"), hash("events.jsonl"));
     std::fs::remove_dir_all(&dir).expect("temp dir removed");
     assert_eq!(spans, "0x7cbb013cbab89315 (482919 bytes)");
-    assert_eq!(events, "0x874af7ce3740d5a2 (768299 bytes)");
+    assert_eq!(events, "0x75f0e5622b5720a7 (768297 bytes)");
 }
