@@ -307,16 +307,6 @@ pub struct Tally {
     pub faults: FaultCounts,
 }
 
-impl std::ops::Add for Tally {
-    type Output = Tally;
-    fn add(self, rhs: Tally) -> Tally {
-        Tally {
-            comparisons: self.comparisons + rhs.comparisons,
-            faults: self.faults + rhs.faults,
-        }
-    }
-}
-
 thread_local! {
     /// Comparisons recorded on this thread; fed by
     /// [`ComparisonCounts::record_many`].
@@ -341,10 +331,8 @@ fn take() -> Tally {
 /// stays in any enclosing `tallied` scope. If `f` panics, the work done
 /// on this thread before the call is dropped from its tally.
 pub fn tallied<T>(f: impl FnOnce() -> T) -> (T, Tally) {
-    let before = take();
-    let out = f();
-    let tally = take();
-    credit(before + tally);
+    let (out, tally) = isolated(f);
+    credit(tally);
     (out, tally)
 }
 
