@@ -28,6 +28,11 @@
 //!   [`observe`]/[`gauge_set`] feed every installed recorder, and
 //!   [`record_segment`]/[`replay`] let a parallel runner buffer one work
 //!   item's output on a worker thread and splice it back in input order.
+//!   Writes go lock-free into a per-thread pending log and cells, and
+//!   move into the installed recorders at the thread's flush points
+//!   (stack changes, replays, and reads on the writing thread).
+//! * [`segments`] — the append-only byte store in fixed 64 KiB segments
+//!   that holds recorder logs and the platform journal's durable bytes.
 //!
 //! Wall-clock time never enters any of these: timings stay segregated in
 //! the informational blocks the manifest and bench report already have,
@@ -40,10 +45,12 @@
 //! round-level histograms, forwarding every event inward.
 
 mod bridge;
+mod codec;
 mod event;
 mod expo;
 mod metrics;
 mod recorder;
+pub mod segments;
 pub mod series;
 mod span;
 

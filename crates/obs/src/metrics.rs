@@ -5,16 +5,24 @@
 //! a histogram, its bucket layout. A [`MetricsRegistry`] is only the
 //! cells, one slot per id, behind one mutex. Hot call sites register
 //! their series up front and hold typed handles ([`CounterId`],
-//! [`GaugeId`], [`HistogramId`]), so an update is one uncontended lock
-//! and one indexed write: no label sort, no string compare, no layout
-//! check, and no allocation after the series' first touch in a registry.
-//! The string API ([`MetricsRegistry::counter_add`], `gauge_set`,
-//! `observe`, `observe_with`) resolves through the same interner into the
-//! same cells. The rule: a site that runs per judgment, unit, job or tick
+//! [`GaugeId`], [`HistogramId`]), so an update is one indexed write: no
+//! label sort, no string compare, no layout check, and no allocation
+//! after the series' first touch. The string API
+//! ([`MetricsRegistry::counter_add`], `gauge_set`, `observe`,
+//! `observe_with`) resolves through the same interner into the same
+//! cells. The rule: a site that runs per judgment, unit, job or tick
 //! holds handles, and per-judgment values are batched per job or pair
-//! ([`HistogramId::observe_each`]: one recorder-stack walk and one lock
-//! for the batch); per-round, per-checkpoint and per-experiment sites
-//! may pass strings.
+//! ([`HistogramId::observe_each`]); per-round, per-checkpoint and
+//! per-experiment sites may pass strings.
+//!
+//! Updates made through the recorder stack ([`crate::install_recorder`])
+//! do not lock a registry. They land in the writing thread's own cells,
+//! which only that thread touches, and reach the installed recorders'
+//! registries at the thread's next flush point (see
+//! [`crate::Recorder`]): one lock per recorder per flush, which adds the
+//! touched cells in and then zeroes them in place so the next update
+//! allocates nothing. The registry's own lock is taken at flushes,
+//! merges, snapshots and direct string updates.
 //!
 //! A type or layout conflict panics once, at registration, and outside
 //! any registry lock, so a caught conflict leaves every registry usable.
@@ -25,10 +33,8 @@
 //! writes into a private per-segment registry ([`crate::record_segment`])
 //! that is merged into its parent at the join. Merging is associative and
 //! commutative (counters and histogram buckets add, gauges take the
-//! maximum), so the aggregate is independent of worker scheduling. The
-//! cells stay behind a `Mutex` rather than atomics: a histogram observe
-//! would need three atomic read-modify-writes where the uncontended lock
-//! needs one compare-and-swap.
+//! maximum), so the aggregate is independent of worker scheduling, and a
+//! flush that adds a thread's cells in is a merge like any other.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -365,6 +371,40 @@ enum MetricCell {
 }
 
 impl MetricCell {
+    fn counter(&mut self) -> &mut u64 {
+        match self {
+            MetricCell::Counter(c) => c,
+            _ => unreachable!("{KIND_FIXED}"),
+        }
+    }
+
+    fn gauge(&mut self) -> &mut i64 {
+        match self {
+            MetricCell::Gauge(g) => g,
+            _ => unreachable!("{KIND_FIXED}"),
+        }
+    }
+
+    fn histogram(&mut self) -> &mut Histogram {
+        match self {
+            MetricCell::Histogram(h) => h,
+            _ => unreachable!("{KIND_FIXED}"),
+        }
+    }
+
+    /// Returns the cell to its first-touch value, keeping its allocation.
+    fn reset(&mut self) {
+        match self {
+            MetricCell::Counter(c) => *c = 0,
+            MetricCell::Gauge(g) => *g = i64::MIN,
+            MetricCell::Histogram(h) => {
+                h.buckets.fill(0);
+                h.sum = 0;
+                h.count = 0;
+            }
+        }
+    }
+
     fn merge(&mut self, other: &MetricCell) {
         match (self, other) {
             (MetricCell::Counter(a), MetricCell::Counter(b)) => *a += b,
@@ -381,13 +421,104 @@ const KIND_FIXED: &str = "a series' type is fixed when it is registered";
 /// never touched.
 type Cells = Vec<Option<MetricCell>>;
 
-/// The slot of `series`, created with `init()` on its first touch.
-fn cell(cells: &mut Cells, series: SeriesId, init: impl FnOnce() -> MetricCell) -> &mut MetricCell {
+/// The slot of `series`, grown into `slots` if it is past the end.
+fn cell_slot<T>(slots: &mut Vec<Option<T>>, series: SeriesId) -> &mut Option<T> {
     let idx = series.0 as usize;
-    if idx >= cells.len() {
-        cells.resize_with(idx + 1, || None);
+    if idx >= slots.len() {
+        slots.resize_with(idx + 1, || None);
     }
-    cells[idx].get_or_insert_with(init)
+    &mut slots[idx]
+}
+
+/// The cell of `series`, created with `init()` on its first touch.
+fn cell(cells: &mut Cells, series: SeriesId, init: impl FnOnce() -> MetricCell) -> &mut MetricCell {
+    cell_slot(cells, series).get_or_insert_with(init)
+}
+
+fn counter_init() -> MetricCell {
+    MetricCell::Counter(0)
+}
+
+fn gauge_init() -> MetricCell {
+    MetricCell::Gauge(i64::MIN)
+}
+
+/// One thread's cell of one series, and whether it changed since the
+/// thread's last flush point.
+#[derive(Debug)]
+struct LocalSlot {
+    cell: MetricCell,
+    touched: bool,
+}
+
+/// A thread's metric updates since its last flush point: plain cells that
+/// the thread alone writes, with no lock. A flush adds the touched cells
+/// into every installed recorder's registry ([`MetricsRegistry::absorb`])
+/// and then [`reset`](LocalCells::reset)s them in place, so a series
+/// updated again allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct LocalCells {
+    slots: Vec<Option<LocalSlot>>,
+    /// Series touched since the last flush, each once.
+    touched: Vec<SeriesId>,
+}
+
+impl LocalCells {
+    pub(crate) const fn new() -> Self {
+        LocalCells {
+            slots: Vec::new(),
+            touched: Vec::new(),
+        }
+    }
+
+    /// True when nothing changed since the last reset.
+    pub(crate) fn is_clean(&self) -> bool {
+        self.touched.is_empty()
+    }
+
+    /// The cell of `series`, marked touched.
+    fn touch(&mut self, series: SeriesId, init: impl FnOnce() -> MetricCell) -> &mut MetricCell {
+        let slot = cell_slot(&mut self.slots, series).get_or_insert_with(|| LocalSlot {
+            cell: init(),
+            touched: false,
+        });
+        if !slot.touched {
+            slot.touched = true;
+            self.touched.push(series);
+        }
+        &mut slot.cell
+    }
+
+    pub(crate) fn add(&mut self, id: CounterId, v: u64) {
+        *self.touch(id.0, counter_init).counter() += v;
+    }
+
+    pub(crate) fn raise(&mut self, id: GaugeId, v: i64) {
+        let g = self.touch(id.0, gauge_init).gauge();
+        *g = (*g).max(v);
+    }
+
+    /// Records every value of `values`; an empty slice touches nothing,
+    /// like a loop of single observes that never runs.
+    pub(crate) fn record_each(&mut self, id: HistogramId, values: &[u64]) {
+        if values.is_empty() {
+            return;
+        }
+        let init = || MetricCell::Histogram(Histogram::new(id.bounds));
+        let h = self.touch(id.series, init).histogram();
+        values.iter().for_each(|&v| h.observe(v));
+    }
+
+    /// Zeroes every touched cell in place and forgets the touches.
+    pub(crate) fn reset(&mut self) {
+        for series in self.touched.drain(..) {
+            let slot = self.slots[series.0 as usize]
+                .as_mut()
+                .expect("a touched series has a slot");
+            slot.cell.reset();
+            slot.touched = false;
+        }
+    }
 }
 
 /// A registry of metric cells. See the module docs for the series,
@@ -423,38 +554,38 @@ impl MetricsRegistry {
     }
 
     /// Adds `v` to the counter behind `id` (creating it at zero first).
-    pub(crate) fn add(&self, id: CounterId, v: u64) {
-        match cell(&mut self.lock(), id.0, || MetricCell::Counter(0)) {
-            MetricCell::Counter(c) => *c += v,
-            _ => unreachable!("{KIND_FIXED}"),
-        }
+    fn add(&self, id: CounterId, v: u64) {
+        *cell(&mut self.lock(), id.0, counter_init).counter() += v;
     }
 
     /// Raises the high-watermark gauge behind `id` to `v` if `v` exceeds
     /// its current value (see [`MetricsRegistry::gauge_set`]).
-    pub(crate) fn raise(&self, id: GaugeId, v: i64) {
-        match cell(&mut self.lock(), id.0, || MetricCell::Gauge(i64::MIN)) {
-            MetricCell::Gauge(g) => *g = (*g).max(v),
-            _ => unreachable!("{KIND_FIXED}"),
-        }
+    fn raise(&self, id: GaugeId, v: i64) {
+        let mut cells = self.lock();
+        let g = cell(&mut cells, id.0, gauge_init).gauge();
+        *g = (*g).max(v);
     }
 
     /// Records `value` into the histogram behind `id`.
-    pub(crate) fn record(&self, id: HistogramId, value: u64) {
-        self.record_each(id, &[value]);
+    fn record(&self, id: HistogramId, value: u64) {
+        let init = || MetricCell::Histogram(Histogram::new(id.bounds));
+        cell(&mut self.lock(), id.series, init)
+            .histogram()
+            .observe(value);
     }
 
-    /// Records every value of `values` into the histogram behind `id`
-    /// under one lock. An empty slice touches nothing, like a loop of
-    /// [`record`](Self::record) that never runs.
-    pub(crate) fn record_each(&self, id: HistogramId, values: &[u64]) {
-        if values.is_empty() {
-            return;
-        }
-        let init = || MetricCell::Histogram(Histogram::new(id.bounds));
-        match cell(&mut self.lock(), id.series, init) {
-            MetricCell::Histogram(h) => values.iter().for_each(|&v| h.observe(v)),
-            _ => unreachable!("{KIND_FIXED}"),
+    /// Adds every touched cell of `local` into this registry.
+    pub(crate) fn absorb(&self, local: &LocalCells) {
+        let mut cells = self.lock();
+        for &series in &local.touched {
+            let theirs = &local.slots[series.0 as usize]
+                .as_ref()
+                .expect("a touched series has a slot")
+                .cell;
+            match cell_slot(&mut cells, series) {
+                Some(mine) => mine.merge(theirs),
+                slot => *slot = Some(theirs.clone()),
+            }
         }
     }
 

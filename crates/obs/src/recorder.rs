@@ -1,41 +1,67 @@
 //! The thread-local recorder stack: where events and metric updates land.
 //!
 //! A [`Recorder`] is installed on the current thread for a scope
-//! ([`install_recorder`]), and every [`emit`]/[`counter_add`]/
-//! [`gauge_set`]/[`observe`] call made anywhere on that thread while it is
-//! installed lands in it (and in any recorders installed below it).
+//! ([`install_recorder`]), and every [`emit`]/[`emit_span`]/
+//! [`counter_add`]/[`gauge_set`]/[`observe`] call made anywhere on that
+//! thread while it is installed lands in it (and in any recorders
+//! installed below it).
+//!
+//! Writes do not touch the recorders directly. Each thread keeps one
+//! pending log in front of its stack: events and spans are appended to it
+//! as compact records (see `codec`) in fixed
+//! [`SEGMENT_BYTES`](crate::segments::SEGMENT_BYTES) segments,
+//! and metric updates go into plain per-thread cells. So an update takes
+//! no lock and walks no stack, and the log never regrows. The pending
+//! writes move into every installed recorder at the thread's **flush
+//! points**:
+//!
+//! * a stack boundary: [`install_recorder`]/[`install_recorders`], a
+//!   [`RecorderGuard`] dropping, [`record_segment`] masking the stack and
+//!   restoring it, and [`replay`];
+//! * a read on the writing thread: [`Recorder::events`],
+//!   [`Recorder::log`], [`Recorder::spans`], [`Recorder::span_log`] and
+//!   [`Recorder::metrics`] flush the calling thread first.
+//!
+//! Between two flush points the stack is fixed, so every pending write
+//! belongs to exactly the recorders installed when it was made. The last
+//! recorder of the stack takes the pending log's full segments by move;
+//! the others get a copy. A recorder sees a thread's writes once that
+//! thread crosses a flush point: read it on the thread that writes it, or
+//! after that thread's guard drops.
 //!
 //! Parallel fan-out must keep order. Unlike `crowd_core::trace`'s work
 //! tally, a commutative sum credited back in any order, an event log is
 //! *ordered*, so workers must not interleave. Instead, a worker wraps each
 //! work item in [`record_segment`], which masks whatever is installed and
 //! captures the item's output into a private [`Segment`]; the caller then
-//! [`replay`]s the segments in input order after the join. The result is byte-identical to running the items
-//! serially, at any worker count.
+//! [`replay`]s the segments in input order after the join, splicing their
+//! bytes. The result is byte-identical to running the items serially, at
+//! any worker count.
 //!
 //! Metric updates come in two forms that land in the same cells. Hot
 //! sites hold pre-registered handles and call [`CounterId::add`],
-//! [`GaugeId::set`] or [`HistogramId::observe`]: one thread-local lookup,
-//! then one uncontended lock and one indexed write per installed
-//! recorder. Per-judgment values are batched per job or pair and
-//! flushed through [`HistogramId::observe_each`], which pays that walk
-//! and lock once per batch. Cold sites may call [`counter_add`], [`gauge_set`] or
-//! [`observe`] with a name and labels, which resolve the series through
-//! the process-wide interner first (see [`crate::metrics`]'s rules).
+//! [`GaugeId::set`], [`HistogramId::observe`] or, for a batch of
+//! per-judgment values, [`HistogramId::observe_each`]: one thread-local
+//! access and one indexed write. Cold sites may call [`counter_add`],
+//! [`gauge_set`] or [`observe`] with a name and labels, which resolve the
+//! series through the process-wide interner first (see
+//! [`crate::metrics`]'s rules).
 
+use crate::codec::{self, Record, Records};
 use crate::event::{Event, EventLog};
-use crate::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
+use crate::metrics::{CounterId, GaugeId, HistogramId, LocalCells, MetricsRegistry};
+use crate::segments::Segments;
 use crate::span::{Span, SpanLog};
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A collection point for events, spans, and metrics, scoped to a thread
 /// via [`install_recorder`].
 #[derive(Debug, Default)]
 pub struct Recorder {
-    events: Mutex<Vec<Event>>,
-    spans: Mutex<Vec<Span>>,
+    /// Events and spans in emission order, as `codec` records.
+    log: Mutex<Segments>,
     metrics: MetricsRegistry,
 }
 
@@ -45,20 +71,23 @@ impl Recorder {
         Self::default()
     }
 
-    /// Appends one event.
-    pub fn push_event(&self, event: Event) {
-        self.events
-            .lock()
-            .expect("recorder event buffer poisoned")
-            .push(event);
+    fn lock_log(&self) -> MutexGuard<'_, Segments> {
+        self.log.lock().expect("recorder log poisoned")
+    }
+
+    /// The decoded records, after flushing the calling thread's writes.
+    fn records<T>(&self, pick: impl FnMut(Record) -> Option<T>) -> Vec<T> {
+        flush_this_thread();
+        let log = self.lock_log();
+        Records::new(log.chunks()).filter_map(pick).collect()
     }
 
     /// The events recorded so far, in order.
     pub fn events(&self) -> Vec<Event> {
-        self.events
-            .lock()
-            .expect("recorder event buffer poisoned")
-            .clone()
+        self.records(|r| match r {
+            Record::Event(e) => Some(e),
+            Record::Span(_) => None,
+        })
     }
 
     /// The recorded events as a sequence-numbered [`EventLog`] — the
@@ -67,20 +96,12 @@ impl Recorder {
         EventLog::from_events(self.events())
     }
 
-    /// Appends one causal span.
-    pub fn push_span(&self, span: Span) {
-        self.spans
-            .lock()
-            .expect("recorder span buffer poisoned")
-            .push(span);
-    }
-
     /// The spans recorded so far, in emission order.
     pub fn spans(&self) -> Vec<Span> {
-        self.spans
-            .lock()
-            .expect("recorder span buffer poisoned")
-            .clone()
+        self.records(|r| match r {
+            Record::Span(s) => Some(s),
+            Record::Event(_) => None,
+        })
     }
 
     /// The recorded spans as a canonically sorted [`SpanLog`] — sorting
@@ -89,50 +110,117 @@ impl Recorder {
         SpanLog::from_spans(self.spans())
     }
 
-    /// The recorder's metrics registry.
+    /// The recorder's metrics registry, after flushing the calling
+    /// thread's updates.
     pub fn metrics(&self) -> &MetricsRegistry {
+        flush_this_thread();
         &self.metrics
+    }
+
+    /// Bytes the recorder's event and span log holds, after flushing the
+    /// calling thread's writes.
+    pub fn log_bytes(&self) -> usize {
+        flush_this_thread();
+        self.lock_log().len()
     }
 
     /// Drains the recorder into a [`Segment`], leaving it empty.
     fn take_segment(&self) -> Segment {
-        let events =
-            std::mem::take(&mut *self.events.lock().expect("recorder event buffer poisoned"));
-        let spans = std::mem::take(&mut *self.spans.lock().expect("recorder span buffer poisoned"));
-        let metrics = self.metrics.take();
+        let mut log = std::mem::take(&mut *self.lock_log());
+        log.shrink_to_fit();
         Segment {
-            events,
-            spans,
-            metrics,
+            log,
+            metrics: self.metrics.take(),
         }
     }
 }
 
-/// One work item's buffered observability output: the events it emitted,
-/// in order, plus its spans and metric updates. Produced by
+/// One work item's buffered observability output: the events and spans
+/// it emitted, in order, plus its metric updates. Produced by
 /// [`record_segment`] on a worker thread, spliced back with [`replay`] on
 /// the caller's.
 #[derive(Debug, Default)]
 pub struct Segment {
-    events: Vec<Event>,
-    spans: Vec<Span>,
+    log: Segments,
     metrics: MetricsRegistry,
 }
 
 impl Segment {
     /// True when the segment recorded nothing.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.spans.is_empty() && self.metrics.is_empty()
+        self.log.is_empty() && self.metrics.is_empty()
+    }
+}
+
+/// A thread's recorder stack and the writes it has not yet flushed to it.
+struct Local {
+    /// The installed recorders, bottom-up.
+    stack: Vec<Arc<Recorder>>,
+    /// Events and spans since the last flush point.
+    log: Segments,
+    /// Metric updates since the last flush point.
+    cells: LocalCells,
+    /// Reused buffer one record is encoded into.
+    scratch: Vec<u8>,
+}
+
+impl Local {
+    /// Appends one record, when a recorder is installed to receive it.
+    fn write(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        if self.stack.is_empty() {
+            return;
+        }
+        self.scratch.clear();
+        encode(&mut self.scratch);
+        self.log.extend(&self.scratch);
+    }
+
+    /// Moves the pending writes into every installed recorder: a copy of
+    /// the log to all but the last, the log itself to the last.
+    fn flush(&mut self) {
+        let Some((last, below)) = self.stack.split_last() else {
+            return;
+        };
+        if !self.log.is_empty() {
+            for rec in below {
+                rec.lock_log().extend_from(&self.log);
+            }
+            last.lock_log().append(&mut self.log);
+        }
+        if !self.cells.is_clean() {
+            for rec in &self.stack {
+                rec.metrics.absorb(&self.cells);
+            }
+            self.cells.reset();
+        }
     }
 }
 
 thread_local! {
-    static RECORDERS: RefCell<Vec<Arc<Recorder>>> = const { RefCell::new(Vec::new()) };
+    static LOCAL: RefCell<Local> = const {
+        RefCell::new(Local {
+            stack: Vec::new(),
+            log: Segments::new(),
+            cells: LocalCells::new(),
+            scratch: Vec::new(),
+        })
+    };
+}
+
+/// Runs `f` on this thread's stack and pending writes.
+fn with_local<T>(f: impl FnOnce(&mut Local) -> T) -> T {
+    LOCAL.with(|l| f(&mut l.borrow_mut()))
+}
+
+/// Flushes this thread's pending writes into its installed recorders. A
+/// no-op while the thread-local is being torn down.
+fn flush_this_thread() {
+    let _ = LOCAL.try_with(|l| l.borrow_mut().flush());
 }
 
 /// Uninstalls the recorders its [`install_recorder`]/[`install_recorders`]
-/// call pushed, when dropped. Not `Send`: the guard must drop on the
-/// installing thread.
+/// call pushed, when dropped, after flushing the thread's writes into
+/// them. Not `Send`: the guard must drop on the installing thread.
 #[derive(Debug)]
 pub struct RecorderGuard {
     installed: usize,
@@ -141,10 +229,10 @@ pub struct RecorderGuard {
 
 impl Drop for RecorderGuard {
     fn drop(&mut self) {
-        RECORDERS.with(|r| {
-            let mut stack = r.borrow_mut();
-            let keep = stack.len().saturating_sub(self.installed);
-            stack.truncate(keep);
+        with_local(|l| {
+            l.flush();
+            let keep = l.stack.len().saturating_sub(self.installed);
+            l.stack.truncate(keep);
         });
     }
 }
@@ -154,17 +242,16 @@ impl Drop for RecorderGuard {
 /// recorders already installed below it).
 #[must_use = "the recorder uninstalls when the guard drops"]
 pub fn install_recorder(recorder: Arc<Recorder>) -> RecorderGuard {
-    RECORDERS.with(|r| r.borrow_mut().push(recorder));
-    RecorderGuard {
-        installed: 1,
-        _not_send: PhantomData,
-    }
+    install_recorders(std::slice::from_ref(&recorder))
 }
 
 /// Installs a whole stack of recorders at once.
 #[must_use = "the recorders uninstall when the guard drops"]
 pub fn install_recorders(recorders: &[Arc<Recorder>]) -> RecorderGuard {
-    RECORDERS.with(|r| r.borrow_mut().extend(recorders.iter().cloned()));
+    with_local(|l| {
+        l.flush();
+        l.stack.extend(recorders.iter().cloned());
+    });
     RecorderGuard {
         installed: recorders.len(),
         _not_send: PhantomData,
@@ -175,17 +262,13 @@ pub fn install_recorders(recorders: &[Arc<Recorder>]) -> RecorderGuard {
 /// runner checks this before fan-out: when empty, per-item capture can be
 /// skipped entirely.
 pub fn current_recorders() -> Vec<Arc<Recorder>> {
-    RECORDERS.with(|r| r.borrow().clone())
+    with_local(|l| l.stack.clone())
 }
 
 /// Appends `event` to every installed recorder. A no-op (and cheap) when
 /// none is installed.
 pub fn emit(event: Event) {
-    RECORDERS.with(|r| {
-        for rec in r.borrow().iter() {
-            rec.push_event(event.clone());
-        }
-    });
+    with_local(|l| l.write(|out| codec::encode_event(&event, out)));
 }
 
 /// Appends `span` to every installed recorder. Spans need no emission
@@ -193,33 +276,15 @@ pub fn emit(event: Event) {
 /// segment capture/replay machinery so parallel fan-out stays
 /// byte-identical.
 pub fn emit_span(span: Span) {
-    RECORDERS.with(|r| {
-        for rec in r.borrow().iter() {
-            rec.push_span(span);
-        }
-    });
+    with_local(|l| l.write(|out| codec::encode_span(&span, out)));
 }
 
-/// Applies `update` to the metrics of every installed recorder.
-fn each_registry(update: impl Fn(&MetricsRegistry)) {
-    RECORDERS.with(|r| {
-        for rec in r.borrow().iter() {
-            update(&rec.metrics);
-        }
-    });
-}
-
-/// Resolves a series by name, only when a recorder is installed, and
-/// applies `update` with its handle to every installed recorder.
-fn resolve_then<H: Copy>(resolve: impl FnOnce() -> H, update: impl Fn(&MetricsRegistry, H)) {
-    RECORDERS.with(|r| {
-        let recorders = r.borrow();
-        if recorders.is_empty() {
-            return;
-        }
-        let id = resolve();
-        for rec in recorders.iter() {
-            update(&rec.metrics, id);
+/// Applies `update` to this thread's pending cells, only when a recorder
+/// is installed to receive it.
+fn update_cells(update: impl FnOnce(&mut LocalCells)) {
+    with_local(|l| {
+        if !l.stack.is_empty() {
+            update(&mut l.cells);
         }
     });
 }
@@ -227,7 +292,7 @@ fn resolve_then<H: Copy>(resolve: impl FnOnce() -> H, update: impl Fn(&MetricsRe
 impl CounterId {
     /// Adds `v` to this counter in every installed recorder.
     pub fn add(self, v: u64) {
-        each_registry(|m| m.add(self, v));
+        update_cells(|c| c.add(self, v));
     }
 }
 
@@ -235,50 +300,47 @@ impl GaugeId {
     /// Raises this high-watermark gauge to `v` in every installed
     /// recorder.
     pub fn set(self, v: i64) {
-        each_registry(|m| m.raise(self, v));
+        update_cells(|c| c.raise(self, v));
     }
 }
 
 impl HistogramId {
     /// Records `value` into this histogram in every installed recorder.
     pub fn observe(self, value: u64) {
-        each_registry(|m| m.record(self, value));
+        self.observe_each(&[value]);
     }
 
     /// Records every value of `values` into this histogram in every
-    /// installed recorder: one stack walk and one lock per recorder for
-    /// the whole batch, into the same cells a loop of
+    /// installed recorder, into the same cells a loop of
     /// [`observe`](Self::observe) fills. Histogram cells are order-free
     /// sums, so the exposition is the same either way; an empty slice
     /// touches nothing.
     pub fn observe_each(self, values: &[u64]) {
-        each_registry(|m| m.record_each(self, values));
+        update_cells(|c| c.record_each(self, values));
     }
 }
 
 /// Adds `v` to the counter `name{labels}` in every installed recorder.
 /// Resolves the series only when a recorder is installed.
 pub fn counter_add(name: &str, labels: &[(&str, &str)], v: u64) {
-    resolve_then(|| CounterId::new(name, labels), |m, id| m.add(id, v));
+    update_cells(|c| c.add(CounterId::new(name, labels), v));
 }
 
 /// Raises the high-watermark gauge `name{labels}` in every installed
 /// recorder.
 pub fn gauge_set(name: &str, labels: &[(&str, &str)], v: i64) {
-    resolve_then(|| GaugeId::new(name, labels), |m, id| m.raise(id, v));
+    update_cells(|c| c.raise(GaugeId::new(name, labels), v));
 }
 
 /// Records `value` into the histogram `name{labels}` (with the
 /// [`DEFAULT_BUCKETS`](crate::DEFAULT_BUCKETS) layout) in every installed
 /// recorder.
 pub fn observe(name: &str, labels: &[(&str, &str)], value: u64) {
-    resolve_then(
-        || HistogramId::new(name, labels),
-        |m, id| m.record(id, value),
-    );
+    update_cells(|c| c.record_each(HistogramId::new(name, labels), &[value]));
 }
 
-/// Restores the masked recorder stack even if the closure panics.
+/// Restores the masked recorder stack even if the closure panics,
+/// flushing the masked item's writes first.
 struct MaskGuard {
     saved: Vec<Arc<Recorder>>,
     _not_send: PhantomData<*const ()>,
@@ -286,7 +348,10 @@ struct MaskGuard {
 
 impl Drop for MaskGuard {
     fn drop(&mut self) {
-        RECORDERS.with(|r| *r.borrow_mut() = std::mem::take(&mut self.saved));
+        with_local(|l| {
+            l.flush();
+            l.stack = std::mem::take(&mut self.saved);
+        });
     }
 }
 
@@ -301,7 +366,10 @@ impl Drop for MaskGuard {
 /// thread — the output reaches those recorders exactly once, via replay.
 pub fn record_segment<T>(f: impl FnOnce() -> T) -> (T, Segment) {
     let fresh = Arc::new(Recorder::new());
-    let saved = RECORDERS.with(|r| std::mem::replace(&mut *r.borrow_mut(), vec![fresh.clone()]));
+    let saved = with_local(|l| {
+        l.flush();
+        std::mem::replace(&mut l.stack, vec![fresh.clone()])
+    });
     let _restore = MaskGuard {
         saved,
         _not_send: PhantomData,
@@ -312,19 +380,22 @@ pub fn record_segment<T>(f: impl FnOnce() -> T) -> (T, Segment) {
 }
 
 /// Splices a captured [`Segment`] into every recorder installed on the
-/// current thread: its events append in their recorded order, its metrics
-/// merge ([`MetricsRegistry::merge_from`]).
-pub fn replay(segment: Segment) {
-    RECORDERS.with(|r| {
-        for rec in r.borrow().iter() {
-            for event in &segment.events {
-                rec.push_event(event.clone());
-            }
-            for span in &segment.spans {
-                rec.push_span(*span);
-            }
+/// current thread, after the thread's own pending writes: its events and
+/// spans append in their recorded order, its metrics merge
+/// ([`MetricsRegistry::merge_from`]). The last recorder takes the
+/// segment's bytes by move.
+pub fn replay(mut segment: Segment) {
+    with_local(|l| {
+        l.flush();
+        let Some((last, below)) = l.stack.split_last() else {
+            return;
+        };
+        for rec in below {
+            rec.lock_log().extend_from(&segment.log);
             rec.metrics.merge_from(&segment.metrics);
         }
+        last.lock_log().append(&mut segment.log);
+        last.metrics.merge_from(&segment.metrics);
     });
 }
 
@@ -414,10 +485,13 @@ mod tests {
 
     #[test]
     fn taking_a_segment_drains_the_recorder() {
-        let rec = Recorder::new();
-        rec.push_event(ev("e"));
-        rec.push_span(sp(1));
-        rec.metrics().counter_add("drained_total", &[], 3);
+        let rec = Arc::new(Recorder::new());
+        {
+            let _g = install_recorder(rec.clone());
+            emit(ev("e"));
+            emit_span(sp(1));
+            counter_add("drained_total", &[], 3);
+        }
         let seg = rec.take_segment();
         assert!(!seg.is_empty());
         assert!(rec.events().is_empty());

@@ -23,7 +23,8 @@
 //!   payload eight bytes per step and always catches a corruption
 //!   confined to one 8-byte word. Batch records are encoded straight into that buffer
 //!   from borrowed slices, so a warm journal appends without allocating.
-//!   Durable bytes live in fixed [`SEGMENT_BYTES`] segments, never one
+//!   Durable bytes live in fixed [`SEGMENT_BYTES`] segments
+//!   ([`crowd_obs::segments`], the store recorder logs use too), never one
 //!   growing buffer: a flush copies the pending bytes into the tail
 //!   segment and opens a new one when it fills, so nothing durable is
 //!   ever reallocated or copied again and at most one segment is slack.
@@ -49,6 +50,7 @@ use crate::worker::WorkerId;
 use crowd_core::element::ElementId;
 use crowd_core::model::WorkerClass;
 use crowd_core::oracle::{ComparisonCounts, ComparisonOracle, OracleError};
+use crowd_obs::segments::Segments;
 use crowd_obs::Event;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -202,14 +204,7 @@ pub struct DecodedJournal {
     pub torn_tail: bool,
 }
 
-/// Capacity of one durable segment of a [`Journal`].
-///
-/// Chosen by paired `serve_steady` runs of the repository benchmark.
-/// Segments above glibc's 128 KiB `mmap` threshold get fresh pages,
-/// faulted in again on every run. Below it, each segment opened costs
-/// its flush a microsecond or more inside the allocator; 96 and 120 KiB
-/// still measured slower than 64 KiB at the 99th-percentile tick.
-pub const SEGMENT_BYTES: usize = 64 * 1024;
+pub use crowd_obs::segments::SEGMENT_BYTES;
 
 /// An append-only journal with an explicit durability line.
 ///
@@ -231,64 +226,36 @@ pub struct Journal {
     scratch: Vec<u8>,
 }
 
-/// Byte storage in fixed-capacity segments: every segment is allocated
-/// with [`SEGMENT_BYTES`] of capacity, every one but the last is full.
-#[derive(Debug, Clone, Default)]
-struct Segments {
-    segments: Vec<Vec<u8>>,
-    len: usize,
-}
-
-impl Segments {
-    /// Appends `bytes`, filling the tail segment and opening new ones.
-    fn extend(&mut self, mut bytes: &[u8]) {
-        self.len += bytes.len();
-        while !bytes.is_empty() {
-            let tail = match self.segments.last_mut() {
-                Some(tail) if tail.len() < SEGMENT_BYTES => tail,
-                _ => {
-                    self.segments.push(Vec::with_capacity(SEGMENT_BYTES));
-                    self.segments.last_mut().expect("just pushed")
-                }
-            };
-            let (head, rest) = bytes.split_at(bytes.len().min(SEGMENT_BYTES - tail.len()));
-            tail.extend_from_slice(head);
-            bytes = rest;
-        }
-    }
-}
-
 /// A borrowed view of a journal's durable bytes (see
 /// [`Journal::durable`]): their length, their segments in order, and a
 /// copy into one `Vec`. Compares equal to a byte slice holding the same
 /// bytes, wherever the segment boundaries fall.
 #[derive(Clone, Copy)]
 pub struct DurableBytes<'a> {
-    segments: &'a [Vec<u8>],
-    len: usize,
+    bytes: &'a Segments,
 }
 
 impl<'a> DurableBytes<'a> {
     /// Total durable bytes.
     pub fn len(&self) -> usize {
-        self.len
+        self.bytes.len()
     }
 
     /// True when nothing is durable yet.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.bytes.is_empty()
     }
 
     /// The bytes as consecutive slices, in order; their concatenation is
     /// the journal.
     pub fn chunks(&self) -> impl Iterator<Item = &'a [u8]> + 'a {
-        self.segments.iter().map(Vec::as_slice)
+        self.bytes.chunks()
     }
 
     /// Copies the bytes into one `Vec`: the cold path for readers that
     /// need a contiguous slice, such as [`Journal::decode`].
     pub fn to_vec(&self) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(self.len);
+        let mut bytes = Vec::with_capacity(self.len());
         for chunk in self.chunks() {
             bytes.extend_from_slice(chunk);
         }
@@ -299,15 +266,15 @@ impl<'a> DurableBytes<'a> {
 impl std::fmt::Debug for DurableBytes<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableBytes")
-            .field("len", &self.len)
-            .field("segments", &self.segments.len())
+            .field("len", &self.len())
+            .field("segments", &self.chunks().count())
             .finish()
     }
 }
 
 impl PartialEq<[u8]> for DurableBytes<'_> {
     fn eq(&self, other: &[u8]) -> bool {
-        if self.len != other.len() {
+        if self.len() != other.len() {
             return false;
         }
         let mut rest = other;
@@ -384,8 +351,7 @@ impl Journal {
     /// The bytes that would survive a crash right now, viewed in place.
     pub fn durable(&self) -> DurableBytes<'_> {
         DurableBytes {
-            segments: &self.durable.segments,
-            len: self.durable.len,
+            bytes: &self.durable,
         }
     }
 
