@@ -4,9 +4,9 @@
 //! as LEB128 varints, `bool`s and small enums as one byte, `f64`s as
 //! their raw bits (eight little-endian bytes, so NaN payloads and `-0.0`
 //! survive), strings as a varint length and their UTF-8 bytes. An
-//! [`Event`] takes tags `0..=17`, its variant's position; a [`Span`]
-//! takes [`SPAN`]. A typical serve event is five or six bytes, a span
-//! about ten, against 48 and 40 for the values themselves.
+//! [`Event`] takes the tag its variant has in `event_codec!`'s table; a
+//! [`Span`] takes [`SPAN`]. A typical serve event is five or six bytes, a
+//! span about ten, against 48 and 40 for the values themselves.
 //!
 //! Records are written only by this module and read back in the same
 //! process, so a malformed record is a bug and decoding panics on one.
@@ -28,192 +28,189 @@ pub(crate) enum Record {
     Span(Span),
 }
 
-fn uint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
+/// A value that has a record encoding.
+trait Field: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get<'a, I: Iterator<Item = &'a [u8]>>(r: &mut Records<'a, I>) -> Self;
+}
+
+impl Field for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        let mut v = *self;
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
     }
-    out.push(v as u8);
-}
 
-fn text(out: &mut Vec<u8>, s: &str) {
-    uint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn counts(out: &mut Vec<u8>, c: &ComparisonCounts) {
-    uint(out, c.naive);
-    uint(out, c.expert);
-}
-
-/// Appends `event`'s record to `out`.
-pub(crate) fn encode_event(event: &Event, out: &mut Vec<u8>) {
-    match event {
-        Event::RunStarted { name } => {
-            out.push(0);
-            text(out, name);
-        }
-        Event::PhaseTransition { phase, entered } => {
-            out.extend([1, *phase as u8, u8::from(*entered)]);
-        }
-        Event::RoundCompleted {
-            round,
-            groups,
-            survivors,
-            comparisons_by_class,
-        } => {
-            out.push(2);
-            uint(out, u64::from(*round));
-            uint(out, u64::from(*groups));
-            uint(out, *survivors);
-            counts(out, comparisons_by_class);
-        }
-        Event::FaultObserved { class, kind } => out.extend([3, *class as u8, *kind as u8]),
-        Event::RetryScheduled {
-            class,
-            attempt,
-            backoff_steps,
-        } => {
-            out.extend([4, *class as u8]);
-            uint(out, u64::from(*attempt));
-            uint(out, *backoff_steps);
-        }
-        Event::DeadLettered {
-            class,
-            attempts,
-            reason,
-        } => {
-            out.extend([5, *class as u8]);
-            uint(out, u64::from(*attempts));
-            out.push(*reason as u8);
-        }
-        Event::BudgetExhausted { cap, spent } => {
-            out.push(6);
-            out.extend_from_slice(&cap.to_bits().to_le_bytes());
-            out.extend_from_slice(&spent.to_bits().to_le_bytes());
-        }
-        Event::CheckpointWritten { batches, bytes } => {
-            out.push(7);
-            uint(out, *batches);
-            uint(out, *bytes);
-        }
-        Event::RecoveryStarted { batches, torn_tail } => {
-            out.push(8);
-            uint(out, *batches);
-            out.push(u8::from(*torn_tail));
-        }
-        Event::RecoveryCompleted {
-            replayed_batches,
-            replayed_comparisons,
-        } => {
-            out.push(9);
-            uint(out, *replayed_batches);
-            uint(out, *replayed_comparisons);
-        }
-        Event::JobAdmitted {
-            tenant,
-            job,
-            waited_ticks,
-        } => {
-            out.push(10);
-            uint(out, u64::from(*tenant));
-            uint(out, *job);
-            uint(out, *waited_ticks);
-        }
-        Event::JobShed {
-            tenant,
-            job,
-            retry_after,
-        } => {
-            out.push(11);
-            uint(out, u64::from(*tenant));
-            uint(out, *job);
-            uint(out, *retry_after);
-        }
-        Event::JobCompleted {
-            tenant,
-            job,
-            latency_ticks,
-            comparisons,
-            degraded,
-        } => {
-            out.push(12);
-            uint(out, u64::from(*tenant));
-            uint(out, *job);
-            uint(out, *latency_ticks);
-            uint(out, *comparisons);
-            out.push(degraded.map_or(0, |d| d as u8 + 1));
-        }
-        Event::BreakerTripped {
-            shard,
-            worker,
-            streak,
-            cooldown_ticks,
-        } => {
-            out.push(13);
-            uint(out, u64::from(*shard));
-            uint(out, u64::from(*worker));
-            uint(out, u64::from(*streak));
-            uint(out, *cooldown_ticks);
-        }
-        Event::BreakerProbed {
-            shard,
-            worker,
-            recovered,
-        } => {
-            out.push(14);
-            uint(out, u64::from(*shard));
-            uint(out, u64::from(*worker));
-            out.push(u8::from(*recovered));
-        }
-        Event::SloBreached {
-            tenant,
-            tick,
-            window_jobs,
-            bad_jobs,
-            bad_bps,
-        } => {
-            out.push(15);
-            uint(out, u64::from(*tenant));
-            uint(out, *tick);
-            uint(out, *window_jobs);
-            uint(out, *bad_jobs);
-            uint(out, u64::from(*bad_bps));
-        }
-        Event::SloRecovered {
-            tenant,
-            tick,
-            window_jobs,
-            bad_bps,
-        } => {
-            out.push(16);
-            uint(out, u64::from(*tenant));
-            uint(out, *tick);
-            uint(out, *window_jobs);
-            uint(out, u64::from(*bad_bps));
-        }
-        Event::RunFinished {
-            name,
-            comparisons_by_class,
-            faults,
-        } => {
-            out.push(17);
-            text(out, name);
-            counts(out, comparisons_by_class);
-            uint(out, *faults);
+    fn get<'a, I: Iterator<Item = &'a [u8]>>(r: &mut Records<'a, I>) -> Self {
+        let (mut v, mut shift) = (0u64, 0);
+        loop {
+            let b = r.byte();
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
         }
     }
+}
+
+impl Field for u32 {
+    fn put(&self, out: &mut Vec<u8>) {
+        u64::from(*self).put(out);
+    }
+
+    fn get<'a, I: Iterator<Item = &'a [u8]>>(r: &mut Records<'a, I>) -> Self {
+        u32::try_from(u64::get(r)).expect(MALFORMED)
+    }
+}
+
+impl Field for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+
+    fn get<'a, I: Iterator<Item = &'a [u8]>>(r: &mut Records<'a, I>) -> Self {
+        r.byte() != 0
+    }
+}
+
+impl Field for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_bits().to_le_bytes());
+    }
+
+    fn get<'a, I: Iterator<Item = &'a [u8]>>(r: &mut Records<'a, I>) -> Self {
+        f64::from_bits(u64::from_le_bytes(std::array::from_fn(|_| r.byte())))
+    }
+}
+
+impl Field for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn get<'a, I: Iterator<Item = &'a [u8]>>(r: &mut Records<'a, I>) -> Self {
+        let len = usize::try_from(u64::get(r)).expect(MALFORMED);
+        let mut bytes = Vec::with_capacity(len);
+        while bytes.len() < len {
+            assert!(!r.at_end(), "{MALFORMED}");
+            let (head, tail) = r.chunk.split_at(r.chunk.len().min(len - bytes.len()));
+            bytes.extend_from_slice(head);
+            r.chunk = tail;
+        }
+        String::from_utf8(bytes).expect(MALFORMED)
+    }
+}
+
+impl Field for ComparisonCounts {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.naive.put(out);
+        self.expert.put(out);
+    }
+
+    fn get<'a, I: Iterator<Item = &'a [u8]>>(r: &mut Records<'a, I>) -> Self {
+        ComparisonCounts {
+            naive: Field::get(r),
+            expert: Field::get(r),
+        }
+    }
+}
+
+impl Field for Option<DegradedReason> {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.map_or(0, |d| d as u8 + 1));
+    }
+
+    fn get<'a, I: Iterator<Item = &'a [u8]>>(r: &mut Records<'a, I>) -> Self {
+        let d = r.byte();
+        (d > 0).then(|| DegradedReason::ALL[usize::from(d - 1)])
+    }
+}
+
+/// Fieldless enums travel as their position in a list of every value,
+/// which is their declaration order.
+macro_rules! enum_fields {
+    ($($ty:ty => $all:expr),* $(,)?) => {$(
+        impl Field for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.push(*self as u8);
+            }
+
+            fn get<'a, I: Iterator<Item = &'a [u8]>>(r: &mut Records<'a, I>) -> Self {
+                *$all.get(usize::from(r.byte())).expect(MALFORMED)
+            }
+        }
+    )*};
+}
+
+enum_fields! {
+    WorkerClass => WorkerClass::ALL,
+    TracePhase => [TracePhase::Filter, TracePhase::Expert],
+    FaultKind => FaultKind::ALL,
+    DeadLetterReason => DeadLetterReason::ALL,
+    DegradedReason => DegradedReason::ALL,
+    Stage => Stage::ALL,
+}
+
+/// Generates [`encode_event`] and the event half of decoding from one
+/// table of `tag => Variant { fields in declaration order }`.
+macro_rules! event_codec {
+    ($($tag:literal => $variant:ident { $($field:ident),* },)*) => {
+        /// Appends `event`'s record to `out`.
+        pub(crate) fn encode_event(event: &Event, out: &mut Vec<u8>) {
+            match event {
+                $(Event::$variant { $($field),* } => {
+                    out.push($tag);
+                    $($field.put(out);)*
+                })*
+            }
+        }
+
+        impl<'a, I: Iterator<Item = &'a [u8]>> Records<'a, I> {
+            fn event(&mut self, tag: u8) -> Event {
+                match tag {
+                    $($tag => Event::$variant { $($field: Field::get(self)),* },)*
+                    _ => panic!("{MALFORMED}: unknown tag {tag}"),
+                }
+            }
+        }
+    };
+}
+
+event_codec! {
+    0 => RunStarted { name },
+    1 => PhaseTransition { phase, entered },
+    2 => RoundCompleted { round, groups, survivors, comparisons_by_class },
+    3 => FaultObserved { class, kind },
+    4 => RetryScheduled { class, attempt, backoff_steps },
+    5 => DeadLettered { class, attempts, reason },
+    6 => BudgetExhausted { cap, spent },
+    7 => CheckpointWritten { batches, bytes },
+    8 => RecoveryStarted { batches, torn_tail },
+    9 => RecoveryCompleted { replayed_batches, replayed_comparisons },
+    10 => JobAdmitted { tenant, job, waited_ticks },
+    11 => JobShed { tenant, job, retry_after },
+    12 => JobCompleted { tenant, job, latency_ticks, comparisons, degraded },
+    13 => BreakerTripped { shard, worker, streak, cooldown_ticks },
+    14 => BreakerProbed { shard, worker, recovered },
+    15 => SloBreached { tenant, tick, window_jobs, bad_jobs, bad_bps },
+    16 => SloRecovered { tenant, tick, window_jobs, bad_bps },
+    17 => RunFinished { name, comparisons_by_class, faults },
 }
 
 /// Appends `span`'s record to `out`.
 pub(crate) fn encode_span(span: &Span, out: &mut Vec<u8>) {
     out.push(SPAN);
-    uint(out, u64::from(span.tenant));
-    uint(out, span.job);
-    out.push(span.stage as u8);
-    uint(out, span.start);
-    uint(out, span.end);
-    uint(out, span.ticks);
+    span.tenant.put(out);
+    span.job.put(out);
+    span.stage.put(out);
+    span.start.put(out);
+    span.end.put(out);
+    span.ticks.put(out);
 }
 
 /// Reads records back from a log's chunks, whose concatenation is the
@@ -248,167 +245,6 @@ impl<'a, I: Iterator<Item = &'a [u8]>> Records<'a, I> {
         self.chunk = &self.chunk[1..];
         b
     }
-
-    fn flag(&mut self) -> bool {
-        self.byte() != 0
-    }
-
-    fn uint(&mut self) -> u64 {
-        let mut v = 0u64;
-        let mut shift = 0;
-        loop {
-            let b = self.byte();
-            v |= u64::from(b & 0x7f) << shift;
-            if b < 0x80 {
-                return v;
-            }
-            shift += 7;
-        }
-    }
-
-    fn u32(&mut self) -> u32 {
-        u32::try_from(self.uint()).expect(MALFORMED)
-    }
-
-    fn float(&mut self) -> f64 {
-        let mut bits = [0u8; 8];
-        bits.iter_mut().for_each(|b| *b = self.byte());
-        f64::from_bits(u64::from_le_bytes(bits))
-    }
-
-    fn text(&mut self) -> String {
-        let len = usize::try_from(self.uint()).expect(MALFORMED);
-        let mut bytes = Vec::with_capacity(len);
-        while bytes.len() < len {
-            assert!(!self.at_end(), "{MALFORMED}");
-            let (head, tail) = self.chunk.split_at(self.chunk.len().min(len - bytes.len()));
-            bytes.extend_from_slice(head);
-            self.chunk = tail;
-        }
-        String::from_utf8(bytes).expect(MALFORMED)
-    }
-
-    fn counts(&mut self) -> ComparisonCounts {
-        ComparisonCounts {
-            naive: self.uint(),
-            expert: self.uint(),
-        }
-    }
-
-    fn pick<T: Copy>(&mut self, all: &[T]) -> T {
-        *all.get(usize::from(self.byte())).expect(MALFORMED)
-    }
-
-    fn class(&mut self) -> WorkerClass {
-        self.pick(&WorkerClass::ALL)
-    }
-
-    fn event(&mut self, tag: u8) -> Event {
-        match tag {
-            0 => Event::RunStarted { name: self.text() },
-            1 => Event::PhaseTransition {
-                phase: self.pick(&[TracePhase::Filter, TracePhase::Expert]),
-                entered: self.flag(),
-            },
-            2 => Event::RoundCompleted {
-                round: self.u32(),
-                groups: self.u32(),
-                survivors: self.uint(),
-                comparisons_by_class: self.counts(),
-            },
-            3 => Event::FaultObserved {
-                class: self.class(),
-                kind: self.pick(&FaultKind::ALL),
-            },
-            4 => Event::RetryScheduled {
-                class: self.class(),
-                attempt: self.u32(),
-                backoff_steps: self.uint(),
-            },
-            5 => Event::DeadLettered {
-                class: self.class(),
-                attempts: self.u32(),
-                reason: self.pick(&DeadLetterReason::ALL),
-            },
-            6 => Event::BudgetExhausted {
-                cap: self.float(),
-                spent: self.float(),
-            },
-            7 => Event::CheckpointWritten {
-                batches: self.uint(),
-                bytes: self.uint(),
-            },
-            8 => Event::RecoveryStarted {
-                batches: self.uint(),
-                torn_tail: self.flag(),
-            },
-            9 => Event::RecoveryCompleted {
-                replayed_batches: self.uint(),
-                replayed_comparisons: self.uint(),
-            },
-            10 => Event::JobAdmitted {
-                tenant: self.u32(),
-                job: self.uint(),
-                waited_ticks: self.uint(),
-            },
-            11 => Event::JobShed {
-                tenant: self.u32(),
-                job: self.uint(),
-                retry_after: self.uint(),
-            },
-            12 => Event::JobCompleted {
-                tenant: self.u32(),
-                job: self.uint(),
-                latency_ticks: self.uint(),
-                comparisons: self.uint(),
-                degraded: match self.byte() {
-                    0 => None,
-                    d => Some(DegradedReason::ALL[usize::from(d - 1)]),
-                },
-            },
-            13 => Event::BreakerTripped {
-                shard: self.u32(),
-                worker: self.u32(),
-                streak: self.u32(),
-                cooldown_ticks: self.uint(),
-            },
-            14 => Event::BreakerProbed {
-                shard: self.u32(),
-                worker: self.u32(),
-                recovered: self.flag(),
-            },
-            15 => Event::SloBreached {
-                tenant: self.u32(),
-                tick: self.uint(),
-                window_jobs: self.uint(),
-                bad_jobs: self.uint(),
-                bad_bps: self.u32(),
-            },
-            16 => Event::SloRecovered {
-                tenant: self.u32(),
-                tick: self.uint(),
-                window_jobs: self.uint(),
-                bad_bps: self.u32(),
-            },
-            17 => Event::RunFinished {
-                name: self.text(),
-                comparisons_by_class: self.counts(),
-                faults: self.uint(),
-            },
-            _ => panic!("{MALFORMED}: unknown tag {tag}"),
-        }
-    }
-
-    fn span(&mut self) -> Span {
-        Span {
-            tenant: self.u32(),
-            job: self.uint(),
-            stage: self.pick(&Stage::ALL),
-            start: self.uint(),
-            end: self.uint(),
-            ticks: self.uint(),
-        }
-    }
 }
 
 impl<'a, I: Iterator<Item = &'a [u8]>> Iterator for Records<'a, I> {
@@ -419,7 +255,14 @@ impl<'a, I: Iterator<Item = &'a [u8]>> Iterator for Records<'a, I> {
             return None;
         }
         Some(match self.byte() {
-            SPAN => Record::Span(self.span()),
+            SPAN => Record::Span(Span {
+                tenant: Field::get(self),
+                job: Field::get(self),
+                stage: Field::get(self),
+                start: Field::get(self),
+                end: Field::get(self),
+                ticks: Field::get(self),
+            }),
             tag => Record::Event(self.event(tag)),
         })
     }
@@ -482,10 +325,10 @@ mod tests {
     #[test]
     fn varints_are_short_for_small_values() {
         let mut out = Vec::new();
-        uint(&mut out, 127);
+        127u64.put(&mut out);
         assert_eq!(out, [127]);
         out.clear();
-        uint(&mut out, u64::MAX);
+        u64::MAX.put(&mut out);
         assert_eq!(out.len(), 10);
     }
 }
