@@ -22,6 +22,6 @@ fn quick_fault_and_serve_sweeps_expose_pinned_metrics() {
     };
     let (prom, json) = (hash("metrics.prom"), hash("metrics.json"));
     std::fs::remove_dir_all(&dir).expect("temp dir removed");
-    assert_eq!(prom, "0xabfa99116b58c053 (23306 bytes)");
+    assert_eq!(prom, "0x6c3d1614463287ed (23321 bytes)");
     assert_eq!(json, "0x2708ca87b5d4fffd (31495 bytes)");
 }

@@ -151,7 +151,7 @@ pub mod names {
 /// byte-diffable across call sites.
 pub fn metric_help(name: &str) -> Option<&'static str> {
     Some(match name {
-        names::COMPARISONS_TOTAL => "Comparisons performed, by worker class.",
+        names::COMPARISONS_TOTAL => "Comparisons performed, by worker class and experiment.",
         names::FAULTS_TOTAL => "Faults recorded by the platform, by class and kind.",
         names::LATENCY_STEPS => "Judgment latency in physical steps (usable answers only).",
         names::RETRY_DEPTH => "Attempts consumed per completed unit (1 = first try).",
