@@ -445,7 +445,6 @@ fn gauge_init() -> MetricCell {
 
 /// One thread's cell of one series, and whether it changed since the
 /// thread's last flush point.
-#[derive(Debug)]
 struct LocalSlot {
     cell: MetricCell,
     touched: bool,
@@ -456,7 +455,6 @@ struct LocalSlot {
 /// into every installed recorder's registry ([`MetricsRegistry::absorb`])
 /// and then [`reset`](LocalCells::reset)s them in place, so a series
 /// updated again allocates nothing.
-#[derive(Debug, Default)]
 pub(crate) struct LocalCells {
     slots: Vec<Option<LocalSlot>>,
     /// Series touched since the last flush, each once.
