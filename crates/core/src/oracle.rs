@@ -237,9 +237,9 @@ pub enum OracleError {
     },
     /// The campaign budget cap was reached before the comparison ran.
     BudgetExhausted,
-    /// The run cannot go on answering: a resumed run's replay diverged
-    /// from its write-ahead journal (the platform crate's `ResumeOracle`),
-    /// or a test oracle simulates a crash. Recovery replays the journal
+    /// The run cannot go on answering: a resumed run's journal diverged
+    /// from the crashed run's (the platform crate's `resume_job`), or a
+    /// test oracle simulates a crash. Recovery replays the journal
     /// instead of re-purchasing answered comparisons.
     Interrupted,
     /// The oracle's comparison tally went backwards across a phase

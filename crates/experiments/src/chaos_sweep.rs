@@ -9,9 +9,9 @@
 //! two-phase algorithm once, uninterrupted, over a [`JournaledOracle`],
 //! and then [`resume_job`]s from [`CUTS_PER_CLASS`] frame-boundary cuts
 //! and as many torn-frame cuts of its journal, drawn with the trial seed:
-//! the journaled batches replay on a fresh platform (audited against the
-//! checkpoints and the `crowd_core::replay` transcript), then the run
-//! continues live.
+//! the algorithm reruns on a fresh platform, whose journal must rewrite
+//! the cut's intact frames byte for byte (the one resume audit,
+//! [`Journal::resuming`]), then the run continues live.
 //!
 //! The equivalence claim is checked at the byte level: the resumed run's
 //! algorithm outcome, final journal bytes, comparison tally, ledger spend,
@@ -119,7 +119,8 @@ pub struct CutOutcome {
     /// fault-stream position, and event stream modulo recovery
     /// bookkeeping.
     pub identical: bool,
-    /// Replay diverged from the journal's checkpoints (must never happen).
+    /// The resumed journal diverged from the cut's intact bytes (must
+    /// never happen).
     pub diverged: bool,
     /// Comparisons restored from the journal instead of re-purchased.
     pub replayed: u64,
@@ -198,8 +199,9 @@ impl Trial {
     /// the resumed run with `base` on every channel.
     fn resume_from(&self, base: &Leg, cut: usize) -> CutOutcome {
         let bytes = &base.journal[..cut];
+        let recovered = recover(bytes);
         let mut outcome = CutOutcome {
-            torn_tail: recover(bytes).is_ok_and(|r| r.torn_tail),
+            torn_tail: recovered.as_ref().is_ok_and(|r| r.torn_tail),
             resumed: false,
             identical: false,
             diverged: false,
@@ -215,13 +217,12 @@ impl Trial {
         let leg = {
             let _guard = install_recorder(rec.clone());
             let out = self.drive(&mut resumed);
-            outcome.replayed = resumed.replayed_comparisons();
-            outcome.diverged = resumed.diverged().is_some();
-            let mut inner = resumed.into_inner();
-            inner.finish();
-            Leg::new(out, inner, rec.events())
+            outcome.diverged = resumed.journal().diverged();
+            resumed.finish();
+            Leg::new(out, resumed, rec.events())
         };
-        let answered = recover(&leg.journal).map_or(0, |r| r.log.len() as u64);
+        outcome.replayed = recovered.map_or(0, |r| r.replayed_comparisons);
+        let answered = recover(&leg.journal).map_or(0, |r| r.replayed_comparisons);
         outcome.resumed = true;
         outcome.identical = !outcome.diverged && leg == *base;
         outcome.live = answered.saturating_sub(outcome.replayed);
@@ -469,13 +470,17 @@ mod tests {
         // records hold; everything after the last one is bought live.
         let trial = Trial::new(100, 3, 0.0, 33, 1);
         let base = trial.uninterrupted();
-        let answered = |bytes: &[u8]| recover(bytes).expect("a boundary cut recovers").log.len();
-        let total = answered(&base.journal) as u64;
+        let answered = |bytes: &[u8]| {
+            recover(bytes)
+                .expect("a boundary cut recovers")
+                .replayed_comparisons
+        };
+        let total = answered(&base.journal);
         let boundaries = crash_cuts(&base.journal)
             .into_iter()
             .filter(|&cut| !Journal::decode_json(&base.journal[..cut]).torn_tail);
         for cut in boundaries.step_by(16) {
-            let completed = answered(&base.journal[..cut]) as u64;
+            let completed = answered(&base.journal[..cut]);
             let o = trial.resume_from(&base, cut);
             assert!(o.identical && !o.diverged, "cut {cut}: {o:?}");
             assert_eq!(o.replayed, completed, "cut {cut}");
@@ -535,10 +540,7 @@ mod tests {
                     "rate {rate}, cut {cut}: {o:?}"
                 );
                 let recovered = recover(&base.journal[..cut]).expect("the cut recovers");
-                let dangles = recovered
-                    .script
-                    .last()
-                    .is_some_and(|e| e.expected.is_none());
+                let dangles = recovered.scheduled_batches > recovered.completed_batches;
                 dangling |= dangles && o.replayed > 0 && o.live > 0;
                 torn |= o.torn_tail;
             }

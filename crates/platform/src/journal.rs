@@ -42,6 +42,9 @@
 //!   cut at a frame boundary, or inside the next frame for a torn write.
 //!   Resume equivalence is checked by resuming from such cuts of one
 //!   uninterrupted journal.
+//! * [`Journal::resuming`] — the one resume audit, shared by the batch
+//!   and serve stacks: a resumed run must rewrite the crashed journal's
+//!   intact bytes, and every frame it writes is compared with them.
 //!
 //! Recovery from these bytes lives in [`mod@crate::recover`].
 
@@ -224,6 +227,12 @@ pub struct Journal {
     pending: Vec<u8>,
     /// Reused buffer a record's JSON is encoded into before framing.
     scratch: Vec<u8>,
+    /// On a resumed run, the crashed run's intact bytes: every frame must
+    /// reproduce them at its own offset. Dropped once a frame passes
+    /// their end or differs from them; always empty on a fresh journal.
+    expected: Vec<u8>,
+    /// A frame differed from `expected`.
+    diverged: bool,
 }
 
 /// A borrowed view of a journal's durable bytes (see
@@ -304,6 +313,31 @@ impl Journal {
         Journal::default()
     }
 
+    /// An empty journal for a resumed run, which must rewrite `intact`
+    /// byte for byte: the intact frames of the crashed run's journal
+    /// ([`DecodedFrames::valid_bytes`] of them). Each frame appended is
+    /// compared with the bytes at its offset until the journal passes
+    /// their end, so a resumed run is audited on every record it writes,
+    /// and a frame this code would not write is a divergence.
+    pub fn resuming(intact: &[u8]) -> Self {
+        Journal {
+            expected: intact.to_vec(),
+            ..Journal::default()
+        }
+    }
+
+    /// True while the journal has not yet rewritten all of the crashed
+    /// run's intact bytes and has not diverged from them.
+    pub fn auditing(&self) -> bool {
+        !self.expected.is_empty()
+    }
+
+    /// True once a frame differed from the crashed run's bytes at its
+    /// offset.
+    pub fn diverged(&self) -> bool {
+        self.diverged
+    }
+
     /// Encodes `record` into the pending buffer as one
     /// `<len> <frame_sum:016x> <json>\n` frame. Not durable until
     /// [`flush`](Journal::flush).
@@ -334,9 +368,26 @@ impl Journal {
     /// the service journal's records in [`crate::serve`]), so every
     /// journal in the workspace has one frame format.
     pub(crate) fn push_frame(&mut self, json: &[u8]) {
+        let start = self.pending.len();
         push_frame_header(&mut self.pending, json.len() as u64, frame_sum(json));
         self.pending.extend_from_slice(json);
         self.pending.push(b'\n');
+        if !self.expected.is_empty() {
+            self.audit(start);
+        }
+    }
+
+    /// Compares the frame just written at `pending[start..]` with the
+    /// crashed run's bytes at the same offset. Those bytes end at a frame
+    /// boundary, so a frame that runs past their end differs from them.
+    #[cold]
+    fn audit(&mut self, start: usize) {
+        let frame = &self.pending[start..];
+        let at = self.durable.len() + start;
+        self.diverged = self.expected.get(at..at + frame.len()) != Some(frame);
+        if self.diverged || at + frame.len() == self.expected.len() {
+            self.expected = Vec::new();
+        }
     }
 
     /// Moves every pending byte across the durability line. Returns the
@@ -740,26 +791,51 @@ pub struct JournaledOracle<R: RngCore> {
     policy: CheckpointPolicy,
     next_batch: u64,
     unflushed_completed: u64,
+    /// On a resumed run, the `(batches, comparisons)` its
+    /// [`Event::RecoveryCompleted`] reports once the journal has rewritten
+    /// the crashed run's intact bytes.
+    replayed: Option<(u64, u64)>,
 }
 
 impl<R: RngCore> JournaledOracle<R> {
     /// Wraps `platform`, journaling under the given job label and
     /// checkpoint cadence. The `Started` header is flushed immediately.
     pub fn new(platform: Platform<R>, job: &str, seed: u64, policy: CheckpointPolicy) -> Self {
-        let mut journal = Journal::new();
+        Self::resuming(Journal::new(), None, platform, job, seed, policy)
+    }
+
+    /// [`new`](Self::new) over `journal`, which is a
+    /// [`Journal::resuming`] one on a resumed run. Such a run refuses
+    /// every batch from the first frame that diverges from the crashed
+    /// run's bytes, before any worker is asked when that frame is the
+    /// batch's `Scheduled` record. It reports `replayed` in
+    /// [`Event::RecoveryCompleted`] right after the batch whose frames
+    /// pass their end, or at once when they hold only the header.
+    pub(crate) fn resuming(
+        mut journal: Journal,
+        replayed: Option<(u64, u64)>,
+        platform: Platform<R>,
+        job: &str,
+        seed: u64,
+        policy: CheckpointPolicy,
+    ) -> Self {
         journal.append_view(RecordView::Started {
             version: JOURNAL_VERSION,
             job,
             seed,
         });
         journal.flush();
-        JournaledOracle {
+        let mut oracle = JournaledOracle {
             inner: PlatformOracle::new(platform),
             journal,
             policy,
             next_batch: 0,
             unflushed_completed: 0,
-        }
+            replayed,
+        };
+        // A diverged header refuses the first batch instead.
+        let _ = oracle.audit();
+        oracle
     }
 
     /// The journal (its [`durable`](Journal::durable) bytes are what a
@@ -800,6 +876,25 @@ impl<R: RngCore> JournaledOracle<R> {
             bytes,
         });
         crowd_obs::series::journal_bytes().add(bytes);
+    }
+
+    /// Refuses once the journal has diverged from the crashed run's bytes,
+    /// and emits the pending recovery event once it has rewritten them.
+    fn audit(&mut self) -> Result<(), OracleError> {
+        if self.journal.diverged() {
+            return Err(OracleError::Interrupted);
+        }
+        if self.journal.auditing() {
+            return Ok(());
+        }
+        if let Some((replayed_batches, replayed_comparisons)) = self.replayed.take() {
+            crowd_obs::emit(Event::RecoveryCompleted {
+                replayed_batches,
+                replayed_comparisons,
+            });
+            crowd_obs::series::replayed_comparisons().add(replayed_comparisons);
+        }
+        Ok(())
     }
 }
 
@@ -855,6 +950,9 @@ impl<R: RngCore> ComparisonOracle for JournaledOracle<R> {
         let bytes = self.journal.flush();
         self.checkpoint_written(bytes);
         self.unflushed_completed = 0;
+        if self.journal.diverged() {
+            return Err(OracleError::Interrupted);
+        }
         let start = winners.len();
         let outcome = self.inner.try_compare_batch(class, pairs, winners);
         let partial = outcome.is_err();
@@ -873,6 +971,9 @@ impl<R: RngCore> ComparisonOracle for JournaledOracle<R> {
             let bytes = self.journal.flush();
             self.checkpoint_written(bytes);
             self.unflushed_completed = 0;
+        }
+        if self.replayed.is_some() {
+            self.audit()?;
         }
         outcome
     }

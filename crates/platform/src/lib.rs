@@ -31,9 +31,9 @@
 //! * [`journal`] — write-ahead, length-prefixed + checksummed journaling
 //!   of every batch, with batch-aligned checkpoint cadence, and
 //!   [`journal::crash_cuts`]: the prefixes a crash can leave durable.
-//! * [`mod@recover`] — crash recovery: replay a journal on a fresh platform,
-//!   audited against its checkpoints and the `crowd_core::replay`
-//!   transcript, then continue live.
+//! * [`mod@recover`] — crash recovery: rerun the job on a fresh platform,
+//!   which must rewrite the crashed journal's intact bytes frame for
+//!   frame, then continue live.
 //!
 //! Crashes are checked without a kill switch: a run is deterministic, so
 //! resuming from [`journal::crash_cuts`] of one uninterrupted journal
@@ -73,7 +73,7 @@ pub use journal::{
 pub use platform::{JobResult, Platform, PlatformConfig, PlatformError, PlatformOracle};
 pub use pool::WorkerPool;
 pub use quality::{GoldRecord, TrustTracker};
-pub use recover::{recover, resume_job, RecoverError, Recovered, ResumeOracle, ScriptEntry};
+pub use recover::{recover, resume_job, RecoverError, Recovered};
 pub use report::{CampaignReport, WorkerLine};
 pub use retry::{DeadLetter, DeadLetterReason, RetryPolicy};
 pub use scheduler::{physical_steps, reassign, schedule, Assignment, Schedule, ScheduleError};

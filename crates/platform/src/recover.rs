@@ -2,19 +2,18 @@
 //!
 //! The model is write-ahead-log state-machine replay. The platform is a
 //! deterministic state machine (seeded RNGs, a stateless SplitMix64 fault
-//! plan, hash-free iteration orders), so re-executing the journaled batch
-//! sequence on a *fresh* platform rebuilds worker trust, the ledger, the
-//! RNG streams and the fault-plan position exactly — no worker is asked
-//! anything new and no money is notionally re-spent until the journal is
-//! exhausted. The journal's `Completed` records are not used to *drive*
-//! that replay but to *audit* it: every replayed batch is checked against
-//! the journaled winners, the cumulative tally, the spend, and the fault
-//! stream position, and additionally consumed through a
-//! [`crowd_core::replay::ReplayOracle`] built from the journal transcript
-//! — the same answered-transcript machinery the offline re-analysis
-//! tooling uses. Any mismatch means the journal and the code disagree
-//! (config drift, version skew) and recovery aborts rather than silently
-//! diverge.
+//! plan, hash-free iteration orders), so re-executing the algorithm on a
+//! *fresh* platform rebuilds worker trust, the ledger, the RNG streams and
+//! the fault-plan position exactly, and rewrites the crashed run's journal
+//! byte for byte. That rewrite is the audit: [`resume_job`] journals the
+//! resumed run into a [`Journal::resuming`] journal, which compares every
+//! frame with the crashed run's intact bytes at the same offset. Every
+//! record is covered that way — each batch's pairs, winners, worker
+//! assignments, tally, spend, fault-stream position and partial flag — and
+//! a journal this code did not write diverges at its first foreign frame.
+//! A divergence (config drift, version skew) aborts the resumed run rather
+//! than let it silently differ; when it is a batch's `Scheduled` record,
+//! no worker is asked for that batch.
 //!
 //! The one deliberately re-bought case: a dangling `Scheduled` record
 //! (the WAL wrote the intent, the crash hit before any worker answered).
@@ -23,10 +22,6 @@
 
 use crate::journal::{CheckpointPolicy, Journal, JournalRecord, JournaledOracle, JOURNAL_VERSION};
 use crate::platform::Platform;
-use crowd_core::element::ElementId;
-use crowd_core::model::WorkerClass;
-use crowd_core::oracle::{ComparisonCounts, ComparisonOracle, OracleError};
-use crowd_core::replay::{JudgmentLog, RecordedJudgment, ReplayOracle};
 use crowd_obs::Event;
 use rand::RngCore;
 
@@ -49,9 +44,13 @@ pub enum RecoverError {
         /// The label the caller expected.
         expected: String,
     },
-    /// The record sequence violates the WAL grammar (e.g. a `Completed`
-    /// without its `Scheduled`).
-    Corrupt(String),
+    /// The header's platform seed is not the rebuilt platform's.
+    SeedMismatch {
+        /// The seed in the journal.
+        journal: u64,
+        /// The seed the caller rebuilt the platform with.
+        code: u64,
+    },
 }
 
 impl std::fmt::Display for RecoverError {
@@ -66,376 +65,101 @@ impl std::fmt::Display for RecoverError {
             RecoverError::JobMismatch { journal, expected } => {
                 write!(f, "the journal describes job {journal:?}, not {expected:?}")
             }
-            RecoverError::Corrupt(what) => write!(f, "corrupt journal: {what}"),
+            RecoverError::SeedMismatch { journal, code } => write!(
+                f,
+                "the journal was seeded with {journal}, the rebuilt platform with {code}"
+            ),
         }
     }
 }
 
 impl std::error::Error for RecoverError {}
 
-/// What a replayed batch must reproduce, straight from its `Completed`
-/// record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExpectedOutcome {
-    /// The journaled winners (a prefix on a partial batch).
-    pub winners: Vec<ElementId>,
-    /// The journaled cumulative judgment tally.
-    pub counts: ComparisonCounts,
-    /// The journaled cumulative spend.
-    pub spent: f64,
-    /// The journaled fault-plan stream position.
-    pub fault_seq: u64,
-    /// True when the batch ended in a mid-batch fault.
-    pub partial: bool,
-}
-
-/// One batch the resumed run must re-issue: the scheduled pairs, plus the
-/// audited outcome when the journal completed the batch (`None` for a
-/// dangling `Scheduled` — that batch runs live).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScriptEntry {
-    /// 0-based batch index.
-    pub batch: u64,
-    /// The worker class the batch was posted to.
-    pub class: WorkerClass,
-    /// The comparison pairs, in submission order.
-    pub pairs: Vec<(ElementId, ElementId)>,
-    /// The audited outcome, when the journal holds one.
-    pub expected: Option<ExpectedOutcome>,
-}
-
-/// A decoded, structurally validated journal, ready to drive a resume.
+/// A journal's header and what its intact frames hold, ready to drive a
+/// resume.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recovered {
     /// The job label from the header.
     pub job: String,
     /// The platform seed from the header.
     pub seed: u64,
-    /// The batches to replay, in order.
-    pub script: Vec<ScriptEntry>,
-    /// The answered transcript of every completed batch, in order — the
-    /// [`ReplayOracle`] audit channel is built from this.
-    pub log: JudgmentLog,
+    /// `Completed` records: batches the resumed run replays rather than
+    /// buys.
+    pub completed_batches: u64,
+    /// `Scheduled` records, a dangling one included.
+    pub scheduled_batches: u64,
+    /// Comparisons restored from the journal instead of re-purchased,
+    /// counted in answered *pairs*: the winners the `Completed` records
+    /// hold. A pair settled by a majority of several judgments counts
+    /// once; the manifest's `comparisons` and the serve resume count
+    /// *judgments* instead.
+    pub replayed_comparisons: u64,
     /// True when a torn tail was detected (and discarded) by checksum.
     pub torn_tail: bool,
-    /// Journal bytes covered by intact records.
+    /// Journal bytes covered by intact frames: what a resumed run must
+    /// rewrite.
     pub valid_bytes: usize,
 }
 
-impl Recovered {
-    /// Batches with a journaled outcome (the dangling `Scheduled`, if
-    /// any, is not counted — it runs live).
-    pub fn completed_batches(&self) -> u64 {
-        self.script.iter().filter(|e| e.expected.is_some()).count() as u64
-    }
-}
-
-/// Decodes and structurally validates journal `bytes`.
+/// Decodes journal `bytes` and checks their header.
 ///
 /// A torn tail (crash mid-write) is not an error: the tail is discarded
-/// and recovery proceeds from the last intact record, with
-/// [`Recovered::torn_tail`] set.
+/// and recovery proceeds from the last intact frame, with
+/// [`Recovered::torn_tail`] set. Frames after the header are only
+/// counted; the resumed run's journal audits them.
 ///
 /// # Errors
 ///
-/// Returns a [`RecoverError`] when the journal is empty, headerless,
-/// version-skewed, or grammatically corrupt.
+/// Returns a [`RecoverError`] when the journal is empty, headerless or
+/// version-skewed.
 pub fn recover(bytes: &[u8]) -> Result<Recovered, RecoverError> {
-    let decoded = Journal::decode(bytes);
-    let mut records = decoded.records.into_iter();
+    let decoded = Journal::decode_json(bytes);
+    let mut records = decoded
+        .frames
+        .iter()
+        .map(|(json, _)| serde_json::from_str::<JournalRecord>(json));
     let Some(header) = records.next() else {
         return Err(RecoverError::Empty);
     };
-    let JournalRecord::Started { version, job, seed } = header else {
+    let Ok(JournalRecord::Started { version, job, seed }) = header else {
         return Err(RecoverError::MissingHeader);
     };
     if version != JOURNAL_VERSION {
         return Err(RecoverError::VersionMismatch { found: version });
     }
-    let mut script: Vec<ScriptEntry> = Vec::new();
-    let mut log = JudgmentLog::new();
-    for record in records {
-        match record {
-            JournalRecord::Started { .. } => {
-                return Err(RecoverError::Corrupt("second Started header".to_string()));
-            }
-            JournalRecord::Scheduled {
-                batch,
-                class,
-                pairs,
-            } => {
-                if script.last().is_some_and(|e| e.expected.is_none()) {
-                    return Err(RecoverError::Corrupt(format!(
-                        "batch {batch} scheduled while the previous batch is still in flight"
-                    )));
-                }
-                if batch != script.len() as u64 {
-                    return Err(RecoverError::Corrupt(format!(
-                        "batch {batch} scheduled out of order (expected {})",
-                        script.len()
-                    )));
-                }
-                script.push(ScriptEntry {
-                    batch,
-                    class,
-                    pairs,
-                    expected: None,
-                });
-            }
-            JournalRecord::Completed {
-                batch,
-                winners,
-                workers: _,
-                counts,
-                spent,
-                fault_seq,
-                partial,
-            } => {
-                let Some(entry) = script.last_mut() else {
-                    return Err(RecoverError::Corrupt(format!(
-                        "batch {batch} completed without being scheduled"
-                    )));
-                };
-                if entry.batch != batch || entry.expected.is_some() {
-                    return Err(RecoverError::Corrupt(format!(
-                        "batch {batch} completed out of order"
-                    )));
-                }
-                if winners.len() > entry.pairs.len()
-                    || (!partial && winners.len() != entry.pairs.len())
-                {
-                    return Err(RecoverError::Corrupt(format!(
-                        "batch {batch} completed with {} winners for {} pairs",
-                        winners.len(),
-                        entry.pairs.len()
-                    )));
-                }
-                for (&(k, j), &winner) in entry.pairs.iter().zip(&winners) {
-                    log.push(RecordedJudgment {
-                        class: entry.class,
-                        k,
-                        j,
-                        winner,
-                    });
-                }
-                entry.expected = Some(ExpectedOutcome {
-                    winners,
-                    counts,
-                    spent,
-                    fault_seq,
-                    partial,
-                });
-            }
-        }
-    }
-    Ok(Recovered {
+    let mut recovered = Recovered {
         job,
         seed,
-        script,
-        log,
+        completed_batches: 0,
+        scheduled_batches: 0,
+        replayed_comparisons: 0,
         torn_tail: decoded.torn_tail,
         valid_bytes: decoded.valid_bytes,
-    })
-}
-
-/// An oracle that resumes a journaled job: replays the recovered script
-/// on a fresh platform (auditing every batch against the journal and the
-/// [`ReplayOracle`] transcript), then passes through live.
-///
-/// The wrapped [`JournaledOracle`] journals the resumed run from scratch,
-/// so a resumed job can itself crash and be resumed again.
-#[derive(Debug)]
-pub struct ResumeOracle<R: RngCore> {
-    inner: JournaledOracle<R>,
-    script: Vec<ScriptEntry>,
-    replay: ReplayOracle,
-    pos: usize,
-    replayed_comparisons: u64,
-    diverged: Option<String>,
-}
-
-impl<R: RngCore> ResumeOracle<R> {
-    /// Builds the resume path from a recovered journal and a fresh
-    /// journaled platform. Emits [`Event::RecoveryStarted`]; when the
-    /// script is empty the recovery is trivially complete and
-    /// [`Event::RecoveryCompleted`] follows immediately.
-    pub fn new(recovered: Recovered, inner: JournaledOracle<R>) -> Self {
-        crowd_obs::emit(Event::RecoveryStarted {
-            batches: recovered.completed_batches(),
-            torn_tail: recovered.torn_tail,
-        });
-        let oracle = ResumeOracle {
-            inner,
-            replay: ReplayOracle::new(&recovered.log),
-            script: recovered.script,
-            pos: 0,
-            replayed_comparisons: 0,
-            diverged: None,
-        };
-        if oracle.script.is_empty() {
-            oracle.emit_completed();
-        }
-        oracle
-    }
-
-    /// Comparisons restored from the journal instead of re-purchased,
-    /// counted in answered *pairs*: a pair settled by a majority of
-    /// several judgments counts once. The manifest's `comparisons` and
-    /// the serve resume count *judgments* instead.
-    pub fn replayed_comparisons(&self) -> u64 {
-        self.replayed_comparisons
-    }
-
-    /// True while journal replay is still in progress.
-    pub fn replaying(&self) -> bool {
-        self.pos < self.script.len()
-    }
-
-    /// The first audit failure, if replay diverged from the journal.
-    pub fn diverged(&self) -> Option<&str> {
-        self.diverged.as_deref()
-    }
-
-    /// The wrapped journaled platform.
-    pub fn inner(&self) -> &JournaledOracle<R> {
-        &self.inner
-    }
-
-    /// Consumes the resume path, returning the journaled platform.
-    pub fn into_inner(self) -> JournaledOracle<R> {
-        self.inner
-    }
-
-    fn emit_completed(&self) {
-        crowd_obs::emit(Event::RecoveryCompleted {
-            replayed_batches: self.pos as u64,
-            replayed_comparisons: self.replayed_comparisons,
-        });
-        crowd_obs::series::replayed_comparisons().add(self.replayed_comparisons);
-    }
-
-    fn diverge(&mut self, what: String) -> OracleError {
-        if self.diverged.is_none() {
-            self.diverged = Some(what);
-        }
-        OracleError::Interrupted
-    }
-}
-
-impl<R: RngCore> ComparisonOracle for ResumeOracle<R> {
-    /// Infallible trait surface. Callers that must not panic on replay
-    /// divergence or a fault-exhausted platform use [`Self::try_compare`],
-    /// which returns the typed [`OracleError`] instead.
-    fn compare(&mut self, class: WorkerClass, k: ElementId, j: ElementId) -> ElementId {
-        self.try_compare(class, k, j)
-            .expect("the resumed platform cannot answer")
-    }
-
-    fn try_compare(
-        &mut self,
-        class: WorkerClass,
-        k: ElementId,
-        j: ElementId,
-    ) -> Result<ElementId, OracleError> {
-        let mut winners = Vec::with_capacity(1);
-        self.try_compare_batch(class, &[(k, j)], &mut winners)?;
-        Ok(winners[0])
-    }
-
-    fn compare_batch(
-        &mut self,
-        class: WorkerClass,
-        pairs: &[(ElementId, ElementId)],
-        winners: &mut Vec<ElementId>,
-    ) {
-        self.try_compare_batch(class, pairs, winners)
-            .expect("the resumed platform cannot answer");
-    }
-
-    fn try_compare_batch(
-        &mut self,
-        class: WorkerClass,
-        pairs: &[(ElementId, ElementId)],
-        winners: &mut Vec<ElementId>,
-    ) -> Result<(), OracleError> {
-        if self.diverged.is_some() {
-            return Err(OracleError::Interrupted);
-        }
-        if pairs.is_empty() {
-            return Ok(());
-        }
-        let scripted = self.pos < self.script.len();
-        if scripted {
-            let entry = &self.script[self.pos];
-            if entry.class != class || entry.pairs != pairs {
-                let batch = entry.batch;
-                return Err(self.diverge(format!(
-                    "batch {batch}: the resumed run requested different work \
-                     than the journal recorded"
-                )));
+    };
+    for record in records.flatten() {
+        match record {
+            JournalRecord::Started { .. } => {}
+            JournalRecord::Scheduled { .. } => recovered.scheduled_batches += 1,
+            JournalRecord::Completed { winners, .. } => {
+                recovered.completed_batches += 1;
+                recovered.replayed_comparisons += winners.len() as u64;
             }
         }
-        let start = winners.len();
-        let outcome = self.inner.try_compare_batch(class, pairs, winners);
-        if !scripted {
-            return outcome;
-        }
-        let entry = &self.script[self.pos];
-        let batch = entry.batch;
-        if let Some(expected) = entry.expected.clone() {
-            let got = &winners[start..];
-            if got != expected.winners.as_slice() {
-                return Err(self.diverge(format!(
-                    "batch {batch}: replay produced different winners than the journal"
-                )));
-            }
-            // Audit through the transcript-replay channel too: the journal
-            // log must answer exactly what the fresh platform answered.
-            for (&(k, j), &winner) in pairs.iter().zip(got) {
-                match self.replay.try_compare(class, k, j) {
-                    Ok(w) if w == winner => {}
-                    _ => {
-                        return Err(self.diverge(format!(
-                            "batch {batch}: the journal transcript disagrees with replay"
-                        )));
-                    }
-                }
-            }
-            let platform = self.inner.platform();
-            if platform.counts() != expected.counts
-                || platform.fault_seq() != expected.fault_seq
-                || platform.ledger().total() != expected.spent
-            {
-                return Err(self.diverge(format!(
-                    "batch {batch}: replayed platform state drifted from the checkpoint \
-                     (tally/spend/fault-stream mismatch)"
-                )));
-            }
-            self.replayed_comparisons += got.len() as u64;
-        }
-        self.pos += 1;
-        if self.pos == self.script.len() {
-            self.emit_completed();
-        }
-        outcome
     }
-
-    fn counts(&self) -> ComparisonCounts {
-        self.inner.counts()
-    }
-
-    fn observe(&mut self, event: crowd_core::trace::TraceEvent) {
-        self.inner.observe(event);
-    }
+    Ok(recovered)
 }
 
-/// One-call resume: recover `bytes`, validate them against the job the
-/// caller is rebuilding, and wrap a fresh `platform` in the replay path.
+/// One-call resume: recover `bytes`, check them against the job the
+/// caller is rebuilding, and journal a fresh `platform` into a
+/// [`Journal::resuming`] journal that must rewrite their intact frames.
 ///
 /// `platform` must be constructed exactly as the crashed run's was (same
-/// instance, pool, config, and the `seed` the journal header records) —
-/// recovery re-executes the journaled batches on it and audits every step
-/// against the checkpoints.
+/// instance, pool, config, and the `seed` the journal header records),
+/// and driven by the same algorithm: the journaled batches then re-execute
+/// identically, and the first frame that differs refuses the batch it
+/// belongs to and every later one ([`Journal::diverged`]). Emits
+/// [`Event::RecoveryStarted`]; [`Event::RecoveryCompleted`] follows once
+/// the resumed journal has rewritten the crashed one.
 ///
 /// # Errors
 ///
@@ -447,7 +171,7 @@ pub fn resume_job<R: RngCore>(
     job: &str,
     seed: u64,
     policy: CheckpointPolicy,
-) -> Result<ResumeOracle<R>, RecoverError> {
+) -> Result<JournaledOracle<R>, RecoverError> {
     let recovered = recover(bytes)?;
     if recovered.job != job {
         return Err(RecoverError::JobMismatch {
@@ -456,13 +180,23 @@ pub fn resume_job<R: RngCore>(
         });
     }
     if recovered.seed != seed {
-        return Err(RecoverError::Corrupt(format!(
-            "the journal was seeded with {}, the rebuilt platform with {seed}",
-            recovered.seed
-        )));
+        return Err(RecoverError::SeedMismatch {
+            journal: recovered.seed,
+            code: seed,
+        });
     }
-    let inner = JournaledOracle::new(platform, job, seed, policy);
-    Ok(ResumeOracle::new(recovered, inner))
+    crowd_obs::emit(Event::RecoveryStarted {
+        batches: recovered.completed_batches,
+        torn_tail: recovered.torn_tail,
+    });
+    Ok(JournaledOracle::resuming(
+        Journal::resuming(&bytes[..recovered.valid_bytes]),
+        Some((recovered.scheduled_batches, recovered.replayed_comparisons)),
+        platform,
+        job,
+        seed,
+        policy,
+    ))
 }
 
 #[cfg(test)]
@@ -470,7 +204,9 @@ mod tests {
     use super::*;
     use crate::platform::PlatformConfig;
     use crate::pool::WorkerPool;
-    use crowd_core::element::Instance;
+    use crowd_core::element::{ElementId, Instance};
+    use crowd_core::model::WorkerClass;
+    use crowd_core::oracle::{ComparisonOracle, OracleError};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -528,8 +264,12 @@ mod tests {
         // Batch 1's `Scheduled` is durable, no worker has answered it.
         let cut = &bytes[..frames_len(&bytes, 4)];
         let recovered = recover(cut).expect("journal recovers");
-        assert_eq!(recovered.completed_batches(), 1);
-        assert_eq!(recovered.script.len(), 2, "batch 1 dangles");
+        assert_eq!(recovered.completed_batches, 1);
+        assert_eq!(recovered.scheduled_batches, 2, "batch 1 dangles");
+        assert_eq!(
+            recovered.replayed_comparisons, 2,
+            "batch 0's two comparisons come from the journal replay"
+        );
 
         let mut resumed = resume_job(
             cut,
@@ -539,7 +279,7 @@ mod tests {
             CheckpointPolicy::every_batch(),
         )
         .expect("journal recovers");
-        assert!(resumed.replaying());
+        assert!(resumed.journal().auditing());
         let mut winners = Vec::new();
         for batch in batches() {
             resumed
@@ -547,15 +287,10 @@ mod tests {
                 .expect("resumed run answers");
         }
         assert_eq!(winners, full, "resume must equal the uninterrupted run");
-        assert_eq!(resumed.diverged(), None);
-        assert_eq!(
-            resumed.replayed_comparisons(),
-            2,
-            "batch 0's two comparisons came from the journal replay"
-        );
-        let mut inner = resumed.into_inner();
-        inner.finish();
-        assert_eq!(inner.journal().durable(), &bytes[..], "the journal too");
+        assert!(!resumed.journal().diverged());
+        assert!(!resumed.journal().auditing(), "the cut was rewritten");
+        resumed.finish();
+        assert_eq!(resumed.journal().durable(), &bytes[..], "the journal too");
     }
 
     #[test]
@@ -567,7 +302,7 @@ mod tests {
         let recovered = recover(cut).expect("journal recovers");
         assert!(recovered.torn_tail, "the torn frame must be detected");
         assert_eq!(recovered.valid_bytes, intact);
-        assert_eq!(recovered.completed_batches(), 2);
+        assert_eq!(recovered.completed_batches, 2);
 
         let mut resumed = resume_job(
             cut,
@@ -584,7 +319,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(winners, full);
-        assert_eq!(resumed.diverged(), None);
+        assert!(!resumed.journal().diverged());
     }
 
     #[test]
@@ -617,7 +352,7 @@ mod tests {
             }
         }
         assert!(
-            failed && resumed.diverged().is_some(),
+            failed && resumed.journal().diverged(),
             "a drifted platform must be caught by the audit"
         );
     }
@@ -635,7 +370,100 @@ mod tests {
             ),
             Err(RecoverError::JobMismatch { .. })
         ));
+        assert_eq!(
+            resume_job(
+                &bytes,
+                fresh_platform(),
+                JOB,
+                SEED + 1,
+                CheckpointPolicy::every_batch()
+            )
+            .unwrap_err(),
+            RecoverError::SeedMismatch {
+                journal: SEED,
+                code: SEED + 1
+            }
+        );
         assert_eq!(recover(b"").unwrap_err(), RecoverError::Empty);
+    }
+
+    /// The JSON payloads of `bytes`' frames, in order.
+    fn frames_of(bytes: &[u8]) -> Vec<String> {
+        let frames = Journal::decode_json(bytes).frames;
+        frames.into_iter().map(|(json, _)| json).collect()
+    }
+
+    /// Frames `frames` afresh through [`Journal::append_json`], so every
+    /// checksum is valid.
+    fn journal_of(frames: &[String]) -> Vec<u8> {
+        let mut journal = Journal::new();
+        for json in frames {
+            journal.append_json(json);
+        }
+        journal.flush();
+        journal.durable().to_vec()
+    }
+
+    /// Resumes from `bytes` and drives every batch, returning each batch's
+    /// outcome and the platform's tally after it.
+    fn resume_outcomes(bytes: &[u8]) -> Vec<(Result<(), OracleError>, u64)> {
+        let mut resumed = resume_job(
+            bytes,
+            fresh_platform(),
+            JOB,
+            SEED,
+            CheckpointPolicy::every_batch(),
+        )
+        .expect("the header is intact");
+        let mut winners = Vec::new();
+        batches()
+            .iter()
+            .map(|batch| {
+                let outcome = resumed.try_compare_batch(WorkerClass::Naive, batch, &mut winners);
+                (outcome, resumed.platform().counts().total())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_changed_worker_id_diverges() {
+        let (_, bytes) = run_journaled();
+        let mut frames = frames_of(&bytes);
+        // Frame 2 is batch 0's `Completed` record.
+        let json = &mut frames[2];
+        let at = json.find("\"workers\":[").expect("a workers list") + "\"workers\":[".len();
+        let end = at
+            + json[at..]
+                .find(|c: char| !c.is_ascii_digit())
+                .expect("a list");
+        let id: u32 = json[at..end].parse().expect("a worker id");
+        json.replace_range(at..end, &(id + 1).to_string());
+        let outcomes = resume_outcomes(&journal_of(&frames));
+        assert_eq!(outcomes[0].0, Err(OracleError::Interrupted), "{outcomes:?}");
+        // The later batches are refused before any worker is asked.
+        for (outcome, counts) in &outcomes[1..] {
+            assert_eq!(*outcome, Err(OracleError::Interrupted));
+            assert_eq!(*counts, outcomes[0].1, "{outcomes:?}");
+        }
+    }
+
+    #[test]
+    fn foreign_frames_are_refused_before_any_batch_runs_past_them() {
+        let (_, bytes) = run_journaled();
+        let frames = frames_of(&bytes);
+        // A second header after batch 0, and batch 1's `Completed`
+        // without its `Scheduled`.
+        let second_header = [&frames[..3], &frames[..1], &frames[3..]].concat();
+        let unscheduled = [&frames[..3], &frames[4..]].concat();
+        for foreign in [second_header, unscheduled] {
+            let outcomes = resume_outcomes(&journal_of(&foreign));
+            let (first, after_batch_0) = &outcomes[0];
+            assert_eq!(*first, Ok(()), "batch 0 replays: {outcomes:?}");
+            for (outcome, counts) in &outcomes[1..] {
+                assert_eq!(*outcome, Err(OracleError::Interrupted), "{outcomes:?}");
+                assert_eq!(counts, after_batch_0, "no worker asked: {outcomes:?}");
+            }
+        }
     }
 
     #[test]

@@ -40,8 +40,11 @@
 //! * **Crash recovery** ([`service`]) — a write-ahead journal (framed
 //!   through [`crate::journal::Journal`], sharing its torn-tail
 //!   detection) makes every tick's dispatch durable before execution;
-//!   [`CrowdServe::resume`] audits a replay against the journal and
-//!   reproduces the interrupted run byte-for-byte.
+//!   [`CrowdServe::resume`] reruns the plan into a
+//!   [`Journal::resuming`](crate::journal::Journal::resuming) journal,
+//!   the batch stack's resume audit too: every frame must rewrite the
+//!   crashed journal's intact bytes, so the interrupted run is reproduced
+//!   byte-for-byte or the resume fails at the tick that differs.
 //!
 //! Everything runs on a logical clock with stateless seeded randomness
 //! ([`arrival`] for load, `crate::fault` for worker behaviour), so any

@@ -209,10 +209,11 @@ pub enum ResumeError {
         /// Seed offered to resume.
         code: u64,
     },
-    /// Replay recomputed a different outcome than the journal recorded —
-    /// the journal lies or the environment changed.
+    /// The resumed run wrote a frame that differs from the journal's
+    /// bytes at its offset, or ended before rewriting them — the journal
+    /// lies or the environment changed.
     Diverged {
-        /// First tick whose recomputed record mismatched.
+        /// The tick that wrote the first differing frame.
         tick: u64,
     },
 }
@@ -568,16 +569,6 @@ pub struct ServeReport {
     pub cache_saved_comparisons: u64,
 }
 
-/// Replay-audit state carried by a resumed service.
-#[derive(Debug)]
-struct ReplayAudit {
-    /// Journaled `TickCompleted` JSON by tick, from the crashed run,
-    /// compared byte for byte with each replayed tick's encoding.
-    expected: BTreeMap<u64, String>,
-    replayed_ticks: u64,
-    replayed_comparisons: u64,
-}
-
 /// Which shard a dispatch attempt landed on, or why none could take it.
 enum ShardPick {
     Ready(usize),
@@ -677,7 +668,6 @@ pub struct CrowdServe {
     /// keep their own.
     faults: FaultCounts,
     queue_depth_max: usize,
-    replay: Option<ReplayAudit>,
 }
 
 impl CrowdServe {
@@ -688,6 +678,16 @@ impl CrowdServe {
     /// [`ServeError::NoShards`] on an empty shard set,
     /// [`ServeError::DuplicateTenant`] when a tenant is configured twice.
     pub fn new(config: ServeConfig, seed: u64) -> Result<Self, ServeError> {
+        Self::journaling(config, seed, Journal::new())
+    }
+
+    /// [`new`](Self::new) over `journal`: a [`Journal::resuming`] one
+    /// makes every frame the service writes an audit of a crashed run's.
+    fn journaling(
+        config: ServeConfig,
+        seed: u64,
+        mut journal: Journal,
+    ) -> Result<Self, ServeError> {
         if config.shards.is_empty() {
             return Err(ServeError::NoShards);
         }
@@ -717,7 +717,6 @@ impl CrowdServe {
             .enumerate()
             .map(|(i, spec)| WorkerShard::new(i as u32, *spec, mix(seed ^ 0x5E)))
             .collect();
-        let mut journal = Journal::new();
         let mut scratch = TickScratch::default();
         RecordView::Started {
             version: JOURNAL_VERSION,
@@ -745,7 +744,6 @@ impl CrowdServe {
             dead_letters: 0,
             faults: FaultCounts::zero(),
             queue_depth_max: 0,
-            replay: None,
         })
     }
 
@@ -937,6 +935,7 @@ impl CrowdServe {
             self.journal.flush();
             self.unflushed = 0;
         }
+        self.audit(tick)?;
 
         // 5. Execute, in dispatch order.
         let tick_answers = self.execute(tick, &dispatches)?;
@@ -1050,17 +1049,8 @@ impl CrowdServe {
                 completed: completions,
             }
             .encode(json);
-            if let Some(audit) = &mut self.replay {
-                if let Some(expected) = audit.expected.get(&tick) {
-                    if expected.as_bytes() != json.as_slice() {
-                        return Err(ServeError::Resume(ResumeError::Diverged { tick }));
-                    }
-                    audit.replayed_ticks += 1;
-                    audit.replayed_comparisons += tick_answers;
-                    series::replayed_comparisons().add(tick_answers);
-                }
-            }
             self.journal.push_frame(json);
+            self.audit(tick)?;
             self.unflushed += 1;
             if self.unflushed >= self.config.checkpoint.every_batches {
                 let bytes = self.journal.flush();
@@ -1132,6 +1122,15 @@ impl CrowdServe {
             tenant.slo.record(tick, bad);
         }
         record
+    }
+
+    /// [`ResumeError::Diverged`] at `tick` once a resumed run's journal
+    /// has written a frame that differs from the crashed run's.
+    fn audit(&self, tick: u64) -> Result<(), ServeError> {
+        if self.journal.diverged() {
+            return Err(ServeError::Resume(ResumeError::Diverged { tick }));
+        }
+        Ok(())
     }
 
     /// Encodes a write-ahead tick record into the reused buffer and frames
@@ -1454,11 +1453,13 @@ impl CrowdServe {
     }
 
     /// Resumes a crashed run from its durable journal bytes: validates
-    /// the header, then re-runs the whole plan from tick 0 — every
-    /// decision is deterministic, so the replayed prefix reproduces the
-    /// journaled outcomes exactly (audited tick by tick, erroring with
-    /// [`ResumeError::Diverged`] on any mismatch) and the final journal
-    /// is byte-identical to an uninterrupted run's.
+    /// the header, then re-runs the whole plan from tick 0 into a
+    /// [`Journal::resuming`] journal. Every decision is deterministic, so
+    /// the rerun rewrites the crashed run's intact frames byte for byte;
+    /// the first frame of tick `t` that differs errors with
+    /// [`ResumeError::Diverged`] `{ tick: t }`, before any shard is asked
+    /// for the tick when it is a write-ahead record. The final journal is
+    /// then byte-identical to an uninterrupted run's.
     ///
     /// Returns the report plus the finished service, whose journal's
     /// durable bytes callers can compare against an uninterrupted run.
@@ -1475,65 +1476,59 @@ impl CrowdServe {
         max_ticks: u64,
     ) -> Result<(ServeReport, CrowdServe), ServeError> {
         let decoded = Journal::decode_json(bytes);
-        let mut torn_tail = decoded.torn_tail;
-        let mut records: Vec<(ServeRecord, String)> = Vec::new();
-        for (json, _) in decoded.frames {
-            match serde_json::from_str::<ServeRecord>(&json) {
-                Ok(record) => records.push((record, json)),
-                Err(_) => {
-                    torn_tail = true;
-                    break;
-                }
-            }
-        }
-        let Some((
-            ServeRecord::Started {
-                version,
-                seed: jseed,
-                config_digest,
-            },
-            _,
-        )) = records.first()
+        let mut records = decoded
+            .frames
+            .iter()
+            .map(|(json, _)| serde_json::from_str::<ServeRecord>(json));
+        let Some(Ok(ServeRecord::Started {
+            version,
+            seed: jseed,
+            config_digest,
+        })) = records.next()
         else {
             return Err(ServeError::Resume(ResumeError::MissingHeader));
         };
-        if *version != JOURNAL_VERSION {
+        if version != JOURNAL_VERSION {
             return Err(ServeError::Resume(ResumeError::VersionMismatch {
-                journal: *version,
+                journal: version,
                 code: JOURNAL_VERSION,
             }));
         }
-        if *jseed != seed {
+        if jseed != seed {
             return Err(ServeError::Resume(ResumeError::SeedMismatch {
-                journal: *jseed,
+                journal: jseed,
                 code: seed,
             }));
         }
-        if *config_digest != config.digest() {
+        if config_digest != config.digest() {
             return Err(ServeError::Resume(ResumeError::ConfigMismatch));
         }
-        let expected: BTreeMap<u64, String> = records
-            .iter()
-            .filter_map(|(record, json)| match record {
-                ServeRecord::TickCompleted { tick, .. } => Some((*tick, json.clone())),
-                _ => None,
-            })
-            .collect();
+        let (mut ticks, mut answers) = (0u64, 0u64);
+        for record in records.flatten() {
+            if let ServeRecord::TickCompleted { answers: a, .. } = record {
+                ticks += 1;
+                answers += a;
+            }
+        }
         emit(Event::RecoveryStarted {
-            batches: expected.len() as u64,
-            torn_tail,
+            batches: ticks,
+            torn_tail: decoded.torn_tail,
         });
-        let mut service = CrowdServe::new(config, seed)?;
-        service.replay = Some(ReplayAudit {
-            expected,
-            replayed_ticks: 0,
-            replayed_comparisons: 0,
-        });
+        let journal = Journal::resuming(&bytes[..decoded.valid_bytes]);
+        let mut service = CrowdServe::journaling(config, seed, journal)?;
         let report = service.run(plan, max_ticks)?;
-        let audit = service.replay.as_ref().expect("audit installed above");
+        if service.journal.auditing() {
+            // The rerun ended without rewriting the crashed run's frames.
+            return Err(ServeError::Resume(ResumeError::Diverged {
+                tick: service.tick,
+            }));
+        }
+        if ticks > 0 {
+            series::replayed_comparisons().add(answers);
+        }
         emit(Event::RecoveryCompleted {
-            replayed_batches: audit.replayed_ticks,
-            replayed_comparisons: audit.replayed_comparisons,
+            replayed_batches: ticks,
+            replayed_comparisons: answers,
         });
         Ok((report, service))
     }

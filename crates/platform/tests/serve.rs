@@ -388,6 +388,51 @@ fn kill_and_resume_matches_uninterrupted_run() {
 }
 
 #[test]
+fn an_altered_frame_diverges_at_its_tick() {
+    let config = faulty_config();
+    let plan = overload_plan(13);
+    let (_, journal, _) = uninterrupted(&config, 21, &plan);
+    let frames: Vec<String> = Journal::decode_json(&journal)
+        .frames
+        .into_iter()
+        .map(|(json, _)| json)
+        .collect();
+    for (tick, kind, field) in [
+        (9, "TickScheduled", "\"votes\":"),
+        (11, "TickCompleted", "\"answers\":"),
+    ] {
+        // Add one to the first number after `field` in the tick's frame,
+        // and frame every record afresh so each checksum is valid.
+        let head = format!("{{\"{kind}\":{{\"tick\":{tick},");
+        let mut altered = frames.clone();
+        let json = altered
+            .iter_mut()
+            .find(|json| json.starts_with(&head))
+            .expect("the tick journals the record");
+        let at = json.find(field).expect("the field") + field.len();
+        let end = at
+            + json[at..]
+                .find(|c: char| !c.is_ascii_digit())
+                .expect("a number");
+        let n: u64 = json[at..end].parse().expect("a number");
+        json.replace_range(at..end, &(n + 1).to_string());
+        let mut bytes = Journal::new();
+        for json in &altered {
+            bytes.append_json(json);
+        }
+        bytes.flush();
+        let (_rec, _g) = record();
+        let err = CrowdServe::resume(config.clone(), 21, &plan, &bytes.durable().to_vec(), 600)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ServeError::Resume(crowd_platform::serve::ResumeError::Diverged { tick }),
+            "{kind}"
+        );
+    }
+}
+
+#[test]
 fn resume_refuses_foreign_journals() {
     let config = faulty_config();
     let plan = overload_plan(13);
