@@ -20,7 +20,7 @@
 //! all equal the uninterrupted run's; this sweep is the platform stack's
 //! only kill/resume gate. The sweep crosses the two cut classes with
 //! fault-free and faulty platforms (faults exercise partial-batch journal
-//! records), and reports what recovery cost: comparisons restored from
+//! records), and reports what recovery cost: judgments restored from
 //! the journal vs. bought live after replay, and torn tails detected by
 //! checksum.
 //!
@@ -122,10 +122,11 @@ pub struct CutOutcome {
     /// The resumed journal diverged from the cut's intact bytes (must
     /// never happen).
     pub diverged: bool,
-    /// Comparisons restored from the journal instead of re-purchased.
+    /// Judgments restored from the journal instead of re-purchased
+    /// ([`Recovered::replayed_comparisons`](crowd_platform::Recovered)).
     pub replayed: u64,
-    /// Comparisons the resumed run answered live once replay ended: the
-    /// answered comparisons its final journal holds, minus `replayed`.
+    /// Judgments the resumed run bought once replay ended: its final
+    /// tally minus `replayed`.
     pub live: u64,
     /// Journal bytes handed to recovery (the cut's length).
     pub journal_bytes: u64,
@@ -222,10 +223,9 @@ impl Trial {
             Leg::new(out, resumed, rec.events())
         };
         outcome.replayed = recovered.map_or(0, |r| r.replayed_comparisons);
-        let answered = recover(&leg.journal).map_or(0, |r| r.replayed_comparisons);
         outcome.resumed = true;
         outcome.identical = !outcome.diverged && leg == *base;
-        outcome.live = answered.saturating_sub(outcome.replayed);
+        outcome.live = leg.counts.total().saturating_sub(outcome.replayed);
         outcome
     }
 }
@@ -309,9 +309,9 @@ pub struct SweepRow {
     pub divergences: u64,
     /// Torn tails detected by checksum.
     pub torn_tails: u64,
-    /// Summed comparisons restored from journals.
+    /// Summed judgments restored from journals.
     pub replayed: u64,
-    /// Summed comparisons answered live after replay.
+    /// Summed judgments bought live after replay.
     pub live: u64,
     /// Summed journal bytes handed to recovery.
     pub journal_bytes: u64,
@@ -397,11 +397,13 @@ pub fn run(scale: &Scale) -> Table {
          at the byte level: algorithm outcome, final journal bytes, comparison \
          tally, spend, fault-stream position, and the event stream (minus the \
          resumed run's recovery bookkeeping). `identical` must equal `cuts` \
-         and `divergences` must be 0 in every row. Live comparisons are the \
-         comparisons answered after replay ended: the dangling scheduled batch, \
-         completions the lazy checkpoint cadence had not flushed, and the \
-         rest of the run. Torn tails appear only on the torn-frame rows, \
-         detected by the frame checksum.",
+         and `divergences` must be 0 in every row. Replayed and live \
+         comparisons count judgments, the unit of the comparison tally: \
+         replayed ones are the tally of the last checkpoint the cut holds, \
+         live ones the rest of the final tally, bought after replay ended \
+         (the dangling scheduled batch, completions the lazy checkpoint \
+         cadence had not flushed, and the rest of the run). Torn tails \
+         appear only on the torn-frame rows, detected by the frame checksum.",
     );
     for row in &rows {
         t.push_row(vec![
@@ -466,8 +468,8 @@ mod tests {
 
     #[test]
     fn boundary_kills_lose_only_unflushed_work() {
-        // A boundary cut replays exactly the comparisons its `Completed`
-        // records hold; everything after the last one is bought live.
+        // A boundary cut replays exactly the judgments its last
+        // `Completed` record tallies; everything after it is bought live.
         let trial = Trial::new(100, 3, 0.0, 33, 1);
         let base = trial.uninterrupted();
         let answered = |bytes: &[u8]| {

@@ -88,11 +88,10 @@ pub struct Recovered {
     pub completed_batches: u64,
     /// `Scheduled` records, a dangling one included.
     pub scheduled_batches: u64,
-    /// Comparisons restored from the journal instead of re-purchased,
-    /// counted in answered *pairs*: the winners the `Completed` records
-    /// hold. A pair settled by a majority of several judgments counts
-    /// once; the manifest's `comparisons` and the serve resume count
-    /// *judgments* instead.
+    /// Comparisons restored from the journal instead of re-purchased:
+    /// the judgment tally (`counts.total()`) of the last `Completed`
+    /// record, the unit of the platform's tally, the manifest's
+    /// `comparisons` and the serve resume.
     pub replayed_comparisons: u64,
     /// True when a torn tail was detected (and discarded) by checksum.
     pub torn_tail: bool,
@@ -101,7 +100,7 @@ pub struct Recovered {
     pub valid_bytes: usize,
 }
 
-/// Decodes journal `bytes` and checks their header.
+/// Decodes journal `bytes` and checks their header, in one pass.
 ///
 /// A torn tail (crash mid-write) is not an error: the tail is discarded
 /// and recovery proceeds from the last intact frame, with
@@ -140,9 +139,9 @@ pub fn recover(bytes: &[u8]) -> Result<Recovered, RecoverError> {
         match record {
             JournalRecord::Started { .. } => {}
             JournalRecord::Scheduled { .. } => recovered.scheduled_batches += 1,
-            JournalRecord::Completed { winners, .. } => {
+            JournalRecord::Completed { counts, .. } => {
                 recovered.completed_batches += 1;
-                recovered.replayed_comparisons += winners.len() as u64;
+                recovered.replayed_comparisons = counts.total();
             }
         }
     }
@@ -266,9 +265,16 @@ mod tests {
         let recovered = recover(cut).expect("journal recovers");
         assert_eq!(recovered.completed_batches, 1);
         assert_eq!(recovered.scheduled_batches, 2, "batch 1 dangles");
+        let Ok(JournalRecord::Completed { counts, .. }) =
+            serde_json::from_str(&frames_of(&bytes)[2])
+        else {
+            panic!("frame 2 is batch 0's `Completed` record");
+        };
+        assert!(counts.total() >= 2, "{counts:?}");
         assert_eq!(
-            recovered.replayed_comparisons, 2,
-            "batch 0's two comparisons come from the journal replay"
+            recovered.replayed_comparisons,
+            counts.total(),
+            "batch 0's judgments come from the journal replay"
         );
 
         let mut resumed = resume_job(
