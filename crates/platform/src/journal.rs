@@ -328,7 +328,7 @@ impl Journal {
 
     /// True while the journal has not yet rewritten all of the crashed
     /// run's intact bytes and has not diverged from them.
-    pub fn auditing(&self) -> bool {
+    pub(crate) fn auditing(&self) -> bool {
         !self.expected.is_empty()
     }
 
