@@ -183,8 +183,12 @@ fn expert_max_find_checked<O: ComparisonOracle, R: RngCore>(
 /// [`OracleError`] instead of fabricating answers.
 ///
 /// Like [`super::filter::try_filter_candidates`], the run proceeds behind a
-/// [`FuseOracle`] so both phases terminate even after a mid-run outage; the
-/// fabricated outcome is then discarded in favour of the error.
+/// [`FuseOracle`], which answers every query after a mid-run outage
+/// without asking a worker. Both phases still terminate: Phase 1 by
+/// Lemma 2's counting argument, Phase 2 because it asks a bounded number
+/// of comparisons (2-MaxFind memoizes its answers, so each champion's
+/// eliminations stick) whatever the answers. The fabricated outcome is
+/// then discarded in favour of the error.
 ///
 /// # Errors
 ///

@@ -480,9 +480,11 @@ pub(crate) fn filter_candidates_checked<O: ComparisonOracle>(
 /// Internally the run proceeds behind a [`FuseOracle`], which forwards each
 /// tournament row as one [`try_compare_batch`](ComparisonOracle::try_compare_batch);
 /// once the fuse blows — possibly mid-row, keeping the purchased prefix —
-/// remaining comparisons are answered from a consistent fabricated total
-/// order (free of charge), which keeps Lemma 2's termination argument
-/// intact — the filter always finishes, and the fabricated outcome is then
+/// remaining comparisons are answered free of charge: a pair answered
+/// before the blow gets its last answer again, a fresh pair goes to the
+/// smaller id. Those answers need not be consistent, and need not be:
+/// Lemma 2's counting argument shrinks every round whatever the answers,
+/// so the filter always finishes, and the fabricated outcome is then
 /// discarded in favour of the error.
 ///
 /// # Errors
