@@ -17,15 +17,14 @@
 //! comparisons are necessary (Corollary 1) and `Ω(un)` expert comparisons
 //! are necessary — see [`crate::bounds`].
 
-use super::filter::{filter_candidates_checked, FilterConfig, FilterOutcome};
-use super::randomized::{randomized_max_find, RandomizedConfig};
-use super::two_maxfind::two_max_find;
+use super::filter::{FilterConfig, FilterOutcome, FilterSteps};
+use super::randomized::{Randomized, RandomizedConfig};
+use super::steps::{run, run_infallible, Games, Plan, Step, Steps};
+use super::two_maxfind::TwoMaxFind;
 use crate::element::ElementId;
 use crate::model::WorkerClass;
-use crate::oracle::{
-    ComparisonCounts, ComparisonOracle, CountsRegression, FuseOracle, OracleError,
-};
-use crate::tournament::Tournament;
+use crate::oracle::{ComparisonCounts, ComparisonOracle, CountsRegression, OracleError};
+use crate::tournament::AllPlayAll;
 use crate::trace::{TraceEvent, TracePhase};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -95,10 +94,216 @@ pub struct ExpertMaxOutcome {
     pub total_comparisons: ComparisonCounts,
 }
 
+/// Phase 2's plan, by [`Phase2`].
+#[derive(Debug, Clone)]
+enum Expert<R> {
+    TwoMaxFind(TwoMaxFind),
+    Randomized(Randomized<R>),
+    AllPlayAll(AllPlayAll),
+}
+
+impl<R: RngCore> Plan for Expert<R> {
+    fn plan(
+        &mut self,
+        ids: &[ElementId],
+        a_won: &[bool],
+        next: &mut Vec<(u32, u32)>,
+    ) -> Option<Vec<u32>> {
+        match self {
+            Expert::TwoMaxFind(p) => p.plan(ids, a_won, next),
+            Expert::Randomized(p) => p.plan(ids, a_won, next),
+            Expert::AllPlayAll(p) => p.plan(ids, a_won, next),
+        }
+    }
+
+    fn memoizes(&self) -> bool {
+        matches!(self, Expert::TwoMaxFind(_))
+    }
+}
+
+/// One stage of Algorithm 1's script.
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    Snapshot,
+    Event(TraceEvent),
+    Filter,
+    Expert,
+}
+
+/// What Algorithm 1 asks, in order: the phases bracketed by their events,
+/// with a tally snapshot before, between and after them.
+const SCRIPT: [Stage; 9] = [
+    Stage::Snapshot,
+    Stage::Event(TraceEvent::PhaseStart(TracePhase::Filter)),
+    Stage::Filter,
+    Stage::Event(TraceEvent::PhaseEnd(TracePhase::Filter)),
+    Stage::Snapshot,
+    Stage::Event(TraceEvent::PhaseStart(TracePhase::Expert)),
+    Stage::Expert,
+    Stage::Event(TraceEvent::PhaseEnd(TracePhase::Expert)),
+    Stage::Snapshot,
+];
+
+/// Algorithm 1 as a sans-IO step machine (see [`Steps`]): it owns the
+/// run's state and RNG, and asks for exactly the oracle traffic of
+/// [`expert_max_find`], in order:
+///
+/// 1. a [`Step::Snapshot`], then `PhaseStart(Filter)`;
+/// 2. Phase 1: per filter round a [`TraceEvent::RoundStart`], one naïve
+///    batch per tournament row, then [`TraceEvent::RoundStats`] and
+///    [`TraceEvent::RoundEnd`];
+/// 3. `PhaseEnd(Filter)`, a snapshot, `PhaseStart(Expert)`;
+/// 4. Phase 2: one expert batch per comparison (2-MaxFind asks none
+///    twice), since each may depend on the answer before it;
+/// 5. `PhaseEnd(Expert)`, a last snapshot, and [`Step::Done`], after which
+///    [`finish`](Self::finish) gives the outcome.
+///
+/// It is `Clone` when the RNG is: clones fed the same answers end equal,
+/// and clones fed different answers part only from there.
+#[derive(Debug, Clone)]
+pub struct ExpertMaxSteps<'a, R> {
+    phase2: Phase2,
+    /// Moved into Phase 2 when it is [`Phase2::Randomized`].
+    rng: Option<R>,
+    /// Phase 1 while it runs; dropped with its `O(n)` state when Phase 2,
+    /// which holds Phase 1's outcome, starts.
+    filter: Option<FilterSteps<'a>>,
+    expert: Option<(FilterOutcome, Games<Expert<R>>)>,
+    /// The snapshots so far.
+    counts: Vec<ComparisonCounts>,
+    /// Position in [`SCRIPT`].
+    at: usize,
+}
+
+impl<'a, R: RngCore> ExpertMaxSteps<'a, R> {
+    /// Starts Algorithm 1 over `elements`; `rng` is consumed only by
+    /// [`Phase2::Randomized`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `elements` is empty or `config.un == 0`.
+    pub fn new(elements: &'a [ElementId], config: &ExpertMaxConfig, rng: R) -> Self {
+        assert!(
+            !elements.is_empty(),
+            "max-finding needs at least one element"
+        );
+        let mut filter = FilterConfig::new(config.un);
+        filter.track_global_losses = config.track_global_losses;
+        ExpertMaxSteps {
+            phase2: config.phase2,
+            rng: Some(rng),
+            filter: Some(FilterSteps::new(elements, &filter)),
+            expert: None,
+            counts: Vec::with_capacity(3),
+            at: 0,
+        }
+    }
+
+    /// The outcome of a run that reached [`Step::Done`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CountsRegression`] if the snapshots went backwards (a
+    /// broken oracle stack).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run is not done.
+    pub fn finish(self) -> Result<ExpertMaxOutcome, CountsRegression> {
+        let &[start, between, end] = self.counts.as_slice() else {
+            panic!("the run is not done");
+        };
+        let (mut phase1, expert) = self.expert.expect("Phase 2 ran");
+        phase1.comparisons = between.delta_since(start)?;
+        Ok(ExpertMaxOutcome {
+            winner: expert.finish().champion().expect("S is non-empty"),
+            candidates: phase1.survivors.clone(),
+            phase1,
+            phase2_comparisons: end.delta_since(between)?,
+            total_comparisons: end.delta_since(start)?,
+        })
+    }
+
+    /// Phase 1's outcome (its tally is filled in by
+    /// [`finish`](Self::finish)) and Phase 2 on the candidate set `S`.
+    fn expert(&mut self) -> (FilterOutcome, Games<Expert<R>>) {
+        let filter = self.filter.take().expect("Phase 1 ran");
+        let phase1 = filter.finish(ComparisonCounts::zero());
+        let candidates = &phase1.survivors;
+        assert!(
+            !candidates.is_empty(),
+            "phase 1 returned no candidates — un(n) was severely underestimated"
+        );
+        let s = candidates.len();
+        let plan = match self.phase2 {
+            Phase2::TwoMaxFind => Expert::TwoMaxFind(TwoMaxFind::new(s)),
+            Phase2::Randomized(rc) => {
+                let rng = self.rng.take().expect("Phase 2 starts once");
+                Expert::Randomized(Randomized::new(s, &rc, rng))
+            }
+            Phase2::AllPlayAll => Expert::AllPlayAll(AllPlayAll),
+        };
+        let games = Games::new(WorkerClass::Expert, candidates, plan);
+        (phase1, games)
+    }
+}
+
+impl<R: RngCore> Steps for ExpertMaxSteps<'_, R> {
+    fn step(&mut self) -> Step {
+        loop {
+            let step = match SCRIPT.get(self.at) {
+                None => return Step::Done,
+                Some(Stage::Snapshot) => return Step::Snapshot,
+                Some(&Stage::Event(event)) => {
+                    self.at += 1;
+                    return Step::Event(event);
+                }
+                Some(Stage::Filter) => self.filter.as_mut().expect("Phase 1 runs").step(),
+                Some(Stage::Expert) => {
+                    if self.expert.is_none() {
+                        self.expert = Some(self.expert());
+                    }
+                    self.expert.as_mut().expect("Phase 2 is on").1.step()
+                }
+            };
+            if step != Step::Done {
+                return step;
+            }
+            self.at += 1;
+        }
+    }
+
+    fn batch(&self) -> &[(ElementId, ElementId)] {
+        match (&self.expert, &self.filter) {
+            (Some((_, expert)), _) => expert.batch(),
+            (None, filter) => filter.as_ref().expect("Phase 1 runs").batch(),
+        }
+    }
+
+    fn answer(&mut self, winners: &[ElementId]) {
+        match (&mut self.expert, &mut self.filter) {
+            (Some((_, expert)), _) => expert.answer(winners),
+            (None, filter) => filter.as_mut().expect("Phase 1 runs").answer(winners),
+        }
+    }
+
+    fn snapshot(&mut self, counts: ComparisonCounts) {
+        assert!(
+            matches!(SCRIPT.get(self.at), Some(Stage::Snapshot)),
+            "no snapshot was asked"
+        );
+        self.counts.push(counts);
+        self.at += 1;
+    }
+}
+
 /// Runs Algorithm 1: filter with naïve workers, then select with experts.
 ///
-/// `rng` is consumed only by [`Phase2::Randomized`]; the other phase-2
-/// options are deterministic given the oracle's answers.
+/// This drives an [`ExpertMaxSteps`] over `oracle`: each Phase-1 tournament
+/// row is one [`compare_batch`](ComparisonOracle::compare_batch) call, and
+/// each Phase-2 comparison is a call of its own. `rng` is consumed only by
+/// [`Phase2::Randomized`]; the other phase-2 options are deterministic
+/// given the oracle's answers.
 ///
 /// ```
 /// use crowd_core::prelude::*;
@@ -124,91 +329,34 @@ pub fn expert_max_find<O: ComparisonOracle, R: RngCore>(
     config: &ExpertMaxConfig,
     rng: &mut R,
 ) -> ExpertMaxOutcome {
-    expert_max_find_checked(oracle, elements, config, rng).unwrap_or_else(|e| panic!("{e}"))
+    let mut steps = ExpertMaxSteps::new(elements, config, rng);
+    run_infallible(&mut steps, oracle);
+    steps.finish().unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The two-phase body behind both [`expert_max_find`] and
-/// [`try_expert_max_find`]: identical comparison sequence, but the phase
-/// snapshot bookkeeping reports a [`CountsRegression`] as a value instead
-/// of unwinding, so fallible job drivers can return it.
-fn expert_max_find_checked<O: ComparisonOracle, R: RngCore>(
-    oracle: &mut O,
-    elements: &[ElementId],
-    config: &ExpertMaxConfig,
-    rng: &mut R,
-) -> Result<ExpertMaxOutcome, CountsRegression> {
-    assert!(
-        !elements.is_empty(),
-        "max-finding needs at least one element"
-    );
-    let start = oracle.counts();
-
-    // Phase 1: naïve filtering.
-    let mut filter_cfg = FilterConfig::new(config.un);
-    filter_cfg.track_global_losses = config.track_global_losses;
-    oracle.observe(TraceEvent::PhaseStart(TracePhase::Filter));
-    let phase1 = filter_candidates_checked(oracle, elements, &filter_cfg)?;
-    oracle.observe(TraceEvent::PhaseEnd(TracePhase::Filter));
-    let candidates = phase1.survivors.clone();
-    assert!(
-        !candidates.is_empty(),
-        "phase 1 returned no candidates — un(n) was severely underestimated"
-    );
-
-    // Phase 2: expert selection on S.
-    let before_phase2 = oracle.counts();
-    oracle.observe(TraceEvent::PhaseStart(TracePhase::Expert));
-    let winner = match config.phase2 {
-        Phase2::TwoMaxFind => two_max_find(oracle, WorkerClass::Expert, &candidates).winner,
-        Phase2::Randomized(rc) => {
-            randomized_max_find(oracle, WorkerClass::Expert, &candidates, &rc, rng).winner
-        }
-        Phase2::AllPlayAll => Tournament::all_play_all(oracle, WorkerClass::Expert, &candidates)
-            .champion()
-            .expect("candidates are non-empty"),
-    };
-    oracle.observe(TraceEvent::PhaseEnd(TracePhase::Expert));
-    let end = oracle.counts();
-
-    Ok(ExpertMaxOutcome {
-        winner,
-        candidates,
-        phase1,
-        phase2_comparisons: end.delta_since(before_phase2)?,
-        total_comparisons: end.delta_since(start)?,
-    })
-}
-
-/// Fallible twin of [`expert_max_find`]: surfaces the first
-/// [`OracleError`] instead of fabricating answers.
-///
-/// Like [`super::filter::try_filter_candidates`], the run proceeds behind a
-/// [`FuseOracle`], which answers every query after a mid-run outage
-/// without asking a worker. Both phases still terminate: Phase 1 by
-/// Lemma 2's counting argument, Phase 2 because it asks a bounded number
-/// of comparisons (2-MaxFind memoizes its answers, so each champion's
-/// eliminations stick) whatever the answers. The fabricated outcome is
-/// then discarded in favour of the error.
+/// Fallible twin of [`expert_max_find`]: the same calls, each through
+/// [`try_compare_batch`](ComparisonOracle::try_compare_batch), until the
+/// first error, which it returns at once. Nothing after the failing call
+/// reaches the oracle — no comparison and no [`TraceEvent`], so a listener
+/// such as `crowd_obs::ObservedOracle` reports no round or phase the run
+/// did not finish.
 ///
 /// # Errors
 ///
-/// Returns the first error the oracle's
-/// [`try_compare`](ComparisonOracle::try_compare) reported, in either
-/// phase, or [`OracleError::CountsRegressed`] if the stack's tally went
-/// backwards mid-run (a broken decorator — reported, not unwound).
+/// Returns the first error the oracle reported, in either phase, or
+/// [`OracleError::CountsRegressed`] if the stack's tally went backwards
+/// mid-run (a broken decorator — reported, not unwound).
 pub fn try_expert_max_find<O: ComparisonOracle, R: RngCore>(
     oracle: &mut O,
     elements: &[ElementId],
     config: &ExpertMaxConfig,
     rng: &mut R,
 ) -> Result<ExpertMaxOutcome, OracleError> {
-    let mut fuse = FuseOracle::new(oracle);
-    let out = expert_max_find_checked(&mut fuse, elements, config, rng);
-    match (fuse.take_error(), out) {
-        (Some(err), _) => Err(err),
-        (None, Err(regression)) => Err(OracleError::CountsRegressed(regression)),
-        (None, Ok(out)) => Ok(out),
-    }
+    let mut steps = ExpertMaxSteps::new(elements, config, rng);
+    run(&mut steps, oracle, |o, class, pairs, winners| {
+        o.try_compare_batch(class, pairs, winners)
+    })?;
+    steps.finish().map_err(OracleError::CountsRegressed)
 }
 
 #[cfg(test)]
@@ -346,6 +494,133 @@ mod tests {
         let mut o = PerfectOracle::new(Instance::new(vec![1.0]));
         let mut rng = StdRng::seed_from_u64(1);
         expert_max_find(&mut o, &[], &ExpertMaxConfig::new(1), &mut rng);
+    }
+
+    /// One entry of a machine's transcript: a step, with its batch.
+    type Entry = (Step, Vec<(ElementId, ElementId)>);
+
+    /// Whether a worker of `class` cannot tell `k` and `j` apart.
+    fn tied(inst: &Instance, class: WorkerClass, (k, j): (ElementId, ElementId)) -> bool {
+        let delta = if class == WorkerClass::Naive {
+            8.0
+        } else {
+            2.0
+        };
+        (inst.value(k) - inst.value(j)).abs() <= delta
+    }
+
+    /// Threshold workers without randomness: a tied pair goes to the
+    /// smaller id, any other to the larger value.
+    fn answer(inst: &Instance, class: WorkerClass, k: ElementId, j: ElementId) -> ElementId {
+        match tied(inst, class, (k, j)) {
+            true => k.min(j),
+            false if inst.value(k) > inst.value(j) => k,
+            false => j,
+        }
+    }
+
+    /// Drives `steps` to the end with [`answer`]; the first batch's
+    /// answers come from `first` instead when it is given.
+    fn drive<R: RngCore>(
+        steps: &mut ExpertMaxSteps<'_, R>,
+        inst: &Instance,
+        mut first: Option<Vec<ElementId>>,
+    ) -> Vec<Entry> {
+        let mut transcript = Vec::new();
+        let mut counts = ComparisonCounts::zero();
+        loop {
+            let step = steps.step();
+            transcript.push((step, steps.batch().to_vec()));
+            match step {
+                Step::Compare(class) => {
+                    let winners = first.take().unwrap_or_else(|| {
+                        let pairs = steps.batch();
+                        pairs
+                            .iter()
+                            .map(|&(k, j)| answer(inst, class, k, j))
+                            .collect()
+                    });
+                    counts.record_many(class, winners.len() as u64);
+                    steps.answer(&winners);
+                }
+                Step::Snapshot => steps.snapshot(counts),
+                Step::Event(_) => {}
+                Step::Done => return transcript,
+            }
+        }
+    }
+
+    #[test]
+    fn clones_fed_the_same_answers_end_equal_and_part_only_after_a_changed_one() {
+        let inst = Instance::new((0..200).map(|i| ((i * 37) % 200) as f64 * 0.5).collect());
+        let ids = inst.ids();
+        let mut diverged = 0;
+        for phase2 in [
+            Phase2::TwoMaxFind,
+            Phase2::Randomized(RandomizedConfig::default().with_group_size(4)),
+            Phase2::AllPlayAll,
+        ] {
+            let config = ExpertMaxConfig::new(6).with_phase2(phase2);
+            let fresh = || ExpertMaxSteps::new(&ids, &config, StdRng::seed_from_u64(7));
+            let mut whole = fresh();
+            let reference = drive(&mut whole, &inst, None);
+            let outcome = whole.finish().unwrap();
+
+            // Clone at a Phase-1 batch and at a Phase-2 batch, each holding
+            // an indistinguishable pair.
+            let holds_tie = |(step, pairs): &Entry, class| {
+                *step == Step::Compare(class) && pairs.iter().any(|&p| tied(&inst, class, p))
+            };
+            for class in [WorkerClass::Naive, WorkerClass::Expert] {
+                let at = reference
+                    .iter()
+                    .position(|e| holds_tie(e, class))
+                    .expect("a tied batch");
+                let mut original = fresh();
+                for _ in 0..at {
+                    let step = original.step();
+                    let pairs = original.batch().to_vec();
+                    match step {
+                        Step::Compare(c) => original.answer(
+                            &pairs
+                                .iter()
+                                .map(|&(k, j)| answer(&inst, c, k, j))
+                                .collect::<Vec<_>>(),
+                        ),
+                        Step::Snapshot => original.snapshot(ComparisonCounts::zero()),
+                        _ => {}
+                    }
+                }
+                // The same answers from here on: the clone ends equal.
+                let mut twin = original.clone();
+                let mut changed = original.clone();
+                let tail = drive(&mut twin, &inst, None);
+                assert_eq!(tail, reference[at..], "{phase2:?}, {class}");
+                assert_eq!(twin.finish().unwrap().winner, outcome.winner);
+
+                // One indistinguishable pair answered the other way: the
+                // transcripts agree through that batch.
+                assert_eq!(changed.step(), Step::Compare(class));
+                let pairs = changed.batch().to_vec();
+                let flip = pairs.iter().position(|&p| tied(&inst, class, p));
+                let flip = flip.expect("the batch holds a tied pair");
+                let mut winners: Vec<ElementId> = pairs
+                    .iter()
+                    .map(|&(k, j)| answer(&inst, class, k, j))
+                    .collect();
+                let (k, j) = pairs[flip];
+                winners[flip] = if winners[flip] == k { j } else { k };
+                let tail = drive(&mut changed, &inst, Some(winners));
+                assert_eq!(tail[0], reference[at], "{phase2:?}, {class}");
+                let winner = changed.finish().unwrap().winner;
+                if tail[1..] != reference[at + 1..] || winner != outcome.winner {
+                    diverged += 1;
+                }
+                // The original is untouched by its clones.
+                assert_eq!(drive(&mut original, &inst, None), reference[at..]);
+            }
+        }
+        assert!(diverged > 0, "no changed answer mattered");
     }
 
     #[test]

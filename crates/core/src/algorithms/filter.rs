@@ -20,16 +20,21 @@
 //! [`GroupTally`] scores a group from its answers. Each entry point only
 //! decides how a round's games get answered:
 //!
-//! * [`filter_candidates`] / [`try_filter_candidates`] stream each
-//!   tournament row — `group[a]` against every later member `group[a+1..]`
-//!   — to one oracle as one [`compare_batch`](ComparisonOracle::compare_batch)
-//!   call, so a group of size `|G|` costs `|G| − 1` calls of at most
-//!   `4·un(n) − 1` pairs each, and no call spans two groups. The pair
-//!   sequence, its order and each pair's argument order are those of the
-//!   plain `(a, b)` double loop; only the call boundaries differ. A
-//!   platform underneath therefore runs one job (and a journal one frame
-//!   pair) per row instead of per comparison, while rows stay small enough
-//!   to keep per-call latency low.
+//! * A step machine asks for each tournament row — `group[a]` against
+//!   every later member `group[a+1..]` — as one batch, and tallies it as it
+//!   is answered; Phase 1 of
+//!   [`ExpertMaxSteps`](super::ExpertMaxSteps) is that machine.
+//!   [`filter_candidates`] answers each row with one
+//!   [`compare_batch`](ComparisonOracle::compare_batch) call, and
+//!   [`try_filter_candidates`] with one
+//!   [`try_compare_batch`](ComparisonOracle::try_compare_batch) call,
+//!   stopping at the first error. A group of size `|G|` costs `|G| − 1`
+//!   calls of at most `4·un(n) − 1` pairs each, and no call spans two
+//!   groups. The pair sequence, its order and each pair's argument order
+//!   are those of the plain `(a, b)` double loop; only the call boundaries
+//!   differ. A platform underneath therefore runs one job (and a journal
+//!   one frame pair) per row instead of per comparison, while rows stay
+//!   small enough to keep per-call latency low.
 //! * `crowd_platform::batched_filter` submits all of a round's rows as one
 //!   platform job.
 //! * `crowd_experiments::parallel_filter_candidates` fans a round's groups
@@ -42,11 +47,10 @@
 //! tracking a global per-element loss counter lets the filter discard such
 //! elements early and terminate sooner.
 
+use super::steps::{run, run_infallible, Step, Steps};
 use crate::element::ElementId;
 use crate::model::WorkerClass;
-use crate::oracle::{
-    ComparisonCounts, ComparisonOracle, CountsRegression, FuseOracle, OracleError,
-};
+use crate::oracle::{ComparisonCounts, ComparisonOracle, OracleError};
 use crate::trace::TraceEvent;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -99,12 +103,12 @@ pub struct FilterOutcome {
 ///
 /// Elements are referred to by their dense position (`u32`) in the input
 /// slice. While [`next_round`](Self::next_round) names a round, a caller
-/// scores every group of [`groups`](Self::groups) — through
-/// [`play_groups`](Self::play_groups), or into its own tallies merged back
-/// with [`absorb`](Self::absorb) — then calls
-/// [`end_round`](Self::end_round); [`finish`](Self::finish) yields the
-/// outcome. The caller decides only how each group's games get answered.
-#[derive(Debug)]
+/// scores every group of [`groups`](Self::groups) into
+/// [`tally`](Self::tally)s merged back with [`absorb`](Self::absorb), then
+/// calls [`end_round`](Self::end_round); [`finish`](Self::finish) yields
+/// the outcome. The caller decides only how each group's games get
+/// answered.
+#[derive(Debug, Clone)]
 pub struct FilterRounds<'a> {
     ids: &'a [ElementId],
     un: usize,
@@ -189,18 +193,6 @@ impl<'a> FilterRounds<'a> {
         GroupTally::new(self.ids, self.un, self.track_global_losses)
     }
 
-    /// Scores every group of [`groups`](Self::groups) in order:
-    /// `play(group, tally)` must score `group` into `tally` (e.g. with
-    /// [`GroupTally::score`]). The tally and its row buffers are allocated
-    /// once per run.
-    pub fn play_groups(&mut self, mut play: impl FnMut(&[u32], &mut GroupTally<'a>)) {
-        let played = self.played();
-        for group in self.survivors[..played].chunks(4 * self.un) {
-            play(group, &mut self.round);
-            record_losses(&mut self.losses, &mut self.round.games, self.un);
-        }
-    }
-
     /// Merges a tally of consecutive groups, scored off the round state,
     /// into the round. Tallies must be absorbed in group order; `tally` is
     /// left empty for reuse.
@@ -281,14 +273,13 @@ fn record_losses(losses: &mut [Vec<u32>], games: &mut Vec<(u32, u32)>, un: usize
 /// Scores tournament groups: each group's wins, then its threshold
 /// winners (at least `|G| − un` wins) and its champion (most wins, ties to
 /// the earliest member), appended in group order.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GroupTally<'a> {
     ids: &'a [ElementId],
     un: usize,
     track_global_losses: bool,
-    /// Row buffers, sized once: a row holds at most `4·un − 1` pairs.
+    /// Row buffer, sized once: a row holds at most `4·un − 1` pairs.
     pairs: Vec<(ElementId, ElementId)>,
-    answers: Vec<ElementId>,
     /// Wins of the group being scored, by position in the group.
     wins: Vec<u32>,
     winners: Vec<u32>,
@@ -304,36 +295,11 @@ impl<'a> GroupTally<'a> {
             un,
             track_global_losses,
             pairs: Vec::with_capacity(4 * un),
-            answers: Vec::with_capacity(4 * un),
             wins: Vec::with_capacity(4 * un),
             winners: Vec::new(),
             champions: Vec::new(),
             games: Vec::new(),
         }
-    }
-
-    /// Plays `group` one tournament row per call: `answer(pairs, winners)`
-    /// receives `group[a]` against every later member and must append one
-    /// winner per pair.
-    pub(crate) fn play_rows(
-        &mut self,
-        group: &[u32],
-        mut answer: impl FnMut(&[(ElementId, ElementId)], &mut Vec<ElementId>),
-    ) {
-        let ids = self.ids;
-        let mut answers = std::mem::take(&mut self.answers);
-        self.start(group.len());
-        for a in 0..group.len() - 1 {
-            let head = ids[group[a] as usize];
-            self.pairs.clear();
-            self.pairs
-                .extend(group[a + 1..].iter().map(|&j| (head, ids[j as usize])));
-            answers.clear();
-            answer(&self.pairs, &mut answers);
-            self.row(group, a, &answers);
-        }
-        self.close(group);
-        self.answers = answers;
     }
 
     /// Scores `group` from the front of `answers`, which holds its
@@ -420,7 +386,95 @@ impl<'a> GroupTally<'a> {
     }
 }
 
+/// Algorithm 2 as a step machine over [`FilterRounds`]: one tournament row
+/// — `group[a]` against every later member `group[a+1..]` — per batch,
+/// tallied as it is answered.
+#[derive(Debug, Clone)]
+pub(crate) struct FilterSteps<'a> {
+    rounds: FilterRounds<'a>,
+    /// The round being played; the group's survivor positions and next row.
+    round: Option<u32>,
+    group: std::ops::Range<usize>,
+    row: usize,
+    /// The round's [`TraceEvent::RoundEnd`], due after its stats.
+    round_end: Option<TraceEvent>,
+}
+
+impl<'a> FilterSteps<'a> {
+    pub(crate) fn new(elements: &'a [ElementId], config: &FilterConfig) -> Self {
+        FilterSteps {
+            rounds: FilterRounds::new(elements, config),
+            round: None,
+            group: 0..0,
+            row: 0,
+            round_end: None,
+        }
+    }
+
+    pub(crate) fn finish(self, comparisons: ComparisonCounts) -> FilterOutcome {
+        self.rounds.finish(comparisons)
+    }
+}
+
+impl Steps for FilterSteps<'_> {
+    fn step(&mut self) -> Step {
+        if let Some(event) = self.round_end.take() {
+            return Step::Event(event);
+        }
+        let r = &mut self.rounds;
+        let Some(round) = self.round else {
+            let Some(round) = r.next_round() else {
+                return Step::Done;
+            };
+            self.round = Some(round);
+            self.group = 0..0;
+            return Step::Event(TraceEvent::RoundStart(round));
+        };
+        loop {
+            let group = &r.survivors[self.group.clone()];
+            if self.row + 1 < group.len() {
+                let head = r.ids[group[self.row] as usize];
+                let rest = group[self.row + 1..]
+                    .iter()
+                    .map(|&j| (head, r.ids[j as usize]));
+                r.round.pairs.clear();
+                r.round.pairs.extend(rest);
+                return Step::Compare(WorkerClass::Naive);
+            }
+            if !group.is_empty() {
+                r.round.close(group);
+                record_losses(&mut r.losses, &mut r.round.games, r.un);
+            }
+            let (start, played) = (self.group.end, r.played());
+            if start == played {
+                self.round = None;
+                self.round_end = Some(TraceEvent::RoundEnd(round));
+                return Step::Event(r.end_round());
+            }
+            self.group = start..played.min(start + 4 * r.un);
+            self.row = 0;
+            r.round.start(self.group.len());
+        }
+    }
+
+    fn batch(&self) -> &[(ElementId, ElementId)] {
+        &self.rounds.round.pairs
+    }
+
+    fn answer(&mut self, winners: &[ElementId]) {
+        let r = &mut self.rounds;
+        assert_eq!(winners.len(), r.round.pairs.len(), "one winner per pair");
+        r.round
+            .row(&r.survivors[self.group.clone()], self.row, winners);
+        self.row += 1;
+    }
+}
+
 /// Runs Algorithm 2 over `elements` using naïve workers from `oracle`.
+///
+/// Each tournament row — `group[a]` against every later member — is one
+/// [`compare_batch`](ComparisonOracle::compare_batch) call (see the
+/// module docs).
 ///
 /// Returns the candidate set and statistics. If `|elements| < 2·un` the
 /// while-loop never runs and all elements survive (the set is already small
@@ -446,51 +500,22 @@ pub fn filter_candidates<O: ComparisonOracle>(
     elements: &[ElementId],
     config: &FilterConfig,
 ) -> FilterOutcome {
-    filter_candidates_checked(oracle, elements, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The filter body behind both [`filter_candidates`] and
-/// [`try_filter_candidates`]: identical comparison sequence, but the
-/// outcome's snapshot bookkeeping reports a [`CountsRegression`] as a
-/// value instead of unwinding, so fallible job drivers can return it.
-pub(crate) fn filter_candidates_checked<O: ComparisonOracle>(
-    oracle: &mut O,
-    elements: &[ElementId],
-    config: &FilterConfig,
-) -> Result<FilterOutcome, CountsRegression> {
+    let mut steps = FilterSteps::new(elements, config);
     let start = oracle.counts();
-    let mut rounds = FilterRounds::new(elements, config);
-    while let Some(round) = rounds.next_round() {
-        oracle.observe(TraceEvent::RoundStart(round));
-        rounds.play_groups(|group, tally| {
-            tally.play_rows(group, |pairs, winners| {
-                oracle.compare_batch(WorkerClass::Naive, pairs, winners);
-            });
-        });
-        let stats = rounds.end_round();
-        oracle.observe(stats);
-        oracle.observe(TraceEvent::RoundEnd(round));
-    }
-    Ok(rounds.finish(oracle.counts().delta_since(start)?))
+    run_infallible(&mut steps, oracle);
+    let comparisons = oracle.counts().delta_since(start);
+    steps.finish(comparisons.unwrap_or_else(|e| panic!("{e}")))
 }
 
-/// Fallible twin of [`filter_candidates`]: surfaces the first
-/// [`OracleError`] the oracle reports instead of fabricating answers.
-///
-/// Internally the run proceeds behind a [`FuseOracle`], which forwards each
-/// tournament row as one [`try_compare_batch`](ComparisonOracle::try_compare_batch);
-/// once the fuse blows — possibly mid-row, keeping the purchased prefix —
-/// remaining comparisons are answered free of charge: a pair answered
-/// before the blow gets its last answer again, a fresh pair goes to the
-/// smaller id. Those answers need not be consistent, and need not be:
-/// Lemma 2's counting argument shrinks every round whatever the answers,
-/// so the filter always finishes, and the fabricated outcome is then
-/// discarded in favour of the error.
+/// Fallible twin of [`filter_candidates`]: the same rows, each one
+/// [`try_compare_batch`](ComparisonOracle::try_compare_batch) call, until
+/// the first error, which it returns at once. Nothing after that row
+/// reaches the oracle — no comparison and no [`TraceEvent`].
 ///
 /// # Errors
 ///
 /// Returns the first error the oracle's
-/// [`try_compare`](ComparisonOracle::try_compare) reported, or
+/// [`try_compare_batch`](ComparisonOracle::try_compare_batch) reported, or
 /// [`OracleError::CountsRegressed`] if the stack's tally went backwards
 /// mid-run (a broken decorator — reported, not unwound).
 pub fn try_filter_candidates<O: ComparisonOracle>(
@@ -498,13 +523,13 @@ pub fn try_filter_candidates<O: ComparisonOracle>(
     elements: &[ElementId],
     config: &FilterConfig,
 ) -> Result<FilterOutcome, OracleError> {
-    let mut fuse = FuseOracle::new(oracle);
-    let out = filter_candidates_checked(&mut fuse, elements, config);
-    match (fuse.take_error(), out) {
-        (Some(err), _) => Err(err),
-        (None, Err(regression)) => Err(OracleError::CountsRegressed(regression)),
-        (None, Ok(out)) => Ok(out),
-    }
+    let mut steps = FilterSteps::new(elements, config);
+    let start = oracle.counts();
+    run(&mut steps, oracle, |o, class, pairs, winners| {
+        o.try_compare_batch(class, pairs, winners)
+    })?;
+    let comparisons = oracle.counts().delta_since(start);
+    Ok(steps.finish(comparisons.map_err(OracleError::CountsRegressed)?))
 }
 
 #[cfg(test)]
@@ -955,11 +980,11 @@ mod tests {
 
     #[test]
     fn try_filter_keeps_a_mid_row_prefix_and_terminates() {
-        use crate::oracle::{FuseOracle, OracleError};
+        use crate::oracle::OracleError;
         // A platform-like oracle: perfect workers answer (the larger id
-        // wins — the opposite of the fuse's fabricated smaller-id order)
-        // until `left` runs out mid-batch; the answered prefix is appended
-        // before the error, as a platform that dead-letters a unit does.
+        // wins) until `left` runs out mid-batch; the answered prefix is
+        // appended before the error, as a platform that dead-letters a
+        // unit does.
         struct DeadLettersMidRow {
             left: usize,
             counts: ComparisonCounts,
@@ -990,37 +1015,22 @@ mod tests {
                 self.counts
             }
         }
-        let platform = || DeadLettersMidRow {
+        let mut platform = DeadLettersMidRow {
             left: 100,
             counts: ComparisonCounts::zero(),
             failed_call: None,
         };
         let ids: Vec<ElementId> = (0..300).map(ElementId).collect();
-        let config = FilterConfig::new(3);
 
-        let err = try_filter_candidates(&mut platform(), &ids, &config).unwrap_err();
+        let err = try_filter_candidates(&mut platform, &ids, &FilterConfig::new(3)).unwrap_err();
         assert_eq!(err, OracleError::Unanswered { attempts: 4 });
 
         // Rows of 11, 10, 9, … pairs: group 0 (ids 0..12) buys 66 answers
         // and group 1 (ids 12..24) 11 + 10 + 9 = 30 more, so the outage
         // hits row `15 vs 16..=23` after 4 of its 8 pairs.
-        let mut fuse = FuseOracle::new(platform());
-        let out = filter_candidates_checked(&mut fuse, &ids, &config).unwrap();
-        assert!(out.survivors.len() < 2 * 3, "the run terminates normally");
-        assert!(fuse.blown());
-        assert_eq!(fuse.counts().naive, 100, "nothing is bought after the blow");
+        assert_eq!(platform.counts.naive, 100, "nothing is bought after it");
         let e = ElementId;
-        for b in 16..20 {
-            assert_eq!(
-                fuse.compare(WorkerClass::Naive, e(15), e(b)),
-                e(b),
-                "the purchased prefix stays memoized"
-            );
-        }
-        for b in 20..24 {
-            assert_eq!(fuse.compare(WorkerClass::Naive, e(15), e(b)), e(15));
-        }
-        let failed = fuse.into_inner().failed_call.expect("the outage hit a row");
+        let failed = platform.failed_call.expect("the outage hit a row");
         assert_eq!(failed, (16..24).map(|b| (e(15), e(b))).collect::<Vec<_>>());
     }
 

@@ -3,7 +3,7 @@
 //!
 //! | Paper artifact | Function |
 //! |---|---|
-//! | Algorithm 1 (two-phase expert-aware max) | [`expert_max_find`] |
+//! | Algorithm 1 (two-phase expert-aware max) | [`expert_max_find`]; step machine [`ExpertMaxSteps`] |
 //! | Algorithm 2 (naïve filtering, Phase 1) | [`filter_candidates`] |
 //! | Algorithm 3 (2-MaxFind, deterministic Phase 2) | [`two_max_find`] |
 //! | Algorithm 5 (randomized Phase 2) | [`randomized_max_find`] |
@@ -18,12 +18,13 @@ mod filter;
 mod majority;
 mod randomized;
 mod sorting;
+pub(crate) mod steps;
 mod topk;
 mod two_maxfind;
 
 pub use baselines::{all_play_all_max, linear_scan_max, two_max_find_expert, two_max_find_naive};
 pub use expert_max::{
-    expert_max_find, try_expert_max_find, ExpertMaxConfig, ExpertMaxOutcome, Phase2,
+    expert_max_find, try_expert_max_find, ExpertMaxConfig, ExpertMaxOutcome, ExpertMaxSteps, Phase2,
 };
 pub use filter::{
     filter_candidates, try_filter_candidates, FilterConfig, FilterOutcome, FilterRounds, GroupTally,
@@ -33,5 +34,6 @@ pub use randomized::{randomized_max_find, RandomizedConfig, RandomizedOutcome};
 pub use sorting::{
     expert_rank, footrule, max_displacement, near_sort, ExpertRankConfig, SortOutcome,
 };
+pub use steps::{Step, Steps};
 pub use topk::{top_k_find, TopKConfig, TopKOutcome};
 pub use two_maxfind::{two_max_find, two_max_find_comparison_bound, TwoMaxFindOutcome};

@@ -27,14 +27,13 @@
 //!   singleton, i.e. `80(c+2) > |N_i|` and the partition degenerated), the
 //!   loop exits — the survivors all go to `W` anyway.
 
+use super::steps::{round_robin, run_infallible, tally, Games, Plan};
 use crate::element::ElementId;
 use crate::model::WorkerClass;
 use crate::oracle::{ComparisonCounts, ComparisonOracle};
-use crate::tournament::Tournament;
 use rand::seq::SliceRandom;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Configuration for [`randomized_max_find`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -102,11 +101,98 @@ pub struct RandomizedOutcome {
     pub comparisons: ComparisonCounts,
 }
 
-/// Runs Algorithm 5 over `elements` with workers of `class`.
+/// Algorithm 5 as a [`Plan`]: each round's group tournaments are one list.
+/// It owns the RNG that draws the witnesses and the partitions.
+#[derive(Debug, Clone)]
+pub(crate) struct Randomized<R> {
+    rng: R,
+    sample_size: usize,
+    group_size: usize,
+    /// The survivors and the witnesses `W` (with repeats until the final
+    /// tournament), by index into the input.
+    survivors: Vec<u32>,
+    witnesses: Vec<u32>,
+    rounds: usize,
+    /// Whether the last list was a round's group tournaments.
+    in_round: bool,
+}
+
+impl<R: RngCore> Randomized<R> {
+    pub(crate) fn new(s: usize, config: &RandomizedConfig, rng: R) -> Self {
+        Randomized {
+            rng,
+            sample_size: (s as f64).powf(0.3).ceil() as usize,
+            group_size: config.group_size(),
+            survivors: (0..s as u32).collect(),
+            witnesses: Vec::new(),
+            rounds: 0,
+            in_round: false,
+        }
+    }
+
+    /// This round's groups that can certify a minimal element: those with
+    /// at least two members.
+    fn groups(&self) -> impl Iterator<Item = &[u32]> {
+        self.survivors
+            .chunks(self.group_size)
+            .filter(|group| group.len() >= 2)
+    }
+}
+
+impl<R: RngCore> Plan for Randomized<R> {
+    fn plan(
+        &mut self,
+        ids: &[ElementId],
+        a_won: &[bool],
+        next: &mut Vec<(u32, u32)>,
+    ) -> Option<Vec<u32>> {
+        let mut go_on = true;
+        if std::mem::take(&mut self.in_round) {
+            // Step 5: each group's minimal element (fewest wins, ties to
+            // the earliest) leaves.
+            let mut removed = Vec::new();
+            let mut rest = a_won;
+            for group in self.groups() {
+                let (won, tail) = rest.split_at(group.len() * (group.len() - 1) / 2);
+                let wins = tally(group.len(), won);
+                let weakest = wins.iter().enumerate().min_by_key(|&(_, &w)| w);
+                removed.push(group[weakest.expect("two members").0]);
+                rest = tail;
+            }
+            // A round that removes nothing sends the survivors to W.
+            go_on = !removed.is_empty();
+            self.survivors.retain(|e| !removed.contains(e));
+            self.rounds += usize::from(go_on);
+        }
+        let n = self.survivors.len();
+        if go_on && n >= self.sample_size.max(1) && n > 1 {
+            // Step 3: sample witnesses from the survivors.
+            let sampled = self
+                .survivors
+                .choose_multiple(&mut self.rng, self.sample_size.min(n));
+            self.witnesses.extend(sampled);
+            // Step 4: random partition into groups of 80(c + 2).
+            self.survivors.shuffle(&mut self.rng);
+            for group in self.groups() {
+                round_robin(group, next);
+            }
+            self.in_round = true;
+            return None;
+        }
+        // Step 9: W <- W ∪ N_i, then a final tournament.
+        self.witnesses.extend_from_slice(&self.survivors);
+        self.witnesses.sort_unstable_by_key(|&i| ids[i as usize]);
+        self.witnesses.dedup();
+        Some(self.witnesses.clone())
+    }
+}
+
+/// Runs Algorithm 5 over `elements` with workers of `class`, one
+/// comparison per [`compare_batch`](ComparisonOracle::compare_batch) call.
 ///
 /// # Panics
 ///
-/// Panics if `elements` is empty.
+/// Panics if `elements` is empty or contains duplicates.
 pub fn randomized_max_find<O: ComparisonOracle, R: RngCore>(
     oracle: &mut O,
     class: WorkerClass,
@@ -118,57 +204,18 @@ pub fn randomized_max_find<O: ComparisonOracle, R: RngCore>(
         !elements.is_empty(),
         "randomized max-find needs at least one element"
     );
+    let plan = Randomized::new(elements.len(), config, rng);
+    let mut steps = Games::new(class, elements, plan);
     let start = oracle.counts();
-    let s = elements.len();
-    let sample_size = (s as f64).powf(0.3).ceil() as usize;
-    let stop_below = sample_size.max(1);
-    let group_size = config.group_size();
-
-    let mut survivors: Vec<ElementId> = elements.to_vec();
-    let mut witnesses: HashSet<ElementId> = HashSet::new();
-    let mut rounds = 0usize;
-
-    while survivors.len() >= stop_below && survivors.len() > 1 {
-        // Step 3: sample witnesses from the survivors.
-        for &e in survivors.choose_multiple(rng, sample_size.min(survivors.len())) {
-            witnesses.insert(e);
-        }
-
-        // Step 4: random partition into groups of 80(c + 2).
-        survivors.shuffle(rng);
-        let mut removed: HashSet<ElementId> = HashSet::new();
-        for group in survivors.chunks(group_size) {
-            if group.len() < 2 {
-                continue; // cannot certify a minimal element
-            }
-            let t = Tournament::all_play_all(oracle, class, group);
-            let weakest = t.weakest().expect("group has at least two members");
-            removed.insert(weakest);
-        }
-        if removed.is_empty() {
-            break; // degenerate partition; survivors go straight to W
-        }
-        survivors.retain(|e| !removed.contains(e));
-        rounds += 1;
-    }
-
-    // Step 9: W <- W ∪ N_i, then a final tournament.
-    for &e in &survivors {
-        witnesses.insert(e);
-    }
-    let mut w: Vec<ElementId> = witnesses.into_iter().collect();
-    w.sort_unstable(); // determinism: HashSet order is arbitrary
-    let final_tour = Tournament::all_play_all(oracle, class, &w);
-    let winner = final_tour.champion().expect("W contains the survivors");
-
+    run_infallible(&mut steps, oracle);
+    let comparisons = oracle.counts().delta_since(start);
+    let rounds = steps.plan.rounds;
+    let w = steps.finish();
     RandomizedOutcome {
-        winner,
+        winner: w.champion().expect("W contains the survivors"),
         rounds,
         witness_size: w.len(),
-        comparisons: oracle
-            .counts()
-            .delta_since(start)
-            .unwrap_or_else(|e| panic!("{e}")),
+        comparisons: comparisons.unwrap_or_else(|e| panic!("{e}")),
     }
 }
 

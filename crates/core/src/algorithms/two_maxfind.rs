@@ -21,11 +21,12 @@
 //! champion `x` beat at least `⌈(√s − 1)/2⌉` group members in the
 //! tournament, and the memo makes those eliminations stick.
 
+use super::steps::{champion, round_robin, run_infallible, tally, Games, Plan};
 use crate::element::ElementId;
 use crate::model::WorkerClass;
 use crate::oracle::{ComparisonCounts, ComparisonOracle};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Result of a 2-MaxFind run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,15 +47,12 @@ pub struct TwoMaxFindOutcome {
 /// hash map so memory stays `O(comparisons)` rather than `O(s²)`.
 const DENSE_MEMO_LIMIT: usize = 4096;
 
-/// A memoizing comparison layer local to one algorithm run.
-///
-/// Elements are addressed by their dense index into the input slice, so
+/// The answers of one run, by the dense indices of the two candidates, so
 /// the common case is a single flat-table probe per comparison — no
 /// hashing, no per-pair allocation.
-struct RunMemo<'a, O> {
-    oracle: &'a mut O,
-    class: WorkerClass,
-    ids: &'a [ElementId],
+#[derive(Debug, Clone)]
+pub(crate) struct Memo {
+    s: usize,
     /// Flat memo for small runs: cell `(lo, hi)` (with `lo < hi`) holds
     /// 0 = unknown, 1 = `lo` won, 2 = `hi` won.
     dense: Vec<u8>,
@@ -63,81 +61,117 @@ struct RunMemo<'a, O> {
     sparse: HashMap<(u32, u32), u32>,
 }
 
-impl<'a, O: ComparisonOracle> RunMemo<'a, O> {
-    fn new(oracle: &'a mut O, class: WorkerClass, ids: &'a [ElementId]) -> Self {
-        let dense = if ids.len() <= DENSE_MEMO_LIMIT {
-            vec![0u8; ids.len() * ids.len()]
+impl Memo {
+    pub(crate) fn new(s: usize) -> Self {
+        let dense = if s <= DENSE_MEMO_LIMIT {
+            vec![0u8; s * s]
         } else {
             Vec::new()
         };
-        RunMemo {
-            oracle,
-            class,
-            ids,
+        Memo {
+            s,
             dense,
             sparse: HashMap::new(),
         }
     }
 
-    /// Compares the candidates at indices `a` and `b`, returning the
-    /// winning index; asks the oracle only for pairs not seen this run.
-    fn compare(&mut self, a: u32, b: u32) -> u32 {
+    /// The winning index of `a` against `b`, if the run asked it.
+    pub(crate) fn get(&self, a: u32, b: u32) -> Option<u32> {
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         if self.dense.is_empty() {
-            if let Some(&w) = self.sparse.get(&(lo, hi)) {
-                return w;
-            }
-        } else {
-            match self.dense[lo as usize * self.ids.len() + hi as usize] {
-                1 => return lo,
-                2 => return hi,
-                _ => {}
-            }
+            return self.sparse.get(&(lo, hi)).copied();
         }
-        let w = self
-            .oracle
-            .compare(self.class, self.ids[a as usize], self.ids[b as usize]);
-        let wi = if w == self.ids[a as usize] { a } else { b };
-        if self.dense.is_empty() {
-            self.sparse.insert((lo, hi), wi);
-        } else {
-            self.dense[lo as usize * self.ids.len() + hi as usize] = if wi == lo { 1 } else { 2 };
+        match self.dense[lo as usize * self.s + hi as usize] {
+            1 => Some(lo),
+            2 => Some(hi),
+            _ => None,
         }
-        wi
     }
 
-    /// All-play-all among `group` (candidate indices), tallying wins into
-    /// `wins` (cleared and resized to the group length).
-    fn play_all(&mut self, group: &[u32], wins: &mut Vec<u32>) {
-        wins.clear();
-        wins.resize(group.len(), 0);
-        for a in 0..group.len() {
-            for b in (a + 1)..group.len() {
-                let w = self.compare(group[a], group[b]);
-                if w == group[a] {
-                    wins[a] += 1;
-                } else {
-                    wins[b] += 1;
-                }
-            }
+    pub(crate) fn set(&mut self, a: u32, b: u32, winner: u32) {
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        if self.dense.is_empty() {
+            self.sparse.insert((lo, hi), winner);
+        } else {
+            self.dense[lo as usize * self.s + hi as usize] = if winner == lo { 1 } else { 2 };
         }
     }
 }
 
-/// Position of the most-winning entry (ties: the earliest, so "ties broken
-/// arbitrarily" is at least deterministic). `wins` must be non-empty.
-fn champion_position(wins: &[u32]) -> usize {
-    let mut best = 0usize;
-    for (i, &w) in wins.iter().enumerate().skip(1) {
-        if w > wins[best] {
-            best = i;
+/// What 2-MaxFind played last.
+#[derive(Debug, Clone, Copy)]
+enum Played {
+    Nothing,
+    /// A group's all-play-all.
+    Group,
+    /// Champion `x` against every other candidate.
+    Scan(u32),
+}
+
+/// Algorithm 3 as a [`Plan`]: a group tournament and its champion's scan
+/// per round, each comparison memoized for the run.
+#[derive(Debug, Clone)]
+pub(crate) struct TwoMaxFind {
+    /// `⌈√s⌉`: the group size, and the candidate count the rounds stop at.
+    t: usize,
+    /// Surviving candidates, by index into the input.
+    candidates: Vec<u32>,
+    rounds: usize,
+    played: Played,
+}
+
+impl TwoMaxFind {
+    pub(crate) fn new(s: usize) -> Self {
+        TwoMaxFind {
+            t: (s as f64).sqrt().ceil() as usize,
+            candidates: (0..s as u32).collect(),
+            rounds: 0,
+            played: Played::Nothing,
         }
     }
-    best
+}
+
+impl Plan for TwoMaxFind {
+    fn plan(
+        &mut self,
+        _: &[ElementId],
+        a_won: &[bool],
+        next: &mut Vec<(u32, u32)>,
+    ) -> Option<Vec<u32>> {
+        match self.played {
+            Played::Group => {
+                // Compare the group's champion x against every candidate.
+                let x = self.candidates[champion(&tally(self.t, a_won))];
+                next.extend(self.candidates.iter().filter(|&&e| e != x).map(|&e| (x, e)));
+                self.played = Played::Scan(x);
+                return None;
+            }
+            Played::Scan(x) => {
+                // Eliminate every candidate that loses to x (x keeps itself).
+                let mut x_won = a_won.iter();
+                self.candidates
+                    .retain(|&e| e == x || !x_won.next().expect("one game per candidate"));
+                self.rounds += 1;
+            }
+            Played::Nothing => {}
+        }
+        if self.candidates.len() <= self.t {
+            return Some(self.candidates.clone());
+        }
+        // "Pick an arbitrary set of ⌈√s⌉ candidate elements": the first t.
+        round_robin(&self.candidates[..self.t], next);
+        self.played = Played::Group;
+        None
+    }
+
+    fn memoizes(&self) -> bool {
+        true
+    }
 }
 
 /// Runs 2-MaxFind over `elements`, with all comparisons performed by
-/// workers of `class`.
+/// workers of `class`, one per [`compare_batch`](ComparisonOracle::compare_batch)
+/// call.
 ///
 /// ```
 /// use crowd_core::prelude::*;
@@ -157,44 +191,17 @@ pub fn two_max_find<O: ComparisonOracle>(
     elements: &[ElementId],
 ) -> TwoMaxFindOutcome {
     assert!(!elements.is_empty(), "2-MaxFind needs at least one element");
-    assert!(
-        elements.iter().collect::<HashSet<_>>().len() == elements.len(),
-        "duplicate player in tournament"
-    );
+    let mut steps = Games::new(class, elements, TwoMaxFind::new(elements.len()));
     let start = oracle.counts();
-    let s = elements.len();
-    let t = (s as f64).sqrt().ceil() as usize;
-    let mut memo = RunMemo::new(oracle, class, elements);
-
-    let mut candidates: Vec<u32> = (0..s as u32).collect();
-    let mut rounds = 0usize;
-    let mut wins: Vec<u32> = Vec::new();
-    while candidates.len() > t {
-        // "Pick an arbitrary set of ⌈√s⌉ candidate elements": the first t.
-        let group: Vec<u32> = candidates[..t].to_vec();
-        memo.play_all(&group, &mut wins);
-        let x = group[champion_position(&wins)];
-        // Eliminate every candidate that loses to x (x keeps itself).
-        candidates.retain(|&e| e == x || memo.compare(x, e) == e);
-        rounds += 1;
-    }
-
-    memo.play_all(&candidates, &mut wins);
-    // The "ranking of the last round": decreasing wins, ties by play order.
-    let mut order: Vec<usize> = (0..candidates.len()).collect();
-    order.sort_by(|&a, &b| wins[b].cmp(&wins[a]).then(a.cmp(&b)));
-    let final_ranking: Vec<(ElementId, u32)> = order
-        .into_iter()
-        .map(|i| (elements[candidates[i] as usize], wins[i]))
-        .collect();
+    run_infallible(&mut steps, oracle);
+    let comparisons = oracle.counts().delta_since(start);
+    let rounds = steps.plan.rounds;
+    let final_ranking = steps.finish().ranking();
     TwoMaxFindOutcome {
         winner: final_ranking[0].0,
         rounds,
         final_ranking,
-        comparisons: oracle
-            .counts()
-            .delta_since(start)
-            .unwrap_or_else(|e| panic!("{e}")),
+        comparisons: comparisons.unwrap_or_else(|e| panic!("{e}")),
     }
 }
 

@@ -112,9 +112,8 @@ pub mod prelude {
         MultiClassOracle,
     };
     pub use crate::oracle::{
-        ComparisonCounts, ComparisonOracle, FnOracle, FuseOracle, MajorityOracle, MemoOracle,
-        ModelOracle, OracleError, PerfectOracle, SimulatedExpertOracle, SimulatedOracle,
-        TryFnOracle,
+        ComparisonCounts, ComparisonOracle, FnOracle, MajorityOracle, MemoOracle, ModelOracle,
+        OracleError, PerfectOracle, SimulatedExpertOracle, SimulatedOracle, TryFnOracle,
     };
     pub use crate::replay::{JudgmentLog, RecordingOracle, ReplayOracle};
     pub use crate::tournament::Tournament;

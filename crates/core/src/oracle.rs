@@ -400,206 +400,6 @@ impl<O: ComparisonOracle + ?Sized> ComparisonOracle for &mut O {
     }
 }
 
-/// Error-fuse decorator: runs an infallible algorithm over a fallible
-/// oracle and captures the first [`OracleError`] instead of panicking.
-///
-/// The paper's algorithms are written against the infallible
-/// [`compare`](ComparisonOracle::compare); rather than threading `Result`
-/// through every tournament loop, the fuse translates faults at the oracle
-/// boundary. Until a fault occurs, queries pass through
-/// [`try_compare`](ComparisonOracle::try_compare) and every answer is
-/// remembered. Once the fuse *blows*, no further query reaches the inner
-/// oracle (no worker is bothered, nothing is tallied): a pair answered
-/// before the blow gets its last answer again, and a fresh pair goes to
-/// the smaller [`ElementId`]. The driver then discards the fabricated
-/// outcome and reports the captured error (see `try_filter_candidates` /
-/// `try_expert_max_find`).
-///
-/// Those answers are *not* a consistent total order: if 1 beat 0 and 2
-/// beat 1 before the blow, the fresh pair (0, 2) goes to 0 and closes a
-/// cycle. The drivers terminate anyway, because termination never rests on
-/// consistency: the filter's rounds shrink by Lemma 2's counting argument,
-/// which holds for any answers, and every Phase-2 algorithm asks a bounded
-/// number of comparisons (2-MaxFind memoizes its own answers, so each
-/// champion's eliminations stick).
-///
-/// While the fuse is intact, an answer costs one append to a log of
-/// 8-byte `(winner, loser)` entries, one log per [`WorkerClass`], written
-/// a batch at a time without a branch per answer. Only a blow folds the
-/// log, in answer order, into the map the post-blow answers are read
-/// from, so a run that never blows never hashes. An inner winner outside
-/// `{k, j}` cannot be logged as an entry; it folds the log early and goes
-/// straight into the map, keeping the last answer the one remembered.
-#[derive(Debug)]
-pub struct FuseOracle<O> {
-    inner: O,
-    error: Option<OracleError>,
-    /// Intact answers not yet folded, as `(winner, loser)` in answer
-    /// order, indexed by `WorkerClass as usize`.
-    log: [Vec<(ElementId, ElementId)>; 2],
-    /// Folded answers, keyed by class and ordered pair.
-    answered: HashMap<(WorkerClass, ElementId, ElementId), ElementId>,
-}
-
-impl<O: ComparisonOracle> FuseOracle<O> {
-    /// Wraps `inner` with an intact fuse.
-    pub fn new(inner: O) -> Self {
-        FuseOracle {
-            inner,
-            error: None,
-            log: [Vec::new(), Vec::new()],
-            answered: HashMap::new(),
-        }
-    }
-
-    /// The first error the inner oracle reported, if any.
-    pub fn error(&self) -> Option<&OracleError> {
-        self.error.as_ref()
-    }
-
-    /// True once a fault has been captured.
-    pub fn blown(&self) -> bool {
-        self.error.is_some()
-    }
-
-    /// Takes the captured error, resetting the fuse.
-    pub fn take_error(&mut self) -> Option<OracleError> {
-        self.error.take()
-    }
-
-    /// Consumes the decorator, returning the wrapped oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-
-    /// Remembers intact answers, `winners[i]` to `pairs[i]`: one branch-free
-    /// append to the class's log, unless a winner is outside its pair.
-    fn remember(
-        &mut self,
-        class: WorkerClass,
-        pairs: &[(ElementId, ElementId)],
-        winners: &[ElementId],
-    ) {
-        let log = &mut self.log[class as usize];
-        let before = log.len();
-        let mut outside = false;
-        log.extend(pairs.iter().zip(winners).map(|(&(k, j), &w)| {
-            outside |= (w != k) & (w != j);
-            // The loser, whenever `w` is `k` or `j`.
-            (w, ElementId(k.0 ^ j.0 ^ w.0))
-        }));
-        if outside {
-            // Rare: redo the answers one by one, sending each outside
-            // winner to the map after folding what came before it.
-            log.truncate(before);
-            for (&(k, j), &w) in pairs.iter().zip(winners) {
-                if w == k || w == j {
-                    self.log[class as usize].push((w, if w == k { j } else { k }));
-                } else {
-                    self.fold();
-                    self.answered.insert(pair_key(class, k, j), w);
-                }
-            }
-        }
-    }
-
-    /// Captures `error` and folds the log so post-blow answers can be
-    /// read back.
-    fn blow(&mut self, error: OracleError) {
-        self.error = Some(error);
-        self.fold();
-    }
-
-    /// Moves the logged answers into `answered`, in answer order, so the
-    /// last answer to a pair wins.
-    fn fold(&mut self) {
-        for class in WorkerClass::ALL {
-            for (winner, loser) in self.log[class as usize].drain(..) {
-                self.answered.insert(pair_key(class, winner, loser), winner);
-            }
-        }
-    }
-
-    /// A blown fuse's answer: the pair's remembered answer, else the
-    /// smaller id.
-    fn recall(&self, class: WorkerClass, k: ElementId, j: ElementId) -> ElementId {
-        self.answered
-            .get(&pair_key(class, k, j))
-            .copied()
-            .unwrap_or(if k < j { k } else { j })
-    }
-}
-
-/// `FuseOracle`'s map key: the class and the pair, smaller id first.
-fn pair_key(class: WorkerClass, k: ElementId, j: ElementId) -> (WorkerClass, ElementId, ElementId) {
-    if k < j {
-        (class, k, j)
-    } else {
-        (class, j, k)
-    }
-}
-
-impl<O: ComparisonOracle> ComparisonOracle for FuseOracle<O> {
-    fn compare(&mut self, class: WorkerClass, k: ElementId, j: ElementId) -> ElementId {
-        if self.error.is_none() {
-            match self.inner.try_compare(class, k, j) {
-                Ok(winner) => {
-                    self.remember(class, &[(k, j)], &[winner]);
-                    return winner;
-                }
-                Err(e) => self.blow(e),
-            }
-        }
-        // Blown: past answers win, fresh pairs go to the smaller id; the
-        // caller discards the outcome and returns the captured error.
-        self.recall(class, k, j)
-    }
-
-    /// Batch adapter for the fault layer: while the fuse is intact the
-    /// whole batch is forwarded to the inner oracle in one
-    /// [`try_compare_batch`](ComparisonOracle::try_compare_batch) call, so
-    /// a platform underneath decides the batch's fault fate once instead
-    /// of per comparison. On a fault the fuse blows mid-batch and the
-    /// remaining pairs are fabricated exactly like scalar post-blow
-    /// answers. Equal to the scalar loop whenever the inner oracle's batch
-    /// entry matches its scalar sequence — in particular always for
-    /// simulated oracles, and for platform oracles until the first fault.
-    /// An inner oracle that appends the completed prefix before its error
-    /// (as the platform adapter does) keeps those purchased answers: the
-    /// fuse remembers the prefix and fabricates only the true remainder.
-    fn compare_batch(
-        &mut self,
-        class: WorkerClass,
-        pairs: &[(ElementId, ElementId)],
-        winners: &mut Vec<ElementId>,
-    ) {
-        winners.reserve(pairs.len());
-        let start = winners.len();
-        if self.error.is_none() {
-            let outcome = self.inner.try_compare_batch(class, pairs, winners);
-            self.remember(class, pairs, &winners[start..]);
-            match outcome {
-                Ok(()) => return,
-                Err(e) => self.blow(e),
-            }
-        }
-        // Blown: fabricate the unanswered remainder of the batch, same
-        // policy as the scalar path.
-        let done = winners.len() - start;
-        for &(k, j) in &pairs[done..] {
-            winners.push(self.recall(class, k, j));
-        }
-    }
-
-    fn counts(&self) -> ComparisonCounts {
-        self.inner.counts()
-    }
-
-    fn observe(&mut self, event: crate::trace::TraceEvent) {
-        self.inner.observe(event);
-    }
-}
-
 /// An oracle that simulates the two-class threshold workforce of Section 3.3
 /// over a ground-truth [`Instance`].
 ///
@@ -1061,8 +861,9 @@ impl<F: FnMut(WorkerClass, ElementId, ElementId) -> ElementId> ComparisonOracle 
 /// The closure receives `(class, k, j)` and returns `Ok(k)`, `Ok(j)`, or an
 /// [`OracleError`]. Failed attempts are not billed (no count is recorded).
 /// Calling the infallible [`compare`](ComparisonOracle::compare) on a
-/// refusing closure panics — drive it through `try_compare` (directly or
-/// behind a [`FuseOracle`]).
+/// refusing closure panics — drive it through `try_compare`, e.g. with
+/// [`try_expert_max_find`](crate::algorithms::try_expert_max_find), which
+/// stops at the first refusal and returns it.
 pub struct TryFnOracle<F> {
     f: F,
     counts: ComparisonCounts,
@@ -1525,94 +1326,6 @@ mod tests {
             }
         );
         assert_eq!(o.counts().naive, 3, "the three completed votes are paid");
-    }
-
-    #[test]
-    fn fuse_passes_through_until_the_first_error() {
-        let mut fuse = FuseOracle::new(FlakyOracle::new(2));
-        assert_eq!(
-            fuse.compare(WorkerClass::Naive, ElementId(0), ElementId(5)),
-            ElementId(5)
-        );
-        assert_eq!(
-            fuse.compare(WorkerClass::Naive, ElementId(1), ElementId(6)),
-            ElementId(6)
-        );
-        assert!(!fuse.blown());
-        // Third query hits the outage: fabricated answer, fuse blows.
-        assert_eq!(
-            fuse.compare(WorkerClass::Naive, ElementId(9), ElementId(3)),
-            ElementId(3),
-            "fresh pairs go to the smaller id after the fuse blows"
-        );
-        assert!(fuse.blown());
-        assert_eq!(
-            fuse.error(),
-            Some(&OracleError::WorkforceDepleted {
-                class: WorkerClass::Naive
-            })
-        );
-        // Post-blow answers are consistent and free.
-        let before = fuse.counts();
-        assert_eq!(
-            fuse.compare(WorkerClass::Naive, ElementId(0), ElementId(5)),
-            ElementId(5),
-            "pre-blow answers are remembered"
-        );
-        assert_eq!(
-            fuse.compare(WorkerClass::Naive, ElementId(3), ElementId(9)),
-            ElementId(3)
-        );
-        assert_eq!(fuse.counts(), before, "no worker is bothered after a blow");
-        assert_eq!(
-            fuse.take_error(),
-            Some(OracleError::WorkforceDepleted {
-                class: WorkerClass::Naive
-            })
-        );
-        assert!(!fuse.blown());
-        let _ = fuse.into_inner();
-    }
-
-    #[test]
-    fn an_intact_fuse_logs_answers_and_hashes_them_only_when_it_blows() {
-        // 40 intact answers over 20 distinct pairs of both classes and
-        // both argument orders, half of them through the batch path.
-        let pairs: Vec<(ElementId, ElementId)> = (0..10u32)
-            .flat_map(|i| {
-                [
-                    (ElementId(i), ElementId(i + 10)),
-                    (ElementId(i + 10), ElementId(i)),
-                ]
-            })
-            .collect();
-        let mut fuse = FuseOracle::new(FlakyOracle::new(40));
-        let mut winners = Vec::new();
-        for class in WorkerClass::ALL {
-            for &(k, j) in &pairs[..10] {
-                winners.push(fuse.compare(class, k, j));
-            }
-            fuse.compare_batch(class, &pairs[10..], &mut winners);
-        }
-        assert!(!fuse.blown());
-        assert_eq!(fuse.log[0].len() + fuse.log[1].len(), 40);
-        assert!(fuse.answered.is_empty(), "an intact fuse must not hash");
-        // The blow lands on an answered pair, so the map then holds exactly
-        // the distinct answered keys: 10 pairs per class.
-        assert_eq!(
-            fuse.compare(WorkerClass::Naive, ElementId(3), ElementId(13)),
-            ElementId(13)
-        );
-        assert!(fuse.blown());
-        assert!(fuse.log.iter().all(Vec::is_empty));
-        let mut keys: Vec<_> = fuse.answered.keys().copied().collect();
-        keys.sort_by_key(|&(class, k, j)| (class as u8, k, j));
-        let expected: Vec<_> = WorkerClass::ALL
-            .into_iter()
-            .flat_map(|class| (0..10u32).map(move |i| (class, ElementId(i), ElementId(i + 10))))
-            .collect();
-        assert_eq!(keys, expected);
-        assert_eq!(winners.len(), 40);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //!   comparisons each, *regardless of the error model* (it is a counting
 //!   argument over the `|A| choose 2` games).
 
+use crate::algorithms::steps::{run_infallible, Games, Plan};
 use crate::element::ElementId;
 use crate::model::WorkerClass;
 use crate::oracle::ComparisonOracle;
@@ -20,15 +21,16 @@ use crate::oracle::ComparisonOracle;
 /// order of the input slice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tournament {
-    players: Vec<ElementId>,
-    wins: Vec<u32>,
+    pub(crate) players: Vec<ElementId>,
+    pub(crate) wins: Vec<u32>,
     /// Every game as `(winner, loser)`, in play order.
-    games: Vec<(ElementId, ElementId)>,
+    pub(crate) games: Vec<(ElementId, ElementId)>,
 }
 
 impl Tournament {
     /// Plays an all-play-all tournament among `players`, with every
-    /// comparison performed by a worker of `class` through `oracle`.
+    /// comparison performed by a worker of `class` through `oracle`, one
+    /// game per [`compare_batch`](ComparisonOracle::compare_batch) call.
     ///
     /// Performs exactly `|players| · (|players| − 1) / 2` oracle queries
     /// (fewer reach actual workers if the oracle memoizes).
@@ -42,26 +44,9 @@ impl Tournament {
         class: WorkerClass,
         players: &[ElementId],
     ) -> Self {
-        let mut wins = vec![0u32; players.len()];
-        let mut games = Vec::with_capacity(players.len() * players.len().saturating_sub(1) / 2);
-        for i in 0..players.len() {
-            for j in (i + 1)..players.len() {
-                assert_ne!(players[i], players[j], "duplicate player in tournament");
-                let winner = oracle.compare(class, players[i], players[j]);
-                if winner == players[i] {
-                    wins[i] += 1;
-                    games.push((players[i], players[j]));
-                } else {
-                    wins[j] += 1;
-                    games.push((players[j], players[i]));
-                }
-            }
-        }
-        Tournament {
-            players: players.to_vec(),
-            wins,
-            games,
-        }
+        let mut steps = Games::new(class, players, AllPlayAll);
+        run_infallible(&mut steps, oracle);
+        steps.finish()
     }
 
     /// Every game played, as `(winner, loser)` pairs in play order.
@@ -171,6 +156,16 @@ impl Tournament {
     pub fn games(&self) -> u64 {
         let n = self.players.len() as u64;
         n * (n.saturating_sub(1)) / 2
+    }
+}
+
+/// One all-play-all among every player, as a [`Plan`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AllPlayAll;
+
+impl Plan for AllPlayAll {
+    fn plan(&mut self, ids: &[ElementId], _: &[bool], _: &mut Vec<(u32, u32)>) -> Option<Vec<u32>> {
+        Some((0..ids.len() as u32).collect())
     }
 }
 

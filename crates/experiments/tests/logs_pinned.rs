@@ -7,10 +7,9 @@
 //! and byte length of their logs: `serve_sweep`'s span and event logs,
 //! and `fault_sweep`'s event log. The latter holds every fault, retry and
 //! dead letter its trials' platforms report through `try_expert_max_find`,
-//! whose `FuseOracle` must stop asking workers once it blows: a fuse that
-//! kept forwarding would move it. (What a blown fuse answers instead
-//! reaches no quick output file; `batch_oracle.rs` checks those answers.) A
-//! deliberate change to a log updates its pin and says why.
+//! which stops at the first error and asks no worker after it: a driver
+//! that kept asking would move it. A deliberate change to a log updates
+//! its pin and says why.
 
 use crowd_experiments::{run_experiments, Scale};
 use crowd_platform::journal::fnv1a64;

@@ -249,6 +249,69 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_run_reports_nothing_after_its_fault() {
+        use crowd_core::algorithms::{try_expert_max_find, ExpertMaxConfig};
+        use crowd_core::trace::TracePhase;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        /// Perfect answers until batch `fail_at`, which errs.
+        struct FailsAt {
+            inner: PerfectOracle,
+            fail_at: usize,
+            batches: usize,
+        }
+        impl ComparisonOracle for FailsAt {
+            fn compare(&mut self, class: WorkerClass, k: ElementId, j: ElementId) -> ElementId {
+                self.inner.compare(class, k, j)
+            }
+            fn try_compare_batch(
+                &mut self,
+                class: WorkerClass,
+                pairs: &[(ElementId, ElementId)],
+                winners: &mut Vec<ElementId>,
+            ) -> Result<(), OracleError> {
+                self.batches += 1;
+                if self.batches == self.fail_at {
+                    return Err(OracleError::Unanswered { attempts: 3 });
+                }
+                self.inner.compare_batch(class, pairs, winners);
+                Ok(())
+            }
+            fn counts(&self) -> ComparisonCounts {
+                self.inner.counts()
+            }
+        }
+
+        // un = 4: round 0 plays four groups of 16, 60 rows; row 20 fails.
+        let inst = instance(64);
+        let rec = Arc::new(Recorder::new());
+        let (err, batches) = {
+            let _g = install_recorder(rec.clone());
+            let mut oracle = ObservedOracle::new(FailsAt {
+                inner: PerfectOracle::new(inst.clone()),
+                fail_at: 20,
+                batches: 0,
+            });
+            let config = ExpertMaxConfig::new(4);
+            let mut rng = StdRng::seed_from_u64(3);
+            let err = try_expert_max_find(&mut oracle, &inst.ids(), &config, &mut rng);
+            (err.unwrap_err(), oracle.into_inner().batches)
+        };
+        assert_eq!(err, OracleError::Unanswered { attempts: 3 });
+        assert_eq!(batches, 20, "no oracle call after the failing one");
+        let log: Vec<Event> = rec.log().events().cloned().collect();
+        assert_eq!(
+            log,
+            vec![Event::PhaseTransition {
+                phase: TracePhase::Filter,
+                entered: true
+            }],
+            "no round or phase is reported after the fault"
+        );
+    }
+
+    #[test]
     fn no_recorder_installed_is_a_cheap_no_op() {
         let inst = instance(16);
         let mut oracle = ObservedOracle::new(PerfectOracle::new(inst.clone()));

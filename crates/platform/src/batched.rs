@@ -69,8 +69,11 @@ pub fn batched_filter<R: RngCore>(
             rounds.push_pairs(group, &mut pairs);
         }
         let answers = platform.submit_comparisons(&pairs, class)?;
-        let mut rest = answers.as_slice();
-        rounds.play_groups(|group, tally| rest = tally.score(group, rest));
+        let (mut tally, mut rest) = (rounds.tally(), answers.as_slice());
+        for group in rounds.groups() {
+            rest = tally.score(group, rest);
+        }
+        rounds.absorb(&mut tally);
         rounds.end_round();
     }
     let outcome = rounds.finish(platform.counts().saturating_sub(counts_start));
