@@ -138,13 +138,14 @@ where
 }
 
 #[cfg(test)]
+/// Serializes tests that touch the process-wide job count.
+pub(crate) static JOBS_TEST_LOCK: Mutex<()> = Mutex::new(());
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crowd_core::model::WorkerClass;
     use std::sync::Arc;
-
-    /// Serializes tests that touch the process-wide job count.
-    static JOBS_TEST_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn results_are_in_input_order() {

@@ -149,6 +149,9 @@ mod tests {
 
     #[test]
     fn byte_identical_at_any_job_count() {
+        let _jobs = engine::JOBS_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let inst = uniform_instance(600, 42);
         let delta_n = 25.0;
         let un = inst.indistinguishable_from_max(delta_n).max(1);

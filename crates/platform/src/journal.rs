@@ -21,8 +21,11 @@
 //!   JSONL), so a torn tail — a crash mid-write — is *detected*, not
 //!   silently parsed. The checksum is [`frame_sum`], which reads the
 //!   payload eight bytes per step and always catches a corruption
-//!   confined to one 8-byte word. Batch records are encoded straight into that buffer
-//!   from borrowed slices, so a warm journal appends without allocating.
+//!   confined to one 8-byte word. Both record vocabularies are declared
+//!   through one table each (`json_records!`), which generates their
+//!   JSON encoders: a record is encoded from borrowed slices into a
+//!   reused buffer and framed, so a warm journal appends without
+//!   allocating.
 //!   Durable bytes live in fixed [`SEGMENT_BYTES`] segments
 //!   ([`crowd_obs::segments`], the store recorder logs use too), never one
 //!   growing buffer: a flush copies the pending bytes into the tail
@@ -49,10 +52,12 @@
 //! Recovery from these bytes lives in [`mod@crate::recover`].
 
 use crate::platform::{Platform, PlatformOracle};
+use crate::serve::{JobId, TenantId};
 use crate::worker::WorkerId;
 use crowd_core::element::ElementId;
 use crowd_core::model::WorkerClass;
 use crowd_core::oracle::{ComparisonCounts, ComparisonOracle, OracleError};
+use crowd_core::trace::DegradedReason;
 use crowd_obs::segments::Segments;
 use crowd_obs::Event;
 use rand::RngCore;
@@ -113,55 +118,309 @@ pub fn frame_sum(bytes: &[u8]) -> u64 {
     h ^ (h >> 33)
 }
 
-/// One journal record, written as one framed JSON line.
+/// A value a record encoder writes, byte for byte as `serde_json` writes
+/// it. `Arg` is how an encoder takes the value: a scalar by value, a list
+/// as a slice, a string as a `str`, a struct by reference. So the hot
+/// paths encode from borrowed data and never build a record.
+pub(crate) trait Json {
+    /// The encoder's argument type for this value.
+    type Arg<'a>: Copy
+    where
+        Self: 'a;
+    /// Borrows the value as its encoder argument.
+    fn arg(&self) -> Self::Arg<'_>;
+    /// Appends the argument's JSON to `out`.
+    fn put(arg: Self::Arg<'_>, out: &mut Vec<u8>);
+}
+
+/// Declares a type from one table of its fields, with derives and docs
+/// as written, and generates its JSON encoding from the same table.
 ///
-/// The JSON is serde's externally tagged form of this enum, for example
-/// `{"Scheduled":{"batch":0,"class":"Naive","pairs":[[0,1]]}}`: ids are
-/// bare integers, `spent` is Rust's shortest round-trip float (`null` when
-/// not finite). [`Journal::append`] writes it by hand and
-/// [`Journal::decode`] reads it back through `serde_json`.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
-pub enum JournalRecord {
-    /// The journal header — always the first record.
-    Started {
-        /// The writing code's [`JOURNAL_VERSION`].
-        version: u32,
-        /// A caller-chosen job label (recovery verifies it resumes the
-        /// job it thinks it does).
-        job: String,
-        /// The platform RNG seed the job was started with.
-        seed: u64,
-    },
-    /// A batch is about to be submitted to workers. Flushed *before*
-    /// execution — the write-ahead half of the WAL pair.
-    Scheduled {
-        /// 0-based batch index.
-        batch: u64,
-        /// The worker class asked.
-        class: WorkerClass,
-        /// The comparison pairs, in submission order.
-        pairs: Vec<(ElementId, ElementId)>,
-    },
-    /// The batch finished (fully, or up to a mid-batch fault).
-    Completed {
-        /// The matching [`Scheduled`](JournalRecord::Scheduled) index.
-        batch: u64,
-        /// Majority winner per pair, in submission order. On a partial
-        /// batch this is the completed *prefix* — those answers were
-        /// purchased and must never be re-bought.
-        winners: Vec<ElementId>,
-        /// Workers the batch's schedule assigned, in assignment order.
-        workers: Vec<WorkerId>,
-        /// The platform's cumulative judgment tally after the batch.
-        counts: ComparisonCounts,
-        /// Money spent after the batch, in the ledger's units.
-        spent: f64,
-        /// The fault plan's SplitMix64 stream position after the batch:
-        /// the attempt index the next judgment fate will be drawn at.
-        fault_seq: u64,
-        /// True when the batch errored mid-way and `winners` is a prefix.
-        partial: bool,
-    },
+/// * A `struct` gets a [`Json`] impl that writes it as an object of its
+///   fields in order: serde's form of the struct.
+/// * An `enum` of struct variants, each named `Variant => encoder { .. }`,
+///   gets one `pub(crate) fn encoder(out, field, ..)` per variant, which
+///   takes each field as its [`Json::Arg`] and appends serde's externally
+///   tagged form `{"Variant":{"field":..}}`; and an owned `encode(&self,
+///   out)` that calls them.
+///
+/// Every field ends in a comma, and every type has at least one field.
+macro_rules! json_records {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$m:meta])* $v:vis $f:ident: $t:ty,)+
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$m])* $v $f: $t,)+
+        }
+
+        impl $crate::journal::Json for $name {
+            type Arg<'a> = &'a $name;
+
+            fn arg(&self) -> &$name {
+                self
+            }
+
+            fn put(value: &$name, out: &mut Vec<u8>) {
+                let $name { $($f),+ } = value;
+                json_records!(@object out, $($f: $t = $f.arg()),+);
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident => $encoder:ident {
+                    $($(#[$m:meta])* $f:ident: $t:ty,)+
+                },
+            )+
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant {
+                    $($(#[$m])* $f: $t,)+
+                },
+            )+
+        }
+
+        impl $name {
+            /// Appends the record's JSON to `out`.
+            pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+                use $crate::journal::Json;
+                match self {
+                    $($name::$variant { $($f),+ } => $encoder(out, $($f.arg()),+),)+
+                }
+            }
+        }
+
+        $(
+            #[doc = concat!(
+                "Appends the JSON of a [`",
+                stringify!($name), "::", stringify!($variant),
+                "`] record to `out`."
+            )]
+            // One argument per field of the record, which has as many as
+            // it needs.
+            #[allow(clippy::too_many_arguments)]
+            pub(crate) fn $encoder(
+                out: &mut Vec<u8>,
+                $($f: <$t as $crate::journal::Json>::Arg<'_>,)+
+            ) {
+                out.extend_from_slice(concat!("{\"", stringify!($variant), "\":").as_bytes());
+                json_records!(@object out, $($f: $t = $f),+);
+                out.push(b'}');
+            }
+        )+
+    };
+    // `{"field":value,..}`, each value written by its type's `Json::put`.
+    (@object $out:ident, $($f:ident: $t:ty = $e:expr),+) => {
+        let start = $out.len();
+        $(
+            $out.extend_from_slice(concat!(",\"", stringify!($f), "\":").as_bytes());
+            <$t as $crate::journal::Json>::put($e, $out);
+        )+
+        // The first field's comma opens the object.
+        $out[start] = b'{';
+        $out.push(b'}');
+    };
+}
+pub(crate) use json_records;
+
+/// Leaf values passed to encoders by value.
+macro_rules! scalar_json {
+    ($($ty:ty => |$value:ident, $out:ident| $body:expr;)*) => {$(
+        impl Json for $ty {
+            type Arg<'a> = $ty;
+
+            fn arg(&self) -> $ty {
+                *self
+            }
+
+            fn put($value: $ty, $out: &mut Vec<u8>) {
+                $body
+            }
+        }
+    )*};
+}
+
+scalar_json! {
+    u32 => |n, out| push_u64(out, u64::from(n));
+    u64 => |n, out| push_u64(out, n);
+    bool => |b, out| out.extend_from_slice(if b { b"true" } else { b"false" });
+    // Display is the shortest round-trip form serde_json prints, and it
+    // prints `null` for a non-finite float; writing into a Vec cannot fail.
+    f64 => |x, out| if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.extend_from_slice(b"null");
+    };
+    ElementId => |id, out| push_u64(out, u64::from(id.0));
+    WorkerId => |id, out| push_u64(out, u64::from(id.0));
+    JobId => |id, out| push_u64(out, id.0);
+    TenantId => |id, out| push_u64(out, u64::from(id.0));
+    WorkerClass => |class, out| out.extend_from_slice(match class {
+        WorkerClass::Naive => b"\"Naive\"",
+        WorkerClass::Expert => b"\"Expert\"",
+    });
+    ComparisonCounts => |counts, out| {
+        out.extend_from_slice(b"{\"naive\":");
+        push_u64(out, counts.naive);
+        out.extend_from_slice(b",\"expert\":");
+        push_u64(out, counts.expert);
+        out.push(b'}');
+    };
+    Option<DegradedReason> => |reason, out| out.extend_from_slice(match reason {
+        None => b"null",
+        Some(DegradedReason::DeadlineLapsed) => b"\"DeadlineLapsed\"",
+        Some(DegradedReason::ExpertExhausted) => b"\"ExpertExhausted\"",
+        Some(DegradedReason::BudgetExhausted) => b"\"BudgetExhausted\"",
+        Some(DegradedReason::DeadLetters) => b"\"DeadLetters\"",
+    });
+}
+
+impl<A: Json + Copy, B: Json + Copy> Json for (A, B) {
+    type Arg<'a>
+        = (A, B)
+    where
+        Self: 'a;
+
+    fn arg(&self) -> (A, B) {
+        *self
+    }
+
+    fn put((a, b): (A, B), out: &mut Vec<u8>) {
+        out.push(b'[');
+        A::put(a.arg(), out);
+        out.push(b',');
+        B::put(b.arg(), out);
+        out.push(b']');
+    }
+}
+
+impl<T: Json> Json for Vec<T> {
+    type Arg<'a>
+        = &'a [T]
+    where
+        T: 'a;
+
+    fn arg(&self) -> &[T] {
+        self
+    }
+
+    fn put(items: &[T], out: &mut Vec<u8>) {
+        out.push(b'[');
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            T::put(item.arg(), out);
+        }
+        out.push(b']');
+    }
+}
+
+impl Json for String {
+    type Arg<'a> = &'a str;
+
+    fn arg(&self) -> &str {
+        self
+    }
+
+    /// Escapes exactly as `serde_json` does: `"` and `\` get a backslash,
+    /// the control characters with a short form become `\b \t \n \f \r`,
+    /// every other one below U+0020 becomes `\u00xx`, and everything else
+    /// (DEL and non-ASCII included) is copied.
+    fn put(s: &str, out: &mut Vec<u8>) {
+        out.push(b'"');
+        let bytes = s.as_bytes();
+        let mut start = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            let short = match b {
+                b'"' => b'"',
+                b'\\' => b'\\',
+                0x08 => b'b',
+                b'\t' => b't',
+                b'\n' => b'n',
+                0x0c => b'f',
+                b'\r' => b'r',
+                0x00..=0x1f => b'u',
+                _ => continue,
+            };
+            out.extend_from_slice(&bytes[start..i]);
+            out.push(b'\\');
+            out.push(short);
+            if short == b'u' {
+                out.extend_from_slice(b"00");
+                out.push(b"0123456789abcdef"[usize::from(b >> 4)]);
+                out.push(b"0123456789abcdef"[usize::from(b & 0xf)]);
+            }
+            start = i + 1;
+        }
+        out.extend_from_slice(&bytes[start..]);
+        out.push(b'"');
+    }
+}
+
+json_records! {
+    /// One journal record, written as one framed JSON line.
+    ///
+    /// The JSON is serde's externally tagged form of this enum, for example
+    /// `{"Scheduled":{"batch":0,"class":"Naive","pairs":[[0,1]]}}`: ids are
+    /// bare integers, `spent` is Rust's shortest round-trip float (`null` when
+    /// not finite). [`Journal::append`] writes it through encoders generated
+    /// from this declaration, and [`Journal::decode`] reads it back through
+    /// `serde_json`.
+    #[derive(Debug, Clone, PartialEq, Deserialize)]
+    pub enum JournalRecord {
+        /// The journal header — always the first record.
+        Started => started {
+            /// The writing code's [`JOURNAL_VERSION`].
+            version: u32,
+            /// A caller-chosen job label (recovery verifies it resumes the
+            /// job it thinks it does).
+            job: String,
+            /// The platform RNG seed the job was started with.
+            seed: u64,
+        },
+        /// A batch is about to be submitted to workers. Flushed *before*
+        /// execution — the write-ahead half of the WAL pair.
+        Scheduled => scheduled {
+            /// 0-based batch index.
+            batch: u64,
+            /// The worker class asked.
+            class: WorkerClass,
+            /// The comparison pairs, in submission order.
+            pairs: Vec<(ElementId, ElementId)>,
+        },
+        /// The batch finished (fully, or up to a mid-batch fault).
+        Completed => completed {
+            /// The matching [`Scheduled`](JournalRecord::Scheduled) index.
+            batch: u64,
+            /// Majority winner per pair, in submission order. On a partial
+            /// batch this is the completed *prefix* — those answers were
+            /// purchased and must never be re-bought.
+            winners: Vec<ElementId>,
+            /// Workers the batch's schedule assigned, in assignment order.
+            workers: Vec<WorkerId>,
+            /// The platform's cumulative judgment tally after the batch.
+            counts: ComparisonCounts,
+            /// Money spent after the batch, in the ledger's units.
+            spent: f64,
+            /// The fault plan's SplitMix64 stream position after the batch:
+            /// the attempt index the next judgment fate will be drawn at.
+            fault_seq: u64,
+            /// True when the batch errored mid-way and `winners` is a prefix.
+            partial: bool,
+        },
+    }
 }
 
 /// When `Completed` records are made durable. `Scheduled` records ignore
@@ -342,15 +601,17 @@ impl Journal {
     /// `<len> <frame_sum:016x> <json>\n` frame. Not durable until
     /// [`flush`](Journal::flush).
     pub fn append(&mut self, record: &JournalRecord) {
-        self.append_view(RecordView::from(record));
+        self.append_with(|out| record.encode(out));
     }
 
-    /// Encodes a borrowed record: the batch hot path writes its pairs,
-    /// winners and workers without copying them into a [`JournalRecord`].
-    fn append_view(&mut self, record: RecordView<'_>) {
+    /// Frames one record that `encode` writes into the journal's reused
+    /// scratch buffer: the seam both stacks' generated encoders write
+    /// through, so the hot paths encode borrowed data without building a
+    /// record.
+    pub(crate) fn append_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
         let mut json = std::mem::take(&mut self.scratch);
         json.clear();
-        record.encode(&mut json);
+        encode(&mut json);
         self.push_frame(&json);
         self.scratch = json;
     }
@@ -363,10 +624,10 @@ impl Journal {
         self.push_frame(json.as_bytes());
     }
 
-    /// Frames already-encoded JSON bytes into the pending buffer: the seam
-    /// both hand encoders append through (this module's batch records and
-    /// the service journal's records in [`crate::serve`]), so every
-    /// journal in the workspace has one frame format.
+    /// Frames already-encoded JSON bytes into the pending buffer. Every
+    /// record reaches it, whether encoded by [`append_with`](Self::append_with)
+    /// or handed in by [`append_json`](Self::append_json), so every journal
+    /// in the workspace has one frame format.
     pub(crate) fn push_frame(&mut self, json: &[u8]) {
         let start = self.pending.len();
         push_frame_header(&mut self.pending, json.len() as u64, frame_sum(json));
@@ -536,140 +797,6 @@ fn decode_raw_frame(bytes: &[u8]) -> Option<(String, usize)> {
     Some((std::str::from_utf8(json).ok()?.to_string(), json_end + 1))
 }
 
-/// A [`JournalRecord`] with its vectors borrowed: what
-/// [`Journal::append`] encodes.
-#[derive(Debug, Clone, Copy)]
-enum RecordView<'a> {
-    Started {
-        version: u32,
-        job: &'a str,
-        seed: u64,
-    },
-    Scheduled {
-        batch: u64,
-        class: WorkerClass,
-        pairs: &'a [(ElementId, ElementId)],
-    },
-    Completed {
-        batch: u64,
-        winners: &'a [ElementId],
-        workers: &'a [WorkerId],
-        counts: ComparisonCounts,
-        spent: f64,
-        fault_seq: u64,
-        partial: bool,
-    },
-}
-
-impl<'a> From<&'a JournalRecord> for RecordView<'a> {
-    fn from(record: &'a JournalRecord) -> Self {
-        match record {
-            JournalRecord::Started { version, job, seed } => RecordView::Started {
-                version: *version,
-                job,
-                seed: *seed,
-            },
-            JournalRecord::Scheduled {
-                batch,
-                class,
-                pairs,
-            } => RecordView::Scheduled {
-                batch: *batch,
-                class: *class,
-                pairs,
-            },
-            JournalRecord::Completed {
-                batch,
-                winners,
-                workers,
-                counts,
-                spent,
-                fault_seq,
-                partial,
-            } => RecordView::Completed {
-                batch: *batch,
-                winners,
-                workers,
-                counts: *counts,
-                spent: *spent,
-                fault_seq: *fault_seq,
-                partial: *partial,
-            },
-        }
-    }
-}
-
-impl RecordView<'_> {
-    /// Appends the record's JSON (see [`JournalRecord`]) to `out`.
-    fn encode(self, out: &mut Vec<u8>) {
-        match self {
-            RecordView::Started { version, job, seed } => {
-                out.extend_from_slice(b"{\"Started\":{\"version\":");
-                push_u64(out, u64::from(version));
-                out.extend_from_slice(b",\"job\":");
-                push_str(out, job);
-                out.extend_from_slice(b",\"seed\":");
-                push_u64(out, seed);
-            }
-            RecordView::Scheduled {
-                batch,
-                class,
-                pairs,
-            } => {
-                out.extend_from_slice(b"{\"Scheduled\":{\"batch\":");
-                push_u64(out, batch);
-                out.extend_from_slice(match class {
-                    WorkerClass::Naive => b",\"class\":\"Naive\",\"pairs\":",
-                    WorkerClass::Expert => b",\"class\":\"Expert\",\"pairs\":",
-                });
-                push_list(out, pairs, |out, &(k, j)| {
-                    out.push(b'[');
-                    push_u64(out, u64::from(k.0));
-                    out.push(b',');
-                    push_u64(out, u64::from(j.0));
-                    out.push(b']');
-                });
-            }
-            RecordView::Completed {
-                batch,
-                winners,
-                workers,
-                counts,
-                spent,
-                fault_seq,
-                partial,
-            } => {
-                out.extend_from_slice(b"{\"Completed\":{\"batch\":");
-                push_u64(out, batch);
-                out.extend_from_slice(b",\"winners\":");
-                push_list(out, winners, |out, w| push_u64(out, u64::from(w.0)));
-                out.extend_from_slice(b",\"workers\":");
-                push_list(out, workers, |out, w| push_u64(out, u64::from(w.0)));
-                out.extend_from_slice(b",\"counts\":{\"naive\":");
-                push_u64(out, counts.naive);
-                out.extend_from_slice(b",\"expert\":");
-                push_u64(out, counts.expert);
-                out.extend_from_slice(b"},\"spent\":");
-                if spent.is_finite() {
-                    // Display is the shortest round-trip form serde_json
-                    // prints; writing into a Vec cannot fail.
-                    let _ = write!(out, "{spent}");
-                } else {
-                    out.extend_from_slice(b"null");
-                }
-                out.extend_from_slice(b",\"fault_seq\":");
-                push_u64(out, fault_seq);
-                out.extend_from_slice(if partial {
-                    b",\"partial\":true"
-                } else {
-                    b",\"partial\":false"
-                });
-            }
-        }
-        out.extend_from_slice(b"}}");
-    }
-}
-
 /// Appends a frame's `<len> <checksum:016x> ` header.
 fn push_frame_header(out: &mut Vec<u8>, len: u64, checksum: u64) {
     push_u64(out, len);
@@ -683,7 +810,7 @@ fn push_frame_header(out: &mut Vec<u8>, len: u64, checksum: u64) {
 }
 
 /// Appends `n` in decimal.
-pub(crate) fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+fn push_u64(out: &mut Vec<u8>, mut n: u64) {
     let mut digits = [0u8; 20];
     let mut start = digits.len();
     loop {
@@ -695,52 +822,6 @@ pub(crate) fn push_u64(out: &mut Vec<u8>, mut n: u64) {
         }
     }
     out.extend_from_slice(&digits[start..]);
-}
-
-/// Appends `s` as a JSON string, escaped exactly as `serde_json` escapes
-/// it: `"` and `\` get a backslash, the control characters with a short
-/// form become `\b \t \n \f \r`, every other one below U+0020 becomes
-/// `\u00xx`, and everything else (DEL and non-ASCII included) is copied.
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    out.push(b'"');
-    let bytes = s.as_bytes();
-    let mut start = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        let short = match b {
-            b'"' => b'"',
-            b'\\' => b'\\',
-            0x08 => b'b',
-            b'\t' => b't',
-            b'\n' => b'n',
-            0x0c => b'f',
-            b'\r' => b'r',
-            0x00..=0x1f => b'u',
-            _ => continue,
-        };
-        out.extend_from_slice(&bytes[start..i]);
-        out.push(b'\\');
-        out.push(short);
-        if short == b'u' {
-            out.extend_from_slice(b"00");
-            out.push(b"0123456789abcdef"[usize::from(b >> 4)]);
-            out.push(b"0123456789abcdef"[usize::from(b & 0xf)]);
-        }
-        start = i + 1;
-    }
-    out.extend_from_slice(&bytes[start..]);
-    out.push(b'"');
-}
-
-/// Appends `items` as a JSON array, each written by `item`.
-pub(crate) fn push_list<T>(out: &mut Vec<u8>, items: &[T], mut item: impl FnMut(&mut Vec<u8>, &T)) {
-    out.push(b'[');
-    for (i, x) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        item(out, x);
-    }
-    out.push(b']');
 }
 
 /// Checks that every single-byte change and every truncation of `frame`,
@@ -819,11 +900,7 @@ impl<R: RngCore> JournaledOracle<R> {
         seed: u64,
         policy: CheckpointPolicy,
     ) -> Self {
-        journal.append_view(RecordView::Started {
-            version: JOURNAL_VERSION,
-            job,
-            seed,
-        });
+        journal.append_with(|out| started(out, JOURNAL_VERSION, job, seed));
         journal.flush();
         let mut oracle = JournaledOracle {
             inner: PlatformOracle::new(platform),
@@ -942,11 +1019,8 @@ impl<R: RngCore> ComparisonOracle for JournaledOracle<R> {
         }
         let batch = self.next_batch;
         self.next_batch += 1;
-        self.journal.append_view(RecordView::Scheduled {
-            batch,
-            class,
-            pairs,
-        });
+        self.journal
+            .append_with(|out| scheduled(out, batch, class, pairs));
         let bytes = self.journal.flush();
         self.checkpoint_written(bytes);
         self.unflushed_completed = 0;
@@ -957,14 +1031,17 @@ impl<R: RngCore> ComparisonOracle for JournaledOracle<R> {
         let outcome = self.inner.try_compare_batch(class, pairs, winners);
         let partial = outcome.is_err();
         let platform = self.inner.platform();
-        self.journal.append_view(RecordView::Completed {
-            batch,
-            winners: &winners[start..],
-            workers: platform.last_assignments(),
-            counts: platform.counts(),
-            spent: platform.ledger().total(),
-            fault_seq: platform.fault_seq(),
-            partial,
+        self.journal.append_with(|out| {
+            completed(
+                out,
+                batch,
+                &winners[start..],
+                platform.last_assignments(),
+                platform.counts(),
+                platform.ledger().total(),
+                platform.fault_seq(),
+                partial,
+            )
         });
         self.unflushed_completed += 1;
         if partial || self.unflushed_completed >= self.policy.every_batches {
@@ -1227,7 +1304,7 @@ mod tests {
             };
             journal.append(&record);
             let mut json = Vec::new();
-            RecordView::from(&record).encode(&mut json);
+            record.encode(&mut json);
             expected.extend(format!("{} {:016x} ", json.len(), frame_sum(&json)).into_bytes());
             expected.extend(json);
             expected.push(b'\n');

@@ -15,7 +15,7 @@
 //! unit twice.
 
 use crate::pool::WorkerPool;
-use crate::task::{Job, Judgment, UnitId};
+use crate::task::{Job, UnitId};
 use crate::worker::WorkerId;
 use crowd_core::model::WorkerClass;
 use serde::{Deserialize, Serialize};
@@ -251,17 +251,6 @@ pub fn distinct_workers_per_unit(schedule: &Schedule) -> bool {
         .all(|a| seen.entry(a.unit).or_default().insert(a.worker))
 }
 
-/// Converts produced judgments back into per-unit groups, preserving
-/// order — a convenience for aggregation.
-pub fn group_by_unit(judgments: &[Judgment]) -> std::collections::HashMap<UnitId, Vec<Judgment>> {
-    let mut map: std::collections::HashMap<UnitId, Vec<Judgment>> =
-        std::collections::HashMap::new();
-    for &j in judgments {
-        map.entry(j.unit).or_default().push(j);
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,32 +418,5 @@ mod tests {
         let p = pool(2);
         let err = reassign(&p, WorkerClass::Expert, &[], &[], UnitId(0), 0).unwrap_err();
         assert!(matches!(err, ScheduleError::NoEligibleWorkers { .. }));
-    }
-
-    #[test]
-    fn group_by_unit_partitions() {
-        let js = vec![
-            Judgment {
-                unit: UnitId(0),
-                worker: WorkerId(0),
-                answer: ElementId(0),
-                physical_step: 0,
-            },
-            Judgment {
-                unit: UnitId(1),
-                worker: WorkerId(1),
-                answer: ElementId(2),
-                physical_step: 0,
-            },
-            Judgment {
-                unit: UnitId(0),
-                worker: WorkerId(2),
-                answer: ElementId(1),
-                physical_step: 1,
-            },
-        ];
-        let grouped = group_by_unit(&js);
-        assert_eq!(grouped[&UnitId(0)].len(), 2);
-        assert_eq!(grouped[&UnitId(1)].len(), 1);
     }
 }

@@ -39,14 +39,15 @@
 //!   with what its tick did (ran a pair, needed a retry, hit the cache,
 //!   stalled on quarantine); span attribution turns the marks into the
 //!   tick's [`Stage`] and clears them.
-//! * **Reused buffers.** The dispatch list, the cache hits and the journal
-//!   encoding buffers live in one scratch the service keeps across ticks,
-//!   and the tick's completions are the tail of the run's completion
+//! * **Reused buffers.** The dispatch list, the cache hits and the lists
+//!   of the tick's outcome record live in one scratch the service keeps
+//!   across ticks, the journal encodes every record into a buffer of its
+//!   own, and the tick's completions are the tail of the run's completion
 //!   list. On a warm service a tick that admits and completes nothing
 //!   makes no heap allocation (`tests/serve_alloc.rs`).
 
 use crate::fault::mix;
-use crate::journal::{fnv1a64, push_list, push_u64, CheckpointPolicy, Journal, JOURNAL_VERSION};
+use crate::journal::{fnv1a64, json_records, CheckpointPolicy, Journal, JOURNAL_VERSION};
 use crate::retry::RetryPolicy;
 use crate::serve::arrival::ArrivalPlan;
 use crate::serve::breaker::BreakerPolicy;
@@ -252,55 +253,61 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// One dispatched pair, as journaled in the tick's WAL record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DispatchRecord {
-    /// The job the pair belongs to.
-    pub job: u64,
-    /// The shard it ran on.
-    pub shard: u32,
-    /// First element.
-    pub k: u32,
-    /// Second element.
-    pub j: u32,
-    /// Votes requested.
-    pub votes: u32,
+json_records! {
+    /// One dispatched pair, as journaled in the tick's WAL record.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct DispatchRecord {
+        /// The job the pair belongs to.
+        pub job: u64,
+        /// The shard it ran on.
+        pub shard: u32,
+        /// First element.
+        pub k: u32,
+        /// Second element.
+        pub j: u32,
+        /// Votes requested.
+        pub votes: u32,
+    }
 }
 
-/// One pair served from the judgment cache instead of a shard, as
-/// journaled in the tick's `TickCached` audit record. Cached pairs
-/// consume no window slot and charge no tokens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheHitRecord {
-    /// The job the pair belongs to.
-    pub job: u64,
-    /// First element.
-    pub k: u32,
-    /// Second element.
-    pub j: u32,
-    /// Votes the cached verdict substituted for (the saving).
-    pub votes: u32,
-    /// The element the cached verdict advanced.
-    pub winner: u32,
+json_records! {
+    /// One pair served from the judgment cache instead of a shard, as
+    /// journaled in the tick's `TickCached` audit record. Cached pairs
+    /// consume no window slot and charge no tokens.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct CacheHitRecord {
+        /// The job the pair belongs to.
+        pub job: u64,
+        /// First element.
+        pub k: u32,
+        /// Second element.
+        pub j: u32,
+        /// Votes the cached verdict substituted for (the saving).
+        pub votes: u32,
+        /// The element the cached verdict advanced.
+        pub winner: u32,
+    }
 }
 
-/// A finished job, as reported and journaled.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CompletedJob {
-    /// The job id.
-    pub job: JobId,
-    /// The owning tenant.
-    pub tenant: TenantId,
-    /// The winner the service returned.
-    pub winner: ElementId,
-    /// `None` for a full-protocol result.
-    pub degraded: Option<DegradedReason>,
-    /// Comparisons charged to the tenant.
-    pub comparisons: u64,
-    /// Tick the job was submitted.
-    pub submitted: u64,
-    /// Tick the job completed.
-    pub completed: u64,
+json_records! {
+    /// A finished job, as reported and journaled.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct CompletedJob {
+        /// The job id.
+        pub job: JobId,
+        /// The owning tenant.
+        pub tenant: TenantId,
+        /// The winner the service returned.
+        pub winner: ElementId,
+        /// `None` for a full-protocol result.
+        pub degraded: Option<DegradedReason>,
+        /// Comparisons charged to the tenant.
+        pub comparisons: u64,
+        /// Tick the job was submitted.
+        pub submitted: u64,
+        /// Tick the job completed.
+        pub completed: u64,
+    }
 }
 
 impl CompletedJob {
@@ -310,188 +317,52 @@ impl CompletedJob {
     }
 }
 
-/// The service journal's record vocabulary, framed through the shared
-/// [`Journal`] so it shares the WAL torn-tail story. Its serde form is
-/// the reference: every record is written through [`RecordView::encode`],
-/// byte for byte the same, and resume reads them back through
-/// `serde_json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum ServeRecord {
-    /// The journal header.
-    Started {
-        version: u32,
-        seed: u64,
-        config_digest: u64,
-    },
-    /// The write-ahead half: what this tick is about to execute.
-    TickScheduled {
-        tick: u64,
-        dispatches: Vec<DispatchRecord>,
-    },
-    /// Pairs this tick resolved from the judgment cache — an audit
-    /// record (cache state is recomputed on replay, never read back),
-    /// written only on ticks with at least one hit so cache-off and
-    /// zero-overlap runs journal identical bytes.
-    TickCached {
-        tick: u64,
-        hits: Vec<CacheHitRecord>,
-    },
-    /// The tick's outcome: shard stream positions, answers purchased,
-    /// cumulative per-tenant charges, and completed jobs.
-    TickCompleted {
-        tick: u64,
-        shard_seqs: Vec<u64>,
-        answers: u64,
-        charged: Vec<(u32, u64)>,
-        completed: Vec<CompletedJob>,
-    },
-}
-
-/// A service record with its lists borrowed: what the service encodes,
-/// by hand and without allocating, as the JSON of the matching
-/// [`ServeRecord`] variant.
-#[derive(Debug, Clone, Copy)]
-enum RecordView<'a> {
-    Started {
-        version: u32,
-        seed: u64,
-        config_digest: u64,
-    },
-    Scheduled {
-        tick: u64,
-        dispatches: &'a [DispatchRecord],
-    },
-    Cached {
-        tick: u64,
-        hits: &'a [CacheHitRecord],
-    },
-    Completed {
-        tick: u64,
-        shard_seqs: &'a [u64],
-        answers: u64,
-        charged: &'a [(u32, u64)],
-        completed: &'a [CompletedJob],
-    },
-}
-
-impl RecordView<'_> {
-    /// Appends the record's JSON to `out`, byte-identical to
-    /// `serde_json::to_string` of the matching [`ServeRecord`].
-    fn encode(self, out: &mut Vec<u8>) {
-        match self {
-            RecordView::Started {
-                version,
-                seed,
-                config_digest,
-            } => {
-                out.extend_from_slice(b"{\"Started\":{\"version\":");
-                push_u64(out, u64::from(version));
-                out.extend_from_slice(b",\"seed\":");
-                push_u64(out, seed);
-                out.extend_from_slice(b",\"config_digest\":");
-                push_u64(out, config_digest);
-            }
-            RecordView::Scheduled { tick, dispatches } => {
-                out.extend_from_slice(b"{\"TickScheduled\":{\"tick\":");
-                push_u64(out, tick);
-                out.extend_from_slice(b",\"dispatches\":");
-                push_list(out, dispatches, |out, d| {
-                    out.extend_from_slice(b"{\"job\":");
-                    push_u64(out, d.job);
-                    out.extend_from_slice(b",\"shard\":");
-                    push_u64(out, u64::from(d.shard));
-                    out.extend_from_slice(b",\"k\":");
-                    push_u64(out, u64::from(d.k));
-                    out.extend_from_slice(b",\"j\":");
-                    push_u64(out, u64::from(d.j));
-                    out.extend_from_slice(b",\"votes\":");
-                    push_u64(out, u64::from(d.votes));
-                    out.push(b'}');
-                });
-            }
-            RecordView::Cached { tick, hits } => {
-                out.extend_from_slice(b"{\"TickCached\":{\"tick\":");
-                push_u64(out, tick);
-                out.extend_from_slice(b",\"hits\":");
-                push_list(out, hits, |out, h| {
-                    out.extend_from_slice(b"{\"job\":");
-                    push_u64(out, h.job);
-                    out.extend_from_slice(b",\"k\":");
-                    push_u64(out, u64::from(h.k));
-                    out.extend_from_slice(b",\"j\":");
-                    push_u64(out, u64::from(h.j));
-                    out.extend_from_slice(b",\"votes\":");
-                    push_u64(out, u64::from(h.votes));
-                    out.extend_from_slice(b",\"winner\":");
-                    push_u64(out, u64::from(h.winner));
-                    out.push(b'}');
-                });
-            }
-            RecordView::Completed {
-                tick,
-                shard_seqs,
-                answers,
-                charged,
-                completed,
-            } => {
-                out.extend_from_slice(b"{\"TickCompleted\":{\"tick\":");
-                push_u64(out, tick);
-                out.extend_from_slice(b",\"shard_seqs\":");
-                push_list(out, shard_seqs, |out, &seq| push_u64(out, seq));
-                out.extend_from_slice(b",\"answers\":");
-                push_u64(out, answers);
-                out.extend_from_slice(b",\"charged\":");
-                push_list(out, charged, |out, &(tenant, total)| {
-                    out.push(b'[');
-                    push_u64(out, u64::from(tenant));
-                    out.push(b',');
-                    push_u64(out, total);
-                    out.push(b']');
-                });
-                out.extend_from_slice(b",\"completed\":");
-                push_list(out, completed, |out, c| {
-                    out.extend_from_slice(b"{\"job\":");
-                    push_u64(out, c.job.0);
-                    out.extend_from_slice(b",\"tenant\":");
-                    push_u64(out, u64::from(c.tenant.0));
-                    out.extend_from_slice(b",\"winner\":");
-                    push_u64(out, u64::from(c.winner.0));
-                    out.extend_from_slice(match c.degraded {
-                        None => b",\"degraded\":null,\"comparisons\":",
-                        Some(DegradedReason::DeadlineLapsed) => {
-                            b",\"degraded\":\"DeadlineLapsed\",\"comparisons\":"
-                        }
-                        Some(DegradedReason::ExpertExhausted) => {
-                            b",\"degraded\":\"ExpertExhausted\",\"comparisons\":"
-                        }
-                        Some(DegradedReason::BudgetExhausted) => {
-                            b",\"degraded\":\"BudgetExhausted\",\"comparisons\":"
-                        }
-                        Some(DegradedReason::DeadLetters) => {
-                            b",\"degraded\":\"DeadLetters\",\"comparisons\":"
-                        }
-                    });
-                    push_u64(out, c.comparisons);
-                    out.extend_from_slice(b",\"submitted\":");
-                    push_u64(out, c.submitted);
-                    out.extend_from_slice(b",\"completed\":");
-                    push_u64(out, c.completed);
-                    out.push(b'}');
-                });
-            }
-        }
-        out.extend_from_slice(b"}}");
+json_records! {
+    /// The service journal's record vocabulary, framed through the shared
+    /// [`Journal`] so it shares the WAL torn-tail story. Its serde form is
+    /// the reference: the tick writes each record through the encoders
+    /// this declaration generates, byte for byte the same, and resume
+    /// reads them back through `serde_json`.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    enum ServeRecord {
+        /// The journal header.
+        Started => started {
+            version: u32,
+            seed: u64,
+            config_digest: u64,
+        },
+        /// The write-ahead half: what this tick is about to execute.
+        TickScheduled => tick_scheduled {
+            tick: u64,
+            dispatches: Vec<DispatchRecord>,
+        },
+        /// Pairs this tick resolved from the judgment cache — an audit
+        /// record (cache state is recomputed on replay, never read back),
+        /// written only on ticks with at least one hit so cache-off and
+        /// zero-overlap runs journal identical bytes.
+        TickCached => tick_cached {
+            tick: u64,
+            hits: Vec<CacheHitRecord>,
+        },
+        /// The tick's outcome: shard stream positions, answers purchased,
+        /// cumulative per-tenant charges, and completed jobs.
+        TickCompleted => tick_completed {
+            tick: u64,
+            shard_seqs: Vec<u64>,
+            answers: u64,
+            charged: Vec<(u32, u64)>,
+            completed: Vec<CompletedJob>,
+        },
     }
 }
 
 /// Buffers the tick reuses from tick to tick: its dispatch list and cache
-/// hits, and the journal records it builds from them, so a warm service
-/// dispatches and journals without allocating.
+/// hits, and the lists its outcome record is built from, so a warm
+/// service dispatches and journals without allocating.
 #[derive(Debug, Default)]
 struct TickScratch {
     dispatches: Vec<DispatchRecord>,
     hits: Vec<CacheHitRecord>,
-    json: Vec<u8>,
     shard_seqs: Vec<u64>,
     charged: Vec<(u32, u64)>,
 }
@@ -717,14 +588,12 @@ impl CrowdServe {
             .enumerate()
             .map(|(i, spec)| WorkerShard::new(i as u32, *spec, mix(seed ^ 0x5E)))
             .collect();
-        let mut scratch = TickScratch::default();
-        RecordView::Started {
+        let header = ServeRecord::Started {
             version: JOURNAL_VERSION,
             seed,
             config_digest: config.digest(),
-        }
-        .encode(&mut scratch.json);
-        journal.push_frame(&scratch.json);
+        };
+        journal.append_with(|out| header.encode(out));
         journal.flush();
         let cache = JudgmentCache::new(config.cache);
         Ok(CrowdServe {
@@ -738,7 +607,7 @@ impl CrowdServe {
             queue: VecDeque::new(),
             active: BTreeMap::new(),
             journal,
-            scratch,
+            scratch: TickScratch::default(),
             unflushed: 0,
             completed: Vec::new(),
             dead_letters: 0,
@@ -923,13 +792,12 @@ impl CrowdServe {
         // the bytes a cache-off run does.
         let wal_appended = !hits.is_empty() || !dispatches.is_empty();
         if !hits.is_empty() {
-            self.journal_tick(RecordView::Cached { tick, hits: &hits });
+            self.journal
+                .append_with(|out| tick_cached(out, tick, &hits));
         }
         if !dispatches.is_empty() {
-            self.journal_tick(RecordView::Scheduled {
-                tick,
-                dispatches: &dispatches,
-            });
+            self.journal
+                .append_with(|out| tick_scheduled(out, tick, &dispatches));
         }
         if wal_appended {
             self.journal.flush();
@@ -1027,7 +895,6 @@ impl CrowdServe {
         let completions = &self.completed[first_completion..];
         if dispatched || !completions.is_empty() {
             let TickScratch {
-                json,
                 shard_seqs,
                 charged,
                 ..
@@ -1040,16 +907,9 @@ impl CrowdServe {
                     .iter()
                     .filter_map(|t| t.charged.map(|c| (t.tenant.0, c))),
             );
-            json.clear();
-            RecordView::Completed {
-                tick,
-                shard_seqs,
-                answers: tick_answers,
-                charged,
-                completed: completions,
-            }
-            .encode(json);
-            self.journal.push_frame(json);
+            self.journal.append_with(|out| {
+                tick_completed(out, tick, shard_seqs, tick_answers, charged, completions)
+            });
             self.audit(tick)?;
             self.unflushed += 1;
             if self.unflushed >= self.config.checkpoint.every_batches {
@@ -1131,15 +991,6 @@ impl CrowdServe {
             return Err(ServeError::Resume(ResumeError::Diverged { tick }));
         }
         Ok(())
-    }
-
-    /// Encodes a write-ahead tick record into the reused buffer and frames
-    /// it into the journal's pending bytes.
-    fn journal_tick(&mut self, record: RecordView<'_>) {
-        let json = &mut self.scratch.json;
-        json.clear();
-        record.encode(json);
-        self.journal.push_frame(json);
     }
 
     /// Runs the tick's dispatched pairs on their shards, in dispatch
@@ -1539,39 +1390,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The borrowed view of a record.
-    fn view(record: &ServeRecord) -> RecordView<'_> {
-        match record {
-            ServeRecord::Started {
-                version,
-                seed,
-                config_digest,
-            } => RecordView::Started {
-                version: *version,
-                seed: *seed,
-                config_digest: *config_digest,
-            },
-            ServeRecord::TickScheduled { tick, dispatches } => RecordView::Scheduled {
-                tick: *tick,
-                dispatches,
-            },
-            ServeRecord::TickCached { tick, hits } => RecordView::Cached { tick: *tick, hits },
-            ServeRecord::TickCompleted {
-                tick,
-                shard_seqs,
-                answers,
-                charged,
-                completed,
-            } => RecordView::Completed {
-                tick: *tick,
-                shard_seqs,
-                answers: *answers,
-                charged,
-                completed,
-            },
-        }
-    }
-
     /// A SplitMix64 stream of record fields.
     struct Fields(u64);
 
@@ -1665,14 +1483,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        /// The hand encoder writes exactly serde's bytes for every
+        /// The generated encoders write exactly serde's bytes for every
         /// record, the `Started` header included, and they decode back to
         /// the record they came from.
         #[test]
         fn tick_records_encode_like_serde(seed in any::<u64>()) {
             let record = arbitrary_record(seed);
             let mut out = Vec::new();
-            view(&record).encode(&mut out);
+            record.encode(&mut out);
             let json = String::from_utf8(out).expect("the encoder writes UTF-8");
             prop_assert_eq!(&json, &serde_json::to_string(&record).expect("record serializes"));
             let decoded: ServeRecord = serde_json::from_str(&json).expect("record decodes");
@@ -1706,7 +1524,7 @@ mod tests {
     }
 
     #[test]
-    fn the_journal_header_is_encoded_by_hand_like_serde() {
+    fn the_journal_header_is_encoded_like_serde() {
         let service = CrowdServe::new(ServeConfig::basic(), 7).expect("config is valid");
         let header = ServeRecord::Started {
             version: JOURNAL_VERSION,
@@ -1725,7 +1543,7 @@ mod tests {
     fn every_byte_change_and_cut_of_a_service_frame_is_caught() {
         let mut journal = Journal::new();
         let mut json = Vec::new();
-        view(&arbitrary_record(3)).encode(&mut json);
+        arbitrary_record(3).encode(&mut json);
         journal.push_frame(&json);
         journal.flush();
         let prefix = journal.durable().to_vec();
@@ -1745,7 +1563,7 @@ mod tests {
             }],
         };
         json.clear();
-        view(&completed).encode(&mut json);
+        completed.encode(&mut json);
         journal.push_frame(&json);
         journal.flush();
         let frame = &journal.durable().to_vec()[prefix.len()..];
@@ -1753,6 +1571,71 @@ mod tests {
             let decoded = Journal::decode_json(bytes);
             (decoded.valid_bytes, decoded.torn_tail)
         });
+    }
+
+    /// The tick writes its records through the per-variant encoders, one
+    /// positional argument per field. A faulty, cache-hitting run's
+    /// frames must each re-encode byte for byte from the record they
+    /// decode to, and the decoded fields must be the run's own: every
+    /// record of a tick carries that tick, its completions carry it too,
+    /// and the ticks' answers add up to the report's comparisons. A call
+    /// site that swapped `tick` and `answers`, both `u64`, fails here.
+    #[test]
+    fn tick_frames_re_encode_through_the_owned_records() {
+        use crate::fault::FaultConfig;
+        let config = ServeConfig::basic().with_shards(vec![
+            ShardSpec::honest(WorkerClass::Naive, 12, 36)
+                .with_fault(FaultConfig::none().with_no_answer(0.1).with_abandon(0.05)),
+            ShardSpec::honest(WorkerClass::Expert, 4, 12),
+        ]);
+        let plan = ArrivalPlan::new(29, 1, 2, 24, 1)
+            .with_catalog(4, 9)
+            .with_overlap(50, 5);
+        let mut service = CrowdServe::new(config, 3).expect("config is valid");
+        let report = service.run(&plan, 600).expect("the run completes");
+        assert!(report.cache_hits > 0, "{report:?}");
+        assert_ne!(service.shards[0].fault_counts(), FaultCounts::zero());
+
+        let bytes = service.journal().durable().to_vec();
+        let frames = Journal::decode_json(&bytes);
+        assert_eq!(frames.valid_bytes, bytes.len());
+        let (mut wal_ticks, mut answered, mut jobs) = (Vec::new(), 0, Vec::new());
+        let mut seen = [0usize; 4];
+        for (json, _) in &frames.frames {
+            let record: ServeRecord = serde_json::from_str(json).expect("record decodes");
+            let mut out = Vec::new();
+            record.encode(&mut out);
+            assert_eq!(String::from_utf8(out).expect("UTF-8"), *json);
+            match record {
+                ServeRecord::Started { seed, .. } => {
+                    assert_eq!(seed, 3);
+                    seen[0] += 1;
+                }
+                ServeRecord::TickScheduled { tick, .. } => {
+                    wal_ticks.push(tick);
+                    seen[1] += 1;
+                }
+                ServeRecord::TickCached { tick, .. } => {
+                    wal_ticks.push(tick);
+                    seen[2] += 1;
+                }
+                ServeRecord::TickCompleted {
+                    tick,
+                    answers,
+                    completed,
+                    ..
+                } => {
+                    assert!(wal_ticks.drain(..).all(|t| t == tick), "tick {tick}");
+                    assert!(completed.iter().all(|c| c.completed == tick));
+                    answered += answers;
+                    jobs.extend(completed);
+                    seen[3] += 1;
+                }
+            }
+        }
+        assert!(seen[0] == 1 && seen[1..].iter().all(|&n| n > 0), "{seen:?}");
+        assert_eq!(answered, report.comparisons);
+        assert_eq!(jobs, report.jobs);
     }
 
     #[test]

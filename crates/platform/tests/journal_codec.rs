@@ -1,6 +1,6 @@
 //! Property tests of the journal's frame codec.
 //!
-//! * The hand-written encoder behind [`Journal::append`] must produce the
+//! * The generated encoder behind [`Journal::append`] must produce the
 //!   bytes serde's derived serialization of the record vocabulary
 //!   produces, framed as `<len> <frame_sum:016x> <json>\n`, for any
 //!   `Scheduled` or `Completed` record — empty vectors, `u64::MAX` and
@@ -9,13 +9,20 @@
 //!   control characters, DEL or non-ASCII.
 //! * Decoding hostile bytes never panics and never claims more valid
 //!   bytes than it was given.
+//! * A faulty journaled run's frames decode to the records the run
+//!   wrote, and re-append byte for byte through [`Journal::append`].
 
-use crowd_core::element::ElementId;
+use crowd_core::element::{ElementId, Instance};
 use crowd_core::model::WorkerClass;
-use crowd_core::oracle::ComparisonCounts;
+use crowd_core::oracle::{ComparisonCounts, ComparisonOracle};
 use crowd_platform::journal::frame_sum;
-use crowd_platform::{Journal, JournalRecord, WorkerId};
+use crowd_platform::{
+    CheckpointPolicy, FaultConfig, Journal, JournalRecord, JournaledOracle, Platform,
+    PlatformConfig, RetryPolicy, WorkerId, WorkerPool, JOURNAL_VERSION,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 /// The record vocabulary with serde's derived serialization: the
@@ -238,4 +245,91 @@ proptest! {
         assert_decodes_sanely(&corrupt);
         assert_decodes_sanely(&corrupt[..at]);
     }
+}
+
+/// The journaled hot path writes each record through its per-variant
+/// encoder, one positional argument per field. A faulty run, driven batch
+/// by batch past its errors, must decode to exactly the records its
+/// batches describe, partial `Completed` records included, and
+/// re-appending them through the owned [`Journal::append`] must give back
+/// its bytes. A call site that swapped `batch` and `fault_seq`, both
+/// `u64`, fails here.
+#[test]
+fn hot_path_frames_re_encode_through_the_owned_records() {
+    let n = 40u32;
+    let instance = Instance::new((0..n).map(f64::from).collect());
+    let mut pool = WorkerPool::new();
+    pool.hire_naive_crowd(9, 2.0, 0.0);
+    pool.hire_expert_panel(3, 0.5, 0.0);
+    let faults = FaultConfig::none().with_no_answer(0.3).with_abandon(0.1);
+    let config = PlatformConfig::paper_default()
+        .without_gold()
+        .with_faults(faults, 11)
+        .with_retry(RetryPolicy::paper_default().with_max_retries(1));
+    let platform = Platform::new(instance, pool, config, StdRng::seed_from_u64(5));
+    let mut oracle = JournaledOracle::new(platform, "re-encode", 5, CheckpointPolicy::every(3));
+    let mut expected = vec![JournalRecord::Started {
+        version: JOURNAL_VERSION,
+        job: "re-encode".to_string(),
+        seed: 5,
+    }];
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut winners = Vec::new();
+    for batch in 0..60u64 {
+        let class = if batch % 4 == 3 {
+            WorkerClass::Expert
+        } else {
+            WorkerClass::Naive
+        };
+        let pairs: Vec<_> = (0..1 + batch % 6)
+            .map(|_| {
+                let k = rng.gen_range(0..n);
+                (ElementId(k), ElementId((k + rng.gen_range(1..n)) % n))
+            })
+            .collect();
+        winners.clear();
+        let partial = oracle
+            .try_compare_batch(class, &pairs, &mut winners)
+            .is_err();
+        let platform = oracle.platform();
+        expected.push(JournalRecord::Scheduled {
+            batch,
+            class,
+            pairs,
+        });
+        expected.push(JournalRecord::Completed {
+            batch,
+            winners: winners.clone(),
+            workers: platform.last_assignments().to_vec(),
+            counts: platform.counts(),
+            spent: platform.ledger().total(),
+            fault_seq: platform.fault_seq(),
+            partial,
+        });
+    }
+    oracle.finish();
+    let kept_a_prefix = |r: &JournalRecord| match r {
+        JournalRecord::Completed {
+            partial, winners, ..
+        } => *partial && !winners.is_empty(),
+        _ => false,
+    };
+    assert!(
+        expected.iter().any(kept_a_prefix),
+        "no partial batch kept a prefix of winners"
+    );
+
+    let bytes = oracle.journal().durable().to_vec();
+    let decoded = Journal::decode(&bytes);
+    assert_eq!(
+        (decoded.valid_bytes, decoded.torn_tail),
+        (bytes.len(), false)
+    );
+    assert_eq!(decoded.records, expected);
+    let mut again = Journal::new();
+    for record in &decoded.records {
+        again.append(record);
+    }
+    again.flush();
+    assert_eq!(again.durable().to_vec(), bytes);
 }

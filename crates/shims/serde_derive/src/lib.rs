@@ -135,6 +135,16 @@ fn skip_attributes_and_vis(tokens: &[TokenTree], pos: &mut usize) {
                     }
                 }
             }
+            // A `$vis:vis` from a `macro_rules!` expansion arrives wrapped
+            // in an invisible group, empty for inherited visibility.
+            Some(TokenTree::Group(g))
+                if g.delimiter() == Delimiter::None
+                    && g.stream().into_iter().next().is_none_or(
+                        |t| matches!(&t, TokenTree::Ident(id) if id.to_string() == "pub"),
+                    ) =>
+            {
+                *pos += 1;
+            }
             _ => return,
         }
     }

@@ -5,6 +5,11 @@
 use crowd_experiments::{engine, run_experiments, Scale};
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Mutex;
+
+/// Serializes the tests that set the process-wide job count, which
+/// `cargo test` would otherwise run on parallel threads.
+static JOBS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Reads every deterministic output file (markdown + CSV) under `dir`.
 fn deterministic_outputs(dir: &Path) -> BTreeMap<String, Vec<u8>> {
@@ -21,6 +26,7 @@ fn deterministic_outputs(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 
 #[test]
 fn serial_and_parallel_runs_are_byte_identical() {
+    let _jobs = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // fig3 exercises the nested fan-out (experiments over threads, trials
     // over threads inside each); table1 adds a platform-driven experiment.
     let names = vec!["fig3".to_string(), "table1".to_string()];
@@ -102,6 +108,7 @@ fn manifest_faults(dir: &Path) -> Vec<(String, String)> {
 
 #[test]
 fn fault_sweep_replays_byte_identically_at_any_job_count() {
+    let _jobs = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // The fault path adds new nondeterminism hazards: fault fates, retry
     // ordering, dead-letter bookkeeping. A fixed FaultPlan seed must make
     // all of it replayable — identical CSVs *and* identical fault tallies
