@@ -483,6 +483,17 @@ impl<R: RngCore, B: Borrow<Instance>> ComparisonOracle for SimulatedOracle<R, B>
         );
     }
 
+    /// A simulated worker always answers: [`compare_batch`](Self::compare_batch).
+    fn try_compare_batch(
+        &mut self,
+        class: WorkerClass,
+        pairs: &[(ElementId, ElementId)],
+        winners: &mut Vec<ElementId>,
+    ) -> Result<(), OracleError> {
+        self.compare_batch(class, pairs, winners);
+        Ok(())
+    }
+
     fn counts(&self) -> ComparisonCounts {
         self.counts
     }

@@ -5,6 +5,9 @@
 //!
 //! All proofs go through the [`crowd_core::equiv`] harness.
 
+use crowd_core::algorithms::{
+    expert_max_find, try_expert_max_find, ExpertMaxConfig, Phase2, RandomizedConfig,
+};
 use crowd_core::element::{ElementId, Instance};
 use crowd_core::equiv::{assert_oracles_equal, drive_batched, drive_scalar};
 use crowd_core::model::{ExpertModel, TiePolicy, WorkerClass};
@@ -210,4 +213,51 @@ fn empty_batches_are_free() {
         .unwrap();
     assert!(winners.is_empty());
     assert_eq!(o.counts().total(), 0);
+}
+
+/// A simulated oracle's fallible batch is its infallible one: the same
+/// answers and tallies per batch, and so the same run of Algorithm 1
+/// through `try_expert_max_find` as through `expert_max_find`.
+#[test]
+fn a_simulated_oracle_answers_fallible_batches_as_infallible_ones() {
+    let inst = instance(60);
+    let (mut plain, mut fallible) = (simulated(&inst, 3), simulated(&inst, 3));
+    let mut rng = StdRng::seed_from_u64(9);
+    for len in 0..40 {
+        let pairs = pairs_strategy(60).generate(&mut rng);
+        let pairs = &pairs[..len.min(pairs.len())];
+        let class = [WorkerClass::Naive, WorkerClass::Expert][len % 2];
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        plain.compare_batch(class, pairs, &mut a);
+        fallible
+            .try_compare_batch(class, pairs, &mut b)
+            .expect("a simulated worker always answers");
+        assert_eq!(a, b);
+        assert_eq!(plain.counts(), fallible.counts());
+    }
+
+    for (n, un) in [(1, 1), (7, 2), (60, 3), (400, 5), (1500, 8)] {
+        for phase2 in [
+            Phase2::TwoMaxFind,
+            Phase2::Randomized(RandomizedConfig::default().with_group_size(3)),
+            Phase2::AllPlayAll,
+        ] {
+            let inst = instance(n);
+            let ids = inst.ids();
+            let config = ExpertMaxConfig::new(un).with_phase2(phase2);
+            let (mut plain, mut fallible) =
+                (simulated(&inst, n as u64), simulated(&inst, n as u64));
+            let expected =
+                expert_max_find(&mut plain, &ids, &config, &mut StdRng::seed_from_u64(1));
+            let got =
+                try_expert_max_find(&mut fallible, &ids, &config, &mut StdRng::seed_from_u64(1))
+                    .expect("a simulated worker always answers");
+            assert_eq!(got, expected, "n {n} un {un} {phase2:?}");
+            assert_eq!(
+                fallible.counts(),
+                plain.counts(),
+                "n {n} un {un} {phase2:?}"
+            );
+        }
+    }
 }

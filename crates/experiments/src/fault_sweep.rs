@@ -29,6 +29,7 @@ use crate::report::{fmt_f64, Table};
 use crate::scale::Scale;
 use crowd_core::algorithms::{try_expert_max_find, ExpertMaxConfig};
 use crowd_core::trace::FaultCounts;
+use crowd_datasets::synthetic::PlantedInstance;
 use crowd_platform::{
     FaultConfig, LatencyModel, Platform, PlatformConfig, PlatformOracle, RetryPolicy, WorkerPool,
 };
@@ -88,11 +89,16 @@ pub struct TrialOutcome {
     pub dead_letters: u64,
 }
 
-/// Runs Algorithm 1 once through a fault-injected platform.
-pub fn run_trial(n: usize, un: usize, rate: f64, base_seed: u64, t: u64) -> TrialOutcome {
+/// One trial's planted instance, its fault-injected platform, and the RNG
+/// Algorithm 1 runs with.
+pub fn trial_platform(
+    n: usize,
+    un: usize,
+    rate: f64,
+    base_seed: u64,
+    t: u64,
+) -> (PlantedInstance, Platform<StdRng>, StdRng) {
     let planted = planted_for(n, un, (un / 4).max(1), base_seed ^ 0xFA, t);
-    let instance = &planted.instance;
-
     let mut pool = WorkerPool::new();
     pool.hire_naive_crowd(NAIVE_POOL, planted.delta_n, 0.0);
     pool.hire_expert_panel(EXPERT_POOL, planted.delta_e, 0.0);
@@ -104,14 +110,23 @@ pub fn run_trial(n: usize, un: usize, rate: f64, base_seed: u64, t: u64) -> Tria
         .with_retry(RetryPolicy::paper_default().with_max_retries(4))
         .with_expert_fallback(3);
     let platform = Platform::new(
-        instance.clone(),
+        planted.instance.clone(),
         pool,
         config,
         StdRng::seed_from_u64(trial_seed),
     );
+    (
+        planted,
+        platform,
+        StdRng::seed_from_u64(trial_seed ^ 0x5eed),
+    )
+}
 
+/// Runs Algorithm 1 once through a fault-injected platform.
+pub fn run_trial(n: usize, un: usize, rate: f64, base_seed: u64, t: u64) -> TrialOutcome {
+    let (planted, platform, mut rng) = trial_platform(n, un, rate, base_seed, t);
+    let instance = &planted.instance;
     let mut oracle = PlatformOracle::new(platform);
-    let mut rng = StdRng::seed_from_u64(trial_seed ^ 0x5eed);
     let result = try_expert_max_find(
         &mut oracle,
         &instance.ids(),

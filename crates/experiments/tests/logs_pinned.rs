@@ -10,9 +10,18 @@
 //! which stops at the first error and asks no worker after it: a driver
 //! that kept asking would move it. A deliberate change to a log updates
 //! its pin and says why.
+//!
+//! The batch stack's write-ahead journal is pinned the same way, over a
+//! fault sweep trial platform under a `JournaledOracle`. Its `Completed`
+//! records hold each batch's workers and fault stream position, so a
+//! change to any fault fate (a latency that moves a timeout, a retry or a
+//! reassignment) moves its bytes.
 
+use crowd_core::algorithms::{try_expert_max_find, ExpertMaxConfig};
+use crowd_experiments::fault_sweep::trial_platform;
 use crowd_experiments::{run_experiments, Scale};
 use crowd_platform::journal::fnv1a64;
+use crowd_platform::{CheckpointPolicy, JournaledOracle};
 
 /// Runs one quick experiment into a fresh temp dir and returns the
 /// `"<hash> (<len> bytes)"` pin of each named log.
@@ -41,4 +50,44 @@ fn quick_serve_sweep_writes_pinned_span_and_event_logs() {
 fn quick_fault_sweep_writes_a_pinned_event_log() {
     let [events] = pins("fault_sweep", ["events.jsonl"]);
     assert_eq!(events, "0xe468e42f43177f89 (773274 bytes)");
+}
+
+/// Runs Algorithm 1 over trial `t` of the fault sweep's platform at `rate`
+/// (n = 600, un = 6), journaled at every batch, and returns the journal's
+/// pin and whether the run finished.
+fn journal_pin(rate: f64, t: u64) -> (String, bool) {
+    let base_seed = 0xFA0;
+    let (planted, platform, mut rng) = trial_platform(600, 6, rate, base_seed, t);
+    let mut oracle = JournaledOracle::new(
+        platform,
+        "fault_sweep",
+        base_seed,
+        CheckpointPolicy::every_batch(),
+    );
+    let finished = try_expert_max_find(
+        &mut oracle,
+        &planted.instance.ids(),
+        &ExpertMaxConfig::new(6),
+        &mut rng,
+    )
+    .is_ok();
+    oracle.finish();
+    let bytes = oracle.journal().durable().to_vec();
+    let pin = format!("{:#018x} ({} bytes)", fnv1a64(&bytes), bytes.len());
+    (pin, finished)
+}
+
+#[test]
+fn faulty_batch_journals_are_pinned() {
+    // 765 batches; no-answers, timeouts and retries, no dead letter.
+    assert_eq!(
+        journal_pin(0.01, 0),
+        ("0x46a2b4196398dfe6 (319080 bytes)".to_string(), true)
+    );
+    // Every trial at 20% dead-letters within a few dozen batches; this
+    // one lasts 40, the longest of the first 24.
+    assert_eq!(
+        journal_pin(0.2, 22),
+        ("0xd4e3b9a52393c520 (15991 bytes)".to_string(), false)
+    );
 }

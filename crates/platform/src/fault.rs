@@ -163,6 +163,21 @@ pub enum JudgeFate {
 ///
 /// Serializes as its config and seed; the per-plan constants every
 /// decision reuses are derived from them again on deserializing.
+///
+/// # Latency without a logarithm
+///
+/// A geometric latency comes from a 53-bit draw `m`: with `u = m / 2⁵³`
+/// it is `floor(ln(1 − u) / ln(1 − p))`, capped. `1 − u` is exact and
+/// falls as `m` rises, so the latency is a non-decreasing step function of
+/// `m`: latency `s` begins at one crossing draw. The plan keeps the first
+/// four crossings, up to the cap, and [`fate`](FaultPlan::fate) counts
+/// the ones a draw has passed with integer compares. A count below four
+/// is the latency; a draw past the fourth crossing (about 1% of draws at
+/// `p ≈ 0.68`) takes the formula. The table is exact, not an
+/// approximation of the formula, because each crossing is found by
+/// evaluating the formula itself: a bracket around the closed-form
+/// estimate `2⁵³·(1 − (1 − p)^s)` is halved down to the least draw whose
+/// latency is at least `s`, in two or three `ln` calls.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     config: FaultConfig,
@@ -172,6 +187,9 @@ pub struct FaultPlan {
     links: [u64; 4],
     /// `ln(1 - p)` of a geometric latency model (0 for any other model).
     ln_miss: f64,
+    /// `delay_from[s - 1]`: the least latency draw whose latency is at
+    /// least `s`, or [`DRAWS`] when no draw's is.
+    delay_from: [u64; DELAY_STEPS],
 }
 
 /// A [`FaultPlan`]'s serialized form.
@@ -209,6 +227,13 @@ const LINK_LATENCY: usize = 3;
 /// The golden-ratio multiplier that spreads each stream word.
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// The number of 53-bit draws: each draw is below it.
+const DRAWS: u64 = 1 << 53;
+
+/// The latency crossings a [`FaultPlan`] keeps. At `p ≈ 0.68`, about 1% of
+/// judgments are this many steps late or later.
+const DELAY_STEPS: usize = 4;
+
 impl FaultPlan {
     /// Builds a plan over `config`, seeded with `seed`.
     ///
@@ -226,12 +251,57 @@ impl FaultPlan {
             LatencyModel::Geometric { p, .. } => (1.0 - p).ln(),
             LatencyModel::Instant => 0.0,
         };
-        FaultPlan {
+        let mut plan = FaultPlan {
             config,
             seed,
             links: SALTS.map(|salt| mix(seed ^ salt.wrapping_mul(GOLDEN))),
             ln_miss,
+            delay_from: [DRAWS; DELAY_STEPS],
+        };
+        let cap = match config.latency {
+            LatencyModel::Geometric { cap, .. } if !config.latency.is_instant() => cap,
+            _ => 0,
+        };
+        for s in 1..=cap.min(DELAY_STEPS as u64) {
+            plan.delay_from[s as usize - 1] = plan.least_draw_delayed(s);
         }
+        plan
+    }
+
+    /// The least draw whose latency is at least `s`, or [`DRAWS`] when no
+    /// draw's is. It starts from the closed form's estimate: the latency
+    /// reaches `s` where `1 − m/2⁵³ ≤ (1 − p)^s`. A bracket then widens
+    /// from the estimate by doubling steps until it holds the crossing, and
+    /// is halved down to it. The estimate is within a draw or two of the
+    /// crossing, so this costs two or three `ln` calls.
+    fn least_draw_delayed(&self, s: u64) -> u64 {
+        let end = DRAWS as i64;
+        // The draws `-1` and `end` stand for "below every draw" and "no
+        // draw": one falls short of `s`, the other reaches it.
+        let reaches = |m: i64| m >= end || (m >= 0 && self.formula_latency(m as u64) >= s);
+        let estimate = ((1.0 - (s as f64 * self.ln_miss).exp()) * DRAWS as f64).ceil();
+        // `as` saturates, and takes NaN to 0.
+        let mut hi = (estimate as i64).clamp(0, end);
+        let (mut lo, mut step) = (hi - 1, 1);
+        while !reaches(hi) {
+            lo = hi;
+            hi = (hi + step).min(end);
+            step *= 2;
+        }
+        while reaches(lo) {
+            hi = lo;
+            lo = (lo - step).max(-1);
+            step *= 2;
+        }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if reaches(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi as u64
     }
 
     /// A plan that injects nothing (any seed would do).
@@ -275,33 +345,46 @@ impl FaultPlan {
     }
 
     fn latency(&self, worker: u64, seq: u64) -> u64 {
-        match self.config.latency {
-            LatencyModel::Instant => 0,
-            LatencyModel::Geometric { p, cap } => {
-                if p >= 1.0 || cap == 0 {
-                    return 0;
-                }
-                // Inverse-transform sampling of the geometric distribution
-                // of failures before the first success.
-                let u = self.unit_f64(LINK_LATENCY, worker, seq);
-                let steps = ((1.0 - u).ln() / self.ln_miss).floor();
-                if steps.is_finite() && steps >= 0.0 {
-                    (steps as u64).min(cap)
-                } else {
-                    cap
-                }
-            }
+        if self.delay_from[0] == DRAWS {
+            // No draw delays: skip drawing.
+            return 0;
+        }
+        let m = self.draw(LINK_LATENCY, worker, seq);
+        let steps = self.delay_from.iter().filter(|&&from| m >= from).count();
+        if steps < DELAY_STEPS {
+            steps as u64
+        } else {
+            self.formula_latency(m)
         }
     }
 
-    /// A uniform draw in `[0, 1)` from the `(salt, worker, seq)` stream,
-    /// the salt's link taken from [`FaultPlan::links`]:
-    /// `x = seed`, then `x = mix(x ^ word·GOLDEN)` for each word.
+    /// The latency of draw `m` by inverse-transform sampling of the
+    /// geometric distribution of failures before the first success.
+    fn formula_latency(&self, m: u64) -> u64 {
+        let LatencyModel::Geometric { cap, .. } = self.config.latency else {
+            return 0;
+        };
+        let u = m as f64 * (1.0 / DRAWS as f64);
+        let steps = ((1.0 - u).ln() / self.ln_miss).floor();
+        if steps.is_finite() && steps >= 0.0 {
+            (steps as u64).min(cap)
+        } else {
+            cap
+        }
+    }
+
+    /// A uniform draw in `[0, 1)` from the `(salt, worker, seq)` stream.
     fn unit_f64(&self, link: usize, worker: u64, seq: u64) -> f64 {
-        let x = mix(self.links[link] ^ worker.wrapping_mul(GOLDEN));
-        let x = mix(x ^ seq.wrapping_mul(GOLDEN));
         // 53 mantissa bits → uniform in [0, 1).
-        (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        self.draw(link, worker, seq) as f64 * (1.0 / DRAWS as f64)
+    }
+
+    /// The 53-bit draw below [`DRAWS`] from the `(salt, worker, seq)`
+    /// stream, the salt's link taken from [`FaultPlan::links`]:
+    /// `x = seed`, then `x = mix(x ^ word·GOLDEN)` for each word.
+    fn draw(&self, link: usize, worker: u64, seq: u64) -> u64 {
+        let x = mix(self.links[link] ^ worker.wrapping_mul(GOLDEN));
+        mix(x ^ seq.wrapping_mul(GOLDEN)) >> 11
     }
 }
 
@@ -423,17 +506,11 @@ mod tests {
         (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// The uncached fate, with `ln(1 - p)` recomputed per judgment.
-    fn reference_fate(config: &FaultConfig, seed: u64, worker: u64, seq: u64) -> JudgeFate {
-        if config.abandon > 0.0 && reference_unit(seed, 0xAB, worker, seq) < config.abandon {
-            return JudgeFate::Abandon;
-        }
-        if config.no_answer > 0.0 && reference_unit(seed, 0x07, worker, seq) < config.no_answer {
-            return JudgeFate::NoAnswer;
-        }
-        let latency = match config.latency {
+    /// The latency of a uniform draw `u` by the closed form, with
+    /// `ln(1 - p)` recomputed per judgment.
+    fn reference_latency(latency: LatencyModel, u: f64) -> u64 {
+        match latency {
             LatencyModel::Geometric { p, cap } if p < 1.0 && cap > 0 => {
-                let u = reference_unit(seed, 0x1A, worker, seq);
                 let steps = ((1.0 - u).ln() / (1.0 - p).ln()).floor();
                 if steps.is_finite() && steps >= 0.0 {
                     (steps as u64).min(cap)
@@ -442,13 +519,32 @@ mod tests {
                 }
             }
             _ => 0,
-        };
+        }
+    }
+
+    /// The uncached fate: every draw hashed from the seed, and the latency
+    /// by the closed form.
+    fn reference_fate(config: &FaultConfig, seed: u64, worker: u64, seq: u64) -> JudgeFate {
+        if config.abandon > 0.0 && reference_unit(seed, 0xAB, worker, seq) < config.abandon {
+            return JudgeFate::Abandon;
+        }
+        if config.no_answer > 0.0 && reference_unit(seed, 0x07, worker, seq) < config.no_answer {
+            return JudgeFate::NoAnswer;
+        }
+        let latency = reference_latency(config.latency, reference_unit(seed, 0x1A, worker, seq));
         JudgeFate::Answer { latency }
     }
 
-    #[test]
-    fn cached_links_decide_exactly_as_the_uncached_formula() {
-        let configs = [
+    fn geometric(p: f64, cap: u64) -> FaultConfig {
+        FaultConfig::none().with_latency(LatencyModel::Geometric { p, cap })
+    }
+
+    /// Every shape the crossing table takes: no latency (`Instant`, cap 0,
+    /// `p = 1`), fewer crossings than [`DELAY_STEPS`] (cap 1, cap 3), a
+    /// cap past the table, the fault sweep's rates 1% (`p ≈ 0.68`) and 20%
+    /// (`p ≈ 0.33`), and `p` near either end of `(0, 1]`.
+    fn latency_configs() -> Vec<FaultConfig> {
+        vec![
             FaultConfig::none(),
             FaultConfig::none()
                 .with_dropout(0.3)
@@ -462,8 +558,77 @@ mod tests {
                 .with_dropout(1.0)
                 .with_no_answer(0.9)
                 .with_latency(LatencyModel::Geometric { p: 1.0, cap: 3 }),
-            FaultConfig::none().with_latency(LatencyModel::Geometric { p: 0.7, cap: 0 }),
-        ];
+            geometric(0.7, 0),
+            geometric(0.4, 1),
+            geometric(0.2, 3),
+            geometric(1.0 - 0.01f64.powf(0.25), 8),
+            geometric(1.0 - 0.2f64.powf(0.25), 8),
+            geometric(1e-9, 5),
+            geometric(1e-9, u64::MAX),
+            geometric(1.0 - 1e-12, 8),
+            geometric(0.999_999, 8),
+            geometric(1.0 - f64::EPSILON, 2),
+        ]
+    }
+
+    #[test]
+    fn the_crossing_table_holds_each_latencys_least_draw() {
+        let draws = DRAWS as i64;
+        for config in latency_configs() {
+            let plan = FaultPlan::new(config, 5);
+            let f = |m: i64| reference_latency(config.latency, m as f64 / DRAWS as f64);
+            let kept = match config.latency {
+                LatencyModel::Geometric { cap, .. } if !config.latency.is_instant() => {
+                    cap.min(DELAY_STEPS as u64) as usize
+                }
+                _ => 0,
+            };
+            for (i, &from) in plan.delay_from.iter().enumerate() {
+                let s = i as u64 + 1;
+                if i >= kept {
+                    assert_eq!(from, DRAWS, "{config:?}: no crossing past the cap");
+                    continue;
+                }
+                // f(M_s − 1) < s ≤ f(M_s), the draws before 0 and from
+                // DRAWS on standing for "none".
+                let m = from as i64;
+                assert!(m == 0 || f(m - 1) < s, "{config:?}: s {s} at {m}");
+                assert!(m == draws || f(m) >= s, "{config:?}: s {s} at {m}");
+                // The step function is monotone around the crossing.
+                let window = (m - (1 << 16)).max(0)..(m + (1 << 16)).min(draws);
+                let mut last = f(window.start);
+                for d in window.skip(1) {
+                    let now = f(d);
+                    assert!(now >= last, "{config:?}: f falls at draw {d}");
+                    last = now;
+                }
+            }
+            assert!(
+                plan.delay_from.windows(2).all(|w| w[0] <= w[1]),
+                "{config:?}: {:?}",
+                plan.delay_from
+            );
+        }
+    }
+
+    #[test]
+    fn table_fates_equal_the_formula_on_a_million_draws_per_config() {
+        for config in latency_configs() {
+            let plan = FaultPlan::new(config, 0x5EED);
+            for i in 0..1_000_000u64 {
+                let (w, seq) = (i % 97, i / 97);
+                assert_eq!(
+                    plan.fate(WorkerId(w as u32), seq),
+                    reference_fate(&config, 0x5EED, w, seq),
+                    "{config:?} worker {w} seq {seq}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cached_links_decide_exactly_as_the_uncached_formula() {
+        let configs = latency_configs();
         let seeds = [0, 1, 42, 0xFA, u64::MAX, 0x9E37_79B9_7F4A_7C15];
         let mut latencies = 0usize;
         for config in &configs {

@@ -122,6 +122,12 @@ pub fn frame_sum(bytes: &[u8]) -> u64 {
 /// it. `Arg` is how an encoder takes the value: a scalar by value, a list
 /// as a slice, a string as a `str`, a struct by reference. So the hot
 /// paths encode from borrowed data and never build a record.
+///
+/// A `Vec<T>` is written by `T::put_list`. Its default writes `[`, each
+/// item's `put` with a comma between, and `]`. The integer leaves and
+/// pairs of them override it to write the whole list in one pass: `out`
+/// grows once to the list's longest form, the digits go in by index, two
+/// at a time, and `out` is cut back to what was written.
 pub(crate) trait Json {
     /// The encoder's argument type for this value.
     type Arg<'a>: Copy
@@ -131,6 +137,20 @@ pub(crate) trait Json {
     fn arg(&self) -> Self::Arg<'_>;
     /// Appends the argument's JSON to `out`.
     fn put(arg: Self::Arg<'_>, out: &mut Vec<u8>);
+    /// Appends the JSON list of `items` to `out`.
+    fn put_list(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        out.push(b'[');
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            Self::put(item.arg(), out);
+        }
+        out.push(b']');
+    }
 }
 
 /// Declares a type from one table of its fields, with derives and docs
@@ -251,9 +271,89 @@ macro_rules! scalar_json {
     )*};
 }
 
+/// An integer leaf, written as bare decimal digits.
+pub(crate) trait Int: Copy {
+    /// The most decimal digits a value can have.
+    const DIGITS: usize;
+    /// The value.
+    fn get(self) -> u64;
+}
+
+macro_rules! int_json {
+    ($($ty:ty => |$n:ident| $get:expr, $digits:expr;)*) => {$(
+        impl Int for $ty {
+            const DIGITS: usize = $digits;
+
+            fn get(self) -> u64 {
+                let $n = self;
+                $get
+            }
+        }
+    )*};
+}
+
+int_json! {
+    u32 => |n| u64::from(n), 10;
+    u64 => |n| n, 20;
+    ElementId => |id| u64::from(id.0), 10;
+    WorkerId => |id| u64::from(id.0), 10;
+    JobId => |id| id.0, 20;
+    TenantId => |id| u64::from(id.0), 10;
+}
+
+impl<T: Int> Json for T {
+    type Arg<'a>
+        = T
+    where
+        T: 'a;
+
+    fn arg(&self) -> T {
+        *self
+    }
+
+    fn put(n: T, out: &mut Vec<u8>) {
+        push_u64(out, n.get());
+    }
+
+    fn put_list(items: &[T], out: &mut Vec<u8>) {
+        put_rows(out, items, T::DIGITS, |buf, n| write_decimal(buf, n.get()));
+    }
+}
+
+/// Pairs are written as two-element lists; the journals hold only pairs
+/// of integers.
+impl<A: Int, B: Int> Json for (A, B) {
+    type Arg<'a>
+        = (A, B)
+    where
+        Self: 'a;
+
+    fn arg(&self) -> (A, B) {
+        *self
+    }
+
+    fn put(pair: (A, B), out: &mut Vec<u8>) {
+        let mut row = [0u8; 43];
+        let len = write_pair(&mut row, pair);
+        out.extend_from_slice(&row[..len]);
+    }
+
+    fn put_list(items: &[(A, B)], out: &mut Vec<u8>) {
+        put_rows(out, items, A::DIGITS + B::DIGITS + 3, write_pair);
+    }
+}
+
+/// Writes `[a,b]` at the start of `buf` and returns its length.
+fn write_pair<A: Int, B: Int>(buf: &mut [u8], (a, b): (A, B)) -> usize {
+    buf[0] = b'[';
+    let mut at = 1 + write_decimal(&mut buf[1..], a.get());
+    buf[at] = b',';
+    at += 1 + write_decimal(&mut buf[at + 1..], b.get());
+    buf[at] = b']';
+    at + 1
+}
+
 scalar_json! {
-    u32 => |n, out| push_u64(out, u64::from(n));
-    u64 => |n, out| push_u64(out, n);
     bool => |b, out| out.extend_from_slice(if b { b"true" } else { b"false" });
     // Display is the shortest round-trip form serde_json prints, and it
     // prints `null` for a non-finite float; writing into a Vec cannot fail.
@@ -262,10 +362,6 @@ scalar_json! {
     } else {
         out.extend_from_slice(b"null");
     };
-    ElementId => |id, out| push_u64(out, u64::from(id.0));
-    WorkerId => |id, out| push_u64(out, u64::from(id.0));
-    JobId => |id, out| push_u64(out, id.0);
-    TenantId => |id, out| push_u64(out, u64::from(id.0));
     WorkerClass => |class, out| out.extend_from_slice(match class {
         WorkerClass::Naive => b"\"Naive\"",
         WorkerClass::Expert => b"\"Expert\"",
@@ -286,25 +382,6 @@ scalar_json! {
     });
 }
 
-impl<A: Json + Copy, B: Json + Copy> Json for (A, B) {
-    type Arg<'a>
-        = (A, B)
-    where
-        Self: 'a;
-
-    fn arg(&self) -> (A, B) {
-        *self
-    }
-
-    fn put((a, b): (A, B), out: &mut Vec<u8>) {
-        out.push(b'[');
-        A::put(a.arg(), out);
-        out.push(b',');
-        B::put(b.arg(), out);
-        out.push(b']');
-    }
-}
-
 impl<T: Json> Json for Vec<T> {
     type Arg<'a>
         = &'a [T]
@@ -316,14 +393,7 @@ impl<T: Json> Json for Vec<T> {
     }
 
     fn put(items: &[T], out: &mut Vec<u8>) {
-        out.push(b'[');
-        for (i, item) in items.iter().enumerate() {
-            if i > 0 {
-                out.push(b',');
-            }
-            T::put(item.arg(), out);
-        }
-        out.push(b']');
+        T::put_list(items, out);
     }
 }
 
@@ -810,18 +880,69 @@ fn push_frame_header(out: &mut Vec<u8>, len: u64, checksum: u64) {
 }
 
 /// Appends `n` in decimal.
-fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+fn push_u64(out: &mut Vec<u8>, n: u64) {
     let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
+    let len = write_decimal(&mut digits, n);
+    out.extend_from_slice(&digits[..len]);
+}
+
+/// `00`, `01`, .., `99`: the decimal digits of every number below 100.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
     }
-    out.extend_from_slice(&digits[start..]);
+    pairs
+};
+
+/// Writes `n` in decimal at the start of `buf` and returns its length.
+fn write_decimal(buf: &mut [u8], mut n: u64) -> usize {
+    let len = n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let digits = &mut buf[..len];
+    let mut end = len;
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        end -= 2;
+        digits[end..end + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        digits[..2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        digits[0] = b'0' + n as u8;
+    }
+    len
+}
+
+/// Appends the JSON list of `items` in one pass: `out` grows once to hold
+/// `items.len()` rows of at most `max_row` bytes each, `row` writes each
+/// item at the start of the slice it is given and returns its length, and
+/// `out` is cut back to the bytes written.
+fn put_rows<T: Copy>(
+    out: &mut Vec<u8>,
+    items: &[T],
+    max_row: usize,
+    row: impl Fn(&mut [u8], T) -> usize,
+) {
+    let start = out.len();
+    out.resize(start + 2 + items.len() * (max_row + 1), 0);
+    let buf = &mut out[start..];
+    buf[0] = b'[';
+    let mut at = 1;
+    for &item in items {
+        at += row(&mut buf[at..], item);
+        buf[at] = b',';
+        at += 1;
+    }
+    // The last row's comma becomes the closing bracket; an empty list
+    // has none, so its bracket goes right after the opening one.
+    let end = at.max(2);
+    buf[end - 1] = b']';
+    out.truncate(start + end);
 }
 
 /// Checks that every single-byte change and every truncation of `frame`,
@@ -1070,6 +1191,7 @@ mod tests {
     use crate::platform::PlatformConfig;
     use crate::pool::WorkerPool;
     use crowd_core::element::Instance;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1486,5 +1608,77 @@ mod tests {
         assert!(oracle.journal().pending_len() > 0);
         oracle.finish();
         assert_eq!(completed(&oracle.journal().durable().to_vec()), 2);
+    }
+
+    /// Where a decimal gains or loses a digit (`10^k − 1`, `10^k`,
+    /// `10^k + 1`, so 0, 9, 10, 99 and 100 too), the extremes, and
+    /// anything.
+    fn edge_u64s() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            (0u64..60).prop_map(|v| 10u64.pow((v / 3) as u32) + v % 3 - 1),
+            Just(u64::from(u32::MAX)),
+            Just(u64::MAX),
+            any::<u64>(),
+            0u64..1_000,
+        ]
+    }
+
+    fn edge_u32s() -> impl Strategy<Value = u32> {
+        prop_oneof![
+            (0u32..30).prop_map(|v| 10u32.pow(v / 3) + v % 3 - 1),
+            Just(u32::MAX),
+            any::<u32>(),
+        ]
+    }
+
+    /// Appends `items` through `Vec<T>`'s encoder after a prefix, and checks
+    /// the prefix is kept and the rest is serde's JSON.
+    fn assert_list_like_serde<T: Json + Serialize>(items: &Vec<T>) {
+        let mut out = b"prefix".to_vec();
+        <Vec<T> as Json>::put(items.arg(), &mut out);
+        let expected = format!("prefix{}", serde_json::to_string(items).unwrap());
+        assert_eq!(String::from_utf8(out).unwrap(), expected);
+    }
+
+    #[test]
+    fn empty_and_edge_lists_write_like_serde() {
+        assert_list_like_serde::<u32>(&vec![]);
+        assert_list_like_serde::<(u32, u64)>(&vec![]);
+        let edges: Vec<u64> = (0..20)
+            .flat_map(|k| {
+                let p = 10u64.pow(k);
+                [p - 1, p, p + 1]
+            })
+            .chain([u64::from(u32::MAX), u64::MAX])
+            .collect();
+        assert_list_like_serde(&edges);
+        assert_list_like_serde(&edges.iter().map(|&n| n as u32).collect::<Vec<_>>());
+        assert_list_like_serde(&edges.iter().map(|&n| (n as u32, n)).collect::<Vec<_>>());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one-pass integer list writers give serde's bytes.
+        #[test]
+        fn integer_lists_write_like_serde(
+            small in prop::collection::vec(edge_u32s(), 0..40),
+            large in prop::collection::vec(edge_u64s(), 0..40),
+        ) {
+            assert_list_like_serde(&small);
+            assert_list_like_serde(&large);
+            assert_list_like_serde(&small.iter().map(|&n| WorkerId(n)).collect::<Vec<_>>());
+            assert_list_like_serde(&large.iter().map(|&n| JobId(n)).collect::<Vec<_>>());
+            assert_list_like_serde(&small.iter().map(|&n| TenantId(n)).collect::<Vec<_>>());
+            let pairs: Vec<(u32, u64)> = small.iter().copied().zip(large.iter().copied()).collect();
+            assert_list_like_serde(&pairs);
+            let elements: Vec<(ElementId, ElementId)> = small
+                .iter()
+                .zip(small.iter().rev())
+                .map(|(&a, &b)| (ElementId(a), ElementId(b)))
+                .collect();
+            assert_list_like_serde(&elements);
+            assert_list_like_serde(&elements.iter().map(|p| p.0).collect::<Vec<_>>());
+        }
     }
 }
