@@ -42,11 +42,21 @@ use std::sync::{Mutex, MutexGuard, RwLock};
 
 /// Default histogram bounds: powers of two from 1 to 2²⁰, plus the
 /// implicit `+Inf` bucket. Wide enough for latency steps, retry depths,
-/// round sizes and per-round comparison counts alike.
+/// round sizes and per-round comparison counts alike. Bound `i` is `2^i`,
+/// so a histogram of this layout finds a value's bucket in closed form
+/// instead of searching the bounds.
 pub const DEFAULT_BUCKETS: [u64; 21] = [
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072,
     262144, 524288, 1048576,
 ];
+
+/// The bucket of `value` in the [`DEFAULT_BUCKETS`] layout: the first
+/// bound `2^i ≥ value`, so `ceil(log2 value)`, 0 for `value ≤ 1` and the
+/// `+Inf` slot past `2²⁰`.
+fn default_bucket(value: u64) -> usize {
+    let bits = u64::BITS - value.saturating_sub(1).leading_zeros();
+    (bits as usize).min(DEFAULT_BUCKETS.len())
+}
 
 /// A fixed-bucket histogram of `u64` observations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,6 +64,9 @@ pub struct Histogram {
     /// Inclusive upper bounds of the finite buckets, ascending; the
     /// layout interned with the series.
     bounds: &'static [u64],
+    /// True when `bounds` is [`DEFAULT_BUCKETS`], whose buckets are found
+    /// by [`default_bucket`].
+    default_layout: bool,
     /// Per-bucket (non-cumulative) counts; one extra slot for `+Inf`.
     buckets: Vec<u64>,
     sum: u64,
@@ -64,6 +77,7 @@ impl Histogram {
     fn new(bounds: &'static [u64]) -> Self {
         Histogram {
             bounds,
+            default_layout: bounds == DEFAULT_BUCKETS,
             buckets: vec![0; bounds.len() + 1],
             sum: 0,
             count: 0,
@@ -71,7 +85,12 @@ impl Histogram {
     }
 
     fn observe(&mut self, value: u64) {
-        self.buckets[self.bounds.partition_point(|&b| b < value)] += 1;
+        let bucket = if self.default_layout {
+            default_bucket(value)
+        } else {
+            self.bounds.partition_point(|&b| b < value)
+        };
+        self.buckets[bucket] += 1;
         self.sum += value;
         self.count += 1;
     }
@@ -775,6 +794,38 @@ impl MetricSample {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bucket the bounds search picks for `value`.
+    fn searched_bucket(value: u64) -> usize {
+        DEFAULT_BUCKETS.partition_point(|&b| b < value)
+    }
+
+    #[test]
+    fn the_closed_form_bucket_equals_the_bounds_search() {
+        for v in 0..=(1u64 << 21) + 2 {
+            assert_eq!(default_bucket(v), searched_bucket(v), "value {v}");
+        }
+        for k in 1..64 {
+            for v in [(1u64 << k) - 1, 1 << k, (1 << k) + 1] {
+                assert_eq!(default_bucket(v), searched_bucket(v), "value {v}");
+            }
+        }
+        assert_eq!(default_bucket(u64::MAX), DEFAULT_BUCKETS.len());
+        assert_eq!(searched_bucket(u64::MAX), DEFAULT_BUCKETS.len());
+    }
+
+    #[test]
+    fn only_the_default_layout_takes_the_closed_form() {
+        let default = Histogram::new(&DEFAULT_BUCKETS);
+        let custom = Histogram::new(&[1, 3, 9]);
+        assert!(default.default_layout);
+        assert!(!custom.default_layout);
+        let mut h = custom;
+        for v in [0, 1, 2, 3, 4, 9, 10] {
+            h.observe(v);
+        }
+        assert_eq!(h.buckets, vec![2, 2, 2, 1]);
+    }
 
     #[test]
     fn counters_accumulate_and_snapshot_sorted() {

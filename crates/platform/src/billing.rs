@@ -36,10 +36,9 @@ impl Ledger {
     ///
     /// Panics on negative or non-finite amounts.
     pub fn pay(&mut self, worker: WorkerId, class: WorkerClass, amount: f64) {
-        assert!(
-            amount.is_finite() && amount >= 0.0,
-            "payments must be non-negative"
-        );
+        if !(amount.is_finite() && amount >= 0.0) {
+            refuse_payment(amount);
+        }
         self.total += amount;
         self.by_class[class as usize] += amount;
         let idx = worker.index();
@@ -78,6 +77,14 @@ impl Ledger {
     pub fn workers_paid(&self) -> usize {
         self.by_worker.iter().filter(|w| w.is_some()).count()
     }
+}
+
+/// The panic of [`Ledger::pay`] on a bad amount, kept out of the
+/// per-judgment path.
+#[cold]
+#[inline(never)]
+fn refuse_payment(amount: f64) -> ! {
+    panic!("payments must be non-negative, got {amount}");
 }
 
 #[cfg(test)]

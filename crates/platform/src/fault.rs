@@ -36,15 +36,6 @@ pub enum LatencyModel {
 }
 
 impl LatencyModel {
-    fn validate(&self) {
-        if let LatencyModel::Geometric { p, cap: _ } = self {
-            assert!(
-                *p > 0.0 && *p <= 1.0,
-                "geometric arrival probability must be in (0, 1], got {p}"
-            );
-        }
-    }
-
     /// True if the model can never delay a judgment.
     pub fn is_instant(&self) -> bool {
         match self {
@@ -124,18 +115,30 @@ impl FaultConfig {
             && self.latency.is_instant()
     }
 
-    fn validate(&self) {
+    /// The first knob out of its range, as the field's path and why.
+    fn check(&self) -> Result<(), (&'static str, String)> {
         for (name, p) in [
             ("dropout", self.dropout),
             ("abandon", self.abandon),
             ("no_answer", self.no_answer),
         ] {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "{name} rate must be a probability, got {p}"
-            );
+            if !(0.0..=1.0).contains(&p) {
+                return Err((name, format!("{name} rate must be a probability, got {p}")));
+            }
         }
-        self.latency.validate();
+        match self.latency {
+            LatencyModel::Geometric { p, .. } if !(p > 0.0 && p <= 1.0) => Err((
+                "latency.Geometric.p",
+                format!("geometric arrival probability must be in (0, 1], got {p}"),
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    fn validate(&self) {
+        if let Err((_, why)) = self.check() {
+            panic!("{why}");
+        }
     }
 }
 
@@ -210,8 +213,13 @@ impl Serialize for FaultPlan {
 }
 
 impl Deserialize for FaultPlan {
+    /// Rebuilds the plan, refusing a config that [`FaultPlan::new`] would
+    /// panic on: the error names the field out of range.
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let spec = PlanSpec::from_value(v)?;
+        spec.config
+            .check()
+            .map_err(|(field, why)| serde::Error(format!("field \"config.{field}\": {why}")))?;
         Ok(FaultPlan::derive(spec.config, spec.seed))
     }
 }
@@ -322,34 +330,71 @@ impl FaultPlan {
     /// Decides, once and forever, whether `worker` drops out of the
     /// campaign before judging anything.
     pub fn dropped_out(&self, worker: WorkerId) -> bool {
-        self.config.dropout > 0.0
-            && self.unit_f64(LINK_DROPOUT, u64::from(worker.0), 0) < self.config.dropout
+        self.draws(LINK_DROPOUT)
+            && unit_f64(draw(self.key(LINK_DROPOUT, worker), 0)) < self.config.dropout
     }
 
     /// Decides the fate of the `seq`-th judgment the campaign hands to
     /// `worker`. `seq` must be a per-campaign monotone counter so repeats
-    /// of the same logical pair get independent fates.
+    /// of the same logical pair get independent fates. Each stream's key
+    /// is mixed on the way, and only for the streams the fate draws from;
+    /// the crate's executors keep each worker's keys instead and skip
+    /// that mix.
     pub fn fate(&self, worker: WorkerId, seq: u64) -> JudgeFate {
-        let w = u64::from(worker.0);
-        if self.config.abandon > 0.0 && self.unit_f64(LINK_ABANDON, w, seq) < self.config.abandon {
-            return JudgeFate::Abandon;
+        self.decide(seq, |link| self.key(link, worker))
+    }
+
+    /// `worker`'s key on every per-judgment stream this plan draws from;
+    /// the streams it never draws from are left unmixed.
+    pub(crate) fn fate_keys(&self, worker: WorkerId) -> FateKeys {
+        let mut keys = [0; 4];
+        for link in [LINK_ABANDON, LINK_NO_ANSWER, LINK_LATENCY] {
+            if self.draws(link) {
+                keys[link] = self.key(link, worker);
+            }
         }
-        if self.config.no_answer > 0.0
-            && self.unit_f64(LINK_NO_ANSWER, w, seq) < self.config.no_answer
-        {
-            return JudgeFate::NoAnswer;
-        }
-        JudgeFate::Answer {
-            latency: self.latency(w, seq),
+        FateKeys(keys)
+    }
+
+    /// [`fate`](Self::fate) for the worker whose [`fate_keys`](Self::fate_keys)
+    /// are `keys`: one SplitMix64 call per draw instead of two.
+    pub(crate) fn keyed_fate(&self, keys: &FateKeys, seq: u64) -> JudgeFate {
+        self.decide(seq, |link| keys.0[link])
+    }
+
+    /// True when the plan can draw from stream `link`.
+    fn draws(&self, link: usize) -> bool {
+        match link {
+            LINK_ABANDON => self.config.abandon > 0.0,
+            LINK_NO_ANSWER => self.config.no_answer > 0.0,
+            LINK_LATENCY => self.delay_from[0] != DRAWS,
+            _ => self.config.dropout > 0.0,
         }
     }
 
-    fn latency(&self, worker: u64, seq: u64) -> u64 {
-        if self.delay_from[0] == DRAWS {
-            // No draw delays: skip drawing.
-            return 0;
+    /// The fate of draw `seq` on the streams whose keys `key` gives.
+    fn decide(&self, seq: u64, key: impl Fn(usize) -> u64) -> JudgeFate {
+        if self.draws(LINK_ABANDON) && unit_f64(draw(key(LINK_ABANDON), seq)) < self.config.abandon
+        {
+            return JudgeFate::Abandon;
         }
-        let m = self.draw(LINK_LATENCY, worker, seq);
+        if self.draws(LINK_NO_ANSWER)
+            && unit_f64(draw(key(LINK_NO_ANSWER), seq)) < self.config.no_answer
+        {
+            return JudgeFate::NoAnswer;
+        }
+        if !self.draws(LINK_LATENCY) {
+            // No draw delays: skip drawing.
+            return JudgeFate::Answer { latency: 0 };
+        }
+        JudgeFate::Answer {
+            latency: self.latency(draw(key(LINK_LATENCY), seq)),
+        }
+    }
+
+    /// The latency of draw `m`: the crossings it has passed, or the
+    /// formula past the table.
+    fn latency(&self, m: u64) -> u64 {
         let steps = self.delay_from.iter().filter(|&&from| m >= from).count();
         if steps < DELAY_STEPS {
             steps as u64
@@ -373,19 +418,30 @@ impl FaultPlan {
         }
     }
 
-    /// A uniform draw in `[0, 1)` from the `(salt, worker, seq)` stream.
-    fn unit_f64(&self, link: usize, worker: u64, seq: u64) -> f64 {
-        // 53 mantissa bits → uniform in [0, 1).
-        self.draw(link, worker, seq) as f64 * (1.0 / DRAWS as f64)
+    /// `worker`'s key on stream `link`, the second link of the stream
+    /// `x = seed`, then `x = mix(x ^ word·GOLDEN)` for the words `(salt,
+    /// worker, seq)`: the first is cached in [`FaultPlan::links`].
+    fn key(&self, link: usize, worker: WorkerId) -> u64 {
+        mix(self.links[link] ^ u64::from(worker.0).wrapping_mul(GOLDEN))
     }
+}
 
-    /// The 53-bit draw below [`DRAWS`] from the `(salt, worker, seq)`
-    /// stream, the salt's link taken from [`FaultPlan::links`]:
-    /// `x = seed`, then `x = mix(x ^ word·GOLDEN)` for each word.
-    fn draw(&self, link: usize, worker: u64, seq: u64) -> u64 {
-        let x = mix(self.links[link] ^ worker.wrapping_mul(GOLDEN));
-        mix(x ^ seq.wrapping_mul(GOLDEN)) >> 11
-    }
+/// One worker's keys on a [`FaultPlan`]'s per-judgment streams, indexed by
+/// the `LINK_*` constants; the dropout slot and the streams the plan never
+/// draws from hold 0. They depend only on the plan and the worker, so an
+/// executor computes them once per worker.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct FateKeys([u64; 4]);
+
+/// The 53-bit draw below [`DRAWS`] at position `seq` of the stream keyed
+/// `key`.
+fn draw(key: u64, seq: u64) -> u64 {
+    mix(key ^ seq.wrapping_mul(GOLDEN)) >> 11
+}
+
+/// A 53-bit draw as a uniform value in `[0, 1)`.
+fn unit_f64(m: u64) -> f64 {
+    m as f64 * (1.0 / DRAWS as f64)
 }
 
 /// SplitMix64 finalizer: avalanche a 64-bit word. Shared by every
@@ -611,19 +667,38 @@ mod tests {
         }
     }
 
+    /// Both the fate that mixes its keys and the one handed cached keys.
     #[test]
     fn table_fates_equal_the_formula_on_a_million_draws_per_config() {
         for config in latency_configs() {
             let plan = FaultPlan::new(config, 0x5EED);
+            let keys: Vec<FateKeys> = (0..97).map(|w| plan.fate_keys(WorkerId(w))).collect();
             for i in 0..1_000_000u64 {
                 let (w, seq) = (i % 97, i / 97);
-                assert_eq!(
+                let expected = reference_fate(&config, 0x5EED, w, seq);
+                let fates = [
                     plan.fate(WorkerId(w as u32), seq),
-                    reference_fate(&config, 0x5EED, w, seq),
-                    "{config:?} worker {w} seq {seq}"
-                );
+                    plan.keyed_fate(&keys[w as usize], seq),
+                ];
+                assert_eq!(fates, [expected; 2], "{config:?} worker {w} seq {seq}");
             }
         }
+    }
+
+    #[test]
+    fn fate_keys_mix_only_the_streams_a_fate_draws() {
+        let drawn = |plan: &FaultPlan| plan.fate_keys(WorkerId(3)).0.map(|key| key != 0);
+        assert_eq!(drawn(&FaultPlan::none()), [false; 4]);
+        let latency_only = FaultPlan::new(geometric(0.5, 4), 1);
+        assert_eq!(drawn(&latency_only), [false, false, false, true]);
+        let every_rate = FaultPlan::new(
+            FaultConfig::none()
+                .with_dropout(0.1)
+                .with_abandon(0.1)
+                .with_no_answer(0.1),
+            1,
+        );
+        assert_eq!(drawn(&every_rate), [false, true, true, false]);
     }
 
     #[test]
@@ -675,6 +750,53 @@ mod tests {
         );
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
+    }
+
+    /// A serialized plan with `latency` and the rates `rates` (dropout,
+    /// abandon, no-answer) spliced in.
+    fn plan_json(rates: [f64; 3], latency: &str) -> String {
+        format!(
+            "{{\"config\":{{\"dropout\":{},\"abandon\":{},\"no_answer\":{},\
+             \"latency\":{latency},\"timeout_steps\":3}},\"seed\":9}}",
+            rates[0], rates[1], rates[2]
+        )
+    }
+
+    #[test]
+    fn decoding_refuses_a_plan_new_would_panic_on() {
+        let valid = r#"{"Geometric":{"p":0.5,"cap":7}}"#;
+        let cases = [
+            (
+                plan_json([0.0; 3], r#"{"Geometric":{"p":-0.5,"cap":7}}"#),
+                "config.latency.Geometric.p",
+            ),
+            (
+                plan_json([0.0; 3], r#"{"Geometric":{"p":1.5,"cap":7}}"#),
+                "config.latency.Geometric.p",
+            ),
+            (plan_json([-0.1, 0.0, 0.0], valid), "config.dropout"),
+            (plan_json([0.0, 1.1, 0.0], valid), "config.abandon"),
+            (plan_json([0.0, 0.0, -0.1], valid), "config.no_answer"),
+            (plan_json([1.1, 0.0, 0.0], valid), "config.dropout"),
+        ];
+        for (json, field) in cases {
+            let err = serde_json::from_str::<FaultPlan>(&json).expect_err(&json);
+            assert!(err.to_string().contains(field), "{json}: {err}");
+        }
+        let plan: FaultPlan = serde_json::from_str(&plan_json([0.1, 1.0, 0.0], valid)).unwrap();
+        assert_eq!(
+            plan,
+            FaultPlan::new(
+                FaultConfig::none()
+                    .with_dropout(0.1)
+                    .with_abandon(1.0)
+                    .with_latency(LatencyModel::Geometric { p: 0.5, cap: 7 })
+                    .with_timeout_steps(3),
+                9
+            )
+        );
+        let json = serde_json::to_string(&plan).unwrap();
+        assert_eq!(serde_json::from_str::<FaultPlan>(&json).unwrap(), plan);
     }
 
     #[test]

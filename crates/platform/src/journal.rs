@@ -997,6 +997,8 @@ pub struct JournaledOracle<R: RngCore> {
     /// [`Event::RecoveryCompleted`] reports once the journal has rewritten
     /// the crashed run's intact bytes.
     replayed: Option<(u64, u64)>,
+    /// The winners buffer a scalar comparison reuses.
+    winner: Vec<ElementId>,
 }
 
 impl<R: RngCore> JournaledOracle<R> {
@@ -1030,6 +1032,7 @@ impl<R: RngCore> JournaledOracle<R> {
             next_batch: 0,
             unflushed_completed: 0,
             replayed,
+            winner: Vec::with_capacity(1),
         };
         // A diverged header refuses the first batch instead.
         let _ = oracle.audit();
@@ -1111,9 +1114,12 @@ impl<R: RngCore> ComparisonOracle for JournaledOracle<R> {
         k: ElementId,
         j: ElementId,
     ) -> Result<ElementId, OracleError> {
-        let mut winners = Vec::with_capacity(1);
-        self.try_compare_batch(class, &[(k, j)], &mut winners)?;
-        Ok(winners[0])
+        let mut winner = std::mem::take(&mut self.winner);
+        winner.clear();
+        let outcome = self.try_compare_batch(class, &[(k, j)], &mut winner);
+        let answer = winner.first().copied();
+        self.winner = winner;
+        outcome.map(|()| answer.expect("a batch that succeeds answers its pair"))
     }
 
     fn compare_batch(

@@ -13,11 +13,11 @@
 //! experiments (Tables 1–2, Section 5.3) are reproduced.
 
 use crate::billing::Ledger;
-use crate::fault::{FaultConfig, FaultPlan, JudgeFate};
+use crate::fault::{FateKeys, FaultConfig, FaultPlan, JudgeFate};
 use crate::pool::WorkerPool;
 use crate::quality::TrustTracker;
 use crate::retry::{DeadLetter, DeadLetterReason, RetryPolicy};
-use crate::scheduler::{reassign, schedule, ScheduleError};
+use crate::scheduler::{reassign, schedule_into, Assignment, ScheduleError};
 use crate::task::{Job, Judgment, Unit, UnitId};
 use crate::worker::WorkerId;
 use crowd_core::cost::CostModel;
@@ -273,6 +273,9 @@ pub struct Platform<R: RngCore> {
     retired: HashSet<WorkerId>,
     /// The campaign's fault plan (stateless; decisions are hashes).
     fault_plan: FaultPlan,
+    /// Each worker's fate keys on the plan, by [`WorkerId::index`],
+    /// computed when the worker first reaches a job.
+    fate_keys: Vec<FateKeys>,
     /// Monotone per-campaign judgment-attempt counter feeding the plan.
     fault_seq: u64,
     /// Faults injected and recovery actions taken, by class.
@@ -312,6 +315,7 @@ impl<R: RngCore> Platform<R> {
             rotation: 0,
             retired: HashSet::new(),
             fault_plan,
+            fate_keys: Vec::new(),
             fault_seq: 0,
             fault_counts: FaultCounts::zero(),
             dropouts: Vec::new(),
@@ -483,10 +487,29 @@ impl<R: RngCore> Platform<R> {
         pairs: &[(ElementId, ElementId)],
         class: WorkerClass,
     ) -> (Vec<ElementId>, Option<PlatformError>) {
+        let mut answers = Vec::with_capacity(pairs.len());
+        let err = self.submit_into(pairs, class, &mut answers).err();
+        (answers, err)
+    }
+
+    /// [`submit_comparisons_partial`](Self::submit_comparisons_partial)
+    /// into the caller's buffer: appends the answered prefix to `winners`
+    /// (every pair's answer on `Ok`) and returns the error, if any. The
+    /// job's units and every per-job buffer are reused, so a warm platform
+    /// allocates nothing here unless the job leaves units unanswered (that
+    /// error owns its lists).
+    pub(crate) fn submit_into(
+        &mut self,
+        pairs: &[(ElementId, ElementId)],
+        class: WorkerClass,
+        winners: &mut Vec<ElementId>,
+    ) -> Result<(), PlatformError> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut units = std::mem::take(&mut scratch.units);
+        units.clear();
         // Regular units first, so their answers are the first
         // `pairs.len()` of the job's.
         let gold_n = self.gold_units_for(pairs.len());
-        let mut units: Vec<Unit> = Vec::with_capacity(pairs.len() + gold_n);
         for &(k, j) in pairs {
             let id = self.fresh_unit_id();
             units.push(Unit::regular(id, k, j));
@@ -501,53 +524,35 @@ impl<R: RngCore> Platform<R> {
             let id = self.fresh_unit_id();
             units.push(Unit::gold(id, k, j, answer));
         }
-        let job = Job::new(units, self.config.judgments_per_unit);
-        let result = match self.run_job(&job, class) {
+        let per_unit = self.config.judgments_per_unit;
+        Job::check_shape(&units, per_unit);
+        let result = match self.execute_job(&units, per_unit, class, &mut scratch) {
             Err(PlatformError::Schedule(ScheduleError::NoEligibleWorkers { class: missing }))
                 if missing == WorkerClass::Expert
                     && class == WorkerClass::Expert
                     && self.config.expert_fallback_votes > 0 =>
             {
                 // Graceful degradation: the expert pool is depleted. Fall
-                // back to a boosted naïve majority — the platform's
-                // per-unit majority aggregation realizes the vote boost —
-                // and flag the campaign degraded.
+                // back to a boosted naïve majority over the same units —
+                // the platform's per-unit majority aggregation realizes
+                // the vote boost — and flag the campaign degraded.
                 self.record_fault(WorkerClass::Expert, FaultKind::ExpertFallback);
                 self.degraded = true;
-                let boosted = Job::new(
-                    job.units().to_vec(),
-                    self.config
-                        .judgments_per_unit
-                        .saturating_mul(self.config.expert_fallback_votes),
-                );
-                self.run_job(&boosted, WorkerClass::Naive)
+                let boosted = per_unit.saturating_mul(self.config.expert_fallback_votes);
+                self.execute_job(&units, boosted, WorkerClass::Naive, &mut scratch)
             }
             other => other,
         };
         // The answered prefix of the regular units: all of them on
         // success. A partially answered job stops at the first pair whose
         // unit stayed unanswered, so the prefix lines up with the scalar
-        // loop.
-        let prefix = |answers: &[Option<ElementId>]| -> Vec<ElementId> {
-            let regular = &answers[..pairs.len()];
-            let answered = regular
-                .iter()
-                .position(Option::is_none)
-                .unwrap_or(regular.len());
-            let mut prefix = Vec::with_capacity(answered);
-            prefix.extend(regular[..answered].iter().flatten());
-            prefix
-        };
-        match result {
-            Ok(result) => (prefix(&result.answers), None),
-            Err(err) => {
-                let answered = match &err {
-                    PlatformError::UnitsUnanswered { answers, .. } => prefix(answers),
-                    _ => Vec::new(),
-                };
-                (answered, Some(err))
-            }
+        // loop. Any other error leaves no answers.
+        if matches!(result, Ok(_) | Err(PlatformError::UnitsUnanswered { .. })) {
+            winners.extend(scratch.answers[..pairs.len()].iter().map_while(|&a| a));
         }
+        scratch.units = units;
+        self.scratch = scratch;
+        result.map(|_| ())
     }
 
     /// Records a fault in the campaign tally and mirrors it into the
@@ -571,13 +576,16 @@ impl<R: RngCore> Platform<R> {
     fn next_fate(&mut self, worker: WorkerId) -> JudgeFate {
         let seq = self.fault_seq;
         self.fault_seq += 1;
-        self.fault_plan.fate(worker, seq)
+        self.fault_plan
+            .keyed_fate(&self.fate_keys[worker.index()], seq)
     }
 
     /// Executes one judgment: the worker answers, gets paid, the tally
     /// advances, and (for usable judgments on gold units) trust is scored.
     /// Timed-out judgments are real work — paid and counted — but
-    /// `usable = false` keeps them out of trust scoring.
+    /// `usable = false` keeps them out of trust scoring. Inlined into both
+    /// call sites, so the judgment is built where it is stored.
+    #[inline(always)]
     fn perform_judgment(
         &mut self,
         unit: &Unit,
@@ -622,7 +630,10 @@ impl<R: RngCore> Platform<R> {
     /// or not. Per-worker state (the exclusion mask, trust, pay, dropout
     /// verdicts) is indexed by [`WorkerId::index`], so no judgment hashes.
     /// Latencies and attempt counts reach their histograms in one batch
-    /// per job.
+    /// per job. The job runs in buffers the platform reuses (the batch
+    /// path of [`submit_comparisons`](Self::submit_comparisons) and
+    /// [`PlatformOracle`] runs in the same ones); only the owned vectors
+    /// of the returned [`JobResult`] are built per call, from them.
     ///
     /// # Errors
     ///
@@ -631,7 +642,23 @@ impl<R: RngCore> Platform<R> {
     /// retries (the partial results stay recorded on the platform).
     pub fn run_job(&mut self, job: &Job, class: WorkerClass) -> Result<JobResult, PlatformError> {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let result = self.execute_job(job, class, &mut scratch);
+        let (units, per_unit) = (job.units(), job.judgments_per_unit());
+        let result = self
+            .execute_job(units, per_unit, class, &mut scratch)
+            .map(|totals| JobResult {
+                answers: scratch.answers.clone(),
+                judgments: scratch.judged.iter().map(|&(_, jd, _)| jd).collect(),
+                physical_steps: totals.physical_steps,
+                excluded_workers: self.trust.untrusted().collect(),
+                degraded_units: units
+                    .iter()
+                    .zip(&scratch.ledgers)
+                    .filter(|(_, ledger)| ledger.votes.all.total < per_unit)
+                    .map(|(unit, _)| unit.id)
+                    .collect(),
+                retries: totals.retries,
+                dead_letters: totals.dead_letters,
+            });
         self.scratch = scratch;
         result
     }
@@ -655,13 +682,17 @@ impl<R: RngCore> Platform<R> {
         verdict
     }
 
-    /// [`run_job`](Self::run_job) over reused buffers.
+    /// Runs `per_unit` judgments of each of `units` as one job of `class`:
+    /// [`run_job`](Self::run_job) without its owned result. The answers
+    /// stay in `scratch.answers`, the judgments in `scratch.judged` and the
+    /// per-unit ledgers in `scratch.ledgers`, for the caller to read.
     fn execute_job(
         &mut self,
-        job: &Job,
+        units: &[Unit],
+        per_unit: u32,
         class: WorkerClass,
         scratch: &mut JobScratch,
-    ) -> Result<JobResult, PlatformError> {
+    ) -> Result<JobTotals, PlatformError> {
         if let Some(cap) = self.config.budget_cap {
             if self.ledger.total() >= cap {
                 let spent = self.ledger.total();
@@ -670,6 +701,10 @@ impl<R: RngCore> Platform<R> {
             }
         }
         let JobScratch {
+            units: _,
+            eligible,
+            assignments,
+            answers,
             excluded,
             failed_slots,
             tried,
@@ -677,6 +712,12 @@ impl<R: RngCore> Platform<R> {
             ledgers,
             observed,
         } = scratch;
+        // Fate keys for the workers hired since the last job.
+        let fault_plan = &self.fault_plan;
+        self.fate_keys.extend(
+            (self.fate_keys.len()..self.pool.len())
+                .map(|i| fault_plan.fate_keys(WorkerId(i as u32))),
+        );
 
         // One exclusion mask over the pool, by worker index: untrusted,
         // retired, and (for this class) dropped-out workers.
@@ -702,27 +743,29 @@ impl<R: RngCore> Platform<R> {
             }
         }
 
-        let plan = schedule(
+        let plan_steps = schedule_into(
             &self.pool,
-            job,
+            units,
+            per_unit,
             class,
             excluded,
             self.physical_clock,
             self.rotation,
+            eligible,
+            assignments,
         )?;
-        self.rotation = self.rotation.wrapping_add(plan.assignments.len().max(1));
+        self.rotation = self.rotation.wrapping_add(assignments.len().max(1));
         self.last_assignments.clear();
         self.last_assignments
-            .extend(plan.assignments.iter().map(|a| a.worker));
-        let units = job.units();
-        let per_unit = job.judgments_per_unit() as usize;
+            .extend(assignments.iter().map(|a| a.worker));
+        let per_unit = per_unit as usize;
 
         // Every per-unit ledger is indexed by the unit's position in
-        // `job.units()`; attempts count the initial assignments now and
+        // `units`; attempts count the initial assignments now and
         // retries later.
         ledgers.clear();
         ledgers.resize(units.len(), UnitLedger::default());
-        for a in &plan.assignments {
+        for a in assignments.iter() {
             ledgers[a.unit_pos].attempts += 1;
         }
 
@@ -735,7 +778,7 @@ impl<R: RngCore> Platform<R> {
         judged.clear();
         failed_slots.clear();
         observed.clear();
-        for a in &plan.assignments {
+        for a in assignments.iter() {
             let unit = &units[a.unit_pos];
             if excluded[a.worker.index()] {
                 // The worker abandoned an earlier judgment of this very
@@ -779,7 +822,7 @@ impl<R: RngCore> Platform<R> {
         // the physical-time model), so the job's extra latency is the
         // slowest slot's, not the sum.
         let policy = self.config.retry;
-        let base_step = self.physical_clock + plan.physical_steps;
+        let base_step = self.physical_clock + plan_steps;
         let mut retries_used = 0u64;
         let mut extra_steps = 0u64;
         // The workers the current unit has been handed, across retries.
@@ -792,7 +835,7 @@ impl<R: RngCore> Platform<R> {
                 tried_pos = Some(pos);
                 tried.clear();
                 tried.extend(
-                    plan.assignments[pos * per_unit..(pos + 1) * per_unit]
+                    assignments[pos * per_unit..(pos + 1) * per_unit]
                         .iter()
                         .map(|a| a.worker),
                 );
@@ -893,7 +936,6 @@ impl<R: RngCore> Platform<R> {
         // Units still short of judgments after retries are degraded and
         // dead-lettered.
         let latencies = observed.len();
-        let mut degraded_units = Vec::new();
         let mut dead_letters_here = 0u64;
         for (unit, ledger) in units.iter().zip(ledgers.iter()) {
             let got = ledger.votes.all.total as usize;
@@ -901,7 +943,6 @@ impl<R: RngCore> Platform<R> {
             observed.push(u64::from(attempts));
             if got < per_unit {
                 let reason = ledger.reason.unwrap_or(DeadLetterReason::RetriesExhausted);
-                degraded_units.push(unit.id);
                 self.degraded = true;
                 self.record_fault(class, FaultKind::DeadLetter);
                 crowd_obs::emit(Event::DeadLettered {
@@ -925,8 +966,8 @@ impl<R: RngCore> Platform<R> {
         series::retry_depth(class).observe_each(&observed[latencies..]);
 
         // Aggregate regular units by majority over usable judgments.
-        let mut answers = Vec::with_capacity(units.len());
-        let mut unanswered: Vec<UnitId> = Vec::new();
+        answers.clear();
+        let mut unanswered = false;
         for (unit, ledger) in units.iter().zip(ledgers.iter()) {
             if unit.is_gold() {
                 answers.push(None);
@@ -942,7 +983,7 @@ impl<R: RngCore> Platform<R> {
             };
             if votes.total == 0 {
                 // Nothing usable at all: never fabricate an answer.
-                unanswered.push(unit.id);
+                unanswered = true;
                 answers.push(None);
                 continue;
             }
@@ -955,35 +996,61 @@ impl<R: RngCore> Platform<R> {
             answers.push(Some(winner));
         }
 
-        let physical_steps = plan.physical_steps + extra_steps;
+        let physical_steps = plan_steps + extra_steps;
         self.physical_clock += physical_steps;
         self.logical_steps += 1;
-        if !unanswered.is_empty() {
+        if unanswered {
             // The job's partial results (payments, trust, dead letters)
             // stay recorded; the resolved answers ride along in the error
             // so nothing already purchased has to be bought twice.
             return Err(PlatformError::UnitsUnanswered {
-                units: unanswered,
+                units: units
+                    .iter()
+                    .zip(answers.iter())
+                    .filter(|(unit, answer)| !unit.is_gold() && answer.is_none())
+                    .map(|(unit, _)| unit.id)
+                    .collect(),
                 attempts: 1 + policy.max_retries,
-                answers,
+                answers: answers.clone(),
             });
         }
-        Ok(JobResult {
-            answers,
-            judgments: judged.iter().map(|&(_, jd, _)| jd).collect(),
+        Ok(JobTotals {
             physical_steps,
-            excluded_workers: self.trust.untrusted().collect(),
-            degraded_units,
             retries: retries_used,
             dead_letters: dead_letters_here,
         })
     }
 }
 
-/// The buffers [`Platform::run_job`] reuses from job to job, so a warm
-/// platform's per-job allocations do not grow with the job's size.
+/// The scalar results of one job; the per-unit ones stay in its
+/// [`JobScratch`].
+#[derive(Debug, Clone, Copy)]
+struct JobTotals {
+    /// Physical steps the job consumed, retry backoff included.
+    physical_steps: u64,
+    /// Judgments re-assigned to fresh workers.
+    retries: u64,
+    /// Dead letters recorded.
+    dead_letters: u64,
+}
+
+/// The buffers every job reuses from the last, so a warm platform runs a
+/// batch without allocating: the units, the schedule, every per-judgment
+/// and per-unit list and the answers. [`Platform::run_job`] copies its
+/// owned [`JobResult`] out of them; the oracle batch path reads the
+/// answers in place.
 #[derive(Debug, Default)]
 struct JobScratch {
+    /// The units [`Platform::submit_comparisons`] builds: regular, then
+    /// gold.
+    units: Vec<Unit>,
+    /// The schedule's dealing order.
+    eligible: Vec<WorkerId>,
+    /// The schedule's assignments, unit-major.
+    assignments: Vec<Assignment>,
+    /// Majority answer per unit, by unit position (`None` for gold and
+    /// unanswered units).
+    answers: Vec<Option<ElementId>>,
     /// Exclusion mask by worker index; after execution, the untrusted
     /// mask aggregation reads.
     excluded: Vec<bool>,
@@ -1048,12 +1115,17 @@ struct UnitVotes {
 #[derive(Debug)]
 pub struct PlatformOracle<R: RngCore> {
     platform: Platform<R>,
+    /// The winners buffer a scalar comparison reuses.
+    winner: Vec<ElementId>,
 }
 
 impl<R: RngCore> PlatformOracle<R> {
     /// Wraps a platform.
     pub fn new(platform: Platform<R>) -> Self {
-        PlatformOracle { platform }
+        PlatformOracle {
+            platform,
+            winner: Vec::with_capacity(1),
+        }
     }
 
     /// The wrapped platform (e.g. to inspect the ledger afterwards).
@@ -1082,10 +1154,11 @@ impl<R: RngCore> ComparisonOracle for PlatformOracle<R> {
         k: ElementId,
         j: ElementId,
     ) -> Result<ElementId, OracleError> {
+        self.winner.clear();
         self.platform
-            .submit_comparisons(&[(k, j)], class)
-            .map(|answers| answers[0])
-            .map_err(|err| err.to_oracle_error(class))
+            .submit_into(&[(k, j)], class, &mut self.winner)
+            .map_err(|err| err.to_oracle_error(class))?;
+        Ok(self.winner[0])
     }
 
     /// Batch adapter for the billing layer: the whole batch becomes *one*
@@ -1120,12 +1193,9 @@ impl<R: RngCore> ComparisonOracle for PlatformOracle<R> {
         if pairs.is_empty() {
             return Ok(());
         }
-        let (answers, err) = self.platform.submit_comparisons_partial(pairs, class);
-        winners.extend(answers);
-        match err {
-            None => Ok(()),
-            Some(err) => Err(err.to_oracle_error(class)),
-        }
+        self.platform
+            .submit_into(pairs, class, winners)
+            .map_err(|err| err.to_oracle_error(class))
     }
 
     fn counts(&self) -> ComparisonCounts {

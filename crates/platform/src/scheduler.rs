@@ -15,7 +15,7 @@
 //! unit twice.
 
 use crate::pool::WorkerPool;
-use crate::task::{Job, UnitId};
+use crate::task::{Job, Unit, UnitId};
 use crate::worker::WorkerId;
 use crowd_core::model::WorkerClass;
 use serde::{Deserialize, Serialize};
@@ -140,7 +140,41 @@ pub fn schedule(
     starting_step: u64,
     rotation: usize,
 ) -> Result<Schedule, ScheduleError> {
-    let mut eligible: Vec<WorkerId> = Vec::with_capacity(pool.len());
+    let mut eligible = Vec::with_capacity(pool.len());
+    let mut assignments = Vec::with_capacity(job.total_judgments() as usize);
+    let physical_steps = schedule_into(
+        pool,
+        job.units(),
+        job.judgments_per_unit(),
+        class,
+        excluded,
+        starting_step,
+        rotation,
+        &mut eligible,
+        &mut assignments,
+    )?;
+    Ok(Schedule {
+        assignments,
+        physical_steps,
+    })
+}
+
+/// [`schedule`] over `per_unit` judgments of each of `units`, into
+/// reused buffers: `eligible` is overwritten with the dealing order and
+/// `assignments` with the plan. Returns the physical steps the plan spans.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn schedule_into(
+    pool: &WorkerPool,
+    units: &[Unit],
+    per_unit: u32,
+    class: WorkerClass,
+    excluded: &[bool],
+    starting_step: u64,
+    rotation: usize,
+    eligible: &mut Vec<WorkerId>,
+    assignments: &mut Vec<Assignment>,
+) -> Result<u64, ScheduleError> {
+    eligible.clear();
     eligible.extend(eligible_workers(pool, class, excluded));
     // Rotate the dealing order so consecutive jobs spread over the whole
     // pool rather than always starting from the same worker — without this
@@ -152,33 +186,34 @@ pub fn schedule(
     let shift = rotation % eligible.len();
     eligible.rotate_left(shift);
     let w = eligible.len();
-    let per_unit = job.judgments_per_unit();
     if per_unit as usize > w {
         return Err(ScheduleError::NotEnoughWorkersForUnit {
-            unit: job.units()[0].id,
+            unit: units[0].id,
             requested: per_unit,
             available: w,
         });
     }
 
-    let mut assignments = Vec::with_capacity(job.total_judgments() as usize);
-    let mut q: u64 = 0;
-    for (unit_pos, unit) in job.units().iter().enumerate() {
+    // The `q`-th judgment goes to `eligible[q % w]` at step `q / w`,
+    // dealt by running counters.
+    assignments.clear();
+    let (mut slot, mut physical_step) = (0, starting_step);
+    for (unit_pos, unit) in units.iter().enumerate() {
         for _ in 0..per_unit {
             assignments.push(Assignment {
                 unit: unit.id,
                 unit_pos,
-                worker: eligible[(q % w as u64) as usize],
-                physical_step: starting_step + q / w as u64,
+                worker: eligible[slot],
+                physical_step,
             });
-            q += 1;
+            slot += 1;
+            if slot == w {
+                slot = 0;
+                physical_step += 1;
+            }
         }
     }
-    let physical_steps = q.div_ceil(w as u64);
-    Ok(Schedule {
-        assignments,
-        physical_steps,
-    })
+    Ok((assignments.len() as u64).div_ceil(w as u64))
 }
 
 /// Picks a fresh worker for a retry of `unit`: eligible (right class, not
@@ -287,6 +322,43 @@ mod tests {
             assert!(chunk
                 .iter()
                 .all(|a| a.unit_pos == pos && a.unit == job.units()[pos].id));
+        }
+    }
+
+    #[test]
+    fn reused_buffers_plan_what_a_fresh_schedule_plans() {
+        let p = pool(5);
+        let (mut eligible, mut assignments) = (vec![WorkerId(9); 7], Vec::new());
+        for (units, judgments, start, rotation) in [(4, 3, 0, 0), (1, 1, 7, 3), (6, 2, 2, 11)] {
+            let job = job(units, judgments);
+            let fresh = schedule(
+                &p,
+                &job,
+                WorkerClass::Naive,
+                &[false, true],
+                start,
+                rotation,
+            );
+            let steps = schedule_into(
+                &p,
+                job.units(),
+                judgments,
+                WorkerClass::Naive,
+                &[false, true],
+                start,
+                rotation,
+                &mut eligible,
+                &mut assignments,
+            );
+            let fresh = fresh.unwrap();
+            assert_eq!(steps, Ok(fresh.physical_steps));
+            assert_eq!(assignments, fresh.assignments);
+            // The running counters deal the `q`-th judgment to worker
+            // `q % w` at step `q / w`.
+            for (q, a) in assignments.iter().enumerate() {
+                assert_eq!(a.worker, eligible[q % eligible.len()]);
+                assert_eq!(a.physical_step, start + (q / eligible.len()) as u64);
+            }
         }
     }
 

@@ -14,7 +14,7 @@
 //! `mix(shard seed, worker, sequence)` — no shared RNG stream exists, so
 //! outcomes are independent of job interleaving and thread count.
 
-use crate::fault::{mix, FaultConfig, FaultPlan, JudgeFate};
+use crate::fault::{mix, FateKeys, FaultConfig, FaultPlan, JudgeFate};
 use crate::serve::breaker::{BreakerPolicy, CircuitBreaker};
 use crate::worker::{Behavior, Worker, WorkerId, WorkerProfile};
 use crowd_core::element::{ElementId, Value};
@@ -100,6 +100,8 @@ pub struct WorkerShard {
     workers: Vec<Worker>,
     breakers: Vec<CircuitBreaker>,
     fault: FaultPlan,
+    /// Each worker's fate keys on `fault`, by worker index.
+    fate_keys: Vec<FateKeys>,
     judge_seed: u64,
     seq: u64,
     rotation: usize,
@@ -137,12 +139,16 @@ impl WorkerShard {
                 })
             })
             .collect();
+        let fault = FaultPlan::new(spec.fault, mix(shard_salt ^ 0xFA));
         WorkerShard {
             id,
             spec,
             workers,
             breakers: vec![CircuitBreaker::new(); spec.workers as usize],
-            fault: FaultPlan::new(spec.fault, mix(shard_salt ^ 0xFA)),
+            fate_keys: (0..spec.workers)
+                .map(|w| fault.fate_keys(WorkerId(w)))
+                .collect(),
+            fault,
             judge_seed: mix(shard_salt ^ 0x1D),
             seq: 0,
             rotation: 0,
@@ -291,7 +297,7 @@ impl WorkerShard {
             tried[w] = true;
             attempts += 1;
             self.seq += 1;
-            let fate = self.fault.fate(WorkerId(w as u32), self.seq);
+            let fate = self.fault.keyed_fate(&self.fate_keys[w], self.seq);
             let fault_kind = match fate {
                 JudgeFate::Answer { latency } if latency <= timeout => {
                     answers += 1;

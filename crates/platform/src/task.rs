@@ -28,8 +28,11 @@ pub struct Unit {
 
 impl Unit {
     /// A regular (paid, scored-by-aggregation) unit.
+    #[inline]
     pub fn regular(id: UnitId, k: ElementId, j: ElementId) -> Self {
-        assert_ne!(k, j, "a unit compares two distinct elements");
+        if k == j {
+            same_element(k);
+        }
         Unit {
             id,
             pair: (k, j),
@@ -43,7 +46,9 @@ impl Unit {
     ///
     /// Panics if `answer` is not one of the pair.
     pub fn gold(id: UnitId, k: ElementId, j: ElementId, answer: ElementId) -> Self {
-        assert_ne!(k, j, "a unit compares two distinct elements");
+        if k == j {
+            same_element(k);
+        }
         assert!(
             answer == k || answer == j,
             "the gold answer must be one of the pair"
@@ -59,6 +64,14 @@ impl Unit {
     pub fn is_gold(&self) -> bool {
         self.gold_answer.is_some()
     }
+}
+
+/// The panic of a unit built over one element twice, kept out of the
+/// constructors so they stay small enough to inline.
+#[cold]
+#[inline(never)]
+fn same_element(e: ElementId) -> ! {
+    panic!("a unit compares two distinct elements, got {e:?} twice");
 }
 
 /// One worker's answer to one unit.
@@ -88,15 +101,21 @@ impl Job {
     ///
     /// Panics if `judgments_per_unit == 0` or `units` is empty.
     pub fn new(units: Vec<Unit>, judgments_per_unit: u32) -> Self {
+        Job::check_shape(&units, judgments_per_unit);
+        Job {
+            units,
+            judgments_per_unit,
+        }
+    }
+
+    /// Panics unless `units` and `judgments_per_unit` make a job: at
+    /// least one unit, and at least one judgment each.
+    pub(crate) fn check_shape(units: &[Unit], judgments_per_unit: u32) {
         assert!(!units.is_empty(), "a job needs at least one unit");
         assert!(
             judgments_per_unit > 0,
             "each unit needs at least one judgment"
         );
-        Job {
-            units,
-            judgments_per_unit,
-        }
     }
 
     /// Convenience: a job of regular units from raw pairs.

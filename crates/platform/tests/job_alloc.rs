@@ -1,17 +1,21 @@
 //! Allocation guard for the platform's judgment path.
 //!
-//! Per-worker and per-unit state lives in dense vectors the platform
-//! reuses from job to job, so on a warm platform the number of heap
-//! allocations one `submit_comparisons` job makes is a constant: it must
-//! not grow with the job's pair count, faults and retries included. The
-//! same per-thread counting allocator as `crowd-obs`'s `handles_alloc.rs`
-//! counts allocation calls here (bytes do grow with the job: its answer
-//! and judgment vectors are sized by it).
+//! Per-worker and per-unit state, the job's units, its schedule and its
+//! answers live in dense vectors the platform reuses from job to job. So
+//! on a warm platform an oracle batch allocates nothing, faults and
+//! retries included: the answers go straight into the caller's buffer.
+//! `submit_comparisons` makes a constant number of allocation calls,
+//! whatever the job's pair count: the one answer vector it returns. A
+//! journaled batch adds only the journal's segment opens. The same
+//! per-thread counting allocator as `crowd-obs`'s `handles_alloc.rs`
+//! counts allocation calls here.
 
 use crowd_core::element::{ElementId, Instance};
 use crowd_core::model::WorkerClass;
+use crowd_core::oracle::{ComparisonOracle, OracleError};
 use crowd_platform::{
-    FaultConfig, LatencyModel, Platform, PlatformConfig, RetryPolicy, WorkerPool,
+    CheckpointPolicy, FaultConfig, JournaledOracle, LatencyModel, Platform, PlatformConfig,
+    PlatformOracle, RetryPolicy, WorkerPool,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -140,4 +144,101 @@ fn a_warm_jobs_allocations_do_not_grow_with_its_pairs() {
         counts.iter().all(|&(_, n)| n == first),
         "allocations per job (pairs, calls): {counts:?}"
     );
+}
+
+/// Warms `oracle` at both batch sizes, so its buffers and `winners` reach
+/// their high-water marks and every worker's dense slots exist.
+fn warm(oracle: &mut impl ComparisonOracle, winners: &mut Vec<ElementId>) {
+    for round in 0..6 {
+        for size in [256, 16] {
+            winners.clear();
+            oracle
+                .try_compare_batch(WorkerClass::Naive, &pairs(size, round), winners)
+                .expect("retries absorb 1% faults");
+        }
+    }
+}
+
+/// Runs measured batches of 16 and 256 pairs through `oracle` into the
+/// warmed `winners`. Returns, per answered batch, its size and its
+/// allocation calls, with `extra(oracle)` read before and after.
+/// A batch that leaves units unanswered is skipped: its error owns the
+/// unanswered lists.
+fn measured_batches<O: ComparisonOracle>(
+    oracle: &mut O,
+    winners: &mut Vec<ElementId>,
+    extra: impl Fn(&O) -> usize,
+) -> Vec<(u32, u64, usize)> {
+    let mut measured = Vec::new();
+    for round in 6..16 {
+        for size in [16, 256] {
+            let batch = pairs(size, round);
+            winners.clear();
+            let before = extra(oracle);
+            let (allocations, outcome) =
+                allocations_of(|| oracle.try_compare_batch(WorkerClass::Naive, &batch, winners));
+            match outcome {
+                Ok(()) => assert_eq!(winners.len(), batch.len()),
+                Err(OracleError::Unanswered { .. }) => continue,
+                Err(err) => panic!("a warm batch failed: {err}"),
+            }
+            measured.push((size, allocations, extra(oracle) - before));
+        }
+    }
+    assert!(
+        measured.len() >= 16,
+        "too few batches answered: {measured:?}"
+    );
+    measured
+}
+
+#[test]
+fn a_warm_oracle_batch_allocates_nothing() {
+    let mut oracle = PlatformOracle::new(platform());
+    let mut winners = Vec::new();
+    warm(&mut oracle, &mut winners);
+    let retries_before = oracle.platform().fault_counts().naive.retries;
+    let measured = measured_batches(&mut oracle, &mut winners, |_| 0);
+    assert!(
+        oracle.platform().fault_counts().naive.retries > retries_before,
+        "the measured batches must retry faults"
+    );
+    assert!(
+        measured.iter().all(|&(_, allocations, _)| allocations == 0),
+        "allocations per batch (pairs, calls, 0): {measured:?}"
+    );
+    let (allocations, winner) =
+        allocations_of(|| oracle.try_compare(WorkerClass::Naive, ElementId(3), ElementId(500)));
+    assert_eq!(winner, Ok(ElementId(500)));
+    assert_eq!(allocations, 0, "a warm scalar comparison allocated");
+}
+
+#[test]
+fn a_warm_journaled_batch_allocates_only_journal_segments() {
+    let segments = |o: &JournaledOracle<StdRng>| o.journal().durable().chunks().count();
+    let mut oracle = JournaledOracle::new(platform(), "alloc", 7, CheckpointPolicy::every(4));
+    let mut winners = Vec::new();
+    warm(&mut oracle, &mut winners);
+    let retries_before = oracle.platform().fault_counts().naive.retries;
+    let measured = measured_batches(&mut oracle, &mut winners, segments);
+    assert!(
+        oracle.platform().fault_counts().naive.retries > retries_before,
+        "the measured batches must retry faults"
+    );
+    // A segment open allocates the segment and may grow the segment list.
+    assert!(
+        measured
+            .iter()
+            .all(|&(_, allocations, opened)| allocations <= 2 * opened as u64),
+        "allocations per batch (pairs, calls, segments opened): {measured:?}"
+    );
+    assert!(
+        measured.iter().any(|&(_, allocations, _)| allocations == 0),
+        "most batches open no segment: {measured:?}"
+    );
+    let before = segments(&oracle);
+    let (allocations, winner) =
+        allocations_of(|| oracle.try_compare(WorkerClass::Naive, ElementId(3), ElementId(500)));
+    assert_eq!(winner, Ok(ElementId(500)));
+    assert!(allocations <= 2 * (segments(&oracle) - before) as u64);
 }
