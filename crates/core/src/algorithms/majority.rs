@@ -9,7 +9,7 @@
 
 use crate::element::ElementId;
 use crate::model::WorkerClass;
-use crate::oracle::ComparisonOracle;
+use crate::oracle::{majority, ComparisonOracle};
 
 /// Asks `votes` workers of `class` to compare `k` and `j` and returns the
 /// majority answer (ties broken towards the element with the smaller id, so
@@ -35,12 +35,7 @@ pub fn majority_compare<O: ComparisonOracle>(
             k_wins += 1;
         }
     }
-    let j_wins = votes - k_wins;
-    if k_wins > j_wins || (k_wins == j_wins && k < j) {
-        k
-    } else {
-        j
-    }
+    majority(k, j, k_wins, votes - k_wins)
 }
 
 /// Accuracy of incremental majority votes: asks `max_votes` workers once,
@@ -69,13 +64,7 @@ pub fn majority_prefix_correct<O: ComparisonOracle>(
         if oracle.compare(class, k, j) == k {
             k_wins += 1;
         }
-        let j_wins = v - k_wins;
-        let majority = if k_wins > j_wins || (k_wins == j_wins && k < j) {
-            k
-        } else {
-            j
-        };
-        out.push(majority == truth);
+        out.push(majority(k, j, k_wins, v - k_wins) == truth);
     }
     out
 }

@@ -582,9 +582,9 @@ impl<O: ComparisonOracle> ComparisonOracle for MemoOracle<O> {
 /// selecting the answer that received most votes").
 ///
 /// Expert queries are translated into `votes` fresh naïve judgments; the
-/// majority wins (ties broken towards `k` — with odd `votes`, ties cannot
-/// occur). Naïve queries pass through unchanged. The tally consequently
-/// contains only naïve comparisons: that is the point — no experts exist.
+/// [`majority`] wins (with odd `votes`, ties cannot occur). Naïve queries
+/// pass through unchanged. The tally consequently contains only naïve
+/// comparisons: that is the point — no experts exist.
 #[derive(Debug)]
 pub struct SimulatedExpertOracle<O> {
     inner: O,
@@ -625,11 +625,7 @@ impl<O: ComparisonOracle> ComparisonOracle for SimulatedExpertOracle<O> {
                         k_wins += 1;
                     }
                 }
-                if 2 * k_wins > self.votes {
-                    k
-                } else {
-                    j
-                }
+                majority(k, j, k_wins, self.votes - k_wins)
             }
         }
     }
@@ -649,7 +645,7 @@ impl<O: ComparisonOracle> ComparisonOracle for SimulatedExpertOracle<O> {
                         k_wins += 1;
                     }
                 }
-                Ok(if 2 * k_wins > self.votes { k } else { j })
+                Ok(majority(k, j, k_wins, self.votes - k_wins))
             }
         }
     }
@@ -660,6 +656,31 @@ impl<O: ComparisonOracle> ComparisonOracle for SimulatedExpertOracle<O> {
 
     fn observe(&mut self, event: crate::trace::TraceEvent) {
         self.inner.observe(event);
+    }
+}
+
+/// The majority answer to a comparison of `k` and `j` that drew `k_votes`
+/// votes for `k` and `j_votes` for `j`; a tie goes to the lower id.
+///
+/// Every aggregate over several judgments of one pair uses this rule:
+/// [`MajorityOracle`], [`SimulatedExpertOracle`],
+/// [`majority_compare`](crate::algorithms::majority_compare),
+/// [`majority_prefix_correct`](crate::algorithms::majority_prefix_correct),
+/// and the platform's and the service shards' votes.
+///
+/// ```
+/// use crowd_core::element::ElementId;
+/// use crowd_core::oracle::majority;
+///
+/// assert_eq!(majority(ElementId(4), ElementId(2), 2, 1), ElementId(4));
+/// assert_eq!(majority(ElementId(4), ElementId(2), 1, 1), ElementId(2));
+/// ```
+#[inline]
+pub fn majority(k: ElementId, j: ElementId, k_votes: u32, j_votes: u32) -> ElementId {
+    if k_votes > j_votes || (k_votes == j_votes && k < j) {
+        k
+    } else {
+        j
     }
 }
 
@@ -716,12 +737,7 @@ impl<O: ComparisonOracle> ComparisonOracle for MajorityOracle<O> {
                 k_wins += 1;
             }
         }
-        let j_wins = votes - k_wins;
-        if k_wins > j_wins || (k_wins == j_wins && k < j) {
-            k
-        } else {
-            j
-        }
+        majority(k, j, k_wins, votes - k_wins)
     }
 
     fn try_compare(
@@ -740,12 +756,7 @@ impl<O: ComparisonOracle> ComparisonOracle for MajorityOracle<O> {
                 k_wins += 1;
             }
         }
-        let j_wins = votes - k_wins;
-        Ok(if k_wins > j_wins || (k_wins == j_wins && k < j) {
-            k
-        } else {
-            j
-        })
+        Ok(majority(k, j, k_wins, votes - k_wins))
     }
 
     fn counts(&self) -> ComparisonCounts {
@@ -1187,6 +1198,27 @@ mod tests {
         o.compare(WorkerClass::Expert, ElementId(0), ElementId(1));
         assert_eq!(o.counts().expert, 1);
         let _ = o.into_inner();
+    }
+
+    #[test]
+    fn majority_picks_the_larger_count_and_breaks_ties_to_the_lower_id() {
+        let (lo, hi) = (ElementId(2), ElementId(4));
+        for k_votes in 0..=8u32 {
+            for j_votes in 0..=8u32 {
+                for (k, j) in [(lo, hi), (hi, lo)] {
+                    let want = if k_votes > j_votes || (k_votes == j_votes && k < j) {
+                        k
+                    } else {
+                        j
+                    };
+                    assert_eq!(
+                        majority(k, j, k_votes, j_votes),
+                        want,
+                        "{k_votes}–{j_votes} for ({k:?}, {j:?})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! repro [--quick] [--out DIR] [--jobs N] [all | fig2 fig3 ... table2 search_eval phase1_survival]
 //! ```
 //!
-//! `--smoke` is an alias for `--quick` (CI smoke jobs use it).
-//!
 //! Results are written as markdown and CSV into `results/` (or `--out`),
 //! alongside a `manifest.json` run record, and the markdown is echoed to
 //! stdout. Experiments and their seed replications run on `--jobs N`
@@ -25,7 +23,7 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" | "--smoke" => quick = true,
+            "--quick" => quick = true,
             "--out" => match args.next() {
                 Some(dir) => out_dir = PathBuf::from(dir),
                 None => {
@@ -42,7 +40,7 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--quick|--smoke] [--out DIR] [--jobs N] [all | EXPERIMENT...]\n\
+                    "usage: repro [--quick] [--out DIR] [--jobs N] [all | EXPERIMENT...]\n\
                      experiments: {} {}",
                     EXPERIMENT_NAMES.join(" "),
                     TEXT_EXPERIMENTS.join(" ")

@@ -1,7 +1,7 @@
 //! Text exposition of a metrics snapshot: a Prometheus-style text format
 //! and a JSON twin. Both render a sorted [`MetricSample`] snapshot, so two
 //! equal registries produce byte-identical files — which is what the CI
-//! `obs-smoke` diff relies on.
+//! `repro-smoke` diff across job counts relies on.
 
 use crate::metrics::{MetricSample, SampleValue};
 use std::fmt::Write as _;

@@ -16,6 +16,9 @@
 //!   `--jobs` value.
 
 use crate::worker::WorkerId;
+use crowd_core::model::WorkerClass;
+use crowd_core::trace::{FaultCounts, FaultKind};
+use crowd_obs::{series, Event};
 use serde::{Deserialize, Serialize};
 
 /// Per-judgment latency model, in physical steps.
@@ -442,6 +445,23 @@ fn draw(key: u64, seq: u64) -> u64 {
 /// A 53-bit draw as a uniform value in `[0, 1)`.
 fn unit_f64(m: u64) -> f64 {
     m as f64 * (1.0 / DRAWS as f64)
+}
+
+/// Records one fault in `counts` and mirrors it into the observability
+/// layer: every kind bumps the
+/// [`crowd_faults_total`](crowd_obs::names::FAULTS_TOTAL) counter, and the
+/// plain kinds emit an [`Event::FaultObserved`]. Retries and dead letters
+/// skip the generic event: their call sites emit the richer
+/// [`Event::RetryScheduled`] or [`Event::DeadLettered`] instead, so a log
+/// never reports the same incident twice. The platform and the service
+/// shards both report through here.
+pub(crate) fn report_fault(counts: &mut FaultCounts, class: WorkerClass, kind: FaultKind) {
+    counts.record(class, kind);
+    series::faults(class, kind).add(1);
+    match kind {
+        FaultKind::Retry | FaultKind::DeadLetter => {}
+        _ => crowd_obs::emit(Event::FaultObserved { class, kind }),
+    }
 }
 
 /// SplitMix64 finalizer: avalanche a 64-bit word. Shared by every

@@ -13,17 +13,17 @@
 //! experiments (Tables 1–2, Section 5.3) are reproduced.
 
 use crate::billing::Ledger;
-use crate::fault::{FateKeys, FaultConfig, FaultPlan, JudgeFate};
+use crate::fault::{report_fault, FateKeys, FaultConfig, FaultPlan, JudgeFate};
 use crate::pool::WorkerPool;
 use crate::quality::TrustTracker;
-use crate::retry::{DeadLetter, DeadLetterReason, RetryPolicy};
+use crate::retry::{report_dead_letter, DeadLetter, DeadLetterReason, RetryPolicy};
 use crate::scheduler::{reassign, schedule_into, Assignment, ScheduleError};
 use crate::task::{Job, Judgment, Unit, UnitId};
 use crate::worker::WorkerId;
 use crowd_core::cost::CostModel;
 use crowd_core::element::{ElementId, Instance};
 use crowd_core::model::WorkerClass;
-use crowd_core::oracle::{ComparisonCounts, ComparisonOracle, OracleError};
+use crowd_core::oracle::{majority, ComparisonCounts, ComparisonOracle, OracleError};
 use crowd_core::trace::{FaultCounts, FaultKind};
 use crowd_obs::{series, Event};
 use rand::{Rng, RngCore};
@@ -467,37 +467,20 @@ impl<R: RngCore> Platform<R> {
         pairs: &[(ElementId, ElementId)],
         class: WorkerClass,
     ) -> Result<Vec<ElementId>, PlatformError> {
-        match self.submit_comparisons_partial(pairs, class) {
-            (answers, None) => Ok(answers),
-            (_, Some(err)) => Err(err),
-        }
-    }
-
-    /// Like [`submit_comparisons`](Self::submit_comparisons), but on
-    /// failure the already-resolved *prefix* of answers (in input order, up
-    /// to the first unresolved pair) is returned alongside the error
-    /// instead of being discarded. Those comparisons were purchased —
-    /// workers answered and were paid — so recovery and billing must treat
-    /// them as done rather than buy them again.
-    ///
-    /// On success the error slot is `None` and the answer vector covers
-    /// every input pair.
-    pub fn submit_comparisons_partial(
-        &mut self,
-        pairs: &[(ElementId, ElementId)],
-        class: WorkerClass,
-    ) -> (Vec<ElementId>, Option<PlatformError>) {
         let mut answers = Vec::with_capacity(pairs.len());
-        let err = self.submit_into(pairs, class, &mut answers).err();
-        (answers, err)
+        self.submit_into(pairs, class, &mut answers)?;
+        Ok(answers)
     }
 
-    /// [`submit_comparisons_partial`](Self::submit_comparisons_partial)
-    /// into the caller's buffer: appends the answered prefix to `winners`
-    /// (every pair's answer on `Ok`) and returns the error, if any. The
-    /// job's units and every per-job buffer are reused, so a warm platform
-    /// allocates nothing here unless the job leaves units unanswered (that
-    /// error owns its lists).
+    /// [`submit_comparisons`](Self::submit_comparisons) into the caller's
+    /// buffer: appends the answered prefix to `winners` (every pair's
+    /// answer on `Ok`; on failure, the pairs in input order up to the
+    /// first unresolved one) and returns the error, if any. The prefix
+    /// was purchased (workers answered and were paid), so recovery and
+    /// billing treat it as done rather than buy it again. The job's units
+    /// and every per-job buffer are reused, so a warm platform allocates
+    /// nothing here unless the job leaves units unanswered (that error
+    /// owns its lists).
     pub(crate) fn submit_into(
         &mut self,
         pairs: &[(ElementId, ElementId)],
@@ -555,20 +538,11 @@ impl<R: RngCore> Platform<R> {
         result.map(|_| ())
     }
 
-    /// Records a fault in the campaign tally and mirrors it into the
-    /// observability layer: every kind bumps the
-    /// [`crowd_faults_total`](crowd_obs::names::FAULTS_TOTAL) counter, and the
-    /// plain kinds emit an [`Event::FaultObserved`]. Retries and dead
-    /// letters skip the generic event — their call sites emit the richer
-    /// [`Event::RetryScheduled`] / [`Event::DeadLettered`] instead, so a
-    /// log never reports the same incident twice.
+    /// Records a fault in the campaign tally through the fault report the
+    /// service shards share ([`report_fault`]), which also bumps its metric
+    /// series and, for the plain kinds, emits [`Event::FaultObserved`].
     fn record_fault(&mut self, class: WorkerClass, kind: FaultKind) {
-        self.fault_counts.record(class, kind);
-        series::faults(class, kind).add(1);
-        match kind {
-            FaultKind::Retry | FaultKind::DeadLetter => {}
-            _ => crowd_obs::emit(Event::FaultObserved { class, kind }),
-        }
+        report_fault(&mut self.fault_counts, class, kind);
     }
 
     /// The fate of the next judgment attempt handed to `worker`, drawn
@@ -580,20 +554,51 @@ impl<R: RngCore> Platform<R> {
             .keyed_fate(&self.fate_keys[worker.index()], seq)
     }
 
-    /// Executes one judgment: the worker answers, gets paid, the tally
-    /// advances, and (for usable judgments on gold units) trust is scored.
-    /// Timed-out judgments are real work — paid and counted — but
-    /// `usable = false` keeps them out of trust scoring. Inlined into both
-    /// call sites, so the judgment is built where it is stored.
+    /// One judgment attempt: `worker` is handed `units[pos]` at physical
+    /// step `start`. A worker who abandoned an earlier judgment of the
+    /// batch has walked away from the rest of it and fails at once, with
+    /// no fate drawn; retries never hand out such a worker. Otherwise the
+    /// attempt draws the worker's fate and reports a fault, excluding a
+    /// worker who abandons. On an answer the worker judges, gets paid, the
+    /// tally advances, the judgment joins `judged` and, for a usable one on
+    /// a gold unit, trust is scored. A timed-out answer is real work (paid
+    /// and counted) but unusable: it stays out of trust scoring and
+    /// aggregation. Returns a usable answer's latency (also pushed to
+    /// `observed`), `None` when the attempt failed.
+    /// [`execute_job`](Self::execute_job)'s planned assignments and retries
+    /// both run through here; it is inlined into each, so the judgment is
+    /// built where it is stored.
     #[inline(always)]
-    fn perform_judgment(
+    #[allow(clippy::too_many_arguments)]
+    fn attempt(
         &mut self,
-        unit: &Unit,
+        units: &[Unit],
+        pos: usize,
         worker: WorkerId,
-        physical_step: u64,
+        start: u64,
         class: WorkerClass,
-        usable: bool,
-    ) -> Judgment {
+        excluded: &mut [bool],
+        judged: &mut Vec<(usize, Judgment, bool)>,
+        observed: &mut Vec<u64>,
+    ) -> Option<u64> {
+        if excluded[worker.index()] {
+            self.record_fault(class, FaultKind::Abandon);
+            return None;
+        }
+        let latency = match self.next_fate(worker) {
+            JudgeFate::Answer { latency } => latency,
+            JudgeFate::Abandon => {
+                self.record_fault(class, FaultKind::Abandon);
+                excluded[worker.index()] = true;
+                return None;
+            }
+            JudgeFate::NoAnswer => {
+                self.record_fault(class, FaultKind::NoAnswer);
+                return None;
+            }
+        };
+        let usable = latency <= self.fault_plan.config().timeout_steps;
+        let unit = &units[pos];
         let (k, j) = unit.pair;
         let (vk, vj) = (self.instance.value(k), self.instance.value(j));
         let answer = self
@@ -608,11 +613,19 @@ impl<R: RngCore> Platform<R> {
                 self.trust.record(worker, answer == gold);
             }
         }
-        Judgment {
+        let judgment = Judgment {
             unit: unit.id,
             worker,
             answer,
-            physical_step,
+            physical_step: start + latency,
+        };
+        judged.push((pos, judgment, usable));
+        if usable {
+            observed.push(latency);
+            Some(latency)
+        } else {
+            self.record_fault(class, FaultKind::Timeout);
+            None
         }
     }
 
@@ -686,6 +699,12 @@ impl<R: RngCore> Platform<R> {
     /// [`run_job`](Self::run_job) without its owned result. The answers
     /// stay in `scratch.answers`, the judgments in `scratch.judged` and the
     /// per-unit ledgers in `scratch.ledgers`, for the caller to read.
+    ///
+    /// Planned assignments and retries run the same
+    /// [`attempt`](Self::attempt). The parts the service shards share go
+    /// through one helper each: faults through [`report_fault`] (via
+    /// [`record_fault`](Self::record_fault)), dead letters through
+    /// [`report_dead_letter`] and each unit's votes through [`majority`].
     fn execute_job(
         &mut self,
         units: &[Unit],
@@ -769,8 +788,6 @@ impl<R: RngCore> Platform<R> {
             ledgers[a.unit_pos].attempts += 1;
         }
 
-        let timeout = self.fault_plan.config().timeout_steps;
-
         // Execute the planned assignments. `judged` carries the unit's
         // position and a `usable` flag: timed-out answers are paid but
         // never aggregated. `observed` collects the usable latencies, and
@@ -779,41 +796,14 @@ impl<R: RngCore> Platform<R> {
         failed_slots.clear();
         observed.clear();
         for a in assignments.iter() {
-            let unit = &units[a.unit_pos];
-            if excluded[a.worker.index()] {
-                // The worker abandoned an earlier judgment of this very
-                // batch and walked away from the rest of it.
-                self.record_fault(class, FaultKind::Abandon);
-                failed_slots.push(a.unit_pos);
-                continue;
-            }
-            match self.next_fate(a.worker) {
-                JudgeFate::Abandon => {
-                    self.record_fault(class, FaultKind::Abandon);
-                    excluded[a.worker.index()] = true;
-                    failed_slots.push(a.unit_pos);
-                }
-                JudgeFate::NoAnswer => {
-                    self.record_fault(class, FaultKind::NoAnswer);
-                    failed_slots.push(a.unit_pos);
-                }
-                JudgeFate::Answer { latency } => {
-                    let usable = latency <= timeout;
-                    let judgment = self.perform_judgment(
-                        unit,
-                        a.worker,
-                        a.physical_step + latency,
-                        class,
-                        usable,
-                    );
-                    judged.push((a.unit_pos, judgment, usable));
-                    if usable {
-                        observed.push(latency);
-                    } else {
-                        self.record_fault(class, FaultKind::Timeout);
-                        failed_slots.push(a.unit_pos);
-                    }
-                }
+            let (pos, start) = (a.unit_pos, a.physical_step);
+            if self
+                .attempt(
+                    units, pos, a.worker, start, class, excluded, judged, observed,
+                )
+                .is_none()
+            {
+                failed_slots.push(pos);
             }
         }
 
@@ -879,32 +869,13 @@ impl<R: RngCore> Platform<R> {
                 series::retry_depth_max().set(i64::from(attempt));
                 retries_used += 1;
                 slot_delay += policy.backoff(attempt);
-                match self.next_fate(worker) {
-                    JudgeFate::Abandon => {
-                        self.record_fault(class, FaultKind::Abandon);
-                        excluded[worker.index()] = true;
-                    }
-                    JudgeFate::NoAnswer => {
-                        self.record_fault(class, FaultKind::NoAnswer);
-                    }
-                    JudgeFate::Answer { latency } => {
-                        let usable = latency <= timeout;
-                        let judgment = self.perform_judgment(
-                            unit,
-                            worker,
-                            base_step + slot_delay + latency,
-                            class,
-                            usable,
-                        );
-                        judged.push((pos, judgment, usable));
-                        if usable {
-                            observed.push(latency);
-                            slot_delay += latency;
-                            recovered = true;
-                            break;
-                        }
-                        self.record_fault(class, FaultKind::Timeout);
-                    }
+                let start = base_step + slot_delay;
+                if let Some(latency) =
+                    self.attempt(units, pos, worker, start, class, excluded, judged, observed)
+                {
+                    slot_delay += latency;
+                    recovered = true;
+                    break;
                 }
             }
             if recovered {
@@ -945,12 +916,7 @@ impl<R: RngCore> Platform<R> {
                 let reason = ledger.reason.unwrap_or(DeadLetterReason::RetriesExhausted);
                 self.degraded = true;
                 self.record_fault(class, FaultKind::DeadLetter);
-                crowd_obs::emit(Event::DeadLettered {
-                    class,
-                    attempts,
-                    reason,
-                });
-                series::dead_letters(class, reason).add(1);
+                report_dead_letter(class, attempts, reason);
                 self.dead_letters.push(DeadLetter {
                     unit: unit.id,
                     pair: unit.pair,
@@ -973,7 +939,6 @@ impl<R: RngCore> Platform<R> {
                 answers.push(None);
                 continue;
             }
-            let (k, j) = unit.pair;
             // If quality control discarded everything, fall back to all
             // usable judgments — the requester still needs an answer.
             let votes = if ledger.votes.trusted.total > 0 {
@@ -987,13 +952,8 @@ impl<R: RngCore> Platform<R> {
                 answers.push(None);
                 continue;
             }
-            let j_votes = votes.total - votes.for_k;
-            let winner = if votes.for_k > j_votes || (votes.for_k == j_votes && k < j) {
-                k
-            } else {
-                j
-            };
-            answers.push(Some(winner));
+            let (k, j) = unit.pair;
+            answers.push(Some(majority(k, j, votes.for_k, votes.total - votes.for_k)));
         }
 
         let physical_steps = plan_steps + extra_steps;
@@ -1773,19 +1733,17 @@ mod tests {
                 .with_faults(FaultConfig::none().with_no_answer(0.5), fault_seed)
                 .with_retry(RetryPolicy::none());
             let mut p = platform(honest_pool(3), cfg, 11);
-            let (answers, err) = p.submit_comparisons_partial(&pairs, WorkerClass::Naive);
-            match err {
-                None => assert_eq!(answers, expect.to_vec()),
-                Some(PlatformError::UnitsUnanswered { .. }) => {
+            let mut answers = Vec::new();
+            match p.submit_into(&pairs, WorkerClass::Naive, &mut answers) {
+                Ok(()) => assert_eq!(answers, expect),
+                Err(PlatformError::UnitsUnanswered { .. }) => {
                     // The prefix stops at the first unanswered pair, and
                     // everything in it is a real (purchased) answer.
                     assert!(answers.len() < pairs.len());
                     assert_eq!(answers[..], expect[..answers.len()]);
-                    if !answers.is_empty() {
-                        saw_partial = true;
-                    }
+                    saw_partial |= !answers.is_empty();
                 }
-                Some(other) => panic!("unexpected platform error: {other:?}"),
+                Err(other) => panic!("unexpected platform error: {other:?}"),
             }
         }
         assert!(
@@ -1816,9 +1774,7 @@ mod tests {
                 Err(err) => {
                     assert!(matches!(err, OracleError::Unanswered { .. }));
                     assert_eq!(winners[1..], expect[..winners.len() - 1]);
-                    if winners.len() > 1 {
-                        saw_partial = true;
-                    }
+                    saw_partial |= winners.len() > 1;
                 }
             }
             assert_eq!(winners[0], ElementId(9));

@@ -10,6 +10,7 @@
 use crate::task::UnitId;
 use crowd_core::element::ElementId;
 use crowd_core::model::WorkerClass;
+use crowd_obs::{series, Event};
 use serde::{Deserialize, Serialize};
 
 pub use crowd_core::trace::DeadLetterReason;
@@ -91,6 +92,19 @@ pub struct DeadLetter {
     /// invariant): dashboards must be able to tell a quarantine storm
     /// from an under-hired campaign.
     pub reason: DeadLetterReason,
+}
+
+/// Reports a unit or pair given up on to the observability layer: an
+/// [`Event::DeadLettered`] and a bump of the
+/// [`crowd_dead_letters_total`](crowd_obs::names::DEAD_LETTERS_TOTAL)
+/// counter. The platform and the service both report through here.
+pub(crate) fn report_dead_letter(class: WorkerClass, attempts: u32, reason: DeadLetterReason) {
+    crowd_obs::emit(Event::DeadLettered {
+        class,
+        attempts,
+        reason,
+    });
+    series::dead_letters(class, reason).add(1);
 }
 
 #[cfg(test)]

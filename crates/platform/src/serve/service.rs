@@ -46,9 +46,9 @@
 //!   list. On a warm service a tick that admits and completes nothing
 //!   makes no heap allocation (`tests/serve_alloc.rs`).
 
-use crate::fault::mix;
+use crate::fault::{mix, report_fault};
 use crate::journal::{fnv1a64, json_records, CheckpointPolicy, Journal, JOURNAL_VERSION};
-use crate::retry::RetryPolicy;
+use crate::retry::{report_dead_letter, RetryPolicy};
 use crate::serve::arrival::ArrivalPlan;
 use crate::serve::breaker::BreakerPolicy;
 use crate::serve::cache::{CachePolicy, CacheStats, JudgmentCache};
@@ -1048,13 +1048,7 @@ impl CrowdServe {
             *tenant.tick_charged.get_or_insert(0) += u64::from(out.answers);
             if let Some(reason) = out.dead {
                 self.dead_letters += 1;
-                let class = shard.class();
-                emit(Event::DeadLettered {
-                    class,
-                    attempts: out.attempts,
-                    reason,
-                });
-                series::dead_letters(class, reason).add(1);
+                report_dead_letter(shard.class(), out.attempts, reason);
             }
             job.feed((ElementId(d.k), ElementId(d.j)), out.winner);
         }
@@ -1146,12 +1140,7 @@ impl CrowdServe {
                             // on the crowd with boosted votes instead of
                             // hanging until the deadline.
                             job.mark_degraded(DegradedReason::ExpertExhausted);
-                            self.faults.record(class, FaultKind::ExpertFallback);
-                            emit(Event::FaultObserved {
-                                class,
-                                kind: FaultKind::ExpertFallback,
-                            });
-                            series::faults(class, FaultKind::ExpertFallback).add(1);
+                            report_fault(&mut self.faults, class, FaultKind::ExpertFallback);
                             continue;
                         }
                         // Crowd quarantine storm: the pair waits for a

@@ -13,13 +13,21 @@
 //! and each usable judgment draws from a fresh `StdRng` seeded by
 //! `mix(shard seed, worker, sequence)` — no shared RNG stream exists, so
 //! outcomes are independent of job interleaving and thread count.
+//!
+//! The platform's executor ([`Platform`](crate::Platform)) shares the parts
+//! of a judgment that do not differ: the votes go through
+//! [`crowd_core::oracle::majority`] (ties to the lower id) and
+//! every fault through the crate's one fault report (`report_fault`). The
+//! loop itself stays separate: how a worker is picked, the retry budget,
+//! the starvation reason, timed-out answers and the judge RNG all differ,
+//! and each difference shows in the output bytes.
 
-use crate::fault::{mix, FateKeys, FaultConfig, FaultPlan, JudgeFate};
+use crate::fault::{mix, report_fault, FateKeys, FaultConfig, FaultPlan, JudgeFate};
 use crate::serve::breaker::{BreakerPolicy, CircuitBreaker};
 use crate::worker::{Behavior, Worker, WorkerId, WorkerProfile};
 use crowd_core::element::{ElementId, Value};
 use crowd_core::model::{TiePolicy, WorkerClass};
-use crowd_core::oracle::ComparisonCounts;
+use crowd_core::oracle::{majority, ComparisonCounts};
 use crowd_core::trace::{DeadLetterReason, FaultCounts, FaultKind};
 use crowd_obs::{emit, names, series, CounterId, Event};
 use rand::rngs::StdRng;
@@ -323,12 +331,7 @@ impl WorkerShard {
                 JudgeFate::Abandon => FaultKind::Abandon,
                 JudgeFate::NoAnswer => FaultKind::NoAnswer,
             };
-            self.faults.record(class, fault_kind);
-            emit(Event::FaultObserved {
-                class,
-                kind: fault_kind,
-            });
-            series::faults(class, fault_kind).add(1);
+            report_fault(&mut self.faults, class, fault_kind);
             let verdict = self.breakers[w].on_failure(tick, breaker, self.judge_seed, w as u64);
             if verdict.was_probe {
                 emit(Event::BreakerProbed {
@@ -361,17 +364,8 @@ impl WorkerShard {
         if answers < votes && dead.is_none() {
             dead = Some(DeadLetterReason::RetriesExhausted);
         }
-        let winner = if answers == 0 {
-            None
-        } else if votes_j > votes_k {
-            Some(j)
-        } else if votes_k > votes_j {
-            Some(k)
-        } else {
-            Some(k.min(j))
-        };
         PairOutcome {
-            winner,
+            winner: (answers > 0).then(|| majority(k, j, votes_k, votes_j)),
             answers,
             attempts,
             dead,
@@ -520,19 +514,35 @@ mod tests {
     fn tie_breaks_to_lower_element_id() {
         let (_rec, _g) = quiet();
         let mut shard = honest_shard(8);
-        // Equal values → distance 0 ≤ δ → every vote is a coin flip; a
-        // 1–1 split of the 2 votes must resolve to the lower id.
-        let out = shard.execute_pair(
-            0,
-            ElementId(4),
-            5.0,
-            ElementId(2),
-            5.0,
-            2,
-            0,
-            &BreakerPolicy::disabled(),
+        let policy = BreakerPolicy::disabled();
+        // Equal values: distance 0 ≤ δ, so every vote is a coin flip. A
+        // clone asked for one vote at a time casts the same two votes
+        // (same workers at the same sequence numbers), which shows the
+        // split behind each two-vote outcome.
+        let pair = |shard: &mut WorkerShard, votes| {
+            shard.execute_pair(0, ElementId(4), 5.0, ElementId(2), 5.0, votes, 0, &policy)
+        };
+        let mut splits = 0;
+        for _ in 0..32 {
+            let mut single = shard.clone();
+            let first = pair(&mut single, 1).winner;
+            let second = pair(&mut single, 1).winner;
+            let out = pair(&mut shard, 2);
+            assert_eq!(out.answers, 2);
+            if first == second {
+                assert_eq!(out.winner, first, "a 2–0 vote decides");
+            } else {
+                splits += 1;
+                assert_eq!(
+                    out.winner,
+                    Some(ElementId(2)),
+                    "a 1–1 split goes to the lower id"
+                );
+            }
+        }
+        assert!(
+            splits > 0,
+            "32 pairs of coin flips must split at least once"
         );
-        assert_eq!(out.answers, 2);
-        assert!(out.winner == Some(ElementId(2)) || out.winner == Some(ElementId(4)));
     }
 }
