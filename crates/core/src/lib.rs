@@ -30,8 +30,8 @@
 //!   from the related work).
 //! * [`equiv`] — the differential-equivalence harness: prove two oracle
 //!   drives issue the byte-identical comparison sequence.
-//! * [`replay`] — record judgments once, replay them offline across
-//!   algorithm variants.
+//! * [`replay`] — record every judgment an oracle gives into a
+//!   serializable log.
 //! * [`stats`] — aggregation helpers for experiments.
 //! * [`trace`] — comparison-level tracing: the round/phase event and
 //!   fault vocabulary, plus the per-thread work tally.
@@ -115,7 +115,7 @@ pub mod prelude {
         ComparisonCounts, ComparisonOracle, FnOracle, MajorityOracle, MemoOracle, ModelOracle,
         OracleError, PerfectOracle, SimulatedExpertOracle, SimulatedOracle, TryFnOracle,
     };
-    pub use crate::replay::{JudgmentLog, RecordingOracle, ReplayOracle};
+    pub use crate::replay::{JudgmentLog, RecordingOracle};
     pub use crate::tournament::Tournament;
     pub use crate::trace::{FaultCounts, FaultKind, FaultTally, TraceEvent, TracePhase};
 }

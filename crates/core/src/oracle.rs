@@ -220,8 +220,8 @@ impl Sub for ComparisonCounts {
 /// An irrecoverable fault while obtaining a comparison answer.
 ///
 /// Simulated oracles never fail, but an oracle backed by a live platform
-/// can: every worker of a class may have dropped out, a unit may exhaust
-/// its retry budget, or the campaign budget may run dry mid-algorithm.
+/// can: every worker of a class may have dropped out, or a unit may
+/// exhaust its retry budget.
 /// [`ComparisonOracle::try_compare`] surfaces these instead of panicking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleError {
@@ -235,8 +235,6 @@ pub enum OracleError {
         /// Judgment attempts made before giving up (including retries).
         attempts: u32,
     },
-    /// The campaign budget cap was reached before the comparison ran.
-    BudgetExhausted,
     /// The run cannot go on answering: a resumed run's journal diverged
     /// from the crashed run's (the platform crate's `resume_job`), or a
     /// test oracle simulates a crash. Recovery replays the journal
@@ -257,7 +255,6 @@ impl std::fmt::Display for OracleError {
             OracleError::Unanswered { attempts } => {
                 write!(f, "comparison unanswered after {attempts} attempts")
             }
-            OracleError::BudgetExhausted => write!(f, "campaign budget exhausted"),
             OracleError::Interrupted => write!(f, "the run was interrupted by a crash"),
             OracleError::CountsRegressed(regression) => write!(f, "{regression}"),
         }
@@ -1381,6 +1378,5 @@ mod tests {
         assert!(OracleError::Unanswered { attempts: 4 }
             .to_string()
             .contains('4'));
-        assert!(OracleError::BudgetExhausted.to_string().contains("budget"));
     }
 }

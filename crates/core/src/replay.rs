@@ -1,27 +1,13 @@
-//! Recording and replaying comparison judgments.
+//! Recording comparison judgments.
 //!
-//! Crowdsourced judgments cost money; algorithm development should not.
-//! [`RecordingOracle`] captures every judgment an oracle produces (e.g.
-//! from a real platform) into a serializable [`JudgmentLog`];
-//! [`ReplayOracle`] plays a log back as an oracle, so different algorithm
-//! configurations can be compared offline on the *same* human answers —
-//! the methodology behind the paper's "we obtained the results for 14
-//! executions" style of re-analysis.
-//!
-//! Replay semantics: answers are keyed by `(class, unordered pair)` and
-//! consumed in recording order, so repeated questions get the successive
-//! recorded judgments (matching the fresh-judgment behaviour of the
-//! source). A replay that asks a question the log cannot answer returns a
-//! [`ReplayError`] through the fallible API; the `ComparisonOracle` impl
-//! panics instead, because the trait is infallible — use
-//! [`ReplayOracle::remaining`] to check coverage first.
+//! [`RecordingOracle`] captures every judgment an oracle produces into a
+//! serializable [`JudgmentLog`], in answering order. The equivalence
+//! harness ([`crate::equiv`]) compares two oracle stacks by their logs.
 
 use crate::element::ElementId;
 use crate::model::WorkerClass;
 use crate::oracle::{ComparisonCounts, ComparisonOracle};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::collections::VecDeque;
 
 /// One recorded judgment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -176,106 +162,6 @@ impl<O: ComparisonOracle> ComparisonOracle for RecordingOracle<O> {
     }
 }
 
-/// Why a replay could not answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayError {
-    /// The class asked.
-    pub class: WorkerClass,
-    /// The pair asked.
-    pub pair: (ElementId, ElementId),
-}
-
-impl std::fmt::Display for ReplayError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "the log has no remaining {} judgment for ({}, {})",
-            self.class, self.pair.0, self.pair.1
-        )
-    }
-}
-
-impl std::error::Error for ReplayError {}
-
-/// An oracle answering from a [`JudgmentLog`].
-#[derive(Debug)]
-pub struct ReplayOracle {
-    queues: HashMap<(WorkerClass, ElementId, ElementId), VecDeque<ElementId>>,
-    counts: ComparisonCounts,
-    remaining: usize,
-}
-
-impl ReplayOracle {
-    /// Builds a replay from a log.
-    pub fn new(log: &JudgmentLog) -> Self {
-        let mut queues: HashMap<(WorkerClass, ElementId, ElementId), VecDeque<ElementId>> =
-            HashMap::new();
-        for &RecordedJudgment {
-            class,
-            k,
-            j,
-            winner,
-        } in log.judgments()
-        {
-            let key = if k < j { (class, k, j) } else { (class, j, k) };
-            queues.entry(key).or_default().push_back(winner);
-        }
-        ReplayOracle {
-            queues,
-            counts: ComparisonCounts::zero(),
-            remaining: log.len(),
-        }
-    }
-
-    /// Judgments not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
-    /// Fallible comparison: answers from the log or reports the gap.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReplayError`] when the log has no remaining judgment for
-    /// the `(class, pair)`.
-    pub fn try_compare(
-        &mut self,
-        class: WorkerClass,
-        k: ElementId,
-        j: ElementId,
-    ) -> Result<ElementId, ReplayError> {
-        let key = if k < j { (class, k, j) } else { (class, j, k) };
-        let winner = self
-            .queues
-            .get_mut(&key)
-            .and_then(VecDeque::pop_front)
-            .ok_or(ReplayError {
-                class,
-                pair: (k, j),
-            })?;
-        self.counts.record(class);
-        self.remaining -= 1;
-        Ok(winner)
-    }
-}
-
-impl ComparisonOracle for ReplayOracle {
-    /// Answers from the log.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the log cannot answer — use
-    /// [`try_compare`](Self::try_compare) to handle gaps gracefully.
-    fn compare(&mut self, class: WorkerClass, k: ElementId, j: ElementId) -> ElementId {
-        self.try_compare(class, k, j)
-            .expect("the judgment log cannot answer this comparison")
-    }
-
-    fn counts(&self) -> ComparisonCounts {
-        self.counts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,68 +195,25 @@ mod tests {
     }
 
     #[test]
-    fn replay_reproduces_the_original_run_exactly() {
-        let (log, original) = run_recorded();
-        let mut replay = ReplayOracle::new(&log);
-        let replayed = two_max_find(&mut replay, WorkerClass::Naive, &instance().ids());
-        assert_eq!(replayed.winner, original.winner);
-        assert_eq!(replayed.final_ranking, original.final_ranking);
-        assert_eq!(replay.remaining(), 0, "the same run consumes the whole log");
-    }
-
-    #[test]
-    fn replay_is_order_insensitive_in_pair_presentation() {
-        let mut log = JudgmentLog::new();
-        log.push(RecordedJudgment {
-            class: WorkerClass::Naive,
-            k: ElementId(0),
-            j: ElementId(1),
-            winner: ElementId(1),
-        });
-        let mut replay = ReplayOracle::new(&log);
-        // Asked in the opposite order, the recorded answer still applies.
-        assert_eq!(
-            replay.compare(WorkerClass::Naive, ElementId(1), ElementId(0)),
-            ElementId(1)
-        );
-    }
-
-    #[test]
-    fn exhausted_log_errors_gracefully() {
-        let mut log = JudgmentLog::new();
-        log.push(RecordedJudgment {
-            class: WorkerClass::Naive,
-            k: ElementId(0),
-            j: ElementId(1),
-            winner: ElementId(0),
-        });
-        let mut replay = ReplayOracle::new(&log);
-        replay
-            .try_compare(WorkerClass::Naive, ElementId(0), ElementId(1))
-            .unwrap();
-        let err = replay
-            .try_compare(WorkerClass::Naive, ElementId(0), ElementId(1))
-            .unwrap_err();
-        assert_eq!(err.pair, (ElementId(0), ElementId(1)));
-        assert!(err.to_string().contains("no remaining"));
-    }
-
-    #[test]
     fn classes_are_kept_separate() {
-        let mut log = JudgmentLog::new();
-        log.push(RecordedJudgment {
-            class: WorkerClass::Expert,
-            k: ElementId(0),
-            j: ElementId(1),
-            winner: ElementId(0),
-        });
-        let mut replay = ReplayOracle::new(&log);
-        assert!(replay
-            .try_compare(WorkerClass::Naive, ElementId(0), ElementId(1))
-            .is_err());
-        assert!(replay
-            .try_compare(WorkerClass::Expert, ElementId(0), ElementId(1))
-            .is_ok());
+        let model = ExpertModel::exact(2.0, 0.5, TiePolicy::UniformRandom);
+        let oracle = SimulatedOracle::new(instance(), model, StdRng::seed_from_u64(3));
+        let mut rec = RecordingOracle::new(oracle);
+        rec.compare(WorkerClass::Expert, ElementId(0), ElementId(1));
+        rec.compare(WorkerClass::Naive, ElementId(0), ElementId(1));
+        rec.compare(WorkerClass::Naive, ElementId(2), ElementId(3));
+        let classes: Vec<WorkerClass> = rec.log().judgments().iter().map(|r| r.class).collect();
+        assert_eq!(
+            classes,
+            [WorkerClass::Expert, WorkerClass::Naive, WorkerClass::Naive]
+        );
+        assert_eq!(
+            rec.counts(),
+            ComparisonCounts {
+                naive: 2,
+                expert: 1
+            }
+        );
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl FaultKind {
 }
 
 /// Why a unit was dead-lettered — the distinction dashboards need to tell
-/// a quarantine storm from a small pool or an exhausted campaign budget.
+/// a quarantine storm from a small pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DeadLetterReason {
     /// Every retry was attempted and none produced a usable judgment.
@@ -110,17 +110,14 @@ pub enum DeadLetterReason {
     /// Every eligible worker was unhealthy — excluded or quarantined by a
     /// circuit breaker — when the retry looked for a fresh assignee.
     NoHealthyWorkers,
-    /// The campaign or tenant budget refused to fund further attempts.
-    BudgetExhausted,
 }
 
 impl DeadLetterReason {
     /// All reasons, in declaration order.
-    pub const ALL: [DeadLetterReason; 4] = [
+    pub const ALL: [DeadLetterReason; 3] = [
         DeadLetterReason::RetriesExhausted,
         DeadLetterReason::NoFreshWorkers,
         DeadLetterReason::NoHealthyWorkers,
-        DeadLetterReason::BudgetExhausted,
     ];
 }
 

@@ -1,9 +1,8 @@
 //! The compact form events and spans take in a recorder's log.
 //!
 //! A record is a tag byte and its fields in declaration order: integers
-//! as LEB128 varints, `bool`s and small enums as one byte, `f64`s as
-//! their raw bits (eight little-endian bytes, so NaN payloads and `-0.0`
-//! survive), strings as a varint length and their UTF-8 bytes. An
+//! as LEB128 varints, `bool`s and small enums as one byte, strings as a
+//! varint length and their UTF-8 bytes. An
 //! [`Event`] takes the tag its variant has in `event_codec!`'s table; a
 //! [`Span`] takes [`SPAN`]. A typical serve event is five or six bytes, a
 //! span about ten, against 48 and 40 for the values themselves.
@@ -74,16 +73,6 @@ impl Field for bool {
 
     fn get<'a, I: Iterator<Item = &'a [u8]>>(r: &mut Records<'a, I>) -> Self {
         r.byte() != 0
-    }
-}
-
-impl Field for f64 {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bits().to_le_bytes());
-    }
-
-    fn get<'a, I: Iterator<Item = &'a [u8]>>(r: &mut Records<'a, I>) -> Self {
-        f64::from_bits(u64::from_le_bytes(std::array::from_fn(|_| r.byte())))
     }
 }
 
@@ -188,18 +177,17 @@ event_codec! {
     3 => FaultObserved { class, kind },
     4 => RetryScheduled { class, attempt, backoff_steps },
     5 => DeadLettered { class, attempts, reason },
-    6 => BudgetExhausted { cap, spent },
-    7 => CheckpointWritten { batches, bytes },
-    8 => RecoveryStarted { batches, torn_tail },
-    9 => RecoveryCompleted { replayed_batches, replayed_comparisons },
-    10 => JobAdmitted { tenant, job, waited_ticks },
-    11 => JobShed { tenant, job, retry_after },
-    12 => JobCompleted { tenant, job, latency_ticks, comparisons, degraded },
-    13 => BreakerTripped { shard, worker, streak, cooldown_ticks },
-    14 => BreakerProbed { shard, worker, recovered },
-    15 => SloBreached { tenant, tick, window_jobs, bad_jobs, bad_bps },
-    16 => SloRecovered { tenant, tick, window_jobs, bad_bps },
-    17 => RunFinished { name, comparisons_by_class, faults },
+    6 => CheckpointWritten { batches, bytes },
+    7 => RecoveryStarted { batches, torn_tail },
+    8 => RecoveryCompleted { replayed_batches, replayed_comparisons },
+    9 => JobAdmitted { tenant, job, waited_ticks },
+    10 => JobShed { tenant, job, retry_after },
+    11 => JobCompleted { tenant, job, latency_ticks, comparisons, degraded },
+    12 => BreakerTripped { shard, worker, streak, cooldown_ticks },
+    13 => BreakerProbed { shard, worker, recovered },
+    14 => SloBreached { tenant, tick, window_jobs, bad_jobs, bad_bps },
+    15 => SloRecovered { tenant, tick, window_jobs, bad_bps },
+    16 => RunFinished { name, comparisons_by_class, faults },
 }
 
 /// Appends `span`'s record to `out`.

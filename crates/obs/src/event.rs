@@ -70,13 +70,6 @@ pub enum Event {
         /// from small pools ([`DeadLetterReason::NoFreshWorkers`]) here.
         reason: DeadLetterReason,
     },
-    /// The campaign budget cap refused further work.
-    BudgetExhausted {
-        /// The configured cap.
-        cap: f64,
-        /// Money spent when the cap fired.
-        spent: f64,
-    },
     /// A journal checkpoint flushed pending records to durable storage.
     CheckpointWritten {
         /// Batches journaled so far (including this checkpoint's).
@@ -352,10 +345,6 @@ mod tests {
                 tick: 58,
                 window_jobs: 10,
                 bad_bps: 500,
-            },
-            Event::BudgetExhausted {
-                cap: 10.0,
-                spent: 10.5,
             },
             Event::CheckpointWritten {
                 batches: 3,

@@ -210,7 +210,6 @@ pub fn reason_label(reason: DeadLetterReason) -> &'static str {
         DeadLetterReason::RetriesExhausted => "retries_exhausted",
         DeadLetterReason::NoFreshWorkers => "no_fresh_workers",
         DeadLetterReason::NoHealthyWorkers => "no_healthy_workers",
-        DeadLetterReason::BudgetExhausted => "budget_exhausted",
     }
 }
 

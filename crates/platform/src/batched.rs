@@ -199,7 +199,6 @@ mod tests {
         }
         let mut cfg = PlatformConfig::paper_default();
         cfg.gold_fraction = 0.25;
-        cfg.min_gold = 2;
         let mut p = Platform::new(instance, pool, cfg, StdRng::seed_from_u64(seed));
         p.set_gold_pairs(vec![
             (ElementId(n as u32 - 1), ElementId(0)),

@@ -5,8 +5,7 @@
 //! them all again. The paper's two-phase algorithm is driven entirely by
 //! its ordered comparison stream, so a journal of *(batch pairs, worker
 //! assignments, outcomes, RNG stream positions, budget spent)* is a
-//! complete recovery state — see `crowd_core::replay` for the
-//! transcript-replay argument.
+//! complete recovery state.
 //!
 //! This module provides the journal itself:
 //!

@@ -16,7 +16,7 @@ use crate::billing::Ledger;
 use crate::fault::{report_fault, FateKeys, FaultConfig, FaultPlan, JudgeFate};
 use crate::pool::WorkerPool;
 use crate::quality::TrustTracker;
-use crate::retry::{report_dead_letter, DeadLetter, DeadLetterReason, RetryPolicy};
+use crate::retry::{backoff, report_dead_letter, DeadLetter, DeadLetterReason, RetryPolicy};
 use crate::scheduler::{reassign, schedule_into, Assignment, ScheduleError};
 use crate::task::{Job, Judgment, Unit, UnitId};
 use crate::worker::WorkerId;
@@ -28,22 +28,12 @@ use crowd_core::trace::{FaultCounts, FaultKind};
 use crowd_obs::{series, Event};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Errors the platform can report to a requester.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlatformError {
     /// The scheduler could not plan the job.
     Schedule(ScheduleError),
-    /// The campaign budget cap was reached; the campaign state (ledger,
-    /// trust, dead letters) remains valid for a partial
-    /// [`CampaignReport`](crate::report::CampaignReport).
-    BudgetExhausted {
-        /// The configured cap.
-        cap: f64,
-        /// Spending when the cap fired.
-        spent: f64,
-    },
     /// Regular units collected zero usable judgments despite retries; the
     /// job's partial results are recorded on the platform.
     UnitsUnanswered {
@@ -70,9 +60,6 @@ impl std::fmt::Display for PlatformError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlatformError::Schedule(err) => write!(f, "scheduling failed: {err}"),
-            PlatformError::BudgetExhausted { cap, spent } => {
-                write!(f, "budget cap {cap} reached (spent {spent})")
-            }
             PlatformError::UnitsUnanswered {
                 units, attempts, ..
             } => write!(
@@ -107,7 +94,6 @@ impl PlatformError {
                 | ScheduleError::NoFreshWorkerForUnit { .. }
                 | ScheduleError::EmptyPool => OracleError::WorkforceDepleted { class },
             },
-            PlatformError::BudgetExhausted { .. } => OracleError::BudgetExhausted,
             PlatformError::UnitsUnanswered { attempts, .. } => OracleError::Unanswered {
                 attempts: *attempts,
             },
@@ -115,21 +101,18 @@ impl PlatformError {
     }
 }
 
+/// Judgments [`Platform::submit_comparisons`] collects per unit: the
+/// paper drives its algorithms with single judgments. A [`Job`] run
+/// through [`Platform::run_job`] carries its own count.
+pub const JUDGMENTS_PER_UNIT: u32 = 1;
+
 /// Platform-wide configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlatformConfig {
-    /// Judgments collected per unit (the paper requests "at least 21
-    /// answers" per pair in the calibration experiments, and single
-    /// judgments when driving algorithms).
-    pub judgments_per_unit: u32,
     /// Fraction of gold units injected into each job (paper: 15%).
     pub gold_fraction: f64,
     /// Per-judgment pay for each class.
     pub payment: CostModel,
-    /// Gold accuracy below which a worker's responses are ignored.
-    pub trust_threshold: f64,
-    /// Gold judgments before the threshold is enforced.
-    pub min_gold: u32,
     /// Fault-injection knobs. [`FaultConfig::none`] (the default) keeps
     /// the platform byte-identical to a build without the fault layer.
     pub faults: FaultConfig,
@@ -138,40 +121,26 @@ pub struct PlatformConfig {
     pub fault_seed: u64,
     /// Recovery policy for failed judgments.
     pub retry: RetryPolicy,
-    /// Campaign spending cap. When reached, new jobs are refused (and
-    /// running jobs stop retrying) with
-    /// [`PlatformError::BudgetExhausted`] instead of panicking; the
-    /// partial campaign state remains reportable.
-    pub budget_cap: Option<f64>,
     /// Expert-depletion fallback: when an expert job cannot be scheduled
     /// because no eligible expert remains, re-run it as a naïve job with
-    /// this (odd) vote-boost factor on `judgments_per_unit`, flagging the
-    /// campaign degraded. `0` disables the fallback.
+    /// this (odd) vote-boost factor on [`JUDGMENTS_PER_UNIT`], flagging
+    /// the campaign degraded. `0` disables the fallback.
     pub expert_fallback_votes: u32,
 }
 
 impl PlatformConfig {
-    /// The paper's CrowdFlower-like setup: single judgments, 15% gold,
-    /// 70% trust threshold.
+    /// The paper's CrowdFlower-like setup: 15% gold, no faults. Single
+    /// judgments ([`JUDGMENTS_PER_UNIT`]) and the 70% trust rule
+    /// ([`crate::quality::TRUST_THRESHOLD`]) are fixed.
     pub fn paper_default() -> Self {
         PlatformConfig {
-            judgments_per_unit: 1,
             gold_fraction: 0.15,
             payment: CostModel::with_ratio(10.0),
-            trust_threshold: 0.7,
-            min_gold: 3,
             faults: FaultConfig::none(),
             fault_seed: 0,
             retry: RetryPolicy::paper_default(),
-            budget_cap: None,
             expert_fallback_votes: 0,
         }
-    }
-
-    /// Sets the judgments collected per unit.
-    pub fn with_judgments_per_unit(mut self, j: u32) -> Self {
-        self.judgments_per_unit = j;
-        self
     }
 
     /// Sets the per-judgment payments.
@@ -196,12 +165,6 @@ impl PlatformConfig {
     /// Sets the retry policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Sets the campaign budget cap.
-    pub fn with_budget_cap(mut self, cap: f64) -> Self {
-        self.budget_cap = Some(cap);
         self
     }
 
@@ -268,13 +231,10 @@ pub struct Platform<R: RngCore> {
     next_unit: u32,
     /// Rotating dealing offset so consecutive jobs spread across the pool.
     rotation: usize,
-    /// Workers retired mid-campaign: they keep their history but receive
-    /// no further assignments.
-    retired: HashSet<WorkerId>,
     /// The campaign's fault plan (stateless; decisions are hashes).
     fault_plan: FaultPlan,
-    /// Each worker's fate keys on the plan, by [`WorkerId::index`],
-    /// computed when the worker first reaches a job.
+    /// Each worker's fate keys on the plan, by [`WorkerId::index`]. The
+    /// pool is fixed at [`Platform::new`], so they are computed there.
     fate_keys: Vec<FateKeys>,
     /// Monotone per-campaign judgment-attempt counter feeding the plan.
     fault_seq: u64,
@@ -298,13 +258,15 @@ impl<R: RngCore> Platform<R> {
     /// Builds a platform over the ground-truth `instance` with the given
     /// workforce.
     pub fn new(instance: Instance, pool: WorkerPool, config: PlatformConfig, rng: R) -> Self {
-        let trust = TrustTracker::new(config.trust_threshold, config.min_gold);
         let fault_plan = FaultPlan::new(config.faults, config.fault_seed);
+        let fate_keys = (0..pool.len())
+            .map(|i| fault_plan.fate_keys(WorkerId(i as u32)))
+            .collect();
         Platform {
             instance,
             pool,
             config,
-            trust,
+            trust: TrustTracker::default(),
             ledger: Ledger::new(),
             rng,
             gold_pairs: Vec::new(),
@@ -313,9 +275,8 @@ impl<R: RngCore> Platform<R> {
             counts: ComparisonCounts::zero(),
             next_unit: 0,
             rotation: 0,
-            retired: HashSet::new(),
             fault_plan,
-            fate_keys: Vec::new(),
+            fate_keys,
             fault_seq: 0,
             fault_counts: FaultCounts::zero(),
             dropouts: Vec::new(),
@@ -324,29 +285,6 @@ impl<R: RngCore> Platform<R> {
             degraded: false,
             scratch: JobScratch::default(),
         }
-    }
-
-    /// Hires one more worker mid-campaign; she becomes eligible from the
-    /// next job on. Crowd platforms see constant churn — workers arrive
-    /// and leave while a campaign runs.
-    pub fn hire_worker(
-        &mut self,
-        class: WorkerClass,
-        channel: &str,
-        behavior: crate::worker::Behavior,
-    ) -> WorkerId {
-        self.pool.hire(class, channel, behavior)
-    }
-
-    /// Retires a worker: her earnings and trust history remain on the
-    /// books, but she receives no further assignments. Idempotent.
-    pub fn retire_worker(&mut self, worker: WorkerId) {
-        self.retired.insert(worker);
-    }
-
-    /// Workers retired so far.
-    pub fn retired_workers(&self) -> &HashSet<WorkerId> {
-        &self.retired
     }
 
     /// Registers gold pairs: comparisons whose correct answer the requester
@@ -507,7 +445,7 @@ impl<R: RngCore> Platform<R> {
             let id = self.fresh_unit_id();
             units.push(Unit::gold(id, k, j, answer));
         }
-        let per_unit = self.config.judgments_per_unit;
+        let per_unit = JUDGMENTS_PER_UNIT;
         Job::check_shape(&units, per_unit);
         let result = match self.execute_job(&units, per_unit, class, &mut scratch) {
             Err(PlatformError::Schedule(ScheduleError::NoEligibleWorkers { class: missing }))
@@ -650,9 +588,9 @@ impl<R: RngCore> Platform<R> {
     ///
     /// # Errors
     ///
-    /// Fails if the pool cannot satisfy the schedule, the budget cap is
-    /// reached, or any regular unit ends with zero usable judgments after
-    /// retries (the partial results stay recorded on the platform).
+    /// Fails if the pool cannot satisfy the schedule, or any regular unit
+    /// ends with zero usable judgments after retries (the partial results
+    /// stay recorded on the platform).
     pub fn run_job(&mut self, job: &Job, class: WorkerClass) -> Result<JobResult, PlatformError> {
         let mut scratch = std::mem::take(&mut self.scratch);
         let (units, per_unit) = (job.units(), job.judgments_per_unit());
@@ -712,13 +650,6 @@ impl<R: RngCore> Platform<R> {
         class: WorkerClass,
         scratch: &mut JobScratch,
     ) -> Result<JobTotals, PlatformError> {
-        if let Some(cap) = self.config.budget_cap {
-            if self.ledger.total() >= cap {
-                let spent = self.ledger.total();
-                crowd_obs::emit(Event::BudgetExhausted { cap, spent });
-                return Err(PlatformError::BudgetExhausted { cap, spent });
-            }
-        }
         let JobScratch {
             units: _,
             eligible,
@@ -731,24 +662,13 @@ impl<R: RngCore> Platform<R> {
             ledgers,
             observed,
         } = scratch;
-        // Fate keys for the workers hired since the last job.
-        let fault_plan = &self.fault_plan;
-        self.fate_keys.extend(
-            (self.fate_keys.len()..self.pool.len())
-                .map(|i| fault_plan.fate_keys(WorkerId(i as u32))),
-        );
 
-        // One exclusion mask over the pool, by worker index: untrusted,
-        // retired, and (for this class) dropped-out workers.
+        // One exclusion mask over the pool, by worker index: untrusted
+        // and (for this class) dropped-out workers.
         excluded.clear();
         excluded.resize(self.pool.len(), false);
         for w in self.trust.untrusted() {
             excluded[w.index()] = true;
-        }
-        for w in &self.retired {
-            if let Some(mask) = excluded.get_mut(w.index()) {
-                *mask = true;
-            }
         }
         // Campaign dropouts, checked in pool order among the otherwise
         // eligible workers of the class. A zero-rate plan never excludes
@@ -833,14 +753,6 @@ impl<R: RngCore> Platform<R> {
             let mut slot_delay = 0u64;
             let mut recovered = false;
             for attempt in 1..=policy.max_retries {
-                if let Some(cap) = self.config.budget_cap {
-                    if self.ledger.total() >= cap {
-                        // Budget exhausted mid-recovery: stop retrying and
-                        // let the unit dead-letter.
-                        ledgers[pos].reason = Some(DeadLetterReason::BudgetExhausted);
-                        break;
-                    }
-                }
                 let worker =
                     match reassign(&self.pool, class, excluded, tried, unit.id, self.rotation) {
                         Ok(worker) => worker,
@@ -864,11 +776,11 @@ impl<R: RngCore> Platform<R> {
                 crowd_obs::emit(Event::RetryScheduled {
                     class,
                     attempt,
-                    backoff_steps: policy.backoff(attempt),
+                    backoff_steps: backoff(attempt),
                 });
                 series::retry_depth_max().set(i64::from(attempt));
                 retries_used += 1;
-                slot_delay += policy.backoff(attempt);
+                slot_delay += backoff(attempt);
                 let start = base_step + slot_delay;
                 if let Some(latency) =
                     self.attempt(units, pos, worker, start, class, excluded, judged, observed)
@@ -1122,8 +1034,7 @@ impl<R: RngCore> ComparisonOracle for PlatformOracle<R> {
     }
 
     /// Batch adapter for the billing layer: the whole batch becomes *one*
-    /// [`Platform::submit_comparisons`] job, so the budget check, worker
-    /// schedule, gold injection, and per-judgment billing run once per
+    /// [`Platform::submit_comparisons`] job, so the worker schedule, gold injection, and per-judgment billing run once per
     /// batch instead of once per comparison. Answers and tallies match the
     /// scalar loop for a fault-free workforce; the job structure
     /// necessarily differs (one logical step for the batch instead of one
@@ -1169,7 +1080,7 @@ mod tests {
     use crate::worker::{Behavior, SpamStrategy};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
 
     fn instance() -> Instance {
         Instance::new(vec![10.0, 20.0, 30.0, 40.0, 50.0])
@@ -1206,16 +1117,14 @@ mod tests {
     fn payments_match_judgments() {
         let cfg = PlatformConfig::paper_default()
             .without_gold()
-            .with_judgments_per_unit(3)
             .with_payment(CostModel::new(2.0, 20.0));
         let mut p = platform(honest_pool(5), cfg, 2);
-        p.submit_comparisons(&[(ElementId(0), ElementId(1))], WorkerClass::Naive)
-            .unwrap();
+        let job = Job::from_pairs(&[(ElementId(0), ElementId(1))], 3);
+        p.run_job(&job, WorkerClass::Naive).unwrap();
         assert_eq!(p.ledger().judgments(), 3);
         assert_eq!(p.ledger().total(), 6.0);
         assert_eq!(p.counts().naive, 3);
-        p.submit_comparisons(&[(ElementId(0), ElementId(1))], WorkerClass::Expert)
-            .unwrap();
+        p.run_job(&job, WorkerClass::Expert).unwrap();
         assert_eq!(p.ledger().total(), 6.0 + 3.0 * 20.0); // 3 expert judgments at 20 each
     }
 
@@ -1246,9 +1155,8 @@ mod tests {
             "spam",
             Behavior::Spammer(SpamStrategy::AlwaysSecond),
         );
-        let mut cfg = PlatformConfig::paper_default().with_judgments_per_unit(5);
+        let mut cfg = PlatformConfig::paper_default();
         cfg.gold_fraction = 0.6;
-        cfg.min_gold = 2;
         let mut p = platform(pool, cfg, 4);
         // Gold pairs presented as (higher, lower): AlwaysSecond always fails.
         p.set_gold_pairs(vec![
@@ -1269,16 +1177,14 @@ mod tests {
 
     #[test]
     fn logical_and_physical_clocks_advance() {
-        let cfg = PlatformConfig::paper_default()
-            .without_gold()
-            .with_judgments_per_unit(3);
+        let cfg = PlatformConfig::paper_default().without_gold();
         let mut p = platform(honest_pool(3), cfg, 5);
-        // 2 units × 3 judgments over 5 naive workers... pool has 3 naive.
-        p.submit_comparisons(
+        // 2 units × 3 judgments over the pool's 3 naive workers.
+        let job = Job::from_pairs(
             &[(ElementId(0), ElementId(1)), (ElementId(2), ElementId(3))],
-            WorkerClass::Naive,
-        )
-        .unwrap();
+            3,
+        );
+        p.run_job(&job, WorkerClass::Naive).unwrap();
         assert_eq!(p.logical_steps(), 1);
         assert_eq!(p.physical_clock(), 2); // ⌈6/3⌉
     }
@@ -1331,46 +1237,6 @@ mod tests {
     }
 
     #[test]
-    fn churn_hire_and_retire_mid_campaign() {
-        let mut p = platform(
-            honest_pool(3),
-            PlatformConfig::paper_default().without_gold(),
-            11,
-        );
-        // Retire two of the three naive workers: work continues on one.
-        p.retire_worker(WorkerId(0));
-        p.retire_worker(WorkerId(1));
-        p.submit_comparisons(&[(ElementId(0), ElementId(4))], WorkerClass::Naive)
-            .unwrap();
-        assert_eq!(p.ledger().earned_by(WorkerId(0)), 0.0);
-        assert_eq!(p.ledger().earned_by(WorkerId(1)), 0.0);
-        assert!(p.ledger().earned_by(WorkerId(2)) > 0.0);
-
-        // Retire the last one: naive jobs now fail ...
-        p.retire_worker(WorkerId(2));
-        assert!(p
-            .submit_comparisons(&[(ElementId(0), ElementId(4))], WorkerClass::Naive)
-            .is_err());
-
-        // ... until a new hire arrives.
-        let fresh = p.hire_worker(
-            WorkerClass::Naive,
-            "late-arrival",
-            Behavior::Threshold {
-                delta: 0.0,
-                epsilon: 0.0,
-                tie: crowd_core::model::TiePolicy::UniformRandom,
-            },
-        );
-        let answers = p
-            .submit_comparisons(&[(ElementId(0), ElementId(4))], WorkerClass::Naive)
-            .unwrap();
-        assert_eq!(answers, vec![ElementId(4)]);
-        assert!(p.ledger().earned_by(fresh) > 0.0);
-        assert_eq!(p.retired_workers().len(), 3);
-    }
-
-    #[test]
     #[should_panic(expected = "distinct elements")]
     fn gold_pair_with_duplicate_panics() {
         let mut p = platform(honest_pool(3), PlatformConfig::paper_default(), 9);
@@ -1388,15 +1254,16 @@ mod tests {
         let pairs: Vec<(ElementId, ElementId)> = (0..6)
             .map(|i| (ElementId(2 * i), ElementId(2 * i + 1)))
             .collect();
-        let cfg = PlatformConfig::paper_default()
-            .without_gold()
-            .with_judgments_per_unit(3);
+        let cfg = PlatformConfig::paper_default().without_gold();
 
         // The faulty-capable platform under a zero-rate plan.
         let mut pool = WorkerPool::new();
         pool.hire_naive_crowd(5, 2.0, 0.1);
-        let mut p = Platform::new(inst.clone(), pool, cfg.clone(), StdRng::seed_from_u64(77));
-        let result = p.submit_comparisons(&pairs, WorkerClass::Naive).unwrap();
+        let mut p = Platform::new(inst.clone(), pool, cfg, StdRng::seed_from_u64(77));
+        let result = p
+            .run_job(&Job::from_pairs(&pairs, 3), WorkerClass::Naive)
+            .unwrap()
+            .answers;
 
         // The same run replayed without any fault machinery.
         let mut pool = WorkerPool::new();
@@ -1407,7 +1274,7 @@ mod tests {
             .enumerate()
             .map(|(i, &(k, j))| Unit::regular(UnitId(i as u32), k, j))
             .collect();
-        let job = Job::new(units, cfg.judgments_per_unit);
+        let job = Job::new(units, 3);
         let plan = plan_schedule(&pool, &job, WorkerClass::Naive, &[], 0, 0).unwrap();
         let mut expected: HashMap<UnitId, Vec<ElementId>> = HashMap::new();
         for a in &plan.assignments {
@@ -1418,18 +1285,20 @@ mod tests {
                     .judge(k, inst.value(k), j, inst.value(j), &mut rng);
             expected.entry(a.unit).or_default().push(answer);
         }
-        let reference: Vec<ElementId> = job
+        let reference: Vec<Option<ElementId>> = job
             .units()
             .iter()
             .map(|u| {
                 let votes = &expected[&u.id];
                 let (k, j) = u.pair;
                 let k_votes = votes.iter().filter(|&&a| a == k).count();
-                if k_votes > votes.len() - k_votes || (2 * k_votes == votes.len() && k < j) {
-                    k
-                } else {
-                    j
-                }
+                Some(
+                    if k_votes > votes.len() - k_votes || (2 * k_votes == votes.len() && k < j) {
+                        k
+                    } else {
+                        j
+                    },
+                )
             })
             .collect();
 
@@ -1438,33 +1307,6 @@ mod tests {
         assert!(p.dead_letters().is_empty());
         assert!(!p.degraded());
         assert_eq!(p.physical_clock(), plan.physical_steps);
-    }
-
-    #[test]
-    fn budget_cap_refuses_new_jobs_with_partial_state() {
-        let cfg = PlatformConfig::paper_default()
-            .without_gold()
-            .with_payment(CostModel::new(1.0, 10.0))
-            .with_budget_cap(3.0);
-        let mut p = platform(honest_pool(5), cfg, 21);
-        // Three 1-judgment jobs at price 1 reach the cap.
-        for _ in 0..3 {
-            p.submit_comparisons(&[(ElementId(0), ElementId(1))], WorkerClass::Naive)
-                .unwrap();
-        }
-        let err = p
-            .submit_comparisons(&[(ElementId(0), ElementId(1))], WorkerClass::Naive)
-            .unwrap_err();
-        assert!(matches!(err, PlatformError::BudgetExhausted { .. }));
-        assert_eq!(
-            err.to_oracle_error(WorkerClass::Naive),
-            OracleError::BudgetExhausted
-        );
-        // The partial campaign state survives for reporting.
-        assert_eq!(p.ledger().total(), 3.0);
-        assert_eq!(p.counts().naive, 3);
-        let report = crate::report::CampaignReport::from_platform(&p);
-        assert_eq!(report.judgments, 3);
     }
 
     #[test]
@@ -1538,9 +1380,8 @@ mod tests {
                 Behavior::Spammer(SpamStrategy::AlwaysSecond),
             );
         }
-        let mut cfg = PlatformConfig::paper_default()
+        let cfg = PlatformConfig::paper_default()
             .with_faults(FaultConfig::none().with_no_answer(0.15), 17);
-        cfg.min_gold = 1;
         let mut p = Platform::new(instance, pool, cfg, StdRng::seed_from_u64(71));
 
         let pairs: Vec<(ElementId, ElementId)> = (0..n)
@@ -1604,9 +1445,8 @@ mod tests {
                 Behavior::Spammer(SpamStrategy::AlwaysSecond),
             );
         }
-        let mut cfg =
+        let cfg =
             PlatformConfig::paper_default().with_faults(FaultConfig::none().with_no_answer(0.1), 5);
-        cfg.min_gold = 1;
         let p = Platform::new(instance, pool, cfg, StdRng::seed_from_u64(9));
         let mut units: Vec<Unit> = (0..n)
             .flat_map(|a| ((a + 1)..n).map(move |b| (ElementId(a), ElementId(b))))
@@ -1731,7 +1571,7 @@ mod tests {
             let cfg = PlatformConfig::paper_default()
                 .without_gold()
                 .with_faults(FaultConfig::none().with_no_answer(0.5), fault_seed)
-                .with_retry(RetryPolicy::none());
+                .with_retry(RetryPolicy::paper_default().with_max_retries(0));
             let mut p = platform(honest_pool(3), cfg, 11);
             let mut answers = Vec::new();
             match p.submit_into(&pairs, WorkerClass::Naive, &mut answers) {
@@ -1766,7 +1606,7 @@ mod tests {
             let cfg = PlatformConfig::paper_default()
                 .without_gold()
                 .with_faults(FaultConfig::none().with_no_answer(0.5), fault_seed)
-                .with_retry(RetryPolicy::none());
+                .with_retry(RetryPolicy::paper_default().with_max_retries(0));
             let mut oracle = PlatformOracle::new(platform(honest_pool(3), cfg, 11));
             let mut winners = vec![ElementId(9)]; // pre-existing content survives
             match oracle.try_compare_batch(WorkerClass::Naive, &pairs, &mut winners) {
@@ -1817,17 +1657,14 @@ mod tests {
     fn retry_reassignment_preserves_distinct_workers_per_unit() {
         use crate::fault::{FaultConfig, LatencyModel};
         // High fault pressure: abandonment, no-answers and timeouts all on.
-        let cfg = PlatformConfig::paper_default()
-            .without_gold()
-            .with_judgments_per_unit(2)
-            .with_faults(
-                FaultConfig::none()
-                    .with_abandon(0.15)
-                    .with_no_answer(0.25)
-                    .with_latency(LatencyModel::Geometric { p: 0.6, cap: 10 })
-                    .with_timeout_steps(3),
-                13,
-            );
+        let cfg = PlatformConfig::paper_default().without_gold().with_faults(
+            FaultConfig::none()
+                .with_abandon(0.15)
+                .with_no_answer(0.25)
+                .with_latency(LatencyModel::Geometric { p: 0.6, cap: 10 })
+                .with_timeout_steps(3),
+            13,
+        );
         let mut p = platform(honest_pool(10), cfg, 71);
         for i in 0..15 {
             let job = Job::from_pairs(&[(ElementId(i % 4), ElementId(4))], 2);

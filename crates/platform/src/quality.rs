@@ -4,11 +4,19 @@
 //! scored on gold units, and "responses of workers whose performance on
 //! gold comparisons has accuracy less than 70% are ignored" (paper
 //! Section 3.1). [`TrustTracker`] implements exactly that policy: it keeps
-//! per-worker gold tallies and flags workers below the threshold once they
-//! have seen a minimum number of gold questions.
+//! per-worker gold tallies and flags workers below [`TRUST_THRESHOLD`]
+//! once they have seen [`MIN_GOLD`] gold questions.
 
 use crate::worker::WorkerId;
 use serde::{Deserialize, Serialize};
+
+/// Gold accuracy below which a worker's responses are ignored (paper
+/// Section 3.1: 70%).
+pub const TRUST_THRESHOLD: f64 = 0.7;
+
+/// Gold judgments a worker sees before [`TRUST_THRESHOLD`] is enforced: a
+/// worker is innocent until she has had a fair number of chances.
+pub const MIN_GOLD: u32 = 3;
 
 /// Per-worker gold performance record.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -26,44 +34,18 @@ impl GoldRecord {
     }
 }
 
-/// Tracks worker trust from gold-question performance.
+/// Tracks worker trust from gold-question performance under the paper's
+/// CrowdFlower policy: [`TRUST_THRESHOLD`] accuracy, enforced after
+/// [`MIN_GOLD`] gold judgments.
 ///
 /// Records are dense, indexed by [`WorkerId::index`] and grown on demand,
 /// so scoring a gold judgment or checking a worker is one indexed access.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TrustTracker {
     records: Vec<GoldRecord>,
-    /// Accuracy below which a worker's responses are ignored (paper: 0.7).
-    threshold: f64,
-    /// Gold judgments required before the threshold is enforced — a worker
-    /// is innocent until she has had a fair number of chances.
-    min_gold: u32,
 }
 
 impl TrustTracker {
-    /// A tracker with the given exclusion threshold and minimum gold count.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < threshold <= 1`.
-    pub fn new(threshold: f64, min_gold: u32) -> Self {
-        assert!(
-            threshold > 0.0 && threshold <= 1.0,
-            "threshold must be in (0, 1]"
-        );
-        TrustTracker {
-            records: Vec::new(),
-            threshold,
-            min_gold,
-        }
-    }
-
-    /// The paper's CrowdFlower policy: 70% accuracy, enforced after 3 gold
-    /// judgments.
-    pub fn crowdflower_default() -> Self {
-        TrustTracker::new(0.7, 3)
-    }
-
     /// Records one gold judgment for `worker`.
     pub fn record(&mut self, worker: WorkerId, correct: bool) {
         let idx = worker.index();
@@ -86,17 +68,17 @@ impl TrustTracker {
     }
 
     /// True if the worker's responses should be used: either she has not
-    /// yet seen `min_gold` gold units, or her accuracy is at least the
-    /// threshold.
+    /// yet seen [`MIN_GOLD`] gold units, or her accuracy is at least
+    /// [`TRUST_THRESHOLD`].
     pub fn is_trusted(&self, worker: WorkerId) -> bool {
         self.trusts(self.record_of(worker))
     }
 
     fn trusts(&self, rec: GoldRecord) -> bool {
-        if rec.seen < self.min_gold {
+        if rec.seen < MIN_GOLD {
             return true;
         }
-        rec.accuracy().is_none_or(|a| a >= self.threshold)
+        rec.accuracy().is_none_or(|a| a >= TRUST_THRESHOLD)
     }
 
     /// All currently untrusted (spam-flagged) workers, in ascending id
@@ -108,17 +90,6 @@ impl TrustTracker {
             .filter(|&(_, &rec)| !self.trusts(rec))
             .map(|(i, _)| WorkerId(i as u32))
     }
-
-    /// The exclusion threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-}
-
-impl Default for TrustTracker {
-    fn default() -> Self {
-        TrustTracker::crowdflower_default()
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +100,7 @@ mod tests {
 
     #[test]
     fn fresh_workers_are_trusted() {
-        let t = TrustTracker::crowdflower_default();
+        let t = TrustTracker::default();
         assert!(t.is_trusted(W));
         assert_eq!(t.record_of(W), GoldRecord::default());
         assert_eq!(t.untrusted().next(), None);
@@ -137,7 +108,7 @@ mod tests {
 
     #[test]
     fn accuracy_below_threshold_excludes() {
-        let mut t = TrustTracker::new(0.7, 3);
+        let mut t = TrustTracker::default();
         t.record(W, true);
         t.record(W, false);
         assert!(t.is_trusted(W), "only 2 gold seen, below min_gold");
@@ -149,7 +120,7 @@ mod tests {
 
     #[test]
     fn good_workers_stay_trusted() {
-        let mut t = TrustTracker::new(0.7, 3);
+        let mut t = TrustTracker::default();
         for i in 0..10 {
             t.record(W, i % 10 != 0); // 90% accuracy
         }
@@ -159,7 +130,7 @@ mod tests {
     #[test]
     fn boundary_accuracy_is_trusted() {
         // Exactly 70%: "accuracy less than 70%" is ignored, so 0.7 passes.
-        let mut t = TrustTracker::new(0.7, 3);
+        let mut t = TrustTracker::default();
         for i in 0..10 {
             t.record(W, i < 7);
         }
@@ -170,7 +141,7 @@ mod tests {
     #[test]
     fn just_below_the_boundary_excludes() {
         // 69% < 70%: one miss past the boundary flips the flag.
-        let mut t = TrustTracker::new(0.7, 3);
+        let mut t = TrustTracker::default();
         for i in 0..100 {
             t.record(W, i < 69);
         }
@@ -179,23 +150,8 @@ mod tests {
     }
 
     #[test]
-    fn min_gold_zero_enforces_from_the_first_judgment() {
-        let mut t = TrustTracker::new(0.7, 0);
-        // With no gold seen yet there is no accuracy to hold against her.
-        assert!(t.is_trusted(W));
-        assert_eq!(t.untrusted().next(), None);
-        // But the very first miss counts: 0/1 < 0.7 with no grace period.
-        t.record(W, false);
-        assert!(!t.is_trusted(W));
-        // And a single correct answer at min_gold = 0 is already enough.
-        let w2 = WorkerId(1);
-        t.record(w2, true);
-        assert!(t.is_trusted(w2));
-    }
-
-    #[test]
     fn redemption_is_possible() {
-        let mut t = TrustTracker::new(0.7, 3);
+        let mut t = TrustTracker::default();
         for _ in 0..3 {
             t.record(W, false);
         }
@@ -208,20 +164,16 @@ mod tests {
 
     #[test]
     fn untrusted_workers_come_in_ascending_order() {
-        let mut t = TrustTracker::new(0.7, 1);
-        for w in [9, 2, 5, 0] {
-            t.record(WorkerId(w), false);
+        let mut t = TrustTracker::default();
+        for _ in 0..MIN_GOLD {
+            for w in [9, 2, 5, 0] {
+                t.record(WorkerId(w), false);
+            }
+            t.record(WorkerId(4), true);
         }
-        t.record(WorkerId(4), true);
         let flagged: Vec<WorkerId> = t.untrusted().collect();
         assert_eq!(flagged, [0, 2, 5, 9].map(WorkerId));
         assert_eq!(t.record_of(WorkerId(7)), GoldRecord::default());
         assert_eq!(t.record_of(WorkerId(70)), GoldRecord::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold must be in (0, 1]")]
-    fn zero_threshold_panics() {
-        TrustTracker::new(0.0, 1);
     }
 }

@@ -170,7 +170,6 @@ mod tests {
         pool.hire_expert_panel(2, 0.0, 0.0);
         let mut cfg = PlatformConfig::paper_default();
         cfg.gold_fraction = 0.5;
-        cfg.min_gold = 2;
         let mut platform = Platform::new(instance, pool, cfg, StdRng::seed_from_u64(1));
         platform.set_gold_pairs(vec![
             (ElementId(29), ElementId(0)),

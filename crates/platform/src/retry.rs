@@ -15,36 +15,25 @@ use serde::{Deserialize, Serialize};
 
 pub use crowd_core::trace::DeadLetterReason;
 
-/// Retry policy for failed judgments.
+/// Backoff before the first retry, in physical steps.
+pub const BASE_BACKOFF_STEPS: u64 = 1;
+
+/// Cap on the (exponentially growing) retry backoff, in physical steps.
+pub const MAX_BACKOFF_STEPS: u64 = 8;
+
+/// Retry policy for failed judgments: how many retries a unit gets. The
+/// backoff between them is fixed ([`backoff`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Maximum re-assignments per unit after the initial attempt.
     pub max_retries: u32,
-    /// Backoff before the first retry, in physical steps.
-    pub base_backoff_steps: u64,
-    /// Cap on the (exponentially growing) backoff.
-    pub max_backoff_steps: u64,
 }
 
 impl RetryPolicy {
-    /// The default recovery posture: three retries with 1-step backoff
-    /// doubling up to 8 steps. At zero fault rates nothing ever fails, so
-    /// this policy is inert and costs nothing.
+    /// The default recovery posture: three retries. At zero fault rates
+    /// nothing ever fails, so this policy is inert and costs nothing.
     pub fn paper_default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base_backoff_steps: 1,
-            max_backoff_steps: 8,
-        }
-    }
-
-    /// No retries at all: every failed judgment dead-letters immediately.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            base_backoff_steps: 0,
-            max_backoff_steps: 0,
-        }
+        RetryPolicy { max_retries: 3 }
     }
 
     /// Sets the maximum number of retries.
@@ -52,18 +41,18 @@ impl RetryPolicy {
         self.max_retries = retries;
         self
     }
+}
 
-    /// The backoff before retry number `attempt` (1-based), in physical
-    /// steps: `base · 2^(attempt−1)`, capped at `max_backoff_steps`.
-    pub fn backoff(&self, attempt: u32) -> u64 {
-        if attempt == 0 || self.base_backoff_steps == 0 {
-            return 0;
-        }
-        let doubled = self
-            .base_backoff_steps
-            .saturating_mul(1u64.checked_shl(attempt - 1).unwrap_or(u64::MAX));
-        doubled.min(self.max_backoff_steps)
+/// The backoff before retry number `attempt` (1-based), in physical
+/// steps: [`BASE_BACKOFF_STEPS`]` · 2^(attempt−1)`, capped at
+/// [`MAX_BACKOFF_STEPS`].
+pub fn backoff(attempt: u32) -> u64 {
+    if attempt == 0 {
+        return 0;
     }
+    let doubled =
+        BASE_BACKOFF_STEPS.saturating_mul(1u64.checked_shl(attempt - 1).unwrap_or(u64::MAX));
+    doubled.min(MAX_BACKOFF_STEPS)
 }
 
 impl Default for RetryPolicy {
@@ -113,75 +102,33 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let p = RetryPolicy {
-            max_retries: 10,
-            base_backoff_steps: 1,
-            max_backoff_steps: 8,
-        };
-        assert_eq!(p.backoff(0), 0);
-        assert_eq!(p.backoff(1), 1);
-        assert_eq!(p.backoff(2), 2);
-        assert_eq!(p.backoff(3), 4);
-        assert_eq!(p.backoff(4), 8);
-        assert_eq!(p.backoff(5), 8, "capped");
-        assert_eq!(p.backoff(63), 8, "shift overflow saturates at the cap");
-        assert_eq!(p.backoff(100), 8, "shift overflow saturates at the cap");
-    }
-
-    #[test]
-    fn zero_base_means_no_backoff() {
-        assert_eq!(RetryPolicy::none().backoff(5), 0);
+        assert_eq!(backoff(0), 0);
+        assert_eq!(backoff(1), 1);
+        assert_eq!(backoff(2), 2);
+        assert_eq!(backoff(3), 4);
+        assert_eq!(backoff(4), 8);
+        assert_eq!(backoff(5), 8, "capped");
+        assert_eq!(backoff(63), 8, "shift overflow saturates at the cap");
+        assert_eq!(backoff(100), 8, "shift overflow saturates at the cap");
     }
 
     #[test]
     fn cap_is_reached_exactly_when_a_doubling_lands_on_it() {
-        // 2·2³ = 16 == cap: the boundary attempt hits the cap without
+        // 1·2³ = 8 == cap: the boundary attempt hits the cap without
         // overshooting, and every later attempt stays pinned there.
-        let p = RetryPolicy {
-            max_retries: 8,
-            base_backoff_steps: 2,
-            max_backoff_steps: 16,
-        };
-        assert_eq!(p.backoff(3), 8);
-        assert_eq!(p.backoff(4), 16);
-        assert_eq!(p.backoff(5), 16);
-    }
-
-    #[test]
-    fn base_above_the_cap_clamps_from_the_first_retry() {
-        let p = RetryPolicy {
-            max_retries: 2,
-            base_backoff_steps: 8,
-            max_backoff_steps: 4,
-        };
-        assert_eq!(p.backoff(1), 4);
-        assert_eq!(p.backoff(2), 4);
-    }
-
-    #[test]
-    fn cap_equal_to_base_pins_every_retry() {
-        let p = RetryPolicy {
-            max_retries: 4,
-            base_backoff_steps: 3,
-            max_backoff_steps: 3,
-        };
-        for attempt in 1..=4 {
-            assert_eq!(p.backoff(attempt), 3);
-        }
+        assert_eq!(backoff(3), MAX_BACKOFF_STEPS / 2);
+        assert_eq!(backoff(4), MAX_BACKOFF_STEPS);
+        assert_eq!(backoff(5), MAX_BACKOFF_STEPS);
     }
 
     #[test]
     fn shift_overflow_boundary_saturates_instead_of_wrapping() {
-        // With an unbounded cap, attempt 64 uses the last in-range shift
-        // (2⁶³) and attempt 65 crosses the u64 shift limit — the backoff
-        // must saturate, not wrap to a tiny delay.
-        let p = RetryPolicy {
-            max_retries: u32::MAX,
-            base_backoff_steps: 1,
-            max_backoff_steps: u64::MAX,
-        };
-        assert_eq!(p.backoff(64), 1u64 << 63);
-        assert_eq!(p.backoff(65), u64::MAX);
+        // Attempt 64 uses the last in-range shift (2⁶³) and attempt 65
+        // crosses the u64 shift limit: the backoff must stay at the cap,
+        // not wrap to a tiny delay.
+        assert_eq!(backoff(64), MAX_BACKOFF_STEPS);
+        assert_eq!(backoff(65), MAX_BACKOFF_STEPS);
+        assert_eq!(backoff(u32::MAX), MAX_BACKOFF_STEPS);
     }
 
     #[test]

@@ -118,7 +118,7 @@ fn eligible_workers<'a>(
 }
 
 /// Plans a job of `class` over the eligible workers of `pool`, excluding
-/// the workers `excluded` marks (spam-flagged, retired or dropped out).
+/// the workers `excluded` marks (spam-flagged or dropped out).
 /// The mask is indexed by [`WorkerId::index`]; positions past its end
 /// exclude nobody, so `&[]` excludes no one.
 ///

@@ -19,6 +19,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+/// Phase-1 votes per comparison of every planned job.
+pub const VOTES: u32 = 3;
+
+/// Phase-2 votes per comparison of every planned job.
+pub const EXPERT_VOTES: u32 = 3;
+
 /// A deterministic open-loop arrival process over a tenant population.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ArrivalPlan {
@@ -36,10 +42,6 @@ pub struct ArrivalPlan {
     pub catalog_min: u32,
     /// Largest catalog a job may carry.
     pub catalog_max: u32,
-    /// Phase-1 votes per comparison.
-    pub votes: u32,
-    /// Phase-2 votes per comparison.
-    pub expert_votes: u32,
     /// Per-job deadline, in ticks after admission.
     pub deadline_ticks: u64,
     /// Percentage (0–100) of each catalog drawn from the shared item
@@ -62,8 +64,6 @@ impl ArrivalPlan {
             tenants: tenants.max(1),
             catalog_min: 4,
             catalog_max: 12,
-            votes: 3,
-            expert_votes: 3,
             deadline_ticks: 64,
             overlap_percent: 0,
             shared_universe: 16,
@@ -85,13 +85,6 @@ impl ArrivalPlan {
     pub fn with_catalog(mut self, min: u32, max: u32) -> Self {
         self.catalog_min = min.max(1);
         self.catalog_max = max.max(self.catalog_min);
-        self
-    }
-
-    /// Sets the vote requirements.
-    pub fn with_votes(mut self, votes: u32, expert_votes: u32) -> Self {
-        self.votes = votes;
-        self.expert_votes = expert_votes;
         self
     }
 
@@ -145,8 +138,8 @@ impl ArrivalPlan {
         JobSpec {
             tenant,
             values,
-            votes: self.votes,
-            expert_votes: self.expert_votes,
+            votes: VOTES,
+            expert_votes: EXPERT_VOTES,
             deadline_ticks: self.deadline_ticks,
         }
     }

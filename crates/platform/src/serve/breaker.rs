@@ -20,65 +20,44 @@
 use crate::fault::mix;
 use serde::{Deserialize, Serialize};
 
-/// Breaker tuning for a service.
+/// Consecutive failures that open a closed breaker.
+pub const TRIP_THRESHOLD: u32 = 3;
+
+/// Base quarantine length, in service ticks.
+pub const COOLDOWN_BASE: u64 = 4;
+
+/// Extra quarantine ticks drawn from the seeded jitter stream, in
+/// `[0, COOLDOWN_JITTER]`. Jitter keeps a correlated failure burst from
+/// synchronizing every breaker's half-open probe onto one tick.
+pub const COOLDOWN_JITTER: u64 = 4;
+
+/// Breaker posture for a service: on (trip after [`TRIP_THRESHOLD`]
+/// consecutive failures, cool down [`COOLDOWN_BASE`] plus up to
+/// [`COOLDOWN_JITTER`] ticks) or off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BreakerPolicy {
     /// Master switch. Disabled breakers never trip and always admit.
     pub enabled: bool,
-    /// Consecutive failures that open the breaker (minimum 1).
-    pub trip_threshold: u32,
-    /// Base quarantine length, in service ticks.
-    pub cooldown_base: u64,
-    /// Extra quarantine ticks drawn from the seeded jitter stream, in
-    /// `[0, cooldown_jitter]`. Jitter keeps a correlated failure burst
-    /// from synchronizing every breaker's half-open probe onto one tick.
-    pub cooldown_jitter: u64,
 }
 
 impl BreakerPolicy {
     /// The default quarantine posture: trip after 3 consecutive failures,
     /// cool down 4–8 ticks.
     pub fn default_on() -> Self {
-        BreakerPolicy {
-            enabled: true,
-            trip_threshold: 3,
-            cooldown_base: 4,
-            cooldown_jitter: 4,
-        }
+        BreakerPolicy { enabled: true }
     }
 
     /// No breakers at all: never trips, always admits.
     pub fn disabled() -> Self {
-        BreakerPolicy {
-            enabled: false,
-            trip_threshold: u32::MAX,
-            cooldown_base: 0,
-            cooldown_jitter: 0,
-        }
+        BreakerPolicy { enabled: false }
     }
+}
 
-    /// Sets the trip threshold.
-    pub fn with_trip_threshold(mut self, threshold: u32) -> Self {
-        self.trip_threshold = threshold.max(1);
-        self
-    }
-
-    /// Sets the cooldown window.
-    pub fn with_cooldown(mut self, base: u64, jitter: u64) -> Self {
-        self.cooldown_base = base;
-        self.cooldown_jitter = jitter;
-        self
-    }
-
-    /// The seeded cooldown for a worker's `trips`-th trip:
-    /// `base + mix(seed, worker, trips) % (jitter + 1)`.
-    pub fn cooldown(&self, seed: u64, worker: u64, trips: u64) -> u64 {
-        if self.cooldown_jitter == 0 {
-            return self.cooldown_base;
-        }
-        let draw = mix(seed ^ worker.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ trips.rotate_left(17));
-        self.cooldown_base + draw % (self.cooldown_jitter + 1)
-    }
+/// The seeded cooldown for a worker's `trips`-th trip:
+/// `COOLDOWN_BASE + mix(seed, worker, trips) % (COOLDOWN_JITTER + 1)`.
+fn cooldown(seed: u64, worker: u64, trips: u64) -> u64 {
+    let draw = mix(seed ^ worker.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ trips.rotate_left(17));
+    COOLDOWN_BASE + draw % (COOLDOWN_JITTER + 1)
 }
 
 /// The breaker's observable state.
@@ -191,8 +170,8 @@ impl CircuitBreaker {
         match self.state {
             BreakerState::Closed { streak } => {
                 let streak = streak + 1;
-                if streak >= policy.trip_threshold {
-                    let cooldown = self.trip(tick, policy, seed, worker);
+                if streak >= TRIP_THRESHOLD {
+                    let cooldown = self.trip(tick, seed, worker);
                     FailureVerdict {
                         tripped: Some(cooldown),
                         was_probe: false,
@@ -206,7 +185,7 @@ impl CircuitBreaker {
                 }
             }
             BreakerState::HalfOpen => {
-                let cooldown = self.trip(tick, policy, seed, worker);
+                let cooldown = self.trip(tick, seed, worker);
                 FailureVerdict {
                     tripped: Some(cooldown),
                     was_probe: true,
@@ -222,9 +201,9 @@ impl CircuitBreaker {
         }
     }
 
-    fn trip(&mut self, tick: u64, policy: &BreakerPolicy, seed: u64, worker: u64) -> u64 {
+    fn trip(&mut self, tick: u64, seed: u64, worker: u64) -> u64 {
         self.trips += 1;
-        let cooldown = policy.cooldown(seed, worker, self.trips).max(1);
+        let cooldown = cooldown(seed, worker, self.trips);
         self.state = BreakerState::Open {
             until: tick.saturating_add(cooldown),
         };
@@ -236,22 +215,30 @@ impl CircuitBreaker {
 mod tests {
     use super::*;
 
-    fn fail(b: &mut CircuitBreaker, tick: u64, policy: &BreakerPolicy) -> FailureVerdict {
-        b.on_failure(tick, policy, 7, 0)
+    const ON: BreakerPolicy = BreakerPolicy { enabled: true };
+
+    fn fail(b: &mut CircuitBreaker, tick: u64) -> FailureVerdict {
+        b.on_failure(tick, &ON, 7, 0)
+    }
+
+    /// Fails a closed breaker until it trips, returning the cooldown.
+    fn trip(b: &mut CircuitBreaker, tick: u64) -> u64 {
+        for _ in 1..TRIP_THRESHOLD {
+            assert!(fail(b, tick).tripped.is_none());
+        }
+        fail(b, tick)
+            .tripped
+            .expect("the threshold-th failure trips")
     }
 
     #[test]
     fn full_cycle_closed_open_halfopen_closed() {
-        let policy = BreakerPolicy::default_on()
-            .with_trip_threshold(2)
-            .with_cooldown(3, 0);
         let mut b = CircuitBreaker::new();
-        assert!(fail(&mut b, 0, &policy).tripped.is_none());
-        let verdict = fail(&mut b, 0, &policy);
-        assert_eq!(verdict.tripped, Some(3));
-        assert_eq!(b.state(), BreakerState::Open { until: 3 });
-        assert!(!b.admits(2), "still quarantined");
-        assert!(b.admits(3), "cooldown elapsed: probe allowed");
+        let until = trip(&mut b, 0);
+        assert_eq!(until, cooldown(7, 0, 1));
+        assert_eq!(b.state(), BreakerState::Open { until });
+        assert!(!b.admits(until - 1), "still quarantined");
+        assert!(b.admits(until), "cooldown elapsed: probe allowed");
         assert_eq!(b.state(), BreakerState::HalfOpen);
         assert!(b.on_success(), "probe success reports recovery");
         assert_eq!(b.state(), BreakerState::Closed { streak: 0 });
@@ -260,31 +247,37 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens() {
-        let policy = BreakerPolicy::default_on()
-            .with_trip_threshold(1)
-            .with_cooldown(2, 0);
         let mut b = CircuitBreaker::new();
-        assert!(fail(&mut b, 0, &policy).tripped.is_some());
-        assert!(b.admits(2));
-        let verdict = fail(&mut b, 2, &policy);
+        let first = trip(&mut b, 0);
+        assert!(b.admits(first));
+        let verdict = fail(&mut b, first);
         assert!(verdict.was_probe);
-        assert_eq!(verdict.tripped, Some(2));
-        assert_eq!(b.state(), BreakerState::Open { until: 4 });
+        let second = cooldown(7, 0, 2);
+        assert_eq!(verdict.tripped, Some(second));
+        assert_eq!(
+            b.state(),
+            BreakerState::Open {
+                until: first + second
+            }
+        );
         assert_eq!(b.trips(), 2);
     }
 
     #[test]
     fn success_resets_the_streak() {
-        let policy = BreakerPolicy::default_on().with_trip_threshold(3);
         let mut b = CircuitBreaker::new();
-        fail(&mut b, 0, &policy);
-        fail(&mut b, 0, &policy);
+        for _ in 1..TRIP_THRESHOLD {
+            fail(&mut b, 0);
+        }
         assert!(!b.on_success(), "a closed success is not a recovery");
-        fail(&mut b, 0, &policy);
-        fail(&mut b, 0, &policy);
+        for _ in 1..TRIP_THRESHOLD {
+            fail(&mut b, 0);
+        }
         assert_eq!(
             b.state(),
-            BreakerState::Closed { streak: 2 },
+            BreakerState::Closed {
+                streak: TRIP_THRESHOLD - 1
+            },
             "streak restarted after the success"
         );
     }
@@ -294,7 +287,7 @@ mod tests {
         let policy = BreakerPolicy::disabled();
         let mut b = CircuitBreaker::new();
         for _ in 0..1_000 {
-            assert!(fail(&mut b, 0, &policy).tripped.is_none());
+            assert!(b.on_failure(0, &policy, 7, 0).tripped.is_none());
         }
         assert_eq!(b.state(), BreakerState::Closed { streak: 0 });
         assert!(b.admits(0));
@@ -303,25 +296,24 @@ mod tests {
 
     #[test]
     fn cooldown_jitter_is_seeded_and_bounded() {
-        let policy = BreakerPolicy::default_on().with_cooldown(4, 4);
         let mut seen = std::collections::HashSet::new();
         for worker in 0..64u64 {
-            let c = policy.cooldown(11, worker, 1);
-            assert!((4..=8).contains(&c), "cooldown {c} out of range");
+            let c = cooldown(11, worker, 1);
+            assert!(
+                (COOLDOWN_BASE..=COOLDOWN_BASE + COOLDOWN_JITTER).contains(&c),
+                "cooldown {c} out of range"
+            );
             seen.insert(c);
-            assert_eq!(c, policy.cooldown(11, worker, 1), "deterministic");
+            assert_eq!(c, cooldown(11, worker, 1), "deterministic");
         }
         assert!(seen.len() > 1, "jitter must actually vary");
     }
 
     #[test]
     fn would_admit_does_not_spend_the_probe() {
-        let policy = BreakerPolicy::default_on()
-            .with_trip_threshold(1)
-            .with_cooldown(1, 0);
         let mut b = CircuitBreaker::new();
-        fail(&mut b, 0, &policy);
-        assert!(b.would_admit(1));
+        let until = trip(&mut b, 0);
+        assert!(b.would_admit(until));
         assert!(
             matches!(b.state(), BreakerState::Open { .. }),
             "read-only check must not transition to half-open"

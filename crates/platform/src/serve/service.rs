@@ -16,8 +16,8 @@
 //! 5. **Execution** — each dispatched pair runs on its shard; answers are
 //!    charged to the owning tenant.
 //! 6. **Completion** — finished jobs refund unused reservation and emit
-//!    [`Event::JobCompleted`]; the tick's outcome record is journaled at
-//!    the checkpoint cadence.
+//!    [`Event::JobCompleted`]; the tick's outcome record is journaled and
+//!    flushed.
 //!
 //! Every decision is a pure function of `(config, arrival plan, seed,
 //! logical clock)`: reruns are byte-identical, and
@@ -47,7 +47,7 @@
 //!   makes no heap allocation (`tests/serve_alloc.rs`).
 
 use crate::fault::{mix, report_fault};
-use crate::journal::{fnv1a64, json_records, CheckpointPolicy, Journal, JOURNAL_VERSION};
+use crate::journal::{fnv1a64, json_records, Journal, JOURNAL_VERSION};
 use crate::retry::{report_dead_letter, RetryPolicy};
 use crate::serve::arrival::ArrivalPlan;
 use crate::serve::breaker::BreakerPolicy;
@@ -66,6 +66,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
+/// Deficit-round-robin quantum, in judgments per job per tick.
+pub const DRR_QUANTUM: u64 = 6;
+
 /// Full configuration of a [`CrowdServe`] instance. Serialized into the
 /// journal header as a digest so resume refuses mismatched configs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,14 +79,10 @@ pub struct ServeConfig {
     pub tenants: Vec<TenantPolicy>,
     /// Bound on the admission queue; submissions beyond it are shed.
     pub queue_cap: usize,
-    /// Deficit-round-robin quantum, in judgments per job per tick.
-    pub drr_quantum: u64,
     /// Retry allowance per pair (faults re-assign to fresh workers).
     pub retry: RetryPolicy,
     /// Circuit-breaker posture for every shard.
     pub breaker: BreakerPolicy,
-    /// How often completed-tick records are made durable.
-    pub checkpoint: CheckpointPolicy,
     /// Phase-1 survivor target (jobs this small skip straight to Phase 2).
     pub finalists: usize,
     /// Vote boost when the expert phase falls back to the crowd.
@@ -111,10 +110,8 @@ impl ServeConfig {
             ],
             tenants: vec![TenantPolicy::new(TenantId(0), 100_000, 1_000)],
             queue_cap: 32,
-            drr_quantum: 6,
             retry: RetryPolicy::paper_default(),
             breaker: BreakerPolicy::default_on(),
-            checkpoint: CheckpointPolicy::every_batch(),
             finalists: 2,
             fallback_votes: 5,
             reserve_factor_percent: 100,
@@ -532,7 +529,6 @@ pub struct CrowdServe {
     active: BTreeMap<JobId, ActiveJob>,
     journal: Journal,
     scratch: TickScratch,
-    unflushed: u64,
     completed: Vec<CompletedJob>,
     dead_letters: u64,
     /// Faults the service observed itself (expert fallbacks); the shards
@@ -608,7 +604,6 @@ impl CrowdServe {
             active: BTreeMap::new(),
             journal,
             scratch: TickScratch::default(),
-            unflushed: 0,
             completed: Vec::new(),
             dead_letters: 0,
             faults: FaultCounts::zero(),
@@ -801,7 +796,6 @@ impl CrowdServe {
         }
         if wal_appended {
             self.journal.flush();
-            self.unflushed = 0;
         }
         self.audit(tick)?;
 
@@ -858,40 +852,38 @@ impl CrowdServe {
 
         // SLO evaluation runs every tick — recovery can arrive on a
         // quiet tick purely by bad completions aging out of the window.
-        if self.config.slo.enabled {
-            for t in &mut self.tenants {
-                match t.slo.evaluate(tick, &self.config.slo) {
-                    Some(SloTransition::Breached {
+        for t in &mut self.tenants {
+            match t.slo.evaluate(tick, &self.config.slo) {
+                Some(SloTransition::Breached {
+                    window_jobs,
+                    bad_jobs,
+                    bad_bps,
+                }) => {
+                    emit(Event::SloBreached {
+                        tenant: t.tenant.0,
+                        tick,
                         window_jobs,
                         bad_jobs,
                         bad_bps,
-                    }) => {
-                        emit(Event::SloBreached {
-                            tenant: t.tenant.0,
-                            tick,
-                            window_jobs,
-                            bad_jobs,
-                            bad_bps,
-                        });
-                        t.metrics.slo_breaches.add(1);
-                    }
-                    Some(SloTransition::Recovered {
+                    });
+                    t.metrics.slo_breaches.add(1);
+                }
+                Some(SloTransition::Recovered {
+                    window_jobs,
+                    bad_bps,
+                }) => {
+                    emit(Event::SloRecovered {
+                        tenant: t.tenant.0,
+                        tick,
                         window_jobs,
                         bad_bps,
-                    }) => {
-                        emit(Event::SloRecovered {
-                            tenant: t.tenant.0,
-                            tick,
-                            window_jobs,
-                            bad_bps,
-                        });
-                    }
-                    None => {}
+                    });
                 }
+                None => {}
             }
         }
 
-        // 7. Journal the tick outcome at the checkpoint cadence.
+        // 7. Journal the tick outcome and make it durable.
         let completions = &self.completed[first_completion..];
         if dispatched || !completions.is_empty() {
             let TickScratch {
@@ -911,16 +903,12 @@ impl CrowdServe {
                 tick_completed(out, tick, shard_seqs, tick_answers, charged, completions)
             });
             self.audit(tick)?;
-            self.unflushed += 1;
-            if self.unflushed >= self.config.checkpoint.every_batches {
-                let bytes = self.journal.flush();
-                emit(Event::CheckpointWritten {
-                    batches: tick + 1,
-                    bytes,
-                });
-                series::journal_bytes().add(bytes);
-                self.unflushed = 0;
-            }
+            let bytes = self.journal.flush();
+            emit(Event::CheckpointWritten {
+                batches: tick + 1,
+                bytes,
+            });
+            series::journal_bytes().add(bytes);
         }
 
         self.tick += 1;
@@ -976,11 +964,8 @@ impl CrowdServe {
                 metrics.stage_ticks[span.stage as usize].observe(span.ticks);
             }
         }
-        if slo.enabled {
-            let bad =
-                record.degraded.is_some() || record.latency_ticks() > slo.latency_objective_ticks;
-            tenant.slo.record(tick, bad);
-        }
+        let bad = record.degraded.is_some() || record.latency_ticks() > slo.latency_objective_ticks;
+        tenant.slo.record(tick, bad);
         record
     }
 
@@ -1069,14 +1054,13 @@ impl CrowdServe {
     /// [`Stage::BreakerQuarantine`]).
     fn dispatch_tick(&mut self, out: &mut Vec<DispatchRecord>, hits: &mut Vec<CacheHitRecord>) {
         let tick = self.tick;
-        let quantum = self.config.drr_quantum.max(1);
         let max_retries = self.config.retry.max_retries;
         for job in self.active.values_mut() {
             if job.is_done() || job.budget_stalled {
                 continue;
             }
             // Cap banked deficit so an idle job cannot burst unboundedly.
-            job.deficit = (job.deficit + quantum).min(quantum.saturating_mul(4));
+            job.deficit = (job.deficit + DRR_QUANTUM).min(4 * DRR_QUANTUM);
             loop {
                 if job.is_done() || !job.has_ready_pair() {
                     break;
@@ -1231,9 +1215,7 @@ impl CrowdServe {
             }
             state.metrics.p99_latency.set(t.p99_latency_ticks as i64);
             state.metrics.max_latency.set(t.max_latency_ticks as i64);
-            if self.config.slo.enabled {
-                state.metrics.slo_burn.set(i64::from(t.slo_burn_max_bps));
-            }
+            state.metrics.slo_burn.set(i64::from(t.slo_burn_max_bps));
         }
         Ok(report)
     }

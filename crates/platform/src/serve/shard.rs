@@ -23,7 +23,7 @@
 //! and each difference shows in the output bytes.
 
 use crate::fault::{mix, report_fault, FateKeys, FaultConfig, FaultPlan, JudgeFate};
-use crate::serve::breaker::{BreakerPolicy, CircuitBreaker};
+use crate::serve::breaker::{BreakerPolicy, CircuitBreaker, TRIP_THRESHOLD};
 use crate::worker::{Behavior, Worker, WorkerId, WorkerProfile};
 use crowd_core::element::{ElementId, Value};
 use crowd_core::model::{TiePolicy, WorkerClass};
@@ -342,11 +342,7 @@ impl WorkerShard {
             }
             if let Some(cooldown) = verdict.tripped {
                 self.trips += 1;
-                let streak = if verdict.was_probe {
-                    1
-                } else {
-                    breaker.trip_threshold
-                };
+                let streak = if verdict.was_probe { 1 } else { TRIP_THRESHOLD };
                 emit(Event::BreakerTripped {
                     shard: self.id,
                     worker: w as u32,
@@ -439,13 +435,14 @@ mod tests {
         let spec = ShardSpec::honest(WorkerClass::Naive, 3, 64)
             .with_fault(FaultConfig::none().with_no_answer(1.0));
         let mut shard = WorkerShard::new(0, spec, 7);
-        let policy = BreakerPolicy::default_on()
-            .with_trip_threshold(1)
-            .with_cooldown(100, 0);
-        // Every judgment faults, every failure trips: the first pair
-        // quarantines the whole shard and dies RetriesExhausted or
-        // starves; the second finds nobody healthy.
-        let _ = shard.execute_pair(0, ElementId(0), 1.0, ElementId(1), 2.0, 3, 3, &policy);
+        let policy = BreakerPolicy::default_on();
+        // Every judgment faults, and a pair asks each worker once: after
+        // `TRIP_THRESHOLD` pairs the whole shard is quarantined for at
+        // least `COOLDOWN_BASE` ticks, and the next pair finds nobody
+        // healthy.
+        for _ in 0..TRIP_THRESHOLD {
+            let _ = shard.execute_pair(0, ElementId(0), 1.0, ElementId(1), 2.0, 3, 3, &policy);
+        }
         let out = shard.execute_pair(1, ElementId(0), 1.0, ElementId(1), 2.0, 3, 3, &policy);
         assert_eq!(out.answers, 0);
         assert_eq!(out.winner, None);

@@ -1,7 +1,7 @@
 //! Per-tenant SLO monitoring on the service's logical clock.
 //!
 //! A tenant's objective is a statement about *completions*: within any
-//! sliding window of [`SloPolicy::window_ticks`] ticks, at most
+//! sliding window of [`WINDOW_TICKS`] ticks, at most
 //! [`SloPolicy::bad_budget_bps`] (in basis points) of the jobs that
 //! completed may be **bad** — degraded, or slower than
 //! [`SloPolicy::latency_objective_ticks`]. The monitor tracks each
@@ -16,23 +16,24 @@
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// A tenant service-level objective over completed jobs.
+/// Sliding-window length, in ticks. A completion at tick `t` leaves the
+/// window once the clock passes `t + WINDOW_TICKS`.
+pub const WINDOW_TICKS: u64 = 64;
+
+/// Completions the window must hold before a breach can be declared — one
+/// bad job out of one is not a trend.
+pub const MIN_SAMPLES: u64 = 4;
+
+/// A tenant service-level objective over completed jobs, judged over a
+/// [`WINDOW_TICKS`] window once it holds [`MIN_SAMPLES`] completions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SloPolicy {
-    /// Master switch; a disabled monitor records nothing and never emits.
-    pub enabled: bool,
-    /// Sliding-window length, in ticks. A completion at tick `t` leaves
-    /// the window once the clock passes `t + window_ticks`.
-    pub window_ticks: u64,
     /// Latency objective: a completion slower than this (in ticks,
     /// submission to completion) counts against the error budget.
     pub latency_objective_ticks: u64,
     /// Error budget: bad completions allowed per window, in basis points
     /// of the window's completions (10_000 = all of them).
     pub bad_budget_bps: u32,
-    /// Completions the window must hold before a breach can be declared —
-    /// one bad job out of one is not a trend.
-    pub min_samples: u64,
 }
 
 impl SloPolicy {
@@ -41,26 +42,9 @@ impl SloPolicy {
     /// samples before judging.
     pub fn default_on() -> Self {
         SloPolicy {
-            enabled: true,
-            window_ticks: 64,
             latency_objective_ticks: 32,
             bad_budget_bps: 1_000,
-            min_samples: 4,
         }
-    }
-
-    /// Monitoring off.
-    pub fn disabled() -> Self {
-        SloPolicy {
-            enabled: false,
-            ..Self::default_on()
-        }
-    }
-
-    /// Overrides the window length.
-    pub fn with_window_ticks(mut self, ticks: u64) -> Self {
-        self.window_ticks = ticks.max(1);
-        self
     }
 
     /// Overrides the latency objective.
@@ -137,7 +121,7 @@ impl SloMonitor {
     /// bad completions aging out.
     pub fn evaluate(&mut self, tick: u64, policy: &SloPolicy) -> Option<SloTransition> {
         while let Some((t, bad)) = self.window.front().copied() {
-            if t + policy.window_ticks > tick {
+            if t + WINDOW_TICKS > tick {
                 break;
             }
             self.window.pop_front();
@@ -148,7 +132,7 @@ impl SloMonitor {
             .checked_div(window_jobs)
             .unwrap_or(0) as u32;
         self.burn_max_bps = self.burn_max_bps.max(bad_bps);
-        let over = window_jobs >= policy.min_samples && bad_bps > policy.bad_budget_bps;
+        let over = window_jobs >= MIN_SAMPLES && bad_bps > policy.bad_budget_bps;
         match (self.breached, over) {
             (false, true) => {
                 self.breached = true;
@@ -201,9 +185,7 @@ mod tests {
     use super::*;
 
     fn policy() -> SloPolicy {
-        SloPolicy::default_on()
-            .with_window_ticks(10)
-            .with_bad_budget_bps(2_500)
+        SloPolicy::default_on().with_bad_budget_bps(2_500)
     }
 
     #[test]
@@ -241,9 +223,14 @@ mod tests {
             m.evaluate(0, &p),
             Some(SloTransition::Breached { .. })
         ));
-        // Nothing completes afterwards; at tick 10 the window empties.
-        assert_eq!(m.evaluate(9, &p), None, "window still holds the bad jobs");
-        let t = m.evaluate(10, &p).expect("window aged out");
+        // Nothing completes afterwards; at tick `WINDOW_TICKS` the window
+        // empties.
+        assert_eq!(
+            m.evaluate(WINDOW_TICKS - 1, &p),
+            None,
+            "window still holds the bad jobs"
+        );
+        let t = m.evaluate(WINDOW_TICKS, &p).expect("window aged out");
         assert_eq!(
             t,
             SloTransition::Recovered {
@@ -281,7 +268,7 @@ mod tests {
         let drive = || {
             let mut m = SloMonitor::new();
             let mut transitions = Vec::new();
-            for tick in 0..40u64 {
+            for tick in 0..4 * WINDOW_TICKS {
                 if tick % 3 == 0 {
                     m.record(tick, tick % 6 == 0);
                 }

@@ -24,7 +24,7 @@ impl fmt::Display for TenantId {
 }
 
 /// Admission policy for one tenant: a token bucket denominated in
-/// comparisons.
+/// comparisons, full at tick 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TenantPolicy {
     /// The tenant the policy governs.
@@ -33,8 +33,6 @@ pub struct TenantPolicy {
     pub capacity: u64,
     /// Tokens added per service tick (saturating at `capacity`).
     pub refill_per_tick: u64,
-    /// Tokens in the bucket at tick 0 (clamped to `capacity`).
-    pub initial: u64,
 }
 
 impl TenantPolicy {
@@ -44,14 +42,7 @@ impl TenantPolicy {
             tenant,
             capacity,
             refill_per_tick,
-            initial: capacity,
         }
-    }
-
-    /// Overrides the tick-0 fill level.
-    pub fn with_initial(mut self, initial: u64) -> Self {
-        self.initial = initial;
-        self
     }
 }
 
@@ -71,7 +62,7 @@ impl TokenBucket {
     /// A bucket at tick 0 under `policy`.
     pub fn new(policy: TenantPolicy) -> Self {
         TokenBucket {
-            tokens: policy.initial.min(policy.capacity),
+            tokens: policy.capacity,
             policy,
             last_tick: 0,
             granted: 0,
@@ -162,19 +153,23 @@ impl TokenBucket {
 mod tests {
     use super::*;
 
-    fn bucket(capacity: u64, refill: u64, initial: u64) -> TokenBucket {
-        TokenBucket::new(TenantPolicy::new(TenantId(0), capacity, refill).with_initial(initial))
+    /// A bucket at tick 0 holding `tokens` of its `capacity`: it starts
+    /// full, and the rest is reserved at tick 0.
+    fn bucket(capacity: u64, refill: u64, tokens: u64) -> TokenBucket {
+        let mut b = TokenBucket::new(TenantPolicy::new(TenantId(0), capacity, refill));
+        assert!(b.try_reserve(capacity - tokens, 0));
+        b
     }
 
     #[test]
     fn reserve_and_refill() {
-        let mut b = bucket(100, 10, 50);
-        assert!(b.try_reserve(40, 0));
+        let mut b = bucket(100, 10, 100);
+        assert!(b.try_reserve(90, 0));
         assert_eq!(b.available(0), 10);
         assert!(!b.try_reserve(20, 0));
         // 2 ticks × 10 refill = 30 available.
         assert!(b.try_reserve(25, 2));
-        assert_eq!(b.granted(), 65);
+        assert_eq!(b.granted(), 115);
     }
 
     #[test]

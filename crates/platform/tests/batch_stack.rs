@@ -164,38 +164,3 @@ fn a_platform_that_dead_letters_mid_row_fails_the_filter_cleanly() {
     // The bought prefix was billed exactly once.
     assert_eq!(platform.ledger().judgments(), counts.total());
 }
-
-/// A budget-capped platform refuses the row that starts past its cap as a
-/// whole: the run stops there, billed for the rows before it only.
-#[test]
-fn a_budget_capped_batch_blows_the_fuse_as_a_unit() {
-    let mut pool = WorkerPool::new();
-    pool.hire_naive_crowd(8, 0.0, 0.0);
-    pool.hire_expert_panel(3, 0.0, 0.0);
-    let config = PlatformConfig {
-        gold_fraction: 0.0,
-        budget_cap: Some(5.0),
-        ..PlatformConfig::paper_default()
-    };
-    let price = config.payment.naive;
-    let platform = Platform::new(instance(), pool, config, StdRng::seed_from_u64(2));
-    let mut oracle = BatchSizes {
-        inner: PlatformOracle::new(platform),
-        sizes: Vec::new(),
-    };
-    let ids = instance().ids();
-    // un = 2: one group of 8, rows of 7, 6, … pairs. The first row costs
-    // 7 naïve judgments, past the cap of 5, so the second is refused.
-    let err = try_filter_candidates(&mut oracle, &ids, &FilterConfig::new(2)).unwrap_err();
-    assert_eq!(err, OracleError::BudgetExhausted);
-    assert_eq!(oracle.sizes, vec![7, 6], "nothing after the refused row");
-    let counts = oracle.counts();
-    let platform = oracle.inner.into_platform();
-    assert_eq!(counts.naive, 7, "the refused row bought nothing");
-    assert_eq!(platform.ledger().judgments(), 7, "and billed nothing");
-    assert_eq!(
-        platform.ledger().total(),
-        7.0 * price,
-        "the first row is billed once"
-    );
-}

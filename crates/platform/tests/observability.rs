@@ -164,37 +164,6 @@ fn fault_counter_reconciles_with_platform_tally() {
     assert_eq!(retries, tally);
 }
 
-/// Hitting the budget cap emits a `BudgetExhausted` event with the cap and
-/// the spending that tripped it.
-#[test]
-fn budget_cap_emits_budget_exhausted() {
-    let n = 12;
-    let instance = Instance::new((0..n).map(|i| i as f64 * 3.0).collect());
-    let config = PlatformConfig::paper_default()
-        .without_gold()
-        .with_budget_cap(0.5);
-    let rec = Arc::new(Recorder::new());
-    {
-        let _g = crowd_obs::install_recorder(rec.clone());
-        let mut platform =
-            Platform::new(instance, pool_with(8, 3), config, StdRng::seed_from_u64(5));
-        // First job spends past the cap; the second is refused.
-        let _ = platform.submit_comparisons(&pairs(n, 8), WorkerClass::Naive);
-        let refused = platform.submit_comparisons(&pairs(n, 2), WorkerClass::Naive);
-        assert!(refused.is_err());
-    }
-    let log = rec.log();
-    let exhausted: Vec<&Event> = log
-        .events()
-        .filter(|e| matches!(e, Event::BudgetExhausted { .. }))
-        .collect();
-    assert!(!exhausted.is_empty(), "BudgetExhausted event expected");
-    if let Event::BudgetExhausted { cap, spent } = exhausted[0] {
-        assert_eq!(*cap, 0.5);
-        assert!(*spent >= 0.5);
-    }
-}
-
 /// Usable judgments land in the per-class latency histogram; dead-lettered
 /// units land in the dead-letter counter and event stream.
 #[test]
@@ -209,7 +178,7 @@ fn latency_and_dead_letter_instrumentation() {
                 .with_latency(LatencyModel::Geometric { p: 0.6, cap: 5 }),
             4242,
         )
-        .with_retry(RetryPolicy::none());
+        .with_retry(RetryPolicy::paper_default().with_max_retries(0));
     let rec = Arc::new(Recorder::new());
     {
         let _g = crowd_obs::install_recorder(rec.clone());

@@ -88,7 +88,6 @@ proptest! {
         let pool = pool_with(8, 4);
         let config = PlatformConfig::paper_default()
             .without_gold()
-            .with_judgments_per_unit(judgments_per_unit)
             .with_payment(CostModel::new(cn, ce));
         let mut platform = Platform::new(instance.clone(), pool, config, StdRng::seed_from_u64(seed));
         let pairs: Vec<_> = (0..comparisons)
@@ -100,8 +99,9 @@ proptest! {
             .filter(|(a, b)| a != b)
             .collect();
         prop_assume!(!pairs.is_empty());
-        platform.submit_comparisons(&pairs, WorkerClass::Naive).unwrap();
-        platform.submit_comparisons(&pairs, WorkerClass::Expert).unwrap();
+        let job = Job::from_pairs(&pairs, judgments_per_unit);
+        platform.run_job(&job, WorkerClass::Naive).unwrap();
+        platform.run_job(&job, WorkerClass::Expert).unwrap();
 
         let counts = platform.counts();
         let expected = counts.naive as f64 * cn + counts.expert as f64 * ce;
@@ -131,14 +131,15 @@ proptest! {
     /// Trust tracking: a worker's gold accuracy decides her fate exactly at
     /// the threshold, for any record.
     #[test]
-    fn trust_threshold_is_exact(correct in 0u32..50, wrong in 0u32..50, threshold in 0.01f64..1.0, min_gold in 1u32..10) {
-        let mut t = TrustTracker::new(threshold, min_gold);
+    fn trust_threshold_is_exact(correct in 0u32..50, wrong in 0u32..50) {
+        use crowd_platform::quality::{MIN_GOLD, TRUST_THRESHOLD};
+        let mut t = TrustTracker::default();
         let w = WorkerId(0);
         for i in 0..(correct + wrong) {
             t.record(w, i < correct);
         }
         let seen = correct + wrong;
-        let expected = seen < min_gold || correct as f64 / seen as f64 >= threshold;
+        let expected = seen < MIN_GOLD || correct as f64 / seen as f64 >= TRUST_THRESHOLD;
         prop_assert_eq!(t.is_trusted(w), expected);
     }
 
@@ -202,7 +203,6 @@ proptest! {
         let instance = Instance::new((0..12).map(|i| i as f64 * 5.0).collect());
         let config = PlatformConfig::paper_default()
             .without_gold()
-            .with_judgments_per_unit(judgments)
             .with_faults(
                 FaultConfig::none()
                     .with_abandon(abandon)
@@ -255,7 +255,6 @@ proptest! {
         );
         let mut config = PlatformConfig::paper_default();
         config.gold_fraction = 0.5;
-        config.min_gold = 2;
         let mut platform = Platform::new(instance, pool, config, StdRng::seed_from_u64(seed));
         // Gold pairs presented higher-first: AlwaysSecond always fails them.
         platform.set_gold_pairs(vec![

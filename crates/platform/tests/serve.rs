@@ -447,13 +447,65 @@ fn resume_refuses_foreign_journals() {
         err,
         ServeError::Resume(crowd_platform::serve::ResumeError::SeedMismatch { .. })
     ));
-    // Wrong config.
-    let other = config.clone().with_queue_cap(99);
-    let err = CrowdServe::resume(other, 21, &plan, bytes, 600).unwrap_err();
-    assert!(matches!(
-        err,
-        ServeError::Resume(crowd_platform::serve::ResumeError::ConfigMismatch)
-    ));
+    // Wrong config: each value the config holds, nested policy fields
+    // included, changes the digest on its own. The pattern stops
+    // compiling when the config gains a field this list does not alter.
+    let ServeConfig {
+        shards: _,
+        tenants: _,
+        queue_cap: _,
+        retry: _,
+        breaker: _,
+        finalists: _,
+        fallback_votes: _,
+        reserve_factor_percent: _,
+        cache: _,
+        slo: _,
+    } = &config;
+    type Alter = fn(&mut ServeConfig);
+    let alterations: [(&str, Alter); 26] = [
+        ("shards", |c| c.shards.truncate(2)),
+        ("shard class", |c| c.shards[1].class = WorkerClass::Expert),
+        ("shard workers", |c| c.shards[0].workers += 1),
+        ("shard delta", |c| c.shards[0].delta = 1.0),
+        ("shard epsilon", |c| c.shards[0].epsilon = 0.1),
+        ("shard window", |c| c.shards[0].window += 1),
+        ("fault dropout", |c| c.shards[0].fault.dropout = 0.1),
+        ("fault abandon", |c| c.shards[0].fault.abandon = 0.2),
+        ("fault no_answer", |c| c.shards[0].fault.no_answer = 0.2),
+        ("fault latency", |c| {
+            c.shards[0].fault.latency = LatencyModel::Instant;
+        }),
+        ("fault timeout", |c| c.shards[0].fault.timeout_steps += 1),
+        ("tenants", |c| c.tenants.truncate(1)),
+        ("tenant id", |c| c.tenants[1].tenant = TenantId(2)),
+        ("tenant capacity", |c| c.tenants[0].capacity += 1),
+        ("tenant refill", |c| c.tenants[0].refill_per_tick += 1),
+        ("queue_cap", |c| c.queue_cap += 1),
+        ("retry max_retries", |c| c.retry.max_retries += 1),
+        ("breaker enabled", |c| c.breaker = BreakerPolicy::disabled()),
+        ("finalists", |c| c.finalists += 1),
+        ("fallback_votes", |c| c.fallback_votes += 2),
+        ("reserve_factor_percent", |c| c.reserve_factor_percent -= 1),
+        ("cache enabled", |c| c.cache.enabled = false),
+        ("cache capacity", |c| c.cache.capacity -= 1),
+        ("cache max_age", |c| c.cache.max_age_ticks = 100),
+        ("slo latency objective", |c| {
+            c.slo.latency_objective_ticks += 1;
+        }),
+        ("slo bad budget", |c| c.slo.bad_budget_bps += 1),
+    ];
+    for (value, alter) in alterations {
+        let mut other = config.clone();
+        alter(&mut other);
+        assert_ne!(other, config, "{value}");
+        let err = CrowdServe::resume(other, 21, &plan, bytes, 600).unwrap_err();
+        assert_eq!(
+            err,
+            ServeError::Resume(crowd_platform::serve::ResumeError::ConfigMismatch),
+            "{value}"
+        );
+    }
     // No header at all.
     let err = CrowdServe::resume(config, 21, &plan, b"", 600).unwrap_err();
     assert!(matches!(
@@ -749,19 +801,19 @@ proptest! {
     }
 
     /// Breaker state machine: deterministic under a fixed seed, and the
-    /// trip threshold is exact — `threshold − 1` consecutive failures
+    /// trip threshold is exact — `TRIP_THRESHOLD − 1` consecutive failures
     /// leave it closed, one more opens it.
     #[test]
     fn breaker_trips_exactly_at_threshold(
-        threshold in 1u32..8,
         seed in 0u64..1000,
         worker in 0u64..64,
     ) {
+        use crowd_platform::serve::breaker::TRIP_THRESHOLD;
         use crowd_platform::serve::CircuitBreaker;
-        let policy = BreakerPolicy::default_on().with_trip_threshold(threshold);
+        let policy = BreakerPolicy::default_on();
         let mut a = CircuitBreaker::new();
         let mut b = CircuitBreaker::new();
-        for i in 0..threshold - 1 {
+        for i in 0..TRIP_THRESHOLD - 1 {
             let va = a.on_failure(0, &policy, seed, worker);
             let vb = b.on_failure(0, &policy, seed, worker);
             prop_assert_eq!(va, vb, "replay diverged at failure {}", i);
@@ -785,9 +837,7 @@ proptest! {
         script in proptest::collection::vec(any::<bool>(), 1..40),
     ) {
         use crowd_platform::serve::CircuitBreaker;
-        let policy = BreakerPolicy::default_on()
-            .with_trip_threshold(2)
-            .with_cooldown(2, 3);
+        let policy = BreakerPolicy::default_on();
         let run = |script: &[bool]| {
             let mut b = CircuitBreaker::new();
             let mut states = Vec::new();

@@ -225,6 +225,7 @@ fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
 macro_rules! impl_int_range {
     ($($t:ty => $wide:ty),* $(,)?) => {$(
         impl SampleUniform for $t {
+            #[inline]
             fn sample_uniform<R: RngCore + ?Sized>(rng: &mut R, low: $t, high: $t, inclusive: bool) -> $t {
                 if inclusive {
                     assert!(low <= high, "empty range");
@@ -253,6 +254,7 @@ impl_int_range!(
 macro_rules! impl_float_range {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
+            #[inline]
             fn sample_uniform<R: RngCore + ?Sized>(rng: &mut R, low: $t, high: $t, inclusive: bool) -> $t {
                 if inclusive {
                     assert!(low <= high, "empty range");

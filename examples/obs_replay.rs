@@ -117,9 +117,6 @@ fn main() {
                 "run finished: {name} — {} naive + {} expert comparisons, {faults} faults",
                 comparisons_by_class.naive, comparisons_by_class.expert
             ),
-            Event::BudgetExhausted { cap, spent } => {
-                println!("budget exhausted: spent {spent:.2} against cap {cap:.2}");
-            }
             _ => {}
         }
     }
