@@ -1577,6 +1577,53 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_batch_journals_no_assignments() {
+        let instance = Instance::new(vec![1.0, 2.0, 3.0, 4.0]);
+        let mut pool = WorkerPool::new();
+        pool.hire_naive_crowd(3, 0.0, 0.0); // no experts, and no fallback
+        let platform = Platform::new(
+            instance,
+            pool,
+            PlatformConfig::paper_default().without_gold(),
+            StdRng::seed_from_u64(3),
+        );
+        let mut oracle = JournaledOracle::new(platform, "refused", 3, CheckpointPolicy::every(1));
+        let mut winners = Vec::new();
+        oracle
+            .try_compare_batch(
+                WorkerClass::Naive,
+                &[(ElementId(0), ElementId(3))],
+                &mut winners,
+            )
+            .unwrap();
+        let refused = oracle.try_compare_batch(
+            WorkerClass::Expert,
+            &[(ElementId(1), ElementId(2))],
+            &mut winners,
+        );
+        assert_eq!(
+            refused,
+            Err(OracleError::WorkforceDepleted {
+                class: WorkerClass::Expert
+            })
+        );
+        // The refused batch asked nobody, so its Completed record names
+        // no workers rather than the previous batch's.
+        let completed: Vec<(Vec<WorkerId>, bool)> =
+            Journal::decode(&oracle.journal().durable().to_vec())
+                .records
+                .into_iter()
+                .filter_map(|record| match record {
+                    JournalRecord::Completed {
+                        workers, partial, ..
+                    } => Some((workers, partial)),
+                    _ => None,
+                })
+                .collect();
+        assert_eq!(completed, [(vec![WorkerId(0)], false), (vec![], true)]);
+    }
+
+    #[test]
     fn checkpoint_cadence_batches_completed_flushes() {
         let instance = Instance::new(vec![1.0, 2.0, 3.0, 4.0]);
         let mut pool = WorkerPool::new();

@@ -12,9 +12,10 @@
 //!   behaviour or spam strategies.
 //! * [`pool`] — the workforce `W`, partitioned into naïve and expert
 //!   classes and hired per channel.
-//! * [`task`] — jobs, pairwise-comparison units, gold units, judgments.
-//! * [`scheduler`] — logical steps expanded into physical steps
-//!   (`⌈judgments / workers⌉`), with distinct workers per unit.
+//! * [`task`] — pairwise-comparison units, regular and gold.
+//! * [`scheduler`] — the batch-latency rule: a logical step's judgments
+//!   dealt to `w` workers take `⌈judgments / w⌉` physical steps, with
+//!   distinct workers per unit.
 //! * [`quality`] — gold-based trust tracking and the 70% exclusion rule.
 //! * [`billing`] — the per-judgment payment ledger.
 //! * [`platform`] — the facade, plus [`platform::PlatformOracle`] adapting
@@ -34,15 +35,15 @@
 //! * [`mod@recover`] — crash recovery: rerun the job on a fresh platform,
 //!   which must rewrite the crashed journal's intact bytes frame for
 //!   frame, then continue live.
-//!
-//! Crashes are checked without a kill switch: a run is deterministic, so
-//! resuming from [`journal::crash_cuts`] of one uninterrupted journal
-//! covers every state a kill can leave.
 //! * [`serve`] — crowd-serve: an overload-robust multi-tenant job
 //!   service multiplexing concurrent max-finding jobs over sharded
 //!   worker pools, with token-bucket admission control, bounded-queue
 //!   load shedding, deficit-round-robin dispatch, per-worker circuit
 //!   breakers, graceful degradation, and WAL-journaled crash recovery.
+//!
+//! Crashes are checked without a kill switch: a run is deterministic, so
+//! resuming from [`journal::crash_cuts`] of one uninterrupted journal
+//! covers every state a kill can leave.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -70,16 +71,16 @@ pub use journal::{
     crash_cuts, CheckpointPolicy, DecodedJournal, DurableBytes, Journal, JournalRecord,
     JournaledOracle, JOURNAL_VERSION, SEGMENT_BYTES,
 };
-pub use platform::{JobResult, Platform, PlatformConfig, PlatformError, PlatformOracle};
+pub use platform::{Platform, PlatformConfig, PlatformError, PlatformOracle};
 pub use pool::WorkerPool;
 pub use quality::{GoldRecord, TrustTracker};
 pub use recover::{recover, resume_job, RecoverError, Recovered};
 pub use report::{CampaignReport, WorkerLine};
 pub use retry::{DeadLetter, DeadLetterReason, RetryPolicy};
-pub use scheduler::{physical_steps, reassign, schedule, Assignment, Schedule, ScheduleError};
+pub use scheduler::{physical_steps, ScheduleError};
 pub use serve::{
     Admission, ArrivalPlan, BreakerPolicy, CircuitBreaker, CompletedJob, CrowdServe, JobId,
     JobSpec, ServeConfig, ServeError, ServeReport, ShardSpec, TenantId, TenantPolicy, TenantReport,
 };
-pub use task::{Job, Judgment, Unit, UnitId};
+pub use task::{Unit, UnitId};
 pub use worker::{Behavior, SpamStrategy, Worker, WorkerId, WorkerProfile};

@@ -2,8 +2,8 @@
 //!
 //! When a judgment times out, abandons, or no-answers, the platform
 //! re-assigns the unit to a *different* worker (preserving the
-//! distinct-workers-per-unit invariant, see
-//! [`crate::scheduler::reassign`]) after a backoff delay measured in
+//! distinct-workers-per-unit invariant, see the `scheduler` module's
+//! `reassign`) after a backoff delay measured in
 //! physical steps. Units that exhaust their retries land in a
 //! [`DeadLetter`] record on the platform instead of being silently lost.
 

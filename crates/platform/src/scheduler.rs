@@ -10,39 +10,14 @@
 //! `ceil(m / w)` physical steps — the paper's (and Venetis et al.'s)
 //! time-complexity measure.
 //!
-//! The scheduler builds the concrete assignment: which worker judges which
-//! unit at which physical step, never assigning the same worker to the same
-//! unit twice.
+//! The scheduler deals each job's judgments to workers, never handing the
+//! same worker the same unit twice; the physical step of a judgment
+//! follows from its position in the deal.
 
 use crate::pool::WorkerPool;
-use crate::task::{Job, Unit, UnitId};
+use crate::task::{Unit, UnitId};
 use crate::worker::WorkerId;
 use crowd_core::model::WorkerClass;
-use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
-
-/// One planned assignment: `worker` judges `unit` at `physical_step`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Assignment {
-    /// The unit to judge.
-    pub unit: UnitId,
-    /// The unit's position in the job's [`units`](Job::units), so callers
-    /// can keep per-unit state in position-indexed vectors.
-    pub unit_pos: usize,
-    /// The worker assigned.
-    pub worker: WorkerId,
-    /// The physical step at which the judgment happens.
-    pub physical_step: u64,
-}
-
-/// A full schedule for one job (one logical step).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Schedule {
-    /// All assignments, ordered by physical step.
-    pub assignments: Vec<Assignment>,
-    /// Number of physical steps the logical step spans (`|F(s)|`).
-    pub physical_steps: u64,
-}
 
 /// Errors the scheduler can report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,51 +92,24 @@ fn eligible_workers<'a>(
         .filter(move |&w| pool.worker(w).class() == class && !is_excluded(excluded, w))
 }
 
-/// Plans a job of `class` over the eligible workers of `pool`, excluding
-/// the workers `excluded` marks (spam-flagged or dropped out).
-/// The mask is indexed by [`WorkerId::index`]; positions past its end
-/// exclude nobody, so `&[]` excludes no one.
+/// Plans `per_unit` judgments of each of `units` for workers of `class`
+/// in `pool`, excluding the workers `excluded` marks (spam-flagged or
+/// dropped out). The mask is indexed by [`WorkerId::index`]; positions
+/// past its end exclude nobody, so `&[]` excludes no one. Runs in reused
+/// buffers: `eligible` is overwritten with the dealing order and
+/// `schedule` with the plan, which is cleared first, so a refused job
+/// leaves it empty. Returns the physical steps the plan spans.
 ///
 /// Assignment policy: judgments are laid out unit-major and dealt to
 /// workers round-robin starting at `rotation` (callers advance it between
 /// jobs so load spreads across the pool), so each unit's judgments land on
-/// distinct workers and the load is balanced; the physical step of the
-/// `q`-th judgment is `q / w` where `w` is the number of eligible workers
-/// (each worker does at most one judgment per physical step).
+/// distinct workers and the load is balanced; the `q`-th judgment goes to
+/// the `q % w`-th worker of the dealing order at physical step `q / w`,
+/// where `w` is the number of eligible workers (each worker does at most
+/// one judgment per physical step).
 ///
-/// The layout is part of the contract: with `j` judgments per unit, the
-/// unit at position `p` in [`Job::units`] owns exactly the assignments
-/// `p·j .. (p+1)·j`, each carrying `unit_pos == p`.
-pub fn schedule(
-    pool: &WorkerPool,
-    job: &Job,
-    class: WorkerClass,
-    excluded: &[bool],
-    starting_step: u64,
-    rotation: usize,
-) -> Result<Schedule, ScheduleError> {
-    let mut eligible = Vec::with_capacity(pool.len());
-    let mut assignments = Vec::with_capacity(job.total_judgments() as usize);
-    let physical_steps = schedule_into(
-        pool,
-        job.units(),
-        job.judgments_per_unit(),
-        class,
-        excluded,
-        starting_step,
-        rotation,
-        &mut eligible,
-        &mut assignments,
-    )?;
-    Ok(Schedule {
-        assignments,
-        physical_steps,
-    })
-}
-
-/// [`schedule`] over `per_unit` judgments of each of `units`, into
-/// reused buffers: `eligible` is overwritten with the dealing order and
-/// `assignments` with the plan. Returns the physical steps the plan spans.
+/// The layout is part of the contract: the unit at position `p` in
+/// `units` owns exactly the slots `p·per_unit .. (p+1)·per_unit`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn schedule_into(
     pool: &WorkerPool,
@@ -169,11 +117,11 @@ pub(crate) fn schedule_into(
     per_unit: u32,
     class: WorkerClass,
     excluded: &[bool],
-    starting_step: u64,
     rotation: usize,
     eligible: &mut Vec<WorkerId>,
-    assignments: &mut Vec<Assignment>,
+    schedule: &mut Vec<WorkerId>,
 ) -> Result<u64, ScheduleError> {
+    schedule.clear();
     eligible.clear();
     eligible.extend(eligible_workers(pool, class, excluded));
     // Rotate the dealing order so consecutive jobs spread over the whole
@@ -194,42 +142,30 @@ pub(crate) fn schedule_into(
         });
     }
 
-    // The `q`-th judgment goes to `eligible[q % w]` at step `q / w`,
-    // dealt by running counters.
-    assignments.clear();
-    let (mut slot, mut physical_step) = (0, starting_step);
-    for (unit_pos, unit) in units.iter().enumerate() {
-        for _ in 0..per_unit {
-            assignments.push(Assignment {
-                unit: unit.id,
-                unit_pos,
-                worker: eligible[slot],
-                physical_step,
-            });
-            slot += 1;
-            if slot == w {
-                slot = 0;
-                physical_step += 1;
-            }
-        }
+    // Each physical step hands out the dealing order in full (the last
+    // one may stop short) until every judgment has a worker.
+    let total = units.len() * per_unit as usize;
+    while schedule.len() < total {
+        let step = (total - schedule.len()).min(w);
+        schedule.extend_from_slice(&eligible[..step]);
     }
-    Ok((assignments.len() as u64).div_ceil(w as u64))
+    Ok((total as u64).div_ceil(w as u64))
 }
 
 /// Picks a fresh worker for a retry of `unit`: eligible (right class, not
-/// marked in `excluded`, a mask as in [`schedule`]), and not in
+/// marked in `excluded`, a mask as in [`schedule_into`]), and not in
 /// `already_assigned` — the workers this unit has already been handed to
 /// (a handful, so a slice), which preserves the distinct-workers-per-unit
 /// invariant across retries. The dealing order rotates by `rotation` like
-/// [`schedule`] so retry load also spreads over the pool. Scans the pool
-/// in place, without collecting the eligible list.
+/// [`schedule_into`]'s, so retry load also spreads over the pool. Scans
+/// the pool in place, without collecting the eligible list.
 ///
 /// # Errors
 ///
 /// [`ScheduleError::NoEligibleWorkers`] if the class has no eligible
 /// workers at all; [`ScheduleError::NoFreshWorkerForUnit`] if every
 /// eligible worker already touched the unit.
-pub fn reassign(
+pub(crate) fn reassign(
     pool: &WorkerPool,
     class: WorkerClass,
     excluded: &[bool],
@@ -259,8 +195,8 @@ pub fn reassign(
 
 /// The paper's batch-latency rule in closed form: `m` judgments dealt to
 /// `w` parallel workers take `⌈m / w⌉` physical steps (Section 3, Remark —
-/// the same rule [`schedule`] realizes assignment by assignment). Useful
-/// for estimating the wall-clock footprint of a run from its comparison
+/// the same rule the platform's scheduler realizes judgment by judgment).
+/// Useful for estimating the wall-clock footprint of a run from its comparison
 /// tally alone, without building a pool and jobs.
 ///
 /// # Errors
@@ -275,22 +211,13 @@ pub fn physical_steps(m: u64, w: usize) -> Result<u64, ScheduleError> {
     Ok(m.div_ceil(w as u64))
 }
 
-/// Checks the distinct-worker-per-unit invariant of a schedule (used by
-/// tests and debug assertions).
-pub fn distinct_workers_per_unit(schedule: &Schedule) -> bool {
-    use std::collections::HashMap;
-    let mut seen: HashMap<UnitId, HashSet<WorkerId>> = HashMap::new();
-    schedule
-        .assignments
-        .iter()
-        .all(|a| seen.entry(a.unit).or_default().insert(a.worker))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::worker::Behavior;
     use crowd_core::element::ElementId;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn pool(naive: usize) -> WorkerPool {
         let mut p = WorkerPool::new();
@@ -298,94 +225,116 @@ mod tests {
         p
     }
 
-    fn job(units: usize, judgments: u32) -> Job {
-        let pairs: Vec<_> = (0..units)
-            .map(|i| (ElementId(2 * i as u32), ElementId(2 * i as u32 + 1)))
-            .collect();
-        Job::from_pairs(&pairs, judgments)
+    fn units(n: usize) -> Vec<Unit> {
+        (0..n as u32)
+            .map(|i| Unit::regular(UnitId(i), ElementId(2 * i), ElementId(2 * i + 1)))
+            .collect()
+    }
+
+    /// Plans `judgments` judgments of each of `n` units in fresh buffers:
+    /// the schedule and the physical steps it spans.
+    fn plan(
+        pool: &WorkerPool,
+        n: usize,
+        judgments: u32,
+        class: WorkerClass,
+        excluded: &[bool],
+        rotation: usize,
+    ) -> Result<(Vec<WorkerId>, u64), ScheduleError> {
+        let (mut eligible, mut schedule) = (Vec::new(), Vec::new());
+        let steps = schedule_into(
+            pool,
+            &units(n),
+            judgments,
+            class,
+            excluded,
+            rotation,
+            &mut eligible,
+            &mut schedule,
+        )?;
+        Ok((schedule, steps))
+    }
+
+    /// True when no unit's slots (`judgments` apiece, unit-major) repeat a
+    /// worker.
+    fn no_unit_repeats_a_worker(schedule: &[WorkerId], judgments: u32) -> bool {
+        schedule
+            .chunks(judgments as usize)
+            .all(|slots| slots.iter().collect::<HashSet<_>>().len() == slots.len())
     }
 
     #[test]
     fn all_judgments_scheduled_once() {
-        let p = pool(5);
-        let s = schedule(&p, &job(4, 3), WorkerClass::Naive, &[], 0, 0).unwrap();
-        assert_eq!(s.assignments.len(), 12);
-        assert!(distinct_workers_per_unit(&s));
+        let (s, _) = plan(&pool(5), 4, 3, WorkerClass::Naive, &[], 0).unwrap();
+        assert_eq!(s.len(), 12);
+        assert!(no_unit_repeats_a_worker(&s, 3));
     }
 
     #[test]
     fn assignments_are_unit_major_and_carry_positions() {
-        let p = pool(5);
-        let job = job(4, 3);
-        let s = schedule(&p, &job, WorkerClass::Naive, &[], 0, 0).unwrap();
-        for (pos, chunk) in s.assignments.chunks(3).enumerate() {
-            assert!(chunk
-                .iter()
-                .all(|a| a.unit_pos == pos && a.unit == job.units()[pos].id));
+        // The unit at position `p` owns slots `p·3 .. (p+1)·3`: three
+        // consecutive workers of the dealing order, which starts at
+        // worker 2 under rotation 2.
+        let (s, _) = plan(&pool(5), 4, 3, WorkerClass::Naive, &[], 2).unwrap();
+        for (pos, slots) in s.chunks(3).enumerate() {
+            let dealt: Vec<_> = (0..3)
+                .map(|i| WorkerId(((2 + 3 * pos + i) % 5) as u32))
+                .collect();
+            assert_eq!(slots, dealt, "unit {pos}");
         }
     }
 
     #[test]
     fn reused_buffers_plan_what_a_fresh_schedule_plans() {
         let p = pool(5);
-        let (mut eligible, mut assignments) = (vec![WorkerId(9); 7], Vec::new());
-        for (units, judgments, start, rotation) in [(4, 3, 0, 0), (1, 1, 7, 3), (6, 2, 2, 11)] {
-            let job = job(units, judgments);
-            let fresh = schedule(
+        let (mut eligible, mut schedule) = (vec![WorkerId(9); 7], vec![WorkerId(9); 3]);
+        for (n, judgments, rotation) in [(4, 3, 0), (1, 1, 3), (6, 2, 11)] {
+            let fresh = plan(
                 &p,
-                &job,
+                n,
+                judgments,
                 WorkerClass::Naive,
                 &[false, true],
-                start,
                 rotation,
             );
             let steps = schedule_into(
                 &p,
-                job.units(),
+                &units(n),
                 judgments,
                 WorkerClass::Naive,
                 &[false, true],
-                start,
                 rotation,
                 &mut eligible,
-                &mut assignments,
+                &mut schedule,
             );
-            let fresh = fresh.unwrap();
-            assert_eq!(steps, Ok(fresh.physical_steps));
-            assert_eq!(assignments, fresh.assignments);
-            // The running counters deal the `q`-th judgment to worker
-            // `q % w` at step `q / w`.
-            for (q, a) in assignments.iter().enumerate() {
-                assert_eq!(a.worker, eligible[q % eligible.len()]);
-                assert_eq!(a.physical_step, start + (q / eligible.len()) as u64);
+            let (fresh, fresh_steps) = fresh.unwrap();
+            assert_eq!(steps, Ok(fresh_steps));
+            assert_eq!(schedule, fresh);
+            // The `q`-th judgment goes to worker `q % w` of the dealing
+            // order.
+            for (q, &worker) in schedule.iter().enumerate() {
+                assert_eq!(worker, eligible[q % eligible.len()]);
             }
         }
     }
 
     #[test]
     fn physical_steps_follow_ceil_rule() {
-        let p = pool(5);
-        // 4 units × 3 judgments = 12 assignments over 5 workers → ⌈12/5⌉ = 3.
-        let s = schedule(&p, &job(4, 3), WorkerClass::Naive, &[], 0, 0).unwrap();
-        assert_eq!(s.physical_steps, 3);
-        assert!(s.assignments.iter().all(|a| a.physical_step < 3));
-        // A single worker per physical step does one judgment.
-        for step in 0..3 {
-            let mut workers_at_step = HashSet::new();
-            for a in s.assignments.iter().filter(|a| a.physical_step == step) {
-                assert!(
-                    workers_at_step.insert(a.worker),
-                    "worker double-booked at step {step}"
-                );
-            }
+        // 4 units × 3 judgments = 12 slots over 5 workers → ⌈12/5⌉ = 3.
+        let (s, steps) = plan(&pool(5), 4, 3, WorkerClass::Naive, &[], 0).unwrap();
+        assert_eq!(steps, 3);
+        // Slot `q` runs at step `q / 5`, and a worker does one judgment
+        // per physical step.
+        for (step, slots) in s.chunks(5).enumerate() {
+            let workers: HashSet<_> = slots.iter().collect();
+            assert_eq!(workers.len(), slots.len(), "double-booked at step {step}");
         }
     }
 
     #[test]
     fn closed_form_matches_the_planner() {
-        let p = pool(5);
-        let s = schedule(&p, &job(4, 3), WorkerClass::Naive, &[], 0, 0).unwrap();
-        assert_eq!(Ok(s.physical_steps), physical_steps(12, 5));
+        let (_, steps) = plan(&pool(5), 4, 3, WorkerClass::Naive, &[], 0).unwrap();
+        assert_eq!(Ok(steps), physical_steps(12, 5));
         assert_eq!(physical_steps(0, 3), Ok(0));
         assert_eq!(physical_steps(10, 1), Ok(10));
         assert_eq!(physical_steps(11, 5), Ok(3));
@@ -401,24 +350,15 @@ mod tests {
     }
 
     #[test]
-    fn starting_step_offsets_the_schedule() {
-        let p = pool(5);
-        let s = schedule(&p, &job(2, 2), WorkerClass::Naive, &[], 10, 0).unwrap();
-        assert!(s.assignments.iter().all(|a| a.physical_step >= 10));
-    }
-
-    #[test]
     fn excluded_workers_receive_nothing() {
-        let p = pool(5);
         let banned = [true, true];
-        let s = schedule(&p, &job(3, 2), WorkerClass::Naive, &banned, 0, 0).unwrap();
-        assert!(s.assignments.iter().all(|a| a.worker.index() >= 2));
+        let (s, _) = plan(&pool(5), 3, 2, WorkerClass::Naive, &banned, 0).unwrap();
+        assert!(s.iter().all(|w| w.index() >= 2));
     }
 
     #[test]
     fn too_many_judgments_per_unit_errors() {
-        let p = pool(2);
-        let err = schedule(&p, &job(1, 3), WorkerClass::Naive, &[], 0, 0).unwrap_err();
+        let err = plan(&pool(2), 1, 3, WorkerClass::Naive, &[], 0).unwrap_err();
         assert!(matches!(err, ScheduleError::NotEnoughWorkersForUnit { .. }));
         assert!(err.to_string().contains("3 distinct judgments"));
     }
@@ -426,9 +366,30 @@ mod tests {
     #[test]
     fn missing_class_errors() {
         let p = pool(3); // no experts
-        let err = schedule(&p, &job(1, 1), WorkerClass::Expert, &[], 0, 0).unwrap_err();
+        let err = plan(&p, 1, 1, WorkerClass::Expert, &[], 0).unwrap_err();
         assert!(matches!(err, ScheduleError::NoEligibleWorkers { .. }));
         assert!(err.to_string().contains("expert"));
+    }
+
+    #[test]
+    fn a_refused_plan_leaves_the_schedule_empty() {
+        let p = pool(2);
+        let (mut eligible, mut schedule) = (Vec::new(), vec![WorkerId(0)]);
+        for (judgments, class) in [(1, WorkerClass::Expert), (3, WorkerClass::Naive)] {
+            let refused = schedule_into(
+                &p,
+                &units(2),
+                judgments,
+                class,
+                &[],
+                0,
+                &mut eligible,
+                &mut schedule,
+            );
+            assert!(refused.is_err());
+            assert!(schedule.is_empty(), "nobody was asked: {schedule:?}");
+            schedule.push(WorkerId(1));
+        }
     }
 
     #[test]
@@ -439,8 +400,8 @@ mod tests {
             "spam",
             Behavior::Spammer(crate::worker::SpamStrategy::Random),
         );
-        let s = schedule(&p, &job(1, 3), WorkerClass::Naive, &[], 0, 0).unwrap();
-        assert_eq!(s.assignments.len(), 3);
+        let (s, _) = plan(&p, 1, 3, WorkerClass::Naive, &[], 0).unwrap();
+        assert_eq!(s.len(), 3);
     }
 
     #[test]
@@ -448,8 +409,8 @@ mod tests {
         let p = pool(5);
         let mut seen = HashSet::new();
         for rotation in 0..5 {
-            let s = schedule(&p, &job(1, 1), WorkerClass::Naive, &[], 0, rotation).unwrap();
-            seen.insert(s.assignments[0].worker);
+            let (s, _) = plan(&p, 1, 1, WorkerClass::Naive, &[], rotation).unwrap();
+            seen.insert(s[0]);
         }
         assert_eq!(
             seen.len(),
@@ -490,5 +451,47 @@ mod tests {
         let p = pool(2);
         let err = reassign(&p, WorkerClass::Expert, &[], &[], UnitId(0), 0).unwrap_err();
         assert!(matches!(err, ScheduleError::NoEligibleWorkers { .. }));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every schedule covers exactly `units × judgments` slots, never
+        /// double-books a worker within a physical step (slot `q` runs at
+        /// step `q / w`), never assigns a worker twice to the same unit,
+        /// and obeys the ⌈m/w⌉ physical-step rule.
+        #[test]
+        fn schedule_invariants(
+            workers in 1usize..40,
+            units in 1usize..30,
+            judgments in 1u32..8,
+            rotation in 0usize..100,
+        ) {
+            prop_assume!(judgments as usize <= workers);
+            let (s, steps) = plan(&pool(workers), units, judgments, WorkerClass::Naive, &[], rotation).unwrap();
+
+            let total = units as u64 * u64::from(judgments);
+            prop_assert_eq!(s.len() as u64, total);
+            prop_assert!(no_unit_repeats_a_worker(&s, judgments));
+            prop_assert_eq!(steps, total.div_ceil(workers as u64));
+            let mut at_step = HashSet::new();
+            for (q, worker) in s.iter().enumerate() {
+                if q % workers == 0 {
+                    at_step.clear();
+                }
+                prop_assert!(at_step.insert(worker), "double-booked worker at step {}", q / workers);
+            }
+        }
+
+        /// The rotation parameter is a pure relabeling: it changes who works,
+        /// never how much work happens.
+        #[test]
+        fn rotation_preserves_workload(workers in 2usize..20, units in 1usize..20, r1 in 0usize..50, r2 in 0usize..50) {
+            let p = pool(workers);
+            let (s1, steps1) = plan(&p, units, 1, WorkerClass::Naive, &[], r1).unwrap();
+            let (s2, steps2) = plan(&p, units, 1, WorkerClass::Naive, &[], r2).unwrap();
+            prop_assert_eq!(s1.len(), s2.len());
+            prop_assert_eq!(steps1, steps2);
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Jobs, units and judgments — the platform's task vocabulary.
+//! Units — the platform's task vocabulary.
 //!
 //! Following CrowdFlower's terminology (Section 3.1 of the paper): a *job*
 //! is a batch of *units* (here, pairwise comparisons); each unit collects a
@@ -7,7 +7,6 @@
 //! to the workers, and they exist solely to score worker trust ("15% of the
 //! queries that we performed are gold queries").
 
-use crate::worker::WorkerId;
 use crowd_core::element::ElementId;
 use serde::{Deserialize, Serialize};
 
@@ -74,81 +73,6 @@ fn same_element(e: ElementId) -> ! {
     panic!("a unit compares two distinct elements, got {e:?} twice");
 }
 
-/// One worker's answer to one unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Judgment {
-    /// The unit judged.
-    pub unit: UnitId,
-    /// The worker who judged it.
-    pub worker: WorkerId,
-    /// The element the worker declared the winner.
-    pub answer: ElementId,
-    /// The physical time step at which the judgment was produced.
-    pub physical_step: u64,
-}
-
-/// A job: a batch of units plus the per-unit judgment requirement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Job {
-    units: Vec<Unit>,
-    judgments_per_unit: u32,
-}
-
-impl Job {
-    /// Builds a job.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `judgments_per_unit == 0` or `units` is empty.
-    pub fn new(units: Vec<Unit>, judgments_per_unit: u32) -> Self {
-        Job::check_shape(&units, judgments_per_unit);
-        Job {
-            units,
-            judgments_per_unit,
-        }
-    }
-
-    /// Panics unless `units` and `judgments_per_unit` make a job: at
-    /// least one unit, and at least one judgment each.
-    pub(crate) fn check_shape(units: &[Unit], judgments_per_unit: u32) {
-        assert!(!units.is_empty(), "a job needs at least one unit");
-        assert!(
-            judgments_per_unit > 0,
-            "each unit needs at least one judgment"
-        );
-    }
-
-    /// Convenience: a job of regular units from raw pairs.
-    pub fn from_pairs(pairs: &[(ElementId, ElementId)], judgments_per_unit: u32) -> Self {
-        let units = pairs
-            .iter()
-            .enumerate()
-            .map(|(i, &(k, j))| Unit::regular(UnitId(i as u32), k, j))
-            .collect();
-        Job::new(units, judgments_per_unit)
-    }
-
-    /// The job's units.
-    pub fn units(&self) -> &[Unit] {
-        &self.units
-    }
-
-    /// Judgments each unit must collect.
-    pub fn judgments_per_unit(&self) -> u32 {
-        self.judgments_per_unit
-    }
-
-    /// Total judgments the job will request.
-    pub fn total_judgments(&self) -> u64 {
-        self.units.len() as u64 * self.judgments_per_unit as u64
-    }
-
-    /// Number of gold units in the job.
-    pub fn gold_count(&self) -> usize {
-        self.units.iter().filter(|u| u.is_gold()).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,40 +99,5 @@ mod tests {
     #[should_panic(expected = "one of the pair")]
     fn foreign_gold_answer_panics() {
         Unit::gold(UnitId(0), A, B, ElementId(9));
-    }
-
-    #[test]
-    fn job_accounting() {
-        let job = Job::new(
-            vec![
-                Unit::regular(UnitId(0), A, B),
-                Unit::gold(UnitId(1), A, B, B),
-            ],
-            21,
-        );
-        assert_eq!(job.total_judgments(), 42);
-        assert_eq!(job.gold_count(), 1);
-        assert_eq!(job.judgments_per_unit(), 21);
-        assert_eq!(job.units().len(), 2);
-    }
-
-    #[test]
-    fn job_from_pairs() {
-        let job = Job::from_pairs(&[(A, B), (B, ElementId(2))], 3);
-        assert_eq!(job.units().len(), 2);
-        assert_eq!(job.gold_count(), 0);
-        assert_eq!(job.units()[1].pair, (B, ElementId(2)));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one unit")]
-    fn empty_job_panics() {
-        Job::new(vec![], 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one judgment")]
-    fn zero_judgments_panics() {
-        Job::new(vec![Unit::regular(UnitId(0), A, B)], 0);
     }
 }

@@ -1,5 +1,5 @@
 //! Integration tests of the platform's observability instrumentation: the
-//! events and metrics `run_job` feeds into `crowd-obs` recorders.
+//! events and metrics a platform job feeds into `crowd-obs` recorders.
 
 use crowd_core::element::{ElementId, Instance};
 use crowd_core::model::WorkerClass;

@@ -1,19 +1,19 @@
-//! Property-based tests of the platform substrate: scheduling invariants,
-//! billing conservation, and quality-control behaviour under randomized
-//! workloads and pool compositions.
+//! Property-based tests of the platform's public surface: the oracle
+//! adapter, trust tracking, the batched filter, spam exclusion and the
+//! ledger, under randomized workloads and pool compositions. Scheduling
+//! and billing properties of the batch executor are tested in the crate.
 
-use crowd_core::cost::CostModel;
 use crowd_core::element::{ElementId, Instance};
 use crowd_core::model::WorkerClass;
 use crowd_core::oracle::ComparisonOracle;
 use crowd_platform::{
-    batched_filter, schedule, scheduler::distinct_workers_per_unit, Behavior, Job, Ledger,
-    Platform, PlatformConfig, PlatformOracle, SpamStrategy, TrustTracker, WorkerId, WorkerPool,
+    batched_filter, Behavior, Ledger, Platform, PlatformConfig, PlatformOracle, SpamStrategy,
+    TrustTracker, WorkerId, WorkerPool,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 fn pool_with(naive: usize, experts: usize) -> WorkerPool {
     let mut p = WorkerPool::new();
@@ -22,92 +22,8 @@ fn pool_with(naive: usize, experts: usize) -> WorkerPool {
     p
 }
 
-fn job_with(units: usize, judgments: u32) -> Job {
-    let pairs: Vec<_> = (0..units)
-        .map(|i| (ElementId(2 * i as u32), ElementId(2 * i as u32 + 1)))
-        .collect();
-    Job::from_pairs(&pairs, judgments)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Every schedule covers exactly `units × judgments` assignments, never
-    /// double-books a worker within a physical step, never assigns a worker
-    /// twice to the same unit, and obeys the ⌈m/w⌉ physical-step rule.
-    #[test]
-    fn schedule_invariants(
-        workers in 1usize..40,
-        units in 1usize..30,
-        judgments in 1u32..8,
-        rotation in 0usize..100,
-        start in 0u64..1000,
-    ) {
-        prop_assume!(judgments as usize <= workers);
-        let pool = pool_with(workers, 0);
-        let job = job_with(units, judgments);
-        let s = schedule(&pool, &job, WorkerClass::Naive, &[], start, rotation).unwrap();
-
-        prop_assert_eq!(s.assignments.len() as u64, job.total_judgments());
-        prop_assert!(distinct_workers_per_unit(&s));
-        let expected_steps = job.total_judgments().div_ceil(workers as u64);
-        prop_assert_eq!(s.physical_steps, expected_steps);
-        for step in 0..expected_steps {
-            let mut at_step = HashSet::new();
-            for a in s.assignments.iter().filter(|a| a.physical_step == start + step) {
-                prop_assert!(at_step.insert(a.worker), "double-booked worker at step {}", step);
-            }
-        }
-        prop_assert!(s.assignments.iter().all(|a| (start..start + expected_steps).contains(&a.physical_step)));
-    }
-
-    /// The rotation parameter is a pure relabeling: it changes who works,
-    /// never how much work happens.
-    #[test]
-    fn rotation_preserves_workload(workers in 2usize..20, units in 1usize..20, r1 in 0usize..50, r2 in 0usize..50) {
-        let pool = pool_with(workers, 0);
-        let job = job_with(units, 1);
-        let s1 = schedule(&pool, &job, WorkerClass::Naive, &[], 0, r1).unwrap();
-        let s2 = schedule(&pool, &job, WorkerClass::Naive, &[], 0, r2).unwrap();
-        prop_assert_eq!(s1.assignments.len(), s2.assignments.len());
-        prop_assert_eq!(s1.physical_steps, s2.physical_steps);
-    }
-
-    /// Billing conservation: ledger total = naive judgments × cn + expert
-    /// judgments × ce, and judgment counts match the oracle tally.
-    #[test]
-    fn billing_matches_judgments(
-        n in 4usize..40,
-        comparisons in 1usize..25,
-        judgments_per_unit in 1u32..4,
-        cn in 0.01f64..2.0,
-        ce in 2.0f64..50.0,
-        seed in any::<u64>(),
-    ) {
-        let instance = Instance::new((0..n).map(|i| i as f64 * 10.0).collect());
-        let pool = pool_with(8, 4);
-        let config = PlatformConfig::paper_default()
-            .without_gold()
-            .with_payment(CostModel::new(cn, ce));
-        let mut platform = Platform::new(instance.clone(), pool, config, StdRng::seed_from_u64(seed));
-        let pairs: Vec<_> = (0..comparisons)
-            .map(|i| {
-                let a = (i % n) as u32;
-                let b = ((i + 1 + i / n) % n) as u32;
-                (ElementId(a), ElementId(if a == b { (b + 1) % n as u32 } else { b }))
-            })
-            .filter(|(a, b)| a != b)
-            .collect();
-        prop_assume!(!pairs.is_empty());
-        let job = Job::from_pairs(&pairs, judgments_per_unit);
-        platform.run_job(&job, WorkerClass::Naive).unwrap();
-        platform.run_job(&job, WorkerClass::Expert).unwrap();
-
-        let counts = platform.counts();
-        let expected = counts.naive as f64 * cn + counts.expert as f64 * ce;
-        prop_assert!((platform.ledger().total() - expected).abs() < 1e-6);
-        prop_assert_eq!(platform.ledger().judgments(), counts.total());
-    }
 
     /// The platform oracle always answers with one of the two compared
     /// elements, for both classes.
@@ -182,63 +98,6 @@ proptest! {
         let sp = oracle.into_platform();
         prop_assert_eq!(bp.counts().naive, sp.counts().naive);
         prop_assert!(batched.physical_steps <= sp.physical_clock());
-    }
-
-    /// Under arbitrary fault pressure, retry re-assignment never hands a
-    /// unit back to a worker who already judged it — the
-    /// distinct-workers-per-unit invariant survives recovery — and every
-    /// performed judgment is billed.
-    #[test]
-    fn retry_reassignment_never_repeats_a_worker(
-        seed in any::<u64>(),
-        fault_seed in any::<u64>(),
-        abandon in 0.0f64..0.4,
-        no_answer in 0.0f64..0.4,
-        timeout_steps in 1u64..6,
-        judgments in 1u32..3,
-    ) {
-        use crowd_platform::{FaultConfig, LatencyModel, RetryPolicy};
-        use std::collections::HashMap;
-
-        let instance = Instance::new((0..12).map(|i| i as f64 * 5.0).collect());
-        let config = PlatformConfig::paper_default()
-            .without_gold()
-            .with_faults(
-                FaultConfig::none()
-                    .with_abandon(abandon)
-                    .with_no_answer(no_answer)
-                    .with_latency(LatencyModel::Geometric { p: 0.5, cap: 12 })
-                    .with_timeout_steps(timeout_steps),
-                fault_seed,
-            )
-            .with_retry(RetryPolicy::paper_default());
-        let mut platform = Platform::new(
-            instance,
-            pool_with(10, 0),
-            config,
-            StdRng::seed_from_u64(seed),
-        );
-        for round in 0..8u32 {
-            let job = Job::from_pairs(
-                &[
-                    (ElementId(round % 6), ElementId(6 + round % 6)),
-                    (ElementId((round + 1) % 6), ElementId(11)),
-                ],
-                judgments,
-            );
-            if let Ok(result) = platform.run_job(&job, WorkerClass::Naive) {
-                let mut seen: HashMap<_, HashSet<_>> = HashMap::new();
-                for j in &result.judgments {
-                    prop_assert!(
-                        seen.entry(j.unit).or_default().insert(j.worker),
-                        "unit {:?} judged twice by {} (round {round})",
-                        j.unit,
-                        j.worker
-                    );
-                }
-            }
-        }
-        prop_assert_eq!(platform.ledger().judgments(), platform.counts().total());
     }
 
     /// A persistent spammer in a gold-rich platform eventually gets
